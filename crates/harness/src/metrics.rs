@@ -199,8 +199,10 @@ pub struct Report {
     /// fingerprint for the same reason as `marker_time_ns`: wall-clock
     /// readings legitimately vary between runs.
     pub cycles: Vec<CycleStat>,
-    /// Discrete events processed by the world's run loop (deterministic;
-    /// the numerator of the perf gate's events/sec metric).
+    /// Discrete events processed by the world's run loop. Deterministic
+    /// and invariant to shard count and to `measure_cycles`, but outside
+    /// [`Report::fingerprint`]: it counts the simulator's work, so it
+    /// moves when the event loop gets leaner while the output does not.
     pub events: u64,
     /// Per-shard execution statistics when the run was sharded
     /// ([`crate::run_sharded`]); empty for classic single-world runs.
@@ -501,12 +503,17 @@ impl Report {
     /// for determinism tests: two runs of the same seeded scenario must
     /// produce identical fingerprints.
     ///
-    /// `marker_time_ns` and `cycles` are excluded (they measure
-    /// wall-clock time, which legitimately varies between runs), and
-    /// `queue_series` is emitted in sorted key order so the digest does
-    /// not depend on hash-map iteration order. Floats are formatted with
-    /// `{:?}` (shortest round-trip), so equal fingerprints imply
-    /// bit-identical values.
+    /// Deliberately *not* in it: wall time (`marker_time_ns`), `cycles`
+    /// and `shards` (host readings that legitimately vary between
+    /// runs), and the event count `events` — that is what the simulator
+    /// *did* to produce the samples, not what the model *says*, so a
+    /// change to how many wake-ups the world pops must not read as a
+    /// change in simulated output. `events` stays deterministic and is
+    /// asserted on its own (shard-count and `measure_cycles`
+    /// invariance). `queue_series` is emitted in sorted key order so
+    /// the digest does not depend on hash-map iteration order. Floats
+    /// are formatted with `{:?}` (shortest round-trip), so equal
+    /// fingerprints imply bit-identical values.
     pub fn fingerprint(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
@@ -554,7 +561,7 @@ impl Report {
         );
         let _ = write!(
             s,
-            "err={:?};fin={:?};start={:?};fue={:?};marks={};ulmarks={};rlc_drops={};tbs_lost={};harq={};mem={};ev={}",
+            "err={:?};fin={:?};start={:?};fue={:?};marks={};ulmarks={};rlc_drops={};tbs_lost={};harq={};mem={}",
             self.rate_err_pct,
             self.finish_ms,
             self.flow_start,
@@ -564,8 +571,7 @@ impl Report {
             self.rlc_drops,
             self.tbs_lost,
             self.harq_retx,
-            self.marker_memory,
-            self.events
+            self.marker_memory
         );
         // Impairment-era fields are appended *conditionally* so every
         // impairment-free run fingerprints byte-identically to the
