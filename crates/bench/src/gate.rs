@@ -54,8 +54,8 @@ fn classic(name: &'static str, cfg: ScenarioConfig) -> Canonical {
 }
 
 /// The canonical perf-tracking scenario set, shared by `perf_gate`
-/// (events/sec) and `fig_breakdown` (per-subsystem attribution) so the
-/// two always measure the same workloads.
+/// (wall per simulated second) and `fig_breakdown` (per-subsystem
+/// attribution) so the two always measure the same workloads.
 pub fn canonical_scenarios(secs: u64) -> Vec<Canonical> {
     let dur = Duration::from_secs(secs);
     vec![
@@ -161,24 +161,29 @@ pub fn canonical_scenarios(secs: u64) -> Vec<Canonical> {
     ]
 }
 
-/// One scenario's gated rate as read from a `BENCH_PR*.json` artifact.
+/// One scenario's gated cost as read from a `BENCH_PR*.json` artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Scenario name.
     pub name: String,
-    /// The rate the gate compares against: aggregate events/sec for
-    /// sharded rows (which carry `aggregate_events_per_sec`), measured
-    /// events per wall-clock second otherwise.
-    pub events_per_sec: f64,
+    /// The cost the gate compares, lower is better: wall-clock
+    /// milliseconds per simulated second — for sharded rows (which
+    /// carry `busy_max_s`) the *longest shard's busy* milliseconds per
+    /// simulated second, i.e. the wall the run takes when every shard
+    /// has its own core.
+    pub ms_per_sim_s: f64,
 }
 
-/// Extract `(name, gated rate)` pairs from one of our own
+/// Extract `(name, gated cost)` pairs from one of our own
 /// `BENCH_PR*.json` artifacts. The files are written by `perf_gate` in
 /// a fixed shape (one scenario object per line), so a line-oriented
-/// scan is exact — no JSON dependency in the offline workspace. A
-/// sharded row's `aggregate_events_per_sec` takes precedence over its
-/// wall-based `events_per_sec`: the wall rate depends on how many cores
-/// the recording machine had, the aggregate does not.
+/// scan is exact — no JSON dependency in the offline workspace. Every
+/// row of every artifact since PR 2 carries `wall_ms_per_sim_s`; events
+/// per second, which older rows also carry, is deliberately not read:
+/// it rises when cheap stale events are added and fell 2–7× when PR 12
+/// removed them, while the wall improved. A sharded row is scaled by
+/// `busy_max_s / wall_s`: its wall depends on how many cores the
+/// recording machine had, its critical path does not.
 pub fn parse_bench_json(text: &str) -> Vec<BenchEntry> {
     fn number_after(line: &str, key: &str) -> Option<f64> {
         let pos = line.find(key)?;
@@ -197,14 +202,17 @@ pub fn parse_bench_json(text: &str) -> Vec<BenchEntry> {
         let rest = &line[npos + 9..];
         let Some(nend) = rest.find('"') else { continue };
         let name = rest[..nend].to_string();
-        let rate = number_after(line, "\"aggregate_events_per_sec\": ")
-            .or_else(|| number_after(line, "\"events_per_sec\": "));
-        if let Some(events_per_sec) = rate {
-            out.push(BenchEntry {
-                name,
-                events_per_sec,
-            });
-        }
+        let Some(wall_ms) = number_after(line, "\"wall_ms_per_sim_s\": ") else {
+            continue;
+        };
+        let busy_share = number_after(line, "\"busy_max_s\": ")
+            .zip(number_after(line, "\"wall_s\": "))
+            .filter(|&(_, wall)| wall > 0.0)
+            .map_or(1.0, |(busy, wall)| busy / wall);
+        out.push(BenchEntry {
+            name,
+            ms_per_sim_s: wall_ms * busy_share,
+        });
     }
     out
 }
@@ -223,19 +231,19 @@ pub fn parse_bench_pr(text: &str) -> Option<u32> {
 }
 
 /// Fold a set of artifact measurements into the committed baseline
-/// constants, keeping per-scenario maxima. Artifact values are
-/// discounted by `headroom` first (see `perf_gate` for why), committed
-/// constants are taken as-is, and scenarios that only exist in
-/// artifacts are added.
+/// constants, keeping per-scenario *minima* (the tightest bar).
+/// Artifact values are loosened by `headroom` first (divided by it; see
+/// `perf_gate` for why), committed constants are taken as-is, and
+/// scenarios that only exist in artifacts are added.
 ///
 /// A scenario recorded by two or more artifacts contributes its
-/// **second-highest** value, not its maximum: a baseline must be
+/// **second-lowest** value, not its minimum: a baseline must be
 /// *reproducible*. One lucky recording window would otherwise ratchet
-/// the bar permanently above what a clean run on the same machine can
-/// reach (the PR 4 handover artifact sat ~23 % over every other PR's
-/// recording of the same scenario — more than the `headroom` haircut
-/// absorbs — and its fold made PR 9's own raw recording fail the
-/// band). The anti-stale property survives: a regression can only
+/// the bar permanently below what a clean run on the same machine can
+/// reach (the PR 4 handover artifact sat ~23 % ahead of every other
+/// PR's recording of the same scenario — more than the `headroom`
+/// haircut absorbs — and its fold made PR 9's own raw recording fail
+/// the band). The anti-stale property survives: a regression can only
 /// hide if the *two* best artifacts are both stale. A scenario seen
 /// in exactly one artifact still binds with that value — there is
 /// nothing to corroborate a first appearance against.
@@ -244,21 +252,21 @@ pub fn fold_best(
     artifacts: &[Vec<BenchEntry>],
     headroom: f64,
 ) -> Vec<(String, f64)> {
-    // Per scenario, the two highest discounted artifact values seen.
-    let mut top2: Vec<(String, f64, Option<f64>)> = Vec::new();
+    // Per scenario, the two lowest loosened artifact values seen.
+    let mut low2: Vec<(String, f64, Option<f64>)> = Vec::new();
     for art in artifacts {
         for e in art {
-            let v = e.events_per_sec * headroom;
-            match top2.iter_mut().find(|(n, _, _)| *n == e.name) {
-                Some((_, hi, second)) => {
-                    if v > *hi {
-                        *second = Some(*hi);
-                        *hi = v;
+            let v = e.ms_per_sim_s / headroom;
+            match low2.iter_mut().find(|(n, _, _)| *n == e.name) {
+                Some((_, lo, second)) => {
+                    if v < *lo {
+                        *second = Some(*lo);
+                        *lo = v;
                     } else {
-                        *second = Some(second.map_or(v, |s| s.max(v)));
+                        *second = Some(second.map_or(v, |s| s.min(v)));
                     }
                 }
-                None => top2.push((e.name.clone(), v, None)),
+                None => low2.push((e.name.clone(), v, None)),
             }
         }
     }
@@ -266,10 +274,10 @@ pub fn fold_best(
         .iter()
         .map(|&(n, v)| (n.to_string(), v))
         .collect();
-    for (name, hi, second) in top2 {
-        let v = second.unwrap_or(hi);
+    for (name, lo, second) in low2 {
+        let v = second.unwrap_or(lo);
         match best.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, b)) => *b = b.max(v),
+            Some((_, b)) => *b = b.min(v),
             None => best.push((name, v)),
         }
     }
@@ -284,11 +292,13 @@ pub fn baseline_for(table: &[(String, f64)], name: &str) -> Option<f64> {
 /// The verdict for one measured scenario against the baseline table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GateVerdict {
-    /// Events/sec is within `max_regression` of the best prior baseline.
+    /// Wall per simulated second is within `max_regression` of the best
+    /// prior baseline.
     Pass,
-    /// Events/sec fell more than `max_regression` below the baseline.
+    /// Wall per simulated second rose more than `max_regression` above
+    /// the baseline.
     Fail {
-        /// The bar that was missed (baseline × (1 − max_regression)).
+        /// The bar that was missed (baseline × (1 + max_regression)).
         bar: f64,
         /// The best prior baseline itself.
         baseline: f64,
@@ -298,18 +308,19 @@ pub enum GateVerdict {
     NoBaseline,
 }
 
-/// Check one scenario's events/sec against the best-prior table.
+/// Check one scenario's wall ms per simulated second against the
+/// best-prior table.
 pub fn check_scenario(
     best: &[(String, f64)],
     name: &str,
-    events_per_sec: f64,
+    ms_per_sim_s: f64,
     max_regression: f64,
 ) -> GateVerdict {
     match baseline_for(best, name) {
         None => GateVerdict::NoBaseline,
         Some(baseline) => {
-            let bar = baseline * (1.0 - max_regression);
-            if events_per_sec < bar {
+            let bar = baseline * (1.0 + max_regression);
+            if ms_per_sim_s > bar {
                 GateVerdict::Fail { bar, baseline }
             } else {
                 GateVerdict::Pass
@@ -318,8 +329,9 @@ pub fn check_scenario(
     }
 }
 
-/// Percent delta of `now` vs `prev` (`+` = faster). `None` when the
-/// scenario has no previous measurement.
+/// Percent delta of `now` vs `prev` (`−` = faster: less wall per
+/// simulated second). `None` when the scenario has no previous
+/// measurement.
 pub fn delta_pct(prev: Option<f64>, now: f64) -> Option<f64> {
     match prev {
         Some(p) if p > 0.0 => Some((now / p - 1.0) * 100.0),
@@ -336,7 +348,7 @@ mod tests {
             .iter()
             .map(|&(n, v)| BenchEntry {
                 name: n.to_string(),
-                events_per_sec: v,
+                ms_per_sim_s: v,
             })
             .collect()
     }
@@ -345,73 +357,71 @@ mod tests {
     fn parse_bench_json_reads_rows_and_ignores_pre_pr2_fields() {
         let text = "{\n  \"pr\": 6,\n  \"sim_secs_per_scenario\": 8,\n  \"scenarios\": [\n    \
                     {\"name\": \"a\", \"events\": 10, \"wall_s\": 1.000, \"events_per_sec\": 1500000, \"wall_ms_per_sim_s\": 125.0},\n    \
-                    {\"name\": \"b\", \"events\": 20, \"wall_s\": 2.000, \"events_per_sec\": 2000000.5, \"wall_ms_per_sim_s\": 250.0, \"pre_pr2_events_per_sec\": 955942, \"speedup_vs_pre_pr2\": 2.09}\n  ]\n}\n";
+                    {\"name\": \"b\", \"events\": 20, \"wall_s\": 2.000, \"events_per_sec\": 2000000.5, \"wall_ms_per_sim_s\": 250.5, \"pre_pr2_events_per_sec\": 955942, \"speedup_vs_pre_pr2\": 2.09}\n  ]\n}\n";
         let got = parse_bench_json(text);
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].name, "a");
-        assert_eq!(got[0].events_per_sec, 1_500_000.0);
+        assert_eq!(got[0].ms_per_sim_s, 125.0);
         assert_eq!(got[1].name, "b");
-        assert_eq!(got[1].events_per_sec, 2_000_000.5);
+        assert_eq!(got[1].ms_per_sim_s, 250.5);
         assert_eq!(parse_bench_pr(text), Some(6));
     }
 
     #[test]
-    fn parse_bench_json_prefers_aggregate_rate_on_sharded_rows() {
+    fn parse_bench_json_gates_sharded_rows_on_their_critical_path() {
         let text = "{\n  \"pr\": 8,\n  \"scenarios\": [\n    \
                     {\"name\": \"metro\", \"events\": 9, \"wall_s\": 4.000, \"events_per_sec\": 3000000, \"wall_ms_per_sim_s\": 2000.0, \"shards\": 8, \"busy_max_s\": 0.500, \"aggregate_events_per_sec\": 12000000, \"per_core_events_per_sec\": 1500000}\n  ]\n}\n";
         let got = parse_bench_json(text);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].name, "metro");
-        // The wall-based 3M must lose to the 12M aggregate: the former
+        // The 2000 ms wall must lose to the 250 ms critical path (the
+        // longest shard was busy for an eighth of the wall): the former
         // depends on the recording machine's core count.
-        assert_eq!(got[0].events_per_sec, 12_000_000.0);
+        assert_eq!(got[0].ms_per_sim_s, 250.0);
     }
 
     #[test]
-    fn fold_best_takes_max_with_haircut_and_adds_new_scenarios() {
-        let committed = [("a", 1_000_000.0), ("b", 2_000_000.0)];
+    fn fold_best_takes_min_with_haircut_and_adds_new_scenarios() {
+        let committed = [("a", 30.0), ("b", 20.0)];
         // Artifact 1: `a` faster even after the 10% haircut; `b` slower.
         // Artifact 2: a brand-new scenario `c`.
-        let art1 = entries(&[("a", 1_500_000.0), ("b", 1_000_000.0)]);
-        let art2 = entries(&[("c", 3_000_000.0)]);
+        let art1 = entries(&[("a", 18.0), ("b", 27.0)]);
+        let art2 = entries(&[("c", 9.0)]);
         let best = fold_best(&committed, &[art1, art2], 0.9);
-        assert_eq!(baseline_for(&best, "a"), Some(1_350_000.0));
-        assert_eq!(baseline_for(&best, "b"), Some(2_000_000.0));
-        assert_eq!(baseline_for(&best, "c"), Some(2_700_000.0));
+        assert_eq!(baseline_for(&best, "a"), Some(20.0));
+        assert_eq!(baseline_for(&best, "b"), Some(20.0));
+        assert_eq!(baseline_for(&best, "c"), Some(10.0));
         assert_eq!(baseline_for(&best, "missing"), None);
     }
 
     #[test]
     fn fold_best_discards_a_single_outlier_artifact() {
-        // Five artifacts record `a` near 2.0M; one lucky window
-        // recorded 2.6M. The fold must bind on the second-highest
+        // Four artifacts record `a` near 27 ms; one lucky window
+        // recorded 18. The fold must bind on the second-lowest
         // (reproducible) value, not the outlier — otherwise one lucky
-        // run ratchets the bar above every honest recording.
-        let committed = [("a", 1_500_000.0)];
-        let arts: Vec<_> = [2_000_000.0, 2_600_000.0, 1_950_000.0, 2_050_000.0]
+        // run ratchets the bar below every honest recording.
+        let committed = [("a", 36.0)];
+        let arts: Vec<_> = [27.9, 18.0, 28.8, 27.0]
             .iter()
             .map(|&v| entries(&[("a", v)]))
             .collect();
         let best = fold_best(&committed, &arts, 0.9);
-        // second-highest = 2.05M, × 0.9 = 1.845M (> committed 1.5M).
-        assert_eq!(baseline_for(&best, "a"), Some(1_845_000.0));
+        // second-lowest = 27, / 0.9 = 30 (< committed 36).
+        assert_eq!(baseline_for(&best, "a"), Some(30.0));
         // A scenario seen in exactly one artifact still binds with it.
-        let one = fold_best(&committed, &[entries(&[("b", 3_000_000.0)])], 0.9);
-        assert_eq!(baseline_for(&one, "b"), Some(2_700_000.0));
+        let one = fold_best(&committed, &[entries(&[("b", 9.0)])], 0.9);
+        assert_eq!(baseline_for(&one, "b"), Some(10.0));
     }
 
     #[test]
     fn check_scenario_threshold_math_at_ten_percent() {
-        let best = vec![("a".to_string(), 1_000_000.0)];
-        // Exactly at the bar passes; a hair under fails.
-        assert_eq!(
-            check_scenario(&best, "a", 900_000.0, 0.10),
-            GateVerdict::Pass
-        );
-        match check_scenario(&best, "a", 899_999.0, 0.10) {
+        let best = vec![("a".to_string(), 20.0)];
+        // Exactly at the bar passes; a hair over fails.
+        assert_eq!(check_scenario(&best, "a", 22.0, 0.10), GateVerdict::Pass);
+        match check_scenario(&best, "a", 22.001, 0.10) {
             GateVerdict::Fail { bar, baseline } => {
-                assert!((bar - 900_000.0).abs() < 1e-6);
-                assert_eq!(baseline, 1_000_000.0);
+                assert!((bar - 22.0).abs() < 1e-9);
+                assert_eq!(baseline, 20.0);
             }
             v => panic!("expected Fail, got {v:?}"),
         }
@@ -419,7 +429,7 @@ mod tests {
 
     #[test]
     fn check_scenario_skips_unknown_scenarios_explicitly() {
-        let best = vec![("a".to_string(), 1_000_000.0)];
+        let best = vec![("a".to_string(), 20.0)];
         assert_eq!(
             check_scenario(&best, "brand_new", 1.0, 0.10),
             GateVerdict::NoBaseline
@@ -429,16 +439,16 @@ mod tests {
     #[test]
     fn best_prior_selection_across_multiple_bench_files() {
         // Three PR artifacts measuring the same scenario: the bar
-        // comes from the second-highest — not the most recent (a
+        // comes from the second-lowest — not the most recent (a
         // regression must not hide behind one stale artifact) and not
-        // the single peak (one lucky window must not ratchet the bar;
+        // the single best (one lucky window must not ratchet the bar;
         // see `fold_best_discards_a_single_outlier_artifact`).
-        let committed = [("a", 500_000.0)];
-        let pr3 = entries(&[("a", 1_200_000.0)]);
-        let pr4 = entries(&[("a", 2_000_000.0)]); // the peak
-        let pr5 = entries(&[("a", 1_800_000.0)]); // most recent, slower
+        let committed = [("a", 90.0)];
+        let pr3 = entries(&[("a", 36.0)]);
+        let pr4 = entries(&[("a", 18.0)]); // the best
+        let pr5 = entries(&[("a", 27.0)]); // most recent, slower
         let best = fold_best(&committed, &[pr3, pr4, pr5], 0.9);
-        assert_eq!(baseline_for(&best, "a"), Some(1_620_000.0));
+        assert_eq!(baseline_for(&best, "a"), Some(30.0));
     }
 
     #[test]

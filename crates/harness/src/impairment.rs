@@ -219,7 +219,7 @@ enum Stage {
     Bleach { prob: f64, rng: SimRng },
     Remark { from: Ecn, to: Ecn, prob: f64, rng: SimRng },
     EctDrop { prob: f64, rng: SimRng },
-    ClassicQueue { router: Box<Router>, poll_at: Instant },
+    ClassicQueue { router: Box<Router> },
 }
 
 /// The instantiated pipeline (one per world; see `World::new`).
@@ -258,7 +258,6 @@ impl Impairment {
                         RouterAqm::ClassicEcn(Red::default()),
                         rng,
                     )),
-                    poll_at: Instant::MAX,
                 },
             })
             .collect();
@@ -313,31 +312,18 @@ impl Impairment {
 
     /// Poll queue stage `i`: returns the packets whose service completed
     /// by `now` and the next departure instant, if any. The caller feeds
-    /// departures into stage `i + 1` and schedules a poll at the
-    /// returned instant (deduplicated internally — a `None` second field
-    /// means no new poll is needed).
+    /// departures into stage `i + 1` and polls again at the returned
+    /// instant; keeping that to one pending poll per stage is the
+    /// caller's business (the world arms a [`crate::Wakeup`] per stage).
     pub fn poll_queue(&mut self, i: usize, now: Instant) -> (Vec<PacketBuf>, Option<Instant>) {
-        let (marks0, drops0) = match &self.stages[i] {
-            Stage::ClassicQueue { router, .. } => (router.marks, router.drops),
-            _ => return (Vec::new(), None),
+        let Stage::ClassicQueue { router } = &mut self.stages[i] else {
+            return (Vec::new(), None);
         };
-        let Stage::ClassicQueue { router, poll_at } = &mut self.stages[i] else {
-            unreachable!("checked above");
-        };
-        if now >= *poll_at {
-            *poll_at = Instant::MAX;
-        }
+        let (marks0, drops0) = (router.marks, router.drops);
         let out = router.poll(now);
         self.counters.queue_marks += router.marks - marks0;
         self.counters.queue_drops += router.drops - drops0;
-        let next = match router.next_departure() {
-            Some(d) if d < *poll_at => {
-                *poll_at = d;
-                Some(d)
-            }
-            _ => None,
-        };
-        (out, next)
+        (out, router.next_departure())
     }
 }
 

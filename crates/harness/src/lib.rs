@@ -23,6 +23,8 @@
 //!   egress and the core: ECT bleaching, codepoint remarking, ECT drop,
 //!   and an RFC 3168 classic-ECN single-queue hop;
 //! * [`wired`] — the wired-only topology of Fig. 2(a);
+//! * [`wakeup`] — the one-live-wake-up-per-owner timer dedupe both
+//!   event loops ([`world`], [`wired`]) arm their polls through;
 //! * [`dci`] — synthetic DCI/MCS traces and the channel stable-period
 //!   CDF of Fig. 18;
 //! * [`runner`] — parallel execution of independent scenario batches
@@ -41,6 +43,7 @@ pub mod metrics;
 pub mod runner;
 pub mod scenario;
 pub mod shard;
+pub mod wakeup;
 pub mod wired;
 pub mod world;
 
@@ -57,6 +60,7 @@ pub use scenario::{
 #[allow(deprecated)]
 pub use scenario::TrafficKind;
 pub use shard::{plan_shards, plan_shards_reason, run_sharded};
+pub use wakeup::Wakeup;
 pub use world::World;
 
 /// Run a scenario to completion and return its report.

@@ -317,6 +317,19 @@ impl Report {
         bytes as f64 * 8.0 / ((hi - lo) as f64 * bin_s) / 1e6
     }
 
+    /// Data packets delivered end to end, both directions (one one-way
+    /// delay sample each): the denominator of "events per delivered
+    /// packet", the run-length-independent measure of event-loop work.
+    pub fn delivered_packets(&self) -> usize {
+        let n = |v: &[Vec<f64>]| v.iter().map(Vec::len).sum::<usize>();
+        n(&self.owd_ms) + n(&self.ul_owd_ms)
+    }
+
+    /// [`Report::events`] per [`Report::delivered_packets`].
+    pub fn events_per_packet(&self) -> f64 {
+        self.events as f64 / self.delivered_packets().max(1) as f64
+    }
+
     /// Mean goodput over the whole run.
     pub fn goodput_total_mbps(&self, flow: usize) -> f64 {
         self.goodput_mbps(flow, Instant::ZERO, Instant::ZERO + self.duration)

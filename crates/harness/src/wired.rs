@@ -9,10 +9,11 @@ use std::collections::HashMap;
 use l4span_aqm::{DualPi2, Router, RouterAqm};
 use l4span_cc::tcp::TcpConfig;
 use l4span_cc::{CcKind, TcpReceiver, TcpSender};
-use l4span_net::PacketBuf;
+use l4span_net::{FiveTuple, PacketBuf};
 use l4span_sim::{Duration, EventQueue, Instant, SimRng};
 
 use crate::metrics::Report;
+use crate::wakeup::Wakeup;
 
 /// Configuration of a wired run.
 #[derive(Debug, Clone)]
@@ -44,7 +45,7 @@ struct WFlow {
     sender: TcpSender,
     receiver: TcpReceiver,
     sent_at: HashMap<u16, Instant>,
-    timer_at: Instant,
+    timer: Wakeup,
 }
 
 /// Run the wired scenario.
@@ -69,7 +70,7 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
             sender: TcpSender::new(tcfg, controller),
             receiver: TcpReceiver::new(tcfg, mode),
             sent_at: HashMap::new(),
-            timer_at: Instant::MAX,
+            timer: Wakeup::new(),
         });
         queue.schedule(*start, Event::Start { flow: f });
     }
@@ -79,7 +80,7 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
     let mut rtt_ms = vec![Vec::new(); n];
     let mut rtt_at_s = vec![Vec::new(); n];
     let mut thr_bins = vec![Vec::new(); n];
-    let mut router_poll_at = Instant::MAX;
+    let mut router_poll = Wakeup::new();
     let end = Instant::ZERO + cfg.duration;
 
     // Helper closures are awkward with borrows; use a small macro-like fn.
@@ -97,6 +98,32 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
         }
     }
 
+    fn drain_router(
+        queue: &mut EventQueue<Event>,
+        router: &mut Router,
+        router_poll: &mut Wakeup,
+        tuple_to_flow: &HashMap<FiveTuple, usize>,
+        one_way: Duration,
+        now: Instant,
+    ) {
+        for pkt in router.poll(now) {
+            if let Some(&flow) = pkt.five_tuple().and_then(|t| tuple_to_flow.get(&t)) {
+                queue.schedule(now + one_way, Event::AtClient { flow, pkt });
+            }
+        }
+        let next = router.next_departure();
+        if let Some(at) = next.and_then(|d| router_poll.arm(d, now)) {
+            queue.schedule(at, Event::RouterPoll);
+        }
+    }
+
+    fn arm_timer(queue: &mut EventQueue<Event>, f: &mut WFlow, flow: usize, now: Instant) {
+        let next = f.sender.next_activity();
+        if let Some(at) = next.and_then(|at| f.timer.arm(at, now)) {
+            queue.schedule(at, Event::Timer { flow });
+        }
+    }
+
     while let Some(at) = queue.next_at() {
         if at > end {
             break;
@@ -110,36 +137,25 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
             }
             Event::AtRouter { pkt } => {
                 router.enqueue(pkt, now);
-                let departed = router.poll(now);
-                for pkt in departed {
-                    if let Some(&flow) =
-                        pkt.five_tuple().and_then(|t| tuple_to_flow.get(&t))
-                    {
-                        queue.schedule(now + cfg.one_way, Event::AtClient { flow, pkt });
-                    }
-                }
-                if let Some(d) = router.next_departure() {
-                    if d < router_poll_at {
-                        router_poll_at = d;
-                        queue.schedule(d, Event::RouterPoll);
-                    }
-                }
+                drain_router(
+                    &mut queue,
+                    &mut router,
+                    &mut router_poll,
+                    &tuple_to_flow,
+                    cfg.one_way,
+                    now,
+                );
             }
             Event::RouterPoll => {
-                router_poll_at = Instant::MAX;
-                let departed = router.poll(now);
-                for pkt in departed {
-                    if let Some(&flow) =
-                        pkt.five_tuple().and_then(|t| tuple_to_flow.get(&t))
-                    {
-                        queue.schedule(now + cfg.one_way, Event::AtClient { flow, pkt });
-                    }
-                }
-                if let Some(d) = router.next_departure() {
-                    if d < router_poll_at {
-                        router_poll_at = d;
-                        queue.schedule(d, Event::RouterPoll);
-                    }
+                if router_poll.fire(now) {
+                    drain_router(
+                        &mut queue,
+                        &mut router,
+                        &mut router_poll,
+                        &tuple_to_flow,
+                        cfg.one_way,
+                        now,
+                    );
                 }
             }
             Event::AtClient { flow, pkt } => {
@@ -167,24 +183,15 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
                     rtt_at_s[flow].push(now.as_secs_f64());
                 }
                 route_dl(&mut queue, &mut flows, flow, outs, cfg.one_way, now);
-                let na = flows[flow].sender.next_activity();
-                if let Some(at) = na {
-                    if at < flows[flow].timer_at {
-                        flows[flow].timer_at = at;
-                        queue.schedule(at.max(now), Event::Timer { flow });
-                    }
-                }
+                arm_timer(&mut queue, &mut flows[flow], flow, now);
             }
             Event::Timer { flow } => {
-                flows[flow].timer_at = Instant::MAX;
+                if !flows[flow].timer.fire(now) {
+                    continue;
+                }
                 let outs = flows[flow].sender.poll(now);
                 route_dl(&mut queue, &mut flows, flow, outs, cfg.one_way, now);
-                if let Some(at) = flows[flow].sender.next_activity() {
-                    if at < flows[flow].timer_at {
-                        flows[flow].timer_at = at;
-                        queue.schedule(at.max(now), Event::Timer { flow });
-                    }
-                }
+                arm_timer(&mut queue, &mut flows[flow], flow, now);
             }
         }
     }

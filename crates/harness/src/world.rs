@@ -30,6 +30,7 @@ use crate::metrics::{
     BondStat, Breakdown, BreakdownAvg, FallbackRecord, FecStat, HandoverRecord, Report,
 };
 use crate::scenario::{BottleneckSpec, FlowDir, ScenarioConfig, TransportSpec};
+use crate::wakeup::Wakeup;
 
 /// Subsystem labels of the world's [`CycleScope`] (the `fig_breakdown`
 /// attribution table). Indices are the `CYC_*` constants below; spans
@@ -131,14 +132,14 @@ struct Flow {
     sent_at: FxHashMap<u16, Instant>,
     /// ident of uplink feedback packet → its payload.
     fb_pending: FxHashMap<u16, FbData>,
-    /// Earliest scheduled FlowTimer (dedupe).
-    timer_at: Instant,
+    /// The sender's one live `FlowTimer`.
+    timer: Wakeup,
     /// The driving [`Application`], for flows whose app is not executed
     /// natively by the transport (`None` = native lowering: greedy/sized
     /// TCP, SCReAM's built-in media source, UDP Prague pacing).
     app: Option<Box<dyn Application + Send>>,
-    /// Earliest scheduled AppTick (dedupe).
-    app_timer_at: Instant,
+    /// The application's one live `AppTick`.
+    app_timer: Wakeup,
     /// Byte-stream units (frames/requests) awaiting UE-side delivery,
     /// in stream order — completed against the TCP receiver's in-order
     /// watermark.
@@ -172,9 +173,11 @@ pub(crate) enum Event {
     /// Poll the queue at impairment stage `stage` for departures.
     ImpairPoll { stage: u8 },
     DlAtCu { flow: usize, pkt: PacketBuf },
-    /// A transport block from `cell` decodes at the UE; dropped mid-air
-    /// if the UE handed over while it was in flight.
-    TbAtUe { cell: usize, ue: usize, tb: TransportBlock },
+    /// The transport blocks `cell` put on the air in one slot decode at
+    /// their UEs, in scheduling order (one pooled batch per slot: every
+    /// block of a slot shares its decode instant). A block whose UE
+    /// handed over while it was in flight is dropped mid-air.
+    TbsAtUe { cell: usize, tbs: Vec<TransportBlock> },
     AppDeliver { pkt: PacketBuf, t_cu_ingress: Instant },
     /// An uplink batch transmitted toward `cell` arrives (pooled
     /// buffers; returned to `World::ul_pool` after processing): client
@@ -187,9 +190,11 @@ pub(crate) enum Event {
         statuses: Vec<(DrbId, RlcStatus)>,
         bsr: Vec<(DrbId, usize)>,
     },
-    /// An uplink *data* transport block (grant-driven) arrives at the
-    /// gNB PHY; dropped mid-air if the UE handed over while in flight.
-    UlTbAtGnb { cell: usize, ue: usize, tb: TransportBlock },
+    /// The uplink *data* transport blocks granted in one slot arrive at
+    /// `cell`'s PHY, in grant order (pooled batch, like `TbsAtUe`; a
+    /// HARQ retransmission travels as a batch of one). A block whose UE
+    /// handed over while it was in flight is dropped mid-air.
+    UlTbsAtGnb { cell: usize, tbs: Vec<TransportBlock> },
     /// An uplink RLC AM status report travels the downlink control
     /// channel back to the UE's transmit entity.
     UlStatusAtUe { ue: usize, drb: DrbId, status: RlcStatus },
@@ -266,11 +271,14 @@ pub struct World {
     flows: Vec<Flow>,
     tuple_to_flow: FxHashMap<FiveTuple, usize>,
     router: Option<Router>,
-    router_poll_at: Instant,
+    /// The router's one live `RouterPoll`.
+    router_poll: Wakeup,
     /// Mid-path impairment pipeline (bleach/remark/drop stages and the
     /// RFC 3168 classic hop), applied ahead of the bottleneck router.
     /// `None` keeps the wired path byte-identical to the faithful one.
     impair: Option<Impairment>,
+    /// Per impairment stage, its queue's one live `ImpairPoll`.
+    impair_poll: Vec<Wakeup>,
     /// UEs with at least one UM DRB (the only ones whose RLC receivers
     /// need the reassembly-timeout poll).
     um_ues: Vec<usize>,
@@ -287,6 +295,8 @@ pub struct World {
     /// stops touching the allocator once the buffers reach steady-state
     /// size.
     ul_pool: Vec<UlBatch>,
+    /// Recycled `TbsAtUe` / `UlTbsAtGnb` batch buffers.
+    tb_pool: Vec<Vec<TransportBlock>>,
     /// Scratch buffer for draining SCReAM frame marks (reused).
     mark_scratch: Vec<FrameMark>,
     /// Reused buffer for sender-released packets (poll/ACK hot paths).
@@ -703,9 +713,9 @@ impl World {
                 dir: spec.dir,
                 sent_at: FxHashMap::default(),
                 fb_pending: FxHashMap::default(),
-                timer_at: Instant::MAX,
+                timer: Wakeup::new(),
                 app,
-                app_timer_at: Instant::MAX,
+                app_timer: Wakeup::new(),
                 pending_units: VecDeque::new(),
                 frame_pending: FxHashMap::default(),
                 framed,
@@ -808,13 +818,15 @@ impl World {
             flows,
             tuple_to_flow,
             router,
-            router_poll_at: Instant::MAX,
+            router_poll: Wakeup::new(),
+            impair_poll: vec![Wakeup::new(); impair.as_ref().map_or(0, Impairment::n_stages)],
             impair,
             um_ues,
             udp_flows,
             bond_flows,
             slot_out: SlotOutput::default(),
             ul_pool: Vec::new(),
+            tb_pool: Vec::new(),
             mark_scratch: Vec::new(),
             scratch_pkts: Vec::new(),
             scratch_leg_pkts: Vec::new(),
@@ -1063,8 +1075,10 @@ impl World {
                 self.cycles.stop(t0, CYC_WIRED);
             }
             Event::RouterPoll => {
+                if !self.router_poll.fire(now) {
+                    return;
+                }
                 let t0 = self.cycles.start();
-                self.router_poll_at = Instant::MAX;
                 self.drain_router(now);
                 self.cycles.stop(t0, CYC_WIRED);
             }
@@ -1079,36 +1093,19 @@ impl World {
                 self.cycles.stop(t0, CYC_WIRED);
             }
             Event::ImpairPoll { stage } => {
+                if !self.impair_poll[stage as usize].fire(now) {
+                    return;
+                }
                 let t0 = self.cycles.start();
                 self.impair_poll(stage as usize, now);
                 self.cycles.stop(t0, CYC_WIRED);
             }
             Event::DlAtCu { flow, pkt } => self.on_dl_at_cu(flow, pkt, now),
-            Event::TbAtUe { cell, ue, tb } => {
-                if self.serving[ue] != cell {
-                    // The UE handed over while the block was on the air:
-                    // it decodes nothing from the old cell. In AM the
-                    // SDUs were forwarded over Xn anyway; in UM they are
-                    // genuinely lost, exactly as over the air — and
-                    // counted as lost either way.
-                    self.ho_tbs_lost += 1;
-                    return;
+            Event::TbsAtUe { cell, mut tbs } => {
+                for tb in tbs.drain(..) {
+                    self.on_tb_at_ue(cell, tb, now);
                 }
-                let t0 = self.cycles.start();
-                let mut deliveries = std::mem::take(&mut self.scratch_app_deliv);
-                let segs = self.ues[ue].on_transport_block_into(tb, now, &mut deliveries);
-                self.gnbs[cell].recycle_segments(segs);
-                for d in deliveries.drain(..) {
-                    self.sched(
-                        d.deliver_at,
-                        Event::AppDeliver {
-                            pkt: d.pkt,
-                            t_cu_ingress: d.t_cu_ingress,
-                        },
-                    );
-                }
-                self.scratch_app_deliv = deliveries;
-                self.cycles.stop(t0, CYC_UE);
+                self.tb_pool.push(tbs);
             }
             Event::AppDeliver { pkt, t_cu_ingress } => {
                 self.on_app_deliver(pkt, t_cu_ingress, now)
@@ -1116,7 +1113,12 @@ impl World {
             Event::UlAtGnb { cell, ue, pkts, statuses, bsr } => {
                 self.on_ul_at_gnb(cell, ue, pkts, statuses, bsr, now)
             }
-            Event::UlTbAtGnb { cell, ue, tb } => self.on_ul_tb_at_gnb(cell, ue, tb, now),
+            Event::UlTbsAtGnb { cell, mut tbs } => {
+                for tb in tbs.drain(..) {
+                    self.on_ul_tb_at_gnb(cell, tb, now);
+                }
+                self.tb_pool.push(tbs);
+            }
             Event::UlStatusAtUe { ue, drb, status } => {
                 // The UE's transmit entity survives handover (it
                 // re-establishes in place), so a status from the old
@@ -1140,8 +1142,7 @@ impl World {
                 }
             }
             Event::FlowTimer { flow } => {
-                self.flows[flow].timer_at = Instant::MAX;
-                if !self.flows[flow].started {
+                if !self.flows[flow].timer.fire(now) || !self.flows[flow].started {
                     return;
                 }
                 let mut outs = std::mem::take(&mut self.scratch_pkts);
@@ -1399,6 +1400,34 @@ impl World {
         self.ul_markers[dst].absorb_ue(carry);
     }
 
+    /// One downlink transport block from `cell` decodes at its UE.
+    fn on_tb_at_ue(&mut self, cell: usize, tb: TransportBlock, now: Instant) {
+        let ue = tb.ue.0 as usize;
+        if self.serving[ue] != cell {
+            // The UE handed over while the block was on the air: it
+            // decodes nothing from the old cell. In AM the SDUs were
+            // forwarded over Xn anyway; in UM they are genuinely lost,
+            // exactly as over the air — and counted as lost either way.
+            self.ho_tbs_lost += 1;
+            return;
+        }
+        let t0 = self.cycles.start();
+        let mut deliveries = std::mem::take(&mut self.scratch_app_deliv);
+        let segs = self.ues[ue].on_transport_block_into(tb, now, &mut deliveries);
+        self.gnbs[cell].recycle_segments(segs);
+        for d in deliveries.drain(..) {
+            self.sched(
+                d.deliver_at,
+                Event::AppDeliver {
+                    pkt: d.pkt,
+                    t_cu_ingress: d.t_cu_ingress,
+                },
+            );
+        }
+        self.scratch_app_deliv = deliveries;
+        self.cycles.stop(t0, CYC_UE);
+    }
+
     fn on_slot(&mut self, cell: usize, now: Instant) {
         // Reuse the slot-output buffers across slots (taken out of self
         // so the marker/metrics borrows below stay disjoint).
@@ -1432,9 +1461,15 @@ impl World {
         }
         self.cycles.stop(c0, CYC_METRICS);
         let c0 = self.cycles.start();
-        for d in out.deliveries.drain(..) {
-            let ue = d.tb.ue.0 as usize;
-            self.sched(d.deliver_at, Event::TbAtUe { cell, ue, tb: d.tb });
+        if let Some(first) = out.deliveries.first() {
+            // Every block of a slot decodes at the end of that slot.
+            let at = first.deliver_at;
+            let mut tbs = self.tb_pool.pop().unwrap_or_default();
+            for d in out.deliveries.drain(..) {
+                debug_assert_eq!(d.deliver_at, at, "one decode instant per slot");
+                tbs.push(d.tb);
+            }
+            self.sched(at, Event::TbsAtUe { cell, tbs });
         }
         self.cycles.stop(c0, CYC_GNB);
         if self.has_ul_data {
@@ -1466,21 +1501,21 @@ impl World {
                 let c0 = self.cycles.start();
                 self.gnbs[cell].allocate_ul_grants_into(now, &mut grants);
                 self.cycles.stop(c0, CYC_UL);
+                let mut tbs = self.tb_pool.pop().unwrap_or_default();
                 for &(ue_id, bytes, cqi) in &grants {
                     let i = ue_id.0 as usize;
                     if self.serving[i] != cell {
                         continue;
                     }
                     let c0 = self.cycles.start();
-                    if let Some(tb) = self.ues[i].build_ul_tb(bytes, cqi, now) {
-                        self.sched(now + air, Event::UlTbAtGnb { cell, ue: i, tb });
-                    }
+                    tbs.extend(self.ues[i].build_ul_tb(bytes, cqi, now));
                     self.cycles.stop(c0, CYC_UE);
                     // Granted-bytes history → the uplink marker's
                     // delay predictor (the UE-side F1-U mirror).
                     self.feed_ul_marker_feedback(i, now);
                 }
                 self.scratch_grants = grants;
+                self.sched_ul_tbs(cell, tbs, now + air);
             }
             let c0 = self.cycles.start();
             // Walk the cell's sorted attachment list: same ascending UE
@@ -1743,8 +1778,19 @@ impl World {
         self.ul_pool.push((pkts, statuses, bsr));
     }
 
+    /// Put a batch of uplink data transport blocks on the air toward
+    /// `cell` (an empty batch just returns its buffer to the pool).
+    fn sched_ul_tbs(&mut self, cell: usize, tbs: Vec<TransportBlock>, at: Instant) {
+        if tbs.is_empty() {
+            self.tb_pool.push(tbs);
+        } else {
+            self.sched(at, Event::UlTbsAtGnb { cell, tbs });
+        }
+    }
+
     /// An uplink data transport block decodes (or fails) at the gNB.
-    fn on_ul_tb_at_gnb(&mut self, cell: usize, ue: usize, tb: TransportBlock, now: Instant) {
+    fn on_ul_tb_at_gnb(&mut self, cell: usize, tb: TransportBlock, now: Instant) {
+        let ue = tb.ue.0 as usize;
         if self.serving[ue] != cell {
             // Destroyed mid-air by the handover, exactly like a downlink
             // block: in AM the UE's re-established transmit entity
@@ -1757,8 +1803,13 @@ impl World {
         self.cycles.stop(c0, CYC_UL);
         match outcome {
             UlTbOutcome::Retx(tb) => {
+                // Its own batch of one: retransmissions of one slot keep
+                // their place among whatever the blocks between them
+                // scheduled.
                 let rtt = self.gnbs[cell].config().harq_rtt;
-                self.sched(now + rtt, Event::UlTbAtGnb { cell, ue, tb });
+                let mut tbs = self.tb_pool.pop().unwrap_or_default();
+                tbs.push(tb);
+                self.sched_ul_tbs(cell, tbs, now + rtt);
             }
             UlTbOutcome::Lost => {}
             UlTbOutcome::Decoded(deliveries) => {
@@ -2079,8 +2130,7 @@ impl World {
                 }
             }
             Endpoint::Scream { .. } | Endpoint::UdpPrague { .. } | Endpoint::FecMedia { .. } => {
-                self.sched(now, Event::FlowTimer { flow });
-                self.flows[flow].timer_at = now;
+                self.arm_flow_timer(flow, now, now);
             }
         }
         // Application-driven flows: arm the app's own clock.
@@ -2096,7 +2146,9 @@ impl World {
     /// Fire the flow's application clock: collect its offer, feed the
     /// transport, and re-arm.
     fn on_app_tick(&mut self, flow: usize, now: Instant) {
-        self.flows[flow].app_timer_at = Instant::MAX;
+        if !self.flows[flow].app_timer.fire(now) {
+            return;
+        }
         let Some(mut app) = self.flows[flow].app.take() else {
             return;
         };
@@ -2212,8 +2264,7 @@ impl World {
             .expect("checked above")
             .next_activity()
             .max(now);
-        if at < self.flows[flow].app_timer_at && at < Instant::MAX {
-            self.flows[flow].app_timer_at = at;
+        if let Some(at) = self.flows[flow].app_timer.arm(at, now) {
             self.sched(at, Event::AppTick { flow });
         }
     }
@@ -2296,8 +2347,8 @@ impl World {
         for pkt in departed {
             self.impair_advance(i + 1, pkt, now);
         }
-        if let Some(d) = next {
-            self.sched(d, Event::ImpairPoll { stage: i as u8 });
+        if let Some(at) = next.and_then(|d| self.impair_poll[i].arm(d, now)) {
+            self.sched(at, Event::ImpairPoll { stage: i as u8 });
         }
     }
 
@@ -2350,11 +2401,8 @@ impl World {
                 }
             }
         }
-        if let Some(d) = next {
-            if d < self.router_poll_at {
-                self.router_poll_at = d;
-                self.sched(d, Event::RouterPoll);
-            }
+        if let Some(at) = next.and_then(|d| self.router_poll.arm(d, now)) {
+            self.sched(at, Event::RouterPoll);
         }
     }
 
@@ -2368,15 +2416,13 @@ impl World {
         };
         self.cycles.stop(c0, CYC_TRANSPORT);
         if let Some(at) = na {
-            // Record the *clamped* instant: a past-due `next_activity`
-            // fires at `now`, and bookkeeping an earlier time would
-            // suppress legitimate reschedules until that phantom instant
-            // passed (and conversely let duplicate timers pile up).
-            let at_eff = at.max(now);
-            if at_eff < self.flows[flow].timer_at && at < Instant::MAX {
-                self.flows[flow].timer_at = at_eff;
-                self.sched(at_eff, Event::FlowTimer { flow });
-            }
+            self.arm_flow_timer(flow, at, now);
+        }
+    }
+
+    fn arm_flow_timer(&mut self, flow: usize, at: Instant, now: Instant) {
+        if let Some(at) = self.flows[flow].timer.arm(at, now) {
+            self.sched(at, Event::FlowTimer { flow });
         }
     }
 
@@ -2496,9 +2542,9 @@ impl World {
         let of_ue = |ue: usize| s.of_cell[self.serving[ue]];
         match ev {
             Event::Slot { cell }
-            | Event::TbAtUe { cell, .. }
+            | Event::TbsAtUe { cell, .. }
             | Event::UlAtGnb { cell, .. }
-            | Event::UlTbAtGnb { cell, .. } => s.of_cell[*cell],
+            | Event::UlTbsAtGnb { cell, .. } => s.of_cell[*cell],
             Event::DlAtCu { flow, .. }
             | Event::UlAtServer { flow, .. }
             | Event::FlowStart { flow }

@@ -278,6 +278,61 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         "warm gNB slot tick into a reused SlotOutput must not allocate"
     );
 
+    // --- 5b. One radio event per (cell, slot): pooled TB batches (PR 12) -
+    // The world puts a slot's transport blocks on the air as *one*
+    // event carrying a pooled `Vec<TransportBlock>` (`TbsAtUe`; the
+    // uplink mirror `UlTbsAtGnb` draws from the same buffer pool).
+    // Continuing with the warm gNB of step 5, the steady-state cycle —
+    // slot output drained into a pooled batch, the batch moved into a
+    // pooled event box and scheduled, popped at the end of the slot,
+    // its blocks handled in order (segment buffers recycled to the
+    // gNB), the emptied batch returned to the pool — must not touch
+    // the allocator. (What a UE's RLC receiver does with a block is
+    // outside this cycle: reassembly state is per SDU by design.)
+    use l4span::ran::mac::TransportBlock;
+    type Batch = Vec<TransportBlock>;
+    let mut air: EventQueue<Box<Batch>> = EventQueue::with_capacity(64);
+    #[allow(clippy::vec_box)] // pooled allocations, as in `World::pool`
+    let mut box_pool: Vec<Box<Batch>> = (0..8).map(|_| Box::default()).collect();
+    let mut tb_pool: Vec<Batch> = Vec::with_capacity(8);
+    let mut slot_cycle = |i: u64| -> usize {
+        let t = Instant::ZERO + slot * i;
+        for u in 0..4u16 {
+            gnb.enqueue_downlink(UeId(u), Qfi(1), data_packet(i as u16, 1400), t);
+        }
+        gnb.on_slot_into(t, &mut out);
+        if let Some(first) = out.deliveries.first() {
+            let at = first.deliver_at;
+            let mut tbs = tb_pool.pop().unwrap_or_default();
+            tbs.extend(out.deliveries.drain(..).map(|d| d.tb));
+            let mut bx = box_pool.pop().expect("pooled event box");
+            *bx = tbs;
+            air.schedule(at, bx);
+        }
+        let mut handled = 0;
+        while air.next_at().is_some_and(|at| at <= t + slot) {
+            let (_, mut bx) = air.pop().expect("peeked");
+            let mut tbs = std::mem::take(&mut *bx);
+            box_pool.push(bx);
+            for tb in tbs.drain(..) {
+                gnb.recycle_segments(tb.segments);
+                handled += 1;
+            }
+            tb_pool.push(tbs);
+        }
+        handled
+    };
+    // Warm-up: the batch buffer grows to the most blocks a slot carries.
+    for i in 2304..2560u64 {
+        slot_cycle(i);
+    }
+    let (n, handled) = allocs_during(|| (2560..2816u64).map(&mut slot_cycle).sum::<usize>());
+    assert!(handled > 0, "the batches must carry blocks");
+    assert_eq!(
+        n, 0,
+        "slot → pooled TB batch → pooled event → handle → recycle must not allocate"
+    );
+
     // --- 6. Cross-shard mailbox cycle (PR 8) ----------------------------
     // The coordinator's steady-state envelope cycle: a source shard
     // pushes pooled boxes into its outbox, the coordinator appends them

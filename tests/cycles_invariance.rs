@@ -6,8 +6,9 @@
 //! that enter [`Report::fingerprint`]. This test is the promised
 //! assertion behind the "zero behavioural footprint" claim in
 //! `l4span_sim::cycles` and the `fig_breakdown` tool: the fingerprint
-//! digest — which folds in every event count, metric vector, and final
-//! queue state — is bit-identical with instrumentation on and off.
+//! digest — which folds in every metric vector and final queue state —
+//! and the event count beside it are identical with instrumentation on
+//! and off.
 
 use l4span::cc::WanLink;
 use l4span::harness::{self, scenario, scenario::ChannelMix};
@@ -37,6 +38,7 @@ fn fingerprint_identical_with_cycles_on_and_off() {
         on.fingerprint_digest(),
         "cycle accounting must not perturb simulation behaviour"
     );
+    assert_eq!(off.events, on.events, "nor the number of events popped");
 }
 
 #[test]

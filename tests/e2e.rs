@@ -563,3 +563,42 @@ fn bonded_tcp_join_restores_stream_order() {
         "bonded TCP must not collapse vs single-leg: {tb:.2} vs {ts:.2} Mbit/s"
     );
 }
+
+#[test]
+fn event_count_is_proportional_to_simulated_work() {
+    // The timer leak PR 12 removed: every ACK that pulled a paced
+    // sender's release earlier left an immortal FlowTimer chain behind,
+    // so the paper's case popped 22 events per delivered packet over
+    // 10 simulated seconds, 32 over 20 and 91 over 80 — quadratic in
+    // the run length. With one live wake-up per timer owner and one
+    // radio event per slot the count is linear: twice the simulated
+    // time is twice the events (the margin covers the start-up ramp),
+    // at a single-digit cost per packet.
+    let run = |secs| {
+        harness::run(congested_cell(
+            16,
+            "prague",
+            ChannelMix::Mobile,
+            16_384,
+            WanLink::east(),
+            l4span_default(),
+            7,
+            Duration::from_secs(secs),
+        ))
+    };
+    let (short, long) = (run(10), run(20));
+    assert!(
+        long.events as f64 <= 2.1 * short.events as f64,
+        "20 s popped {} events, 10 s {}",
+        long.events,
+        short.events
+    );
+    for r in [&short, &long] {
+        assert!(
+            r.events_per_packet() <= 8.0,
+            "{} events for {} delivered packets",
+            r.events,
+            r.delivered_packets()
+        );
+    }
+}

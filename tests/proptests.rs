@@ -785,3 +785,87 @@ proptest! {
         }
     }
 }
+
+// --- PR 12: one live wake-up per timer owner ----------------------------
+
+proptest! {
+    /// A timer owner that asks for wake-ups in any pattern — later,
+    /// earlier, past-due, repeated — through a [`Wakeup`] and an event
+    /// queue it cannot cancel from: every wake-up asked for fires, at
+    /// the instant asked (never later); each arm yields exactly one
+    /// live pop, however many events share its instant, unless an
+    /// earlier arm superseded it; and a superseded pop changes nothing,
+    /// so it cannot arm a successor.
+    #[test]
+    fn wakeup_fires_every_ask_once_and_stale_pops_are_inert(
+        asks in proptest::collection::vec((0u64..40, 0u64..60, 0u64..30), 1..120),
+    ) {
+        use l4span::harness::Wakeup;
+
+        // The owner's handler: note the fire, then re-arm for the
+        // earliest instant still wanted (as a sender re-arms from its
+        // `next_activity`). A stale pop returns before any of that.
+        struct Owner {
+            wake: Wakeup,
+            queue: EventQueue<()>,
+            /// Instants a wake-up was asked for and has not fired at.
+            wanted: Vec<Instant>,
+            arms: u64,
+            /// Arms that replaced one still pending.
+            superseded: u64,
+            live: u64,
+        }
+        impl Owner {
+            fn arm(&mut self, at: Instant, now: Instant) {
+                let was_armed = self.wake != Wakeup::new();
+                if let Some(t) = self.wake.arm(at, now) {
+                    assert_eq!(t, at.max(now), "the clamped instant is what gets scheduled");
+                    self.queue.schedule(t, ());
+                    self.arms += 1;
+                    self.superseded += u64::from(was_armed);
+                }
+            }
+            fn pop_until(&mut self, until: Instant) {
+                while self.queue.next_at().is_some_and(|t| t <= until) {
+                    let (now, ()) = self.queue.pop().expect("peeked");
+                    let before = self.wake;
+                    if !self.wake.fire(now) {
+                        assert_eq!(self.wake, before, "a stale pop changes nothing");
+                        continue;
+                    }
+                    self.live += 1;
+                    assert!(
+                        self.wanted.iter().all(|&w| w >= now),
+                        "a wake-up asked for before {now:?} was missed"
+                    );
+                    self.wanted.retain(|&w| w != now);
+                    if let Some(&next) = self.wanted.iter().min() {
+                        self.arm(next, now);
+                    }
+                }
+            }
+        }
+
+        let mut o = Owner {
+            wake: Wakeup::new(),
+            queue: EventQueue::new(),
+            wanted: Vec::new(),
+            arms: 0,
+            superseded: 0,
+            live: 0,
+        };
+        let mut now = Instant::ZERO;
+        for (advance, ahead, behind) in asks {
+            now += Duration::from_micros(advance);
+            o.pop_until(now);
+            // Ask for `now + ahead − behind`: often in the past.
+            let at = Instant::from_micros((now.as_nanos() / 1000 + ahead).saturating_sub(behind));
+            o.wanted.push(at.max(now));
+            o.arm(at, now);
+        }
+        o.pop_until(Instant::MAX);
+        prop_assert!(o.wanted.is_empty(), "unfired: {:?}", o.wanted);
+        prop_assert_eq!(o.live, o.arms - o.superseded, "one live pop per standing arm");
+        prop_assert_eq!(o.wake, Wakeup::new(), "disarmed once everything fired");
+    }
+}

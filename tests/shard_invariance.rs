@@ -8,13 +8,23 @@
 //! post-handover uplink stragglers) through deterministic slot-boundary
 //! mailboxes. One shard short-circuits to the exact classic code path,
 //! so equality against `shards = 1` is equality against `World::run`.
+//!
+//! `Report::events` is outside the fingerprint (it counts the
+//! simulator's work, not the model's output) but carries the same
+//! guarantee, so every comparison below is on the pair.
 
 use l4span::core::HandoverPolicy;
-use l4span::harness::{plan_shards, run_sharded, scenario, ScenarioConfig};
+use l4span::harness::{plan_shards, run_sharded, scenario, Report, ScenarioConfig};
 use l4span::sim::Duration;
 
-fn digest(cfg: ScenarioConfig, shards: usize) -> String {
-    run_sharded(cfg, shards).fingerprint_digest()
+/// What must not depend on the shard count: (fingerprint digest,
+/// events popped).
+fn outcome(r: &Report) -> (String, u64) {
+    (r.fingerprint_digest(), r.events)
+}
+
+fn digest(cfg: ScenarioConfig, shards: usize) -> (String, u64) {
+    outcome(&run_sharded(cfg, shards))
 }
 
 /// The canonical 2-cell handover scenario with the per-cell CU
@@ -143,8 +153,8 @@ fn impairment_forces_the_classic_path_with_a_reason() {
     let classic = l4span::harness::run(cfg());
     let sharded = run_sharded(cfg(), 4);
     assert_eq!(
-        sharded.fingerprint_digest(),
-        classic.fingerprint_digest(),
+        outcome(&sharded),
+        outcome(&classic),
         "impairment → classic path at any shard count"
     );
     assert_eq!(sharded.shard_reject, Some("impairment pipeline"));
@@ -169,11 +179,11 @@ fn single_shard_is_the_classic_code_path() {
             Duration::from_secs(1),
         )
     };
-    let classic = l4span::harness::run(cfg()).fingerprint_digest();
+    let classic = outcome(&l4span::harness::run(cfg()));
     assert_eq!(digest(cfg(), 4), classic, "ineligible → classic path");
     // And an eligible scenario explicitly asked to run on one shard
     // also takes it (`run_sharded(_, 1)` calls `World::run` directly).
-    let classic_percell = l4span::harness::run(handover_percell("cubic", 1)).fingerprint_digest();
+    let classic_percell = outcome(&l4span::harness::run(handover_percell("cubic", 1)));
     assert_eq!(
         digest(handover_percell("cubic", 1), 1),
         classic_percell,
