@@ -2,7 +2,8 @@
 //!
 //! `tests/golden_fingerprints.toml` pins a 64-bit digest of
 //! [`Report::fingerprint`] for every canonical scenario × every
-//! congestion controller the paper evaluates. The determinism matrix
+//! congestion controller the paper evaluates, plus one row per non-TCP
+//! endpoint family, bonded uplink and impaired path. The determinism matrix
 //! (`tests/determinism.rs`) proves a run reproduces *within* a build;
 //! this corpus additionally distinguishes **intentional** fingerprint
 //! changes (new metrics, behaviour changes — re-bless and review the
@@ -22,10 +23,13 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use l4span::core::HandoverPolicy;
 use l4span::cc::WanLink;
-use l4span::harness::{self, scenario, scenario::ChannelMix};
-use l4span::sim::Duration;
+use l4span::core::HandoverPolicy;
+use l4span::harness::app::AppProfile;
+use l4span::harness::scenario::{FlowSpec, ScenarioConfig, TransportSpec};
+use l4span::harness::{self, scenario, scenario::ChannelMix, ImpairmentSpec, UeSpec};
+use l4span::ran::config::RlcMode;
+use l4span::sim::{Duration, Instant};
 
 /// Every congestion controller in the paper's evaluation.
 const CCS: [&str; 5] = ["reno", "cubic", "prague", "bbr", "bbr2"];
@@ -83,6 +87,85 @@ fn corpus(cc: &str) -> Vec<(&'static str, scenario::ScenarioConfig)> {
     ]
 }
 
+/// Two mobile-channel UEs, one downlink flow of `app` over `transport`
+/// each, on bearers in RLC `mode`.
+fn media_cell(app: AppProfile, transport: TransportSpec, mode: RlcMode) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::new(7, Duration::from_secs(1));
+    cfg.marker = scenario::l4span_default();
+    for i in 0..2 {
+        let mut ue = UeSpec::simple(ChannelMix::Mobile.profile(i), 20.0 + 3.0 * i as f64);
+        ue.drbs = vec![(0, mode)];
+        cfg.ues.push(ue);
+        cfg.flows.push(FlowSpec::new(
+            i,
+            app.clone(),
+            transport.clone(),
+            WanLink::east(),
+            Instant::from_millis(20 * i as u64),
+        ));
+    }
+    cfg
+}
+
+/// The rows the TCP grid above cannot reach, as (section, key, config):
+/// the three UDP endpoint families (SCReAM, UDP Prague, FEC media), a
+/// UM bearer (the `UePoll` reassembly poll and feedback flush), the
+/// bonded uplink's FEC self-join and TCP join buffer, and an impaired
+/// path under Prague's classic fallback.
+fn endpoint_corpus() -> Vec<(&'static str, &'static str, ScenarioConfig)> {
+    let video = || AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6);
+    let mut rows = vec![
+        (
+            "media_cell_2ue",
+            "scream",
+            media_cell(video(), TransportSpec::scream(), RlcMode::Am),
+        ),
+        (
+            "media_cell_2ue",
+            "scream-um",
+            media_cell(video(), TransportSpec::scream(), RlcMode::Um),
+        ),
+        (
+            "media_cell_2ue",
+            "udp-prague",
+            media_cell(
+                AppProfile::bulk(),
+                TransportSpec::udp_prague(6.25e4, 2.5e5, 2.5e6),
+                RlcMode::Am,
+            ),
+        ),
+        (
+            "impaired_path_cell_2ue",
+            "prague-fallback",
+            scenario::impaired_path_cell(
+                2,
+                "prague-fallback",
+                ImpairmentSpec::bleaching(0.25).then_classic_hop(30e6),
+                scenario::l4span_default(),
+                7,
+                Duration::from_secs(1),
+            ),
+        ),
+    ];
+    for (section, bonded) in [("xr_bonding_4dev_single", false), ("xr_bonding_4dev_bonded", true)] {
+        for cc in ["fec-media", "nada", "prague"] {
+            rows.push((
+                section,
+                cc,
+                scenario::xr_bonding_cell(
+                    4,
+                    cc,
+                    scenario::l4span_default(),
+                    bonded,
+                    7,
+                    Duration::from_secs(1),
+                ),
+            ));
+        }
+    }
+    rows
+}
+
 fn toml_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_fingerprints.toml")
 }
@@ -98,6 +181,10 @@ fn compute() -> BTreeMap<String, BTreeMap<String, String>> {
             keys.push((name.to_string(), cc.to_string()));
             cfgs.push(cfg);
         }
+    }
+    for (section, key, cfg) in endpoint_corpus() {
+        keys.push((section.to_string(), key.to_string()));
+        cfgs.push(cfg);
     }
     let reports = harness::run_batch(cfgs);
     let mut out: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
@@ -116,11 +203,15 @@ fn render(table: &BTreeMap<String, BTreeMap<String, String>>) -> String {
     );
     for (name, ccs) in table {
         let _ = write!(s, "\n[{name}]\n");
-        // Emit in the paper's CC order, not alphabetical.
+        // Emit in the paper's CC order, not alphabetical; keys outside
+        // the TCP grid follow in sorted order.
         for cc in CCS {
             if let Some(d) = ccs.get(cc) {
                 let _ = writeln!(s, "{cc} = \"{d}\"");
             }
+        }
+        for (key, d) in ccs.iter().filter(|(k, _)| !CCS.contains(&k.as_str())) {
+            let _ = writeln!(s, "{key} = \"{d}\"");
         }
     }
     s
@@ -203,5 +294,9 @@ fn corpus_round_trips_through_the_parser() {
             .or_default()
             .insert(cc.to_string(), format!("{i:016x}"));
     }
+    table
+        .entry("scenario_x".into())
+        .or_default()
+        .insert("fec-media".into(), "00000000000000ff".into());
     assert_eq!(parse(&render(&table)), table);
 }
