@@ -9,7 +9,9 @@
 use l4span_bench::{banner, run_grid, Args};
 use l4span_cc::WanLink;
 use l4span_harness::app::AppProfile;
-use l4span_harness::scenario::{l4span_default, FlowSpec, ScenarioConfig, TransportSpec, UeSpec};
+use l4span_harness::scenario::{
+    l4span_default, FlowSpec, MobilityStep, ScenarioConfig, TransportSpec, UeSpec,
+};
 use l4span_harness::Report;
 use l4span_ran::ChannelProfile;
 use l4span_sim::{Duration, Instant};
@@ -17,7 +19,14 @@ use l4span_sim::{Duration, Instant};
 fn walkthrough_cfg(cc: &str, seed: u64, secs: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::new(seed, Duration::from_secs(secs));
     cfg.marker = l4span_default();
-    cfg.ues.push(UeSpec::simple(ChannelProfile::Static, 25.0));
+    // The Fig. 4 storyline: stable channel, sharp degradation at 40% of
+    // the run ("channel sharply turns bad"), recovery at 70% — two
+    // mobility steps naming the serving cell, i.e. pure channel changes.
+    let step = |at, snr_db| MobilityStep::new(Instant::from_secs(at), 0, ChannelProfile::Static, snr_db);
+    cfg.ues.push(
+        UeSpec::simple(ChannelProfile::Static, 25.0)
+            .with_mobility(vec![step(secs * 2 / 5, 10.0), step(secs * 7 / 10, 25.0)]),
+    );
     cfg.flows.push(FlowSpec::new(
         0,
         AppProfile::bulk(),
@@ -25,22 +34,6 @@ fn walkthrough_cfg(cc: &str, seed: u64, secs: u64) -> ScenarioConfig {
         WanLink::east(),
         Instant::ZERO,
     ));
-    // The Fig. 4 storyline: stable channel, sharp degradation at 40% of
-    // the run ("channel sharply turns bad"), recovery at 70%.
-    cfg.channel_events = vec![
-        (
-            Instant::from_secs(secs * 2 / 5),
-            0,
-            ChannelProfile::Static,
-            10.0,
-        ),
-        (
-            Instant::from_secs(secs * 7 / 10),
-            0,
-            ChannelProfile::Static,
-            25.0,
-        ),
-    ];
     cfg
 }
 

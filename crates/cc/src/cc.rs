@@ -151,6 +151,43 @@ impl WindowedMin {
     }
 }
 
+/// The prohibit-interval gate in front of the UDP receivers' feedback
+/// (SCReAM, UDP Prague, FEC media): a report leaves with the first
+/// datagram arriving at least [`FeedbackGate::INTERVAL`] after the
+/// previous report; what accumulates in between waits for the next such
+/// arrival or a timer flush.
+#[derive(Debug)]
+pub(crate) struct FeedbackGate {
+    last_fb_at: Instant,
+    /// Unreported state exists.
+    dirty: bool,
+}
+
+impl FeedbackGate {
+    /// Minimum spacing between two reports.
+    pub(crate) const INTERVAL: Duration = Duration::from_millis(25);
+
+    pub(crate) fn new() -> FeedbackGate {
+        FeedbackGate {
+            last_fb_at: Instant::ZERO,
+            dirty: false,
+        }
+    }
+
+    /// Is a report due at `now`? `arrival` is true when a datagram just
+    /// arrived, false for a timer flush. A `true` answer records the
+    /// report as sent.
+    pub(crate) fn due(&mut self, now: Instant, arrival: bool) -> bool {
+        self.dirty |= arrival;
+        let due = self.dirty && now.saturating_since(self.last_fb_at) >= Self::INTERVAL;
+        if due {
+            self.last_fb_at = now;
+            self.dirty = false;
+        }
+        due
+    }
+}
+
 /// A pluggable congestion controller. All window values are in bytes.
 /// `Send` is a supertrait so whole worlds (which box controllers per
 /// flow) can move between — and be driven by — worker threads.

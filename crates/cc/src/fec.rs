@@ -25,6 +25,7 @@
 
 use std::collections::VecDeque;
 
+use crate::cc::FeedbackGate;
 use crate::nada::NadaCore;
 use l4span_net::{Ecn, PacketBuf};
 use l4span_sim::{Duration, Instant};
@@ -38,8 +39,6 @@ pub const MTU_PAYLOAD: usize = 1200;
 /// Payload bytes of a repair packet — also the wire discriminator
 /// separating repair from source packets at the receiver.
 pub const REPAIR_PAYLOAD: usize = 1196;
-/// Receiver feedback cadence.
-const FEEDBACK_INTERVAL: Duration = Duration::from_millis(25);
 /// How long a gap must stand before it is NACKed (reorder grace).
 const NACK_GRACE: Duration = Duration::from_millis(2);
 /// Minimum spacing between NACKs of the same sequence.
@@ -419,13 +418,18 @@ impl FecMediaSender {
         }
     }
 
-    /// Per-leg striping shares (sum to 1).
-    fn shares(&self) -> Vec<f64> {
+    /// Per-leg striping shares (sum to 1; a single-leg sender leaves
+    /// the second entry zero).
+    fn shares(&self) -> [f64; 2] {
         if self.coupled && self.legs.len() == 2 {
-            return vec![0.5, 0.5];
+            return [0.5, 0.5];
         }
         let total: f64 = self.legs.iter().map(|l| l.rate()).sum();
-        self.legs.iter().map(|l| l.rate() / total.max(1.0)).collect()
+        let mut shares = [0.0; 2];
+        for (s, l) in shares.iter_mut().zip(&self.legs) {
+            *s = l.rate() / total.max(1.0);
+        }
+        shares
     }
 
     /// The codec / ARQ ledger (diagnostics and tests).
@@ -583,8 +587,7 @@ pub struct FecMediaReceiver {
     core: FecReceiverCore,
     legs: [FecLegStats; 2],
     coupled: bool,
-    last_fb_at: Instant,
-    dirty: bool,
+    gate: FeedbackGate,
     fb_ident: u16,
     /// Payload bytes received (diagnostics).
     pub received_bytes: u64,
@@ -601,8 +604,7 @@ impl FecMediaReceiver {
             core: FecReceiverCore::new(DEFAULT_DEADLINE),
             legs: [FecLegStats::default(); 2],
             coupled: false,
-            last_fb_at: Instant::ZERO,
-            dirty: false,
+            gate: FeedbackGate::new(),
             fb_ident: 0,
             received_bytes: 0,
         }
@@ -635,8 +637,6 @@ impl FecMediaReceiver {
     }
 
     fn emit_feedback(&mut self, now: Instant) -> (PacketBuf, FecFeedback) {
-        self.last_fb_at = now;
-        self.dirty = false;
         self.fb_ident = self.fb_ident.wrapping_add(1);
         let mut fb = FecFeedback {
             legs: self.legs,
@@ -677,21 +677,13 @@ impl FecMediaReceiver {
         } else {
             self.core.on_source(seq, now);
         }
-        self.dirty = true;
-        if now.saturating_since(self.last_fb_at) < FEEDBACK_INTERVAL {
-            return None;
-        }
-        Some(self.emit_feedback(now))
+        self.gate.due(now, true).then(|| self.emit_feedback(now))
     }
 
     /// Timer poll: flush feedback suppressed by the prohibit interval
     /// (keeps NACKs and rate feedback flowing through loss bursts).
     pub fn poll(&mut self, now: Instant) -> Option<(PacketBuf, FecFeedback)> {
-        if self.dirty && now.saturating_since(self.last_fb_at) >= FEEDBACK_INTERVAL {
-            Some(self.emit_feedback(now))
-        } else {
-            None
-        }
+        self.gate.due(now, false).then(|| self.emit_feedback(now))
     }
 }
 

@@ -49,18 +49,3 @@ pub use nada::{NadaCc, NadaCore};
 pub use registry::{CcEntry, CcKind, UnknownCc, REGISTRY};
 pub use tcp::{TcpReceiver, TcpSender};
 pub use wan::WanLink;
-
-/// Build a boxed congestion controller by paper name. MSS is the payload
-/// bytes per segment.
-#[deprecated(
-    since = "0.1.0",
-    note = "parse a typed `CcKind` (`name.parse::<CcKind>()?`) and call \
-            `CcKind::make(mss)`; unknown names then become a typed \
-            `UnknownCc` error instead of this panic"
-)]
-pub fn make_cc(name: &str, mss: usize) -> Box<dyn CongestionControl> {
-    match name.parse::<CcKind>() {
-        Ok(kind) => kind.make(mss),
-        Err(e) => panic!("{e}"),
-    }
-}

@@ -6,8 +6,7 @@
 //!
 //! The registry is the single source of truth for which controllers
 //! exist, what they are called (including aliases), and how to build
-//! them; `CcKind::from_str`, [`CcKind::make`], and the deprecated
-//! [`crate::make_cc`] shim all resolve through it.
+//! them; `CcKind::from_str` and [`CcKind::make`] both resolve through it.
 
 use std::fmt;
 use std::str::FromStr;

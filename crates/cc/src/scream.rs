@@ -11,6 +11,7 @@
 //! payload, so L4Span can only mark the downlink IP header — exactly the
 //! fallback path of §4.4.
 
+use crate::cc::FeedbackGate;
 use l4span_net::{Ecn, PacketBuf};
 use l4span_sim::{Duration, Instant};
 
@@ -18,8 +19,6 @@ use l4span_sim::{Duration, Instant};
 const QDELAY_TARGET: Duration = Duration::from_millis(60);
 /// EWMA gain for the L4S CE fraction.
 const L4S_ALPHA_GAIN: f64 = 1.0 / 16.0;
-/// Feedback interval the receiver maintains.
-const FEEDBACK_INTERVAL: Duration = Duration::from_millis(25);
 /// RTP payload bytes per packet.
 const RTP_MTU: usize = 1200;
 
@@ -215,15 +214,8 @@ impl ScreamSender {
     }
 
     /// Produce media frames and emit as many RTP packets as the window
-    /// allows. Call at (or after) `next_activity()`.
-    pub fn poll(&mut self, now: Instant) -> Vec<PacketBuf> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`ScreamSender::poll`]: emitted RTP
-    /// packets are appended to `out`.
+    /// allows, appending them to `out`. Call at (or after)
+    /// `next_activity()`.
     pub fn poll_into(&mut self, now: Instant, out: &mut Vec<PacketBuf>) {
         // Frame generation.
         while now >= self.next_frame_at {
@@ -389,9 +381,7 @@ pub struct ScreamReceiver {
     state: ScreamFeedback,
     /// Unwrapped send counter (from the 16-bit IP ident).
     highest_abs: u64,
-    last_fb_at: Instant,
-    /// Unreported state exists.
-    dirty: bool,
+    gate: FeedbackGate,
     ident: u16,
 }
 
@@ -405,15 +395,12 @@ impl ScreamReceiver {
             dst_port,
             state: ScreamFeedback::default(),
             highest_abs: 0,
-            last_fb_at: Instant::ZERO,
-            dirty: false,
+            gate: FeedbackGate::new(),
             ident: 0,
         }
     }
 
-    fn emit_feedback(&mut self, now: Instant) -> (PacketBuf, ScreamFeedback) {
-        self.last_fb_at = now;
-        self.dirty = false;
+    fn emit_feedback(&mut self) -> (PacketBuf, ScreamFeedback) {
         self.ident = self.ident.wrapping_add(1);
         let fb_pkt = PacketBuf::udp(
             self.src_ip,
@@ -432,11 +419,7 @@ impl ScreamReceiver {
     /// suppressed at the last packet's arrival would never be sent and
     /// the window-limited sender would deadlock).
     pub fn poll(&mut self, now: Instant) -> Option<(PacketBuf, ScreamFeedback)> {
-        if self.dirty && now.saturating_since(self.last_fb_at) >= FEEDBACK_INTERVAL {
-            Some(self.emit_feedback(now))
-        } else {
-            None
-        }
+        self.gate.due(now, false).then(|| self.emit_feedback())
     }
 
     /// Ingest a media packet; maybe emit (feedback packet, feedback data).
@@ -459,11 +442,7 @@ impl ScreamReceiver {
             self.highest_abs += u64::from(delta);
         }
         self.state.highest_seq = self.highest_abs;
-        self.dirty = true;
-        if now.saturating_since(self.last_fb_at) < FEEDBACK_INTERVAL {
-            return None;
-        }
-        Some(self.emit_feedback(now))
+        self.gate.due(now, true).then(|| self.emit_feedback())
     }
 }
 
@@ -475,10 +454,17 @@ mod tests {
         ScreamSender::new(1, 2, 5004, 5006, 0.5e6, 2e6, 20e6, 25.0, l4s)
     }
 
+    /// What one sender poll at `now` emits.
+    fn poll(s: &mut ScreamSender, now: Instant) -> Vec<PacketBuf> {
+        let mut out = Vec::new();
+        s.poll_into(now, &mut out);
+        out
+    }
+
     #[test]
     fn frames_emit_paced_rtp_packets() {
         let mut s = sender(true);
-        let pkts = s.poll(Instant::ZERO);
+        let pkts = poll(&mut s, Instant::ZERO);
         assert!(!pkts.is_empty());
         assert!(pkts.iter().all(|p| p.ecn() == Ecn::Ect1));
         // 2 Mbit/s at 25 fps = 10 kB frames = ~9 packets.
@@ -492,7 +478,7 @@ mod tests {
         let mut t = Instant::ZERO;
         let mut sizes = Vec::new();
         for _ in 0..5 {
-            let pkts = s.poll(t);
+            let pkts = poll(&mut s, t);
             sizes.push(pkts.iter().map(|p| p.payload_len()).sum::<usize>());
             t += Duration::from_millis(40);
         }
@@ -512,15 +498,15 @@ mod tests {
     fn invalid_keyframe_config_keeps_uniform_sizes() {
         let mut a = sender(true);
         let mut b = sender(true).with_keyframes(1, 0.5);
-        let pa = a.poll(Instant::ZERO);
-        let pb = b.poll(Instant::ZERO);
+        let pa = poll(&mut a, Instant::ZERO);
+        let pb = poll(&mut b, Instant::ZERO);
         assert_eq!(pa.len(), pb.len());
     }
 
     #[test]
     fn frame_marks_record_complete_frames_at_emission() {
         let mut s = sender(true);
-        let pkts = s.poll(Instant::ZERO);
+        let pkts = poll(&mut s, Instant::ZERO);
         assert!(!pkts.is_empty());
         let mut marks = Vec::new();
         s.take_frame_marks_into(&mut marks);
@@ -543,7 +529,7 @@ mod tests {
         s.cwnd = 0.0; // nothing ever leaves: the 400 ms cap must engage
         let mut t = Instant::ZERO;
         for _ in 0..40 {
-            let pkts = s.poll(t);
+            let pkts = poll(&mut s, t);
             assert!(pkts.is_empty());
             t += Duration::from_millis(40);
         }
@@ -560,7 +546,7 @@ mod tests {
         let mut fb = ScreamFeedback::default();
         // Warm up without marks.
         for _ in 0..20 {
-            let pkts = s.poll(t);
+            let pkts = poll(&mut s, t);
             fb.received_bytes += pkts.iter().map(|p| p.payload_len() as u64).sum::<u64>();
             fb.highest_seq = s.next_seq.saturating_sub(1);
             s.on_feedback(&fb, t + Duration::from_millis(30));
@@ -569,7 +555,7 @@ mod tests {
         let before = s.target_bps();
         // Now heavy marking for a while.
         for _ in 0..30 {
-            let pkts = s.poll(t);
+            let pkts = poll(&mut s, t);
             let bytes: u64 = pkts.iter().map(|p| p.payload_len() as u64).sum();
             fb.received_bytes += bytes;
             fb.ce_bytes += bytes; // all marked
@@ -592,7 +578,7 @@ mod tests {
         let mut fb = ScreamFeedback::default();
         let mut t = Instant::ZERO;
         for _ in 0..200 {
-            let pkts = s.poll(t);
+            let pkts = poll(&mut s, t);
             let bytes: u64 = pkts.iter().map(|p| p.payload_len() as u64).sum();
             fb.received_bytes += bytes;
             fb.ce_bytes += bytes;

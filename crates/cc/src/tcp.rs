@@ -374,16 +374,8 @@ impl TcpSender {
         }
     }
 
-    /// Handle an uplink packet from the client (SYN or ACK). Returns
-    /// packets to transmit now.
-    pub fn on_packet(&mut self, pkt: &PacketBuf, now: Instant) -> Vec<PacketBuf> {
-        let mut out = Vec::new();
-        self.on_packet_into(pkt, now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`TcpSender::on_packet`]: transmissions
-    /// are appended to `out`.
+    /// Handle an uplink packet from the client (SYN or ACK). Packets
+    /// to transmit now are appended to `out`.
     pub fn on_packet_into(&mut self, pkt: &PacketBuf, now: Instant, out: &mut Vec<PacketBuf>) {
         let Some(hdr) = pkt.tcp_header() else {
             return;
@@ -594,16 +586,10 @@ impl TcpSender {
         self.rto = (srtt + self.rttvar * 4).max(MIN_RTO).min(MAX_RTO);
     }
 
-    /// Timer poll: fires RTO retransmissions and releases paced segments.
-    pub fn poll(&mut self, now: Instant) -> Vec<PacketBuf> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`TcpSender::poll`]: transmissions are
-    /// appended to `out`. This fires once per pacing/RTO timer event, so
-    /// the harness reuses one scratch buffer across all flows.
+    /// Timer poll: fires RTO retransmissions and releases paced
+    /// segments, appending them to `out`. This fires once per pacing/RTO
+    /// timer event, so the harness reuses one scratch buffer across all
+    /// flows.
     pub fn poll_into(&mut self, now: Instant, out: &mut Vec<PacketBuf>) {
         if let Some(deadline) = self.rto_deadline {
             if now >= deadline && !self.inflight.is_empty() {
@@ -888,13 +874,27 @@ mod tests {
         (TcpSender::new(cfg, cc), TcpReceiver::new(cfg, mode))
     }
 
+    /// What the sender transmits in response to `pkt`.
+    fn recv(s: &mut TcpSender, pkt: &PacketBuf, now: Instant) -> Vec<PacketBuf> {
+        let mut out = Vec::new();
+        s.on_packet_into(pkt, now, &mut out);
+        out
+    }
+
+    /// What a timer poll at `now` releases.
+    fn poll(s: &mut TcpSender, now: Instant) -> Vec<PacketBuf> {
+        let mut out = Vec::new();
+        s.poll_into(now, &mut out);
+        out
+    }
+
     /// Run the handshake; returns the initial data burst.
     fn handshake(s: &mut TcpSender, r: &mut TcpReceiver, now: Instant) -> Vec<PacketBuf> {
         let syn = r.start(now);
-        let synack = s.on_packet(&syn, now);
+        let synack = recv(s, &syn, now);
         assert_eq!(synack.len(), 1);
         let ack = r.on_packet(&synack[0], now).expect("handshake ack");
-        let burst = s.on_packet(&ack, now);
+        let burst = recv(s, &ack, now);
         assert!(s.established() && r.established());
         burst
     }
@@ -933,14 +933,14 @@ mod tests {
         let mut new_pkts = Vec::new();
         for p in queue.drain(..) {
             if let Some(ack) = r.on_packet(&p, t) {
-                new_pkts.extend(s.on_packet(&ack, t));
+                s.on_packet_into(&ack, t, &mut new_pkts);
             }
             t += Duration::from_millis(2);
-            new_pkts.extend(s.poll(t));
+            s.poll_into(t, &mut new_pkts);
         }
         for _ in 0..50 {
             t += Duration::from_millis(2);
-            new_pkts.extend(s.poll(t));
+            s.poll_into(t, &mut new_pkts);
         }
         total_sent += new_pkts.len();
         assert!(total_sent >= 18, "slow start growth, sent {total_sent}");
@@ -956,10 +956,10 @@ mod tests {
         let mut pkts = Vec::new();
         for p in &burst {
             if let Some(ack) = r.on_packet(p, t) {
-                pkts.extend(s.on_packet(&ack, t));
+                s.on_packet_into(&ack, t, &mut pkts);
             }
             t += Duration::from_millis(1);
-            pkts.extend(s.poll(t));
+            s.poll_into(t, &mut pkts);
         }
         assert!(!pkts.is_empty(), "new data flowed after the acks");
         let w = s.cc().cwnd();
@@ -971,7 +971,7 @@ mod tests {
         let h = ack.tcp_header().unwrap();
         assert!(h.flags.contains(TcpFlags::ECE), "ECE latched");
         // The reacting call may already emit the CWR-carrying segment.
-        let mut sent_after = s.on_packet(&ack, t2);
+        let mut sent_after = recv(&mut s, &ack, t2);
         assert!(
             (s.cc().cwnd() as f64) < 0.8 * w as f64,
             "cubic must back off: {} vs {w}",
@@ -983,14 +983,14 @@ mod tests {
         let mut t3 = Instant::from_millis(81);
         for p in pkts.iter().skip(1) {
             if let Some(a) = r.on_packet(p, t3) {
-                sent_after.extend(s.on_packet(&a, t3));
+                s.on_packet_into(&a, t3, &mut sent_after);
             }
             t3 += Duration::from_millis(2);
-            sent_after.extend(s.poll(t3));
+            s.poll_into(t3, &mut sent_after);
         }
         for _ in 0..100 {
             t3 += Duration::from_millis(2);
-            sent_after.extend(s.poll(t3));
+            s.poll_into(t3, &mut sent_after);
         }
         let cwr_seg = sent_after
             .iter()
@@ -1011,13 +1011,13 @@ mod tests {
         let mut marked1 = burst[0];
         marked1.set_ecn(Ecn::Ce);
         let ack1 = r.on_packet(&marked1, t).unwrap();
-        s.on_packet(&ack1, t);
+        recv(&mut s, &ack1, t);
         let w = s.cc().cwnd();
         // A second ECE ack a moment later must not halve again.
         let mut marked2 = burst[1];
         marked2.set_ecn(Ecn::Ce);
         let ack2 = r.on_packet(&marked2, t + Duration::from_millis(1)).unwrap();
-        s.on_packet(&ack2, t + Duration::from_millis(1));
+        recv(&mut s, &ack2, t + Duration::from_millis(1));
         assert!(
             s.cc().cwnd() >= w && s.cc().cwnd() < w + 2 * 1400,
             "gated for one RTT: {} vs {w}",
@@ -1034,7 +1034,7 @@ mod tests {
         marked.set_ecn(Ecn::Ce);
         let w = s.cc().cwnd();
         let ack = r.on_packet(&marked, t).unwrap();
-        s.on_packet(&ack, t);
+        recv(&mut s, &ack, t);
         let cut = w - s.cc().cwnd();
         assert!(cut > 0, "prague reduces on CE bytes");
         assert!(
@@ -1053,7 +1053,7 @@ mod tests {
         let mut retx = Vec::new();
         for p in &burst[1..6] {
             if let Some(ack) = r.on_packet(p, t) {
-                retx.extend(s.on_packet(&ack, t));
+                s.on_packet_into(&ack, t, &mut retx);
             }
         }
         assert_eq!(s.fast_retx, 1, "one fast retransmit episode");
@@ -1077,7 +1077,7 @@ mod tests {
         assert!(!burst.is_empty());
         // No acks arrive at all; poll past the RTO deadline.
         let deadline = s.next_activity().expect("rto armed");
-        let out = s.poll(deadline + Duration::from_millis(1));
+        let out = poll(&mut s, deadline + Duration::from_millis(1));
         assert_eq!(s.rto_retx, 1);
         assert!(out.iter().any(|p| p.tcp_header().unwrap().seq == 0));
         assert_eq!(s.cc().cwnd(), 1400, "reno collapses to 1 MSS");
@@ -1091,15 +1091,15 @@ mod tests {
         let mut s = TcpSender::new(cfg, Box::new(Cubic::new(1400)));
         let mut r = TcpReceiver::new(cfg, EcnMode::Classic);
         let syn = r.start(Instant::ZERO);
-        let synack = s.on_packet(&syn, Instant::ZERO);
+        let synack = recv(&mut s, &syn, Instant::ZERO);
         let ack = r.on_packet(&synack[0], Instant::ZERO).unwrap();
-        let burst = s.on_packet(&ack, Instant::ZERO);
+        let burst = recv(&mut s, &ack, Instant::ZERO);
         assert_eq!(burst.len(), 10, "14000/1400 = 10 segments fit IW");
         assert!(!s.finished());
         let t = Instant::from_millis(40);
         for p in &burst {
             if let Some(a) = r.on_packet(p, t) {
-                s.on_packet(&a, t);
+                recv(&mut s, &a, t);
             }
         }
         assert!(s.finished());
@@ -1112,31 +1112,31 @@ mod tests {
         let mut s = TcpSender::app_driven(cfg, Box::new(Cubic::new(1400)));
         let mut r = TcpReceiver::new(cfg, EcnMode::Classic);
         let syn = r.start(Instant::ZERO);
-        let synack = s.on_packet(&syn, Instant::ZERO);
+        let synack = recv(&mut s, &syn, Instant::ZERO);
         let ack = r.on_packet(&synack[0], Instant::ZERO).unwrap();
-        let burst = s.on_packet(&ack, Instant::ZERO);
+        let burst = recv(&mut s, &ack, Instant::ZERO);
         assert!(burst.is_empty(), "nothing offered yet, nothing sent");
         assert!(!s.finished(), "drained but the app is still open");
 
         s.offer(2800);
-        let out = s.poll(Instant::from_millis(1));
+        let out = poll(&mut s, Instant::from_millis(1));
         assert_eq!(out.len(), 2, "exactly the offered two segments");
         let t = Instant::from_millis(40);
         for p in &out {
             if let Some(a) = r.on_packet(p, t) {
-                s.on_packet(&a, t);
+                recv(&mut s, &a, t);
             }
         }
         assert!(!s.finished(), "acked, but more bursts may come");
         s.offer(1400);
         s.close_app();
-        let out2 = s.poll(Instant::from_millis(41));
+        let out2 = poll(&mut s, Instant::from_millis(41));
         assert_eq!(out2.len(), 1);
         assert!(!s.finished());
         let t2 = Instant::from_millis(80);
         for p in &out2 {
             if let Some(a) = r.on_packet(p, t2) {
-                s.on_packet(&a, t2);
+                recv(&mut s, &a, t2);
             }
         }
         assert!(s.finished(), "closed and fully acked");

@@ -3,14 +3,12 @@
 //! packet/CE counts in the UDP payload; the sender runs the DCTCP-style
 //! `α` update on a paced rate instead of a window.
 
-use crate::cc::{CcEvent, FallbackReason, WindowedMin};
+use crate::cc::{CcEvent, FallbackReason, FeedbackGate, WindowedMin};
 use l4span_net::{Ecn, PacketBuf};
 use l4span_sim::{Duration, Instant};
 
 /// EWMA gain for α.
 const ALPHA_GAIN: f64 = 1.0 / 16.0;
-/// Feedback cadence at the receiver.
-const FEEDBACK_INTERVAL: Duration = Duration::from_millis(25);
 /// Payload bytes per datagram.
 const MTU_PAYLOAD: usize = 1200;
 /// Queueing delay above the path floor that reads as a classic (RFC 3168)
@@ -208,15 +206,8 @@ impl UdpPragueSender {
         self.next_send_at = Instant::MAX;
     }
 
-    /// Emit datagrams due under the paced schedule.
-    pub fn poll(&mut self, now: Instant) -> Vec<PacketBuf> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`UdpPragueSender::poll`]: datagrams are
-    /// appended to `out` (the per-pacing-tick hot path).
+    /// Emit datagrams due under the paced schedule, appending them to
+    /// `out` (the per-pacing-tick hot path).
     pub fn poll_into(&mut self, now: Instant, out: &mut Vec<PacketBuf>) {
         let mut emitted = 0;
         while now >= self.next_send_at {
@@ -293,14 +284,14 @@ impl UdpPragueSender {
             self.last_reduction = now;
         } else if ce == 0 {
             // Additive increase: one MTU per feedback interval.
-            self.rate += MTU_PAYLOAD as f64 / FEEDBACK_INTERVAL.as_secs_f64() * 0.025;
+            self.rate += MTU_PAYLOAD as f64 / FeedbackGate::INTERVAL.as_secs_f64() * 0.025;
         }
         self.rate = self.rate.clamp(self.min_rate, self.max_rate);
     }
 }
 
 /// UDP Prague receiver: counts datagrams and CE marks, reports every
-/// [`FEEDBACK_INTERVAL`].
+/// 25 ms (the shared feedback prohibit interval).
 #[derive(Debug)]
 pub struct UdpPragueReceiver {
     src_ip: u32,
@@ -308,9 +299,7 @@ pub struct UdpPragueReceiver {
     src_port: u16,
     dst_port: u16,
     state: PragueFeedback,
-    last_fb_at: Instant,
-    /// Unreported state exists.
-    dirty: bool,
+    gate: FeedbackGate,
     ident: u16,
     /// Total payload bytes received (diagnostics).
     pub received_bytes: u64,
@@ -325,16 +314,13 @@ impl UdpPragueReceiver {
             src_port,
             dst_port,
             state: PragueFeedback::default(),
-            last_fb_at: Instant::ZERO,
-            dirty: false,
+            gate: FeedbackGate::new(),
             ident: 0,
             received_bytes: 0,
         }
     }
 
-    fn emit_feedback(&mut self, now: Instant) -> (PacketBuf, PragueFeedback) {
-        self.last_fb_at = now;
-        self.dirty = false;
+    fn emit_feedback(&mut self) -> (PacketBuf, PragueFeedback) {
         self.ident = self.ident.wrapping_add(1);
         let fb_pkt = PacketBuf::udp(
             self.src_ip,
@@ -352,11 +338,7 @@ impl UdpPragueReceiver {
     /// (prevents the rate-paced sender from stalling when the last
     /// datagram of a burst arrives inside the interval).
     pub fn poll(&mut self, now: Instant) -> Option<(PacketBuf, PragueFeedback)> {
-        if self.dirty && now.saturating_since(self.last_fb_at) >= FEEDBACK_INTERVAL {
-            Some(self.emit_feedback(now))
-        } else {
-            None
-        }
+        self.gate.due(now, false).then(|| self.emit_feedback())
     }
 
     /// Ingest a datagram; maybe emit (feedback packet, feedback data).
@@ -374,11 +356,7 @@ impl UdpPragueReceiver {
             // middlebox bleached the codepoint in transit.
             self.state.not_ect_packets += 1;
         }
-        self.dirty = true;
-        if now.saturating_since(self.last_fb_at) < FEEDBACK_INTERVAL {
-            return None;
-        }
-        Some(self.emit_feedback(now))
+        self.gate.due(now, true).then(|| self.emit_feedback())
     }
 }
 
@@ -390,10 +368,11 @@ mod tests {
     fn pacing_respects_rate() {
         let mut s = UdpPragueSender::new(1, 2, 7000, 7001, 1e5, 1.2e6, 1e7);
         // 1.2 MB/s at 1200 B = 1000 pkt/s; over 100 ms expect ~100.
-        let mut n = 0;
+        let mut sent = Vec::new();
         for ms in 0..100u64 {
-            n += s.poll(Instant::from_millis(ms)).len();
+            s.poll_into(Instant::from_millis(ms), &mut sent);
         }
+        let n = sent.len();
         assert!((90..=110).contains(&n), "sent {n}");
     }
 
@@ -439,7 +418,8 @@ mod tests {
     fn burst_after_idle_is_bounded() {
         let mut s = UdpPragueSender::new(1, 2, 7000, 7001, 1e5, 1e7, 1e8);
         // A long gap would owe thousands of packets; the burst cap holds.
-        let pkts = s.poll(Instant::from_secs(5));
+        let mut pkts = Vec::new();
+        s.poll_into(Instant::from_secs(5), &mut pkts);
         assert!(pkts.len() <= 64);
     }
 

@@ -8,6 +8,9 @@
 //! * [`scenario`] — declarative scenario configs (cells, UEs, flows as
 //!   application × transport pairs, marker, channel profiles, mobility
 //!   trajectories, wired bottlenecks);
+//! * `endpoint` (crate-private) — the flow plane's boundary: a flow's
+//!   transport sender/receiver pair behind one form of every
+//!   operation, so the world never matches on the transport kind;
 //! * [`world`] — the event loop wiring content servers, WAN links, an
 //!   optional wired router, the CU marker (L4Span or a baseline), an
 //!   N-cell RAN with runtime handover, and the UE stacks — carrying
@@ -37,6 +40,7 @@
 pub mod app;
 pub mod bond;
 pub mod dci;
+mod endpoint;
 pub mod impairment;
 pub mod marker;
 pub mod metrics;
@@ -57,8 +61,6 @@ pub use scenario::{
     ChannelMix, FlowDir, FlowSpec, MobilitySpec, MobilityStep, ScenarioConfig, TransportSpec,
     UeSpec,
 };
-#[allow(deprecated)]
-pub use scenario::TrafficKind;
 pub use shard::{plan_shards, plan_shards_reason, run_sharded};
 pub use wakeup::Wakeup;
 pub use world::World;

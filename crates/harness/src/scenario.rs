@@ -47,8 +47,8 @@ impl ChannelMix {
 /// from the UE's serving cell at that moment, the step is a **handover**
 /// (Xn context transfer, PDCP re-establishment, lossless RLC forwarding,
 /// marker-state policy applied); if it names the serving cell, it is a
-/// pure channel change on the existing attachment — which is how the
-/// deprecated single-cell `channel_events` field is subsumed.
+/// pure channel change on the existing attachment: the RLC queues and
+/// all in-flight state survive, only the radio changes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MobilityStep {
     /// When the step occurs.
@@ -199,97 +199,6 @@ impl TransportSpec {
     }
 }
 
-/// What a flow sends — the **deprecated** closed traffic enum that
-/// predates the open application/transport split. Each variant lowers
-/// onto an `(AppProfile, TransportSpec)` pair via [`TrafficKind::lower`]
-/// (used by [`FlowSpec::from_traffic`]); the lowering is asserted
-/// byte-identical to the equivalent new-API scenario.
-#[non_exhaustive]
-#[derive(Debug, Clone)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `AppProfile` (what/when bytes are offered) plus \
-            `TransportSpec` (how they cross the network) instead"
-)]
-pub enum TrafficKind {
-    /// A greedy (or size-limited) TCP download using the named congestion
-    /// control ("prague", "cubic", "bbr2", "bbr", "reno").
-    Tcp {
-        /// Congestion control name.
-        cc: String,
-        /// Payload limit in bytes; `None` = long-lived greedy flow.
-        app_limit: Option<u64>,
-    },
-    /// SCReAM interactive video (bit/s bounds and frame rate).
-    Scream {
-        /// Minimum media bitrate.
-        min_bps: f64,
-        /// Starting media bitrate.
-        start_bps: f64,
-        /// Maximum media bitrate.
-        max_bps: f64,
-        /// Frames per second.
-        fps: f64,
-    },
-    /// UDP Prague (byte/s rate bounds).
-    UdpPrague {
-        /// Minimum rate in bytes/s.
-        min_rate: f64,
-        /// Starting rate in bytes/s.
-        start_rate: f64,
-        /// Maximum rate in bytes/s.
-        max_rate: f64,
-    },
-}
-
-#[allow(deprecated)]
-impl TrafficKind {
-    /// Lower onto the new application/transport split.
-    ///
-    /// # Panics
-    ///
-    /// On an unknown congestion-control name, exactly like the old
-    /// stringly construction did (new code should parse a [`CcKind`]
-    /// and get the typed error instead).
-    pub fn lower(&self) -> (AppProfile, TransportSpec) {
-        match self {
-            TrafficKind::Tcp { cc, app_limit } => {
-                let cc: CcKind = match cc.parse() {
-                    Ok(k) => k,
-                    Err(e) => panic!("{e}"),
-                };
-                (
-                    AppProfile::Bulk { bytes: *app_limit },
-                    TransportSpec::Tcp { cc },
-                )
-            }
-            TrafficKind::Scream {
-                min_bps,
-                start_bps,
-                max_bps,
-                fps,
-            } => (
-                AppProfile::FramedVideo(FramedVideoCfg::new(
-                    *fps, *min_bps, *start_bps, *max_bps,
-                )),
-                TransportSpec::Scream,
-            ),
-            TrafficKind::UdpPrague {
-                min_rate,
-                start_rate,
-                max_rate,
-            } => (
-                AppProfile::bulk(),
-                TransportSpec::UdpPrague {
-                    min_rate: *min_rate,
-                    start_rate: *start_rate,
-                    max_rate: *max_rate,
-                },
-            ),
-        }
-    }
-}
-
 /// Direction a flow's *data* travels. The opposite direction always
 /// carries that flow's feedback (ACKs, RTCP-like reports).
 ///
@@ -402,36 +311,6 @@ impl FlowSpec {
         self.bond = Some(secondary_ue);
         self
     }
-
-    /// **Deprecated** shim: build a flow from the old [`TrafficKind`]
-    /// enum. Lowers onto the new API; asserted byte-identical to the
-    /// equivalent `(AppProfile, TransportSpec)` construction.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct with `FlowSpec::new(ue, app, transport, wan, start)`"
-    )]
-    #[allow(deprecated)]
-    pub fn from_traffic(
-        ue: usize,
-        drb: u8,
-        traffic: TrafficKind,
-        wan: WanLink,
-        start: Instant,
-        stop: Option<Instant>,
-    ) -> FlowSpec {
-        let (app, transport) = traffic.lower();
-        FlowSpec {
-            ue,
-            drb,
-            app,
-            transport,
-            wan,
-            start,
-            stop,
-            dir: FlowDir::Downlink,
-            bond: None,
-        }
-    }
 }
 
 /// Both legs of one interactive call as a single app-level construct:
@@ -537,13 +416,6 @@ pub struct ScenarioConfig {
     /// `measure_marker_time`, it reads only the OS clock, so enabling
     /// it never changes a fingerprint.
     pub measure_cycles: bool,
-    /// **Deprecated** single-cell shim: mid-run channel replacements as
-    /// (time, ue index, new profile, new mean SNR dB), applied to the
-    /// UE's *serving* cell. Equivalent to a [`MobilityStep`] naming the
-    /// serving cell; kept so pre-multi-cell scenarios run with unchanged
-    /// semantics. New code should use [`UeSpec::mobility`], which also
-    /// expresses genuine inter-cell handover.
-    pub channel_events: Vec<(Instant, usize, ChannelProfile, f64)>,
 }
 
 impl ScenarioConfig {
@@ -565,7 +437,6 @@ impl ScenarioConfig {
             thr_bin: Duration::from_millis(100),
             measure_marker_time: false,
             measure_cycles: false,
-            channel_events: Vec::new(),
         }
     }
 
@@ -1058,54 +929,6 @@ mod tests {
             .flows
             .iter()
             .all(|f| matches!(f.transport, TransportSpec::Tcp { cc: CcKind::Prague })));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn traffic_kind_lowering_maps_every_variant() {
-        let (app, tr) = TrafficKind::Tcp {
-            cc: "cubic".into(),
-            app_limit: Some(14_000),
-        }
-        .lower();
-        assert!(matches!(app, AppProfile::Bulk { bytes: Some(14_000) }));
-        assert!(matches!(tr, TransportSpec::Tcp { cc: CcKind::Cubic }));
-
-        let (app, tr) = TrafficKind::Scream {
-            min_bps: 1.0,
-            start_bps: 2.0,
-            max_bps: 3.0,
-            fps: 25.0,
-        }
-        .lower();
-        match app {
-            AppProfile::FramedVideo(v) => {
-                assert_eq!((v.min_bps, v.start_bps, v.max_bps, v.fps), (1.0, 2.0, 3.0, 25.0));
-                assert_eq!(v.keyframe_every, 0, "the shim has no keyframe pattern");
-            }
-            other => panic!("expected FramedVideo, got {other:?}"),
-        }
-        assert!(matches!(tr, TransportSpec::Scream));
-
-        let (app, tr) = TrafficKind::UdpPrague {
-            min_rate: 1.0,
-            start_rate: 2.0,
-            max_rate: 3.0,
-        }
-        .lower();
-        assert!(matches!(app, AppProfile::Bulk { bytes: None }));
-        assert!(matches!(tr, TransportSpec::UdpPrague { .. }));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown congestion control")]
-    #[allow(deprecated)]
-    fn traffic_kind_lowering_panics_on_unknown_cc_like_the_old_path() {
-        let _ = TrafficKind::Tcp {
-            cc: "vegas".into(),
-            app_limit: None,
-        }
-        .lower();
     }
 
     #[test]

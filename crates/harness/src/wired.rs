@@ -88,11 +88,11 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
         queue: &mut EventQueue<Event>,
         flows: &mut [WFlow],
         flow: usize,
-        pkts: Vec<PacketBuf>,
+        pkts: &mut Vec<PacketBuf>,
         one_way: Duration,
         now: Instant,
     ) {
-        for pkt in pkts {
+        for pkt in pkts.drain(..) {
             flows[flow].sent_at.insert(pkt.ip().identification, now);
             queue.schedule(now + one_way, Event::AtRouter { pkt });
         }
@@ -124,6 +124,8 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
         }
     }
 
+    // Sender releases, reused across events (`route_dl` drains it).
+    let mut outs = Vec::new();
     while let Some(at) = queue.next_at() {
         if at > end {
             break;
@@ -177,20 +179,20 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
                 }
             }
             Event::AtServer { flow, pkt } => {
-                let outs = flows[flow].sender.on_packet(&pkt, now);
+                flows[flow].sender.on_packet_into(&pkt, now, &mut outs);
                 if let Some(srtt) = flows[flow].sender.srtt() {
                     rtt_ms[flow].push(srtt.as_millis_f64());
                     rtt_at_s[flow].push(now.as_secs_f64());
                 }
-                route_dl(&mut queue, &mut flows, flow, outs, cfg.one_way, now);
+                route_dl(&mut queue, &mut flows, flow, &mut outs, cfg.one_way, now);
                 arm_timer(&mut queue, &mut flows[flow], flow, now);
             }
             Event::Timer { flow } => {
                 if !flows[flow].timer.fire(now) {
                     continue;
                 }
-                let outs = flows[flow].sender.poll(now);
-                route_dl(&mut queue, &mut flows, flow, outs, cfg.one_way, now);
+                flows[flow].sender.poll_into(now, &mut outs);
+                route_dl(&mut queue, &mut flows, flow, &mut outs, cfg.one_way, now);
                 arm_timer(&mut queue, &mut flows[flow], flow, now);
             }
         }

@@ -8,12 +8,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use l4span_aqm::{DualPi2, Router, RouterAqm};
-use l4span_cc::scream::{FrameMark, ScreamFeedback, ScreamReceiver, ScreamSender};
-use l4span_cc::udp_prague::{PragueFeedback, UdpPragueReceiver, UdpPragueSender};
-use l4span_cc::{CcEvent, FecFeedback, FecMediaReceiver, FecMediaSender, TcpReceiver, TcpSender};
-use l4span_cc::tcp::TcpConfig;
+use l4span_cc::CcEvent;
 use l4span_core::DlVerdict;
-use l4span_net::{FiveTuple, PacketBuf, Protocol};
+use l4span_net::{FiveTuple, PacketBuf};
 use l4span_ran::channel::{ChannelProfile, FadingChannel};
 use l4span_ran::config::{RlcMode, SlotRole};
 use l4span_ran::ids::Qfi;
@@ -22,14 +19,13 @@ use l4span_ran::rlc::RlcStatus;
 use l4span_ran::{DlDataDeliveryStatus, DrbId, Gnb, SlotOutput, UeId, UeStack, UlTbOutcome};
 use l4span_sim::{CycleScope, Duration, EventQueue, FxHashMap, Instant, SimRng};
 
-use crate::app::{AppProfile, AppUnit, Application, UnitKind};
+use crate::app::{AppUnit, Application, UnitKind};
 use crate::bond::{BondJoin, BondTx, SbdDetector};
+use crate::endpoint::{self, Built, Endpoint, FbData, Feedback, Released};
 use crate::impairment::{Impairment, StageOutcome};
 use crate::marker::Marker;
-use crate::metrics::{
-    BondStat, Breakdown, BreakdownAvg, FallbackRecord, FecStat, HandoverRecord, Report,
-};
-use crate::scenario::{BottleneckSpec, FlowDir, ScenarioConfig, TransportSpec};
+use crate::metrics::{BondStat, Breakdown, BreakdownAvg, FallbackRecord, HandoverRecord, Report};
+use crate::scenario::{BottleneckSpec, FlowDir, ScenarioConfig};
 use crate::wakeup::Wakeup;
 
 /// Subsystem labels of the world's [`CycleScope`] (the `fig_breakdown`
@@ -54,42 +50,6 @@ const CYC_WIRED: usize = 4;
 const CYC_TRANSPORT: usize = 5;
 const CYC_METRICS: usize = 6;
 const CYC_QUEUE: usize = 7;
-
-/// UE IP block.
-fn ue_ip(i: usize) -> u32 {
-    0xC0A8_0000 + i as u32
-}
-/// Server IP block (one server per flow).
-fn server_ip(f: usize) -> u32 {
-    0x0A00_0000 + f as u32
-}
-
-/// Feedback payloads of UDP-based protocols, carried alongside the
-/// uplink feedback packet (the payload is opaque on the wire).
-enum FbData {
-    Scream(ScreamFeedback),
-    Prague(PragueFeedback),
-    Fec(Box<FecFeedback>),
-}
-
-enum Endpoint {
-    Tcp {
-        sender: TcpSender,
-        receiver: TcpReceiver,
-    },
-    Scream {
-        sender: ScreamSender,
-        receiver: ScreamReceiver,
-    },
-    UdpPrague {
-        sender: UdpPragueSender,
-        receiver: UdpPragueReceiver,
-    },
-    FecMedia {
-        sender: Box<FecMediaSender>,
-        receiver: Box<FecMediaReceiver>,
-    },
-}
 
 /// Runtime state of a bonded (dual-connectivity) uplink flow: the
 /// secondary leg's UE, the byte-balancing leg picker, the server-side
@@ -130,13 +90,12 @@ struct Flow {
     dir: FlowDir,
     /// ident → send time of *data-direction* packets (for OWD).
     sent_at: FxHashMap<u16, Instant>,
-    /// ident of uplink feedback packet → its payload.
+    /// ident of an in-flight feedback packet → its report payload.
     fb_pending: FxHashMap<u16, FbData>,
     /// The sender's one live `FlowTimer`.
     timer: Wakeup,
     /// The driving [`Application`], for flows whose app is not executed
-    /// natively by the transport (`None` = native lowering: greedy/sized
-    /// TCP, SCReAM's built-in media source, UDP Prague pacing).
+    /// natively by the transport.
     app: Option<Box<dyn Application + Send>>,
     /// The application's one live `AppTick`.
     app_timer: Wakeup,
@@ -144,8 +103,8 @@ struct Flow {
     /// in stream order — completed against the TCP receiver's in-order
     /// watermark.
     pending_units: VecDeque<AppUnit>,
-    /// SCReAM path: downlink ident of a frame's last packet → encoder
-    /// capture time, completed at UE delivery of that packet.
+    /// Sender-paced media: data ident of a frame's last packet →
+    /// encoder capture time, completed at delivery of that packet.
     frame_pending: FxHashMap<u16, Instant>,
     /// Frame cadence + deadline for QoE accounting (framed apps only).
     framed: Option<(Duration, Duration)>,
@@ -205,9 +164,6 @@ pub(crate) enum Event {
     /// The flow's [`Application`] asked to be woken (app-driven flows
     /// only; natively-lowered flows never schedule one).
     AppTick { flow: usize },
-    /// Abrupt channel change on the UE's *serving* cell (the deprecated
-    /// `channel_events` shim rides this).
-    ChannelChange { ue: usize, profile: ChannelProfile, snr_db: f64 },
     /// A mobility step: the UE now observes (`profile`, `snr_db`) toward
     /// `target_cell`. Same cell → channel replacement; different cell →
     /// full Xn handover.
@@ -297,12 +253,8 @@ pub struct World {
     ul_pool: Vec<UlBatch>,
     /// Recycled `TbsAtUe` / `UlTbsAtGnb` batch buffers.
     tb_pool: Vec<Vec<TransportBlock>>,
-    /// Scratch buffer for draining SCReAM frame marks (reused).
-    mark_scratch: Vec<FrameMark>,
-    /// Reused buffer for sender-released packets (poll/ACK hot paths).
-    scratch_pkts: Vec<PacketBuf>,
-    /// Reused buffer for FEC-media sender releases (leg-tagged).
-    scratch_leg_pkts: Vec<(u8, PacketBuf)>,
+    /// Reused buffers for what a sender releases (poll/ACK hot paths).
+    scratch_tx: Released,
     /// Reused buffer for join-buffer releases at the server.
     scratch_join: Vec<PacketBuf>,
     /// Reused buffer for UE app deliveries (the per-TB hot path).
@@ -470,177 +422,33 @@ impl World {
         let mut tuple_to_flow = FxHashMap::default();
         let mut has_ul_data = false;
         let mut has_um_ul = false;
+        // Stand up flow `f`'s uplink data bearer on `ue`: the UE-side
+        // PDCP/RLC transmit entities and the serving cell's receive
+        // entities, in the DRB's configured mode.
+        let mut ul_bearer = |f: usize, ue: usize, drb: u8| {
+            let home = cfg.ues[ue].initial_cell;
+            let mode = cfg.ues[ue]
+                .drbs
+                .iter()
+                .find(|&&(d, _)| d == drb)
+                .map(|&(_, m)| m)
+                .unwrap_or_else(|| panic!("uplink flow {f}: DRB {drb} not in UE {ue} spec"));
+            has_um_ul |= mode == RlcMode::Um;
+            let cell_cfg = cfg.cell_config(home);
+            ues[ue].configure_ul_drb(
+                DrbId(drb),
+                mode,
+                cell_cfg.rlc_queue_sdus,
+                cell_cfg.segment_overhead,
+            );
+            gnbs[home].ensure_ul_drb(UeId(ue as u16), DrbId(drb), mode);
+        };
         for (f, spec) in cfg.flows.iter().enumerate() {
-            let sip = server_ip(f);
-            let uip = ue_ip(spec.ue);
-            // Data-direction addressing: the sender's IP first. For a
-            // downlink flow the sender is the content server; for an
-            // uplink flow it is the UE, and every constructor below is
-            // simply mirrored.
-            let (src, dst) = match spec.dir {
-                FlowDir::Downlink => (sip, uip),
-                FlowDir::Uplink => (uip, sip),
-            };
-            // Lower the (application, transport) pair onto an endpoint.
-            // The combinations the transports execute natively (greedy /
-            // sized TCP, SCReAM's built-in media source, UDP Prague
-            // pacing) take `app: None` and schedule no application
-            // events — which is what keeps pre-split scenarios
-            // byte-identical through the `TrafficKind` shims.
-            let (endpoint, tuple, app, framed) = match (&spec.app, &spec.transport) {
-                (AppProfile::Bulk { bytes }, TransportSpec::Tcp { cc }) => {
-                    let controller = cc.make(1400);
-                    let mode = controller.ecn_mode();
-                    let mut tcfg = TcpConfig::new(src, dst, 443, 50_000 + f as u16);
-                    tcfg.app_limit = *bytes;
-                    let tuple = tcfg.downlink_tuple();
-                    (
-                        Endpoint::Tcp {
-                            sender: TcpSender::new(tcfg, controller),
-                            receiver: TcpReceiver::new(tcfg, mode),
-                        },
-                        tuple,
-                        None,
-                        None,
-                    )
-                }
-                (app_profile, TransportSpec::Tcp { cc }) => {
-                    // Application-driven TCP: the app owns what bytes are
-                    // offered and when; the sender is fed incrementally.
-                    let controller = cc.make(1400);
-                    let mode = controller.ecn_mode();
-                    let tcfg = TcpConfig::new(src, dst, 443, 50_000 + f as u16);
-                    let tuple = tcfg.downlink_tuple();
-                    let framed = match app_profile {
-                        AppProfile::FramedVideo(v) => {
-                            Some((v.frame_interval(), v.deadline))
-                        }
-                        _ => None,
-                    };
-                    (
-                        Endpoint::Tcp {
-                            sender: TcpSender::app_driven(tcfg, controller),
-                            receiver: TcpReceiver::new(tcfg, mode),
-                        },
-                        tuple,
-                        Some(app_profile.instantiate(spec.start)),
-                        framed,
-                    )
-                }
-                (AppProfile::FramedVideo(v), TransportSpec::Scream) => {
-                    let sport = 5004u16;
-                    let dport = 42_000 + f as u16;
-                    let tuple = FiveTuple {
-                        src_ip: src,
-                        dst_ip: dst,
-                        src_port: sport,
-                        dst_port: dport,
-                        protocol: Protocol::Udp,
-                    };
-                    (
-                        Endpoint::Scream {
-                            sender: ScreamSender::new(
-                                src, dst, sport, dport, v.min_bps, v.start_bps,
-                                v.max_bps, v.fps, true,
-                            )
-                            .with_keyframes(v.keyframe_every, v.keyframe_boost),
-                            receiver: ScreamReceiver::new(dst, src, dport, sport),
-                        },
-                        tuple,
-                        None,
-                        Some((v.frame_interval(), v.deadline)),
-                    )
-                }
-                (AppProfile::Bulk { bytes: None }, TransportSpec::UdpPrague {
-                    min_rate,
-                    start_rate,
-                    max_rate,
-                }) => {
-                    let sport = 5006u16;
-                    let dport = 43_000 + f as u16;
-                    let tuple = FiveTuple {
-                        src_ip: src,
-                        dst_ip: dst,
-                        src_port: sport,
-                        dst_port: dport,
-                        protocol: Protocol::Udp,
-                    };
-                    (
-                        Endpoint::UdpPrague {
-                            sender: UdpPragueSender::new(
-                                src, dst, sport, dport, *min_rate, *start_rate, *max_rate,
-                            ),
-                            receiver: UdpPragueReceiver::new(dst, src, dport, sport),
-                        },
-                        tuple,
-                        None,
-                        None,
-                    )
-                }
-                (AppProfile::Bulk { bytes: None }, TransportSpec::FecMedia {
-                    min_rate,
-                    start_rate,
-                    max_rate,
-                    fps,
-                }) => {
-                    assert_eq!(
-                        spec.dir,
-                        FlowDir::Uplink,
-                        "flow {f}: FecMedia transport is uplink-only"
-                    );
-                    let sport = 5008u16;
-                    let dport = 44_000 + f as u16;
-                    let tuple = FiveTuple {
-                        src_ip: src,
-                        dst_ip: dst,
-                        src_port: sport,
-                        dst_port: dport,
-                        protocol: Protocol::Udp,
-                    };
-                    let n_legs = 1 + usize::from(spec.bond.is_some());
-                    (
-                        Endpoint::FecMedia {
-                            sender: Box::new(FecMediaSender::new(
-                                src, dst, sport, dport, *min_rate, *start_rate, *max_rate,
-                                *fps, n_legs,
-                            )),
-                            receiver: Box::new(FecMediaReceiver::new(dst, src, dport, sport)),
-                        },
-                        tuple,
-                        None,
-                        None,
-                    )
-                }
-                (app, transport) => panic!(
-                    "flow {f}: unsupported application/transport combination \
-                     ({app:?} over {transport:?}); SCReAM requires a FramedVideo \
-                     application, UDP Prague and FEC media a greedy Bulk one"
-                ),
-            };
+            let Built { endpoint, tuple, app, framed } =
+                endpoint::build(f, spec, &mut tuple_to_flow);
             if spec.dir == FlowDir::Uplink {
-                // Stand up the uplink data plane for this bearer: the
-                // UE-side PDCP/RLC transmit entities and the serving
-                // cell's receive entities, in the DRB's configured mode.
                 has_ul_data = true;
-                let ue_id = UeId(spec.ue as u16);
-                let home = cfg.ues[spec.ue].initial_cell;
-                let mode = cfg.ues[spec.ue]
-                    .drbs
-                    .iter()
-                    .find(|&&(d, _)| d == spec.drb)
-                    .map(|&(_, m)| m)
-                    .unwrap_or_else(|| {
-                        panic!("uplink flow {f}: DRB {} not in UE {} spec", spec.drb, spec.ue)
-                    });
-                has_um_ul |= mode == RlcMode::Um;
-                let cell_cfg = cfg.cell_config(home);
-                ues[spec.ue].configure_ul_drb(
-                    DrbId(spec.drb),
-                    mode,
-                    cell_cfg.rlc_queue_sdus,
-                    cell_cfg.segment_overhead,
-                );
-                gnbs[home].ensure_ul_drb(ue_id, DrbId(spec.drb), mode);
+                ul_bearer(f, spec.ue, spec.drb);
             }
             // Bonded (dual-connectivity) leg: stand up the same uplink
             // bearer on the secondary UE, which must sit on a different
@@ -649,10 +457,6 @@ impl World {
             let bond = if let Some(ue2) = spec.bond {
                 assert_eq!(spec.dir, FlowDir::Uplink, "flow {f}: bonding is uplink-only");
                 assert!(
-                    matches!(endpoint, Endpoint::Tcp { .. } | Endpoint::FecMedia { .. }),
-                    "flow {f}: bonding supports TCP and FEC-media endpoints only"
-                );
-                assert!(
                     ue2 < cfg.ues.len() && ue2 != spec.ue,
                     "flow {f}: bond UE {ue2} out of range or equal to the primary"
                 );
@@ -660,36 +464,16 @@ impl World {
                     cfg.ues[spec.ue].mobility.is_empty() && cfg.ues[ue2].mobility.is_empty(),
                     "flow {f}: bonded UEs must not have mobility trajectories"
                 );
-                let home2 = cfg.ues[ue2].initial_cell;
                 assert_ne!(
-                    cfg.ues[spec.ue].initial_cell, home2,
+                    cfg.ues[spec.ue].initial_cell, cfg.ues[ue2].initial_cell,
                     "flow {f}: bonded legs must attach to different cells"
                 );
-                let ue2_id = UeId(ue2 as u16);
-                let mode2 = cfg.ues[ue2]
-                    .drbs
-                    .iter()
-                    .find(|&&(d, _)| d == spec.drb)
-                    .map(|&(_, m)| m)
-                    .unwrap_or_else(|| {
-                        panic!("bonded flow {f}: DRB {} not in UE {ue2} spec", spec.drb)
-                    });
-                has_um_ul |= mode2 == RlcMode::Um;
-                let cell_cfg2 = cfg.cell_config(home2);
-                ues[ue2].configure_ul_drb(
-                    DrbId(spec.drb),
-                    mode2,
-                    cell_cfg2.rlc_queue_sdus,
-                    cell_cfg2.segment_overhead,
-                );
-                gnbs[home2].ensure_ul_drb(ue2_id, DrbId(spec.drb), mode2);
+                ul_bearer(f, ue2, spec.drb);
                 Some(Box::new(BondState {
                     ue2_idx: ue2,
-                    ue2_id,
+                    ue2_id: UeId(ue2 as u16),
                     tx: BondTx::new(),
-                    // TCP legs need a server-side reorder/join buffer;
-                    // the FEC media receiver sequences for itself.
-                    join: matches!(endpoint, Endpoint::Tcp { .. }).then(BondJoin::new),
+                    join: endpoint.needs_join().then(BondJoin::new),
                     sbd: SbdDetector::new(),
                     leg_of: FxHashMap::default(),
                     leg_pkts: [0; 2],
@@ -697,7 +481,6 @@ impl World {
             } else {
                 None
             };
-            tuple_to_flow.insert(tuple, f);
             flows.push(Flow {
                 ue_idx: spec.ue,
                 ue_id: UeId(spec.ue as u16),
@@ -760,7 +543,7 @@ impl World {
         let udp_flows: Vec<usize> = flows
             .iter()
             .enumerate()
-            .filter(|(_, f)| !matches!(f.endpoint, Endpoint::Tcp { .. }))
+            .filter(|(_, f)| f.endpoint.paces_feedback())
             .map(|(i, _)| i)
             .collect();
         let bond_flows: Vec<usize> = flows
@@ -827,9 +610,7 @@ impl World {
             slot_out: SlotOutput::default(),
             ul_pool: Vec::new(),
             tb_pool: Vec::new(),
-            mark_scratch: Vec::new(),
-            scratch_pkts: Vec::new(),
-            scratch_leg_pkts: Vec::new(),
+            scratch_tx: Released::default(),
             scratch_join: Vec::new(),
             scratch_app_deliv: Vec::new(),
             scratch_grants: Vec::new(),
@@ -915,19 +696,7 @@ impl World {
                 w.sched(t, Event::RouterRate { bps });
             }
         }
-        // The deprecated single-cell shim: a channel change on whatever
-        // cell serves the UE when the event fires.
-        for (t, ue, profile, snr_db) in w.cfg.channel_events.clone() {
-            w.sched(
-                t,
-                Event::ChannelChange {
-                    ue,
-                    profile,
-                    snr_db,
-                },
-            );
-        }
-        // Mobility trajectories (the multi-cell DSL that subsumes it).
+        // Mobility trajectories.
         for i in 0..w.cfg.ues.len() {
             for k in 0..w.cfg.ues[i].mobility.len() {
                 let step = w.cfg.ues[i].mobility[k];
@@ -1134,51 +903,15 @@ impl World {
                 if let Some(app) = &mut self.flows[flow].app {
                     app.stop();
                 }
-                match &mut self.flows[flow].endpoint {
-                    Endpoint::Tcp { sender, .. } => sender.stop(),
-                    Endpoint::Scream { sender, .. } => sender.stop(),
-                    Endpoint::UdpPrague { sender, .. } => sender.stop(),
-                    Endpoint::FecMedia { sender, .. } => sender.stop(),
-                }
+                self.flows[flow].endpoint.stop();
             }
             Event::FlowTimer { flow } => {
                 if !self.flows[flow].timer.fire(now) || !self.flows[flow].started {
                     return;
                 }
-                let mut outs = std::mem::take(&mut self.scratch_pkts);
-                let mut leg_outs = std::mem::take(&mut self.scratch_leg_pkts);
-                let t0 = self.cycles.start();
-                match &mut self.flows[flow].endpoint {
-                    Endpoint::Tcp { sender, .. } => sender.poll_into(now, &mut outs),
-                    Endpoint::Scream { sender, .. } => {
-                        sender.poll_into(now, &mut outs);
-                        sender.take_frame_marks_into(&mut self.mark_scratch);
-                    }
-                    Endpoint::UdpPrague { sender, .. } => sender.poll_into(now, &mut outs),
-                    Endpoint::FecMedia { sender, .. } => sender.poll_into(now, &mut leg_outs),
-                }
-                self.cycles.stop(t0, CYC_TRANSPORT);
-                self.register_frame_marks(flow);
-                match self.flows[flow].dir {
-                    FlowDir::Downlink => self.route_dl(flow, &mut outs, now),
-                    FlowDir::Uplink => self.send_ul_data(flow, &mut outs, now),
-                }
-                // FEC media pre-stripes itself: each release names its leg.
-                for (leg, pkt) in leg_outs.drain(..) {
-                    self.send_ul_data_leg(flow, leg, pkt, now);
-                }
-                self.scratch_pkts = outs;
-                self.scratch_leg_pkts = leg_outs;
-                self.reschedule_timer(flow, now);
+                self.poll_sender(flow, now);
             }
             Event::AppTick { flow } => self.on_app_tick(flow, now),
-            Event::ChannelChange { ue, profile, snr_db } => {
-                // Intra-cell channel change: the RLC queues and all
-                // in-flight state survive; only the radio changes.
-                let cell = self.serving[ue];
-                let ch = self.fresh_channel(ue, cell, profile, snr_db, now);
-                self.gnbs[cell].replace_channel(UeId(ue as u16), ch);
-            }
             Event::Handover { ue, target_cell, profile, snr_db } => {
                 self.on_handover(ue, target_cell, profile, snr_db, now)
             }
@@ -1212,41 +945,15 @@ impl World {
                 self.scratch_app_deliv = deliveries;
                 self.cycles.stop(t0, CYC_UE);
                 // Flush feedback reports suppressed by the prohibit
-                // interval (UDP receivers have no ack clock of their own;
-                // without this a window-limited sender can deadlock).
-                // Only UDP endpoints ever have anything to flush.
+                // interval (only paced receivers are on this list).
                 let t0 = self.cycles.start();
                 for k in 0..self.udp_flows.len() {
                     let flow = self.udp_flows[k];
                     if !self.owns_flow(flow) {
                         continue;
                     }
-                    let f = &mut self.flows[flow];
-                    let ue = f.ue_idx;
-                    let dir = f.dir;
-                    let pending = match &mut f.endpoint {
-                        Endpoint::Scream { receiver, .. } => receiver
-                            .poll(now)
-                            .map(|(p, fb)| (p, FbData::Scream(fb))),
-                        Endpoint::UdpPrague { receiver, .. } => receiver
-                            .poll(now)
-                            .map(|(p, fb)| (p, FbData::Prague(fb))),
-                        Endpoint::FecMedia { receiver, .. } => {
-                            receiver.poll(now).map(|(p, fb)| (p, FbData::Fec(Box::new(fb))))
-                        }
-                        Endpoint::Tcp { .. } => None,
-                    };
-                    if let Some((fb_pkt, fb)) = pending {
-                        let fid = fb_pkt.identification();
-                        f.fb_pending.insert(fid, fb);
-                        match dir {
-                            // Downlink flow: the receiver is at the UE,
-                            // its report rides the uplink control path.
-                            FlowDir::Downlink => self.ues[ue].enqueue_uplink(fb_pkt, now),
-                            // Uplink flow: the receiver is at the
-                            // server, its report rides the downlink.
-                            FlowDir::Uplink => self.route_dl_pkt(flow, fb_pkt, now),
-                        }
+                    if let Some(fb) = self.flows[flow].endpoint.flush_feedback(now) {
+                        self.send_feedback(flow, fb, now);
                     }
                 }
                 self.cycles.stop(t0, CYC_TRANSPORT);
@@ -1278,10 +985,8 @@ impl World {
                     if !self.owns_flow(flow) {
                         continue;
                     }
-                    if let Some(b) = &mut self.flows[flow].bond {
-                        if let Some(join) = &mut b.join {
-                            join.poll(now, &mut joined);
-                        }
+                    if let Some(join) = self.flows[flow].bond.as_mut().and_then(|b| b.join.as_mut()) {
+                        join.poll(now, &mut joined);
                     }
                     for pkt in joined.drain(..) {
                         self.deliver_ul_at_server(flow, pkt, 0, now);
@@ -1597,23 +1302,26 @@ impl World {
         self.cycles.stop(c0, CYC_GNB);
     }
 
+    /// The flow a downlink-travelling packet belongs to. Flows register
+    /// their data-direction five-tuple, so a direct hit is a downlink
+    /// flow's data; a reversed hit is an uplink flow's feedback heading
+    /// down to the UE.
+    fn flow_of_dl_pkt(&self, pkt: &PacketBuf) -> Option<usize> {
+        let tuple = pkt.five_tuple()?;
+        self.tuple_to_flow.get(&tuple).copied().or_else(|| {
+            self.tuple_to_flow
+                .get(&tuple.reversed())
+                .copied()
+                .filter(|&f| self.flows[f].dir == FlowDir::Uplink)
+        })
+    }
+
     fn on_app_deliver(&mut self, pkt: PacketBuf, t_cu_ingress: Instant, now: Instant) {
-        let Some(tuple) = pkt.five_tuple() else {
+        let Some(flow) = self.flow_of_dl_pkt(&pkt) else {
             return;
         };
-        // Downlink flows register their (downlink) data tuple, so the
-        // direct probe hits. Uplink flows register the uplink data
-        // tuple; a downlink delivery for one is its feedback, found
-        // under the reversed key.
-        let flow = match self.tuple_to_flow.get(&tuple) {
-            Some(&f) => f,
-            None => match self.tuple_to_flow.get(&tuple.reversed()) {
-                Some(&f) if self.flows[f].dir == FlowDir::Uplink => f,
-                _ => return,
-            },
-        };
         if self.flows[flow].dir == FlowDir::Uplink {
-            return self.on_ul_feedback_at_ue(flow, pkt, now);
+            return self.on_feedback_at_sender(flow, &pkt, now);
         }
         let ident = pkt.identification();
         let payload = pkt.payload_len();
@@ -1648,33 +1356,7 @@ impl World {
         let _ = t_cu_ingress;
         // Hand to the client endpoint.
         let c0 = self.cycles.start();
-        let mut tcp_watermark = None;
-        match &mut self.flows[flow].endpoint {
-            Endpoint::Tcp { receiver, .. } => {
-                let ack = receiver.on_packet(&pkt, now);
-                tcp_watermark = Some(receiver.received);
-                if let Some(ack) = ack {
-                    self.ues[ue].enqueue_uplink(ack, now);
-                }
-            }
-            Endpoint::Scream { receiver, .. } => {
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Scream(fb));
-                    self.ues[ue].enqueue_uplink(fb_pkt, now);
-                }
-            }
-            Endpoint::UdpPrague { receiver, .. } => {
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Prague(fb));
-                    self.ues[ue].enqueue_uplink(fb_pkt, now);
-                }
-            }
-            // Uplink-only endpoint: the early return above already
-            // routed its (downlink-riding) feedback to the UE sender.
-            Endpoint::FecMedia { .. } => unreachable!("FecMedia flows are uplink-only"),
-        }
+        let tcp_watermark = self.receive_data(flow, &pkt, 0, now);
         self.cycles.stop(c0, CYC_TRANSPORT);
         let c0 = self.cycles.start();
         self.complete_stream_units(flow, tcp_watermark, ident, now);
@@ -1864,24 +1546,6 @@ impl World {
         self.scratch_ul_f1u = f1u;
     }
 
-    /// Send uplink data packets from a UE-side sender: the uplink
-    /// marker sees each packet at queue ingress (event 1, mirrored),
-    /// then PDCP numbers it and RLC queues it for grant-driven
-    /// transmission. Send times are registered for uplink OWD.
-    /// Queue sender-released packets onto the uplink bearer. Drains
-    /// `pkts` so callers can reuse the buffer.
-    fn send_ul_data(&mut self, flow: usize, pkts: &mut Vec<PacketBuf>, now: Instant) {
-        for pkt in pkts.drain(..) {
-            // Bonded flows stripe across legs by byte balance; the FEC
-            // media sender never comes through here (it pre-stripes).
-            let leg = match &mut self.flows[flow].bond {
-                Some(b) => b.tx.pick(pkt.wire_len()),
-                None => 0,
-            };
-            self.send_ul_data_leg(flow, leg, pkt, now);
-        }
-    }
-
     /// Queue one sender-released packet onto `leg`'s uplink bearer: the
     /// leg's UE-side marker sees it at queue ingress, then PDCP numbers
     /// it and RLC queues it for grant-driven transmission on that leg's
@@ -1916,93 +1580,107 @@ impl World {
     }
 
     fn on_ul_at_server(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
-        if self.flows[flow].dir == FlowDir::Uplink {
-            return self.on_ul_data_at_server(flow, pkt, now);
+        match self.flows[flow].dir {
+            FlowDir::Uplink => self.on_ul_data_at_server(flow, pkt, now),
+            FlowDir::Downlink => self.on_feedback_at_sender(flow, &pkt, now),
         }
-        let mut outs = std::mem::take(&mut self.scratch_pkts);
-        self.drive_sender_into(flow, &pkt, now, &mut outs);
-        self.route_dl(flow, &mut outs, now);
-        self.scratch_pkts = outs;
+    }
+
+    /// A feedback packet reaches the flow's sender — at the content
+    /// server for downlink flows, at the UE for uplink ones: record the
+    /// RTT sample and completion, let a driving application (e.g. a
+    /// video encoder over TCP) track what its transport can sustain,
+    /// and route the data the sender released.
+    fn on_feedback_at_sender(&mut self, flow: usize, pkt: &PacketBuf, now: Instant) {
+        let mut tx = std::mem::take(&mut self.scratch_tx);
+        let f = &mut self.flows[flow];
+        let data = f.fb_pending.remove(&pkt.identification());
+        let c0 = self.cycles.start();
+        let up = f.endpoint.on_feedback(pkt, data, now, &mut tx);
+        if let Some(srtt) = up.srtt {
+            self.rtt_ms[flow].push(srtt.as_millis_f64());
+            self.rtt_at_s[flow].push(now.as_secs_f64());
+        }
+        if up.finished && f.finished_at.is_none() {
+            f.finished_at = Some(now);
+        }
+        self.cycles.stop(c0, CYC_TRANSPORT);
+        if let (Some(bps), Some(app)) = (up.rate_estimate_bps, &mut self.flows[flow].app) {
+            app.on_rate_estimate(bps, now);
+            self.resched_app(flow, now);
+        }
+        self.route_released(flow, &mut tx, now);
+        self.scratch_tx = tx;
         self.reschedule_timer(flow, now);
     }
 
-    /// Feed one arriving feedback packet to the flow's sender —
-    /// wherever it lives (content server for downlink flows, the UE for
-    /// uplink ones) — recording RTT samples, completion, frame marks,
-    /// and the application rate-adaptation hook. The data packets the
-    /// sender released are appended to `outs`; the caller routes them
-    /// in the flow's data direction.
-    fn drive_sender_into(
-        &mut self,
-        flow: usize,
-        pkt: &PacketBuf,
-        now: Instant,
-        outs: &mut Vec<PacketBuf>,
-    ) {
-        let ident = pkt.identification();
-        let mut leg_outs = std::mem::take(&mut self.scratch_leg_pkts);
+    /// Poll the flow's sender, route what it releases, re-arm its timer.
+    fn poll_sender(&mut self, flow: usize, now: Instant) {
+        let mut tx = std::mem::take(&mut self.scratch_tx);
+        let t0 = self.cycles.start();
+        self.flows[flow].endpoint.poll(now, &mut tx);
+        self.cycles.stop(t0, CYC_TRANSPORT);
+        self.route_released(flow, &mut tx, now);
+        self.scratch_tx = tx;
+        self.reschedule_timer(flow, now);
+    }
+
+    /// Route what a sender released in the flow's data direction,
+    /// draining `tx`: downlink data onto the WAN, uplink data onto the
+    /// UE's bearer (bonded flows stripe across legs by byte balance;
+    /// leg-tagged releases go straight onto their leg). Frame marks join
+    /// the flow's pending table first (ident of the frame's last packet
+    /// → capture time).
+    fn route_released(&mut self, flow: usize, tx: &mut Released, now: Instant) {
+        for m in tx.frame_marks.drain(..) {
+            self.flows[flow]
+                .frame_pending
+                .insert((m.wire_seq & 0xFFFF) as u16, m.created);
+        }
+        let dir = self.flows[flow].dir;
+        for pkt in tx.pkts.drain(..) {
+            match (dir, &mut self.flows[flow].bond) {
+                (FlowDir::Downlink, _) => self.route_dl_pkt(flow, pkt, now),
+                (FlowDir::Uplink, None) => self.send_ul_data_leg(flow, 0, pkt, now),
+                (FlowDir::Uplink, Some(b)) => {
+                    let leg = b.tx.pick(pkt.wire_len());
+                    self.send_ul_data_leg(flow, leg, pkt, now);
+                }
+            }
+        }
+        for (leg, pkt) in tx.leg_pkts.drain(..) {
+            self.send_ul_data_leg(flow, leg, pkt, now);
+        }
+    }
+
+    /// Hand one data packet to the flow's receiver — at the UE for
+    /// downlink flows, at the content server for uplink ones — and send
+    /// what it answers back toward the sender. Returns the receiver's
+    /// in-order byte watermark (byte-stream transports only).
+    fn receive_data(&mut self, flow: usize, pkt: &PacketBuf, leg: u8, now: Instant) -> Option<u64> {
         let f = &mut self.flows[flow];
-        let fb = f.fb_pending.remove(&ident);
-        let mut rate_estimate = None;
-        let c0 = self.cycles.start();
-        match &mut f.endpoint {
-            Endpoint::Tcp { sender, .. } => {
-                sender.on_packet_into(pkt, now, outs);
-                if let Some(srtt) = sender.srtt() {
-                    self.rtt_ms[flow].push(srtt.as_millis_f64());
-                    self.rtt_at_s[flow].push(now.as_secs_f64());
-                }
-                if sender.finished() && f.finished_at.is_none() {
-                    f.finished_at = Some(now);
-                }
-                rate_estimate = sender.rate_estimate_bps();
-            }
-            Endpoint::Scream { sender, .. } => {
-                if let Some(FbData::Scream(fb)) = fb {
-                    sender.on_feedback(&fb, now);
-                    self.rtt_ms[flow].push(sender.srtt().as_millis_f64());
-                    self.rtt_at_s[flow].push(now.as_secs_f64());
-                }
-                sender.poll_into(now, outs);
-                sender.take_frame_marks_into(&mut self.mark_scratch);
-            }
-            Endpoint::UdpPrague { sender, .. } => {
-                if let Some(FbData::Prague(fb)) = fb {
-                    sender.on_feedback(&fb, now);
-                    if let Some(srtt) = sender.srtt() {
-                        self.rtt_ms[flow].push(srtt.as_millis_f64());
-                        self.rtt_at_s[flow].push(now.as_secs_f64());
-                    }
-                }
-                sender.poll_into(now, outs);
-            }
-            Endpoint::FecMedia { sender, .. } => {
-                if let Some(FbData::Fec(fb)) = fb {
-                    sender.on_feedback(&fb, now);
-                    if let Some(srtt) = sender.leg_srtt(0) {
-                        self.rtt_ms[flow].push(srtt.as_millis_f64());
-                        self.rtt_at_s[flow].push(now.as_secs_f64());
-                    }
-                }
-                sender.poll_into(now, &mut leg_outs);
-            }
+        // The harness-side detector owns the shared-bottleneck verdict.
+        let coupled = f.bond.as_ref().map(|b| b.sbd.coupled());
+        let d = f.endpoint.on_data(pkt, leg, coupled, now);
+        if let Some(fb) = d.feedback {
+            self.send_feedback(flow, fb, now);
         }
-        self.cycles.stop(c0, CYC_TRANSPORT);
-        // FEC media releases are leg-tagged and uplink-only: queue them
-        // straight onto their bearers (`outs` stays empty for them).
-        for (leg, p) in leg_outs.drain(..) {
-            self.send_ul_data_leg(flow, leg, p, now);
+        d.tcp_watermark
+    }
+
+    /// Route a packet travelling against the data direction (SYN, ACK,
+    /// receiver report) toward the flow's sender, parking a report's
+    /// payload until the packet gets there. A downlink flow's receiver
+    /// sits at the UE, so its feedback rides the uplink control path; an
+    /// uplink flow's sits at the server and answers down the downlink.
+    fn send_feedback(&mut self, flow: usize, fb: Feedback, now: Instant) {
+        let f = &mut self.flows[flow];
+        if let Some(data) = fb.data {
+            f.fb_pending.insert(fb.pkt.identification(), data);
         }
-        self.scratch_leg_pkts = leg_outs;
-        self.register_frame_marks(flow);
-        // Rate-adaptation hook: let a driving application (e.g. a video
-        // encoder over TCP) track what its transport can sustain.
-        if let Some(bps) = rate_estimate {
-            if let Some(mut app) = self.flows[flow].app.take() {
-                app.on_rate_estimate(bps, now);
-                self.flows[flow].app = Some(app);
-                self.resched_app(flow, now);
-            }
+        match f.dir {
+            FlowDir::Downlink => self.ues[f.ue_idx].enqueue_uplink(fb.pkt, now),
+            FlowDir::Uplink => self.route_dl_pkt(flow, fb.pkt, now),
         }
     }
 
@@ -2039,99 +1717,30 @@ impl World {
         // transmission order through the join buffer before the receiver
         // sees the bytes. FEC media sequences for itself; unbonded flows
         // pass straight through.
-        let joins = self.flows[flow]
-            .bond
-            .as_ref()
-            .is_some_and(|b| b.join.is_some());
-        if joins {
-            let mut joined = std::mem::take(&mut self.scratch_join);
-            if let Some(b) = &mut self.flows[flow].bond {
-                if let Some(join) = &mut b.join {
-                    join.on_packet(ident, pkt, now, &mut joined);
-                }
-            }
-            for p in joined.drain(..) {
-                self.deliver_ul_at_server(flow, p, leg, now);
-            }
-            self.scratch_join = joined;
-        } else {
-            self.deliver_ul_at_server(flow, pkt, leg, now);
+        let mut joined = std::mem::take(&mut self.scratch_join);
+        match self.flows[flow].bond.as_mut().and_then(|b| b.join.as_mut()) {
+            Some(join) => join.on_packet(ident, pkt, now, &mut joined),
+            None => joined.push(pkt),
         }
+        for p in joined.drain(..) {
+            self.deliver_ul_at_server(flow, p, leg, now);
+        }
+        self.scratch_join = joined;
     }
 
     /// Hand one uplink data packet (post-join for bonded TCP flows) to
-    /// the server-side receiver and route its ACK/feedback back down
-    /// toward the primary UE.
+    /// the server-side receiver, then complete frame/unit QoE.
     fn deliver_ul_at_server(&mut self, flow: usize, pkt: PacketBuf, leg: u8, now: Instant) {
-        let ident = pkt.identification();
-        let mut tcp_watermark = None;
-        // The harness-side detector owns the shared-bottleneck verdict;
-        // the FEC media receiver echoes it to the sender in feedback.
-        let coupled = self.flows[flow].bond.as_ref().map(|b| b.sbd.coupled());
-        match &mut self.flows[flow].endpoint {
-            Endpoint::Tcp { receiver, .. } => {
-                let ack = receiver.on_packet(&pkt, now);
-                tcp_watermark = Some(receiver.received);
-                if let Some(ack) = ack {
-                    self.route_dl_pkt(flow, ack, now);
-                }
-            }
-            Endpoint::Scream { receiver, .. } => {
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Scream(fb));
-                    self.route_dl_pkt(flow, fb_pkt, now);
-                }
-            }
-            Endpoint::UdpPrague { receiver, .. } => {
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Prague(fb));
-                    self.route_dl_pkt(flow, fb_pkt, now);
-                }
-            }
-            Endpoint::FecMedia { receiver, .. } => {
-                if let Some(c) = coupled {
-                    receiver.set_coupled(c);
-                }
-                if let Some((fb_pkt, fb)) = receiver.on_packet(&pkt, leg, now) {
-                    let fid = fb_pkt.identification();
-                    self.flows[flow].fb_pending.insert(fid, FbData::Fec(Box::new(fb)));
-                    self.route_dl_pkt(flow, fb_pkt, now);
-                }
-            }
-        }
-        self.complete_stream_units(flow, tcp_watermark, ident, now);
-    }
-
-    /// Feedback for an uplink flow delivers at the UE: drive the UE-side
-    /// sender — the uplink mirror of the downlink `on_ul_at_server` —
-    /// and queue the released data onto the uplink bearer.
-    fn on_ul_feedback_at_ue(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
-        let mut outs = std::mem::take(&mut self.scratch_pkts);
-        self.drive_sender_into(flow, &pkt, now, &mut outs);
-        self.send_ul_data(flow, &mut outs, now);
-        self.scratch_pkts = outs;
-        self.reschedule_timer(flow, now);
+        let tcp_watermark = self.receive_data(flow, &pkt, leg, now);
+        self.complete_stream_units(flow, tcp_watermark, pkt.identification(), now);
     }
 
     fn on_flow_start(&mut self, flow: usize, now: Instant) {
         self.flows[flow].started = true;
-        let ue = self.flows[flow].ue_idx;
-        let dir = self.flows[flow].dir;
-        match &mut self.flows[flow].endpoint {
-            Endpoint::Tcp { receiver, .. } => {
-                // The receiver opens the connection; for an uplink flow
-                // it lives at the server, so its SYN rides the downlink.
-                let syn = receiver.start(now);
-                match dir {
-                    FlowDir::Downlink => self.ues[ue].enqueue_uplink(syn, now),
-                    FlowDir::Uplink => self.route_dl_pkt(flow, syn, now),
-                }
-            }
-            Endpoint::Scream { .. } | Endpoint::UdpPrague { .. } | Endpoint::FecMedia { .. } => {
-                self.arm_flow_timer(flow, now, now);
-            }
+        match self.flows[flow].endpoint.open(now) {
+            // A connection-oriented receiver opens the flow.
+            Some(syn) => self.send_feedback(flow, syn, now),
+            None => self.arm_flow_timer(flow, now, now),
         }
         // Application-driven flows: arm the app's own clock.
         if self.flows[flow].app.is_some() {
@@ -2149,16 +1758,12 @@ impl World {
         if !self.flows[flow].app_timer.fire(now) {
             return;
         }
-        let Some(mut app) = self.flows[flow].app.take() else {
+        let Some(app) = &mut self.flows[flow].app else {
             return;
         };
         let offer = app.on_tick(now);
-        self.flows[flow].app = Some(app);
         if offer.bytes > 0 {
-            let accepted = match &mut self.flows[flow].endpoint {
-                Endpoint::Tcp { sender, .. } => sender.offer(offer.bytes),
-                _ => false,
-            };
+            let accepted = self.flows[flow].endpoint.offer(offer.bytes);
             // A sealed stream (FlowStop / close_app) refuses the offer:
             // these bytes — and their units — can never be sent, so an
             // application that ignores its stop() hook still quiesces.
@@ -2170,16 +1775,7 @@ impl World {
                 }
                 self.flows[flow].pending_units.extend(offer.units);
                 if self.flows[flow].started {
-                    let mut outs = std::mem::take(&mut self.scratch_pkts);
-                    if let Endpoint::Tcp { sender, .. } = &mut self.flows[flow].endpoint {
-                        sender.poll_into(now, &mut outs);
-                    }
-                    match self.flows[flow].dir {
-                        FlowDir::Downlink => self.route_dl(flow, &mut outs, now),
-                        FlowDir::Uplink => self.send_ul_data(flow, &mut outs, now),
-                    }
-                    self.scratch_pkts = outs;
-                    self.reschedule_timer(flow, now);
+                    self.poll_sender(flow, now);
                 }
             }
         }
@@ -2196,12 +1792,10 @@ impl World {
             self.flows[flow].pending_units.pop_front();
             self.record_unit(flow, u.kind, u.created, u.deadline, now);
         }
-        let Some(mut app) = self.flows[flow].app.take() else {
-            return;
-        };
-        app.on_delivered(watermark, now);
-        self.flows[flow].app = Some(app);
-        self.resched_app(flow, now);
+        if let Some(app) = &mut self.flows[flow].app {
+            app.on_delivered(watermark, now);
+            self.resched_app(flow, now);
+        }
     }
 
     /// Account one delivered data payload into the per-flow and
@@ -2250,46 +1844,16 @@ impl World {
     /// Re-arm the flow's AppTick at the app's next activity; propagate a
     /// finished app into the transport so the flow can report finished.
     fn resched_app(&mut self, flow: usize, now: Instant) {
-        let Some(app) = &self.flows[flow].app else {
+        let f = &mut self.flows[flow];
+        let Some(app) = &f.app else {
             return;
         };
         if app.done() {
-            if let Endpoint::Tcp { sender, .. } = &mut self.flows[flow].endpoint {
-                sender.close_app();
-            }
+            f.endpoint.close_app();
         }
-        let at = self.flows[flow]
-            .app
-            .as_ref()
-            .expect("checked above")
-            .next_activity()
-            .max(now);
-        if let Some(at) = self.flows[flow].app_timer.arm(at, now) {
+        let at = app.next_activity().max(now);
+        if let Some(at) = f.app_timer.arm(at, now) {
             self.sched(at, Event::AppTick { flow });
-        }
-    }
-
-    /// Move freshly drained SCReAM frame marks into the flow's pending
-    /// table (ident of the frame's last packet → capture time).
-    fn register_frame_marks(&mut self, flow: usize) {
-        if self.mark_scratch.is_empty() {
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.mark_scratch);
-        for m in scratch.drain(..) {
-            self.flows[flow]
-                .frame_pending
-                .insert((m.wire_seq & 0xFFFF) as u16, m.created);
-        }
-        self.mark_scratch = scratch;
-    }
-
-    /// Register send times and push packets onto the WAN (and through
-    /// the wired bottleneck when configured). Drains `pkts` so callers
-    /// can reuse the buffer.
-    fn route_dl(&mut self, flow: usize, pkts: &mut Vec<PacketBuf>, now: Instant) {
-        for pkt in pkts.drain(..) {
-            self.route_dl_pkt(flow, pkt, now);
         }
     }
 
@@ -2353,26 +1917,20 @@ impl World {
     }
 
     /// A packet cleared the impairment pipeline: hand it to the rest of
-    /// the wired path (bottleneck router, or the CU hop directly). The
-    /// flow is recovered from the five-tuple exactly as the router's
-    /// drain does.
+    /// the wired path (bottleneck router, or the CU hop directly).
     fn impair_exit(&mut self, pkt: PacketBuf, now: Instant) {
-        if self.router.is_some() {
-            if let Some(r) = &mut self.router {
-                r.enqueue(pkt, now);
-            }
+        if let Some(r) = &mut self.router {
+            r.enqueue(pkt, now);
             self.drain_router(now);
-            return;
+        } else {
+            self.sched_dl_at_cu(pkt, now);
         }
-        let Some(tuple) = pkt.five_tuple() else { return };
-        let flow = match self.tuple_to_flow.get(&tuple) {
-            Some(&f) => Some(f),
-            None => match self.tuple_to_flow.get(&tuple.reversed()) {
-                Some(&f) if self.flows[f].dir == FlowDir::Uplink => Some(f),
-                _ => None,
-            },
-        };
-        if let Some(flow) = flow {
+    }
+
+    /// A packet cleared the wired path: on to its flow's CU, recovering
+    /// the flow from the five-tuple.
+    fn sched_dl_at_cu(&mut self, pkt: PacketBuf, now: Instant) {
+        if let Some(flow) = self.flow_of_dl_pkt(&pkt) {
             let cell = self.serving[self.flows[flow].ue_idx];
             let core = self.gnbs[cell].config().core_to_cu_delay;
             self.sched(now + core, Event::DlAtCu { flow, pkt });
@@ -2384,22 +1942,7 @@ impl World {
         let departed = r.poll(now);
         let next = r.next_departure();
         for pkt in departed {
-            if let Some(tuple) = pkt.five_tuple() {
-                // Direct hit = downlink data; reversed hit = an uplink
-                // flow's feedback heading down to the UE.
-                let flow = match self.tuple_to_flow.get(&tuple) {
-                    Some(&f) => Some(f),
-                    None => match self.tuple_to_flow.get(&tuple.reversed()) {
-                        Some(&f) if self.flows[f].dir == FlowDir::Uplink => Some(f),
-                        _ => None,
-                    },
-                };
-                if let Some(flow) = flow {
-                    let cell = self.serving[self.flows[flow].ue_idx];
-                    let core = self.gnbs[cell].config().core_to_cu_delay;
-                    self.sched(now + core, Event::DlAtCu { flow, pkt });
-                }
-            }
+            self.sched_dl_at_cu(pkt, now);
         }
         if let Some(at) = next.and_then(|d| self.router_poll.arm(d, now)) {
             self.sched(at, Event::RouterPoll);
@@ -2408,12 +1951,7 @@ impl World {
 
     fn reschedule_timer(&mut self, flow: usize, now: Instant) {
         let c0 = self.cycles.start();
-        let na = match &self.flows[flow].endpoint {
-            Endpoint::Tcp { sender, .. } => sender.next_activity(),
-            Endpoint::Scream { sender, .. } => Some(sender.next_activity()),
-            Endpoint::UdpPrague { sender, .. } => Some(sender.next_activity()),
-            Endpoint::FecMedia { sender, .. } => Some(sender.next_activity()),
-        };
+        let na = self.flows[flow].endpoint.next_activity();
         self.cycles.stop(c0, CYC_TRANSPORT);
         if let Some(at) = na {
             self.arm_flow_timer(flow, at, now);
@@ -2552,20 +2090,11 @@ impl World {
             | Event::FlowTimer { flow }
             | Event::AppTick { flow } => of_ue(self.flows[*flow].ue_idx),
             Event::UlStatusAtUe { ue, .. }
-            | Event::ChannelChange { ue, .. }
             | Event::Handover { ue, .. } => of_ue(*ue),
-            Event::AppDeliver { pkt, .. } => {
-                let flow = pkt.five_tuple().and_then(|t| {
-                    self.tuple_to_flow
-                        .get(&t)
-                        .or_else(|| self.tuple_to_flow.get(&t.reversed()))
-                        .copied()
-                });
-                match flow {
-                    Some(f) => of_ue(self.flows[f].ue_idx),
-                    None => s.id,
-                }
-            }
+            Event::AppDeliver { pkt, .. } => match self.flow_of_dl_pkt(pkt) {
+                Some(f) => of_ue(self.flows[f].ue_idx),
+                None => s.id,
+            },
             // Wired-core events only exist in ineligible configurations;
             // housekeeping is replicated. Neither ever migrates.
             Event::Nop
@@ -2883,8 +2412,8 @@ impl World {
         let mut frames_missed = vec![0u64; n];
         let mut stall_ms = vec![0.0f64; n];
         for (f, fl) in self.flows.iter().enumerate() {
-            if let Endpoint::Scream { sender, .. } = &fl.endpoint {
-                frames_generated[f] = sender.frames_generated;
+            if let Some(n) = fl.endpoint.frames_generated() {
+                frames_generated[f] = n;
             }
             let undelivered = frames_generated[f].saturating_sub(self.frames_delivered[f]);
             frames_missed[f] = self.frame_late_n[f] + undelivered;
@@ -2896,12 +2425,7 @@ impl World {
         // so the order is deterministic).
         let mut fallbacks = Vec::new();
         for (f, fl) in self.flows.iter_mut().enumerate() {
-            let evs = match &mut fl.endpoint {
-                Endpoint::Tcp { sender, .. } => sender.take_cc_events(),
-                Endpoint::UdpPrague { sender, .. } => sender.take_events(),
-                _ => Vec::new(),
-            };
-            for ev in evs {
+            for ev in fl.endpoint.take_cc_events() {
                 let CcEvent::ClassicFallback { at, reason } = ev;
                 fallbacks.push(FallbackRecord {
                     flow: f as u16,
@@ -2919,22 +2443,7 @@ impl World {
         let mut fec = Vec::new();
         let mut bonds = Vec::new();
         for (f, fl) in self.flows.iter_mut().enumerate() {
-            if let Endpoint::FecMedia { sender, receiver } = &mut fl.endpoint {
-                let offered = sender.codec().offered;
-                receiver.close(offered, end);
-                let rc = receiver.codec();
-                fec.push(FecStat {
-                    flow: f as u16,
-                    offered,
-                    delivered: rc.delivered,
-                    repaired: rc.repaired,
-                    abandoned: rc.abandoned,
-                    duplicates: rc.duplicates,
-                    retx: sender.codec().retx,
-                    repairs: sender.codec().repairs,
-                    repairs_unused: rc.repairs_unused,
-                });
-            }
+            fec.extend(fl.endpoint.close_fec(f as u16, end));
             if let Some(b) = &fl.bond {
                 bonds.push(BondStat {
                     flow: f as u16,
@@ -3182,39 +2691,6 @@ mod tests {
         let r = World::new(cfg).run();
         assert!(r.handovers.is_empty());
         assert!(r.goodput_total_mbps(0) > 1.0);
-    }
-
-    #[test]
-    fn channel_events_shim_matches_equivalent_mobility_step() {
-        // The deprecated single-cell `channel_events` field and a
-        // MobilitySpec step naming the serving cell must produce
-        // byte-identical runs.
-        let base = |seed| {
-            congested_cell(
-                2,
-                "prague",
-                ChannelMix::Static,
-                16_384,
-                WanLink::east(),
-                l4span_default(),
-                seed,
-                Duration::from_secs(2),
-            )
-        };
-        let mut via_shim = base(9);
-        via_shim
-            .channel_events
-            .push((Instant::from_secs(1), 0, ChannelProfile::Vehicular, 9.0));
-        let mut via_dsl = base(9);
-        via_dsl.ues[0].mobility = vec![MobilityStep::new(
-            Instant::from_secs(1),
-            0,
-            ChannelProfile::Vehicular,
-            9.0,
-        )];
-        let a = World::new(via_shim).run();
-        let b = World::new(via_dsl).run();
-        assert_eq!(a.fingerprint(), b.fingerprint(), "shim ≡ DSL");
     }
 
     #[test]

@@ -203,9 +203,10 @@ fn framed_video_and_scream_agree_on_frame_sizes() {
         // the encoder's media-byte counter (generation is independent
         // of the window, which a 3× keyframe can exceed).
         let mut at = Instant::ZERO;
+        let mut sent = Vec::new();
         for frame in 0..12u64 {
             let before = sender.media_bytes;
-            let _ = sender.poll(at);
+            sender.poll_into(at, &mut sent);
             let scream_bytes = (sender.media_bytes - before) as usize;
             assert_eq!(
                 scream_bytes,

@@ -505,17 +505,10 @@ impl Gnb {
         }
     }
 
-    /// Advance one TDD slot. `now` is the slot start time.
-    pub fn on_slot(&mut self, now: Instant) -> SlotOutput {
-        let mut out = SlotOutput::default();
-        self.on_slot_into(now, &mut out);
-        out
-    }
-
-    /// Advance one TDD slot, reusing the caller's `out` buffers (cleared
-    /// first). The harness's event loop calls this 2000 times per
-    /// simulated second; reusing the output vectors keeps the slot tick
-    /// allocation-free.
+    /// Advance one TDD slot starting at `now`, filling the caller's
+    /// `out` buffers (cleared first). The harness's event loop calls
+    /// this 2000 times per simulated second; reusing the output vectors
+    /// keeps the slot tick allocation-free.
     pub fn on_slot_into(&mut self, now: Instant, out: &mut SlotOutput) {
         let role = self.cfg.slot_role(self.slot_index);
         self.slot_index += 1;
@@ -796,17 +789,23 @@ impl Gnb {
                 avg_throughput: ctx.ul_avg_tput.get_or(0.0),
             });
         }
-        let grants = match self.scheduler {
-            SchedulerKind::RoundRobin => mac::allocate_round_robin(
+        let mut grants = std::mem::take(&mut self.scratch_grants);
+        match self.scheduler {
+            SchedulerKind::RoundRobin => mac::allocate_round_robin_into(
                 &self.scratch_cands,
                 self.cfg.n_rbgs(),
                 &mut self.ul_rr_cursor,
+                &mut self.scratch_alloc,
+                &mut grants,
             ),
-            SchedulerKind::ProportionalFair => {
-                mac::allocate_proportional_fair(&self.scratch_cands, self.cfg.n_rbgs())
-            }
-        };
-        for (ue, n_rbgs) in grants {
+            SchedulerKind::ProportionalFair => mac::allocate_proportional_fair_into(
+                &self.scratch_cands,
+                self.cfg.n_rbgs(),
+                &mut self.scratch_alloc,
+                &mut grants,
+            ),
+        }
+        for &(ue, n_rbgs) in &grants {
             let cqi = self.scratch_cqis[self
                 .scratch_cqis
                 .binary_search_by_key(&ue, |&(u, _)| u)
@@ -822,6 +821,7 @@ impl Gnb {
             ctx.ul_bsr = ctx.ul_bsr.saturating_sub(budget);
             out.push((ue, budget, cqi));
         }
+        self.scratch_grants = grants;
         // Uplink PF averages: every attached UE, every UL slot (`out`
         // is UE-id sorted because the allocators preserve candidate
         // order — merge-walk, exactly like the downlink step 4).
@@ -942,11 +942,16 @@ mod tests {
         g
     }
 
-    /// Drive `g` for `n` slots starting at t=0, collecting outputs.
-    fn run_slots(g: &mut Gnb, n: u64) -> Vec<SlotOutput> {
+    /// Drive `g` through the given slot indices (slot `i` starts at
+    /// `i` slot durations), collecting outputs.
+    fn run_slots(g: &mut Gnb, slots: std::ops::Range<u64>) -> Vec<SlotOutput> {
         let slot = g.config().slot_duration;
-        (0..n)
-            .map(|i| g.on_slot(Instant::ZERO + slot * i))
+        slots
+            .map(|i| {
+                let mut out = SlotOutput::default();
+                g.on_slot_into(Instant::ZERO + slot * i, &mut out);
+                out
+            })
             .collect()
     }
 
@@ -958,7 +963,7 @@ mod tests {
             g.enqueue_downlink(UeId(0), Qfi(1), pkt(1460), Instant::ZERO);
             let _ = i;
         }
-        let outs = run_slots(&mut g, 2000); // 1 second
+        let outs = run_slots(&mut g, 0..2000); // 1 second
         let bytes: usize = outs
             .iter()
             .flat_map(|o| &o.deliveries)
@@ -980,7 +985,7 @@ mod tests {
     fn uplink_slots_produce_no_downlink() {
         let mut g = cell(1);
         g.enqueue_downlink(UeId(0), Qfi(1), pkt(1460), Instant::ZERO);
-        let outs = run_slots(&mut g, 5);
+        let outs = run_slots(&mut g, 0..5);
         assert_eq!(outs[4].role, Some(SlotRole::Uplink));
         assert!(outs[4].deliveries.is_empty());
         assert!(outs[0].role == Some(SlotRole::Downlink));
@@ -990,7 +995,7 @@ mod tests {
     fn f1u_reports_txed_progress() {
         let mut g = cell(1);
         g.enqueue_downlink(UeId(0), Qfi(1), pkt(500), Instant::ZERO);
-        let outs = run_slots(&mut g, 2);
+        let outs = run_slots(&mut g, 0..2);
         let f1u: Vec<_> = outs.iter().flat_map(|o| &o.f1u).collect();
         assert!(!f1u.is_empty());
         assert_eq!(f1u[0].highest_txed_sn, Some(0));
@@ -1001,7 +1006,7 @@ mod tests {
     fn status_ack_produces_delivered_f1u() {
         let mut g = cell(1);
         g.enqueue_downlink(UeId(0), Qfi(1), pkt(500), Instant::ZERO);
-        run_slots(&mut g, 2);
+        run_slots(&mut g, 0..2);
         let (recs, f1u) = g.on_rlc_status(
             UeId(0),
             DrbId(0),
@@ -1023,7 +1028,7 @@ mod tests {
             g.enqueue_downlink(UeId(0), Qfi(1), pkt(1460), Instant::ZERO);
             g.enqueue_downlink(UeId(1), Qfi(1), pkt(1460), Instant::ZERO);
         }
-        let outs = run_slots(&mut g, 2000);
+        let outs = run_slots(&mut g, 0..2000);
         let mut per_ue = [0usize; 2];
         for o in &outs {
             for d in &o.deliveries {
@@ -1074,7 +1079,7 @@ mod tests {
         for _ in 0..200 {
             g.enqueue_downlink(UeId(0), Qfi(1), pkt(1460), Instant::ZERO);
         }
-        let outs = run_slots(&mut g, 4000); // 2 s
+        let outs = run_slots(&mut g, 0..4000); // 2 s
         assert!(g.stats().harq_retx > 0, "expected HARQ retransmissions");
         let delivered_bytes: usize = outs
             .iter()
@@ -1127,7 +1132,7 @@ mod tests {
         for _ in 0..400 {
             g.enqueue_downlink(UeId(0), Qfi(0), pkt(1460), Instant::ZERO);
         }
-        run_slots(&mut g, 100);
+        run_slots(&mut g, 0..100);
         let before = g.rlc_backlog_bytes(UeId(0), DrbId(0));
         assert!(before > 0, "still draining");
         // Handover to a much worse cell-edge channel.
@@ -1138,10 +1143,7 @@ mod tests {
             &mut SimRng::new(9),
         );
         g.replace_channel(UeId(0), poor);
-        let slot = g.config().slot_duration;
-        let outs: Vec<SlotOutput> = (100..400u64)
-            .map(|i| g.on_slot(Instant::ZERO + slot * i))
-            .collect();
+        let outs = run_slots(&mut g, 100..400);
         let served: usize = outs.iter().flat_map(|o| &o.deliveries).map(|d| d.tb.bytes).sum();
         assert!(served > 0, "the new cell still serves the old buffer");
         assert!(
@@ -1166,7 +1168,7 @@ mod tests {
         for _ in 0..300 {
             src.enqueue_downlink(UeId(0), Qfi(0), pkt(1460), Instant::ZERO);
         }
-        run_slots(&mut src, 50);
+        run_slots(&mut src, 0..50);
         let backlog_before = src.rlc_backlog_bytes(UeId(0), DrbId(0));
         assert!(backlog_before > 0, "still draining at handover time");
 
@@ -1194,10 +1196,7 @@ mod tests {
         assert_eq!(sn, sn_resume);
 
         // The target serves the forwarded backlog.
-        let slot = cfg.slot_duration;
-        let outs: Vec<SlotOutput> = (50..600u64)
-            .map(|i| dst.on_slot(Instant::ZERO + slot * i))
-            .collect();
+        let outs = run_slots(&mut dst, 50..600);
         let served: usize = outs
             .iter()
             .flat_map(|o| &o.deliveries)
@@ -1230,13 +1229,10 @@ mod tests {
         for _ in 0..200 {
             g.enqueue_downlink(UeId(0), Qfi(0), pkt(1460), Instant::ZERO);
         }
-        run_slots(&mut g, 200);
+        run_slots(&mut g, 0..200);
         let _ctx = g.detach_ue(UeId(0));
         // Subsequent slots must not panic on orphaned HARQ state.
-        let slot = g.config().slot_duration;
-        for i in 200..260u64 {
-            g.on_slot(Instant::ZERO + slot * i);
-        }
+        run_slots(&mut g, 200..260);
     }
 
     #[test]
@@ -1257,7 +1253,7 @@ mod tests {
             for _ in 0..14_000 {
                 g.enqueue_downlink(UeId(0), Qfi(0), pkt(1460), Instant::ZERO);
             }
-            let outs = run_slots(&mut g, 2000); // 1 s
+            let outs = run_slots(&mut g, 0..2000); // 1 s
             outs.iter()
                 .flat_map(|o| &o.deliveries)
                 .map(|d| d.tb.bytes)

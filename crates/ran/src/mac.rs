@@ -54,20 +54,9 @@ pub struct AllocScratch {
 
 /// Allocate `n_rbgs` resource-block groups round-robin: one RBG per
 /// backlogged UE per pass, starting after the cursor so the head position
-/// rotates across slots. Returns `(ue, rbg_count)` pairs.
-pub fn allocate_round_robin(
-    cands: &[Candidate],
-    n_rbgs: usize,
-    cursor: &mut usize,
-) -> Vec<(UeId, usize)> {
-    let mut out = Vec::new();
-    allocate_round_robin_into(cands, n_rbgs, cursor, &mut AllocScratch::default(), &mut out);
-    out
-}
-
-/// [`allocate_round_robin`] writing into caller-owned buffers (cleared
-/// first) — identical grants, zero allocations once `scratch` and `out`
-/// are at steady-state capacity.
+/// rotates across slots. Writes `(ue, rbg_count)` pairs into the
+/// caller-owned `out` (cleared first) — zero allocations once `scratch`
+/// and `out` are at steady-state capacity.
 pub fn allocate_round_robin_into(
     cands: &[Candidate],
     n_rbgs: usize,
@@ -138,15 +127,8 @@ pub fn allocate_round_robin_into(
 /// order (same UE-id tie-break the argmax used) therefore produces
 /// *identical* grants to the RBG-by-RBG loop while replacing
 /// `O(n_rbgs × n_ues)` comparisons per slot with one small sort — the
-/// dominant cost of the 16-UE slot tick.
-pub fn allocate_proportional_fair(cands: &[Candidate], n_rbgs: usize) -> Vec<(UeId, usize)> {
-    let mut out = Vec::new();
-    allocate_proportional_fair_into(cands, n_rbgs, &mut AllocScratch::default(), &mut out);
-    out
-}
-
-/// [`allocate_proportional_fair`] writing into caller-owned buffers
-/// (cleared first) — identical grants, zero allocations once `scratch`
+/// dominant cost of the 16-UE slot tick. Grants are written into the
+/// caller-owned `out` (cleared first) — zero allocations once `scratch`
 /// and `out` are at steady-state capacity.
 pub fn allocate_proportional_fair_into(
     cands: &[Candidate],
@@ -214,6 +196,22 @@ mod tests {
             bytes_per_rbg: per_rbg,
             avg_throughput: avg,
         }
+    }
+
+    fn allocate_round_robin(
+        cands: &[Candidate],
+        n_rbgs: usize,
+        cursor: &mut usize,
+    ) -> Vec<(UeId, usize)> {
+        let mut out = Vec::new();
+        allocate_round_robin_into(cands, n_rbgs, cursor, &mut AllocScratch::default(), &mut out);
+        out
+    }
+
+    fn allocate_proportional_fair(cands: &[Candidate], n_rbgs: usize) -> Vec<(UeId, usize)> {
+        let mut out = Vec::new();
+        allocate_proportional_fair_into(cands, n_rbgs, &mut AllocScratch::default(), &mut out);
+        out
     }
 
     #[test]

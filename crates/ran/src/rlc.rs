@@ -650,16 +650,8 @@ impl RlcRx {
         self.status_period = period;
     }
 
-    /// Ingest one segment; returns any SDUs that became deliverable
-    /// in order.
-    pub fn on_segment(&mut self, seg: Segment, now: Instant) -> Vec<RxDelivery> {
-        let mut out = Vec::new();
-        self.on_segment_into(seg, now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`RlcRx::on_segment`]: newly deliverable
-    /// SDUs are appended to `out` (the per-segment downlink hot path).
+    /// Ingest one segment: SDUs that became deliverable in order are
+    /// appended to `out` (the per-segment downlink hot path).
     pub fn on_segment_into(&mut self, seg: Segment, now: Instant, out: &mut Vec<RxDelivery>) {
         if seg.sn < self.next_expected {
             return; // duplicate of already-delivered data
@@ -698,15 +690,8 @@ impl RlcRx {
     }
 
     /// Timer poll: in UM, skip SDUs stuck longer than the reassembly
-    /// timeout so later traffic keeps flowing (the skipped SDU is lost).
-    pub fn poll(&mut self, now: Instant) -> Vec<RxDelivery> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`RlcRx::poll`]: skipped-past SDUs that
-    /// became deliverable are appended to `out`.
+    /// timeout so later traffic keeps flowing (the skipped SDU is lost);
+    /// skipped-past SDUs that became deliverable are appended to `out`.
     pub fn poll_into(&mut self, now: Instant, out: &mut Vec<RxDelivery>) {
         if self.mode == RlcMode::Am {
             return;
@@ -824,6 +809,20 @@ mod tests {
 
     fn tx(mode: RlcMode) -> RlcTx {
         RlcTx::new(mode, 16, OH)
+    }
+
+    /// The SDUs one arriving segment makes deliverable.
+    fn recv(rx: &mut RlcRx, seg: Segment, now: Instant) -> Vec<RxDelivery> {
+        let mut out = Vec::new();
+        rx.on_segment_into(seg, now, &mut out);
+        out
+    }
+
+    /// The SDUs a timer poll at `now` releases.
+    fn poll(rx: &mut RlcRx, now: Instant) -> Vec<RxDelivery> {
+        let mut out = Vec::new();
+        rx.poll_into(now, &mut out);
+        out
     }
 
     #[test]
@@ -1045,7 +1044,7 @@ mod tests {
     fn rx_reestablish_drops_partials_keeps_completes() {
         let mut rx = RlcRx::new(RlcMode::Am, Duration::from_millis(10));
         // SN 1 complete (held for SN 0); SN 2 partial.
-        rx.on_segment(
+        recv(&mut rx, 
             Segment {
                 sn: 1,
                 offset: 0,
@@ -1056,7 +1055,7 @@ mod tests {
             },
             Instant::from_millis(1),
         );
-        rx.on_segment(
+        recv(&mut rx, 
             Segment {
                 sn: 2,
                 offset: 0,
@@ -1076,7 +1075,7 @@ mod tests {
         assert!(st.nacks.iter().any(|n| n.sn == 2));
         // The target retransmits SN 0 in full: SN 0 and the buffered
         // SN 1 deliver in order, with no duplicate of SN 1.
-        let d = rx.on_segment(
+        let d = recv(&mut rx, 
             Segment {
                 sn: 0,
                 offset: 0,
@@ -1103,8 +1102,8 @@ mod tests {
             t_ingress: Instant::ZERO,
         };
         // Tail first, then head.
-        assert!(rx.on_segment(mk(500, 500, true), Instant::from_millis(1)).is_empty());
-        let d = rx.on_segment(mk(0, 500, false), Instant::from_millis(2));
+        assert!(recv(&mut rx, mk(500, 500, true), Instant::from_millis(1)).is_empty());
+        let d = recv(&mut rx, mk(0, 500, false), Instant::from_millis(2));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].sn, 0);
     }
@@ -1121,8 +1120,8 @@ mod tests {
             t_ingress: Instant::ZERO,
         };
         // SN 1 arrives before SN 0: held back.
-        assert!(rx.on_segment(seg(1), Instant::from_millis(1)).is_empty());
-        let d = rx.on_segment(seg(0), Instant::from_millis(2));
+        assert!(recv(&mut rx, seg(1), Instant::from_millis(1)).is_empty());
+        let d = recv(&mut rx, seg(0), Instant::from_millis(2));
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].sn, 0);
         assert_eq!(d[1].sn, 1);
@@ -1132,7 +1131,7 @@ mod tests {
     fn status_report_carries_gaps() {
         let mut rx = RlcRx::new(RlcMode::Am, Duration::from_millis(10));
         // SN 0 partially received, SN 2 complete, SN 1 never seen.
-        rx.on_segment(
+        recv(&mut rx, 
             Segment {
                 sn: 0,
                 offset: 0,
@@ -1143,7 +1142,7 @@ mod tests {
             },
             Instant::from_millis(1),
         );
-        rx.on_segment(
+        recv(&mut rx, 
             Segment {
                 sn: 2,
                 offset: 0,
@@ -1174,7 +1173,7 @@ mod tests {
     fn status_respects_cadence_and_dirty_flag() {
         let mut rx = RlcRx::new(RlcMode::Am, Duration::from_millis(10));
         assert!(rx.make_status(Instant::from_millis(100)).is_none(), "nothing to report");
-        rx.on_segment(
+        recv(&mut rx, 
             Segment {
                 sn: 0,
                 offset: 0,
@@ -1190,7 +1189,7 @@ mod tests {
         assert!(st.nacks.is_empty());
         // New data arrives straight away: the prohibit timer gates the
         // next report until a full period after the last one.
-        rx.on_segment(
+        recv(&mut rx, 
             Segment {
                 sn: 1,
                 offset: 0,
@@ -1211,7 +1210,7 @@ mod tests {
     fn um_skips_stuck_sdu_after_timeout() {
         let mut rx = RlcRx::new(RlcMode::Um, Duration::from_millis(10));
         // SN 0 partial (stuck), SN 1 complete behind it.
-        rx.on_segment(
+        recv(&mut rx, 
             Segment {
                 sn: 0,
                 offset: 0,
@@ -1222,7 +1221,7 @@ mod tests {
             },
             Instant::from_millis(0),
         );
-        let held = rx.on_segment(
+        let held = recv(&mut rx, 
             Segment {
                 sn: 1,
                 offset: 0,
@@ -1234,8 +1233,8 @@ mod tests {
             Instant::from_millis(1),
         );
         assert!(held.is_empty());
-        assert!(rx.poll(Instant::from_millis(20)).is_empty(), "not timed out yet");
-        let d = rx.poll(Instant::from_millis(60));
+        assert!(poll(&mut rx, Instant::from_millis(20)).is_empty(), "not timed out yet");
+        let d = poll(&mut rx, Instant::from_millis(60));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].sn, 1);
         assert_eq!(rx.skipped_count(), 1);
@@ -1245,7 +1244,7 @@ mod tests {
     fn um_skips_wholly_missing_sdu() {
         let mut rx = RlcRx::new(RlcMode::Um, Duration::from_millis(10));
         // SN 1 complete, SN 0 never arrives at all.
-        rx.on_segment(
+        recv(&mut rx, 
             Segment {
                 sn: 1,
                 offset: 0,
@@ -1256,7 +1255,7 @@ mod tests {
             },
             Instant::from_millis(0),
         );
-        let d = rx.poll(Instant::from_millis(60));
+        let d = poll(&mut rx, Instant::from_millis(60));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].sn, 1);
     }
@@ -1382,7 +1381,7 @@ mod tests {
             assert!(!r.segments.is_empty(), "sender stalled mid-SDU");
             for seg in r.segments {
                 got = got.max(seg.offset + seg.len);
-                delivered.extend(rx.on_segment(seg, Instant::from_millis(2)));
+                rx.on_segment_into(seg, Instant::from_millis(2), &mut delivered);
             }
             guard += 1;
             assert!(guard < 100);

@@ -126,20 +126,12 @@ impl UeStack {
         self.id
     }
 
-    /// Ingest a successfully-decoded transport block; returns packets
+    /// Ingest a successfully-decoded transport block: packets
     /// deliverable to the application (already stamped with the
-    /// modem→kernel delay). Takes the block by value so segments (and
-    /// their inline packet payloads) move instead of being cloned.
-    pub fn on_transport_block(&mut self, tb: TransportBlock, now: Instant) -> Vec<AppDelivery> {
-        let mut out = Vec::new();
-        self.on_transport_block_into(tb, now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`UeStack::on_transport_block`]:
-    /// deliveries are appended to `out`, and the TB's emptied segment
-    /// buffer is handed back so the caller can recycle it into the
-    /// gNB's pool.
+    /// modem→kernel delay) are appended to `out`. Takes the block by
+    /// value so segments (and their inline packet payloads) move instead
+    /// of being cloned; the TB's emptied segment buffer is handed back
+    /// so the caller can recycle it into the gNB's pool.
     pub fn on_transport_block_into(
         &mut self,
         mut tb: TransportBlock,
@@ -166,15 +158,7 @@ impl UeStack {
     }
 
     /// Timer poll: UM reassembly-timeout skips (lost SDUs are abandoned
-    /// so later ones flow).
-    pub fn poll(&mut self, now: Instant) -> Vec<AppDelivery> {
-        let mut out = Vec::new();
-        self.poll_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`UeStack::poll`]: deliveries are
-    /// appended to `out`.
+    /// so later ones flow). Deliveries are appended to `out`.
     pub fn poll_into(&mut self, now: Instant, out: &mut Vec<AppDelivery>) {
         let mut deliv = std::mem::take(&mut self.scratch_rx);
         for (drb, rx) in self.rlc.iter_mut() {
@@ -212,24 +196,13 @@ impl UeStack {
         self.ul_queue.len()
     }
 
-    /// Drain the uplink at a TDD uplink slot: returns the IP packets that
-    /// ride this opportunity plus any RLC status reports due. Uplink
-    /// capacity is ample for ACK-sized traffic, so everything ready goes.
-    pub fn on_uplink_slot(
-        &mut self,
-        now: Instant,
-    ) -> (Vec<PacketBuf>, Vec<(DrbId, RlcStatus)>) {
-        let mut pkts = Vec::new();
-        let mut statuses = Vec::new();
-        self.on_uplink_slot_into(now, &mut pkts, &mut statuses);
-        (pkts, statuses)
-    }
-
-    /// Allocation-free variant of [`UeStack::on_uplink_slot`]: packets
-    /// and status reports are appended to the caller's reusable buffers
-    /// (the world pools them alongside the event boxes, so the uplink
-    /// slot tick — like the downlink one — touches the allocator only
-    /// while a buffer is still growing to its steady-state size).
+    /// Drain the uplink at a TDD uplink slot: the IP packets that ride
+    /// this opportunity plus any RLC status reports due are appended to
+    /// the caller's reusable buffers. Uplink capacity is ample for
+    /// ACK-sized traffic, so everything ready goes. (The world pools the
+    /// buffers alongside the event boxes, so the uplink slot tick — like
+    /// the downlink one — touches the allocator only while a buffer is
+    /// still growing to its steady-state size.)
     pub fn on_uplink_slot_into(
         &mut self,
         now: Instant,
@@ -542,15 +515,30 @@ mod tests {
         )
     }
 
-    fn tb_with(segments: Vec<(DrbId, Segment)>) -> TransportBlock {
-        TransportBlock {
+    /// Deliver one TB carrying `segments`; returns the app deliveries.
+    fn recv_tb(
+        u: &mut UeStack,
+        segments: Vec<(DrbId, Segment)>,
+        now: Instant,
+    ) -> Vec<AppDelivery> {
+        let tb = TransportBlock {
             ue: UeId(0),
             segments,
             bytes: 0,
             attempt: 1,
             cqi: 10,
             first_tx: Instant::ZERO,
-        }
+        };
+        let mut out = Vec::new();
+        u.on_transport_block_into(tb, now, &mut out);
+        out
+    }
+
+    /// One uplink slot's (packets, status reports).
+    fn uplink_slot(u: &mut UeStack, now: Instant) -> (Vec<PacketBuf>, Vec<(DrbId, RlcStatus)>) {
+        let (mut pkts, mut statuses) = (Vec::new(), Vec::new());
+        u.on_uplink_slot_into(now, &mut pkts, &mut statuses);
+        (pkts, statuses)
     }
 
     #[test]
@@ -566,7 +554,7 @@ mod tests {
             t_ingress: Instant::from_millis(1),
         };
         let now = Instant::from_millis(10);
-        let d = u.on_transport_block(tb_with(vec![(DrbId(0), seg)]), now);
+        let d = recv_tb(&mut u, vec![(DrbId(0), seg)], now);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].deliver_at, now + Duration::from_millis(2));
         assert_eq!(d[0].t_cu_ingress, Instant::from_millis(1));
@@ -583,7 +571,7 @@ mod tests {
             payload: Some(pkt(960)),
             t_ingress: Instant::ZERO,
         };
-        let d = u.on_transport_block(tb_with(vec![(DrbId(9), seg)]), Instant::ZERO);
+        let d = recv_tb(&mut u, vec![(DrbId(9), seg)], Instant::ZERO);
         assert!(d.is_empty());
     }
 
@@ -594,7 +582,7 @@ mod tests {
         u.enqueue_uplink(pkt(0), now);
         // At `now` the SR delay (0..5 ms) has almost surely not elapsed
         // for a fresh queue; at +6 ms it must have.
-        let (sent, _) = u.on_uplink_slot(now + Duration::from_millis(6));
+        let (sent, _) = uplink_slot(&mut u, now + Duration::from_millis(6));
         assert_eq!(sent.len(), 1);
         assert_eq!(u.uplink_backlog(), 0);
     }
@@ -606,7 +594,7 @@ mod tests {
         u.enqueue_uplink(pkt(0), now);
         u.enqueue_uplink(pkt(0), now); // second one has no extra SR delay
         u.enqueue_uplink(pkt(0), now);
-        let (sent, _) = u.on_uplink_slot(now + Duration::from_millis(6));
+        let (sent, _) = uplink_slot(&mut u, now + Duration::from_millis(6));
         assert_eq!(sent.len(), 3);
     }
 
@@ -622,7 +610,7 @@ mod tests {
             payload: Some(pkt(960)),
             t_ingress: Instant::ZERO,
         };
-        let d = u.on_transport_block(tb_with(vec![(DrbId(0), seg1)]), Instant::from_millis(50));
+        let d = recv_tb(&mut u, vec![(DrbId(0), seg1)], Instant::from_millis(50));
         assert!(d.is_empty());
         u.on_handover(
             Duration::from_millis(10),
@@ -630,7 +618,7 @@ mod tests {
             Duration::from_millis(5),
             Instant::from_millis(60),
         );
-        let (_, statuses) = u.on_uplink_slot(Instant::from_millis(65));
+        let (_, statuses) = uplink_slot(&mut u, Instant::from_millis(65));
         assert_eq!(statuses.len(), 1, "re-establishment forces a status");
         assert_eq!(statuses[0].1.ack_sn, 0);
         assert!(statuses[0].1.nacks.iter().any(|n| n.sn == 0));
@@ -644,7 +632,7 @@ mod tests {
             payload: Some(pkt(960)),
             t_ingress: Instant::ZERO,
         };
-        let d = u.on_transport_block(tb_with(vec![(DrbId(0), seg0)]), Instant::from_millis(70));
+        let d = recv_tb(&mut u, vec![(DrbId(0), seg0)], Instant::from_millis(70));
         assert_eq!(d.len(), 2, "SN 0 then the buffered SN 1, exactly once each");
     }
 
@@ -792,8 +780,8 @@ mod tests {
             payload: Some(pkt(960)),
             t_ingress: Instant::ZERO,
         };
-        u.on_transport_block(tb_with(vec![(DrbId(0), seg)]), Instant::from_millis(50));
-        let (_, statuses) = u.on_uplink_slot(Instant::from_millis(65));
+        recv_tb(&mut u, vec![(DrbId(0), seg)], Instant::from_millis(50));
+        let (_, statuses) = uplink_slot(&mut u, Instant::from_millis(65));
         assert_eq!(statuses.len(), 1);
         assert_eq!(statuses[0].1.ack_sn, 1);
     }

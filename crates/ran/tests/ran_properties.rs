@@ -8,9 +8,11 @@ use l4span_net::{Ecn, PacketBuf, TcpHeader};
 use l4span_ran::channel::{ChannelProfile, FadingChannel};
 use l4span_ran::config::{CellConfig, RlcMode, SchedulerKind};
 use l4span_ran::ids::{Qfi, UeId};
-use l4span_ran::mac::{allocate_proportional_fair, allocate_round_robin, Candidate};
+use l4span_ran::mac::{
+    allocate_proportional_fair_into, allocate_round_robin_into, AllocScratch, Candidate,
+};
 use l4span_ran::phy;
-use l4span_ran::{DrbId, Gnb, UeStack, UlTbOutcome};
+use l4span_ran::{DrbId, Gnb, SlotOutput, UeStack, UlTbOutcome};
 use l4span_sim::{Duration, Instant, SimRng};
 
 fn arb_candidates() -> impl Strategy<Value = Vec<Candidate>> {
@@ -36,11 +38,11 @@ proptest! {
     /// without backlog, or grants zero-size allocations.
     #[test]
     fn schedulers_conserve_rbgs(cands in arb_candidates(), n_rbgs in 1usize..20) {
-        let mut cursor = 0;
-        for grants in [
-            allocate_round_robin(&cands, n_rbgs, &mut cursor),
-            allocate_proportional_fair(&cands, n_rbgs),
-        ] {
+        let mut scratch = AllocScratch::default();
+        let (mut rr, mut pf) = (Vec::new(), Vec::new());
+        allocate_round_robin_into(&cands, n_rbgs, &mut 0, &mut scratch, &mut rr);
+        allocate_proportional_fair_into(&cands, n_rbgs, &mut scratch, &mut pf);
+        for grants in [rr, pf] {
             let total: usize = grants.iter().map(|&(_, n)| n).sum();
             prop_assert!(total <= n_rbgs, "over-allocated: {total}/{n_rbgs}");
             for (ue, n) in grants {
@@ -112,9 +114,10 @@ proptest! {
             }
         }
         let mut segment_bytes = 0usize;
+        let mut out = SlotOutput::default();
         for k in 0..slots {
-            let out = g.on_slot(Instant::from_micros(500 * k));
-            for d in out.deliveries {
+            g.on_slot_into(Instant::from_micros(500 * k), &mut out);
+            for d in &out.deliveries {
                 for (_, seg) in &d.tb.segments {
                     // Count only first transmissions of each byte range:
                     // retransmissions may repeat ranges, so only bound-check.

@@ -127,7 +127,8 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         payload: Some(data_packet(0, 1400)),
         t_ingress: Instant::from_millis(100),
     };
-    let deliveries = ue.on_transport_block(
+    let mut deliveries = Vec::new();
+    ue.on_transport_block_into(
         l4span::ran::mac::TransportBlock {
             ue: UeId(0),
             segments: vec![(DrbId(0), seg)],
@@ -137,6 +138,7 @@ fn steady_state_downlink_path_makes_zero_allocations() {
             first_tx: Instant::from_millis(150),
         },
         Instant::from_millis(150),
+        &mut deliveries,
     );
     assert_eq!(deliveries.len(), 1);
     let (n, _) = allocs_during(|| {
@@ -333,6 +335,23 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         "slot → pooled TB batch → pooled event → handle → recycle must not allocate"
     );
 
+    // --- 5c. Uplink grant allocation -------------------------------------
+    // An uplink slot runs the same MAC allocators as a downlink one, on
+    // the gNB's own scratch; with the BSRs topped up each slot (every UE
+    // stays a candidate) the grant step must not allocate.
+    let mut grants: Vec<(UeId, usize, u8)> = Vec::with_capacity(8);
+    let mut ul_slot = |i: u64| -> usize {
+        for u in 0..4u16 {
+            gnb.on_ul_bsr(UeId(u), 1 << 20);
+        }
+        gnb.allocate_ul_grants_into(Instant::ZERO + slot * i, &mut grants);
+        grants.len()
+    };
+    ul_slot(2816);
+    let (n, granted) = allocs_during(|| (2817..2881u64).map(&mut ul_slot).sum::<usize>());
+    assert!(granted > 0, "backlogged UEs must be granted");
+    assert_eq!(n, 0, "warm uplink grant allocation must not allocate");
+
     // --- 6. Cross-shard mailbox cycle (PR 8) ----------------------------
     // The coordinator's steady-state envelope cycle: a source shard
     // pushes pooled boxes into its outbox, the coordinator appends them
@@ -383,4 +402,24 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         n, 0,
         "steady-state cross-shard mailbox cycle must not allocate"
     );
+
+    // --- 7. FEC media sender burst ---------------------------------------
+    // Every emitted datagram picks its bonded leg by deficit round-robin
+    // over the per-leg shares; once the per-leg RTT-probe rings reach
+    // their cap, a frame burst into a reused buffer must not allocate.
+    use l4span::cc::FecMediaSender;
+    let mut fec = FecMediaSender::new(1, 2, 5008, 44_000, 1.5e5, 5e5, 2.5e6, 60.0, 2);
+    let mut burst: Vec<(u8, PacketBuf)> = Vec::with_capacity(256);
+    let frame = Duration::from_micros(16_667);
+    let mut frame_burst = |k: u64| -> usize {
+        burst.clear();
+        fec.poll_into(Instant::ZERO + frame * k, &mut burst);
+        burst.len()
+    };
+    for k in 0..2048u64 {
+        frame_burst(k);
+    }
+    let (n, sent) = allocs_during(|| (2048..2304u64).map(&mut frame_burst).sum::<usize>());
+    assert!(sent > 0, "the sender must emit frames");
+    assert_eq!(n, 0, "warm FecMediaSender::poll_into burst must not allocate");
 }

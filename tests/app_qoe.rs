@@ -1,15 +1,9 @@
-//! The application-layer redesign's contract tests:
+//! The application layer's contract tests:
 //!
-//! 1. **Shim equivalence** — every old `TrafficKind` variant, routed
-//!    through the deprecated `FlowSpec::from_traffic` shim, produces a
-//!    byte-identical `Report::fingerprint()` to the equivalent
-//!    `(AppProfile, TransportSpec)` construction. This is what lets the
-//!    figure bins and determinism matrix keep their fingerprints across
-//!    the API split.
-//! 2. **QoE determinism** — the new application-level metrics (frame
-//!    OWD, deadline-miss rate, stall time, request completion times)
-//!    are populated and byte-identical across 1 vs 4 worker threads.
-//! 3. **End-to-end QoE behaviour** — the metrics move the way the paper
+//! 1. **QoE determinism** — the application-level metrics (frame OWD,
+//!    deadline-miss rate, stall time, request completion times) are
+//!    populated and byte-identical across 1 vs 4 worker threads.
+//! 2. **End-to-end QoE behaviour** — the metrics move the way the paper
 //!    says they should (L4Span cuts frame delay misses for video over
 //!    a congested cell).
 
@@ -18,118 +12,9 @@ use l4span::harness::app::AppProfile;
 use l4span::harness::scenario::{
     interactive_apps_mixed, l4span_default, FlowSpec, ScenarioConfig, TransportSpec,
 };
-#[allow(deprecated)]
-use l4span::harness::scenario::TrafficKind;
 use l4span::harness::{self, MarkerKind, UeSpec};
 use l4span::ran::ChannelProfile;
 use l4span::sim::{Duration, Instant};
-
-fn base(seed: u64) -> ScenarioConfig {
-    let mut cfg = ScenarioConfig::new(seed, Duration::from_secs(2));
-    cfg.marker = l4span_default();
-    for i in 0..2 {
-        cfg.ues
-            .push(UeSpec::simple(ChannelProfile::Static, 21.0 + i as f64));
-    }
-    cfg
-}
-
-/// Build the same two-UE scenario twice — once through the deprecated
-/// `TrafficKind` shim, once with the new API — and assert byte-identical
-/// reports.
-#[allow(deprecated)]
-fn assert_shim_equivalent(
-    label: &str,
-    old: TrafficKind,
-    app: AppProfile,
-    transport: TransportSpec,
-) {
-    let mut via_shim = base(42);
-    let mut via_new = base(42);
-    for i in 0..2 {
-        via_shim.flows.push(FlowSpec::from_traffic(
-            i,
-            0,
-            old.clone(),
-            WanLink::east(),
-            Instant::from_millis(10 * i as u64),
-            None,
-        ));
-        via_new.flows.push(FlowSpec::new(
-            i,
-            app.clone(),
-            transport.clone(),
-            WanLink::east(),
-            Instant::from_millis(10 * i as u64),
-        ));
-    }
-    let a = harness::run(via_shim);
-    let b = harness::run(via_new);
-    assert_eq!(
-        a.fingerprint(),
-        b.fingerprint(),
-        "{label}: the TrafficKind shim must lower byte-identically"
-    );
-}
-
-#[test]
-#[allow(deprecated)]
-fn tcp_greedy_shim_is_byte_identical() {
-    assert_shim_equivalent(
-        "tcp/greedy",
-        TrafficKind::Tcp {
-            cc: "cubic".into(),
-            app_limit: None,
-        },
-        AppProfile::bulk(),
-        TransportSpec::tcp(CcKind::Cubic),
-    );
-}
-
-#[test]
-#[allow(deprecated)]
-fn tcp_sized_shim_is_byte_identical() {
-    assert_shim_equivalent(
-        "tcp/sized",
-        TrafficKind::Tcp {
-            cc: "prague".into(),
-            app_limit: Some(200_000),
-        },
-        AppProfile::sized(200_000),
-        TransportSpec::tcp(CcKind::Prague),
-    );
-}
-
-#[test]
-#[allow(deprecated)]
-fn scream_shim_is_byte_identical() {
-    assert_shim_equivalent(
-        "scream",
-        TrafficKind::Scream {
-            min_bps: 0.5e6,
-            start_bps: 2.0e6,
-            max_bps: 20.0e6,
-            fps: 25.0,
-        },
-        AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6),
-        TransportSpec::scream(),
-    );
-}
-
-#[test]
-#[allow(deprecated)]
-fn udp_prague_shim_is_byte_identical() {
-    assert_shim_equivalent(
-        "udp-prague",
-        TrafficKind::UdpPrague {
-            min_rate: 6.25e4,
-            start_rate: 2.5e5,
-            max_rate: 2.5e6,
-        },
-        AppProfile::bulk(),
-        TransportSpec::udp_prague(6.25e4, 2.5e5, 2.5e6),
-    );
-}
 
 #[test]
 fn qoe_metrics_are_deterministic_across_worker_counts() {

@@ -225,6 +225,7 @@ proptest! {
             prop_assert!(tx.enqueue(i as u64, pkt, Instant::ZERO));
         }
         let mut delivered: Vec<u64> = Vec::new();
+        let mut fresh = Vec::new();
         let mut now = Instant::ZERO;
         // Drive tx/rx with random budgets and 20% segment loss until all
         // SDUs arrive (bounded iterations to catch livelock).
@@ -236,9 +237,8 @@ proptest! {
                 if rng.chance(0.2) {
                     continue; // lost transport block
                 }
-                for d in rx.on_segment(seg, now) {
-                    delivered.push(d.sn);
-                }
+                rx.on_segment_into(seg, now, &mut fresh);
+                delivered.extend(fresh.drain(..).map(|d| d.sn));
             }
             if let Some(status) = rx.make_status(now) {
                 tx.on_status(&status, now);
@@ -269,7 +269,7 @@ proptest! {
             let pkt = PacketBuf::tcp(1, 2, Ecn::Ect1, i as u16, &hdr, 1000);
             tx.enqueue(i as u64, pkt, Instant::ZERO);
         }
-        let mut got = Vec::new();
+        let mut fresh = Vec::new();
         let mut now = Instant::ZERO;
         for _ in 0..2000 {
             now += Duration::from_micros(500);
@@ -278,10 +278,11 @@ proptest! {
                 if rng.chance(0.3) {
                     continue;
                 }
-                got.extend(rx.on_segment(seg, now).into_iter().map(|d| d.sn));
+                rx.on_segment_into(seg, now, &mut fresh);
             }
-            got.extend(rx.poll(now).into_iter().map(|d| d.sn));
+            rx.poll_into(now, &mut fresh);
         }
+        let got: Vec<u64> = fresh.iter().map(|d| d.sn).collect();
         // Strictly increasing ⇒ in order and no duplicates.
         for w in got.windows(2) {
             prop_assert!(w[1] > w[0], "order violated: {:?}", got);
@@ -324,6 +325,7 @@ proptest! {
                 assert!(tx.enqueue(i as u64, *pkt, Instant::ZERO));
             }
             let mut delivered: Vec<(u64, PacketBuf)> = Vec::new();
+            let mut fresh = Vec::new();
             let mut now = Instant::ZERO;
             for round in 0..10_000usize {
                 if with_ho && round == ho_round {
@@ -343,9 +345,8 @@ proptest! {
                     if rng.chance(0.2) {
                         continue; // lost transport block
                     }
-                    for d in rx.on_segment(seg, now) {
-                        delivered.push((d.sn, d.pkt));
-                    }
+                    rx.on_segment_into(seg, now, &mut fresh);
+                    delivered.extend(fresh.drain(..).map(|d| (d.sn, d.pkt)));
                 }
                 if let Some(status) = rx.make_status(now) {
                     tx.on_status(&status, now);
@@ -385,13 +386,13 @@ fn rlc_am_lossless_fast_path() {
             Instant::ZERO,
         );
     }
-    let mut delivered = 0;
+    let mut delivered = Vec::new();
     let mut now = Instant::ZERO;
-    while delivered < 10 {
+    while delivered.len() < 10 {
         now += Duration::from_micros(500);
         let pulled = tx.pull(3000, now);
         for seg in pulled.segments {
-            delivered += rx.on_segment(seg, now).len();
+            rx.on_segment_into(seg, now, &mut delivered);
         }
     }
     let st = rx.make_status(now + Duration::from_millis(10)).unwrap();
