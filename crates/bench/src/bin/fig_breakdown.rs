@@ -88,6 +88,19 @@ fn main() {
             untracked as f64 / 1e6,
             untracked as f64 * 100.0 / wall_ns as f64
         );
+        // Where the pops went, per delivered packet — exact, like the
+        // headline — and the radio model's work beside them.
+        let pkts = report.delivered_packets().max(1) as f64;
+        println!("{:<14} {:>12} {:>8}", "event class", "pops", "per pkt");
+        for &(class, n) in &report.event_counts {
+            println!("{class:<14} {n:>12} {:>8.2}", n as f64 / pkts);
+        }
+        println!(
+            "{:<14} {:>12} {:>8.2}",
+            "(fading evals)",
+            report.fading_evals,
+            report.fading_evals as f64 / pkts
+        );
         // Sharded scenarios: where each shard's epoch time went. The
         // idle column is the barrier wait a shard would see under
         // fully parallel epochs — 1 − busy/longest-shard-busy — i.e.

@@ -228,7 +228,11 @@ impl FecReceiverCore {
             Slot::Missing { .. } => unreachable!("classify() only finalizes"),
         }
         self.slots[i] = to;
-        // Pop the classified prefix: `base` only ever moves forward.
+        self.pop_classified_prefix();
+    }
+
+    /// Pop the classified prefix: `base` only ever moves forward.
+    fn pop_classified_prefix(&mut self) {
         while matches!(
             self.slots.front(),
             Some(Slot::Delivered | Slot::Repaired | Slot::Abandoned)
@@ -285,12 +289,12 @@ impl FecReceiverCore {
     /// Collect the sequences due a (re-)NACK, oldest first, and expire
     /// gaps that outlived the deadline into `Abandoned`.
     pub fn poll_nacks(&mut self, now: Instant, out: &mut Vec<u64>) {
-        let mut expired: Vec<u64> = Vec::new();
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let seq = self.base + i as u64;
             if let Slot::Missing { detected, last_nack } = slot {
                 if now.saturating_since(*detected) > self.expiry {
-                    expired.push(seq);
+                    *slot = Slot::Abandoned;
+                    self.abandoned += 1;
                 } else if now.saturating_since(*detected) >= NACK_GRACE
                     && last_nack.is_none_or(|at| now.saturating_since(at) >= RENACK_INTERVAL)
                 {
@@ -299,9 +303,7 @@ impl FecReceiverCore {
                 }
             }
         }
-        for seq in expired {
-            self.classify(seq, Slot::Abandoned);
-        }
+        self.pop_classified_prefix();
     }
 
     /// Declare the stream over: `offered` sequences exist in total.
@@ -589,6 +591,8 @@ pub struct FecMediaReceiver {
     coupled: bool,
     gate: FeedbackGate,
     fb_ident: u16,
+    /// The NACK buffer of a consumed report ([`FecMediaReceiver::recycle`]).
+    spare_nacks: Vec<u64>,
     /// Payload bytes received (diagnostics).
     pub received_bytes: u64,
 }
@@ -606,7 +610,19 @@ impl FecMediaReceiver {
             coupled: false,
             gate: FeedbackGate::new(),
             fb_ident: 0,
+            spare_nacks: Vec::new(),
             received_bytes: 0,
+        }
+    }
+
+    /// A report this receiver emitted has been consumed by the sender:
+    /// its NACK buffer serves the next report. Optional — a dropped
+    /// report only costs the next NACKing one an allocation.
+    pub fn recycle(&mut self, fb: FecFeedback) {
+        let mut nacks = fb.nacks;
+        if nacks.capacity() > self.spare_nacks.capacity() {
+            nacks.clear();
+            self.spare_nacks = nacks;
         }
     }
 
@@ -640,7 +656,7 @@ impl FecMediaReceiver {
         self.fb_ident = self.fb_ident.wrapping_add(1);
         let mut fb = FecFeedback {
             legs: self.legs,
-            nacks: Vec::new(),
+            nacks: std::mem::take(&mut self.spare_nacks),
             coupled: self.coupled,
         };
         self.core.poll_nacks(now, &mut fb.nacks);

@@ -376,13 +376,13 @@ impl L4SpanLayer {
     /// **Event 2** (Fig. 23 top): an F1-U delivery-status frame arrived.
     pub fn on_ran_feedback(&mut self, msg: &DlDataDeliveryStatus, _now: Instant) {
         self.stats.feedback_msgs += 1;
-        let d = self.drb_state(msg.ue, msg.drb);
-        let txed = d
-            .profile
-            .on_feedback(msg.highest_txed_sn, msg.highest_delivered_sn, msg.timestamp);
-        for p in txed {
-            d.est.on_txed(p.t_txed, p.size);
-        }
+        let DrbState { profile, est } = self.drb_state(msg.ue, msg.drb);
+        profile.on_feedback(
+            msg.highest_txed_sn,
+            msg.highest_delivered_sn,
+            msg.timestamp,
+            |p| est.on_txed(p.t_txed, p.size),
+        );
     }
 
     /// **Event 3** (Fig. 23 bottom): an uplink packet passes the CU on

@@ -77,38 +77,40 @@ impl ProfileTable {
 
     /// Fold in an F1-U report: all SNs up to `highest_txed_sn` are now
     /// transmitted (at `t` — slot granularity, exactly what the DU knows).
-    /// Returns the rows that newly became transmitted, oldest first.
+    /// `on_txed` sees each row that newly became transmitted, oldest
+    /// first.
     pub fn on_feedback(
         &mut self,
         highest_txed_sn: Option<u64>,
         highest_delivered_sn: Option<u64>,
         t: Instant,
-    ) -> Vec<TxedPacket> {
+        mut on_txed: impl FnMut(TxedPacket),
+    ) {
         if let Some(d) = highest_delivered_sn {
             self.highest_delivered =
                 Some(self.highest_delivered.map_or(d, |h| h.max(d)));
         }
         let Some(high) = highest_txed_sn else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
+        let mut any = false;
         while let Some(front) = self.pending.front() {
             if front.sn > high {
                 break;
             }
             let r = self.pending.pop_front().expect("front exists");
             self.queued_bytes -= r.size;
-            out.push(TxedPacket {
+            any = true;
+            on_txed(TxedPacket {
                 sn: r.sn,
                 size: r.size,
                 t_ingress: r.t_ingress,
                 t_txed: t,
             });
         }
-        if !out.is_empty() || self.highest_txed.is_some_and(|h| high > h) {
+        if any || self.highest_txed.is_some_and(|h| high > h) {
             self.highest_txed = Some(self.highest_txed.map_or(high, |h| h.max(high)));
         }
-        out
     }
 
     /// Bytes sitting in the RAN queue (N_queue of Eq. 5): ingressed SDUs
@@ -160,6 +162,18 @@ impl ProfileTable {
 mod tests {
     use super::*;
 
+    /// The rows one report newly marks transmitted.
+    fn feedback(
+        t: &mut ProfileTable,
+        txed: Option<u64>,
+        delivered: Option<u64>,
+        at: Instant,
+    ) -> Vec<TxedPacket> {
+        let mut out = Vec::new();
+        t.on_feedback(txed, delivered, at, |p| out.push(p));
+        out
+    }
+
     #[test]
     fn ingress_assigns_dense_sns_and_counts_queue() {
         let mut t = ProfileTable::new();
@@ -176,7 +190,7 @@ mod tests {
         for i in 0..5 {
             t.on_ingress(1000, Instant::from_millis(i));
         }
-        let txed = t.on_feedback(Some(2), None, Instant::from_millis(10));
+        let txed = feedback(&mut t, Some(2), None, Instant::from_millis(10));
         assert_eq!(txed.len(), 3);
         assert_eq!(txed[0].sn, 0);
         assert_eq!(txed[2].sn, 2);
@@ -184,16 +198,16 @@ mod tests {
         assert_eq!(t.queued_bytes(), 2000);
         assert_eq!(t.highest_txed(), Some(2));
         // Re-reporting the same high SN yields nothing new.
-        assert!(t.on_feedback(Some(2), None, Instant::from_millis(11)).is_empty());
+        assert!(feedback(&mut t, Some(2), None, Instant::from_millis(11)).is_empty());
     }
 
     #[test]
     fn delivered_tracks_independently() {
         let mut t = ProfileTable::new();
         t.on_ingress(1000, Instant::ZERO);
-        t.on_feedback(Some(0), None, Instant::from_millis(1));
+        feedback(&mut t, Some(0), None, Instant::from_millis(1));
         assert_eq!(t.highest_delivered(), None);
-        t.on_feedback(Some(0), Some(0), Instant::from_millis(20));
+        feedback(&mut t, Some(0), Some(0), Instant::from_millis(20));
         assert_eq!(t.highest_delivered(), Some(0));
     }
 
@@ -201,7 +215,7 @@ mod tests {
     fn ingress_timestamps_survive_to_feedback() {
         let mut t = ProfileTable::new();
         t.on_ingress(700, Instant::from_millis(3));
-        let txed = t.on_feedback(Some(0), None, Instant::from_millis(9));
+        let txed = feedback(&mut t, Some(0), None, Instant::from_millis(9));
         assert_eq!(txed[0].t_ingress, Instant::from_millis(3));
         assert_eq!(txed[0].size, 700);
     }
@@ -211,7 +225,7 @@ mod tests {
         // A stale/duplicated report must not panic or corrupt counts.
         let mut t = ProfileTable::new();
         t.on_ingress(100, Instant::ZERO);
-        let txed = t.on_feedback(Some(10), None, Instant::from_millis(1));
+        let txed = feedback(&mut t, Some(10), None, Instant::from_millis(1));
         assert_eq!(txed.len(), 1);
         assert_eq!(t.queued_bytes(), 0);
     }
@@ -221,7 +235,7 @@ mod tests {
         let mut t = ProfileTable::new();
         for i in 0..10_000u64 {
             t.on_ingress(1000, Instant::from_millis(i));
-            t.on_feedback(Some(i), None, Instant::from_millis(i));
+            t.on_feedback(Some(i), None, Instant::from_millis(i), |_| {});
         }
         assert_eq!(t.queued_sdus(), 0);
         assert_eq!(t.total_seen(), 10_000);

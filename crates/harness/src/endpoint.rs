@@ -42,7 +42,7 @@ fn server_ip(f: usize) -> u32 {
 pub(crate) enum FbData {
     Scream(ScreamFeedback),
     Prague(PragueFeedback),
-    Fec(Box<FecFeedback>),
+    Fec(FecFeedback),
 }
 
 /// A packet travelling against the data direction (TCP SYN/ACK, or a
@@ -315,9 +315,10 @@ impl Endpoint {
                 }
                 sender.poll_into(now, &mut out.pkts);
             }
-            Endpoint::FecMedia { sender, .. } => {
+            Endpoint::FecMedia { sender, receiver } => {
                 if let Some(FbData::Fec(fb)) = data {
                     sender.on_feedback(&fb, now);
+                    receiver.recycle(fb);
                     up.srtt = sender.leg_srtt(0);
                 }
                 sender.poll_into(now, &mut out.leg_pkts);
@@ -353,7 +354,7 @@ impl Endpoint {
                 if let Some(c) = coupled {
                     receiver.set_coupled(c);
                 }
-                Feedback::report(receiver.on_packet(pkt, leg, now), |fb| FbData::Fec(Box::new(fb)))
+                Feedback::report(receiver.on_packet(pkt, leg, now), FbData::Fec)
             }
         };
         Delivery { feedback, tcp_watermark }
@@ -369,9 +370,7 @@ impl Endpoint {
             Endpoint::UdpPrague { receiver, .. } => {
                 Feedback::report(receiver.poll(now), FbData::Prague)
             }
-            Endpoint::FecMedia { receiver, .. } => {
-                Feedback::report(receiver.poll(now), |fb| FbData::Fec(Box::new(fb)))
-            }
+            Endpoint::FecMedia { receiver, .. } => Feedback::report(receiver.poll(now), FbData::Fec),
         }
     }
 

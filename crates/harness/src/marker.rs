@@ -184,6 +184,7 @@ impl Marker {
                         msg.highest_txed_sn,
                         msg.highest_delivered_sn,
                         msg.timestamp,
+                        |_| {},
                     );
                 }
             }

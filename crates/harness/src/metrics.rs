@@ -204,6 +204,16 @@ pub struct Report {
     /// [`Report::fingerprint`]: it counts the simulator's work, so it
     /// moves when the event loop gets leaner while the output does not.
     pub events: u64,
+    /// [`Report::events`] broken down by event class, in the world's
+    /// declaration order, classes that never fired left out: `("Slot",
+    /// n)`, `("UlAtGnb", n)`, … Sums to `events`, and like it is
+    /// deterministic, shard-count-invariant and outside the fingerprint.
+    pub event_counts: Vec<(&'static str, u64)>,
+    /// Jakes sums the cells' fading channels evaluated — the radio
+    /// model's work, equal to the distinct (UE, 2 ms grid point) pairs
+    /// the slot loops read. Deterministic, and outside the fingerprint
+    /// for the same reason as `events`.
+    pub fading_evals: u64,
     /// Per-shard execution statistics when the run was sharded
     /// ([`crate::run_sharded`]); empty for classic single-world runs.
     /// Excluded from the fingerprint like `cycles`: the deterministic

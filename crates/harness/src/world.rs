@@ -51,6 +51,10 @@ const CYC_TRANSPORT: usize = 5;
 const CYC_METRICS: usize = 6;
 const CYC_QUEUE: usize = 7;
 
+/// Cadence of the `Sample` housekeeping tick (queue-length series,
+/// estimation error).
+const SAMPLE_PERIOD: Duration = Duration::from_millis(10);
+
 /// Runtime state of a bonded (dual-connectivity) uplink flow: the
 /// secondary leg's UE, the byte-balancing leg picker, the server-side
 /// reorder/join buffer (TCP legs only — the FEC media receiver is its
@@ -138,17 +142,12 @@ pub(crate) enum Event {
     /// handed over while it was in flight is dropped mid-air.
     TbsAtUe { cell: usize, tbs: Vec<TransportBlock> },
     AppDeliver { pkt: PacketBuf, t_cu_ingress: Instant },
-    /// An uplink batch transmitted toward `cell` arrives (pooled
-    /// buffers; returned to `World::ul_pool` after processing): client
-    /// ACKs/feedback, RLC status reports, and — in bidirectional
+    /// What `cell`'s UEs transmitted in one uplink slot arrives, in
+    /// ascending UE order (one pooled batch per slot, like `TbsAtUe`;
+    /// the per-UE buffers return to `World::ul_pool` after processing):
+    /// client ACKs/feedback, RLC status reports, and — in bidirectional
     /// scenarios — the UE's buffer-status report.
-    UlAtGnb {
-        cell: usize,
-        ue: usize,
-        pkts: Vec<PacketBuf>,
-        statuses: Vec<(DrbId, RlcStatus)>,
-        bsr: Vec<(DrbId, usize)>,
-    },
+    UlAtGnb { cell: usize, ues: Vec<(usize, UlBatch)> },
     /// The uplink *data* transport blocks granted in one slot arrive at
     /// `cell`'s PHY, in grant order (pooled batch, like `TbsAtUe`; a
     /// HARQ retransmission travels as a batch of one). A block whose UE
@@ -172,9 +171,70 @@ pub(crate) enum Event {
     UePoll,
 }
 
-/// A pooled triple of uplink-batch buffers (packets, status reports,
-/// buffer-status entries).
-type UlBatch = (
+impl Event {
+    /// Class names, indexed by [`Event::class`]: the rows of
+    /// [`Report::event_counts`].
+    const CLASSES: [&'static str; 21] = [
+        "Nop",
+        "Slot",
+        "DlAtRouter",
+        "RouterPoll",
+        "RouterRate",
+        "DlAtImpair",
+        "ImpairPoll",
+        "DlAtCu",
+        "TbsAtUe",
+        "AppDeliver",
+        "UlAtGnb",
+        "UlTbsAtGnb",
+        "UlStatusAtUe",
+        "UlAtServer",
+        "FlowStart",
+        "FlowStop",
+        "FlowTimer",
+        "AppTick",
+        "Handover",
+        "Sample",
+        "UePoll",
+    ];
+
+    /// Classes the shard merge treats specially: mobility steps are
+    /// executed (and counted) by the coordinator, and the housekeeping
+    /// ticks are replicated in every shard.
+    const HANDOVER: usize = 18;
+    const SAMPLE: usize = 19;
+    const UE_POLL: usize = 20;
+
+    fn class(&self) -> usize {
+        match self {
+            Event::Nop => 0,
+            Event::Slot { .. } => 1,
+            Event::DlAtRouter { .. } => 2,
+            Event::RouterPoll => 3,
+            Event::RouterRate { .. } => 4,
+            Event::DlAtImpair { .. } => 5,
+            Event::ImpairPoll { .. } => 6,
+            Event::DlAtCu { .. } => 7,
+            Event::TbsAtUe { .. } => 8,
+            Event::AppDeliver { .. } => 9,
+            Event::UlAtGnb { .. } => 10,
+            Event::UlTbsAtGnb { .. } => 11,
+            Event::UlStatusAtUe { .. } => 12,
+            Event::UlAtServer { .. } => 13,
+            Event::FlowStart { .. } => 14,
+            Event::FlowStop { .. } => 15,
+            Event::FlowTimer { .. } => 16,
+            Event::AppTick { .. } => 17,
+            Event::Handover { .. } => Event::HANDOVER,
+            Event::Sample => Event::SAMPLE,
+            Event::UePoll => Event::UE_POLL,
+        }
+    }
+}
+
+/// A pooled triple of one UE's uplink-slot buffers (packets, status
+/// reports, buffer-status entries).
+pub(crate) type UlBatch = (
     Vec<PacketBuf>,
     Vec<(DrbId, RlcStatus)>,
     Vec<(DrbId, usize)>,
@@ -251,6 +311,8 @@ pub struct World {
     /// stops touching the allocator once the buffers reach steady-state
     /// size.
     ul_pool: Vec<UlBatch>,
+    /// Recycled `UlAtGnb` per-slot batch buffers.
+    ul_slot_pool: Vec<Vec<(usize, UlBatch)>>,
     /// Recycled `TbsAtUe` / `UlTbsAtGnb` batch buffers.
     tb_pool: Vec<Vec<TransportBlock>>,
     /// Reused buffers for what a sender releases (poll/ACK hot paths).
@@ -267,6 +329,8 @@ pub struct World {
     scratch_ul_statuses: Vec<(UeId, DrbId, RlcStatus)>,
     /// Reused buffer for UM reassembly-timeout skips at the gNB.
     scratch_ul_skips: Vec<(UeId, DrbId, l4span_ran::rlc::RxDelivery)>,
+    /// Reused buffer for the SDUs one uplink transport block delivers.
+    scratch_ul_decoded: Vec<(DrbId, l4span_ran::rlc::RxDelivery)>,
     // --- metrics accumulators ---
     owd_ms: Vec<Vec<f64>>,
     owd_at_s: Vec<Vec<f64>>,
@@ -326,13 +390,12 @@ pub struct World {
     /// before decode; folded into `Report::tbs_lost` (the gNB counts the
     /// HARQ-queue half of handover losses itself).
     ho_tbs_lost: u64,
-    /// Events processed by `run` (perf-gate denominator).
-    events: u64,
-    /// Of `events`, how many were the replicated housekeeping ticks
-    /// (`Sample`, `UePoll`). Every shard replica runs them, so the
-    /// merged event count keeps one copy and subtracts the rest —
-    /// making `Report::events` shard-count-invariant.
-    housekeeping: u64,
+    /// Events popped by the run loop, per [`Event::class`]; their sum
+    /// is `Report::events` (the perf-gate denominator). `Sample` and
+    /// `UePoll` are replicated housekeeping: every shard replica runs
+    /// them, so the merged counts keep one copy — which makes
+    /// `Report::events` shard-count-invariant.
+    event_counts: [u64; Event::CLASSES.len()],
     /// Per-subsystem cycle accounting (disabled unless
     /// `ScenarioConfig::measure_cycles`; a disabled scope costs one
     /// predictable branch per span).
@@ -609,6 +672,7 @@ impl World {
             bond_flows,
             slot_out: SlotOutput::default(),
             ul_pool: Vec::new(),
+            ul_slot_pool: Vec::new(),
             tb_pool: Vec::new(),
             scratch_tx: Released::default(),
             scratch_join: Vec::new(),
@@ -617,6 +681,7 @@ impl World {
             scratch_ul_f1u: Vec::new(),
             scratch_ul_statuses: Vec::new(),
             scratch_ul_skips: Vec::new(),
+            scratch_ul_decoded: Vec::new(),
             owd_ms: vec![Vec::new(); n],
             owd_at_s: vec![Vec::new(); n],
             ul_owd_ms: vec![Vec::new(); n],
@@ -645,8 +710,7 @@ impl World {
             gt_watermark: FxHashMap::default(),
             marker_time: (Vec::new(), Vec::new(), Vec::new()),
             ho_tbs_lost: 0,
-            events: 0,
-            housekeeping: 0,
+            event_counts: [0; Event::CLASSES.len()],
             cycles,
         };
         for cell in 0..n_cells {
@@ -680,7 +744,7 @@ impl World {
         } else {
             Duration::ZERO
         };
-        w.sched(Instant::from_millis(10) + hk, Event::Sample);
+        w.sched(Instant::ZERO + SAMPLE_PERIOD + hk, Event::Sample);
         if need_ue_poll {
             w.sched(Instant::from_millis(5) + hk, Event::UePoll);
         }
@@ -822,7 +886,7 @@ impl World {
             let ev = std::mem::replace(&mut *bx, Event::Nop);
             self.pool.push(bx);
             self.cycles.stop(t0, CYC_QUEUE);
-            self.events += 1;
+            self.event_counts[ev.class()] += 1;
             self.handle(ev, now);
         }
     }
@@ -879,8 +943,11 @@ impl World {
             Event::AppDeliver { pkt, t_cu_ingress } => {
                 self.on_app_deliver(pkt, t_cu_ingress, now)
             }
-            Event::UlAtGnb { cell, ue, pkts, statuses, bsr } => {
-                self.on_ul_at_gnb(cell, ue, pkts, statuses, bsr, now)
+            Event::UlAtGnb { cell, mut ues } => {
+                for (ue, batch) in ues.drain(..) {
+                    self.on_ul_at_gnb(cell, ue, batch, now);
+                }
+                self.ul_slot_pool.push(ues);
             }
             Event::UlTbsAtGnb { cell, mut tbs } => {
                 for tb in tbs.drain(..) {
@@ -893,7 +960,8 @@ impl World {
                 // re-establishes in place), so a status from the old
                 // cell lands safely: unknown SNs are ignored by ARQ.
                 let t0 = self.cycles.start();
-                let _ = self.ues[ue].on_ul_status(drb, &status, now);
+                self.ues[ue].on_ul_status(drb, &status, now);
+                self.gnbs[self.serving[ue]].recycle_ul_status(UeId(ue as u16), drb, status);
                 self.cycles.stop(t0, CYC_UE);
                 self.feed_ul_marker_feedback(ue, now);
             }
@@ -916,13 +984,11 @@ impl World {
                 self.on_handover(ue, target_cell, profile, snr_db, now)
             }
             Event::Sample => {
-                self.housekeeping += 1;
                 let t0 = self.cycles.start();
                 self.on_sample(now);
                 self.cycles.stop(t0, CYC_METRICS);
             }
             Event::UePoll => {
-                self.housekeeping += 1;
                 // Only UEs with UM DRBs have reassembly timers to run.
                 let t0 = self.cycles.start();
                 let mut deliveries = std::mem::take(&mut self.scratch_app_deliv);
@@ -1213,7 +1279,11 @@ impl World {
                         continue;
                     }
                     let c0 = self.cycles.start();
-                    tbs.extend(self.ues[i].build_ul_tb(bytes, cqi, now));
+                    let segments = self.gnbs[cell].take_segments();
+                    match self.ues[i].build_ul_tb(bytes, cqi, now, segments) {
+                        Ok(tb) => tbs.push(tb),
+                        Err(unused) => self.gnbs[cell].recycle_segments(unused),
+                    }
                     self.cycles.stop(c0, CYC_UE);
                     // Granted-bytes history → the uplink marker's
                     // delay predictor (the UE-side F1-U mirror).
@@ -1223,6 +1293,7 @@ impl World {
                 self.sched_ul_tbs(cell, tbs, now + air);
             }
             let c0 = self.cycles.start();
+            let mut batch = self.ul_slot_pool.pop().unwrap_or_default();
             // Walk the cell's sorted attachment list: same ascending UE
             // order as the classic all-UE filtered scan, but O(attached)
             // — in a 50-cell metro the filter itself was the hot path.
@@ -1244,13 +1315,15 @@ impl World {
                     self.ues[i].ul_bsr_into(now, &mut bsr);
                 }
                 if !pkts.is_empty() || !statuses.is_empty() || !bsr.is_empty() {
-                    self.sched(
-                        now + air,
-                        Event::UlAtGnb { cell, ue: i, pkts, statuses, bsr },
-                    );
+                    batch.push((i, (pkts, statuses, bsr)));
                 } else {
                     self.ul_pool.push((pkts, statuses, bsr));
                 }
+            }
+            if batch.is_empty() {
+                self.ul_slot_pool.push(batch);
+            } else {
+                self.sched(now + air, Event::UlAtGnb { cell, ues: batch });
             }
             self.cycles.stop(c0, CYC_UL);
         }
@@ -1395,13 +1468,12 @@ impl World {
         }
     }
 
+    /// One UE's share of an uplink slot arrives at `cell`.
     fn on_ul_at_gnb(
         &mut self,
         cell: usize,
         ue: usize,
-        mut pkts: Vec<PacketBuf>,
-        mut statuses: Vec<(DrbId, RlcStatus)>,
-        mut bsr: Vec<(DrbId, usize)>,
+        (mut pkts, mut statuses, mut bsr): UlBatch,
         now: Instant,
     ) {
         let ue_id = UeId(ue as u16);
@@ -1425,7 +1497,8 @@ impl World {
         if self.serving[ue] == cell {
             for (drb, st) in statuses.drain(..) {
                 let c0 = self.cycles.start();
-                let (_records, f1u) = self.gnbs[cell].on_rlc_status(ue_id, drb, &st, now);
+                let f1u = self.gnbs[cell].on_rlc_status(ue_id, drb, &st, now);
+                self.ues[ue].recycle_status(drb, st);
                 self.cycles.stop(c0, CYC_UL);
                 if let Some(msg) = f1u {
                     let c0 = self.cycles.start();
@@ -1481,7 +1554,8 @@ impl World {
             return;
         }
         let c0 = self.cycles.start();
-        let outcome = self.gnbs[cell].receive_ul_tb(tb, now);
+        let mut decoded = std::mem::take(&mut self.scratch_ul_decoded);
+        let outcome = self.gnbs[cell].receive_ul_tb(tb, now, &mut decoded);
         self.cycles.stop(c0, CYC_UL);
         match outcome {
             UlTbOutcome::Retx(tb) => {
@@ -1494,13 +1568,14 @@ impl World {
                 self.sched_ul_tbs(cell, tbs, now + rtt);
             }
             UlTbOutcome::Lost => {}
-            UlTbOutcome::Decoded(deliveries) => {
+            UlTbOutcome::Decoded => {
                 let core = self.gnbs[cell].config().core_to_cu_delay;
-                for (_drb, d) in deliveries {
+                for (_drb, d) in decoded.drain(..) {
                     self.forward_ul_to_server(cell, d.pkt, core, now);
                 }
             }
         }
+        self.scratch_ul_decoded = decoded;
     }
 
     /// Route one decoded uplink data packet onward to its content
@@ -1969,6 +2044,10 @@ impl World {
         // out per cell for the per-cell series). Shard replicas sample
         // only the UEs they own; the owner moves with the UE, so every
         // (ue, tick) is sampled exactly once across the fleet.
+        // A series is sized for the whole run when it first appears, so
+        // the tick itself never regrows one.
+        let ticks = (self.cfg.duration.as_nanos() / SAMPLE_PERIOD.as_nanos()) as usize;
+        let series = || Vec::with_capacity(ticks);
         for (i, spec) in self.cfg.ues.iter().enumerate() {
             if !self.owns_ue(i) {
                 continue;
@@ -1976,10 +2055,10 @@ impl World {
             let cell = self.serving[i];
             for &(d, _) in &spec.drbs {
                 let len = self.gnbs[cell].rlc_queue_len(UeId(i as u16), DrbId(d));
-                self.queue_series.entry((i as u16, d)).or_default().push(len);
+                self.queue_series.entry((i as u16, d)).or_insert_with(series).push(len);
                 self.cell_queue_series
                     .entry((cell as u8, i as u16, d))
-                    .or_default()
+                    .or_insert_with(series)
                     .push(len);
             }
         }
@@ -1995,7 +2074,7 @@ impl World {
                     let len = self.ues[i].ul_queue_len_sdus(d);
                     self.ul_queue_series
                         .entry((i as u16, d.0))
-                        .or_default()
+                        .or_insert_with(series)
                         .push(len);
                 }
             }
@@ -2043,7 +2122,7 @@ impl World {
                 }
             }
         }
-        self.sched(now + Duration::from_millis(10), Event::Sample);
+        self.sched(now + SAMPLE_PERIOD, Event::Sample);
     }
 
     // ------------------------------------------------------------------
@@ -2163,7 +2242,7 @@ impl World {
 
     /// Events this replica processed (shard statistics).
     pub(crate) fn events_processed(&self) -> u64 {
-        self.events
+        self.event_counts.iter().sum()
     }
 
     /// Per-subsystem cycle attribution of this replica.
@@ -2334,14 +2413,18 @@ impl World {
             // One copy of the replicated housekeeping ticks (shard 0's)
             // stays in the total; everything else each replica counted
             // is real, disjoint work.
-            primary.events += w.events - w.housekeeping;
+            for (class, n) in w.event_counts.iter().enumerate() {
+                if class != Event::SAMPLE && class != Event::UE_POLL {
+                    primary.event_counts[class] += n;
+                }
+            }
             primary.ho_tbs_lost += w.ho_tbs_lost;
             primary.rate_err.append(&mut w.rate_err);
             primary.marker_time.0.append(&mut w.marker_time.0);
             primary.marker_time.1.append(&mut w.marker_time.1);
             primary.marker_time.2.append(&mut w.marker_time.2);
         }
-        primary.events += coordinator_events;
+        primary.event_counts[Event::HANDOVER] += coordinator_events;
         primary
     }
 
@@ -2463,6 +2546,7 @@ impl World {
             g.tbs_lost += s.tbs_lost;
             g.sdus_enqueued += s.sdus_enqueued;
             g.sdus_dropped += s.sdus_dropped;
+            g.fading_evals += s.fading_evals;
         }
         Report {
             duration: self.cfg.duration,
@@ -2505,7 +2589,14 @@ impl World {
             marker_memory,
             marker_time_ns: self.marker_time,
             cycles: self.cycles.report(),
-            events: self.events,
+            events: self.event_counts.iter().sum(),
+            event_counts: Event::CLASSES
+                .iter()
+                .copied()
+                .zip(self.event_counts)
+                .filter(|&(_, n)| n > 0)
+                .collect(),
+            fading_evals: g.fading_evals,
             shards: Vec::new(),
             shard_reject: None,
             impairment: self.impair.as_ref().map(|i| i.counters),
@@ -2586,6 +2677,16 @@ mod tests {
             Duration::from_secs(3),
         );
         World::new(cfg).run()
+    }
+
+    #[test]
+    fn event_class_names_follow_the_numbering() {
+        let name = |ev: Event| Event::CLASSES[ev.class()];
+        assert_eq!(name(Event::Nop), "Nop");
+        assert_eq!(name(Event::RouterPoll), "RouterPoll");
+        assert_eq!(name(Event::UlAtGnb { cell: 0, ues: Vec::new() }), "UlAtGnb");
+        assert_eq!(name(Event::Sample), "Sample");
+        assert_eq!(name(Event::UePoll), "UePoll");
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! any instant (including in the past, for stale-CQI modeling) without
 //! mutable state.
 
+use std::cell::Cell;
+
 use l4span_sim::{Duration, Instant, SimRng};
 
 /// Mobility profile of a UE. Doppler values are chosen so the coherence
@@ -62,6 +64,12 @@ const N_PATHS: usize = 16;
 /// trigonometric sum at every single 0.5 ms slot.
 const SAMPLE_PERIOD_NANOS: u64 = 2_000_000;
 
+/// Grid points the sample memo holds: 8 × 2 ms = a 16 ms look-back,
+/// which covers the scheduler's two readers (`now` and `now − cqi_delay`,
+/// 4 ms by default) with room to spare. Only a speed knob: a sample that
+/// has fallen out of the ring is recomputed.
+const RING_SLOTS: usize = 8;
+
 /// Rician K-factor (LOS-to-scatter power ratio) for the mobile profiles.
 /// Pure single-tap Rayleigh (K = 0) nulls 20+ dB deep, far deeper than
 /// the effective post-equalisation fading of the multi-tap 3GPP channel
@@ -91,14 +99,18 @@ pub struct FadingChannel {
     paths: [PathCoef; N_PATHS],
     /// Static-profile shadowing offset in dB.
     static_offset_db: f64,
-    /// Two-entry memo of recent grid-point SNRs in dB, keyed by
-    /// `quantized_nanos + 1` (0 = empty). Consecutive slots usually land
-    /// on the same grid point, so most samples are a cache hit — and
-    /// caching the finished dB value (rather than the linear gain) keeps
-    /// the `log10` off the hit path too. Purely a cache: the stored
-    /// value is exactly what recomputation would give, so `snr_db` stays
-    /// a pure function of time.
-    gain_cache: core::cell::Cell<[(u64, f64); 2]>,
+    /// Memo of recent grid-point SNRs in dB: a direct-mapped ring
+    /// indexed by grid-point number, each slot keyed by `grid point + 1`
+    /// (0 = empty). Whatever order the `now` and `now − cqi_delay`
+    /// readers arrive in, they land on different slots, so each grid
+    /// point is evaluated once — and caching the finished dB value
+    /// (rather than the linear gain) keeps the `log10` off the hit path
+    /// too. Purely a cache: the stored value is exactly what
+    /// recomputation would give, so `snr_db` stays a pure function of
+    /// time.
+    ring: [Cell<(u64, f64)>; RING_SLOTS],
+    /// Jakes sums evaluated so far (memo misses).
+    evaluations: Cell<u64>,
 }
 
 impl FadingChannel {
@@ -129,7 +141,8 @@ impl FadingChannel {
             doppler_hz,
             paths,
             static_offset_db: rng.normal(0.0, 1.0),
-            gain_cache: core::cell::Cell::new([(0, 0.0); 2]),
+            ring: Default::default(),
+            evaluations: Cell::new(0),
         }
     }
 
@@ -176,19 +189,24 @@ impl FadingChannel {
             // Static: mean SNR plus a fixed per-UE shadowing offset.
             return self.mean_snr_db + self.static_offset_db;
         }
-        let q = at.as_nanos() - at.as_nanos() % SAMPLE_PERIOD_NANOS;
-        let key = q + 1;
-        let cache = self.gain_cache.get();
-        if cache[0].0 == key {
-            return cache[0].1;
+        let point = at.as_nanos() / SAMPLE_PERIOD_NANOS;
+        let slot = &self.ring[(point % RING_SLOTS as u64) as usize];
+        let (key, db) = slot.get();
+        if key == point + 1 {
+            return db;
         }
-        if cache[1].0 == key {
-            return cache[1].1;
-        }
-        let g = self.power_gain(Instant::from_nanos(q));
+        self.evaluations.set(self.evaluations.get() + 1);
+        let g = self.power_gain(Instant::from_nanos(point * SAMPLE_PERIOD_NANOS));
         let db = self.mean_snr_db + 10.0 * g.max(1e-9).log10();
-        self.gain_cache.set([(key, db), cache[0]]);
+        slot.set((point + 1, db));
         db
+    }
+
+    /// How many times the Jakes sum has been evaluated (misses of the
+    /// grid-point memo) — a deterministic proxy for the channel's work.
+    /// Always 0 for a static channel.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations.get()
     }
 }
 
@@ -240,6 +258,26 @@ mod tests {
         let ch = FadingChannel::new(ChannelProfile::Pedestrian, 20.0, 3.75e9, &mut rng());
         let t = Instant::from_millis(123);
         assert_eq!(ch.snr_db(t), ch.snr_db(t));
+    }
+
+    #[test]
+    fn gnb_access_pattern_evaluates_each_grid_point_once() {
+        // The slot loop reads every UE's channel twice per 0.5 ms slot:
+        // at `now − cqi_delay` (link adaptation) and at `now` (the
+        // block-error draw). Neither reader may evict the other's sample.
+        let ch = FadingChannel::new(ChannelProfile::Vehicular, 22.0, 3.75e9, &mut rng());
+        let cqi_delay = Duration::from_millis(4);
+        for slot in 0..4000u64 {
+            let now = Instant::from_micros(500 * slot);
+            let stale = Instant::from_nanos(now.as_nanos().saturating_sub(cqi_delay.as_nanos()));
+            ch.snr_db(stale);
+            ch.snr_db(now);
+        }
+        // 2 s of slots touch the grid points 0..1000, each exactly once.
+        assert_eq!(ch.evaluations(), 1000);
+        let still = FadingChannel::new(ChannelProfile::Static, 22.0, 3.75e9, &mut rng());
+        still.snr_db(Instant::from_millis(5));
+        assert_eq!(still.evaluations(), 0);
     }
 
     #[test]

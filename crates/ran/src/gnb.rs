@@ -30,9 +30,7 @@ use crate::ids::{DrbId, Qfi, UeId};
 use crate::mac::{self, Candidate, TransportBlock};
 use crate::pdcp::PdcpTx;
 use crate::phy;
-use crate::rlc::{
-    DeliveryRecord, ForwardedSdu, RlcRx, RlcStatus, RlcTx, RxDelivery, Segment, Sn, TxRecord,
-};
+use crate::rlc::{ForwardedSdu, RlcRx, RlcStatus, RlcTx, RxDelivery, Segment, Sn, TxRecord};
 use crate::sdap::SdapEntity;
 
 /// Gain of the proportional-fair average-throughput EWMA (per slot);
@@ -104,9 +102,10 @@ pub struct UeHandoverCtx {
 /// Outcome of an uplink transport block arriving at the gNB PHY.
 #[derive(Debug)]
 pub enum UlTbOutcome {
-    /// Decoded: reassembled uplink SDUs in per-DRB SN order, ready for
-    /// the core (and the CU's uplink path).
-    Decoded(Vec<(DrbId, RxDelivery)>),
+    /// Decoded: the reassembled uplink SDUs, in per-DRB SN order, were
+    /// appended to the caller's buffer, ready for the core (and the
+    /// CU's uplink path).
+    Decoded,
     /// Block error: the UE holds the block and retransmits after the
     /// HARQ round trip (chase combining raises the next attempt's SNR).
     Retx(TransportBlock),
@@ -134,6 +133,10 @@ pub struct GnbStats {
     pub ul_harq_retx: u64,
     /// Uplink transport blocks lost after max attempts (or mid-handover).
     pub ul_tbs_lost: u64,
+    /// Jakes sums the cell's fading channels evaluated
+    /// ([`FadingChannel::evaluations`]): the radio model's work, which
+    /// should track the distinct (UE, 2 ms grid point) pairs read.
+    pub fading_evals: u64,
 }
 
 #[derive(Debug)]
@@ -242,9 +245,17 @@ impl Gnb {
         }
     }
 
+    /// An emptied TB segment buffer from the pool (a fresh one while the
+    /// pool is still filling). Downlink blocks are built on these, and
+    /// so are the uplink blocks of this cell's UEs
+    /// ([`UeStack::build_ul_tb`](crate::UeStack::build_ul_tb)): either
+    /// way the buffer comes home through [`Gnb::recycle_segments`].
+    pub fn take_segments(&mut self) -> Vec<(DrbId, Segment)> {
+        self.segment_pool.pop().unwrap_or_default()
+    }
+
     /// Return an emptied TB segment buffer to the pool (see
-    /// [`Gnb::on_slot_into`]'s TB construction). Bounded so a burst
-    /// cannot pin memory.
+    /// [`Gnb::take_segments`]). Bounded so a burst cannot pin memory.
     pub fn recycle_segments(&mut self, mut v: Vec<(DrbId, Segment)>) {
         v.clear();
         if self.segment_pool.len() < 64 {
@@ -259,7 +270,11 @@ impl Gnb {
 
     /// Cumulative counters.
     pub fn stats(&self) -> GnbStats {
-        self.stats
+        let live: u64 = self.ues.values().map(|c| c.channel.evaluations()).sum();
+        GnbStats {
+            fading_evals: self.stats.fading_evals + live,
+            ..self.stats
+        }
     }
 
     /// Attach a UE with its channel and DRB set. The first DRB listed
@@ -309,7 +324,9 @@ impl Gnb {
     /// the radio changes, so L4Span's next estimation window re-learns
     /// the egress rate.
     pub fn replace_channel(&mut self, ue: UeId, channel: FadingChannel) {
-        self.ues.get_mut(&ue).expect("unknown UE").channel = channel;
+        let ctx = self.ues.get_mut(&ue).expect("unknown UE");
+        self.stats.fading_evals += ctx.channel.evaluations();
+        ctx.channel = channel;
     }
 
     /// Detach a UE for handover: remove it from this cell and serialize
@@ -320,6 +337,7 @@ impl Gnb {
     /// UM they are genuinely lost, exactly as over the air.
     pub fn detach_ue(&mut self, ue: UeId) -> UeHandoverCtx {
         let mut ctx = self.ues.remove(&ue).expect("unknown UE");
+        self.stats.fading_evals += ctx.channel.evaluations();
         // Purged HARQ blocks are radio losses like any other: count them
         // (over-the-air losses increment `tbs_lost` on HARQ exhaustion,
         // and a mobility study reading Table-1 accounting must see the
@@ -701,30 +719,28 @@ impl Gnb {
         }
     }
 
-    /// An RLC AM status report arrived from a UE. Returns per-SDU
-    /// delivery records plus the F1-U frame announcing the new
-    /// highest-delivered SN (if it advanced).
+    /// An RLC AM status report arrived from a UE. Returns the F1-U
+    /// frame announcing the new highest-delivered SN, if it advanced.
     pub fn on_rlc_status(
         &mut self,
         ue: UeId,
         drb: DrbId,
         status: &RlcStatus,
         now: Instant,
-    ) -> (Vec<DeliveryRecord>, Option<DlDataDeliveryStatus>) {
+    ) -> Option<DlDataDeliveryStatus> {
         let ctx = self.ues.get_mut(&ue).expect("unknown UE");
         let d = ctx.drbs.get_mut(&drb).expect("unknown DRB");
         let before = d.rlc.highest_delivered();
-        let records = d.rlc.on_status(status, now);
+        d.rlc.on_status(status, now);
         let after = d.rlc.highest_delivered();
-        let f1u = (after != before).then(|| DlDataDeliveryStatus {
+        (after != before).then(|| DlDataDeliveryStatus {
             ue,
             drb,
             highest_txed_sn: d.rlc.highest_txed(),
             highest_delivered_sn: after,
             timestamp: now,
             desired_buffer_size: 0,
-        });
-        (records, f1u)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -841,8 +857,13 @@ impl Gnb {
     /// An uplink transport block arrives at the PHY: draw the block
     /// error at the UE's actual SNR (plus chase-combining gain per HARQ
     /// attempt); on success, reassemble through the per-DRB uplink RLC
-    /// receivers and return in-order SDU deliveries.
-    pub fn receive_ul_tb(&mut self, mut tb: TransportBlock, now: Instant) -> UlTbOutcome {
+    /// receivers and append the in-order SDU deliveries to `out`.
+    pub fn receive_ul_tb(
+        &mut self,
+        mut tb: TransportBlock,
+        now: Instant,
+        out: &mut Vec<(DrbId, RxDelivery)>,
+    ) -> UlTbOutcome {
         let Some(snr0) = self.ues.get(&tb.ue).map(|c| c.channel.snr_db(now)) else {
             self.stats.ul_tbs_lost += 1;
             self.recycle_segments(tb.segments);
@@ -865,19 +886,16 @@ impl Gnb {
         }
         let ctx = self.ues.get_mut(&tb.ue).expect("checked above");
         let mut deliv = std::mem::take(&mut self.scratch_rx);
-        let mut out = Vec::new();
         for (drb, seg) in tb.segments.drain(..) {
             let Some(rx) = ctx.ul_rx.get_mut(&drb) else {
                 continue; // segment for an unconfigured UL DRB: dropped
             };
             rx.on_segment_into(seg, now, &mut deliv);
-            for d in deliv.drain(..) {
-                out.push((drb, d));
-            }
+            out.extend(deliv.drain(..).map(|d| (drb, d)));
         }
         self.scratch_rx = deliv;
         self.recycle_segments(tb.segments);
-        UlTbOutcome::Decoded(out)
+        UlTbOutcome::Decoded
     }
 
     /// Collect due uplink RLC AM status reports (the DU→UE half of UL
@@ -894,6 +912,16 @@ impl Gnb {
                     out.push((ue, drb, st));
                 }
             }
+        }
+    }
+
+    /// A status report collected by [`Gnb::ul_statuses_into`] has been
+    /// consumed by the UE: its buffer returns to the receive entity that
+    /// made it (see [`RlcRx::recycle_status`]); dropped if the UE has
+    /// left the cell meanwhile.
+    pub fn recycle_ul_status(&mut self, ue: UeId, drb: DrbId, status: RlcStatus) {
+        if let Some(rx) = self.ues.get_mut(&ue).and_then(|c| c.ul_rx.get_mut(&drb)) {
+            rx.recycle_status(status);
         }
     }
 
@@ -1007,7 +1035,7 @@ mod tests {
         let mut g = cell(1);
         g.enqueue_downlink(UeId(0), Qfi(1), pkt(500), Instant::ZERO);
         run_slots(&mut g, 0..2);
-        let (recs, f1u) = g.on_rlc_status(
+        let f1u = g.on_rlc_status(
             UeId(0),
             DrbId(0),
             &RlcStatus {
@@ -1016,7 +1044,6 @@ mod tests {
             },
             Instant::from_millis(10),
         );
-        assert_eq!(recs.len(), 1);
         let f = f1u.expect("highest delivered advanced");
         assert_eq!(f.highest_delivered_sn, Some(0));
     }
@@ -1311,6 +1338,7 @@ mod tests {
         );
         ue.configure_ul_drb(DrbId(0), RlcMode::Am, 1024, 8);
         let mut delivered = Vec::new();
+        let mut decoded = Vec::new();
         let mut t = Instant::from_millis(10);
         for k in 0..20u16 {
             ue.enqueue_uplink_data(DrbId(0), pkt(960), t);
@@ -1322,13 +1350,13 @@ mod tests {
             g.allocate_ul_grants_into(t, &mut grants);
             for &(gu, bytes, cqi) in &grants {
                 assert_eq!(gu, UeId(0));
-                if let Some(tb) = ue.build_ul_tb(bytes, cqi, t) {
+                if let Ok(tb) = ue.build_ul_tb(bytes, cqi, t, g.take_segments()) {
                     assert!(tb.bytes <= bytes, "TB exceeds grant");
                     let mut next = Some(tb);
                     while let Some(tb) = next.take() {
-                        match g.receive_ul_tb(tb, t) {
-                            UlTbOutcome::Decoded(ds) => {
-                                delivered.extend(ds.into_iter().map(|(_, d)| d.sn));
+                        match g.receive_ul_tb(tb, t, &mut decoded) {
+                            UlTbOutcome::Decoded => {
+                                delivered.extend(decoded.drain(..).map(|(_, d)| d.sn));
                             }
                             UlTbOutcome::Retx(tb) => next = Some(tb),
                             UlTbOutcome::Lost => {}

@@ -107,20 +107,6 @@ pub struct ForwardedSdu {
     pub t_ingress: Instant,
 }
 
-/// Per-SDU record emitted when delivery is confirmed by a status report
-/// (AM only).
-#[derive(Debug, Clone, Copy)]
-pub struct DeliveryRecord {
-    /// Sequence number.
-    pub sn: Sn,
-    /// Wire size in bytes.
-    pub size: usize,
-    /// CU ingress time.
-    pub t_ingress: Instant,
-    /// Delivery-confirmation time (status arrival at the DU).
-    pub t_delivered: Instant,
-}
-
 /// Result of one MAC pull.
 #[derive(Debug, Default)]
 pub struct PullResult {
@@ -480,29 +466,22 @@ impl RlcTx {
         self.enqueue_at(fwd.sn, fwd.pkt, fwd.t_ingress, now)
     }
 
-    /// Process an AM status report from the UE. Returns delivery records
-    /// for newly-acknowledged SDUs; NACKed ranges join the retransmission
-    /// queue.
-    pub fn on_status(&mut self, status: &RlcStatus, now: Instant) -> Vec<DeliveryRecord> {
+    /// Process an AM status report from the UE: SDUs below `ack_sn` are
+    /// released (returns how many were newly acknowledged), NACKed
+    /// ranges join the retransmission queue.
+    pub fn on_status(&mut self, status: &RlcStatus, now: Instant) -> usize {
         assert_eq!(self.mode, RlcMode::Am, "status report in UM");
         self.last_status_at = now;
-        let mut delivered = Vec::new();
         // Cumulative ACK: everything below ack_sn.
-        let acked: Vec<Sn> = self
-            .unacked
-            .range(..status.ack_sn)
-            .map(|(&sn, _)| sn)
-            .collect();
-        for sn in acked {
-            let sdu = self.unacked.remove(&sn).expect("just enumerated");
-            delivered.push(DeliveryRecord {
-                sn,
-                size: sdu.size as usize,
-                t_ingress: sdu.t_ingress,
-                t_delivered: now,
-            });
-            self.highest_delivered =
-                Some(self.highest_delivered.map_or(sn, |h| h.max(sn)));
+        let mut acked = 0;
+        while let Some(e) = self.unacked.first_entry() {
+            let sn = *e.key();
+            if sn >= status.ack_sn {
+                break;
+            }
+            e.remove();
+            acked += 1;
+            self.highest_delivered = Some(self.highest_delivered.map_or(sn, |h| h.max(sn)));
         }
         // NACKs: queue retransmission ranges (deduplicated).
         for n in &status.nacks {
@@ -511,7 +490,7 @@ impl RlcTx {
             };
             // A zero-size SDU's only segment is the empty
             // payload-carrying one, NACKed as the empty range (0, 0)
-            // (what `RxEntry::missing` emits when the payload segment
+            // (what `RxEntry::for_each_missing` emits when the payload segment
             // was lost); clamping would read it as nothing-to-resend
             // and stall that SN forever.
             let (from, to) = if sdu.size == 0 {
@@ -531,15 +510,16 @@ impl RlcTx {
         }
         // Retx ranges for SNs that just got acked are stale; drop them.
         self.retx.retain(|r| self.unacked.contains_key(&r.sn));
-        let _ = now;
-        delivered
+        acked
     }
 }
 
 /// State of one partially-received SDU at the UE.
 #[derive(Debug)]
 struct RxEntry {
-    /// Received byte ranges, kept merged and sorted.
+    /// Received byte ranges, kept merged and sorted. The buffer comes
+    /// from (and returns to) the entity's `range_pool`: creating
+    /// reassembly state is a per-SDU operation and must not allocate.
     ranges: Vec<ByteRange>,
     size: u32,
     payload: Option<PacketBuf>,
@@ -551,8 +531,7 @@ impl RxEntry {
     fn add_range(&mut self, from: u32, to: u32) {
         self.ranges.push((from, to));
         self.ranges.sort_unstable();
-        // Merge overlapping ranges in place (write cursor `w`): this runs
-        // once per received segment, so it must not allocate.
+        // Merge overlapping ranges in place (write cursor `w`).
         let mut w = 0;
         for i in 1..self.ranges.len() {
             let (f, t) = self.ranges[i];
@@ -567,27 +546,29 @@ impl RxEntry {
     }
 
     fn complete(&self) -> bool {
-        self.ranges.len() == 1 && self.ranges[0] == (0, self.size) && self.payload.is_some()
+        self.ranges == [(0, self.size)] && self.payload.is_some()
     }
 
-    fn missing(&self) -> Vec<ByteRange> {
-        let mut gaps = Vec::new();
+    /// Call `gap` with each byte range still missing, in offset order.
+    fn for_each_missing(&self, mut gap: impl FnMut(u32, u32)) {
         let mut cursor = 0u32;
+        let mut any = false;
         for &(f, t) in &self.ranges {
             if f > cursor {
-                gaps.push((cursor, f));
+                gap(cursor, f);
+                any = true;
             }
             cursor = cursor.max(t);
         }
         if cursor < self.size {
-            gaps.push((cursor, self.size));
+            gap(cursor, self.size);
+            any = true;
         }
         // Fully covered byte-wise but the payload-carrying (final)
         // segment was lost: re-request the tail so it travels again.
-        if gaps.is_empty() && self.payload.is_none() {
-            gaps.push((self.size.saturating_sub(1), self.size));
+        if !any && self.payload.is_none() {
+            gap(self.size.saturating_sub(1), self.size);
         }
-        gaps
     }
 }
 
@@ -620,6 +601,11 @@ pub struct RlcRx {
     dirty: bool,
     /// SDUs dropped by the UM skip timer.
     skipped: u64,
+    /// The NACK buffer of a consumed status report, handed back through
+    /// [`RlcRx::recycle_status`] for the next report to reuse.
+    spare_nacks: Vec<Nack>,
+    /// Emptied range buffers of delivered SDUs, for the next entries.
+    range_pool: Vec<Vec<ByteRange>>,
 }
 
 impl RlcRx {
@@ -635,6 +621,8 @@ impl RlcRx {
             last_status: Instant::ZERO,
             dirty: false,
             skipped: 0,
+            spare_nacks: Vec::new(),
+            range_pool: Vec::new(),
         }
     }
 
@@ -659,7 +647,7 @@ impl RlcRx {
         self.highest_seen = Some(self.highest_seen.map_or(seg.sn, |h| h.max(seg.sn)));
         self.dirty = true;
         let entry = self.entries.entry(seg.sn).or_insert_with(|| RxEntry {
-            ranges: Vec::new(),
+            ranges: self.range_pool.pop().unwrap_or_default(),
             size: seg.sdu_size,
             payload: None,
             t_first: now,
@@ -685,6 +673,11 @@ impl RlcRx {
                 sn,
                 t_ingress: e.t_ingress,
             });
+            // Bounded so a reordering burst cannot pin memory.
+            if self.range_pool.len() < 64 {
+                e.ranges.clear();
+                self.range_pool.push(e.ranges);
+            }
             self.next_expected += 1;
         }
     }
@@ -738,10 +731,9 @@ impl RlcRx {
         self.dirty = true;
     }
 
-    /// Whether [`RlcRx::make_status`] would emit a report at `now`.
-    /// Exactly the `Some` condition of `make_status` (whose `None`
-    /// paths are mutation-free), so callers may use this as a cheap
-    /// skip predicate without changing behaviour.
+    /// Whether [`RlcRx::make_status`] would emit a report at `now`
+    /// (its `None` path is mutation-free, so callers may use this as a
+    /// cheap skip predicate without changing behaviour).
     pub fn status_due(&self, now: Instant) -> bool {
         let outstanding = self
             .highest_seen
@@ -756,26 +748,16 @@ impl RlcRx {
     /// is re-NACKed on the next cycle instead of stalling ARQ forever
     /// (the t-Reassembly re-trigger of TS 38.322). AM only.
     pub fn make_status(&mut self, now: Instant) -> Option<RlcStatus> {
-        let outstanding = self
-            .highest_seen
-            .is_some_and(|h| h >= self.next_expected);
-        if self.mode != RlcMode::Am || !(self.dirty || outstanding) {
-            return None;
-        }
-        if now.saturating_since(self.last_status) < self.status_period {
+        if !self.status_due(now) {
             return None;
         }
         self.last_status = now;
         self.dirty = false;
-        let mut nacks = Vec::new();
+        let mut nacks = std::mem::take(&mut self.spare_nacks);
         if let Some(high) = self.highest_seen {
             for sn in self.next_expected..=high {
                 match self.entries.get(&sn) {
-                    Some(e) => {
-                        for (f, t) in e.missing() {
-                            nacks.push(Nack { sn, from: f, to: t });
-                        }
-                    }
+                    Some(e) => e.for_each_missing(|from, to| nacks.push(Nack { sn, from, to })),
                     None => nacks.push(Nack {
                         sn,
                         from: 0,
@@ -788,6 +770,18 @@ impl RlcRx {
             ack_sn: self.next_expected,
             nacks,
         })
+    }
+
+    /// Hand a consumed status report back to the entity that made it, so
+    /// its NACK buffer serves the next [`RlcRx::make_status`] instead of
+    /// a fresh allocation per report. Optional: a report that is simply
+    /// dropped costs one allocation later, nothing else.
+    pub fn recycle_status(&mut self, status: RlcStatus) {
+        let mut nacks = status.nacks;
+        if nacks.capacity() > self.spare_nacks.capacity() {
+            nacks.clear();
+            self.spare_nacks = nacks;
+        }
     }
 }
 
@@ -889,16 +883,16 @@ mod tests {
         t.pull(10_000, Instant::from_millis(1));
         assert_eq!(t.highest_txed(), Some(1));
         assert_eq!(t.highest_delivered(), None);
-        let d = t.on_status(
+        let acked = t.on_status(
             &RlcStatus {
                 ack_sn: 2,
                 nacks: vec![],
             },
             Instant::from_millis(20),
         );
-        assert_eq!(d.len(), 2);
+        assert_eq!(acked, 2);
         assert_eq!(t.highest_delivered(), Some(1));
-        assert_eq!(d[0].t_delivered, Instant::from_millis(20));
+        assert!(!t.has_unacked());
     }
 
     #[test]
@@ -1260,18 +1254,29 @@ mod tests {
         assert_eq!(d[0].sn, 1);
     }
 
+    /// An entry holding `ranges` of a `size`-byte SDU.
+    fn entry(ranges: &[ByteRange], size: u32, payload: Option<PacketBuf>) -> RxEntry {
+        RxEntry {
+            ranges: ranges.to_vec(),
+            size,
+            payload,
+            t_first: Instant::ZERO,
+            t_ingress: Instant::ZERO,
+        }
+    }
+
+    fn missing(e: &RxEntry) -> Vec<ByteRange> {
+        let mut gaps = Vec::new();
+        e.for_each_missing(|f, t| gaps.push((f, t)));
+        gaps
+    }
+
     #[test]
     fn lost_payload_segment_is_renacked() {
         // Byte coverage complete but the final (payload-carrying) segment
-        // never arrived: entry.missing() must request the tail again.
-        let e = RxEntry {
-            ranges: vec![(0, 1000)],
-            size: 1000,
-            payload: None,
-            t_first: Instant::ZERO,
-            t_ingress: Instant::ZERO,
-        };
-        assert_eq!(e.missing(), vec![(999, 1000)]);
+        // never arrived: the entry must request the tail again.
+        let e = entry(&[(0, 1000)], 1000, None);
+        assert_eq!(missing(&e), vec![(999, 1000)]);
         assert!(!e.complete());
     }
 
@@ -1279,24 +1284,12 @@ mod tests {
     fn zero_size_entry_gap_and_completion() {
         // A zero-size SDU whose (empty, payload-carrying) segment was
         // lost reports the empty (0, 0) gap …
-        let e = RxEntry {
-            ranges: vec![],
-            size: 0,
-            payload: None,
-            t_first: Instant::ZERO,
-            t_ingress: Instant::ZERO,
-        };
-        assert_eq!(e.missing(), vec![(0, 0)]);
+        let e = entry(&[], 0, None);
+        assert_eq!(missing(&e), vec![(0, 0)]);
         assert!(!e.complete());
         // … and is complete once that segment arrives.
-        let e = RxEntry {
-            ranges: vec![(0, 0)],
-            size: 0,
-            payload: Some(pkt(0)),
-            t_first: Instant::ZERO,
-            t_ingress: Instant::ZERO,
-        };
-        assert!(e.missing().is_empty());
+        let e = entry(&[(0, 0)], 0, Some(pkt(0)));
+        assert!(missing(&e).is_empty());
         assert!(e.complete());
     }
 

@@ -23,7 +23,7 @@ use crate::f1u::DlDataDeliveryStatus;
 use crate::ids::{DrbId, UeId};
 use crate::mac::TransportBlock;
 use crate::pdcp::PdcpTx;
-use crate::rlc::{DeliveryRecord, RlcRx, RlcStatus, RlcTx, RxDelivery, Segment, Sn, TxRecord};
+use crate::rlc::{RlcRx, RlcStatus, RlcTx, RxDelivery, Segment, Sn, TxRecord};
 
 /// A downlink IP packet delivered up to the UE application, with the
 /// timing metadata the harness needs for one-way-delay accounting.
@@ -363,21 +363,25 @@ impl UeStack {
         }
     }
 
-    /// Build the transport block that rides a grant of `granted` bytes:
-    /// UL DRBs are drained round-robin, retransmissions first within
-    /// each, and the block **never exceeds the granted TBS**. Returns
-    /// `None` when nothing was pending (a wasted grant).
+    /// Build the transport block that rides a grant of `granted` bytes
+    /// into `segments`, an emptied buffer from the serving gNB's pool
+    /// ([`Gnb::take_segments`](crate::Gnb::take_segments); the gNB gets
+    /// it back when the block decodes): UL DRBs are drained round-robin,
+    /// retransmissions first within each, and the block **never exceeds
+    /// the granted TBS**. When nothing was pending (a wasted grant) the
+    /// untouched buffer comes back as the `Err`.
     pub fn build_ul_tb(
         &mut self,
         granted: usize,
         cqi: u8,
         now: Instant,
-    ) -> Option<TransportBlock> {
+        mut segments: Vec<(DrbId, Segment)>,
+    ) -> Result<TransportBlock, Vec<(DrbId, Segment)>> {
+        debug_assert!(segments.is_empty(), "TB buffer must arrive emptied");
         if self.ul_tx.is_empty() || granted == 0 {
-            return None;
+            return Err(segments);
         }
         let n = self.ul_drb_ids.len();
-        let mut segments = Vec::with_capacity(4);
         let mut left = granted;
         for k in 0..n {
             let drb = self.ul_drb_ids[(self.ul_drb_cursor + k) % n];
@@ -393,9 +397,9 @@ impl UeStack {
         }
         self.ul_drb_cursor = (self.ul_drb_cursor + 1) % n.max(1);
         if segments.is_empty() {
-            return None;
+            return Err(segments);
         }
-        Some(TransportBlock {
+        Ok(TransportBlock {
             ue: self.id,
             segments,
             bytes: granted - left,
@@ -409,14 +413,18 @@ impl UeStack {
     /// acknowledged SDUs are released, NACKed ranges join the
     /// retransmission queue (and re-arm the BSR machine so the repair
     /// bytes get granted).
-    pub fn on_ul_status(
-        &mut self,
-        drb: DrbId,
-        status: &RlcStatus,
-        now: Instant,
-    ) -> Vec<DeliveryRecord> {
+    pub fn on_ul_status(&mut self, drb: DrbId, status: &RlcStatus, now: Instant) {
         let d = self.ul_tx.get_mut(&drb).expect("UL DRB not configured");
-        d.rlc.on_status(status, now)
+        d.rlc.on_status(status, now);
+    }
+
+    /// A status report this UE emitted ([`UeStack::on_uplink_slot_into`])
+    /// has been consumed: its buffer returns to the receive entity that
+    /// made it (see [`RlcRx::recycle_status`]).
+    pub fn recycle_status(&mut self, drb: DrbId, status: RlcStatus) {
+        if let Some(rx) = self.rlc.get_mut(&drb) {
+            rx.recycle_status(status);
+        }
     }
 
     /// Report uplink transmit/delivery watermarks that advanced since
@@ -693,11 +701,11 @@ mod tests {
             u.enqueue_uplink_data(DrbId(0), pkt(960), now);
         }
         let granted = 1200;
-        let tb = u.build_ul_tb(granted, 10, now).expect("backlog pending");
+        let tb = u.build_ul_tb(granted, 10, now, Vec::new()).expect("backlog pending");
         assert!(tb.bytes <= granted, "TB {} exceeds grant {granted}", tb.bytes);
         assert!(!tb.segments.is_empty());
         // Drain the rest and check the granted-bytes F1-U mirror.
-        let _ = u.build_ul_tb(100_000, 10, now + Duration::from_millis(1));
+        let _ = u.build_ul_tb(100_000, 10, now + Duration::from_millis(1), Vec::new());
         let mut f1u = Vec::new();
         u.ul_f1u_into(now + Duration::from_millis(1), &mut f1u);
         assert_eq!(f1u.len(), 1);
@@ -705,8 +713,7 @@ mod tests {
         assert_eq!(f1u[0].highest_delivered_sn, None);
         // Status acknowledges everything: the next report carries it.
         let st = RlcStatus { ack_sn: 4, nacks: vec![] };
-        let recs = u.on_ul_status(DrbId(0), &st, now + Duration::from_millis(5));
-        assert_eq!(recs.len(), 4);
+        u.on_ul_status(DrbId(0), &st, now + Duration::from_millis(5));
         f1u.clear();
         u.ul_f1u_into(now + Duration::from_millis(5), &mut f1u);
         assert_eq!(f1u[0].highest_delivered_sn, Some(3));
@@ -720,7 +727,7 @@ mod tests {
             u.enqueue_uplink_data(DrbId(0), pkt(960), now);
         }
         // Transmit everything; nothing acknowledged yet.
-        let _ = u.build_ul_tb(100_000, 10, now).expect("tb");
+        let _ = u.build_ul_tb(100_000, 10, now, Vec::new()).expect("tb");
         assert_eq!(u.ul_backlog_bytes(), 0);
         u.on_handover(
             Duration::from_millis(10),
@@ -737,7 +744,7 @@ mod tests {
         u.ul_bsr_into(Instant::from_millis(20), &mut bsr);
         assert_eq!(bsr.len(), 1);
         // Retransmission restarts at the oldest unconfirmed SN.
-        let tb = u.build_ul_tb(100_000, 10, Instant::from_millis(21)).expect("tb");
+        let tb = u.build_ul_tb(100_000, 10, Instant::from_millis(21), Vec::new()).expect("tb");
         assert_eq!(tb.segments[0].1.sn, 0);
     }
 
@@ -753,7 +760,7 @@ mod tests {
         assert_eq!(u.enqueue_uplink_data(DrbId(0), pkt(960), now), Some(0));
         assert_eq!(u.enqueue_uplink_data(DrbId(0), pkt(960), now), Some(1));
         // Transmit both (→ unacked), then fill the queue again.
-        let _ = u.build_ul_tb(100_000, 10, now).expect("tb");
+        let _ = u.build_ul_tb(100_000, 10, now, Vec::new()).expect("tb");
         assert_eq!(u.enqueue_uplink_data(DrbId(0), pkt(960), now), Some(2));
         assert_eq!(u.enqueue_uplink_data(DrbId(0), pkt(960), now), Some(3));
         // 2 unacked + 2 queued > capacity 2.
@@ -764,7 +771,7 @@ mod tests {
             Instant::from_millis(20),
         );
         assert_eq!(u.ul_queue_len_sdus(DrbId(0)), 4, "all four SDUs requeued");
-        let tb = u.build_ul_tb(100_000, 10, Instant::from_millis(21)).expect("tb");
+        let tb = u.build_ul_tb(100_000, 10, Instant::from_millis(21), Vec::new()).expect("tb");
         let sns: Vec<u64> = tb.segments.iter().map(|(_, s)| s.sn).collect();
         assert_eq!(sns, vec![0, 1, 2, 3], "retransmission covers every SN, in order");
     }

@@ -12,7 +12,7 @@ use l4span_ran::mac::{
     allocate_proportional_fair_into, allocate_round_robin_into, AllocScratch, Candidate,
 };
 use l4span_ran::phy;
-use l4span_ran::{DrbId, Gnb, SlotOutput, UeStack, UlTbOutcome};
+use l4span_ran::{DrbId, Gnb, SlotOutput, UeStack};
 use l4span_sim::{Duration, Instant, SimRng};
 
 fn arb_candidates() -> impl Strategy<Value = Vec<Candidate>> {
@@ -68,25 +68,35 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&phy::bler(cqi, s)));
     }
 
-    /// The fading channel is a pure function of time: re-querying any
-    /// instant gives the identical SNR, independent of query order.
+    /// The fading channel is a pure function of time: whatever order
+    /// instants are queried in, each answer is bit-equal to what a
+    /// channel that has never been sampled before (so holds no memo)
+    /// gives. Grid points 0..40 over the 8-slot memo ring force hits,
+    /// look-backs past the ring and points that alias one slot.
     #[test]
     fn channel_is_pure(
         seed in any::<u64>(),
-        times in proptest::collection::vec(0u64..10_000_000, 2..20),
+        queries in proptest::collection::vec((0u64..40, 0u64..2_000_000), 2..40),
         profile in prop_oneof![
             Just(ChannelProfile::Static),
             Just(ChannelProfile::Pedestrian),
             Just(ChannelProfile::Vehicular)
         ],
     ) {
-        let mut rng = SimRng::new(seed);
-        let ch = FadingChannel::new(profile, 20.0, 3.75e9, &mut rng);
-        let forward: Vec<f64> = times.iter().map(|&t| ch.snr_db(Instant::from_micros(t))).collect();
-        let backward: Vec<f64> =
-            times.iter().rev().map(|&t| ch.snr_db(Instant::from_micros(t))).collect();
-        for (a, b) in forward.iter().zip(backward.iter().rev()) {
-            prop_assert_eq!(a, b);
+        let fresh = || FadingChannel::new(profile, 20.0, 3.75e9, &mut SimRng::new(seed));
+        let ch = fresh();
+        for &(point, offset) in &queries {
+            let at = Instant::from_nanos(point * 2_000_000 + offset);
+            prop_assert_eq!(ch.snr_db(at).to_bits(), fresh().snr_db(at).to_bits());
+        }
+        let mut points: Vec<u64> = queries.iter().map(|&(p, _)| p).collect();
+        points.sort_unstable();
+        points.dedup();
+        if profile == ChannelProfile::Static {
+            prop_assert_eq!(ch.evaluations(), 0);
+        } else {
+            let evals = ch.evaluations() as usize;
+            prop_assert!(points.len() <= evals && evals <= queries.len());
         }
     }
 
@@ -205,7 +215,7 @@ proptest! {
                 "BSR {reported} under-reports backlog {}",
                 ue.ul_backlog_bytes()
             );
-            if let Some(tb) = ue.build_ul_tb(grant, 10, t + Duration::from_millis(6)) {
+            if let Ok(tb) = ue.build_ul_tb(grant, 10, t + Duration::from_millis(6), Vec::new()) {
                 prop_assert!(tb.bytes <= grant, "TB {} > grant {grant}", tb.bytes);
                 let seg_total: usize = tb
                     .segments
@@ -254,6 +264,7 @@ proptest! {
             prop_assert!(ue.enqueue_uplink_data(DrbId(0), p, t).is_some());
         }
         let mut delivered: Vec<u64> = Vec::new();
+        let mut decoded = Vec::new();
         let mut bsr = Vec::new();
         let mut grants = Vec::new();
         let mut statuses = Vec::new();
@@ -265,24 +276,21 @@ proptest! {
             }
             g.allocate_ul_grants_into(t, &mut grants);
             for &(_, bytes, cqi) in &grants {
-                if let Some(tb) = ue.build_ul_tb(bytes, cqi, t) {
+                if let Ok(tb) = ue.build_ul_tb(bytes, cqi, t, g.take_segments()) {
                     prop_assert!(tb.bytes <= bytes);
                     if air.chance(f64::from(loss_pct) / 100.0) {
                         continue; // the air ate it; ARQ must recover
                     }
-                    match g.receive_ul_tb(tb, t) {
-                        UlTbOutcome::Decoded(ds) => {
-                            delivered.extend(ds.into_iter().map(|(_, d)| d.sn));
-                        }
-                        // Treat HARQ retx as further loss: stresses ARQ.
-                        UlTbOutcome::Retx(_) | UlTbOutcome::Lost => {}
-                    }
+                    // Treat HARQ retx as further loss: stresses ARQ.
+                    g.receive_ul_tb(tb, t, &mut decoded);
+                    delivered.extend(decoded.drain(..).map(|(_, d)| d.sn));
                 }
             }
             statuses.clear();
             g.ul_statuses_into(t, &mut statuses);
-            for (_, drb, st) in statuses.drain(..) {
-                let _ = ue.on_ul_status(drb, &st, t);
+            for (ue_id, drb, st) in statuses.drain(..) {
+                ue.on_ul_status(drb, &st, t);
+                g.recycle_ul_status(ue_id, drb, st);
             }
             t += Duration::from_micros(2500);
             if delivered.len() == sizes.len() {

@@ -1,4 +1,4 @@
-//! Allocation-freedom proof for the steady-state downlink packet path.
+//! Allocation-freedom proof for the steady-state packet path.
 //!
 //! PR 2's claim is that a simulated packet, once the world is warm,
 //! costs **zero heap allocations** end to end on the downlink data path:
@@ -6,7 +6,9 @@
 //! rewrites (in-place), the RLC clone into segments (`PacketBuf: Copy`),
 //! and the event-queue schedule/pop cycle (pooled boxes, pre-sized
 //! heap). This test installs a counting global allocator and asserts
-//! exactly that, operation by operation.
+//! exactly that, operation by operation — and then (step 8) for whole
+//! worlds, where nothing can be left out: the allocations a run makes
+//! per *additional* delivered packet, downlink, uplink and bonded.
 //!
 //! Everything runs in ONE `#[test]` because the counter is process-wide:
 //! parallel test threads would bleed counts into each other.
@@ -181,7 +183,7 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     }
     ue_ul.ul_bsr_into(Instant::from_millis(100), &mut bsr);
     bsr.clear();
-    let _ = ue_ul.build_ul_tb(usize::MAX / 2, 10, Instant::from_millis(101));
+    let _ = ue_ul.build_ul_tb(usize::MAX / 2, 10, Instant::from_millis(101), Vec::new());
     let (n, _) = allocs_during(|| {
         let mut total = 0usize;
         for k in 0..64u64 {
@@ -289,8 +291,8 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     // pooled event box and scheduled, popped at the end of the slot,
     // its blocks handled in order (segment buffers recycled to the
     // gNB), the emptied batch returned to the pool — must not touch
-    // the allocator. (What a UE's RLC receiver does with a block is
-    // outside this cycle: reassembly state is per SDU by design.)
+    // the allocator. (The UE's RLC receiver is left out of this cycle;
+    // step 8 covers it inside whole worlds.)
     use l4span::ran::mac::TransportBlock;
     type Batch = Vec<TransportBlock>;
     let mut air: EventQueue<Box<Batch>> = EventQueue::with_capacity(64);
@@ -422,4 +424,52 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     let (n, sent) = allocs_during(|| (2048..2304u64).map(&mut frame_burst).sum::<usize>());
     assert!(sent > 0, "the sender must emit frames");
     assert_eq!(n, 0, "warm FecMediaSender::poll_into burst must not allocate");
+
+    // --- 8. Whole worlds: allocations per additional delivered packet ----
+    // The steps above prove pieces; this one leaves nothing out. Run a
+    // scenario for T and for 2T simulated seconds: set-up and warm-up
+    // cost the same in both, so the difference is what the steady state
+    // allocates — RLC reassembly and status reports, the marker's
+    // feedback path, uplink transport blocks, FEC reports, the metric
+    // series. It must stay below one allocation per two delivered
+    // packets on a downlink TCP cell (the paper's case; 0.09 today), on
+    // bidirectional TCP calls (0.30, most of it TCP segment bookkeeping)
+    // and on the bonded FEC-media uplink (0.06; 15 before the uplink
+    // data path stopped allocating per grant, per status and per SDU).
+    use l4span::cc::WanLink;
+    use l4span::harness::scenario::{self, ChannelMix, ScenarioConfig};
+    use l4span::harness::Report;
+    let tcp_cell = |d| {
+        scenario::congested_cell(
+            16,
+            "prague",
+            ChannelMix::Mobile,
+            16_384,
+            WanLink::east(),
+            scenario::l4span_default(),
+            7,
+            d,
+        )
+    };
+    let calls = |d| scenario::video_call_bidir(4, "prague", scenario::l4span_default(), 7, d);
+    let bonded_ul = |d| scenario::bonded_xr_8ue(7, d);
+    let worlds: [(&str, &dyn Fn(Duration) -> ScenarioConfig); 3] = [
+        ("tcp cell", &tcp_cell),
+        ("bidirectional calls", &calls),
+        ("bonded uplink", &bonded_ul),
+    ];
+    for (name, cfg) in worlds {
+        let run = |secs| -> (u64, Report) {
+            allocs_during(|| l4span::harness::run(cfg(Duration::from_secs(secs))))
+        };
+        let ((a1, r1), (a2, r2)) = (run(3), run(6));
+        let pkts = r2.delivered_packets() - r1.delivered_packets();
+        assert!(pkts > 1000, "{name}: only {pkts} more packets in twice the time");
+        let per_pkt = a2.saturating_sub(a1) as f64 / pkts as f64;
+        assert!(
+            per_pkt <= 0.5,
+            "{name}: {per_pkt:.2} allocations per additional delivered packet \
+             ({a1} over 3 s, {a2} over 6 s, {pkts} more packets)"
+        );
+    }
 }

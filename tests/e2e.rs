@@ -568,14 +568,34 @@ fn bonded_tcp_join_restores_stream_order() {
 fn event_count_is_proportional_to_simulated_work() {
     // The timer leak PR 12 removed: every ACK that pulled a paced
     // sender's release earlier left an immortal FlowTimer chain behind,
-    // so the paper's case popped 22 events per delivered packet over
-    // 10 simulated seconds, 32 over 20 and 91 over 80 — quadratic in
-    // the run length. With one live wake-up per timer owner and one
-    // radio event per slot the count is linear: twice the simulated
+    // so the events popped per delivered packet grew with the run
+    // length (91 over 80 simulated seconds on the paper's case). With
+    // one live wake-up per timer owner and one radio event per (cell,
+    // slot) in each direction the count is linear: twice the simulated
     // time is twice the events (the margin covers the start-up ramp),
-    // at a single-digit cost per packet.
-    let run = |secs| {
-        harness::run(congested_cell(
+    // at a single-digit cost per packet — about 5.4 on the TCP cell and
+    // 8.0 on the bonded uplink, whose grant-driven media flows pay a
+    // slot-bound share per packet.
+    use l4span::harness::scenario::bonded_xr_8ue;
+    fn check(name: &str, cfg: impl Fn(u64) -> ScenarioConfig, ceiling: f64) {
+        let (short, long) = (harness::run(cfg(10)), harness::run(cfg(20)));
+        assert!(
+            long.events as f64 <= 2.1 * short.events as f64,
+            "{name}: 20 s popped {} events, 10 s {}",
+            long.events,
+            short.events
+        );
+        for r in [&short, &long] {
+            assert!(
+                r.events_per_packet() <= ceiling,
+                "{name}: {} events for {} delivered packets",
+                r.events,
+                r.delivered_packets()
+            );
+        }
+    }
+    let tcp_cell = |secs| {
+        congested_cell(
             16,
             "prague",
             ChannelMix::Mobile,
@@ -584,21 +604,33 @@ fn event_count_is_proportional_to_simulated_work() {
             l4span_default(),
             7,
             Duration::from_secs(secs),
-        ))
+        )
     };
-    let (short, long) = (run(10), run(20));
+    check("tcp cell", tcp_cell, 8.0);
+    check("bonded uplink", |secs| bonded_xr_8ue(7, Duration::from_secs(secs)), 9.0);
+}
+
+#[test]
+fn fading_is_evaluated_once_per_ue_and_grid_point() {
+    // The slot loop reads each UE's channel at `now − cqi_delay` (link
+    // adaptation) and at `now` (block-error draw), every 0.5 ms; the
+    // channel holds its 16-path Jakes sum constant on a 2 ms grid. The
+    // work proxy says the sum is evaluated once per (UE, grid point)
+    // read — 16 mobile UEs × 1000 points in 2 s, plus at most the one
+    // point the final slot at t = 2 s opens — not once per reader.
+    let r = harness::run(congested_cell(
+        16,
+        "prague",
+        ChannelMix::Mobile,
+        16_384,
+        WanLink::east(),
+        l4span_default(),
+        7,
+        Duration::from_secs(2),
+    ));
     assert!(
-        long.events as f64 <= 2.1 * short.events as f64,
-        "20 s popped {} events, 10 s {}",
-        long.events,
-        short.events
+        (16_000..=16_016).contains(&r.fading_evals),
+        "{} Jakes evaluations for 16 000 (UE, grid point) pairs",
+        r.fading_evals
     );
-    for r in [&short, &long] {
-        assert!(
-            r.events_per_packet() <= 8.0,
-            "{} events for {} delivered packets",
-            r.events,
-            r.delivered_packets()
-        );
-    }
 }

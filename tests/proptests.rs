@@ -172,8 +172,7 @@ proptest! {
             let sn = t.on_ingress(size, now);
             total_in += size;
             if feedback {
-                let txed = t.on_feedback(Some(sn), None, now);
-                total_out += txed.iter().map(|p| p.size).sum::<usize>();
+                t.on_feedback(Some(sn), None, now, |p| total_out += p.size);
                 highest = Some(sn);
             }
             prop_assert_eq!(t.queued_bytes(), total_in - total_out);
@@ -398,8 +397,8 @@ fn rlc_am_lossless_fast_path() {
     let st = rx.make_status(now + Duration::from_millis(10)).unwrap();
     assert_eq!(st.ack_sn, 10);
     assert!(st.nacks.is_empty());
-    let recs = tx.on_status(&st, now + Duration::from_millis(11));
-    assert_eq!(recs.len(), 10);
+    let acked = tx.on_status(&st, now + Duration::from_millis(11));
+    assert_eq!(acked, 10);
 }
 
 // ---------------------------------------------------------------------

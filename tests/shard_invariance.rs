@@ -11,19 +11,29 @@
 //!
 //! `Report::events` is outside the fingerprint (it counts the
 //! simulator's work, not the model's output) but carries the same
-//! guarantee, so every comparison below is on the pair.
+//! guarantee — as does its per-class breakdown `Report::event_counts`
+//! and the radio model's work count `Report::fading_evals` — so every
+//! comparison below is on all four.
 
 use l4span::core::HandoverPolicy;
 use l4span::harness::{plan_shards, run_sharded, scenario, Report, ScenarioConfig};
 use l4span::sim::Duration;
 
+/// Pops per event class, as `Report::event_counts` lists them.
+type EventCounts = Vec<(&'static str, u64)>;
+
 /// What must not depend on the shard count: (fingerprint digest,
-/// events popped).
-fn outcome(r: &Report) -> (String, u64) {
-    (r.fingerprint_digest(), r.events)
+/// events popped, events popped per class, fading evaluations).
+fn outcome(r: &Report) -> (String, u64, EventCounts, u64) {
+    assert_eq!(
+        r.event_counts.iter().map(|&(_, n)| n).sum::<u64>(),
+        r.events,
+        "per-class event counts must add up to the total"
+    );
+    (r.fingerprint_digest(), r.events, r.event_counts.clone(), r.fading_evals)
 }
 
-fn digest(cfg: ScenarioConfig, shards: usize) -> (String, u64) {
+fn digest(cfg: ScenarioConfig, shards: usize) -> (String, u64, EventCounts, u64) {
     outcome(&run_sharded(cfg, shards))
 }
 
