@@ -578,6 +578,9 @@ impl FecMediaSender {
     }
 }
 
+/// NACK buffers a [`FecMediaReceiver`] keeps for reuse.
+const NACK_POOL: usize = 4;
+
 /// The media receiver (server side): classification, per-leg counters,
 /// NACK + coupling feedback.
 #[derive(Debug)]
@@ -591,8 +594,10 @@ pub struct FecMediaReceiver {
     coupled: bool,
     gate: FeedbackGate,
     fb_ident: u16,
-    /// The NACK buffer of a consumed report ([`FecMediaReceiver::recycle`]).
-    spare_nacks: Vec<u64>,
+    /// NACK buffers of consumed reports ([`FecMediaReceiver::recycle`]),
+    /// at most [`NACK_POOL`]: several reports are in flight at once, and
+    /// each takes a grown buffer from here instead of starting empty.
+    spare_nacks: Vec<Vec<u64>>,
     /// Payload bytes received (diagnostics).
     pub received_bytes: u64,
 }
@@ -620,9 +625,11 @@ impl FecMediaReceiver {
     /// report only costs the next NACKing one an allocation.
     pub fn recycle(&mut self, fb: FecFeedback) {
         let mut nacks = fb.nacks;
-        if nacks.capacity() > self.spare_nacks.capacity() {
+        // A report that never NACKed comes back without a buffer worth
+        // keeping; a full pool already covers the reports in flight.
+        if nacks.capacity() > 0 && self.spare_nacks.len() < NACK_POOL {
             nacks.clear();
-            self.spare_nacks = nacks;
+            self.spare_nacks.push(nacks);
         }
     }
 
@@ -656,7 +663,7 @@ impl FecMediaReceiver {
         self.fb_ident = self.fb_ident.wrapping_add(1);
         let mut fb = FecFeedback {
             legs: self.legs,
-            nacks: std::mem::take(&mut self.spare_nacks),
+            nacks: self.spare_nacks.pop().unwrap_or_default(),
             coupled: self.coupled,
         };
         self.core.poll_nacks(now, &mut fb.nacks);

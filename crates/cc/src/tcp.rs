@@ -23,7 +23,7 @@
 //! `TcpConfig::downlink_tuple` therefore names the *data-direction*
 //! five-tuple, whichever physical direction that is.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use l4span_net::{
     AccEcnCounters, Ecn, FiveTuple, PacketBuf, Protocol, TcpFlags, TcpHeader,
@@ -92,8 +92,13 @@ enum SenderState {
     Established,
 }
 
+/// First-use reservation of the in-flight ring: a window of this many
+/// segments never regrows it, and an idle sender never pays for it.
+const INFLIGHT_RESERVE: usize = 32;
+
 #[derive(Debug, Clone, Copy)]
 struct SentSeg {
+    seq: u64,
     end: u64,
     sent_at: Instant,
     is_retx: bool,
@@ -106,7 +111,10 @@ pub struct TcpSender {
     state: SenderState,
     snd_nxt: u64,
     snd_una: u64,
-    inflight: BTreeMap<u64, SentSeg>,
+    /// Outstanding segments in sequence order: disjoint, ascending, the
+    /// oldest at the front. New data enters at the back; a retransmitted
+    /// segment (always the oldest) re-enters at the front.
+    inflight: VecDeque<SentSeg>,
     bytes_in_flight: usize,
     dupacks: u32,
     in_recovery: bool,
@@ -125,9 +133,6 @@ pub struct TcpSender {
     // Pacing.
     next_send_at: Instant,
     ident: u16,
-    /// Reusable buffer for the ACK-covered segment sweep, so the
-    /// per-ACK hot path allocates nothing at steady state.
-    scratch_acked: Vec<u64>,
     /// Application-driven mode: the app may still [`TcpSender::offer`]
     /// more bytes, so a drained `app_limit` does not mean finished.
     app_open: bool,
@@ -146,7 +151,7 @@ impl TcpSender {
             state: SenderState::Listen,
             snd_nxt: 0,
             snd_una: 0,
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
             bytes_in_flight: 0,
             dupacks: 0,
             in_recovery: false,
@@ -162,7 +167,6 @@ impl TcpSender {
             acc_last: AccEcnCounters::default(),
             next_send_at: Instant::ZERO,
             ident: 0,
-            scratch_acked: Vec::new(),
             app_open: false,
             fast_retx: 0,
             rto_retx: 0,
@@ -309,15 +313,28 @@ impl TcpSender {
             &hdr,
             len,
         );
-        let prev = self.inflight.insert(
+        let seg = SentSeg {
             seq,
-            SentSeg {
-                end: seq + len as u64,
-                sent_at: now,
-                is_retx,
-            },
-        );
-        debug_assert!(prev.is_none(), "segment re-inserted while in flight");
+            end: seq + len as u64,
+            sent_at: now,
+            is_retx,
+        };
+        if is_retx {
+            debug_assert!(
+                self.inflight.front().is_none_or(|f| seg.end <= f.seq),
+                "a retransmission is the oldest outstanding segment"
+            );
+            self.inflight.push_front(seg);
+        } else {
+            debug_assert!(
+                self.inflight.back().is_none_or(|b| b.end <= seq),
+                "new data follows everything in flight"
+            );
+            if self.inflight.capacity() == 0 {
+                self.inflight.reserve(INFLIGHT_RESERVE);
+            }
+            self.inflight.push_back(seg);
+        }
         self.bytes_in_flight += len;
         if self.rto_deadline.is_none() {
             self.rto_deadline = Some(now + self.rto);
@@ -437,20 +454,12 @@ impl TcpSender {
             newly_acked = ack - self.snd_una;
             self.snd_una = ack;
             self.dupacks = 0;
-            // Remove fully-covered segments, collecting their keys into
-            // the reusable scratch buffer (borrow rules forbid removing
-            // while iterating a BTreeMap range).
-            let mut covered = std::mem::take(&mut self.scratch_acked);
-            covered.extend(
-                self.inflight
-                    .range(..ack)
-                    .filter(|(_, s)| s.end <= ack)
-                    .map(|(&k, _)| k),
-            );
+            // Remove fully-covered segments: a prefix of the ring,
+            // because segments are disjoint and in sequence order.
             let mut newest: Option<SentSeg> = None;
-            for &k in &covered {
-                let s = self.inflight.remove(&k).expect("listed");
-                self.bytes_in_flight -= (s.end - k) as usize;
+            while let Some(&s) = self.inflight.front().filter(|s| s.end <= ack) {
+                self.inflight.pop_front();
+                self.bytes_in_flight -= (s.end - s.seq) as usize;
                 if !s.is_retx {
                     newest = Some(match newest {
                         Some(n) if n.sent_at >= s.sent_at => n,
@@ -458,8 +467,6 @@ impl TcpSender {
                     });
                 }
             }
-            covered.clear();
-            self.scratch_acked = covered;
             self.delivered += newly_acked;
             if let Some(s) = newest {
                 let rtt = now.saturating_since(s.sent_at);
@@ -530,13 +537,7 @@ impl TcpSender {
             self.recover = self.snd_nxt;
             self.cc.on_loss(now);
             self.fast_retx += 1;
-            // Retransmit the first unacked segment.
-            if let Some((&seq, seg)) = self.inflight.iter().next() {
-                let len = (seg.end - seq) as usize;
-                self.inflight.remove(&seq);
-                self.bytes_in_flight -= len;
-                out.push(self.make_data_segment(seq, len, true, now));
-            }
+            self.retransmit_oldest(now, out);
         }
 
         if newly_acked > 0 {
@@ -558,6 +559,17 @@ impl TcpSender {
         }
 
         self.emit_data_into(now, out);
+    }
+
+    /// Retransmit the oldest outstanding segment (fast retransmit and
+    /// RTO): it leaves the front of the ring and re-enters there with a
+    /// fresh timestamp.
+    fn retransmit_oldest(&mut self, now: Instant, out: &mut Vec<PacketBuf>) {
+        if let Some(seg) = self.inflight.pop_front() {
+            let len = (seg.end - seg.seq) as usize;
+            self.bytes_in_flight -= len;
+            out.push(self.make_data_segment(seg.seq, len, true, now));
+        }
     }
 
     /// Rate sample: bytes delivered over the last smoothed RTT.
@@ -599,13 +611,7 @@ impl TcpSender {
                 self.rto = (self.rto * 2).min(MAX_RTO);
                 self.dupacks = 0;
                 self.in_recovery = false;
-                // Retransmit the oldest outstanding segment.
-                if let Some((&seq, seg)) = self.inflight.iter().next() {
-                    let len = (seg.end - seq) as usize;
-                    self.inflight.remove(&seq);
-                    self.bytes_in_flight -= len;
-                    out.push(self.make_data_segment(seq, len, true, now));
-                }
+                self.retransmit_oldest(now, out);
                 self.rto_deadline = Some(now + self.rto);
             }
         }

@@ -31,7 +31,9 @@ pub struct EgressEstimator {
     first_txed: Option<Instant>,
     /// Latest feedback timestamp.
     last_txed: Instant,
-    /// (t, smoothed rate) history for the attainable-rate max filter.
+    /// (t, smoothed rate) history for the attainable-rate max filter,
+    /// kept as a monotone deque: rates strictly decrease front to back,
+    /// so the front is the maximum over the horizon.
     rate_history: VecDeque<(Instant, f64)>,
 }
 
@@ -106,6 +108,11 @@ impl EgressEstimator {
         let r = self.txed_bytes as f64 / self.window.as_secs_f64();
         self.samples.push_back((t_txed, r));
         if let Some(smoothed) = self.rate() {
+            // An older sample that is no larger can never be the maximum
+            // again: it expires before this one does.
+            while self.rate_history.back().is_some_and(|&(_, r)| r <= smoothed) {
+                self.rate_history.pop_back();
+            }
             self.rate_history.push_back((t_txed, smoothed));
             let horizon = self.window * PEAK_WINDOWS;
             while let Some(&(t, _)) = self.rate_history.front() {
@@ -125,14 +132,20 @@ impl EgressEstimator {
     /// sender that has just backed off would otherwise be judged against
     /// its own slow-down (a positive-feedback under-utilisation spiral,
     /// the classic-flow analogue of the §4.3.3 error-cost analysis).
+    ///
+    /// O(1): the front of the monotone `rate_history` is the maximum of
+    /// every smoothed sample inside the horizon. That equals a fold over
+    /// the full history only because `t_txed` never decreases from one
+    /// [`EgressEstimator::on_txed`] to the next (F1-U frames and grant
+    /// feedback are stamped with the simulation clock): a younger sample
+    /// queued *ahead* of the maximum would delay the full history's
+    /// front-only expiry, but not this deque's.
     pub fn attainable_rate(&self) -> Option<f64> {
         let current = self.rate()?;
-        let peak = self
-            .rate_history
-            .iter()
-            .map(|&(_, r)| r)
-            .fold(current, f64::max);
-        Some(peak)
+        Some(match self.rate_history.front() {
+            Some(&(_, peak)) => current.max(peak),
+            None => current,
+        })
     }
 
     /// Smoothed egress rate r̂_e in bytes/sec (Eq. 4).

@@ -47,6 +47,7 @@ pub mod metrics;
 pub mod runner;
 pub mod scenario;
 pub mod shard;
+mod sn_ring;
 pub mod wakeup;
 pub mod wired;
 pub mod world;

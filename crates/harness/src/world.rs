@@ -26,6 +26,7 @@ use crate::impairment::{Impairment, StageOutcome};
 use crate::marker::Marker;
 use crate::metrics::{BondStat, Breakdown, BreakdownAvg, FallbackRecord, HandoverRecord, Report};
 use crate::scenario::{BottleneckSpec, FlowDir, ScenarioConfig};
+use crate::sn_ring::SnRing;
 use crate::wakeup::Wakeup;
 
 /// Subsystem labels of the world's [`CycleScope`] (the `fig_breakdown`
@@ -372,8 +373,10 @@ pub struct World {
     /// per-shard partitions merge back into the classic push order (a
     /// stable sort on the key; a no-op for single-world runs).
     rate_err: Vec<(Instant, (u16, u8), f64)>,
-    /// (ue, drb, sn) → (flow, ident): joins TxRecords to packets.
-    sn_map: FxHashMap<(UeId, DrbId, u64), (usize, u16)>,
+    /// `[ue][drb]`: PDCP SN → (flow, ident), joining TxRecords to
+    /// packets. Per UE so the whole lot follows the UE between shard
+    /// replicas; a UE's row grows to its highest DRB id at first use.
+    sn_rings: Vec<Vec<SnRing>>,
     /// (flow, ident) → (queuing ms, scheduling ms) awaiting delivery.
     breakdown_pending: FxHashMap<(usize, u16), (f64, f64)>,
     /// Ground-truth egress byte log per DRB (Fig. 20 reference).
@@ -704,7 +707,7 @@ impl World {
             pending_ho: vec![None; n_ues],
             breakdown: vec![BreakdownAvg::default(); n],
             rate_err: Vec::new(),
-            sn_map: FxHashMap::default(),
+            sn_rings: vec![Vec::new(); n_ues],
             breakdown_pending: FxHashMap::default(),
             gt_egress: BTreeMap::new(),
             gt_watermark: FxHashMap::default(),
@@ -1109,7 +1112,7 @@ impl World {
         // produce a transmit record: release their per-SDU bookkeeping
         // (and the flow's OWD registration) instead of leaking it.
         for (drb, sn) in dropped {
-            if let Some((flow, ident)) = self.sn_map.remove(&(ue_id, drb, sn)) {
+            if let Some((flow, ident)) = self.sn_take(ue_id, drb, sn) {
                 self.flows[flow].sent_at.remove(&ident);
             }
         }
@@ -1199,6 +1202,13 @@ impl World {
         self.cycles.stop(t0, CYC_UE);
     }
 
+    /// Take out the (flow, ident) registered for a downlink data SDU.
+    fn sn_take(&mut self, ue: UeId, drb: DrbId, sn: u64) -> Option<(usize, u16)> {
+        self.sn_rings[ue.0 as usize]
+            .get_mut(drb.0 as usize)?
+            .remove(sn)
+    }
+
     fn on_slot(&mut self, cell: usize, now: Instant) {
         // Reuse the slot-output buffers across slots (taken out of self
         // so the marker/metrics borrows below stay disjoint).
@@ -1224,7 +1234,7 @@ impl World {
                     .or_default()
                     .push_back((rec.t_txed, rec.size));
             }
-            if let Some((flow, ident)) = self.sn_map.remove(&(*ue, *drb, rec.sn)) {
+            if let Some((flow, ident)) = self.sn_take(*ue, *drb, rec.sn) {
                 let queuing = rec.t_head.saturating_since(rec.t_ingress).as_millis_f64();
                 let sched = rec.t_first_tx.saturating_since(rec.t_head).as_millis_f64();
                 self.breakdown_pending.insert((flow, ident), (queuing, sched));
@@ -1337,7 +1347,7 @@ impl World {
     fn on_dl_at_cu(&mut self, flow: usize, mut pkt: PacketBuf, now: Instant) {
         let (ue_id, qfi) = (self.flows[flow].ue_id, self.flows[flow].qfi);
         let drb = self.flows[flow].drb;
-        // `sent_at`/`sn_map` bookkeeping is for downlink *data* only.
+        // `sent_at`/`sn_rings` bookkeeping is for downlink *data* only.
         // For an uplink flow this packet is feedback whose ident space
         // belongs to the server-side receiver — it collides with the
         // UE-side sender's data idents, so touching `sent_at` here
@@ -1362,7 +1372,12 @@ impl World {
         match self.gnbs[cell].enqueue_downlink(ue_id, qfi, pkt, now) {
             Some((drb, sn)) => {
                 if dl {
-                    self.sn_map.insert((ue_id, drb, sn), (flow, ident));
+                    let rings = &mut self.sn_rings[ue_id.0 as usize];
+                    let d = drb.0 as usize;
+                    if rings.len() <= d {
+                        rings.resize_with(d + 1, SnRing::default);
+                    }
+                    rings[d].insert(sn, flow, ident);
                 }
             }
             None => {
@@ -2069,9 +2084,9 @@ impl World {
                 if !self.owns_ue(i) {
                     continue;
                 }
-                for k in 0..self.ues[i].ul_drbs().len() {
-                    let d = self.ues[i].ul_drbs()[k];
-                    let len = self.ues[i].ul_queue_len_sdus(d);
+                let ue = &self.ues[i];
+                for d in ue.ul_drbs() {
+                    let len = ue.ul_queue_len_sdus(d);
                     self.ul_queue_series
                         .entry((i as u16, d.0))
                         .or_insert_with(series)
@@ -2274,7 +2289,7 @@ impl World {
         // Per-SDU bookkeeping of tail-dropped forwarded SDUs still lives
         // in the source replica (the flow cluster migrates below).
         for (drb, sn) in dropped {
-            if let Some((flow, ident)) = src_w.sn_map.remove(&(ue_id, drb, sn)) {
+            if let Some((flow, ident)) = src_w.sn_take(ue_id, drb, sn) {
                 src_w.flows[flow].sent_at.remove(&ident);
             }
         }
@@ -2333,14 +2348,13 @@ impl World {
         swap(&mut a.pending_ho[ue], &mut b.pending_ho[ue]);
         swap(&mut a.ho_log[ue], &mut b.ho_log[ue]);
         let ue16 = ue as u16;
-        let ue_id = UeId(ue16);
         swap_btree_keys(&mut a.queue_series, &mut b.queue_series, |k| k.0 == ue16);
         swap_btree_keys(&mut a.ul_queue_series, &mut b.ul_queue_series, |k| {
             k.0 == ue16
         });
         swap_btree_keys(&mut a.gt_egress, &mut b.gt_egress, |k| k.0 == ue16);
         swap_map_keys(&mut a.gt_watermark, &mut b.gt_watermark, |k| k.0 == ue16);
-        swap_map_keys(&mut a.sn_map, &mut b.sn_map, |k| k.0 == ue_id);
+        swap(&mut a.sn_rings[ue], &mut b.sn_rings[ue]);
         for f in 0..a.flows.len() {
             if a.flows[f].ue_idx != ue {
                 continue;

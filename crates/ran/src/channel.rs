@@ -77,17 +77,19 @@ const RING_SLOTS: usize = 8;
 /// without second-long outages.
 const RICIAN_K: f64 = 4.0;
 
-/// Precomputed coefficients of one Jakes path: the Doppler angular rate
-/// `ω = 2π·f_d·cos(α)` and the sine/cosine of the two random phases, so
-/// one `sin_cos` per path replaces two phase-offset cosines on every
-/// channel sample (the per-slot hot path of the MAC scheduler).
-#[derive(Debug, Clone, Copy, Default)]
-struct PathCoef {
-    omega: f64,
-    cos_i: f64,
-    sin_i: f64,
-    cos_q: f64,
-    sin_q: f64,
+/// Precomputed coefficients of the Jakes paths, one array per
+/// coefficient: the Doppler angular rate `ω = 2π·f_d·cos(α)` and the
+/// sine/cosine of the two random phases, so one `sin_cos` per path
+/// replaces two phase-offset cosines on every channel sample — and the
+/// sixteen of them are evaluated in one element-wise pass
+/// ([`l4span_sim::fastmath::sin_cos_n`]).
+#[derive(Debug, Clone, Default)]
+struct PathCoefs {
+    omega: [f64; N_PATHS],
+    cos_i: [f64; N_PATHS],
+    sin_i: [f64; N_PATHS],
+    cos_q: [f64; N_PATHS],
+    sin_q: [f64; N_PATHS],
 }
 
 /// A Rician-fading channel for one UE (Jakes scatter + LOS component).
@@ -96,7 +98,7 @@ pub struct FadingChannel {
     profile: ChannelProfile,
     mean_snr_db: f64,
     doppler_hz: f64,
-    paths: [PathCoef; N_PATHS],
+    paths: PathCoefs,
     /// Static-profile shadowing offset in dB.
     static_offset_db: f64,
     /// Memo of recent grid-point SNRs in dB: a direct-mapped ring
@@ -124,16 +126,16 @@ impl FadingChannel {
         rng: &mut SimRng,
     ) -> FadingChannel {
         let doppler_hz = profile.doppler_hz(carrier_hz);
-        let mut paths = [PathCoef::default(); N_PATHS];
-        for (n, p) in paths.iter_mut().enumerate() {
+        let mut paths = PathCoefs::default();
+        for n in 0..N_PATHS {
             // Jakes: evenly-spaced arrival angles with random offset.
             let alpha =
                 (core::f64::consts::TAU * (n as f64 + rng.f64())) / N_PATHS as f64;
             let phi_i = rng.range_f64(0.0, core::f64::consts::TAU);
             let phi_q = rng.range_f64(0.0, core::f64::consts::TAU);
-            p.omega = core::f64::consts::TAU * doppler_hz * alpha.cos();
-            (p.sin_i, p.cos_i) = phi_i.sin_cos();
-            (p.sin_q, p.cos_q) = phi_q.sin_cos();
+            paths.omega[n] = core::f64::consts::TAU * doppler_hz * alpha.cos();
+            (paths.sin_i[n], paths.cos_i[n]) = phi_i.sin_cos();
+            (paths.sin_q[n], paths.cos_q[n]) = phi_q.sin_cos();
         }
         FadingChannel {
             profile,
@@ -162,13 +164,19 @@ impl FadingChannel {
             return 1.0;
         }
         let t = at.as_secs_f64();
+        let p = &self.paths;
+        // cos(ωt + φ) expanded so the two phase-offset cosines share one
+        // (fast-polynomial) sin_cos evaluation of ωt. The trigonometry is
+        // element-wise, so it runs as one packed pass; the sums below
+        // stay sequential, in path order, so no bit of the gain depends
+        // on how that pass was compiled.
+        let phase = p.omega.map(|w| w * t);
+        let (mut sw, mut cw) = ([0.0; N_PATHS], [0.0; N_PATHS]);
+        l4span_sim::fastmath::sin_cos_n(&phase, &mut sw, &mut cw);
         let (mut i, mut q) = (0.0f64, 0.0f64);
-        for p in &self.paths {
-            // cos(ωt + φ) expanded so the two phase-offset cosines share
-            // one (fast-polynomial) sin_cos evaluation of ωt.
-            let (sw, cw) = l4span_sim::fastmath::sin_cos(p.omega * t);
-            i += cw * p.cos_i - sw * p.sin_i;
-            q += cw * p.cos_q - sw * p.sin_q;
+        for n in 0..N_PATHS {
+            i += cw[n] * p.cos_i[n] - sw[n] * p.sin_i[n];
+            q += cw[n] * p.cos_q[n] - sw[n] * p.sin_q[n];
         }
         // Unit-power scattered component…
         let scale = (1.0 / N_PATHS as f64).sqrt();
@@ -182,6 +190,17 @@ impl FadingChannel {
         hi * hi + hq * hq
     }
 
+    /// The fading grid point `at` falls on: [`FadingChannel::snr_db`]
+    /// gives one answer for every instant that shares it (a static
+    /// channel has a single point).
+    pub(crate) fn grid_point(&self, at: Instant) -> u64 {
+        if self.doppler_hz <= 0.0 {
+            0
+        } else {
+            at.as_nanos() / SAMPLE_PERIOD_NANOS
+        }
+    }
+
     /// Instantaneous SNR in dB at time `at` (fading held constant within
     /// each [`SAMPLE_PERIOD_NANOS`] grid interval).
     pub fn snr_db(&self, at: Instant) -> f64 {
@@ -189,7 +208,7 @@ impl FadingChannel {
             // Static: mean SNR plus a fixed per-UE shadowing offset.
             return self.mean_snr_db + self.static_offset_db;
         }
-        let point = at.as_nanos() / SAMPLE_PERIOD_NANOS;
+        let point = self.grid_point(at);
         let slot = &self.ring[(point % RING_SLOTS as u64) as usize];
         let (key, db) = slot.get();
         if key == point + 1 {

@@ -18,8 +18,6 @@
 //! time, F1-U status frames, per-SDU timing records) that the harness
 //! routes to the UE stacks and to L4Span.
 
-use std::collections::BTreeMap;
-
 use l4span_net::PacketBuf;
 use l4span_sim::{stats::Ewma, Instant, SimRng};
 
@@ -27,11 +25,12 @@ use crate::channel::FadingChannel;
 use crate::config::{CellConfig, RlcMode, SchedulerKind, SlotRole};
 use crate::f1u::DlDataDeliveryStatus;
 use crate::ids::{DrbId, Qfi, UeId};
-use crate::mac::{self, Candidate, TransportBlock};
+use crate::mac::{self, Candidate, Grant, TransportBlock};
 use crate::pdcp::PdcpTx;
 use crate::phy;
 use crate::rlc::{ForwardedSdu, RlcRx, RlcStatus, RlcTx, RxDelivery, Segment, Sn, TxRecord};
 use crate::sdap::SdapEntity;
+use crate::table::IdTable;
 
 /// Gain of the proportional-fair average-throughput EWMA (per slot);
 /// 1/100 ≈ a 50 ms horizon at 0.5 ms slots.
@@ -151,12 +150,19 @@ struct DrbCtx {
 struct UeCtx {
     channel: FadingChannel,
     sdap: SdapEntity,
-    drbs: BTreeMap<DrbId, DrbCtx>,
-    /// Cached sorted DRB ids (the DRB set is fixed after `add_ue`), so
-    /// the per-slot TB builder never collects keys into a fresh vector.
-    drb_ids: Vec<DrbId>,
+    drbs: IdTable<DrbId, DrbCtx>,
+    /// Link-adaptation memo: the fading grid point (plus one; 0 = none)
+    /// the stale-CQI reader was last on, the CQI chosen there and the
+    /// bytes one RBG of one carrier carries at it. All three follow from
+    /// the grid point alone, so they are recomputed only when it moves.
+    la_point: u64,
+    la_cqi: u8,
+    la_rbg_bytes: usize,
     /// PF average throughput in bytes/slot.
     avg_tput: Ewma,
+    /// Bytes of the transport block built for this UE in the current
+    /// slot (0 = none); folded into `avg_tput` at the end of the slot.
+    served_bytes: usize,
     /// Intra-UE DRB round-robin cursor.
     drb_cursor: usize,
     /// Carrier-aggregation factor: 1 = primary carrier only; 2 = one
@@ -166,7 +172,7 @@ struct UeCtx {
     ca_factor: u8,
     /// Uplink RLC receive entities (empty unless the UE has UL data
     /// bearers configured).
-    ul_rx: BTreeMap<DrbId, RlcRx>,
+    ul_rx: IdTable<DrbId, RlcRx>,
     /// Most recent buffer-status report from the UE, minus bytes already
     /// granted against it (refreshed by every arriving BSR).
     ul_bsr: usize,
@@ -174,6 +180,51 @@ struct UeCtx {
     /// its own EWMA: coupling UL fairness to the downlink history would
     /// starve a UE's uplink because its downlink is busy.
     ul_avg_tput: Ewma,
+    /// Bytes granted to this UE in the current uplink slot (0 = none);
+    /// folded into `ul_avg_tput` at the end of the allocation.
+    ul_granted_bytes: usize,
+}
+
+impl UeCtx {
+    fn new(
+        channel: FadingChannel,
+        sdap: SdapEntity,
+        drbs: IdTable<DrbId, DrbCtx>,
+        ca_factor: u8,
+        ul_rx: IdTable<DrbId, RlcRx>,
+    ) -> UeCtx {
+        UeCtx {
+            channel,
+            sdap,
+            drbs,
+            la_point: 0,
+            la_cqi: 0,
+            la_rbg_bytes: 0,
+            avg_tput: Ewma::new(PF_EWMA_GAIN),
+            served_bytes: 0,
+            drb_cursor: 0,
+            ca_factor,
+            ul_rx,
+            ul_bsr: 0,
+            ul_avg_tput: Ewma::new(PF_EWMA_GAIN),
+            ul_granted_bytes: 0,
+        }
+    }
+
+    /// The scheduler's link adaptation for this UE: bring `la_cqi` (the
+    /// CQI read off the channel as it was at `stale_at`) and
+    /// `la_rbg_bytes` up to date.
+    fn adapt_link(&mut self, stale_at: Instant, cfg: &CellConfig) {
+        let point = self.channel.grid_point(stale_at) + 1;
+        if self.la_point != point {
+            self.la_point = point;
+            self.la_cqi = phy::select_mcs(
+                self.channel.snr_db(stale_at),
+                cfg.link_adaptation_backoff_db,
+            );
+            self.la_rbg_bytes = phy::tbs_bytes(self.la_cqi, cfg.rbg_size, cfg.re_per_prb);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -192,16 +243,15 @@ pub struct Gnb {
     /// Uplink-grant round-robin cursor (independent of the DL one so
     /// adding uplink traffic does not perturb downlink rotation).
     ul_rr_cursor: usize,
-    ues: BTreeMap<UeId, UeCtx>,
+    ues: IdTable<UeId, UeCtx>,
     pending_harq: Vec<PendingHarq>,
     slot_index: u64,
     rng: SimRng,
     stats: GnbStats,
-    // Reusable per-slot scratch (sorted by UE id, rebuilt each slot) so
-    // the 2 kHz slot tick allocates nothing in steady state.
+    // Reusable per-slot scratch (one candidate per row of `ues`, in row
+    // order, rebuilt each slot) so the 2 kHz slot tick allocates nothing
+    // in steady state.
     scratch_cands: Vec<Candidate>,
-    scratch_cqis: Vec<(UeId, u8)>,
-    scratch_served: Vec<(UeId, usize)>,
     scratch_txed: Vec<TxRecord>,
     /// Spare buffer ping-ponged with `pending_harq` each slot so the
     /// retransmission sweep reallocates nothing at steady state.
@@ -217,7 +267,7 @@ pub struct Gnb {
     /// list they emit, so the scheduling step of the slot tick stays
     /// allocation-free (PR 8's shard epochs are slot-tick bound).
     scratch_alloc: mac::AllocScratch,
-    scratch_grants: Vec<(UeId, usize)>,
+    scratch_grants: Vec<Grant>,
 }
 
 impl Gnb {
@@ -228,14 +278,12 @@ impl Gnb {
             scheduler,
             rr_cursor: 0,
             ul_rr_cursor: 0,
-            ues: BTreeMap::new(),
+            ues: IdTable::new(),
             pending_harq: Vec::new(),
             slot_index: 0,
             rng,
             stats: GnbStats::default(),
             scratch_cands: Vec::new(),
-            scratch_cqis: Vec::new(),
-            scratch_served: Vec::new(),
             scratch_txed: Vec::new(),
             scratch_harq: Vec::new(),
             segment_pool: Vec::new(),
@@ -281,7 +329,7 @@ impl Gnb {
     /// becomes the SDAP default.
     pub fn add_ue(&mut self, ue: UeId, channel: FadingChannel, drbs: &[(DrbId, RlcMode)]) {
         assert!(!drbs.is_empty(), "a UE needs at least one DRB");
-        let mut map = BTreeMap::new();
+        let mut map = IdTable::new();
         for &(id, mode) in drbs {
             map.insert(
                 id,
@@ -292,29 +340,14 @@ impl Gnb {
                 },
             );
         }
-        let mut drb_ids: Vec<DrbId> = map.keys().copied().collect();
-        drb_ids.sort_unstable();
-        let prev = self.ues.insert(
-            ue,
-            UeCtx {
-                channel,
-                sdap: SdapEntity::new(drbs[0].0),
-                drbs: map,
-                drb_ids,
-                avg_tput: Ewma::new(PF_EWMA_GAIN),
-                drb_cursor: 0,
-                ca_factor: 1,
-                ul_rx: BTreeMap::new(),
-                ul_bsr: 0,
-                ul_avg_tput: Ewma::new(PF_EWMA_GAIN),
-            },
-        );
+        let ctx = UeCtx::new(channel, SdapEntity::new(drbs[0].0), map, 1, IdTable::new());
+        let prev = self.ues.insert(ue, ctx);
         assert!(prev.is_none(), "duplicate UE id {ue}");
     }
 
     /// Attached UE ids, in order.
     pub fn ue_ids(&self) -> Vec<UeId> {
-        self.ues.keys().copied().collect()
+        self.ues.keys().collect()
     }
 
     /// Replace a UE's channel in place — the intra-gNB handover of the
@@ -324,9 +357,10 @@ impl Gnb {
     /// the radio changes, so L4Span's next estimation window re-learns
     /// the egress rate.
     pub fn replace_channel(&mut self, ue: UeId, channel: FadingChannel) {
-        let ctx = self.ues.get_mut(&ue).expect("unknown UE");
+        let ctx = self.ues.get_mut(ue).expect("unknown UE");
         self.stats.fading_evals += ctx.channel.evaluations();
         ctx.channel = channel;
+        ctx.la_point = 0;
     }
 
     /// Detach a UE for handover: remove it from this cell and serialize
@@ -336,7 +370,7 @@ impl Gnb {
     /// cell's PHY — in AM their SDUs are in the forwarded set anyway; in
     /// UM they are genuinely lost, exactly as over the air.
     pub fn detach_ue(&mut self, ue: UeId) -> UeHandoverCtx {
-        let mut ctx = self.ues.remove(&ue).expect("unknown UE");
+        let mut ctx = self.ues.remove(ue).expect("unknown UE");
         self.stats.fading_evals += ctx.channel.evaluations();
         // Purged HARQ blocks are radio losses like any other: count them
         // (over-the-air losses increment `tbs_lost` on HARQ exhaustion,
@@ -346,19 +380,16 @@ impl Gnb {
         self.pending_harq.retain(|p| p.tb.ue != ue);
         self.stats.tbs_lost += (before - self.pending_harq.len()) as u64;
         let drbs = ctx
-            .drb_ids
-            .iter()
-            .map(|&drb| {
-                let d = ctx.drbs.get_mut(&drb).expect("drb exists");
-                DrbHandoverState {
-                    drb,
-                    mode: d.rlc.mode(),
-                    next_sn: d.pdcp.next_sn(),
-                    forwarded: d.rlc.drain_for_handover(),
-                }
+            .drbs
+            .iter_mut()
+            .map(|(drb, d)| DrbHandoverState {
+                drb,
+                mode: d.rlc.mode(),
+                next_sn: d.pdcp.next_sn(),
+                forwarded: d.rlc.drain_for_handover(),
             })
             .collect();
-        let ul_rx = std::mem::take(&mut ctx.ul_rx).into_iter().collect();
+        let ul_rx = ctx.ul_rx.drain().collect();
         UeHandoverCtx {
             sdap: ctx.sdap,
             ca_factor: ctx.ca_factor,
@@ -385,7 +416,7 @@ impl Gnb {
     ) -> Vec<(DrbId, Sn)> {
         assert!(!ctx.drbs.is_empty(), "a UE needs at least one DRB");
         let mut dropped = Vec::new();
-        let mut map = BTreeMap::new();
+        let mut map = IdTable::new();
         for st in ctx.drbs {
             let mut rlc = RlcTx::new(st.mode, self.cfg.rlc_queue_sdus, self.cfg.segment_overhead);
             for fwd in st.forwarded {
@@ -404,34 +435,20 @@ impl Gnb {
                 },
             );
         }
-        let mut drb_ids: Vec<DrbId> = map.keys().copied().collect();
-        drb_ids.sort_unstable();
         // Uplink receive entities migrate whole, through PDCP
         // re-establishment: partial reassembly state from the source is
         // dropped (the UE retransmits those SDUs in full), the in-order
         // delivery point survives, and the cadence adopts this cell's
         // status period. A forced status resynchronises the UE's ARQ.
-        let mut ul_rx = BTreeMap::new();
+        let mut ul_rx = IdTable::new();
         for (drb, mut rx) in ctx.ul_rx {
             rx.reestablish();
             rx.set_status_period(self.cfg.rlc_status_period);
             ul_rx.insert(drb, rx);
         }
-        let prev = self.ues.insert(
-            ue,
-            UeCtx {
-                channel,
-                sdap: ctx.sdap,
-                drbs: map,
-                drb_ids,
-                avg_tput: Ewma::new(PF_EWMA_GAIN),
-                drb_cursor: 0,
-                ca_factor: ctx.ca_factor,
-                ul_rx,
-                ul_bsr: 0,
-                ul_avg_tput: Ewma::new(PF_EWMA_GAIN),
-            },
-        );
+        let prev = self
+            .ues
+            .insert(ue, UeCtx::new(channel, ctx.sdap, map, ctx.ca_factor, ul_rx));
         assert!(prev.is_none(), "UE {ue} already attached to this cell");
         dropped
     }
@@ -442,13 +459,13 @@ impl Gnb {
     /// as a larger observed egress rate (§7).
     pub fn set_carrier_aggregation(&mut self, ue: UeId, carriers: u8) {
         assert!(carriers >= 1, "at least the primary carrier");
-        self.ues.get_mut(&ue).expect("unknown UE").ca_factor = carriers;
+        self.ues.get_mut(ue).expect("unknown UE").ca_factor = carriers;
     }
 
     /// Install a QFI→DRB mapping rule for a UE.
     pub fn map_qfi(&mut self, ue: UeId, qfi: Qfi, drb: DrbId) {
         self.ues
-            .get_mut(&ue)
+            .get_mut(ue)
             .expect("unknown UE")
             .sdap
             .map_qfi(qfi, drb);
@@ -456,7 +473,7 @@ impl Gnb {
 
     /// Resolve the DRB a QFI maps to (the SDAP lookup L4Span mirrors).
     pub fn drb_for(&self, ue: UeId, qfi: Qfi) -> DrbId {
-        self.ues.get(&ue).expect("unknown UE").sdap.drb_for(qfi)
+        self.ues.get(ue).expect("unknown UE").sdap.drb_for(qfi)
     }
 
     /// RLC transmission-queue length in SDUs (Fig. 17's metric).
@@ -476,23 +493,23 @@ impl Gnb {
 
     fn drb(&self, ue: UeId, drb: DrbId) -> &DrbCtx {
         self.ues
-            .get(&ue)
+            .get(ue)
             .expect("unknown UE")
             .drbs
-            .get(&drb)
+            .get(drb)
             .expect("unknown DRB")
     }
 
     /// Instantaneous SNR a UE would measure right now (diagnostics and
     /// the Fig. 18 DCI-trace generator).
     pub fn snr_db(&self, ue: UeId, now: Instant) -> f64 {
-        self.ues.get(&ue).expect("unknown UE").channel.snr_db(now)
+        self.ues.get(ue).expect("unknown UE").channel.snr_db(now)
     }
 
     /// CQI the scheduler would use for a UE at `now` (stale by
     /// `cqi_delay`, minus the link-adaptation backoff).
     pub fn current_cqi(&self, ue: UeId, now: Instant) -> u8 {
-        let ch = &self.ues.get(&ue).expect("unknown UE").channel;
+        let ch = &self.ues.get(ue).expect("unknown UE").channel;
         let t = Instant::from_nanos(
             now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()),
         );
@@ -510,9 +527,9 @@ impl Gnb {
         pkt: PacketBuf,
         now: Instant,
     ) -> Option<(DrbId, Sn)> {
-        let ctx = self.ues.get_mut(&ue).expect("unknown UE");
+        let ctx = self.ues.get_mut(ue).expect("unknown UE");
         let drb = ctx.sdap.drb_for(qfi);
-        let d = ctx.drbs.get_mut(&drb).expect("SDAP mapped to missing DRB");
+        let d = ctx.drbs.get_mut(drb).expect("SDAP mapped to missing DRB");
         let sn = d.pdcp.assign_sn();
         if d.rlc.enqueue(sn, pkt, now) {
             self.stats.sdus_enqueued += 1;
@@ -555,7 +572,7 @@ impl Gnb {
             self.stats.harq_retx += 1;
             p.tb.attempt += 1;
             let ue = p.tb.ue;
-            let snr = self.ues.get(&ue).expect("ue").channel.snr_db(now)
+            let snr = self.ues.get(ue).expect("ue").channel.snr_db(now)
                 + HARQ_COMBINING_GAIN_DB * f64::from(p.tb.attempt - 1);
             let err = phy::bler(p.tb.cqi, snr);
             if self.rng.chance(err) {
@@ -582,17 +599,11 @@ impl Gnb {
             now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()),
         );
         self.scratch_cands.clear();
-        self.scratch_cqis.clear();
-        for (&ue, ctx) in &self.ues {
+        for (ue, ctx) in self.ues.iter_mut() {
             let backlog: usize = ctx.drbs.values().map(|d| d.rlc.backlog_bytes()).sum();
-            let cqi = phy::select_mcs(
-                ctx.channel.snr_db(stale_at),
-                self.cfg.link_adaptation_backoff_db,
-            );
-            self.scratch_cqis.push((ue, cqi));
-            let per_rbg = (phy::tbs_bytes(cqi, self.cfg.rbg_size, self.cfg.re_per_prb) as f64
-                * dl_fraction
-                * f64::from(ctx.ca_factor)) as usize;
+            ctx.adapt_link(stale_at, &self.cfg);
+            let per_rbg =
+                (ctx.la_rbg_bytes as f64 * dl_fraction * f64::from(ctx.ca_factor)) as usize;
             self.scratch_cands.push(Candidate {
                 ue,
                 backlog,
@@ -618,24 +629,19 @@ impl Gnb {
         }
 
         // --- 3. Build transport blocks from RLC queues ---
-        // `scratch_cqis` and `grants` are both sorted by UE id (the map
-        // iterates in order and the allocators preserve candidate order).
-        self.scratch_served.clear();
-        for &(ue, n_rbgs) in &grants {
-            let cqi = self.scratch_cqis[self
-                .scratch_cqis
-                .binary_search_by_key(&ue, |&(u, _)| u)
-                .expect("granted UE was a candidate")]
-            .1;
+        // A grant's candidate index is its UE's row in `ues` (one
+        // candidate per row, in row order), and grants come in that order.
+        for &Grant { cand, rbgs: n_rbgs } in &grants {
+            let (ue, ctx) = self.ues.row_mut(cand);
+            let cqi = ctx.la_cqi;
             let prbs = (n_rbgs * self.cfg.rbg_size).min(self.cfg.n_prbs);
             let budget =
                 (phy::tbs_bytes(cqi, prbs, self.cfg.re_per_prb) as f64 * dl_fraction) as usize;
             if budget == 0 {
                 continue;
             }
-            let ctx = self.ues.get_mut(&ue).expect("granted UE exists");
             let budget = budget * usize::from(ctx.ca_factor);
-            let n_drbs = ctx.drb_ids.len();
+            let n_drbs = ctx.drbs.len();
             // Pooled buffer (small TBs carry 1–2 segments; pooled vecs
             // keep their grown capacity, so no regrowth in practice).
             let mut segments = self.segment_pool.pop().unwrap_or_default();
@@ -644,8 +650,7 @@ impl Gnb {
                 if left <= self.cfg.segment_overhead {
                     break;
                 }
-                let drb_id = ctx.drb_ids[(ctx.drb_cursor + k) % n_drbs];
-                let d = ctx.drbs.get_mut(&drb_id).expect("drb exists");
+                let (drb_id, d) = ctx.drbs.row_mut((ctx.drb_cursor + k) % n_drbs);
                 self.scratch_txed.clear();
                 let consumed =
                     d.rlc
@@ -663,7 +668,7 @@ impl Gnb {
                 continue;
             }
             let used = budget - left;
-            self.scratch_served.push((ue, used));
+            ctx.served_bytes = used;
             let tb = TransportBlock {
                 ue,
                 segments,
@@ -674,7 +679,7 @@ impl Gnb {
             };
             self.stats.tbs_sent += 1;
             // Block-error draw at the *actual* current SNR.
-            let snr = self.ues.get(&ue).expect("ue").channel.snr_db(now);
+            let snr = ctx.channel.snr_db(now);
             if self.rng.chance(phy::bler(cqi, snr)) {
                 self.pending_harq.push(PendingHarq {
                     tb,
@@ -687,23 +692,12 @@ impl Gnb {
         }
         self.scratch_grants = grants;
 
-        // --- 4. PF throughput averages (every connected UE, every slot) ---
-        // Merge-walk: both `ues` and `scratch_served` are UE-id sorted.
-        let mut served_it = self.scratch_served.iter().peekable();
-        for (&ue, ctx) in self.ues.iter_mut() {
-            let bytes = match served_it.peek() {
-                Some(&&(su, b)) if su == ue => {
-                    served_it.next();
-                    b as f64
-                }
-                _ => 0.0,
-            };
-            ctx.avg_tput.push(bytes);
-        }
-
-        // --- 5. F1-U: report DRBs whose highest-transmitted SN advanced ---
-        for (&ue, ctx) in self.ues.iter_mut() {
-            for (&drb, d) in ctx.drbs.iter_mut() {
+        // --- 4. Per UE: the PF throughput average (every connected UE,
+        // every slot) and F1-U reports for DRBs whose highest-transmitted
+        // SN advanced ---
+        for (ue, ctx) in self.ues.iter_mut() {
+            ctx.avg_tput.push(std::mem::take(&mut ctx.served_bytes) as f64);
+            for (drb, d) in ctx.drbs.iter_mut() {
                 if d.rlc.highest_txed() != d.reported_txed {
                     d.reported_txed = d.rlc.highest_txed();
                     out.f1u.push(DlDataDeliveryStatus {
@@ -728,8 +722,8 @@ impl Gnb {
         status: &RlcStatus,
         now: Instant,
     ) -> Option<DlDataDeliveryStatus> {
-        let ctx = self.ues.get_mut(&ue).expect("unknown UE");
-        let d = ctx.drbs.get_mut(&drb).expect("unknown DRB");
+        let ctx = self.ues.get_mut(ue).expect("unknown UE");
+        let d = ctx.drbs.get_mut(drb).expect("unknown DRB");
         let before = d.rlc.highest_delivered();
         d.rlc.on_status(status, now);
         let after = d.rlc.highest_delivered();
@@ -751,16 +745,15 @@ impl Gnb {
     /// mirror of [`UeStack::configure_ul_drb`](crate::UeStack)).
     /// Idempotent per DRB.
     pub fn ensure_ul_drb(&mut self, ue: UeId, drb: DrbId, mode: RlcMode) {
-        let ctx = self.ues.get_mut(&ue).expect("unknown UE");
+        let ctx = self.ues.get_mut(ue).expect("unknown UE");
         ctx.ul_rx
-            .entry(drb)
-            .or_insert_with(|| RlcRx::new(mode, self.cfg.rlc_status_period));
+            .get_or_insert_with(drb, || RlcRx::new(mode, self.cfg.rlc_status_period));
     }
 
     /// A buffer-status report arrived from a UE: the scheduler now knows
     /// this many bytes are buffered across the UE's UL bearers.
     pub fn on_ul_bsr(&mut self, ue: UeId, total_bytes: usize) {
-        if let Some(ctx) = self.ues.get_mut(&ue) {
+        if let Some(ctx) = self.ues.get_mut(ue) {
             ctx.ul_bsr = total_bytes;
         }
     }
@@ -768,7 +761,7 @@ impl Gnb {
     /// The buffer status the scheduler currently believes for a UE
     /// (reported bytes minus grants already issued against them).
     pub fn ul_known_bsr(&self, ue: UeId) -> usize {
-        self.ues.get(&ue).map_or(0, |c| c.ul_bsr)
+        self.ues.get(ue).map_or(0, |c| c.ul_bsr)
     }
 
     /// Allocate this uplink slot's resources across BSR-backlogged UEs:
@@ -789,15 +782,9 @@ impl Gnb {
             now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()),
         );
         self.scratch_cands.clear();
-        self.scratch_cqis.clear();
-        for (&ue, ctx) in &self.ues {
-            let cqi = phy::select_mcs(
-                ctx.channel.snr_db(stale_at),
-                self.cfg.link_adaptation_backoff_db,
-            );
-            self.scratch_cqis.push((ue, cqi));
-            let per_rbg = phy::tbs_bytes(cqi, self.cfg.rbg_size, self.cfg.re_per_prb)
-                * usize::from(ctx.ca_factor);
+        for (ue, ctx) in self.ues.iter_mut() {
+            ctx.adapt_link(stale_at, &self.cfg);
+            let per_rbg = ctx.la_rbg_bytes * usize::from(ctx.ca_factor);
             self.scratch_cands.push(Candidate {
                 ue,
                 backlog: ctx.ul_bsr,
@@ -821,36 +808,24 @@ impl Gnb {
                 &mut grants,
             ),
         }
-        for &(ue, n_rbgs) in &grants {
-            let cqi = self.scratch_cqis[self
-                .scratch_cqis
-                .binary_search_by_key(&ue, |&(u, _)| u)
-                .expect("granted UE was a candidate")]
-            .1;
+        for &Grant { cand, rbgs: n_rbgs } in &grants {
+            let (ue, ctx) = self.ues.row_mut(cand);
+            let cqi = ctx.la_cqi;
             let prbs = (n_rbgs * self.cfg.rbg_size).min(self.cfg.n_prbs);
-            let ctx = self.ues.get_mut(&ue).expect("granted UE exists");
             let budget = phy::tbs_bytes(cqi, prbs, self.cfg.re_per_prb)
                 * usize::from(ctx.ca_factor);
             if budget == 0 {
                 continue;
             }
             ctx.ul_bsr = ctx.ul_bsr.saturating_sub(budget);
+            ctx.ul_granted_bytes = budget;
             out.push((ue, budget, cqi));
         }
         self.scratch_grants = grants;
-        // Uplink PF averages: every attached UE, every UL slot (`out`
-        // is UE-id sorted because the allocators preserve candidate
-        // order — merge-walk, exactly like the downlink step 4).
-        let mut granted_it = out.iter().peekable();
-        for (&ue, ctx) in self.ues.iter_mut() {
-            let bytes = match granted_it.peek() {
-                Some(&&(gu, b, _)) if gu == ue => {
-                    granted_it.next();
-                    b as f64
-                }
-                _ => 0.0,
-            };
-            ctx.ul_avg_tput.push(bytes);
+        // Uplink PF averages: every attached UE, every UL slot.
+        for ctx in self.ues.values_mut() {
+            ctx.ul_avg_tput
+                .push(std::mem::take(&mut ctx.ul_granted_bytes) as f64);
         }
     }
 
@@ -864,7 +839,7 @@ impl Gnb {
         now: Instant,
         out: &mut Vec<(DrbId, RxDelivery)>,
     ) -> UlTbOutcome {
-        let Some(snr0) = self.ues.get(&tb.ue).map(|c| c.channel.snr_db(now)) else {
+        let Some(snr0) = self.ues.get(tb.ue).map(|c| c.channel.snr_db(now)) else {
             self.stats.ul_tbs_lost += 1;
             self.recycle_segments(tb.segments);
             return UlTbOutcome::Lost;
@@ -884,10 +859,10 @@ impl Gnb {
             tb.attempt += 1;
             return UlTbOutcome::Retx(tb);
         }
-        let ctx = self.ues.get_mut(&tb.ue).expect("checked above");
+        let ctx = self.ues.get_mut(tb.ue).expect("checked above");
         let mut deliv = std::mem::take(&mut self.scratch_rx);
         for (drb, seg) in tb.segments.drain(..) {
-            let Some(rx) = ctx.ul_rx.get_mut(&drb) else {
+            let Some(rx) = ctx.ul_rx.get_mut(drb) else {
                 continue; // segment for an unconfigured UL DRB: dropped
             };
             rx.on_segment_into(seg, now, &mut deliv);
@@ -906,8 +881,8 @@ impl Gnb {
         now: Instant,
         out: &mut Vec<(UeId, DrbId, RlcStatus)>,
     ) {
-        for (&ue, ctx) in self.ues.iter_mut() {
-            for (&drb, rx) in ctx.ul_rx.iter_mut() {
+        for (ue, ctx) in self.ues.iter_mut() {
+            for (drb, rx) in ctx.ul_rx.iter_mut() {
                 if let Some(st) = rx.make_status(now) {
                     out.push((ue, drb, st));
                 }
@@ -920,7 +895,7 @@ impl Gnb {
     /// made it (see [`RlcRx::recycle_status`]); dropped if the UE has
     /// left the cell meanwhile.
     pub fn recycle_ul_status(&mut self, ue: UeId, drb: DrbId, status: RlcStatus) {
-        if let Some(rx) = self.ues.get_mut(&ue).and_then(|c| c.ul_rx.get_mut(&drb)) {
+        if let Some(rx) = self.ues.get_mut(ue).and_then(|c| c.ul_rx.get_mut(drb)) {
             rx.recycle_status(status);
         }
     }
@@ -932,8 +907,8 @@ impl Gnb {
     /// empty).
     pub fn poll_ul_rx_into(&mut self, now: Instant, out: &mut Vec<(UeId, DrbId, RxDelivery)>) {
         let mut deliv = std::mem::take(&mut self.scratch_rx);
-        for (&ue, ctx) in self.ues.iter_mut() {
-            for (&drb, rx) in ctx.ul_rx.iter_mut() {
+        for (ue, ctx) in self.ues.iter_mut() {
+            for (drb, rx) in ctx.ul_rx.iter_mut() {
                 rx.poll_into(now, &mut deliv);
                 for d in deliv.drain(..) {
                     out.push((ue, drb, d));

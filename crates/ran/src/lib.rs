@@ -42,6 +42,7 @@ pub mod pdcp;
 pub mod phy;
 pub mod rlc;
 pub mod sdap;
+mod table;
 pub mod ue;
 
 pub use channel::{ChannelProfile, FadingChannel};

@@ -40,6 +40,18 @@ pub struct Candidate {
     pub avg_throughput: f64,
 }
 
+/// One allocation of a slot: `rbgs` resource-block groups for the
+/// candidate at position `cand` of the slice the allocator was given, so
+/// the caller addresses the UE's state by index instead of searching for
+/// its id again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grant {
+    /// Position of the granted UE in the candidate slice.
+    pub cand: usize,
+    /// Resource-block groups granted (never 0).
+    pub rbgs: usize,
+}
+
 /// Reusable buffers for the slot-tick allocators. The 2 kHz per-cell
 /// slot tick calls an allocator every downlink slot; routing its
 /// working sets through here keeps the tick allocation-free at steady
@@ -54,7 +66,7 @@ pub struct AllocScratch {
 
 /// Allocate `n_rbgs` resource-block groups round-robin: one RBG per
 /// backlogged UE per pass, starting after the cursor so the head position
-/// rotates across slots. Writes `(ue, rbg_count)` pairs into the
+/// rotates across slots. Writes the grants, in candidate order, into the
 /// caller-owned `out` (cleared first) — zero allocations once `scratch`
 /// and `out` are at steady-state capacity.
 pub fn allocate_round_robin_into(
@@ -62,7 +74,7 @@ pub fn allocate_round_robin_into(
     n_rbgs: usize,
     cursor: &mut usize,
     scratch: &mut AllocScratch,
-    out: &mut Vec<(UeId, usize)>,
+    out: &mut Vec<Grant>,
 ) {
     out.clear();
     let remaining = &mut scratch.remaining;
@@ -109,11 +121,11 @@ pub fn allocate_round_robin_into(
     // *does* rotate: that UE's turn was spent on its retransmission.
     *cursor = cursor.wrapping_add(1);
     out.extend(
-        cands
+        grants
             .iter()
             .enumerate()
-            .filter(|(i, _)| grants[*i] > 0)
-            .map(|(i, c)| (c.ue, grants[i])),
+            .filter(|&(_, &rbgs)| rbgs > 0)
+            .map(|(cand, &rbgs)| Grant { cand, rbgs }),
     );
 }
 
@@ -134,7 +146,7 @@ pub fn allocate_proportional_fair_into(
     cands: &[Candidate],
     n_rbgs: usize,
     scratch: &mut AllocScratch,
-    out: &mut Vec<(UeId, usize)>,
+    out: &mut Vec<Grant>,
 ) {
     const EPS: f64 = 1e-6;
     out.clear();
@@ -177,11 +189,11 @@ pub fn allocate_proportional_fair_into(
     // Emit in candidate (UE-id) order, as the per-RBG loop did — the gNB
     // builds TBs in this order, so it also fixes the RNG draw sequence.
     out.extend(
-        cands
+        grants
             .iter()
             .enumerate()
-            .filter(|(i, _)| grants[*i] > 0)
-            .map(|(i, c)| (c.ue, grants[i])),
+            .filter(|&(_, &rbgs)| rbgs > 0)
+            .map(|(cand, &rbgs)| Grant { cand, rbgs }),
     );
 }
 
@@ -205,13 +217,17 @@ mod tests {
     ) -> Vec<(UeId, usize)> {
         let mut out = Vec::new();
         allocate_round_robin_into(cands, n_rbgs, cursor, &mut AllocScratch::default(), &mut out);
-        out
+        by_ue(cands, &out)
+    }
+
+    fn by_ue(cands: &[Candidate], grants: &[Grant]) -> Vec<(UeId, usize)> {
+        grants.iter().map(|g| (cands[g.cand].ue, g.rbgs)).collect()
     }
 
     fn allocate_proportional_fair(cands: &[Candidate], n_rbgs: usize) -> Vec<(UeId, usize)> {
         let mut out = Vec::new();
         allocate_proportional_fair_into(cands, n_rbgs, &mut AllocScratch::default(), &mut out);
-        out
+        by_ue(cands, &out)
     }
 
     #[test]
@@ -297,7 +313,7 @@ mod tests {
         // PF has no cursor; an all-empty slot must simply clear the
         // output and leave the scratch reusable for the next slot.
         let mut scratch = AllocScratch::default();
-        let mut out = vec![(UeId(9), 9)]; // stale content must be cleared
+        let mut out = vec![Grant { cand: 9, rbgs: 9 }]; // stale content must be cleared
         allocate_proportional_fair_into(&[], 4, &mut scratch, &mut out);
         assert!(out.is_empty());
         let idle = vec![cand(0, 0, 100, 1.0)];
@@ -305,7 +321,7 @@ mod tests {
         assert!(out.is_empty());
         let busy = vec![cand(1, 500, 100, 1.0)];
         allocate_proportional_fair_into(&busy, 4, &mut scratch, &mut out);
-        assert_eq!(out, vec![(UeId(1), 4)]);
+        assert_eq!(out, vec![Grant { cand: 0, rbgs: 4 }]);
     }
 
     #[test]

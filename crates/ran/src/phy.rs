@@ -69,7 +69,9 @@ pub fn efficiency(cqi: u8) -> f64 {
 /// `re_per_prb` usable resource elements per PRB.
 pub fn tbs_bytes(cqi: u8, n_prbs: usize, re_per_prb: usize) -> usize {
     let bits = (n_prbs * re_per_prb) as f64 * efficiency(cqi);
-    (bits / 8.0).floor() as usize
+    // `as usize` truncates, which for this non-negative quotient is the
+    // floor.
+    (bits / 8.0) as usize
 }
 
 /// Block error rate of a transmission at `actual_snr_db` using `cqi`.

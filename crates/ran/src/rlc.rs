@@ -14,7 +14,7 @@
 //! logic; t-StatusProhibit and t-Reassembly are merged into one periodic
 //! status cadence.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use l4span_net::PacketBuf;
 use l4span_sim::{Duration, Instant};
@@ -133,6 +133,7 @@ struct SduTx {
 /// An AM SDU kept after full transmission until the UE acknowledges it.
 #[derive(Debug)]
 struct UnackedSdu {
+    sn: Sn,
     pkt: PacketBuf,
     size: u32,
     t_ingress: Instant,
@@ -151,6 +152,19 @@ struct RetxSeg {
 /// (covers tail loss, where the receiver cannot know an SN existed).
 const T_POLL_RETRANSMIT: Duration = Duration::from_millis(45);
 
+/// First-use reservation of the unacknowledged store: a status period's
+/// worth of SDUs never regrows it, and an entity that never transmits
+/// (most bearers of a large world) never pays for it.
+const UNACKED_RESERVE: usize = 32;
+
+/// The SDU numbered `sn` in an SN-ordered unacknowledged store, if it is
+/// still held. Tail drops leave holes in the numbering, so the position
+/// is found by binary search, not by offset from the front.
+fn find_unacked(unacked: &VecDeque<UnackedSdu>, sn: Sn) -> Option<&UnackedSdu> {
+    let i = unacked.binary_search_by_key(&sn, |u| u.sn).ok()?;
+    Some(&unacked[i])
+}
+
 /// Downlink RLC entity (one per DRB) living in the DU.
 #[derive(Debug)]
 pub struct RlcTx {
@@ -159,7 +173,11 @@ pub struct RlcTx {
     segment_overhead: usize,
     queue: VecDeque<SduTx>,
     retx: VecDeque<RetxSeg>,
-    unacked: BTreeMap<Sn, UnackedSdu>,
+    /// Byte sum of the ranges in `retx`.
+    retx_bytes: usize,
+    /// Fully-transmitted AM SDUs awaiting acknowledgement, in SN order
+    /// (the order they are transmitted in); see [`find_unacked`].
+    unacked: VecDeque<UnackedSdu>,
     /// Bytes not yet handed to the MAC (queued SDUs minus pulled bytes).
     queued_bytes: usize,
     highest_txed: Option<Sn>,
@@ -181,7 +199,8 @@ impl RlcTx {
             segment_overhead,
             queue: VecDeque::new(),
             retx: VecDeque::new(),
-            unacked: BTreeMap::new(),
+            retx_bytes: 0,
+            unacked: VecDeque::new(),
             queued_bytes: 0,
             highest_txed: None,
             highest_delivered: None,
@@ -255,8 +274,11 @@ impl RlcTx {
 
     /// Bytes awaiting (re)transmission: the MAC backlog for this DRB.
     pub fn backlog_bytes(&self) -> usize {
-        let retx: usize = self.retx.iter().map(|r| (r.to - r.from) as usize).sum();
-        self.queued_bytes + retx
+        debug_assert_eq!(
+            self.retx_bytes,
+            self.retx.iter().map(|r| (r.to - r.from) as usize).sum::<usize>()
+        );
+        self.queued_bytes + self.retx_bytes
     }
 
     /// SDUs currently sitting in the transmission queue (the "RLC queue
@@ -319,12 +341,13 @@ impl RlcTx {
         if self.mode == RlcMode::Am && !self.unacked.is_empty() && self.retx.is_empty() {
             let reference = self.last_status_at.max(self.last_poll_retx_at);
             if now.saturating_since(reference) > T_POLL_RETRANSMIT {
-                let (&sn, sdu) = self.unacked.iter().next().expect("non-empty");
+                let sdu = self.unacked.front().expect("non-empty");
                 self.retx.push_back(RetxSeg {
-                    sn,
+                    sn: sdu.sn,
                     from: 0,
                     to: sdu.size,
                 });
+                self.retx_bytes += sdu.size as usize;
                 self.last_poll_retx_at = now;
             }
         }
@@ -339,9 +362,7 @@ impl RlcTx {
                 // Lossless narrowing: bounded by `want`, itself a u32
                 // range length.
                 let take = want.min(avail) as u32;
-                let sdu = self
-                    .unacked
-                    .get(&r.sn)
+                let sdu = find_unacked(&self.unacked, r.sn)
                     .expect("retx range for SDU not in unacked store");
                 let seg = Segment {
                     sn: r.sn,
@@ -357,6 +378,7 @@ impl RlcTx {
                 };
                 budget -= take as usize + oh;
                 consumed += take as usize + oh;
+                self.retx_bytes -= take as usize;
                 r.from += take;
                 if r.from >= r.to {
                     self.retx.pop_front();
@@ -404,14 +426,19 @@ impl RlcTx {
                 });
                 self.highest_txed = Some(self.highest_txed.map_or(done.sn, |h| h.max(done.sn)));
                 if self.mode == RlcMode::Am {
-                    self.unacked.insert(
-                        done.sn,
-                        UnackedSdu {
-                            pkt: done.pkt,
-                            size: done.size,
-                            t_ingress: done.t_ingress,
-                        },
+                    debug_assert!(
+                        self.unacked.back().is_none_or(|u| u.sn < done.sn),
+                        "SDUs are transmitted in SN order"
                     );
+                    if self.unacked.capacity() == 0 {
+                        self.unacked.reserve(UNACKED_RESERVE);
+                    }
+                    self.unacked.push_back(UnackedSdu {
+                        sn: done.sn,
+                        pkt: done.pkt,
+                        size: done.size,
+                        t_ingress: done.t_ingress,
+                    });
                 }
                 // Mark the new head's arrival at the queue front.
                 if let Some(next) = self.queue.front_mut() {
@@ -437,9 +464,9 @@ impl RlcTx {
         let mut out = Vec::with_capacity(self.unacked.len() + self.queue.len());
         // Pull order is strictly SN order, so every unacked SN precedes
         // every queued SN: chaining the two stores keeps ascending order.
-        for (sn, sdu) in std::mem::take(&mut self.unacked) {
+        for sdu in self.unacked.drain(..) {
             out.push(ForwardedSdu {
-                sn,
+                sn: sdu.sn,
                 pkt: sdu.pkt,
                 t_ingress: sdu.t_ingress,
             });
@@ -452,6 +479,7 @@ impl RlcTx {
             });
         }
         self.retx.clear();
+        self.retx_bytes = 0;
         self.queued_bytes = 0;
         self.highest_txed = None;
         out
@@ -474,18 +502,17 @@ impl RlcTx {
         self.last_status_at = now;
         // Cumulative ACK: everything below ack_sn.
         let mut acked = 0;
-        while let Some(e) = self.unacked.first_entry() {
-            let sn = *e.key();
+        while let Some(sn) = self.unacked.front().map(|u| u.sn) {
             if sn >= status.ack_sn {
                 break;
             }
-            e.remove();
+            self.unacked.pop_front();
             acked += 1;
             self.highest_delivered = Some(self.highest_delivered.map_or(sn, |h| h.max(sn)));
         }
         // NACKs: queue retransmission ranges (deduplicated).
         for n in &status.nacks {
-            let Some(sdu) = self.unacked.get(&n.sn) else {
+            let Some(sdu) = find_unacked(&self.unacked, n.sn) else {
                 continue; // already acknowledged or never transmitted
             };
             // A zero-size SDU's only segment is the empty
@@ -506,10 +533,18 @@ impl RlcTx {
             let seg = RetxSeg { sn: n.sn, from, to };
             if !self.retx.contains(&seg) {
                 self.retx.push_back(seg);
+                self.retx_bytes += (to - from) as usize;
             }
         }
         // Retx ranges for SNs that just got acked are stale; drop them.
-        self.retx.retain(|r| self.unacked.contains_key(&r.sn));
+        let (unacked, retx_bytes) = (&self.unacked, &mut self.retx_bytes);
+        self.retx.retain(|r| {
+            let live = find_unacked(unacked, r.sn).is_some();
+            if !live {
+                *retx_bytes -= (r.to - r.from) as usize;
+            }
+            live
+        });
         acked
     }
 }
@@ -517,6 +552,7 @@ impl RlcTx {
 /// State of one partially-received SDU at the UE.
 #[derive(Debug)]
 struct RxEntry {
+    sn: Sn,
     /// Received byte ranges, kept merged and sorted. The buffer comes
     /// from (and returns to) the entity's `range_pool`: creating
     /// reassembly state is a per-SDU operation and must not allocate.
@@ -588,7 +624,10 @@ pub struct RxDelivery {
 #[derive(Debug)]
 pub struct RlcRx {
     mode: RlcMode,
-    entries: BTreeMap<Sn, RxEntry>,
+    /// The reassembly window: partially received or out-of-order SDUs in
+    /// SN order, every SN ≥ `next_expected`. A handful of entries at
+    /// most in practice, so the occasional mid-window insert is cheap.
+    entries: VecDeque<RxEntry>,
     /// Lowest SN not yet delivered up.
     next_expected: Sn,
     /// Highest SN seen at all (for gap NACKs).
@@ -613,7 +652,7 @@ impl RlcRx {
     pub fn new(mode: RlcMode, status_period: Duration) -> RlcRx {
         RlcRx {
             mode,
-            entries: BTreeMap::new(),
+            entries: VecDeque::new(),
             next_expected: 0,
             highest_seen: None,
             reassembly_timeout: Duration::from_millis(50),
@@ -646,13 +685,22 @@ impl RlcRx {
         }
         self.highest_seen = Some(self.highest_seen.map_or(seg.sn, |h| h.max(seg.sn)));
         self.dirty = true;
-        let entry = self.entries.entry(seg.sn).or_insert_with(|| RxEntry {
-            ranges: self.range_pool.pop().unwrap_or_default(),
-            size: seg.sdu_size,
-            payload: None,
-            t_first: now,
-            t_ingress: seg.t_ingress,
-        });
+        let i = match self.entries.binary_search_by_key(&seg.sn, |e| e.sn) {
+            Ok(i) => i,
+            Err(i) => {
+                let entry = RxEntry {
+                    sn: seg.sn,
+                    ranges: self.range_pool.pop().unwrap_or_default(),
+                    size: seg.sdu_size,
+                    payload: None,
+                    t_first: now,
+                    t_ingress: seg.t_ingress,
+                };
+                self.entries.insert(i, entry);
+                i
+            }
+        };
+        let entry = &mut self.entries[i];
         entry.add_range(seg.offset, seg.offset + seg.len);
         if let Some(p) = seg.payload {
             entry.payload = Some(p);
@@ -660,14 +708,17 @@ impl RlcRx {
         self.deliver_in_order(out)
     }
 
+    /// The entry of `next_expected`, if any of it has arrived: the front
+    /// of the window, as no entry is older.
+    fn head(&self) -> Option<&RxEntry> {
+        self.entries.front().filter(|e| e.sn == self.next_expected)
+    }
+
     /// Deliver the run of complete SDUs starting at `next_expected`.
     fn deliver_in_order(&mut self, out: &mut Vec<RxDelivery>) {
-        while let Some(e) = self.entries.get(&self.next_expected) {
-            if !e.complete() {
-                break;
-            }
+        while self.head().is_some_and(RxEntry::complete) {
             let sn = self.next_expected;
-            let mut e = self.entries.remove(&sn).expect("present");
+            let mut e = self.entries.pop_front().expect("present");
             out.push(RxDelivery {
                 pkt: e.payload.take().expect("complete implies payload"),
                 sn,
@@ -690,27 +741,18 @@ impl RlcRx {
             return;
         }
         loop {
-            // Is the head-of-line SDU stuck?
-            let stuck = match self.entries.get(&self.next_expected) {
-                Some(e) if !e.complete() => {
-                    now.saturating_since(e.t_first) > self.reassembly_timeout
-                }
-                Some(_) => false,
-                None => {
-                    // Nothing at next_expected: a whole SDU may be missing
-                    // while later ones wait. Skip if any later entry aged out.
-                    match self.entries.range(self.next_expected..).next() {
-                        Some((_, e)) => {
-                            now.saturating_since(e.t_first) > self.reassembly_timeout
-                        }
-                        None => false,
-                    }
-                }
-            };
+            // Is the head-of-line SDU stuck? Either itself, or — when
+            // nothing of it arrived — the oldest SDU waiting behind it: a
+            // whole SDU may be lost while later ones wait.
+            let stuck = self.entries.front().is_some_and(|e| {
+                !(e.sn == self.next_expected && e.complete())
+                    && now.saturating_since(e.t_first) > self.reassembly_timeout
+            });
             if !stuck {
                 break;
             }
-            if self.entries.remove(&self.next_expected).is_some() {
+            if self.head().is_some() {
+                self.entries.pop_front();
                 self.skipped += 1;
             }
             self.next_expected += 1;
@@ -727,7 +769,7 @@ impl RlcRx {
     /// the next uplink opportunity carries a status report — the PDCP
     /// status report that tells the target what to retransmit.
     pub fn reestablish(&mut self) {
-        self.entries.retain(|_, e| e.complete());
+        self.entries.retain(RxEntry::complete);
         self.dirty = true;
     }
 
@@ -755,8 +797,10 @@ impl RlcRx {
         self.dirty = false;
         let mut nacks = std::mem::take(&mut self.spare_nacks);
         if let Some(high) = self.highest_seen {
+            // Walk the SN range and the (SN-ordered) window side by side.
+            let mut held = self.entries.iter().peekable();
             for sn in self.next_expected..=high {
-                match self.entries.get(&sn) {
+                match held.next_if(|e| e.sn == sn) {
                     Some(e) => e.for_each_missing(|from, to| nacks.push(Nack { sn, from, to })),
                     None => nacks.push(Nack {
                         sn,
@@ -1257,6 +1301,7 @@ mod tests {
     /// An entry holding `ranges` of a `size`-byte SDU.
     fn entry(ranges: &[ByteRange], size: u32, payload: Option<PacketBuf>) -> RxEntry {
         RxEntry {
+            sn: 0,
             ranges: ranges.to_vec(),
             size,
             payload,
@@ -1299,14 +1344,12 @@ mod tests {
         // zero-size SDU to an empty range and discarded it, so the SN
         // never retransmitted and in-order delivery stalled forever.
         let mut t = tx(RlcMode::Am);
-        t.unacked.insert(
-            7,
-            UnackedSdu {
-                pkt: pkt(0),
-                size: 0,
-                t_ingress: Instant::ZERO,
-            },
-        );
+        t.unacked.push_back(UnackedSdu {
+            sn: 7,
+            pkt: pkt(0),
+            size: 0,
+            t_ingress: Instant::ZERO,
+        });
         let status = RlcStatus {
             ack_sn: 7,
             nacks: vec![Nack {
@@ -1334,14 +1377,12 @@ mod tests {
         assert!(r.segments[0].payload.is_some());
         assert!(t.retx.is_empty());
         // A non-empty SDU's clamped-empty NACK is still discarded.
-        t.unacked.insert(
-            8,
-            UnackedSdu {
-                pkt: pkt(100),
-                size: 140,
-                t_ingress: Instant::ZERO,
-            },
-        );
+        t.unacked.push_back(UnackedSdu {
+            sn: 8,
+            pkt: pkt(100),
+            size: 140,
+            t_ingress: Instant::ZERO,
+        });
         let status = RlcStatus {
             ack_sn: 8,
             nacks: vec![Nack {

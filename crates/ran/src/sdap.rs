@@ -5,14 +5,13 @@
 //! this mapping for its own five-tuple → (UE, DRB) table; here is the
 //! authoritative one.
 
-use std::collections::BTreeMap;
-
 use crate::ids::{DrbId, Qfi};
+use crate::table::IdTable;
 
 /// SDAP mapping state for one UE.
 #[derive(Debug, Clone)]
 pub struct SdapEntity {
-    map: BTreeMap<Qfi, DrbId>,
+    map: IdTable<Qfi, DrbId>,
     default_drb: DrbId,
 }
 
@@ -20,7 +19,7 @@ impl SdapEntity {
     /// Create with a default DRB for unmapped QFIs.
     pub fn new(default_drb: DrbId) -> SdapEntity {
         SdapEntity {
-            map: BTreeMap::new(),
+            map: IdTable::new(),
             default_drb,
         }
     }
@@ -33,7 +32,7 @@ impl SdapEntity {
     /// Resolve the DRB for a QFI (falling back to the default DRB, as a
     /// gNB does for the default QoS flow).
     pub fn drb_for(&self, qfi: Qfi) -> DrbId {
-        self.map.get(&qfi).copied().unwrap_or(self.default_drb)
+        self.map.get(qfi).copied().unwrap_or(self.default_drb)
     }
 
     /// The configured default DRB.

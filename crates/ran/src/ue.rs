@@ -13,7 +13,7 @@
 //! reports via [`UeStack::ul_f1u_into`]) rather than downlink slot
 //! telemetry.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use l4span_net::PacketBuf;
 use l4span_sim::{Duration, Instant, SimRng};
@@ -24,6 +24,7 @@ use crate::ids::{DrbId, UeId};
 use crate::mac::TransportBlock;
 use crate::pdcp::PdcpTx;
 use crate::rlc::{RlcRx, RlcStatus, RlcTx, RxDelivery, Segment, Sn, TxRecord};
+use crate::table::IdTable;
 
 /// A downlink IP packet delivered up to the UE application, with the
 /// timing metadata the harness needs for one-way-delay accounting.
@@ -65,16 +66,14 @@ struct UlDrbCtx {
 #[derive(Debug)]
 pub struct UeStack {
     id: UeId,
-    rlc: BTreeMap<DrbId, RlcRx>,
+    rlc: IdTable<DrbId, RlcRx>,
     ul_queue: VecDeque<UlItem>,
     internal_delay: Duration,
     sr_delay_max: Duration,
     rng: SimRng,
     /// Uplink data-plane entities (empty unless the scenario configures
     /// uplink flows, so downlink-only runs are byte-identical).
-    ul_tx: BTreeMap<DrbId, UlDrbCtx>,
-    /// Cached sorted UL DRB ids (fixed after configuration).
-    ul_drb_ids: Vec<DrbId>,
+    ul_tx: IdTable<DrbId, UlDrbCtx>,
     /// Intra-UE UL DRB round-robin cursor for TB building.
     ul_drb_cursor: usize,
     /// Earliest instant the *first* BSR of the current busy period may
@@ -100,10 +99,10 @@ impl UeStack {
         sr_delay_max: Duration,
         rng: SimRng,
     ) -> UeStack {
-        let rlc = drbs
-            .iter()
-            .map(|&(d, m)| (d, RlcRx::new(m, status_period)))
-            .collect();
+        let mut rlc = IdTable::new();
+        for &(d, m) in drbs {
+            rlc.insert(d, RlcRx::new(m, status_period));
+        }
         UeStack {
             id,
             rlc,
@@ -111,8 +110,7 @@ impl UeStack {
             internal_delay,
             sr_delay_max,
             rng,
-            ul_tx: BTreeMap::new(),
-            ul_drb_ids: Vec::new(),
+            ul_tx: IdTable::new(),
             ul_drb_cursor: 0,
             ul_sr_at: Instant::MAX,
             bsr_open: false,
@@ -140,7 +138,7 @@ impl UeStack {
     ) -> Vec<(DrbId, Segment)> {
         let mut deliv = std::mem::take(&mut self.scratch_rx);
         for (drb, seg) in tb.segments.drain(..) {
-            let Some(rx) = self.rlc.get_mut(&drb) else {
+            let Some(rx) = self.rlc.get_mut(drb) else {
                 continue; // segment for an unconfigured DRB: dropped
             };
             rx.on_segment_into(seg, now, &mut deliv);
@@ -168,7 +166,7 @@ impl UeStack {
                     pkt: d.pkt,
                     deliver_at: now + self.internal_delay,
                     t_cu_ingress: d.t_ingress,
-                    drb: *drb,
+                    drb,
                 });
             }
         }
@@ -217,7 +215,7 @@ impl UeStack {
         }
         for (drb, rx) in self.rlc.iter_mut() {
             if let Some(st) = rx.make_status(now) {
-                statuses.push((*drb, st));
+                statuses.push((drb, st));
             }
         }
     }
@@ -273,18 +271,17 @@ impl UeStack {
         capacity_sdus: usize,
         segment_overhead: usize,
     ) {
-        self.ul_tx.entry(drb).or_insert_with(|| UlDrbCtx {
+        self.ul_tx.get_or_insert_with(drb, || UlDrbCtx {
             pdcp: PdcpTx::new(),
             rlc: RlcTx::new(mode, capacity_sdus, segment_overhead),
             reported_txed: None,
             reported_delivered: None,
         });
-        self.ul_drb_ids = self.ul_tx.keys().copied().collect();
     }
 
     /// UL DRBs configured on this UE, in id order.
-    pub fn ul_drbs(&self) -> &[DrbId] {
-        &self.ul_drb_ids
+    pub fn ul_drbs(&self) -> impl Iterator<Item = DrbId> + '_ {
+        self.ul_tx.keys()
     }
 
     /// Enqueue an uplink *data* packet from a UE-side sender: PDCP
@@ -294,7 +291,7 @@ impl UeStack {
     /// it learns (via BSR) that the buffer is non-empty.
     pub fn enqueue_uplink_data(&mut self, drb: DrbId, pkt: PacketBuf, now: Instant) -> Option<Sn> {
         let was_empty = self.ul_backlog_bytes() == 0;
-        let d = self.ul_tx.get_mut(&drb).expect("UL DRB not configured");
+        let d = self.ul_tx.get_mut(drb).expect("UL DRB not configured");
         let sn = d.pdcp.assign_sn();
         if !d.rlc.enqueue(sn, pkt, now) {
             return None;
@@ -319,7 +316,7 @@ impl UeStack {
 
     /// Uplink RLC transmission-queue length in SDUs for one DRB.
     pub fn ul_queue_len_sdus(&self, drb: DrbId) -> usize {
-        self.ul_tx.get(&drb).map_or(0, |d| d.rlc.queue_len_sdus())
+        self.ul_tx.get(drb).map_or(0, |d| d.rlc.queue_len_sdus())
     }
 
     /// Append the buffer-status report that rides this uplink
@@ -353,7 +350,7 @@ impl UeStack {
             self.bsr_open = true;
             self.ul_sr_at = Instant::MAX;
         }
-        for (&drb, d) in self.ul_tx.iter() {
+        for (drb, d) in self.ul_tx.iter() {
             let b = d.rlc.backlog_bytes();
             if b > 0 {
                 out.push((drb, b));
@@ -381,11 +378,10 @@ impl UeStack {
         if self.ul_tx.is_empty() || granted == 0 {
             return Err(segments);
         }
-        let n = self.ul_drb_ids.len();
+        let n = self.ul_tx.len();
         let mut left = granted;
         for k in 0..n {
-            let drb = self.ul_drb_ids[(self.ul_drb_cursor + k) % n];
-            let d = self.ul_tx.get_mut(&drb).expect("drb exists");
+            let (drb, d) = self.ul_tx.row_mut((self.ul_drb_cursor + k) % n);
             self.scratch_txed.clear();
             let consumed = d.rlc.pull_with(left, now, &mut self.scratch_txed, |s| {
                 segments.push((drb, s));
@@ -414,7 +410,7 @@ impl UeStack {
     /// retransmission queue (and re-arm the BSR machine so the repair
     /// bytes get granted).
     pub fn on_ul_status(&mut self, drb: DrbId, status: &RlcStatus, now: Instant) {
-        let d = self.ul_tx.get_mut(&drb).expect("UL DRB not configured");
+        let d = self.ul_tx.get_mut(drb).expect("UL DRB not configured");
         d.rlc.on_status(status, now);
     }
 
@@ -422,7 +418,7 @@ impl UeStack {
     /// has been consumed: its buffer returns to the receive entity that
     /// made it (see [`RlcRx::recycle_status`]).
     pub fn recycle_status(&mut self, drb: DrbId, status: RlcStatus) {
-        if let Some(rx) = self.rlc.get_mut(&drb) {
+        if let Some(rx) = self.rlc.get_mut(drb) {
             rx.recycle_status(status);
         }
     }
@@ -434,7 +430,7 @@ impl UeStack {
     /// estimator: `timestamp` is the grant time at which the bytes left
     /// the queue.
     pub fn ul_f1u_into(&mut self, now: Instant, out: &mut Vec<DlDataDeliveryStatus>) {
-        for (&drb, d) in self.ul_tx.iter_mut() {
+        for (drb, d) in self.ul_tx.iter_mut() {
             let txed = d.rlc.highest_txed();
             let delivered = d.rlc.highest_delivered();
             if txed != d.reported_txed || delivered != d.reported_delivered {

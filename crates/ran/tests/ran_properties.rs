@@ -43,11 +43,11 @@ proptest! {
         allocate_round_robin_into(&cands, n_rbgs, &mut 0, &mut scratch, &mut rr);
         allocate_proportional_fair_into(&cands, n_rbgs, &mut scratch, &mut pf);
         for grants in [rr, pf] {
-            let total: usize = grants.iter().map(|&(_, n)| n).sum();
+            let total: usize = grants.iter().map(|g| g.rbgs).sum();
             prop_assert!(total <= n_rbgs, "over-allocated: {total}/{n_rbgs}");
-            for (ue, n) in grants {
-                prop_assert!(n > 0);
-                let c = cands.iter().find(|c| c.ue == ue).unwrap();
+            for g in grants {
+                prop_assert!(g.rbgs > 0);
+                let c = &cands[g.cand];
                 prop_assert!(c.backlog > 0 && c.bytes_per_rbg > 0);
             }
         }

@@ -431,11 +431,16 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     // cost the same in both, so the difference is what the steady state
     // allocates — RLC reassembly and status reports, the marker's
     // feedback path, uplink transport blocks, FEC reports, the metric
-    // series. It must stay below one allocation per two delivered
-    // packets on a downlink TCP cell (the paper's case; 0.09 today), on
-    // bidirectional TCP calls (0.30, most of it TCP segment bookkeeping)
-    // and on the bonded FEC-media uplink (0.06; 15 before the uplink
-    // data path stopped allocating per grant, per status and per SDU).
+    // series. The sequence-keyed stores (TCP segments in flight, RLC
+    // unacknowledged and reassembly windows, the SN → packet join) are
+    // rings that only allocate to grow, so what is left is a few
+    // allocations per *hundred* packets: ≤ 0.05 on a downlink TCP cell
+    // (the paper's case; 0.015 today, 0.09 while every segment
+    // sent churned a B-tree node), ≤ 0.1 on bidirectional TCP calls
+    // (0.091, nearly all of it the video application's per-frame
+    // unit list; 0.30 then) and ≤ 0.03 on the bonded FEC-media
+    // uplink (0.024; 0.06 then, 15 before the uplink data path
+    // stopped allocating per grant, per status and per SDU).
     use l4span::cc::WanLink;
     use l4span::harness::scenario::{self, ChannelMix, ScenarioConfig};
     use l4span::harness::Report;
@@ -453,12 +458,13 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     };
     let calls = |d| scenario::video_call_bidir(4, "prague", scenario::l4span_default(), 7, d);
     let bonded_ul = |d| scenario::bonded_xr_8ue(7, d);
-    let worlds: [(&str, &dyn Fn(Duration) -> ScenarioConfig); 3] = [
-        ("tcp cell", &tcp_cell),
-        ("bidirectional calls", &calls),
-        ("bonded uplink", &bonded_ul),
+    type Scenario<'a> = &'a dyn Fn(Duration) -> ScenarioConfig;
+    let worlds: [(&str, f64, Scenario); 3] = [
+        ("tcp cell", 0.05, &tcp_cell),
+        ("bidirectional calls", 0.1, &calls),
+        ("bonded uplink", 0.03, &bonded_ul),
     ];
-    for (name, cfg) in worlds {
+    for (name, limit, cfg) in worlds {
         let run = |secs| -> (u64, Report) {
             allocs_during(|| l4span::harness::run(cfg(Duration::from_secs(secs))))
         };
@@ -467,9 +473,9 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         assert!(pkts > 1000, "{name}: only {pkts} more packets in twice the time");
         let per_pkt = a2.saturating_sub(a1) as f64 / pkts as f64;
         assert!(
-            per_pkt <= 0.5,
-            "{name}: {per_pkt:.2} allocations per additional delivered packet \
-             ({a1} over 3 s, {a2} over 6 s, {pkts} more packets)"
+            per_pkt <= limit,
+            "{name}: {per_pkt:.3} allocations per additional delivered packet, \
+             limit {limit} ({a1} over 3 s, {a2} over 6 s, {pkts} more packets)"
         );
     }
 }

@@ -205,6 +205,42 @@ proptest! {
         }
     }
 
+    /// The O(1) attainable rate (front of a monotone deque) is bit for
+    /// bit the fold over the full smoothed-rate history it replaced,
+    /// whenever feedback timestamps never decrease — including equal
+    /// stamps, idle gaps past the 100-window horizon, and byte counts
+    /// that swing the rate both ways.
+    #[test]
+    fn attainable_rate_equals_fold_over_full_history(
+        steps in proptest::collection::vec((0u32..100, 100u64..20_000, 0usize..6000), 100..500),
+    ) {
+        let window = Duration::from_micros(12_450);
+        let horizon = window * 100;
+        let mut e = EgressEstimator::new(window);
+        // The reference: every smoothed sample, expired from the front.
+        let mut history: std::collections::VecDeque<(Instant, f64)> = Default::default();
+        let mut now = Instant::ZERO;
+        for &(kind, gap_us, bytes) in &steps {
+            now += match kind {
+                0..=9 => Duration::ZERO,
+                10..=12 => Duration::from_micros(gap_us * 100),
+                _ => Duration::from_micros(gap_us),
+            };
+            e.on_txed(now, bytes);
+            if let Some(smoothed) = e.rate() {
+                history.push_back((now, smoothed));
+                while history.front().is_some_and(|&(t, _)| now.saturating_since(t) > horizon) {
+                    history.pop_front();
+                }
+            }
+            let naive = e
+                .rate()
+                .map(|current| history.iter().map(|&(_, r)| r).fold(current, f64::max));
+            prop_assert_eq!(e.attainable_rate().map(f64::to_bits), naive.map(f64::to_bits));
+        }
+        prop_assert!(e.attainable_rate().is_some());
+    }
+
     /// RLC AM segmentation/reassembly delivers every SDU exactly once and
     /// in order, for arbitrary pull budgets, with losses repaired by
     /// status-driven retransmission.
