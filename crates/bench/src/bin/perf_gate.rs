@@ -33,10 +33,9 @@
 //! has its own core. It derives from per-shard busy clocks, so it is
 //! meaningful on a single-core runner too, where the epochs execute
 //! sequentially (their wall would conflate machine core count with
-//! simulator speed) — but not with more shard threads than cores, when
-//! a busy clock also counts the time its thread sat descheduled: on
-//! such a box record and check with `L4SPAN_THREADS=1`, as every
-//! committed artifact was. `--check` also enforces the absolute
+//! simulator speed); an epoch never runs more worker threads than the
+//! machine has cores, so a busy clock does not count time its thread
+//! sat descheduled. `--check` also enforces the absolute
 //! `MAX_METRO_BUSY_MS_PER_SIM_S` ceiling on the metro row.
 
 use std::time::Instant as WallInstant;
@@ -121,9 +120,9 @@ struct Row {
     wall_s: f64,
     wall_ms_per_sim_s: f64,
     shard_cost: Option<ShardCost>,
-    /// Why a requested multi-shard run fell back to the classic path
-    /// (`Report::shard_reject`) — printed so a scenario silently losing
-    /// its parallel speedup is visible in the gate table.
+    /// Why the run was time-major (`Report::shard_reject`) — printed so
+    /// a scenario silently falling off the cell-major path, or losing
+    /// its parallel speedup, is visible in the gate table.
     shard_reject: Option<&'static str>,
 }
 
@@ -306,7 +305,7 @@ fn main() {
             );
         }
         if let Some(why) = r.shard_reject {
-            println!("  └ sharding rejected ({why}) — classic whole-world path");
+            println!("  └ time-major, one queue ({why})");
         }
         if check {
             match check_scenario(&best, r.name, r.gate_ms(), MAX_REGRESSION) {

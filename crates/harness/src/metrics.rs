@@ -215,15 +215,19 @@ pub struct Report {
     /// for the same reason as `events`.
     pub fading_evals: u64,
     /// Per-shard execution statistics when the run was sharded
-    /// ([`crate::run_sharded`]); empty for classic single-world runs.
+    /// ([`crate::run_sharded`]); empty for single-world runs.
     /// Excluded from the fingerprint like `cycles`: the deterministic
     /// `events` column aside, these are wall-clock readings, and the
     /// fingerprint must stay byte-invariant to shard count.
     pub shards: Vec<ShardStat>,
-    /// Why [`crate::plan_shards`] refused to shard this run (wired
-    /// bottleneck, impairment pipeline, …); `None` when sharding was
-    /// never requested or was granted. Excluded from the fingerprint
-    /// like `shards`: it describes execution planning, not simulation.
+    /// Why the world ran time-major off a single queue — the reason
+    /// [`crate::plan_shards_reason`] gives for refusing to treat its
+    /// cells as independent (single cell, central CU marker, wired
+    /// bottleneck, impairment pipeline, bonded flow, a mobility step the
+    /// barrier order would misplace). `None` for a world that ran
+    /// cell-major, in one world or sharded. Excluded from the
+    /// fingerprint like `shards`: it describes execution planning, not
+    /// simulation.
     pub shard_reject: Option<&'static str>,
     /// Cumulative impairment-pipeline counters, present exactly when the
     /// scenario configured an [`crate::ImpairmentSpec`]. Joins the

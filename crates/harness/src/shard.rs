@@ -1,58 +1,67 @@
-//! Intra-scenario sharding: per-cell shards with deterministic
-//! slot-boundary exchange.
+//! Cell-major execution and intra-scenario sharding: independent cells
+//! with deterministic slot-boundary exchange.
 //!
-//! A shard is a full [`World`] replica pruned down to the events its
-//! cells own ([`World::shard_install`]). Because a per-cell CU
-//! deployment (`cu_per_cell`) keeps *all* marker, RLC, and channel
-//! state cell-local, the only couplings between cells are:
+//! Because a per-cell CU deployment (`cu_per_cell`) keeps *all* marker,
+//! RLC, and channel state cell-local, the only couplings between cells
+//! are:
 //!
 //! 1. **Handover** — Xn context transfer plus the UE's whole state
-//!    cluster, executed by this coordinator at the step's barrier
-//!    ([`World::handover_across`]);
+//!    cluster, executed at the step's barrier;
 //! 2. **In-flight events of a migrated UE** — queued packets and
-//!    timers extracted in `(time, seq)` order right after the flip
-//!    ([`World::extract_foreign_events`]);
+//!    timers re-homed in `(time, seq)` order right after the flip
+//!    ([`World::rehome_events`]);
 //! 3. **Post-handover uplink stragglers** — feedback that was on the
 //!    air toward the old cell when the UE left; the old cell still
-//!    processes it (exactly as in one world), and the resulting server
-//!    arrival rides the source shard's outbox.
+//!    processes it (exactly as in time order), and the resulting server
+//!    arrival goes to the new cell's queue.
 //!
-//! Between barriers the replicas are completely independent, so epochs
-//! run in parallel (`L4SPAN_THREADS`, the PR 2 convention). Envelopes
-//! drain in `(slot-boundary time, source shard, sequence)` order, and
-//! barrier-injected events take fresh sequence numbers *before* the
-//! receiving epoch resumes — reproducing the single-world FIFO order,
-//! which is what makes [`Report::fingerprint`] byte-invariant to the
-//! shard count. Mobility steps the coordinator executes are counted
-//! into the merged event total exactly like the `Handover` pops of the
-//! classic loop.
+//! Between barriers the cells are completely independent, so an
+//! eligible world keeps **one event queue per cell** and [`drive`] runs
+//! each cell up to the next barrier in turn. [`World::run`] does that on
+//! the one world — no replica, only a different order of execution, in
+//! which a cell's state stays in cache while it runs. [`run_sharded`]
+//! does it on `n` replicas, each owning the cells assigned to it, whose
+//! epochs run in parallel (`L4SPAN_THREADS`, the PR 2 convention); what
+//! crosses replicas travels as envelopes that drain in `(slot-boundary
+//! time, source shard, sequence)` order. Either way barrier-injected
+//! events take fresh sequence numbers *before* the receiving cell
+//! resumes — reproducing the time-major FIFO order, which is what makes
+//! [`Report::fingerprint`] byte-invariant to the execution order and
+//! the shard count. Mobility steps executed at barriers are counted into
+//! the event total exactly like the `Handover` pops of the time-major
+//! loop.
 //!
 //! Anything outside the eligible shape — a central CU marker, a wired
-//! bottleneck (whose router serializes all flows), or a single cell —
-//! runs the classic whole-world path untouched.
+//! bottleneck (whose router serializes all flows), a single cell, a
+//! mobility step the barrier order would misplace — runs time-major off
+//! one queue, untouched.
 
 use std::collections::BTreeSet;
 
-use l4span_sim::Instant;
+use l4span_ran::config::{CellConfig, RlcMode};
+use l4span_sim::{Duration, Instant};
 
 use crate::metrics::{Report, ShardStat};
 use crate::runner::default_threads;
-use crate::scenario::{MobilityStep, ScenarioConfig};
-use crate::world::{Event, World};
+use crate::scenario::{FlowDir, MobilityStep, ScenarioConfig, TransportSpec};
+use crate::world::{Event, World, TICK_PHASE_PER_CELL_CU, UE_POLL_PERIOD};
 
 /// How many shards a scenario actually supports: `want`, capped at the
 /// cell count — or 1 when the scenario is ineligible (central CU
-/// marker, wired bottleneck, impairment pipeline, or a single cell), in
-/// which case [`run_sharded`] takes the classic whole-world code path.
+/// marker, wired bottleneck, impairment pipeline, a single cell, …), in
+/// which case [`run_sharded`] is [`World::run`] on its time-major path.
 pub fn plan_shards(cfg: &ScenarioConfig, want: usize) -> usize {
     plan_shards_reason(cfg, want).0
 }
 
 /// [`plan_shards`] plus *why* a scenario was forced to one shard: the
-/// shape property that makes cells non-independent, surfaced in
+/// property that makes its cells non-independent, surfaced in
 /// [`Report::shard_reject`] and the perf-gate table so a scenario
-/// silently falling off the parallel path is visible. `None` when the
-/// plan honored the request (including the trivial `want <= 1`).
+/// silently falling off the fast path is visible. `None` when the plan
+/// honored the request (including the trivial `want <= 1`).
+///
+/// `plan_shards_reason(cfg, 2).1.is_none()` is the eligibility test of
+/// the cell-major [`World::run`].
 pub fn plan_shards_reason(cfg: &ScenarioConfig, want: usize) -> (usize, Option<&'static str>) {
     if want <= 1 {
         return (1, None);
@@ -66,44 +75,155 @@ pub fn plan_shards_reason(cfg: &ScenarioConfig, want: usize) -> (usize, Option<&
         // independently.
         return (1, Some("bonded flow"));
     }
+    if cfg.n_cells() < 2 {
+        return (1, Some("single cell"));
+    }
     if !cfg.cu_per_cell {
         return (1, Some("central CU marker"));
     }
     if cfg.bottleneck.is_some() {
         return (1, Some("wired bottleneck"));
     }
-    if cfg.n_cells() < 2 {
-        return (1, Some("single cell"));
+    if step_misaligned(cfg) {
+        return (1, Some("mobility step on a tick or flow boundary"));
+    }
+    if steps_reuse_a_grid(cfg) {
+        return (1, Some("mobility steps reuse a cell within a round trip"));
+    }
+    if tick_paced_uplink_moves(cfg) {
+        return (1, Some("mobility step under tick-paced uplink traffic"));
     }
     (want.min(cfg.n_cells()), None)
 }
 
-/// Run `cfg` across `want` per-cell shards (cells assigned round-robin)
-/// and return the merged report, with [`Report::shards`] carrying the
-/// per-shard statistics. One shard — requested or forced by
-/// [`plan_shards`] — is the exact classic [`World::run`] path.
-pub fn run_sharded(cfg: ScenarioConfig, want: usize) -> Report {
-    let (n, reject) = plan_shards_reason(&cfg, want);
-    if n <= 1 {
-        let mut report = World::new(cfg).run();
-        report.shard_reject = reject;
-        return report;
-    }
-    let end = Instant::ZERO + cfg.duration;
-    let n_cells = cfg.n_cells();
-    let of_cell: Vec<usize> = (0..n_cells).map(|c| c % n).collect();
-    // Flush horizon: one cell slot. Straggler feedback toward an old
-    // cell is all in flight at handover time, so it lands within one
-    // air hop (< a slot) of the barrier; two flush barriers per step
-    // collect the resulting mail long before its server-arrival time.
-    let slot = (0..n_cells)
-        .map(|c| cfg.cell_config(c).slot_duration)
-        .max()
-        .expect("at least one cell");
+/// Does some mobility step sit where "barrier work runs before
+/// everything at its instant" is not the time-major pop order? Two
+/// cases: the step shares its instant with a start or stop of one of the
+/// UE's own flows (init-scheduled ahead of the `Handover`, so time-major
+/// pops the flow event *first*); or it lands on the housekeeping grid,
+/// where an event re-homed at the barrier would take its fresh sequence
+/// number behind a same-instant tick it used to precede. `UePoll`'s
+/// 5 ms grid contains `Sample`'s 10 ms one; both sit
+/// [`TICK_PHASE_PER_CELL_CU`] off the round instants.
+fn step_misaligned(cfg: &ScenarioConfig) -> bool {
+    let (period, phase) = (UE_POLL_PERIOD.as_nanos(), TICK_PHASE_PER_CELL_CU.as_nanos());
+    let on_tick =
+        |at: Instant| at.as_nanos() > phase && (at.as_nanos() - phase).is_multiple_of(period);
+    let steps = |ue: usize| cfg.ues.get(ue).map_or(&[][..], |u| &u.mobility[..]);
+    cfg.ues
+        .iter()
+        .flat_map(|u| &u.mobility)
+        .any(|st| on_tick(st.at))
+        || cfg.flows.iter().any(|f| {
+            steps(f.ue)
+                .iter()
+                .any(|st| st.at == f.start || Some(st.at) == f.stop)
+        })
+}
 
-    // The coordinator's mobility schedule: every step the classic loop
-    // would pop (at ≤ end), grouped per barrier instant in UE order —
-    // the order their init-scheduled `Handover` events carry.
+/// Do two cell changes carry one cell's slot grid into one queue twice?
+/// Every delay of the model is a whole number of slots, so an
+/// ACK-clocked flow's wired events sit on the slot grid of the cell
+/// whose radio last carried them — same-instant ties with that cell's
+/// `Slot` tick, and between the UEs acknowledged in one uplink slot, are
+/// the norm, and the queue resolves them by sequence number. Re-homed
+/// events take *fresh* numbers at their barrier. That is harmless while
+/// every grid enters a queue once (the per-cell phase keeps different
+/// grids apart), and loses ties the single queue would have resolved
+/// the other way when
+///
+/// * a UE steps back onto a cell it left less than a wired round trip
+///   (plus the flush window) before — its events still in flight from
+///   before it left meet that cell's own; or
+/// * two UEs leave the same cell within that span — should they meet
+///   again, their events of one uplink slot arrive through two
+///   barriers.
+///
+/// One wired round trip after a UE leaves a cell, every such chain has
+/// passed through another radio and sits on another grid.
+fn steps_reuse_a_grid(cfg: &ScenarioConfig) -> bool {
+    let core = longest(cfg, |c| c.core_to_cu_delay);
+    let Some(wan) = cfg.flows.iter().map(|f| f.wan.one_way).max() else {
+        return false;
+    };
+    let guard = (wan + core) * 2 + longest(cfg, |c| c.slot_duration) * 2;
+    // Every cell change as (cell left, when, who).
+    let mut departures: Vec<(usize, Instant, usize)> = Vec::new();
+    for (ue, spec) in cfg.ues.iter().enumerate() {
+        let mut steps: Vec<&MobilityStep> = spec.mobility.iter().collect();
+        steps.sort_by_key(|st| st.at);
+        let first = departures.len();
+        let mut cur = spec.initial_cell;
+        for st in steps {
+            if st.cell == cur {
+                continue;
+            }
+            let back_early = departures[first..]
+                .iter()
+                .any(|&(c, at, _)| c == st.cell && st.at <= at + guard);
+            if back_early {
+                return true;
+            }
+            departures.push((cur, st.at, ue));
+            cur = st.cell;
+        }
+    }
+    departures.sort_unstable();
+    departures
+        .windows(2)
+        .any(|w| w[0].0 == w[1].0 && w[0].2 != w[1].2 && w[1].1 <= w[0].1 + guard)
+}
+
+/// The longest of a per-cell delay over the topology.
+fn longest(cfg: &ScenarioConfig, of: impl Fn(&CellConfig) -> Duration) -> Duration {
+    (0..cfg.n_cells())
+        .map(|c| of(cfg.cell_config(c)))
+        .max()
+        .expect("at least one cell")
+}
+
+/// Does a UE that changes cells carry uplink traffic the `UePoll` tick
+/// paces? The server-side receiver of a non-TCP uplink flow reports on
+/// that tick, and the gNB-side reassembly timeout of a UM uplink bearer
+/// fires on it; with the model's whole-millisecond delays what they send
+/// lands on the tick grid again — and ties there, with the ticks
+/// themselves and with what the tick sent for other UEs. A re-homed
+/// event loses those ties like any other (see [`steps_reuse_a_grid`]),
+/// and every cell's ticks share one grid.
+fn tick_paced_uplink_moves(cfg: &ScenarioConfig) -> bool {
+    cfg.flows.iter().any(|f| {
+        let Some(ue) = cfg.ues.get(f.ue) else {
+            return false;
+        };
+        let um = ue.drbs.iter().any(|&(d, m)| d == f.drb && m == RlcMode::Um);
+        f.dir == FlowDir::Uplink
+            && (um || !matches!(f.transport, TransportSpec::Tcp { .. }))
+            && ue.mobility.iter().any(|st| st.cell != ue.initial_cell)
+    })
+}
+
+/// The mobility schedule of a run: what [`drive`] executes between
+/// epochs.
+pub(crate) struct BarrierSchedule {
+    /// Every step the time-major loop would pop (at ≤ `end`), in
+    /// `(at, ue)` order — the order their init-scheduled `Handover`
+    /// events carry.
+    steps: Vec<(Instant, usize, MobilityStep)>,
+    /// Epoch barriers, ascending: every step instant `t`, then `t +
+    /// slot` and `t + 2·slot`. Flush horizon: one cell slot. Straggler
+    /// feedback toward an old cell is all in flight at handover time,
+    /// so it lands within one air hop (< a slot) of the barrier; two
+    /// flush barriers per step collect the resulting cross-cell events
+    /// long before their server-arrival time.
+    barriers: Vec<Instant>,
+    /// End of the run.
+    end: Instant,
+}
+
+/// Derive the [`BarrierSchedule`] of `cfg`.
+pub(crate) fn barrier_schedule(cfg: &ScenarioConfig) -> BarrierSchedule {
+    let end = Instant::ZERO + cfg.duration;
+    let slot = longest(cfg, |c| c.slot_duration);
     let mut steps: Vec<(Instant, usize, MobilityStep)> = Vec::new();
     for (ue, spec) in cfg.ues.iter().enumerate() {
         for st in &spec.mobility {
@@ -119,108 +239,148 @@ pub fn run_sharded(cfg: ScenarioConfig, want: usize) -> Report {
         barriers.insert(at + slot);
         barriers.insert(at + slot + slot);
     }
+    BarrierSchedule {
+        steps,
+        barriers: barriers.into_iter().collect(),
+        end,
+    }
+}
 
+/// Run `cfg` across `want` per-cell shards (cells assigned round-robin)
+/// and return the merged report, with [`Report::shards`] carrying the
+/// per-shard statistics. One shard — requested or forced by
+/// [`plan_shards`] — is [`World::run`] itself.
+pub fn run_sharded(cfg: ScenarioConfig, want: usize) -> Report {
+    let n = plan_shards(&cfg, want);
+    if n <= 1 {
+        return World::new(cfg).run();
+    }
+    let schedule = barrier_schedule(&cfg);
+    let of_cell: Vec<usize> = (0..cfg.n_cells()).map(|c| c % n).collect();
     let mut worlds: Vec<World> = (0..n)
         .map(|s| {
             let mut w = World::new(cfg.clone());
-            w.shard_install(s, of_cell.clone());
+            w.cell_major_install(s, of_cell.clone());
             w
         })
         .collect();
-    let parallel = default_threads() > 1;
-    let mut busy = vec![0u64; n];
-    let mut drain = vec![0u64; n];
-    let mut mailed = vec![0u64; n];
-    let mut coordinator_events = 0u64;
+    let tallies = drive(&mut worlds, &schedule);
+    let stats: Vec<ShardStat> = worlds
+        .iter()
+        .zip(tallies)
+        .enumerate()
+        .map(|(s, (w, t))| ShardStat {
+            shard: s,
+            cells: of_cell.iter().filter(|&&o| o == s).count(),
+            events: w.events_processed(),
+            busy_ns: t.busy_ns,
+            drain_ns: t.drain_ns,
+            mailed: t.mailed,
+            cycles: w.cycles_snapshot(),
+        })
+        .collect();
+    let mut report = World::merge_sharded(worlds).into_report();
+    report.shards = stats;
+    report
+}
+
+/// One replica's wall-clock and mailbox totals over a [`drive`].
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Tally {
+    busy_ns: u64,
+    drain_ns: u64,
+    mailed: u64,
+}
+
+/// Drive cell-major `worlds` — the replicas of one scenario, or the one
+/// world that owns every cell — through `schedule`: for each barrier,
+/// run every cell up to it, deliver the mail, execute the steps due at
+/// it in `(at, ue)` order; then run to the end.
+pub(crate) fn drive(worlds: &mut [World], schedule: &BarrierSchedule) -> Vec<Tally> {
+    let end = schedule.end;
+    // One world is one worker whatever `L4SPAN_THREADS` says.
+    let workers = if worlds.len() > 1 {
+        default_threads().min(worlds.len())
+    } else {
+        1
+    };
+    let mut tally = vec![Tally::default(); worlds.len()];
     #[allow(clippy::vec_box)]
     let mut moved: Vec<(Instant, Box<Event>)> = Vec::new();
     #[allow(clippy::vec_box)]
     let mut envelopes: Vec<(Instant, usize, usize, Box<Event>)> = Vec::new();
 
-    let mut step_idx = 0;
-    for &barrier in &barriers {
-        run_epoch(&mut worlds, barrier, end, parallel, &mut busy);
-        deliver_mail(&mut worlds, barrier, &mut envelopes, &mut mailed, &mut drain);
-        while step_idx < steps.len() && steps[step_idx].0 == barrier {
-            let (at, ue, st) = steps[step_idx];
-            step_idx += 1;
-            // The classic loop pops one `Handover` event per step; its
-            // init-time sequence number makes it pop *before* any
-            // same-instant runtime event — exactly this barrier point.
-            coordinator_events += 1;
-            apply_step(
-                &mut worlds,
-                &of_cell,
-                ue,
-                st,
-                at,
-                &mut moved,
-                &mut mailed,
-                &mut drain,
-            );
+    let mut steps = schedule.steps.iter().peekable();
+    for &barrier in &schedule.barriers {
+        run_epoch(worlds, barrier, end, workers, &mut tally);
+        deliver_mail(worlds, barrier, &mut envelopes, &mut tally);
+        // The time-major loop pops one `Handover` event per step; its
+        // init-time sequence number makes it pop *before* any
+        // same-instant runtime event — exactly this barrier point.
+        while let Some(&(at, ue, st)) = steps.next_if(|s| s.0 == barrier) {
+            apply_step(worlds, ue, st, at, &mut moved, &mut tally);
         }
     }
-    run_epoch(&mut worlds, Instant::MAX, end, parallel, &mut busy);
+    run_epoch(worlds, Instant::MAX, end, workers, &mut tally);
     // Transient post-handover mail was all collected by the flush
     // barriers; whatever a replica's final epoch still produced can
     // only target events beyond the run end (delivered for the merge
     // invariant, never popped).
-    deliver_mail(&mut worlds, end, &mut envelopes, &mut mailed, &mut drain);
-
-    let stats: Vec<ShardStat> = worlds
-        .iter()
-        .enumerate()
-        .map(|(s, w)| ShardStat {
-            shard: s,
-            cells: of_cell.iter().filter(|&&o| o == s).count(),
-            events: w.events_processed(),
-            busy_ns: busy[s],
-            drain_ns: drain[s],
-            mailed: mailed[s],
-            cycles: w.cycles_snapshot(),
-        })
-        .collect();
-    let merged = World::merge_sharded(worlds, coordinator_events);
-    let mut report = merged.into_report();
-    report.shards = stats;
-    report
+    deliver_mail(worlds, end, &mut envelopes, &mut tally);
+    tally
 }
 
-/// Run every replica up to (not including) `until`, in parallel when
-/// the thread budget allows. Per-replica wall time accumulates into
-/// `busy` — under parallel execution each entry is still that shard's
-/// own busy time, which is what the aggregate-rate computation needs.
-fn run_epoch(worlds: &mut [World], until: Instant, end: Instant, parallel: bool, busy: &mut [u64]) {
-    if parallel {
-        std::thread::scope(|sc| {
-            for (w, b) in worlds.iter_mut().zip(busy.iter_mut()) {
-                sc.spawn(move || {
-                    let t0 = std::time::Instant::now();
-                    w.run_until(until, end);
-                    *b += t0.elapsed().as_nanos() as u64;
-                });
-            }
-        });
-    } else {
-        for (w, b) in worlds.iter_mut().zip(busy.iter_mut()) {
-            let t0 = std::time::Instant::now();
-            w.run_until(until, end);
-            *b += t0.elapsed().as_nanos() as u64;
+/// Run every replica up to (not including) `until` on `workers`
+/// threads, each taking a strided subset of the replicas — so a box
+/// with fewer cores than shards never has a replica's busy clock
+/// counting time its thread sat descheduled. Per-replica wall time
+/// accumulates into `tally` — under parallel execution each entry is
+/// still that shard's own busy time, which is what the aggregate-rate
+/// computation needs.
+fn run_epoch(
+    worlds: &mut [World],
+    until: Instant,
+    end: Instant,
+    workers: usize,
+    tally: &mut [Tally],
+) {
+    let run = |w: &mut World, t: &mut Tally| {
+        let t0 = std::time::Instant::now();
+        w.run_until(until, end);
+        t.busy_ns += t0.elapsed().as_nanos() as u64;
+    };
+    if workers <= 1 {
+        for (w, t) in worlds.iter_mut().zip(tally.iter_mut()) {
+            run(w, t);
         }
+        return;
     }
+    let mut lanes: Vec<Vec<(&mut World, &mut Tally)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (s, wt) in worlds.iter_mut().zip(tally.iter_mut()).enumerate() {
+        lanes[s % workers].push(wt);
+    }
+    std::thread::scope(|sc| {
+        for lane in lanes {
+            sc.spawn(move || {
+                for (w, t) in lane {
+                    run(w, t);
+                }
+            });
+        }
+    });
 }
 
 /// Drain every replica's outbox and inject the envelopes at their
 /// targets in `(time, source shard, sequence)` order. The order is a
 /// pure function of those three keys — the mailbox contract the
-/// property test pins down.
+/// property test pins down. One world has no mail: what crosses its
+/// cells goes straight into the owner's queue.
 #[allow(clippy::vec_box)]
 fn deliver_mail(
     worlds: &mut [World],
     barrier: Instant,
     envelopes: &mut Vec<(Instant, usize, usize, Box<Event>)>,
-    mailed: &mut [u64],
-    drain: &mut [u64],
+    tally: &mut [Tally],
 ) {
     envelopes.clear();
     let mut buf = Vec::new();
@@ -228,10 +388,10 @@ fn deliver_mail(
         let t0 = std::time::Instant::now();
         w.take_outbox(&mut buf);
         for (k, (at, bx)) in buf.drain(..).enumerate() {
-            mailed[s] += 1;
+            tally[s].mailed += 1;
             envelopes.push((at, s, k, bx));
         }
-        drain[s] += t0.elapsed().as_nanos() as u64;
+        tally[s].drain_ns += t0.elapsed().as_nanos() as u64;
     }
     if envelopes.is_empty() {
         return;
@@ -250,56 +410,53 @@ fn deliver_mail(
         let t0 = std::time::Instant::now();
         let dst = worlds[s].event_owner(&bx);
         worlds[dst].inject(at, bx);
-        drain[dst] += t0.elapsed().as_nanos() as u64;
+        tally[dst].drain_ns += t0.elapsed().as_nanos() as u64;
     }
 }
 
-/// Execute one mobility step at its barrier. Same-cell and same-shard
-/// steps take the intra-world path verbatim; a cross-shard handover
-/// runs the Xn transfer across the two replicas, flips the attachment
-/// in every replica, then re-homes the UE's queued events.
-#[allow(clippy::too_many_arguments, clippy::vec_box)]
+/// Execute one mobility step at its barrier. A step inside one world
+/// (including a pure channel change) takes the intra-world path
+/// verbatim; a cross-replica handover runs the Xn transfer across the
+/// two replicas. Either way a cell change then flips the attachment in
+/// every replica and re-homes the UE's queued events.
+#[allow(clippy::vec_box)]
 fn apply_step(
     worlds: &mut [World],
-    of_cell: &[usize],
     ue: usize,
     st: MobilityStep,
     now: Instant,
     moved: &mut Vec<(Instant, Box<Event>)>,
-    mailed: &mut [u64],
-    drain: &mut [u64],
+    tally: &mut [Tally],
 ) {
     let src_cell = worlds[0].serving_cell(ue);
-    let src_s = of_cell[src_cell];
-    let dst_s = of_cell[st.cell];
-    if src_cell == st.cell || src_s == dst_s {
+    let (src_s, dst_s) = (
+        worlds[0].replica_of(src_cell),
+        worlds[0].replica_of(st.cell),
+    );
+    if src_s == dst_s {
         worlds[src_s].apply_mobility_step(ue, st.cell, st.profile, st.snr_db, now);
-        if src_cell != st.cell {
-            for (s, w) in worlds.iter_mut().enumerate() {
-                if s != src_s {
-                    w.set_serving(ue, st.cell);
-                }
-            }
-        }
+    } else {
+        let (src_w, dst_w) = pair_mut(worlds, src_s, dst_s);
+        World::handover_across(src_w, dst_w, ue, st.cell, st.profile, st.snr_db, now);
+    }
+    if src_cell == st.cell {
         return;
     }
-    let (src_w, dst_w) = pair_mut(worlds, src_s, dst_s);
-    World::handover_across(src_w, dst_w, ue, st.cell, st.profile, st.snr_db, now);
     // The flip reaches every replica (ownership is derived from
-    // `serving`) *before* events re-route, so extraction and mail
+    // `serving`) *before* events re-route, so re-homing and mail
     // routing below already see the new owner.
     for w in worlds.iter_mut() {
         w.set_serving(ue, st.cell);
     }
     let t0 = std::time::Instant::now();
     moved.clear();
-    worlds[src_s].extract_foreign_events(moved);
+    worlds[src_s].rehome_events(src_cell, moved);
     for (at, bx) in moved.drain(..) {
-        mailed[src_s] += 1;
+        tally[src_s].mailed += 1;
         let dst = worlds[src_s].event_owner(&bx);
         worlds[dst].inject(at, bx);
     }
-    drain[src_s] += t0.elapsed().as_nanos() as u64;
+    tally[src_s].drain_ns += t0.elapsed().as_nanos() as u64;
 }
 
 /// Disjoint mutable borrows of two distinct slice elements.
@@ -311,5 +468,306 @@ fn pair_mut(v: &mut [World], i: usize, j: usize) -> (&mut World, &mut World) {
     } else {
         let (l, r) = v.split_at_mut(i);
         (&mut r[0], &mut l[j])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The cell-major order against the time-major loop it replaced on
+    //! eligible worlds, which survives as `World::run_time_major`.
+
+    use l4span_cc::WanLink;
+    use l4span_core::HandoverPolicy;
+    use l4span_ran::ChannelProfile;
+    use l4span_sim::Duration;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::app::AppProfile;
+    use crate::scenario::{self, FlowSpec, TransportSpec, UeSpec};
+
+    /// Everything that must not depend on the execution order.
+    fn outcome(r: &Report) -> (String, u64, Vec<(&'static str, u64)>, u64) {
+        (
+            r.fingerprint_digest(),
+            r.events,
+            r.event_counts.clone(),
+            r.fading_evals,
+        )
+    }
+
+    /// `World::run` — which must have taken the cell-major path —
+    /// against the time-major reference.
+    fn assert_orders_agree(cfg: ScenarioConfig, what: &str) {
+        let cell_major = World::new(cfg.clone()).run();
+        assert_eq!(cell_major.shard_reject, None, "{what}: must run cell-major");
+        let time_major = World::new(cfg).run_time_major();
+        assert_eq!(outcome(&cell_major), outcome(&time_major), "{what}");
+    }
+
+    // `cell_major_matches_time_major`, one test per world shape so the
+    // matrix spreads over the test threads.
+
+    #[test]
+    fn cell_major_matches_time_major_handover_cell() {
+        for cc in ["prague", "cubic", "bbr2"] {
+            for policy in [HandoverPolicy::MigrateState, HandoverPolicy::ColdStart] {
+                let mut cfg = scenario::handover_cell(
+                    4,
+                    cc,
+                    Duration::from_secs(1),
+                    policy,
+                    scenario::l4span_default(),
+                    7,
+                    Duration::from_millis(1_600),
+                );
+                cfg.cu_per_cell = true;
+                assert_orders_agree(cfg, &format!("handover_cell {cc} {policy:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn cell_major_matches_time_major_metro_city() {
+        for cc in ["prague", "cubic", "bbr2"] {
+            // 2.3 s: the mover's step out at 152.5 ms and back at 2 152.5 ms.
+            let metro = scenario::metro_city(
+                8,
+                3,
+                cc,
+                scenario::l4span_default(),
+                11,
+                Duration::from_millis(2_300),
+            );
+            assert_orders_agree(metro, &format!("metro_city(8, 3) {cc}"));
+        }
+    }
+
+    #[test]
+    fn cell_major_matches_time_major_metro_1000ue_50cell() {
+        assert_orders_agree(
+            scenario::metro_1000ue_50cell("prague", 11, Duration::from_millis(400)),
+            "metro_1000ue_50cell",
+        );
+    }
+
+    #[test]
+    fn cell_major_matches_time_major_when_nobody_moves() {
+        // Two cells, zero barriers: one epoch per cell.
+        let xr = scenario::xr_bonding_cell(
+            4,
+            "fec-media",
+            scenario::l4span_default(),
+            false,
+            7,
+            Duration::from_secs(1),
+        );
+        assert!(barrier_schedule(&xr).barriers.is_empty());
+        assert_orders_agree(xr, "xr_bonding_cell single-leg");
+    }
+
+    const SLOT: Duration = Duration::from_micros(500);
+
+    /// Three cells, two UEs (homed on cells 0 and 1) with one greedy
+    /// download each, and the given trajectories.
+    fn three_cells(cc: &str, mobility: [Vec<MobilityStep>; 2]) -> ScenarioConfig {
+        let mut cfg = ScenarioConfig::new(5, Duration::from_millis(500));
+        cfg.marker = scenario::l4span_default();
+        cfg.cu_per_cell = true;
+        for _ in 0..2 {
+            cfg.add_cell(cfg.cell.clone());
+        }
+        for (i, steps) in mobility.into_iter().enumerate() {
+            let ue = UeSpec::simple(ChannelProfile::Pedestrian, 18.0 + 4.0 * i as f64);
+            cfg.ues.push(ue.on_cell(i).with_mobility(steps));
+            cfg.flows.push(FlowSpec::new(
+                i,
+                AppProfile::bulk(),
+                TransportSpec::tcp_named(cc).expect("known controller"),
+                WanLink::east(),
+                Instant::from_micros(137 + 3_000 * i as u64),
+            ));
+        }
+        cfg
+    }
+
+    /// One generated move: at slot-aligned instant number `k` (≡ 2.5 ms
+    /// mod 5 ms, from 100 ms on, when both flows are moving data, and
+    /// 45 ms apart — just past the 41 ms round-trip guard, so a UE may
+    /// come back to a cell on its very next move), `who` (UE 0, UE 1, or
+    /// both on the same instant) steps `by` cells on — 0 is a step to
+    /// the serving cell — and, with `hop`, again to the remaining cell
+    /// that many slots later: inside the flush window, while stragglers
+    /// toward the first cell are still landing.
+    type Move = (u64, usize, usize, Option<u64>);
+
+    fn trajectories(mut moves: Vec<Move>) -> [Vec<MobilityStep>; 2] {
+        moves.sort_by_key(|m| m.0);
+        moves.dedup_by_key(|m| m.0);
+        let mut cur = [0, 1];
+        let mut out = [Vec::new(), Vec::new()];
+        let step = |at, cell| MobilityStep::new(at, cell, ChannelProfile::Pedestrian, 17.0);
+        for (k, who, by, hop) in moves {
+            let at = Instant::from_micros(102_500 + 45_000 * k);
+            // Two UEs leaving one cell together would reuse its grid —
+            // so would a second hop out of the cell the other just left.
+            let who = if who == 2 && cur[0] == cur[1] { 0 } else { who };
+            let hop = hop.filter(|_| who != 2);
+            for ue in (0..2).filter(|ue| who == 2 || who == *ue) {
+                let to = (cur[ue] + by) % 3;
+                out[ue].push(step(at, to));
+                if let Some(slots) = hop {
+                    // Neither where it was nor where it just went.
+                    let third = if by == 0 { to } else { 3 - cur[ue] - to };
+                    out[ue].push(step(at + SLOT * slots, third));
+                    cur[ue] = third;
+                } else {
+                    cur[ue] = to;
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// Any aligned mobility schedule: same bytes, same event counts.
+        #[test]
+        fn random_mobility_schedules_match_time_major(
+            moves in proptest::collection::vec(
+                (0u64..9, 0usize..3, 0usize..3, proptest::option::of(1u64..4)),
+                1..6,
+            ),
+            cubic in any::<bool>(),
+            upload in any::<bool>(),
+        ) {
+            let cc = if cubic { "cubic" } else { "prague" };
+            let mut cfg = three_cells(cc, trajectories(moves.clone()));
+            if upload {
+                cfg.flows[1].dir = FlowDir::Uplink;
+            }
+            let cell_major = World::new(cfg.clone()).run();
+            prop_assert_eq!(cell_major.shard_reject, None, "{moves:?}");
+            let time_major = World::new(cfg).run_time_major();
+            prop_assert_eq!(
+                outcome(&cell_major),
+                outcome(&time_major),
+                "{cc} upload={upload} {moves:?}: {:?} != {:?}",
+                outcome(&cell_major),
+                outcome(&time_major)
+            );
+        }
+    }
+
+    #[test]
+    fn misaligned_steps_are_rejected_and_run_time_major() {
+        const WHY: Option<&str> = Some("mobility step on a tick or flow boundary");
+        let step = |at| vec![MobilityStep::new(at, 2, ChannelProfile::Pedestrian, 17.0)];
+        let aligned = three_cells("cubic", [step(Instant::from_micros(102_500)), Vec::new()]);
+        assert_eq!(plan_shards_reason(&aligned, 2), (2, None));
+
+        // On the UE's own flow start; on its stop; on the `UePoll` grid.
+        let on_start = three_cells("cubic", [step(Instant::from_micros(137)), Vec::new()]);
+        let mut on_stop = aligned.clone();
+        on_stop.flows[0].stop = Some(Instant::from_micros(102_500));
+        let on_tick = three_cells(
+            "cubic",
+            [Vec::new(), step(Instant::from_nanos(105_000_500))],
+        );
+        // Someone else's flow boundary is no obstacle.
+        let mut others_stop = aligned.clone();
+        others_stop.flows[1].stop = Some(Instant::from_micros(102_500));
+        assert_eq!(plan_shards_reason(&others_stop, 2), (2, None));
+
+        for (cfg, what) in [(on_start, "start"), (on_stop, "stop"), (on_tick, "tick")] {
+            assert_rejected(cfg, WHY, what);
+        }
+    }
+
+    #[test]
+    fn a_return_within_a_round_trip_is_rejected_and_runs_time_major() {
+        const WHY: Option<&str> = Some("mobility steps reuse a cell within a round trip");
+        let step = |us, cell| {
+            MobilityStep::new(
+                Instant::from_micros(us),
+                cell,
+                ChannelProfile::Pedestrian,
+                17.0,
+            )
+        };
+        // East WAN 19 ms + core 1 ms, both ways, + two slots: 41 ms.
+        let just_past = vec![step(102_500, 2), step(144_000, 0)];
+        let just_past = three_cells("cubic", [just_past, Vec::new()]);
+        assert_eq!(plan_shards_reason(&just_past, 2), (2, None));
+        let on_the_guard = vec![step(102_500, 2), step(143_500, 0)];
+        assert_rejected(
+            three_cells("cubic", [on_the_guard, Vec::new()]),
+            WHY,
+            "41 ms",
+        );
+        // A ping-pong inside the flush window, listed out of order; the
+        // detour over a third cell does not reset the clock.
+        let ping_pong = vec![step(104_000, 1), step(102_500, 0), step(103_000, 2)];
+        assert_rejected(
+            three_cells("prague", [Vec::new(), ping_pong]),
+            WHY,
+            "ping-pong",
+        );
+    }
+
+    #[test]
+    fn tick_paced_uplink_traffic_of_a_mover_is_rejected_and_runs_time_major() {
+        const WHY: Option<&str> = Some("mobility step under tick-paced uplink traffic");
+        let step = vec![MobilityStep::new(
+            Instant::from_micros(102_500),
+            2,
+            ChannelProfile::Pedestrian,
+            17.0,
+        )];
+        let media = TransportSpec::fec_media(1.5e5, 5e5, 2.5e6, 60.0);
+        // The mover's media upload reports on the `UePoll` tick …
+        let mut upload = three_cells("cubic", [step.clone(), Vec::new()]);
+        upload.flows[0].dir = FlowDir::Uplink;
+        upload.flows[0].transport = media.clone();
+        assert_rejected(upload, WHY, "media upload");
+        // … and a UM uplink bearer's reassembly timeout fires on it.
+        let mut um = three_cells("cubic", [step.clone(), Vec::new()]);
+        um.ues[0].drbs = vec![(0, RlcMode::Um)];
+        um.flows[0].dir = FlowDir::Uplink;
+        assert_rejected(um, WHY, "UM upload");
+        // Somebody else's upload, or the mover's paced *download*, is fine.
+        let mut others = three_cells("cubic", [step.clone(), Vec::new()]);
+        others.flows[1].dir = FlowDir::Uplink;
+        others.flows[1].transport = media;
+        others.flows[0].transport = TransportSpec::udp_prague(1e5, 5e5, 5e6);
+        assert_orders_agree(others, "paced download moves, media upload stays");
+    }
+
+    /// `cfg` must be refused for `why` — and then both entry points run
+    /// it time-major and say so.
+    fn assert_rejected(cfg: ScenarioConfig, why: Option<&'static str>, what: &str) {
+        assert_eq!(plan_shards_reason(&cfg, 3), (1, why), "{what}");
+        let reference = outcome(&World::new(cfg.clone()).run_time_major());
+        let one_world = World::new(cfg.clone()).run();
+        assert_eq!(one_world.shard_reject, why, "{what}");
+        assert_eq!(outcome(&one_world), reference, "{what}: World::run");
+        let sharded = run_sharded(cfg, 3);
+        assert_eq!(sharded.shard_reject, why, "{what}");
+        assert!(sharded.shards.is_empty(), "{what}: no replicas");
+        assert_eq!(outcome(&sharded), reference, "{what}: run_sharded");
+    }
+
+    #[test]
+    #[should_panic(expected = "cell-major: event for cell 1 at")]
+    fn an_event_behind_a_cells_clock_is_a_panic_not_a_clamp() {
+        let cfg = three_cells("cubic", [Vec::new(), Vec::new()]);
+        let end = Instant::ZERO + cfg.duration;
+        let mut w = World::new(cfg);
+        w.cell_major_install(0, vec![0; 3]);
+        w.run_until(Instant::from_millis(5), end);
+        // Flow 1's UE lives on cell 1, which has run to 5 ms.
+        w.inject(
+            Instant::from_millis(1),
+            Box::new(Event::FlowTimer { flow: 1 }),
+        );
     }
 }

@@ -56,6 +56,14 @@ const CYC_QUEUE: usize = 7;
 /// estimation error).
 const SAMPLE_PERIOD: Duration = Duration::from_millis(10);
 
+/// Cadence of the `UePoll` housekeeping tick (reassembly timeouts,
+/// paced feedback, join-buffer flushes).
+pub(crate) const UE_POLL_PERIOD: Duration = Duration::from_millis(5);
+
+/// How far per-cell CU deployments nudge both housekeeping ticks off
+/// their grids (see [`World::new`]).
+pub(crate) const TICK_PHASE_PER_CELL_CU: Duration = Duration::from_nanos(500);
+
 /// Runtime state of a bonded (dual-connectivity) uplink flow: the
 /// secondary leg's UE, the byte-balancing leg picker, the server-side
 /// reorder/join buffer (TCP legs only — the FEC media receiver is its
@@ -199,9 +207,9 @@ impl Event {
         "UePoll",
     ];
 
-    /// Classes the shard merge treats specially: mobility steps are
-    /// executed (and counted) by the coordinator, and the housekeeping
-    /// ticks are replicated in every shard.
+    /// Classes a cell-major run counts specially: mobility steps are
+    /// executed (and counted) at their barrier instead of popped, and
+    /// the housekeeping ticks have one copy per cell.
     const HANDOVER: usize = 18;
     const SAMPLE: usize = 19;
     const UE_POLL: usize = 20;
@@ -244,6 +252,8 @@ pub(crate) type UlBatch = (
 /// The assembled world. Build with [`World::new`], run with [`World::run`].
 pub struct World {
     cfg: ScenarioConfig,
+    /// The queue the pop loop runs: the only one of a time-major world,
+    /// the running cell's in a cell-major one ([`CellView`]).
     queue: EventQueue<Box<Event>>,
     /// Recycled event boxes: popped events return their allocation here
     /// and `sched` reuses it, so the steady-state schedule/pop cycle
@@ -271,12 +281,15 @@ pub struct World {
     /// exactly like `markers` (one shared, or one per cell), keyed
     /// internally by (ue, drb). Inert in downlink-only scenarios.
     ul_markers: Vec<Marker>,
-    /// `Some` once [`World::shard_install`] carved this replica down to
-    /// one shard's cells; `None` is the classic whole-world run.
-    shard: Option<ShardView>,
-    /// Cross-shard envelopes produced this epoch (in-flight uplink ACKs
-    /// of flows whose UE migrated away — the only runtime cross-shard
-    /// edge). Drained by the coordinator at slot-boundary barriers.
+    /// `Some` once [`World::cell_major_install`] gave every cell its own
+    /// queue; `None` is the time-major run of a world whose cells share
+    /// a marker, a router or a flow.
+    cells: Option<CellView>,
+    /// Envelopes for cells another replica owns, produced this epoch
+    /// (in-flight uplink ACKs of flows whose UE migrated away — the only
+    /// run-time cross-cell edge). Drained by the coordinator at
+    /// slot-boundary barriers; stays empty when one world owns every
+    /// cell.
     #[allow(clippy::vec_box)]
     outbox: Vec<(Instant, Box<Event>)>,
     /// Any flow carries uplink data: gates the whole UL data plane so
@@ -394,10 +407,11 @@ pub struct World {
     /// HARQ-queue half of handover losses itself).
     ho_tbs_lost: u64,
     /// Events popped by the run loop, per [`Event::class`]; their sum
-    /// is `Report::events` (the perf-gate denominator). `Sample` and
-    /// `UePoll` are replicated housekeeping: every shard replica runs
-    /// them, so the merged counts keep one copy — which makes
-    /// `Report::events` shard-count-invariant.
+    /// is `Report::events` (the perf-gate denominator). A cell-major
+    /// world pops `Sample` and `UePoll` once per cell and counts cell
+    /// 0's copy, and counts the mobility steps its barriers execute as
+    /// `Handover` — which makes `Report::events` the same number under
+    /// either execution order and at every shard count.
     event_counts: [u64; Event::CLASSES.len()],
     /// Per-subsystem cycle accounting (disabled unless
     /// `ScenarioConfig::measure_cycles`; a disabled scope costs one
@@ -405,13 +419,23 @@ pub struct World {
     cycles: CycleScope,
 }
 
-/// Which shard a world replica plays, plus the static cell → shard map.
-/// UE and flow ownership derive from it through the `serving` table —
-/// which every replica updates at handover barriers, so ownership flips
-/// globally and consistently without any mask maintenance.
-pub(crate) struct ShardView {
+/// The cell-major view of a world whose cells are independent: one
+/// event queue per cell, run one cell at a time between the barriers of
+/// [`crate::shard::drive`]. An event belongs to a cell through the
+/// `serving` table ([`World::event_cell`]) — which every replica updates
+/// at handover barriers, so ownership flips globally and consistently
+/// without any mask maintenance.
+pub(crate) struct CellView {
+    /// Which replica this world plays, and the static cell → replica
+    /// map. `World::run` is replica 0 of one: it owns every cell.
     id: usize,
     of_cell: Vec<usize>,
+    /// One queue per cell; those of cells another replica owns stay
+    /// empty. While a cell runs its queue sits in `World::queue`, and
+    /// this slot holds the idle (empty) one.
+    queues: Vec<EventQueue<Box<Event>>>,
+    /// The cell being run; `None` at barriers.
+    running: Option<usize>,
 }
 
 impl World {
@@ -660,7 +684,7 @@ impl World {
             ues,
             markers,
             ul_markers,
-            shard: None,
+            cells: None,
             outbox: Vec::new(),
             has_ul_data,
             has_um_ul,
@@ -733,23 +757,24 @@ impl World {
             };
             w.sched(Instant::ZERO + phase, Event::Slot { cell });
         }
-        // Per-cell CU deployments also nudge the replicated
-        // housekeeping ticks half a microsecond off their grids.
-        // Mobility steps land on round instants that coincide with the
-        // 10 ms sample grid, and a migrated in-flight event at exactly
-        // the barrier instant takes a *fresh* sequence number on
-        // injection — it would pop after a same-instant `Sample` whose
-        // classic sequence number is older, sampling a queue one SDU
-        // early. Off-grid ticks make the order a pure function of time,
-        // identical at every shard count.
+        // Per-cell CU deployments also nudge the housekeeping ticks
+        // (one copy per cell once the world runs cell-major) half a
+        // microsecond off their grids. Mobility steps land on round
+        // instants that coincide with the 10 ms sample grid, and a
+        // migrated in-flight event at exactly the barrier instant takes
+        // a *fresh* sequence number on injection — it would pop after a
+        // same-instant `Sample` whose time-major sequence number is
+        // older, sampling a queue one SDU early. Off-grid ticks make the
+        // order a pure function of time, identical under either
+        // execution order and at every shard count.
         let hk = if w.cfg.cu_per_cell {
-            Duration::from_nanos(500)
+            TICK_PHASE_PER_CELL_CU
         } else {
             Duration::ZERO
         };
         w.sched(Instant::ZERO + SAMPLE_PERIOD + hk, Event::Sample);
         if need_ue_poll {
-            w.sched(Instant::from_millis(5) + hk, Event::UePoll);
+            w.sched(Instant::ZERO + UE_POLL_PERIOD + hk, Event::UePoll);
         }
         for f in 0..n {
             let start = w.flows[f].start;
@@ -781,16 +806,33 @@ impl World {
         w
     }
 
-    /// Schedule an event, reusing a pooled box when one is available.
+    /// Move `ev` into a pooled box when one is available.
     #[inline]
-    fn sched(&mut self, at: Instant, ev: Event) {
+    fn boxed(&mut self, ev: Event) -> Box<Event> {
         match self.pool.pop() {
             Some(mut b) => {
                 *b = ev;
-                self.queue.schedule(at, b);
+                b
             }
-            None => self.queue.schedule(at, Box::new(ev)),
+            None => Box::new(ev),
         }
+    }
+
+    /// Schedule an event on the running queue. In a cell-major world
+    /// that is the running cell's, so whatever a handler schedules must
+    /// belong to that cell — [`World::sched_ul_at_server`] is the one
+    /// exception, and debug builds hold every other caller to it.
+    #[inline]
+    fn sched(&mut self, at: Instant, ev: Event) {
+        debug_assert!(
+            self.running_cell().is_none_or(|c| self.event_cell(&ev).is_none_or(|o| o == c)),
+            "cell-major: {} for cell {:?} scheduled while cell {:?} runs",
+            Event::CLASSES[ev.class()],
+            self.event_cell(&ev),
+            self.running_cell(),
+        );
+        let bx = self.boxed(ev);
+        self.queue.schedule(at, bx);
     }
 
     /// Marker-instance index for `cell`: the shared central instance, or
@@ -804,47 +846,60 @@ impl World {
         }
     }
 
-    /// Does this replica own `cell`? Classic runs own everything.
+    /// The cell whose queue is running; `None` in a time-major world
+    /// (and at the barriers of a cell-major one).
+    #[inline]
+    fn running_cell(&self) -> Option<usize> {
+        self.cells.as_ref().and_then(|v| v.running)
+    }
+
+    /// Does the housekeeping tick being handled cover `cell`? A
+    /// time-major world has one tick for everything; a cell-major one
+    /// ticks per cell, and the UE's owner moves with it, so every
+    /// (UE, tick) is still covered exactly once.
     #[inline]
     fn owns_cell(&self, cell: usize) -> bool {
-        match &self.shard {
+        match &self.cells {
             None => true,
-            Some(s) => s.of_cell[cell] == s.id,
+            Some(v) => v.running == Some(cell),
         }
     }
 
-    /// Does this replica own `ue` (= its serving cell)?
+    /// Does the tick cover `ue` (= its serving cell)?
     #[inline]
     fn owns_ue(&self, ue: usize) -> bool {
         self.owns_cell(self.serving[ue])
     }
 
-    /// Does this replica own `flow` (= its UE)?
+    /// Does the tick cover `flow` (= its UE)?
     #[inline]
     fn owns_flow(&self, flow: usize) -> bool {
         self.owns_ue(self.flows[flow].ue_idx)
     }
 
-    /// Schedule an `UlAtServer` for `flow`, routing it through the
-    /// cross-shard outbox when the flow's UE belongs to another shard —
-    /// the in-flight uplink ACKs of a just-migrated UE, the only
-    /// runtime cross-shard edge. Classic runs own every flow, so the
-    /// hot path costs one predictable branch.
+    /// Schedule an `UlAtServer` for `flow`. When the flow's UE has just
+    /// left the running cell — its uplink ACKs were still on the air
+    /// toward the old cell, the only run-time cross-cell edge — the
+    /// event goes straight into the owner cell's queue, or through the
+    /// outbox when another replica owns that cell. A time-major world
+    /// owns every flow, so the hot path costs one predictable branch.
     #[inline]
     fn sched_ul_at_server(&mut self, flow: usize, pkt: PacketBuf, at: Instant) {
         let ev = Event::UlAtServer { flow, pkt };
-        if self.owns_flow(flow) {
-            self.sched(at, ev);
-        } else {
-            let bx = match self.pool.pop() {
-                Some(mut b) => {
-                    *b = ev;
-                    b
+        if let Some(v) = &self.cells {
+            let cell = self.serving[self.flows[flow].ue_idx];
+            if v.running != Some(cell) {
+                let here = v.of_cell[cell] == v.id;
+                let bx = self.boxed(ev);
+                if here {
+                    self.inject(at, bx);
+                } else {
+                    self.outbox.push((at, bx));
                 }
-                None => Box::new(ev),
-            };
-            self.outbox.push((at, bx));
+                return;
+            }
         }
+        self.sched(at, ev);
     }
 
     /// Flip the attachment table and the per-cell attachment lists.
@@ -865,32 +920,84 @@ impl World {
     }
 
     /// Execute to the configured duration and produce the report.
+    ///
+    /// A world whose cells are independent — the shard planner has no
+    /// reason to refuse it — runs **cell-major**: one queue per cell,
+    /// each cell run up to the next mobility barrier in turn
+    /// ([`crate::shard::drive`], the schedule `run_sharded` follows, on
+    /// this one world). Same events, same output, but a cell's state
+    /// stays in cache while it runs. Every other world runs time-major
+    /// off its single queue — the only valid order when cells share a
+    /// marker or a router — and [`Report::shard_reject`] says why.
     pub fn run(mut self) -> Report {
+        let reject = crate::shard::plan_shards_reason(&self.cfg, 2).1;
+        if reject.is_none() {
+            let schedule = crate::shard::barrier_schedule(&self.cfg);
+            self.cell_major_install(0, vec![0; self.gnbs.len()]);
+            crate::shard::drive(std::slice::from_mut(&mut self), &schedule);
+        } else {
+            let end = Instant::ZERO + self.cfg.duration;
+            self.run_until(Instant::MAX, end);
+        }
+        let mut report = self.into_report();
+        report.shard_reject = reject;
+        report
+    }
+
+    /// The time-major loop over *any* world: the reference the
+    /// cell-major order is checked against.
+    #[cfg(test)]
+    pub(crate) fn run_time_major(mut self) -> Report {
         let end = Instant::ZERO + self.cfg.duration;
         self.run_until(Instant::MAX, end);
         self.into_report()
     }
 
     /// Drive the event loop until the next event would fire at or after
-    /// `until` (a shard epoch barrier) or after `end`. Events exactly at
+    /// `until` (an epoch barrier) or after `end` — the one queue of a
+    /// time-major world, or each owned cell's in turn. Events exactly at
     /// `until` stay queued: the coordinator's barrier work (handovers,
     /// mailbox drain) runs *before* anything at the barrier instant —
-    /// which is the classic pop order, because an init-scheduled
+    /// which is the time-major pop order, because an init-scheduled
     /// `Handover` always carries a smaller sequence number than the
     /// runtime-rescheduled events sharing its instant.
     pub(crate) fn run_until(&mut self, until: Instant, end: Instant) {
-        while let Some(at) = self.queue.next_at() {
-            if at > end || at >= until {
-                break;
+        let passes = self.cells.as_ref().map_or(1, |v| v.queues.len());
+        for c in 0..passes {
+            if let Some(v) = &mut self.cells {
+                if v.of_cell[c] != v.id {
+                    continue;
+                }
+                std::mem::swap(&mut self.queue, &mut v.queues[c]);
+                v.running = Some(c);
             }
-            let t0 = self.cycles.start();
-            let (now, mut bx) = self.queue.pop().expect("peeked");
-            // Recycle the box: move the event out, keep the allocation.
-            let ev = std::mem::replace(&mut *bx, Event::Nop);
-            self.pool.push(bx);
-            self.cycles.stop(t0, CYC_QUEUE);
-            self.event_counts[ev.class()] += 1;
-            self.handle(ev, now);
+            let ticks = (
+                self.event_counts[Event::SAMPLE],
+                self.event_counts[Event::UE_POLL],
+            );
+            while let Some(at) = self.queue.next_at() {
+                if at > end || at >= until {
+                    break;
+                }
+                let t0 = self.cycles.start();
+                let (now, mut bx) = self.queue.pop().expect("peeked");
+                // Recycle the box: move the event out, keep the allocation.
+                let ev = std::mem::replace(&mut *bx, Event::Nop);
+                self.pool.push(bx);
+                self.cycles.stop(t0, CYC_QUEUE);
+                self.event_counts[ev.class()] += 1;
+                self.handle(ev, now);
+            }
+            if let Some(v) = &mut self.cells {
+                std::mem::swap(&mut self.queue, &mut v.queues[c]);
+                v.running = None;
+                // The per-cell copies of a housekeeping tick are one
+                // event: cell 0's pops are the ones counted.
+                if c != 0 {
+                    self.event_counts[Event::SAMPLE] = ticks.0;
+                    self.event_counts[Event::UE_POLL] = ticks.1;
+                }
+            }
         }
     }
 
@@ -1062,7 +1169,7 @@ impl World {
                     }
                 }
                 self.scratch_join = joined;
-                self.sched(now + Duration::from_millis(5), Event::UePoll);
+                self.sched(now + UE_POLL_PERIOD, Event::UePoll);
             }
         }
     }
@@ -1528,8 +1635,8 @@ impl World {
         }
         // Uplink IP packets were decoded by the old cell before the UE
         // left; they continue to the core (and the CU marker) either way
-        // — and when the UE's flows now live on another shard, the
-        // scheduled server arrival rides the cross-shard outbox.
+        // — and when the UE's flows now live on another cell, the
+        // scheduled server arrival goes to that cell's queue.
         let core = self.gnbs[cell].config().core_to_cu_delay;
         for mut pkt in pkts.drain(..) {
             let c0 = self.cycles.start();
@@ -2054,143 +2161,162 @@ impl World {
         }
     }
 
+    /// The `Sample` housekeeping tick over the UEs it covers: every UE
+    /// of a time-major world; the running cell's attachment list in a
+    /// cell-major one, where each cell has its own tick.
     fn on_sample(&mut self, now: Instant) {
-        // RLC queue lengths, read from each UE's serving cell (and broken
-        // out per cell for the per-cell series). Shard replicas sample
-        // only the UEs they own; the owner moves with the UE, so every
-        // (ue, tick) is sampled exactly once across the fleet.
-        // A series is sized for the whole run when it first appears, so
-        // the tick itself never regrows one.
-        let ticks = (self.cfg.duration.as_nanos() / SAMPLE_PERIOD.as_nanos()) as usize;
-        let series = || Vec::with_capacity(ticks);
-        for (i, spec) in self.cfg.ues.iter().enumerate() {
-            if !self.owns_ue(i) {
-                continue;
-            }
-            let cell = self.serving[i];
-            for &(d, _) in &spec.drbs {
-                let len = self.gnbs[cell].rlc_queue_len(UeId(i as u16), DrbId(d));
-                self.queue_series.entry((i as u16, d)).or_insert_with(series).push(len);
-                self.cell_queue_series
-                    .entry((cell as u8, i as u16, d))
-                    .or_insert_with(series)
-                    .push(len);
-            }
-        }
-        // UE-side uplink transmit queues (the queue the UL marker
-        // manages), sampled on the same tick.
-        if self.has_ul_data {
-            for i in 0..self.ues.len() {
-                if !self.owns_ue(i) {
-                    continue;
-                }
-                let ue = &self.ues[i];
-                for d in ue.ul_drbs() {
-                    let len = ue.ul_queue_len_sdus(d);
-                    self.ul_queue_series
-                        .entry((i as u16, d.0))
-                        .or_insert_with(series)
-                        .push(len);
+        // Estimation error vs ground truth is an L4Span-only series.
+        let window = self.markers[0]
+            .as_l4span()
+            .map(|l| l.config().estimation_window);
+        match self.running_cell() {
+            None => {
+                for i in 0..self.ues.len() {
+                    self.sample_ue(i, window, now);
                 }
             }
-        }
-        // Estimation error vs ground truth (L4Span only). The ground
-        // truth window is anchored at the newest dequeue event, exactly
-        // as Eq. 3 anchors its window at the latest feedback — anchoring
-        // at the (arbitrary) sample tick instead would under-count by a
-        // partial TDD frame and read as a systematic positive bias.
-        if self.markers[0].as_l4span().is_some() {
-            let window = self.markers[0]
-                .as_l4span()
-                .expect("checked above")
-                .config()
-                .estimation_window;
-            let single = self.markers.len() == 1;
-            for ((ue, drb), log) in self.gt_egress.iter_mut() {
-                while let Some(&(t, _)) = log.front() {
-                    if now.saturating_since(t) > window * 4 {
-                        log.pop_front();
-                    } else {
-                        break;
-                    }
-                }
-                let Some(&(anchor, _)) = log.back() else { continue };
-                if now.saturating_since(anchor) > window {
-                    continue; // stale: DRB idle, nothing to compare
-                }
-                let bytes: usize = log
-                    .iter()
-                    .filter(|&&(t, _)| anchor.saturating_since(t) < window)
-                    .map(|&(_, b)| b)
-                    .sum();
-                let gt = bytes as f64 / window.as_secs_f64();
-                if gt > 50_000.0 {
-                    // The estimate lives in the instance marking the
-                    // UE's serving cell (the only instance, centrally).
-                    let m = if single { 0 } else { self.serving[*ue as usize] };
-                    if let Some(est) = self.markers[m]
-                        .as_l4span()
-                        .and_then(|l| l.egress_rate(UeId(*ue), DrbId(*drb)))
-                    {
-                        self.rate_err.push((now, (*ue, *drb), (est - gt) / gt * 100.0));
-                    }
+            Some(c) => {
+                for k in 0..self.cell_ues[c].len() {
+                    self.sample_ue(self.cell_ues[c][k], window, now);
                 }
             }
         }
         self.sched(now + SAMPLE_PERIOD, Event::Sample);
     }
 
-    // ------------------------------------------------------------------
-    // Shard plumbing (crate::shard drives these)
-    // ------------------------------------------------------------------
-
-    /// Install a shard view on this replica: record the cell → shard
-    /// map and prune the freshly-initialised queue down to the events
-    /// this shard owns. Replicated housekeeping ticks (`Sample`,
-    /// `UePoll`) stay in every replica; mobility `Handover` events
-    /// leave all queues — the coordinator executes them at barriers.
-    pub(crate) fn shard_install(&mut self, id: usize, of_cell: Vec<usize>) {
-        self.shard = Some(ShardView { id, of_cell });
-        for (at, mut bx) in self.queue.drain_ordered() {
-            let keep = match &*bx {
-                Event::Sample | Event::UePoll => true,
-                Event::Handover { .. } => false,
-                ev => self.event_owner(ev) == id,
-            };
-            if keep {
-                self.queue.schedule(at, bx);
-            } else {
-                *bx = Event::Nop;
-                self.pool.push(bx);
+    /// One UE's share of a `Sample` tick.
+    fn sample_ue(&mut self, i: usize, window: Option<Duration>, now: Instant) {
+        // RLC queue lengths, read from the UE's serving cell (and broken
+        // out per cell for the per-cell series). A series is sized for
+        // the whole run when it first appears, so the tick itself never
+        // regrows one.
+        let ticks = (self.cfg.duration.as_nanos() / SAMPLE_PERIOD.as_nanos()) as usize;
+        let series = || Vec::with_capacity(ticks);
+        let cell = self.serving[i];
+        for &(d, _) in &self.cfg.ues[i].drbs {
+            let len = self.gnbs[cell].rlc_queue_len(UeId(i as u16), DrbId(d));
+            self.queue_series.entry((i as u16, d)).or_insert_with(series).push(len);
+            self.cell_queue_series
+                .entry((cell as u8, i as u16, d))
+                .or_insert_with(series)
+                .push(len);
+        }
+        // UE-side uplink transmit queues (the queue the UL marker
+        // manages), sampled on the same tick.
+        if self.has_ul_data {
+            let ue = &self.ues[i];
+            for d in ue.ul_drbs() {
+                let len = ue.ul_queue_len_sdus(d);
+                self.ul_queue_series
+                    .entry((i as u16, d.0))
+                    .or_insert_with(series)
+                    .push(len);
+            }
+        }
+        // Estimation error vs ground truth. The ground truth window is
+        // anchored at the newest dequeue event, exactly as Eq. 3 anchors
+        // its window at the latest feedback — anchoring at the
+        // (arbitrary) sample tick instead would under-count by a partial
+        // TDD frame and read as a systematic positive bias.
+        let Some(window) = window else { return };
+        // The estimate lives in the instance marking the UE's serving
+        // cell (the only instance, centrally).
+        let m = self.mk(cell);
+        let rows = (i as u16, u8::MIN)..=(i as u16, u8::MAX);
+        for (&(ue, drb), log) in self.gt_egress.range_mut(rows) {
+            while let Some(&(t, _)) = log.front() {
+                if now.saturating_since(t) > window * 4 {
+                    log.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let Some(&(anchor, _)) = log.back() else { continue };
+            if now.saturating_since(anchor) > window {
+                continue; // stale: DRB idle, nothing to compare
+            }
+            let bytes: usize = log
+                .iter()
+                .filter(|&&(t, _)| anchor.saturating_since(t) < window)
+                .map(|&(_, b)| b)
+                .sum();
+            let gt = bytes as f64 / window.as_secs_f64();
+            if gt > 50_000.0 {
+                if let Some(est) = self.markers[m]
+                    .as_l4span()
+                    .and_then(|l| l.egress_rate(UeId(ue), DrbId(drb)))
+                {
+                    self.rate_err.push((now, (ue, drb), (est - gt) / gt * 100.0));
+                }
             }
         }
     }
 
-    /// The shard that owns an event under the current view. Cell-borne
-    /// events follow their cell; everything flow- or UE-scoped follows
-    /// the UE's serving cell.
-    pub(crate) fn event_owner(&self, ev: &Event) -> usize {
-        let s = self.shard.as_ref().expect("sharded world");
-        let of_ue = |ue: usize| s.of_cell[self.serving[ue]];
+    // ------------------------------------------------------------------
+    // Cell-major plumbing (crate::shard drives these)
+    // ------------------------------------------------------------------
+
+    /// Turn this freshly built world cell-major, as replica `id` of the
+    /// cell → replica map `of_cell`: every init-scheduled event moves, in
+    /// `(time, seq)` order, to the queue of the cell that owns it
+    /// (events of cells another replica owns are dropped); the `Sample`
+    /// and `UePoll` ticks are copied to every owned cell; and the
+    /// mobility `Handover` events leave the queues — the barrier
+    /// schedule executes those steps from the config.
+    pub(crate) fn cell_major_install(&mut self, id: usize, of_cell: Vec<usize>) {
+        // One reservation per queue: the world's own sizing rule, with
+        // the flows split evenly over the cells.
+        let cap = 1024 + 128 * self.flows.len() / of_cell.len();
+        let mut queues: Vec<EventQueue<Box<Event>>> = of_cell
+            .iter()
+            .map(|&o| if o == id { EventQueue::with_capacity(cap) } else { EventQueue::new() })
+            .collect();
+        for (at, mut bx) in self.queue.drain_ordered() {
+            let cell = match &*bx {
+                Event::Handover { .. } => None,
+                tick @ (Event::Sample | Event::UePoll) => {
+                    let sample = matches!(tick, Event::Sample);
+                    for (c, q) in queues.iter_mut().enumerate() {
+                        if of_cell[c] == id {
+                            let tick = if sample { Event::Sample } else { Event::UePoll };
+                            q.schedule(at, self.boxed(tick));
+                        }
+                    }
+                    None
+                }
+                ev => self.event_cell(ev).filter(|&c| of_cell[c] == id),
+            };
+            match cell {
+                Some(c) => queues[c].schedule(at, bx),
+                None => {
+                    *bx = Event::Nop;
+                    self.pool.push(bx);
+                }
+            }
+        }
+        self.cells = Some(CellView { id, of_cell, queues, running: None });
+    }
+
+    /// The cell that owns an event under the current attachment table:
+    /// cell-borne events name it, everything flow- or UE-scoped follows
+    /// the UE's serving cell. `None` for what never changes queues: the
+    /// per-cell housekeeping ticks, and the wired-core events that only
+    /// exist in configurations that cannot run cell-major.
+    fn event_cell(&self, ev: &Event) -> Option<usize> {
+        let of_flow = |flow: usize| self.serving[self.flows[flow].ue_idx];
         match ev {
             Event::Slot { cell }
             | Event::TbsAtUe { cell, .. }
             | Event::UlAtGnb { cell, .. }
-            | Event::UlTbsAtGnb { cell, .. } => s.of_cell[*cell],
+            | Event::UlTbsAtGnb { cell, .. } => Some(*cell),
             Event::DlAtCu { flow, .. }
             | Event::UlAtServer { flow, .. }
             | Event::FlowStart { flow }
             | Event::FlowStop { flow }
             | Event::FlowTimer { flow }
-            | Event::AppTick { flow } => of_ue(self.flows[*flow].ue_idx),
-            Event::UlStatusAtUe { ue, .. }
-            | Event::Handover { ue, .. } => of_ue(*ue),
-            Event::AppDeliver { pkt, .. } => match self.flow_of_dl_pkt(pkt) {
-                Some(f) => of_ue(self.flows[f].ue_idx),
-                None => s.id,
-            },
-            // Wired-core events only exist in ineligible configurations;
-            // housekeeping is replicated. Neither ever migrates.
+            | Event::AppTick { flow } => Some(of_flow(*flow)),
+            Event::UlStatusAtUe { ue, .. } | Event::Handover { ue, .. } => Some(self.serving[*ue]),
+            Event::AppDeliver { pkt, .. } => self.flow_of_dl_pkt(pkt).map(of_flow),
             Event::Nop
             | Event::DlAtRouter { .. }
             | Event::RouterPoll
@@ -2198,47 +2324,91 @@ impl World {
             | Event::DlAtImpair { .. }
             | Event::ImpairPoll { .. }
             | Event::Sample
-            | Event::UePoll => s.id,
+            | Event::UePoll => None,
         }
     }
 
-    /// After a barrier handover flipped `serving`, pull every queued
-    /// event that now belongs to another shard — the migrated UE's
-    /// in-flight packets, pending timers, and future flow events — out
-    /// of this replica's queue, preserving (time, seq) order.
+    /// The queue of `cell`, which this replica must own and must not be
+    /// running.
+    fn cell_queue(&mut self, cell: usize) -> &mut EventQueue<Box<Event>> {
+        let view = self.cells.as_mut().expect("cell-major world");
+        debug_assert_eq!(view.of_cell[cell], view.id, "another replica's cell");
+        debug_assert_ne!(view.running, Some(cell), "the running queue is `World::queue`");
+        &mut view.queues[cell]
+    }
+
+    /// The replica that owns `cell`.
+    pub(crate) fn replica_of(&self, cell: usize) -> usize {
+        self.cells.as_ref().expect("cell-major world").of_cell[cell]
+    }
+
+    /// The replica that owns an event (coordinator routing of mail and
+    /// of re-homed events).
+    pub(crate) fn event_owner(&self, ev: &Event) -> usize {
+        let cell = self.event_cell(ev).expect("only cell-owned events travel");
+        self.replica_of(cell)
+    }
+
+    /// After a barrier handover flipped `serving`, move every event
+    /// queued on cell `src` that now belongs to another cell — the
+    /// migrated UE's in-flight packets, pending timers, and future flow
+    /// events — to its new owner through [`World::inject`], in
+    /// `(time, seq)` order. What belongs to a cell of another replica
+    /// goes to `out` instead, in the same order, for the coordinator to
+    /// carry across.
     #[allow(clippy::vec_box)]
-    pub(crate) fn extract_foreign_events(&mut self, out: &mut Vec<(Instant, Box<Event>)>) {
-        let id = self.shard.as_ref().expect("sharded world").id;
-        for (at, bx) in self.queue.drain_ordered() {
-            let keep = match &*bx {
-                Event::Sample | Event::UePoll => true,
-                ev => self.event_owner(ev) == id,
-            };
-            if keep {
-                self.queue.schedule(at, bx);
-            } else {
-                out.push((at, bx));
+    pub(crate) fn rehome_events(&mut self, src: usize, out: &mut Vec<(Instant, Box<Event>)>) {
+        for (at, bx) in self.cell_queue(src).drain_ordered() {
+            match self.event_cell(&bx) {
+                Some(owner) if owner != src => {
+                    if self.replica_of(owner) == self.replica_of(src) {
+                        self.inject(at, bx);
+                    } else {
+                        out.push((at, bx));
+                    }
+                }
+                _ => self.cell_queue(src).schedule(at, bx),
             }
         }
     }
 
-    /// Inject a cross-shard envelope. The fresh sequence number makes
-    /// barrier-injected events win same-instant ties against anything
-    /// the resumed epoch schedules afterwards — the classic order,
-    /// since in the single world they were scheduled earlier.
+    /// Queue an event on the cell that owns it: a re-homed or mailed
+    /// event at a barrier, or the straggler `UlAtServer` of a UE that
+    /// just left the running cell. The fresh sequence number it takes
+    /// there makes barrier-injected events win same-instant ties against
+    /// anything the resumed epoch schedules afterwards — the time-major
+    /// order, since in the single queue they were scheduled earlier. It
+    /// loses them against whatever is already pending there, which is
+    /// why [`crate::shard::plan_shards_reason`] refuses mobility
+    /// schedules that bring one cell's slot grid into a queue twice.
+    ///
+    /// # Panics
+    ///
+    /// When `at` lies behind the target queue's clock: that cell has
+    /// already run past the instant, which the flush barriers exist to
+    /// rule out — a protocol bug, so it fails loudly instead of being
+    /// moved to the queue's "now" by `EventQueue::schedule`.
     pub(crate) fn inject(&mut self, at: Instant, bx: Box<Event>) {
-        self.queue.schedule(at, bx);
+        let cell = self.event_cell(&bx).expect("only cell-owned events travel");
+        let q = self.cell_queue(cell);
+        assert!(
+            at >= q.now(),
+            "cell-major: event for cell {cell} at {at:?} behind its clock {:?} (missing flush barrier)",
+            q.now()
+        );
+        q.schedule(at, bx);
     }
 
-    /// Move this epoch's cross-shard envelopes out (buffer reuse).
+    /// Move this epoch's cross-replica envelopes out (buffer reuse).
     #[allow(clippy::vec_box)]
     pub(crate) fn take_outbox(&mut self, out: &mut Vec<(Instant, Box<Event>)>) {
         out.append(&mut self.outbox);
     }
 
-    /// Coordinator entry point for a mobility step whose source and
-    /// target cells live in the same replica (including pure channel
-    /// changes): the intra-world path, verbatim.
+    /// Barrier entry point for a mobility step whose source and target
+    /// cells live in this world (including pure channel changes): the
+    /// intra-world path, verbatim, counted as the `Handover` pop it
+    /// replaces.
     pub(crate) fn apply_mobility_step(
         &mut self,
         ue: usize,
@@ -2247,6 +2417,7 @@ impl World {
         snr_db: f64,
         now: Instant,
     ) {
+        self.event_counts[Event::HANDOVER] += 1;
         self.on_handover(ue, target_cell, profile, snr_db, now);
     }
 
@@ -2268,9 +2439,10 @@ impl World {
     /// Execute a cross-shard Xn handover at an epoch barrier: `src_w`
     /// owns the UE (and its serving cell), `dst_w` the target cell.
     /// Mirrors `on_handover` step for step, with the UE's simulation
-    /// state migrating between the replicas. The caller flips `serving`
-    /// in *every* replica afterwards, then extracts foreign events from
-    /// `src_w`.
+    /// state migrating between the replicas, and like
+    /// [`World::apply_mobility_step`] counts as one `Handover` pop. The
+    /// caller flips `serving` in *every* replica afterwards, then
+    /// re-homes the UE's queued events out of `src_w`.
     pub(crate) fn handover_across(
         src_w: &mut World,
         dst_w: &mut World,
@@ -2282,6 +2454,7 @@ impl World {
     ) {
         let src = src_w.serving[ue];
         debug_assert_ne!(src, target_cell, "cross-shard step must change cells");
+        src_w.event_counts[Event::HANDOVER] += 1;
         let ue_id = UeId(ue as u16);
         let ch = dst_w.fresh_channel(ue, target_cell, profile, snr_db, now);
         let ctx = src_w.gnbs[src].detach_ue(ue_id);
@@ -2382,9 +2555,7 @@ impl World {
 
     /// Fold every replica's owned state into the primary (shard 0)
     /// world, so `into_report` runs unchanged on the merged state.
-    /// `coordinator_events` are the barrier-executed mobility steps —
-    /// the `Handover` pops the classic loop would have counted.
-    pub(crate) fn merge_sharded(mut worlds: Vec<World>, coordinator_events: u64) -> World {
+    pub(crate) fn merge_sharded(mut worlds: Vec<World>) -> World {
         let mut primary = worlds.remove(0);
         let n_cells = primary.gnbs.len();
         assert!(
@@ -2393,8 +2564,8 @@ impl World {
         );
         for mut w in worlds {
             let (sid, of_cell) = {
-                let s = w.shard.as_ref().expect("sharded world");
-                (s.id, s.of_cell.clone())
+                let v = w.cells.as_ref().expect("sharded world");
+                (v.id, v.of_cell.clone())
             };
             assert!(
                 w.outbox.is_empty(),
@@ -2424,13 +2595,11 @@ impl World {
                     World::swap_ue_cluster(&mut primary, &mut w, ue);
                 }
             }
-            // One copy of the replicated housekeeping ticks (shard 0's)
-            // stays in the total; everything else each replica counted
-            // is real, disjoint work.
+            // Disjoint work throughout: only cell 0's owner counted the
+            // housekeeping ticks, and each barrier step was counted by
+            // the replica that executed it.
             for (class, n) in w.event_counts.iter().enumerate() {
-                if class != Event::SAMPLE && class != Event::UE_POLL {
-                    primary.event_counts[class] += n;
-                }
+                primary.event_counts[class] += n;
             }
             primary.ho_tbs_lost += w.ho_tbs_lost;
             primary.rate_err.append(&mut w.rate_err);
@@ -2438,7 +2607,6 @@ impl World {
             primary.marker_time.1.append(&mut w.marker_time.1);
             primary.marker_time.2.append(&mut w.marker_time.2);
         }
-        primary.event_counts[Event::HANDOVER] += coordinator_events;
         primary
     }
 

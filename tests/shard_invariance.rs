@@ -2,12 +2,16 @@
 //!
 //! The sharding contract (PR 8): for an eligible scenario — per-cell CU
 //! marker, no wired bottleneck, ≥ 2 cells — `run_sharded` must produce
-//! a [`Report::fingerprint`] **byte-identical** to the classic
-//! single-world run at *any* shard count, because shards exchange their
-//! only cross-cell edges (Xn handovers, migrated in-flight events,
-//! post-handover uplink stragglers) through deterministic slot-boundary
-//! mailboxes. One shard short-circuits to the exact classic code path,
-//! so equality against `shards = 1` is equality against `World::run`.
+//! a [`Report::fingerprint`] **byte-identical** to the single-world run
+//! at *any* shard count, because shards exchange their only cross-cell
+//! edges (Xn handovers, migrated in-flight events, post-handover uplink
+//! stragglers) through deterministic slot-boundary mailboxes. One shard
+//! is `World::run` itself, so equality against `shards = 1` is equality
+//! against it — and `World::run` runs an eligible world cell-major, so
+//! this matrix pins the replicas against the one-world cell-major run.
+//! That run is pinned against the time-major loop it replaced, event
+//! for event, by the harness crate's `cell_major_matches_time_major_*`
+//! tests.
 //!
 //! `Report::events` is outside the fingerprint (it counts the
 //! simulator's work, not the model's output) but carries the same
@@ -112,10 +116,17 @@ fn parallel_epochs_match_sequential() {
     // strategy; digests are compared across the toggle.
     std::env::set_var("L4SPAN_THREADS", "1");
     let seq = digest(handover_percell("cubic", 2), 2);
+    let seq_metro = digest(metro_small("cubic"), 8);
     std::env::set_var("L4SPAN_THREADS", "4");
     let par = digest(handover_percell("cubic", 2), 2);
+    // More shards than threads: each worker runs a strided subset of
+    // the replicas (shards 0, 2, 4, 6 and 1, 3, 5, 7).
+    std::env::set_var("L4SPAN_THREADS", "2");
+    let par_metro = digest(metro_small("cubic"), 8);
     std::env::remove_var("L4SPAN_THREADS");
     assert_eq!(par, seq, "parallel vs sequential epochs");
+    assert_eq!(par_metro, seq_metro, "8 shards on 2 threads vs sequential");
+    assert_eq!(seq_metro, digest(metro_small("cubic"), 1), "8 shards vs one world");
 }
 
 #[test]
