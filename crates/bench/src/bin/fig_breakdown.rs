@@ -89,7 +89,8 @@ fn main() {
             untracked as f64 * 100.0 / wall_ns as f64
         );
         // Where the pops went, per delivered packet — exact, like the
-        // headline — and the radio model's work beside them.
+        // headline — with the radio model's work and the most events
+        // any one queue held beside them.
         let pkts = report.delivered_packets().max(1) as f64;
         println!("{:<14} {:>12} {:>8}", "event class", "pops", "per pkt");
         for &(class, n) in &report.event_counts {
@@ -101,6 +102,7 @@ fn main() {
             report.fading_evals,
             report.fading_evals as f64 / pkts
         );
+        println!("{:<14} {:>12}", "(queue peak)", report.queue_depth_peak);
         // Sharded scenarios: where each shard's epoch time went. The
         // idle column is the barrier wait a shard would see under
         // fully parallel epochs — 1 − busy/longest-shard-busy — i.e.

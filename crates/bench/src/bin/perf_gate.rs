@@ -44,7 +44,7 @@ use l4span_bench::gate::{
     baseline_for, canonical_scenarios, check_scenario, delta_pct, fold_best, parse_bench_json,
     parse_bench_pr, BenchEntry, GateVerdict, CANONICAL_SECS, METRO_SECS,
 };
-use l4span_harness::{run_sharded, ScenarioConfig};
+use l4span_harness::{run_sharded, ScenarioConfig, ShardReject};
 
 /// The PR this gate's artifact belongs to.
 const PR: u32 = 12;
@@ -123,7 +123,7 @@ struct Row {
     /// Why the run was time-major (`Report::shard_reject`) — printed so
     /// a scenario silently falling off the cell-major path, or losing
     /// its parallel speedup, is visible in the gate table.
-    shard_reject: Option<&'static str>,
+    shard_reject: Option<ShardReject>,
 }
 
 impl Row {

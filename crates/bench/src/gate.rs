@@ -495,13 +495,13 @@ mod tests {
         let impaired = &set[7];
         assert_eq!(
             l4span_harness::plan_shards_reason(&impaired.cfg, impaired.shards),
-            (1, Some("impairment pipeline")),
+            (1, Some(l4span_harness::ShardReject::ImpairmentPipeline)),
             "the planner rejects the impaired path with its reason"
         );
         let bonded = &set[8];
         assert_eq!(
             l4span_harness::plan_shards_reason(&bonded.cfg, bonded.shards),
-            (1, Some("bonded flow")),
+            (1, Some(l4span_harness::ShardReject::BondedFlow)),
             "the planner rejects the bonded world with its reason"
         );
     }

@@ -32,24 +32,6 @@ use l4span_sim::{Duration, Instant};
 /// it is driven through the generic application machinery.
 const BULK_CHUNK: u64 = 4 << 20;
 
-/// What an application handed to its transport in one tick: a number of
-/// newly offered stream bytes plus the logical-unit boundaries inside
-/// them.
-#[derive(Debug, Default, Clone)]
-pub struct AppOffer {
-    /// Newly offered payload bytes (appended to the app's byte stream).
-    pub bytes: u64,
-    /// Logical units completed *in the offered prefix*, in stream order.
-    pub units: Vec<AppUnit>,
-}
-
-impl AppOffer {
-    /// An offer of nothing.
-    pub fn empty() -> AppOffer {
-        AppOffer::default()
-    }
-}
-
 /// What kind of logical unit a boundary closes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitKind {
@@ -96,7 +78,7 @@ pub struct AppUnit {
 /// A telemetry beacon that offers one 256-byte sample every 20 ms:
 ///
 /// ```
-/// use l4span_harness::app::{Application, AppOffer, AppProfile, AppUnit, UnitKind};
+/// use l4span_harness::app::{Application, AppProfile, AppUnit, UnitKind};
 /// use l4span_harness::scenario::{FlowSpec, ScenarioConfig, TransportSpec};
 /// use l4span_harness::UeSpec;
 /// use l4span_cc::{CcKind, WanLink};
@@ -112,12 +94,12 @@ pub struct AppUnit {
 ///     fn next_activity(&self) -> Instant {
 ///         self.next_at
 ///     }
-///     fn on_tick(&mut self, now: Instant) -> AppOffer {
-///         let mut offer = AppOffer::empty();
+///     fn on_tick(&mut self, now: Instant, units: &mut Vec<AppUnit>) -> u64 {
+///         let mut bytes = 0;
 ///         while now >= self.next_at {
 ///             self.offered += 256;
-///             offer.bytes += 256;
-///             offer.units.push(AppUnit {
+///             bytes += 256;
+///             units.push(AppUnit {
 ///                 kind: UnitKind::Request,
 ///                 end_byte: self.offered,
 ///                 created: self.next_at,
@@ -125,7 +107,7 @@ pub struct AppUnit {
 ///             });
 ///             self.next_at += Duration::from_millis(20);
 ///         }
-///         offer
+///         bytes
 ///     }
 /// }
 ///
@@ -151,9 +133,12 @@ pub trait Application {
     /// has nothing left to do).
     fn next_activity(&self) -> Instant;
 
-    /// Called at (or after) [`Application::next_activity`]: produce the
-    /// newly offered bytes and unit boundaries.
-    fn on_tick(&mut self, now: Instant) -> AppOffer;
+    /// Called at (or after) [`Application::next_activity`]: returns the
+    /// number of newly offered payload bytes (appended to the app's byte
+    /// stream) and pushes the logical units completed *in that prefix*
+    /// onto `units`, in stream order. The caller owns the buffer and
+    /// hands it in empty.
+    fn on_tick(&mut self, now: Instant, units: &mut Vec<AppUnit>) -> u64;
 
     /// The receiver's in-order delivery watermark advanced to
     /// `delivered` cumulative stream bytes.
@@ -416,34 +401,29 @@ impl Application for Bulk {
         self.tick_at
     }
 
-    fn on_tick(&mut self, now: Instant) -> AppOffer {
+    fn on_tick(&mut self, now: Instant, units: &mut Vec<AppUnit>) -> u64 {
         if self.stopped || now < self.tick_at {
-            return AppOffer::empty();
+            return 0;
         }
         self.tick_at = Instant::MAX;
         match self.limit {
             Some(n) => {
                 if self.closed {
-                    return AppOffer::empty();
+                    return 0;
                 }
                 self.closed = true;
                 self.offered = n;
-                AppOffer {
-                    bytes: n,
-                    units: vec![AppUnit {
-                        kind: UnitKind::Request,
-                        end_byte: n,
-                        created: now,
-                        deadline: None,
-                    }],
-                }
+                units.push(AppUnit {
+                    kind: UnitKind::Request,
+                    end_byte: n,
+                    created: now,
+                    deadline: None,
+                });
+                n
             }
             None => {
                 self.offered += BULK_CHUNK;
-                AppOffer {
-                    bytes: BULK_CHUNK,
-                    units: Vec::new(),
-                }
+                BULK_CHUNK
             }
         }
     }
@@ -507,13 +487,13 @@ impl Application for FramedVideo {
         }
     }
 
-    fn on_tick(&mut self, now: Instant) -> AppOffer {
-        let mut offer = AppOffer::empty();
+    fn on_tick(&mut self, now: Instant, units: &mut Vec<AppUnit>) -> u64 {
+        let mut bytes = 0;
         while !self.stopped && now >= self.next_frame_at {
             let size = self.cfg.frame_bytes(self.frame_count, self.target_bps) as u64;
             self.offered += size;
-            offer.bytes += size;
-            offer.units.push(AppUnit {
+            bytes += size;
+            units.push(AppUnit {
                 kind: UnitKind::Frame,
                 end_byte: self.offered,
                 created: self.next_frame_at,
@@ -522,7 +502,7 @@ impl Application for FramedVideo {
             self.frame_count += 1;
             self.next_frame_at += self.cfg.frame_interval();
         }
-        offer
+        bytes
     }
 
     fn on_rate_estimate(&mut self, bps: f64, _now: Instant) {
@@ -573,9 +553,9 @@ impl Application for RequestResponse {
         self.issue_at
     }
 
-    fn on_tick(&mut self, now: Instant) -> AppOffer {
+    fn on_tick(&mut self, now: Instant, units: &mut Vec<AppUnit>) -> u64 {
         if self.ended || now < self.issue_at || self.awaiting.is_some() {
-            return AppOffer::empty();
+            return 0;
         }
         self.issue_at = Instant::MAX;
         if let Some(n) = &mut self.remaining {
@@ -583,15 +563,13 @@ impl Application for RequestResponse {
         }
         self.offered += self.cfg.response_bytes;
         self.awaiting = Some(self.offered);
-        AppOffer {
-            bytes: self.cfg.response_bytes,
-            units: vec![AppUnit {
-                kind: UnitKind::Request,
-                end_byte: self.offered,
-                created: now,
-                deadline: None,
-            }],
-        }
+        units.push(AppUnit {
+            kind: UnitKind::Request,
+            end_byte: self.offered,
+            created: now,
+            deadline: None,
+        });
+        self.cfg.response_bytes
     }
 
     fn on_delivered(&mut self, delivered: u64, now: Instant) {
@@ -651,8 +629,8 @@ impl Application for TraceReplay {
         }
     }
 
-    fn on_tick(&mut self, now: Instant) -> AppOffer {
-        let mut offer = AppOffer::empty();
+    fn on_tick(&mut self, now: Instant, units: &mut Vec<AppUnit>) -> u64 {
+        let mut offered = 0;
         while !self.stopped {
             let Some(&(off, bytes)) = self.cfg.entries.get(self.idx) else {
                 break;
@@ -666,15 +644,15 @@ impl Application for TraceReplay {
                 continue;
             }
             self.offered += bytes;
-            offer.bytes += bytes;
-            offer.units.push(AppUnit {
+            offered += bytes;
+            units.push(AppUnit {
                 kind: UnitKind::Request,
                 end_byte: self.offered,
                 created: at,
                 deadline: None,
             });
         }
-        offer
+        offered
     }
 
     fn done(&self) -> bool {
@@ -694,13 +672,15 @@ mod tests {
     /// offered bytes, unit count)` transcript.
     fn transcript(app: &mut dyn Application, until: Instant) -> Vec<(u64, u64, usize)> {
         let mut out = Vec::new();
+        let mut units = Vec::new();
         loop {
             let at = app.next_activity();
             if at > until {
                 break;
             }
-            let offer = app.on_tick(at);
-            out.push((at.as_nanos(), offer.bytes, offer.units.len()));
+            units.clear();
+            let bytes = app.on_tick(at, &mut units);
+            out.push((at.as_nanos(), bytes, units.len()));
             if app.done() {
                 break;
             }
@@ -752,16 +732,16 @@ mod tests {
             count: Some(2),
         };
         let mut app = RequestResponse::new(cfg, Instant::ZERO);
-        let first = app.on_tick(Instant::ZERO);
-        assert_eq!(first.bytes, 50_000);
+        let mut units = Vec::new();
+        assert_eq!(app.on_tick(Instant::ZERO, &mut units), 50_000);
         assert_eq!(app.next_activity(), Instant::MAX, "awaiting delivery");
         // Partial delivery is not completion.
         app.on_delivered(10_000, Instant::from_millis(30));
         assert_eq!(app.next_activity(), Instant::MAX);
         app.on_delivered(50_000, Instant::from_millis(80));
         assert_eq!(app.next_activity(), Instant::from_millis(180));
-        let second = app.on_tick(Instant::from_millis(180));
-        assert_eq!(second.bytes, 50_000);
+        assert_eq!(app.on_tick(Instant::from_millis(180), &mut units), 50_000);
+        assert_eq!(units.len(), 2, "one unit per response");
         assert!(!app.done());
         app.on_delivered(100_000, Instant::from_millis(260));
         assert!(app.done(), "count exhausted after the second response");
@@ -789,14 +769,16 @@ mod tests {
 
     #[test]
     fn bulk_sized_offers_once_greedy_replenishes() {
+        let mut units = Vec::new();
         let mut sized = Bulk::new(Some(14_000), Instant::ZERO);
-        let o = sized.on_tick(Instant::ZERO);
-        assert_eq!(o.bytes, 14_000);
+        assert_eq!(sized.on_tick(Instant::ZERO, &mut units), 14_000);
+        assert_eq!(units.len(), 1, "the whole transfer is one request");
         assert!(sized.done());
 
         let mut greedy = Bulk::new(None, Instant::ZERO);
-        let o1 = greedy.on_tick(Instant::ZERO);
-        assert_eq!(o1.bytes, BULK_CHUNK);
+        units.clear();
+        assert_eq!(greedy.on_tick(Instant::ZERO, &mut units), BULK_CHUNK);
+        assert!(units.is_empty(), "a greedy stream has no units");
         assert_eq!(greedy.next_activity(), Instant::MAX);
         greedy.on_delivered(BULK_CHUNK, Instant::from_millis(500));
         assert_eq!(greedy.next_activity(), Instant::from_millis(500));

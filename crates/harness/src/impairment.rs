@@ -314,7 +314,7 @@ impl Impairment {
     /// by `now` and the next departure instant, if any. The caller feeds
     /// departures into stage `i + 1` and polls again at the returned
     /// instant; keeping that to one pending poll per stage is the
-    /// caller's business (the world arms a [`crate::Wakeup`] per stage).
+    /// caller's business (the world arms one wake-up slot per stage).
     pub fn poll_queue(&mut self, i: usize, now: Instant) -> (Vec<PacketBuf>, Option<Instant>) {
         let Stage::ClassicQueue { router } = &mut self.stages[i] else {
             return (Vec::new(), None);

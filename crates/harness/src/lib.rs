@@ -26,8 +26,6 @@
 //!   egress and the core: ECT bleaching, codepoint remarking, ECT drop,
 //!   and an RFC 3168 classic-ECN single-queue hop;
 //! * [`wired`] — the wired-only topology of Fig. 2(a);
-//! * [`wakeup`] — the one-live-wake-up-per-owner timer dedupe both
-//!   event loops ([`world`], [`wired`]) arm their polls through;
 //! * [`dci`] — synthetic DCI/MCS traces and the channel stable-period
 //!   CDF of Fig. 18;
 //! * [`runner`] — parallel execution of independent scenario batches
@@ -48,7 +46,6 @@ pub mod runner;
 pub mod scenario;
 pub mod shard;
 mod sn_ring;
-pub mod wakeup;
 pub mod wired;
 pub mod world;
 
@@ -62,8 +59,7 @@ pub use scenario::{
     ChannelMix, FlowDir, FlowSpec, MobilitySpec, MobilityStep, ScenarioConfig, TransportSpec,
     UeSpec,
 };
-pub use shard::{plan_shards, plan_shards_reason, run_sharded};
-pub use wakeup::Wakeup;
+pub use shard::{plan_shards, plan_shards_reason, run_sharded, ShardReject};
 pub use world::World;
 
 /// Run a scenario to completion and return its report.

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use l4span_sim::{stats::BoxStats, CycleStat, Duration, Instant};
 
 use crate::impairment::ImpairmentCounters;
+use crate::shard::ShardReject;
 
 /// One congestion-control classic-fallback transition: a Prague sender
 /// detected a hostile path (classic-AQM CE pattern or bleached feedback)
@@ -214,6 +215,12 @@ pub struct Report {
     /// the slot loops read. Deterministic, and outside the fingerprint
     /// for the same reason as `events`.
     pub fading_evals: u64,
+    /// The most events any one queue held when the run loop went to pop
+    /// it ([`l4span_sim::EventQueue::len`]): the largest over the cell
+    /// queues of a cell-major world and over the replicas of a sharded
+    /// one. Deterministic and outside the fingerprint like `events`; it
+    /// tracks the timers and packets in flight, not the run length.
+    pub queue_depth_peak: usize,
     /// Per-shard execution statistics when the run was sharded
     /// ([`crate::run_sharded`]); empty for single-world runs.
     /// Excluded from the fingerprint like `cycles`: the deterministic
@@ -228,7 +235,7 @@ pub struct Report {
     /// cell-major, in one world or sharded. Excluded from the
     /// fingerprint like `shards`: it describes execution planning, not
     /// simulation.
-    pub shard_reject: Option<&'static str>,
+    pub shard_reject: Option<ShardReject>,
     /// Cumulative impairment-pipeline counters, present exactly when the
     /// scenario configured an [`crate::ImpairmentSpec`]. Joins the
     /// fingerprint only in that case, so impairment-free runs stay

@@ -54,46 +54,87 @@ pub fn plan_shards(cfg: &ScenarioConfig, want: usize) -> usize {
     plan_shards_reason(cfg, want).0
 }
 
-/// [`plan_shards`] plus *why* a scenario was forced to one shard: the
-/// property that makes its cells non-independent, surfaced in
-/// [`Report::shard_reject`] and the perf-gate table so a scenario
-/// silently falling off the fast path is visible. `None` when the plan
-/// honored the request (including the trivial `want <= 1`).
+/// The property that makes a scenario's cells non-independent: why
+/// [`plan_shards_reason`] forced it to one shard, and [`World::run`] onto
+/// the time-major loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ShardReject {
+    /// A mid-path impairment pipeline serializes every downlink flow.
+    ImpairmentPipeline,
+    /// A bonded flow spans two cells by construction (the legs feed one
+    /// sender/receiver pair), so its cells can never simulate
+    /// independently.
+    BondedFlow,
+    /// There is nothing to split.
+    SingleCell,
+    /// One marker instance holds state for every cell.
+    CentralCuMarker,
+    /// The bottleneck router serializes every flow.
+    WiredBottleneck,
+    /// A mobility step shares its instant with a housekeeping tick or
+    /// with a start or stop of one of the UE's own flows.
+    StepOnTickOrFlowBoundary,
+    /// Mobility steps bring one cell's slot grid into a queue twice
+    /// within a wired round trip.
+    CellReusedWithinRoundTrip,
+    /// A UE that changes cells carries uplink traffic the `UePoll` tick
+    /// paces.
+    StepUnderTickPacedUplink,
+}
+
+impl std::fmt::Display for ShardReject {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ShardReject::ImpairmentPipeline => "impairment pipeline",
+            ShardReject::BondedFlow => "bonded flow",
+            ShardReject::SingleCell => "single cell",
+            ShardReject::CentralCuMarker => "central CU marker",
+            ShardReject::WiredBottleneck => "wired bottleneck",
+            ShardReject::StepOnTickOrFlowBoundary => "mobility step on a tick or flow boundary",
+            ShardReject::CellReusedWithinRoundTrip => {
+                "mobility steps reuse a cell within a round trip"
+            }
+            ShardReject::StepUnderTickPacedUplink => {
+                "mobility step under tick-paced uplink traffic"
+            }
+        })
+    }
+}
+
+/// [`plan_shards`] plus *why* a scenario was forced to one shard,
+/// surfaced in [`Report::shard_reject`] and the perf-gate table so a
+/// scenario silently falling off the fast path is visible. `None` when
+/// the plan honored the request (including the trivial `want <= 1`).
 ///
 /// `plan_shards_reason(cfg, 2).1.is_none()` is the eligibility test of
 /// the cell-major [`World::run`].
-pub fn plan_shards_reason(cfg: &ScenarioConfig, want: usize) -> (usize, Option<&'static str>) {
+pub fn plan_shards_reason(cfg: &ScenarioConfig, want: usize) -> (usize, Option<ShardReject>) {
     if want <= 1 {
         return (1, None);
     }
-    if cfg.impairment.is_some() {
-        return (1, Some("impairment pipeline"));
+    let reject = if cfg.impairment.is_some() {
+        Some(ShardReject::ImpairmentPipeline)
+    } else if cfg.flows.iter().any(|f| f.bond.is_some()) {
+        Some(ShardReject::BondedFlow)
+    } else if cfg.n_cells() < 2 {
+        Some(ShardReject::SingleCell)
+    } else if !cfg.cu_per_cell {
+        Some(ShardReject::CentralCuMarker)
+    } else if cfg.bottleneck.is_some() {
+        Some(ShardReject::WiredBottleneck)
+    } else if step_misaligned(cfg) {
+        Some(ShardReject::StepOnTickOrFlowBoundary)
+    } else if steps_reuse_a_grid(cfg) {
+        Some(ShardReject::CellReusedWithinRoundTrip)
+    } else if tick_paced_uplink_moves(cfg) {
+        Some(ShardReject::StepUnderTickPacedUplink)
+    } else {
+        None
+    };
+    match reject {
+        Some(_) => (1, reject),
+        None => (want.min(cfg.n_cells()), None),
     }
-    if cfg.flows.iter().any(|f| f.bond.is_some()) {
-        // A bonded flow spans two cells by construction (the legs feed
-        // one sender/receiver pair), so its cells can never simulate
-        // independently.
-        return (1, Some("bonded flow"));
-    }
-    if cfg.n_cells() < 2 {
-        return (1, Some("single cell"));
-    }
-    if !cfg.cu_per_cell {
-        return (1, Some("central CU marker"));
-    }
-    if cfg.bottleneck.is_some() {
-        return (1, Some("wired bottleneck"));
-    }
-    if step_misaligned(cfg) {
-        return (1, Some("mobility step on a tick or flow boundary"));
-    }
-    if steps_reuse_a_grid(cfg) {
-        return (1, Some("mobility steps reuse a cell within a round trip"));
-    }
-    if tick_paced_uplink_moves(cfg) {
-        return (1, Some("mobility step under tick-paced uplink traffic"));
-    }
-    (want.min(cfg.n_cells()), None)
 }
 
 /// Does some mobility step sit where "barrier work runs before
@@ -660,7 +701,7 @@ mod tests {
 
     #[test]
     fn misaligned_steps_are_rejected_and_run_time_major() {
-        const WHY: Option<&str> = Some("mobility step on a tick or flow boundary");
+        const WHY: Option<ShardReject> = Some(ShardReject::StepOnTickOrFlowBoundary);
         let step = |at| vec![MobilityStep::new(at, 2, ChannelProfile::Pedestrian, 17.0)];
         let aligned = three_cells("cubic", [step(Instant::from_micros(102_500)), Vec::new()]);
         assert_eq!(plan_shards_reason(&aligned, 2), (2, None));
@@ -685,7 +726,7 @@ mod tests {
 
     #[test]
     fn a_return_within_a_round_trip_is_rejected_and_runs_time_major() {
-        const WHY: Option<&str> = Some("mobility steps reuse a cell within a round trip");
+        const WHY: Option<ShardReject> = Some(ShardReject::CellReusedWithinRoundTrip);
         let step = |us, cell| {
             MobilityStep::new(
                 Instant::from_micros(us),
@@ -716,7 +757,7 @@ mod tests {
 
     #[test]
     fn tick_paced_uplink_traffic_of_a_mover_is_rejected_and_runs_time_major() {
-        const WHY: Option<&str> = Some("mobility step under tick-paced uplink traffic");
+        const WHY: Option<ShardReject> = Some(ShardReject::StepUnderTickPacedUplink);
         let step = vec![MobilityStep::new(
             Instant::from_micros(102_500),
             2,
@@ -744,7 +785,7 @@ mod tests {
 
     /// `cfg` must be refused for `why` — and then both entry points run
     /// it time-major and say so.
-    fn assert_rejected(cfg: ScenarioConfig, why: Option<&'static str>, what: &str) {
+    fn assert_rejected(cfg: ScenarioConfig, why: Option<ShardReject>, what: &str) {
         assert_eq!(plan_shards_reason(&cfg, 3), (1, why), "{what}");
         let reference = outcome(&World::new(cfg.clone()).run_time_major());
         let one_world = World::new(cfg.clone()).run();

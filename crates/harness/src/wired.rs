@@ -13,7 +13,6 @@ use l4span_net::{FiveTuple, PacketBuf};
 use l4span_sim::{Duration, EventQueue, Instant, SimRng};
 
 use crate::metrics::Report;
-use crate::wakeup::Wakeup;
 
 /// Configuration of a wired run.
 #[derive(Debug, Clone)]
@@ -45,13 +44,15 @@ struct WFlow {
     sender: TcpSender,
     receiver: TcpReceiver,
     sent_at: HashMap<u16, Instant>,
-    timer: Wakeup,
 }
 
 /// Run the wired scenario.
 pub fn run_wired(cfg: WiredConfig) -> Report {
     let root = SimRng::new(cfg.seed);
-    let mut queue: EventQueue<Event> = EventQueue::new();
+    // Wake-up keys: flow `f`'s sender timer is `f`, the router's poll
+    // comes after the flows.
+    let router_key = cfg.flows.len();
+    let mut queue: EventQueue<Event> = EventQueue::with_wakeups(0, 0..=router_key);
     let mut router = Router::new(
         cfg.rate_bps,
         2 << 20,
@@ -70,7 +71,6 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
             sender: TcpSender::new(tcfg, controller),
             receiver: TcpReceiver::new(tcfg, mode),
             sent_at: HashMap::new(),
-            timer: Wakeup::new(),
         });
         queue.schedule(*start, Event::Start { flow: f });
     }
@@ -80,7 +80,6 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
     let mut rtt_ms = vec![Vec::new(); n];
     let mut rtt_at_s = vec![Vec::new(); n];
     let mut thr_bins = vec![Vec::new(); n];
-    let mut router_poll = Wakeup::new();
     let end = Instant::ZERO + cfg.duration;
 
     // Helper closures are awkward with borrows; use a small macro-like fn.
@@ -101,7 +100,7 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
     fn drain_router(
         queue: &mut EventQueue<Event>,
         router: &mut Router,
-        router_poll: &mut Wakeup,
+        router_key: usize,
         tuple_to_flow: &HashMap<FiveTuple, usize>,
         one_way: Duration,
         now: Instant,
@@ -111,16 +110,14 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
                 queue.schedule(now + one_way, Event::AtClient { flow, pkt });
             }
         }
-        let next = router.next_departure();
-        if let Some(at) = next.and_then(|d| router_poll.arm(d, now)) {
-            queue.schedule(at, Event::RouterPoll);
+        if let Some(at) = router.next_departure() {
+            queue.arm(router_key, at, || Event::RouterPoll);
         }
     }
 
-    fn arm_timer(queue: &mut EventQueue<Event>, f: &mut WFlow, flow: usize, now: Instant) {
-        let next = f.sender.next_activity();
-        if let Some(at) = next.and_then(|at| f.timer.arm(at, now)) {
-            queue.schedule(at, Event::Timer { flow });
+    fn arm_timer(queue: &mut EventQueue<Event>, f: &WFlow, flow: usize) {
+        if let Some(at) = f.sender.next_activity() {
+            queue.arm(flow, at, || Event::Timer { flow });
         }
     }
 
@@ -142,24 +139,20 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
                 drain_router(
                     &mut queue,
                     &mut router,
-                    &mut router_poll,
+                    router_key,
                     &tuple_to_flow,
                     cfg.one_way,
                     now,
                 );
             }
-            Event::RouterPoll => {
-                if router_poll.fire(now) {
-                    drain_router(
-                        &mut queue,
-                        &mut router,
-                        &mut router_poll,
-                        &tuple_to_flow,
-                        cfg.one_way,
-                        now,
-                    );
-                }
-            }
+            Event::RouterPoll => drain_router(
+                &mut queue,
+                &mut router,
+                router_key,
+                &tuple_to_flow,
+                cfg.one_way,
+                now,
+            ),
             Event::AtClient { flow, pkt } => {
                 let ident = pkt.ip().identification;
                 if let Some(sent) = flows[flow].sent_at.remove(&ident) {
@@ -185,15 +178,12 @@ pub fn run_wired(cfg: WiredConfig) -> Report {
                     rtt_at_s[flow].push(now.as_secs_f64());
                 }
                 route_dl(&mut queue, &mut flows, flow, &mut outs, cfg.one_way, now);
-                arm_timer(&mut queue, &mut flows[flow], flow, now);
+                arm_timer(&mut queue, &flows[flow], flow);
             }
             Event::Timer { flow } => {
-                if !flows[flow].timer.fire(now) {
-                    continue;
-                }
                 flows[flow].sender.poll_into(now, &mut outs);
                 route_dl(&mut queue, &mut flows, flow, &mut outs, cfg.one_way, now);
-                arm_timer(&mut queue, &mut flows[flow], flow, now);
+                arm_timer(&mut queue, &flows[flow], flow);
             }
         }
     }

@@ -27,7 +27,6 @@ use crate::marker::Marker;
 use crate::metrics::{BondStat, Breakdown, BreakdownAvg, FallbackRecord, HandoverRecord, Report};
 use crate::scenario::{BottleneckSpec, FlowDir, ScenarioConfig};
 use crate::sn_ring::SnRing;
-use crate::wakeup::Wakeup;
 
 /// Subsystem labels of the world's [`CycleScope`] (the `fig_breakdown`
 /// attribution table). Indices are the `CYC_*` constants below; spans
@@ -105,13 +104,9 @@ struct Flow {
     sent_at: FxHashMap<u16, Instant>,
     /// ident of an in-flight feedback packet → its report payload.
     fb_pending: FxHashMap<u16, FbData>,
-    /// The sender's one live `FlowTimer`.
-    timer: Wakeup,
     /// The driving [`Application`], for flows whose app is not executed
     /// natively by the transport.
     app: Option<Box<dyn Application + Send>>,
-    /// The application's one live `AppTick`.
-    app_timer: Wakeup,
     /// Byte-stream units (frames/requests) awaiting UE-side delivery,
     /// in stream order — completed against the TCP receiver's in-order
     /// watermark.
@@ -241,6 +236,59 @@ impl Event {
     }
 }
 
+/// An owner the world polls on a clock. Each has one wake-up slot in
+/// the event queue ([`EventQueue::arm`]): asking for an earlier instant
+/// moves its entry, so the event it pops as is always the live one.
+#[derive(Clone, Copy)]
+enum Timer {
+    /// A flow's sender (`FlowTimer`).
+    Flow(usize),
+    /// A flow's [`Application`] (`AppTick`).
+    App(usize),
+    /// The bottleneck router's next departure (`RouterPoll`).
+    Router,
+    /// An impairment queue stage's next departure (`ImpairPoll`).
+    Impair(u8),
+}
+
+impl Timer {
+    /// Queue keys below this are the wired plane's: the router, then
+    /// every stage a `u8` can number. A queue reserves slots for the
+    /// keys it hosts, not for the range, so the gap costs nothing.
+    const WIRED_KEYS: usize = 2 + u8::MAX as usize;
+
+    /// The owner's queue key.
+    fn key(self) -> usize {
+        match self {
+            Timer::Router => 0,
+            Timer::Impair(stage) => 1 + stage as usize,
+            Timer::Flow(f) => Timer::WIRED_KEYS + 2 * f,
+            Timer::App(f) => Timer::WIRED_KEYS + 2 * f + 1,
+        }
+    }
+
+    /// The event the owner's entry pops as.
+    fn event(self) -> Event {
+        match self {
+            Timer::Flow(flow) => Event::FlowTimer { flow },
+            Timer::App(flow) => Event::AppTick { flow },
+            Timer::Router => Event::RouterPoll,
+            Timer::Impair(stage) => Event::ImpairPoll { stage },
+        }
+    }
+
+    /// The owner whose entry pops as `ev`, if it is one.
+    fn of(ev: &Event) -> Option<Timer> {
+        match *ev {
+            Event::FlowTimer { flow } => Some(Timer::Flow(flow)),
+            Event::AppTick { flow } => Some(Timer::App(flow)),
+            Event::RouterPoll => Some(Timer::Router),
+            Event::ImpairPoll { stage } => Some(Timer::Impair(stage)),
+            _ => None,
+        }
+    }
+}
+
 /// A pooled triple of one UE's uplink-slot buffers (packets, status
 /// reports, buffer-status entries).
 pub(crate) type UlBatch = (
@@ -301,14 +349,10 @@ pub struct World {
     flows: Vec<Flow>,
     tuple_to_flow: FxHashMap<FiveTuple, usize>,
     router: Option<Router>,
-    /// The router's one live `RouterPoll`.
-    router_poll: Wakeup,
     /// Mid-path impairment pipeline (bleach/remark/drop stages and the
     /// RFC 3168 classic hop), applied ahead of the bottleneck router.
     /// `None` keeps the wired path byte-identical to the faithful one.
     impair: Option<Impairment>,
-    /// Per impairment stage, its queue's one live `ImpairPoll`.
-    impair_poll: Vec<Wakeup>,
     /// UEs with at least one UM DRB (the only ones whose RLC receivers
     /// need the reassembly-timeout poll).
     um_ues: Vec<usize>,
@@ -331,6 +375,8 @@ pub struct World {
     tb_pool: Vec<Vec<TransportBlock>>,
     /// Reused buffers for what a sender releases (poll/ACK hot paths).
     scratch_tx: Released,
+    /// Reused buffer for the units an application tick offers.
+    scratch_units: Vec<AppUnit>,
     /// Reused buffer for join-buffer releases at the server.
     scratch_join: Vec<PacketBuf>,
     /// Reused buffer for UE app deliveries (the per-TB hot path).
@@ -413,6 +459,8 @@ pub struct World {
     /// `Handover` — which makes `Report::events` the same number under
     /// either execution order and at every shard count.
     event_counts: [u64; Event::CLASSES.len()],
+    /// Largest number of pending events the pop loop found on a queue.
+    queue_depth_peak: usize,
     /// Per-subsystem cycle accounting (disabled unless
     /// `ScenarioConfig::measure_cycles`; a disabled scope costs one
     /// predictable branch per span).
@@ -586,9 +634,7 @@ impl World {
                 dir: spec.dir,
                 sent_at: FxHashMap::default(),
                 fb_pending: FxHashMap::default(),
-                timer: Wakeup::new(),
                 app,
-                app_timer: Wakeup::new(),
                 pending_units: VecDeque::new(),
                 frame_pending: FxHashMap::default(),
                 framed,
@@ -674,9 +720,15 @@ impl World {
         } else {
             CycleScope::disabled()
         };
+        // One wake-up slot per timer owner: the wired plane's queues,
+        // every flow's sender, the applications there are.
+        let stages = impair.as_ref().map_or(0, Impairment::n_stages);
+        let mut keys: Vec<usize> = router.iter().map(|_| Timer::Router.key()).collect();
+        keys.extend((0..stages).map(|i| Timer::Impair(i as u8).key()));
+        keys.extend(wake_keys(&flows, |_| true));
         let mut w = World {
             cfg,
-            queue: EventQueue::with_capacity(1024 + 128 * n),
+            queue: EventQueue::with_wakeups(1024 + 128 * n, keys),
             pool: Vec::with_capacity(1024 + 128 * n),
             gnbs,
             serving,
@@ -691,8 +743,6 @@ impl World {
             flows,
             tuple_to_flow,
             router,
-            router_poll: Wakeup::new(),
-            impair_poll: vec![Wakeup::new(); impair.as_ref().map_or(0, Impairment::n_stages)],
             impair,
             um_ues,
             udp_flows,
@@ -702,6 +752,7 @@ impl World {
             ul_slot_pool: Vec::new(),
             tb_pool: Vec::new(),
             scratch_tx: Released::default(),
+            scratch_units: Vec::new(),
             scratch_join: Vec::new(),
             scratch_app_deliv: Vec::new(),
             scratch_grants: Vec::new(),
@@ -738,6 +789,7 @@ impl World {
             marker_time: (Vec::new(), Vec::new(), Vec::new()),
             ho_tbs_lost: 0,
             event_counts: [0; Event::CLASSES.len()],
+            queue_depth_peak: 0,
             cycles,
         };
         for cell in 0..n_cells {
@@ -809,13 +861,7 @@ impl World {
     /// Move `ev` into a pooled box when one is available.
     #[inline]
     fn boxed(&mut self, ev: Event) -> Box<Event> {
-        match self.pool.pop() {
-            Some(mut b) => {
-                *b = ev;
-                b
-            }
-            None => Box::new(ev),
-        }
+        boxed_from(&mut self.pool, ev)
     }
 
     /// Schedule an event on the running queue. In a cell-major world
@@ -833,6 +879,22 @@ impl World {
         );
         let bx = self.boxed(ev);
         self.queue.schedule(at, bx);
+    }
+
+    /// Ask for `timer`'s owner to be woken at `at` on the running queue:
+    /// the one way a timer is armed. An owner already due no later keeps
+    /// its entry; one due later has it moved.
+    #[inline]
+    fn arm(&mut self, timer: Timer, at: Instant) {
+        debug_assert!(
+            self.running_cell()
+                .is_none_or(|c| self.event_cell(&timer.event()).is_none_or(|o| o == c)),
+            "cell-major: a timer of another cell armed while cell {:?} runs",
+            self.running_cell(),
+        );
+        let pool = &mut self.pool;
+        self.queue
+            .arm(timer.key(), at, || boxed_from(pool, timer.event()));
     }
 
     /// Marker-instance index for `cell`: the shared central instance, or
@@ -979,6 +1041,7 @@ impl World {
                 if at > end || at >= until {
                     break;
                 }
+                self.queue_depth_peak = self.queue_depth_peak.max(self.queue.len());
                 let t0 = self.cycles.start();
                 let (now, mut bx) = self.queue.pop().expect("peeked");
                 // Recycle the box: move the event out, keep the allocation.
@@ -1018,9 +1081,6 @@ impl World {
                 self.cycles.stop(t0, CYC_WIRED);
             }
             Event::RouterPoll => {
-                if !self.router_poll.fire(now) {
-                    return;
-                }
                 let t0 = self.cycles.start();
                 self.drain_router(now);
                 self.cycles.stop(t0, CYC_WIRED);
@@ -1036,9 +1096,6 @@ impl World {
                 self.cycles.stop(t0, CYC_WIRED);
             }
             Event::ImpairPoll { stage } => {
-                if !self.impair_poll[stage as usize].fire(now) {
-                    return;
-                }
                 let t0 = self.cycles.start();
                 self.impair_poll(stage as usize, now);
                 self.cycles.stop(t0, CYC_WIRED);
@@ -1084,10 +1141,9 @@ impl World {
                 self.flows[flow].endpoint.stop();
             }
             Event::FlowTimer { flow } => {
-                if !self.flows[flow].timer.fire(now) || !self.flows[flow].started {
-                    return;
+                if self.flows[flow].started {
+                    self.poll_sender(flow, now);
                 }
-                self.poll_sender(flow, now);
             }
             Event::AppTick { flow } => self.on_app_tick(flow, now),
             Event::Handover { ue, target_cell, profile, snr_db } => {
@@ -1804,11 +1860,11 @@ impl World {
         self.cycles.stop(c0, CYC_TRANSPORT);
         if let (Some(bps), Some(app)) = (up.rate_estimate_bps, &mut self.flows[flow].app) {
             app.on_rate_estimate(bps, now);
-            self.resched_app(flow, now);
+            self.resched_app(flow);
         }
         self.route_released(flow, &mut tx, now);
         self.scratch_tx = tx;
-        self.reschedule_timer(flow, now);
+        self.reschedule_timer(flow);
     }
 
     /// Poll the flow's sender, route what it releases, re-arm its timer.
@@ -1819,7 +1875,7 @@ impl World {
         self.cycles.stop(t0, CYC_TRANSPORT);
         self.route_released(flow, &mut tx, now);
         self.scratch_tx = tx;
-        self.reschedule_timer(flow, now);
+        self.reschedule_timer(flow);
     }
 
     /// Route what a sender released in the flow's data direction,
@@ -1937,11 +1993,11 @@ impl World {
         match self.flows[flow].endpoint.open(now) {
             // A connection-oriented receiver opens the flow.
             Some(syn) => self.send_feedback(flow, syn, now),
-            None => self.arm_flow_timer(flow, now, now),
+            None => self.arm(Timer::Flow(flow), now),
         }
         // Application-driven flows: arm the app's own clock.
         if self.flows[flow].app.is_some() {
-            self.resched_app(flow, now);
+            self.resched_app(flow);
         }
     }
 
@@ -1952,31 +2008,25 @@ impl World {
     /// Fire the flow's application clock: collect its offer, feed the
     /// transport, and re-arm.
     fn on_app_tick(&mut self, flow: usize, now: Instant) {
-        if !self.flows[flow].app_timer.fire(now) {
-            return;
-        }
         let Some(app) = &mut self.flows[flow].app else {
             return;
         };
-        let offer = app.on_tick(now);
-        if offer.bytes > 0 {
-            let accepted = self.flows[flow].endpoint.offer(offer.bytes);
-            // A sealed stream (FlowStop / close_app) refuses the offer:
-            // these bytes — and their units — can never be sent, so an
-            // application that ignores its stop() hook still quiesces.
-            if accepted {
-                for u in &offer.units {
-                    if u.kind == UnitKind::Frame {
-                        self.frames_generated[flow] += 1;
-                    }
-                }
-                self.flows[flow].pending_units.extend(offer.units);
-                if self.flows[flow].started {
-                    self.poll_sender(flow, now);
-                }
+        let mut units = std::mem::take(&mut self.scratch_units);
+        let bytes = app.on_tick(now, &mut units);
+        // A sealed stream (FlowStop / close_app) refuses the offer:
+        // these bytes — and their units — can never be sent, so an
+        // application that ignores its stop() hook still quiesces.
+        if bytes > 0 && self.flows[flow].endpoint.offer(bytes) {
+            let frames = units.iter().filter(|u| u.kind == UnitKind::Frame).count();
+            self.frames_generated[flow] += frames as u64;
+            self.flows[flow].pending_units.extend(units.iter());
+            if self.flows[flow].started {
+                self.poll_sender(flow, now);
             }
         }
-        self.resched_app(flow, now);
+        units.clear();
+        self.scratch_units = units;
+        self.resched_app(flow);
     }
 
     /// The TCP receiver's in-order watermark advanced: complete pending
@@ -1991,7 +2041,7 @@ impl World {
         }
         if let Some(app) = &mut self.flows[flow].app {
             app.on_delivered(watermark, now);
-            self.resched_app(flow, now);
+            self.resched_app(flow);
         }
     }
 
@@ -2040,7 +2090,7 @@ impl World {
 
     /// Re-arm the flow's AppTick at the app's next activity; propagate a
     /// finished app into the transport so the flow can report finished.
-    fn resched_app(&mut self, flow: usize, now: Instant) {
+    fn resched_app(&mut self, flow: usize) {
         let f = &mut self.flows[flow];
         let Some(app) = &f.app else {
             return;
@@ -2048,10 +2098,8 @@ impl World {
         if app.done() {
             f.endpoint.close_app();
         }
-        let at = app.next_activity().max(now);
-        if let Some(at) = f.app_timer.arm(at, now) {
-            self.sched(at, Event::AppTick { flow });
-        }
+        let at = app.next_activity();
+        self.arm(Timer::App(flow), at);
     }
 
     /// Route one packet downlink toward the UE. For downlink flows this
@@ -2108,8 +2156,8 @@ impl World {
         for pkt in departed {
             self.impair_advance(i + 1, pkt, now);
         }
-        if let Some(at) = next.and_then(|d| self.impair_poll[i].arm(d, now)) {
-            self.sched(at, Event::ImpairPoll { stage: i as u8 });
+        if let Some(at) = next {
+            self.arm(Timer::Impair(i as u8), at);
         }
     }
 
@@ -2141,23 +2189,17 @@ impl World {
         for pkt in departed {
             self.sched_dl_at_cu(pkt, now);
         }
-        if let Some(at) = next.and_then(|d| self.router_poll.arm(d, now)) {
-            self.sched(at, Event::RouterPoll);
+        if let Some(at) = next {
+            self.arm(Timer::Router, at);
         }
     }
 
-    fn reschedule_timer(&mut self, flow: usize, now: Instant) {
+    fn reschedule_timer(&mut self, flow: usize) {
         let c0 = self.cycles.start();
         let na = self.flows[flow].endpoint.next_activity();
         self.cycles.stop(c0, CYC_TRANSPORT);
         if let Some(at) = na {
-            self.arm_flow_timer(flow, at, now);
-        }
-    }
-
-    fn arm_flow_timer(&mut self, flow: usize, at: Instant, now: Instant) {
-        if let Some(at) = self.flows[flow].timer.arm(at, now) {
-            self.sched(at, Event::FlowTimer { flow });
+            self.arm(Timer::Flow(flow), at);
         }
     }
 
@@ -2267,9 +2309,23 @@ impl World {
         // One reservation per queue: the world's own sizing rule, with
         // the flows split evenly over the cells.
         let cap = 1024 + 128 * self.flows.len() / of_cell.len();
+        // A cell's queue hosts the timers of the flows whose UE is ever
+        // attached to it.
+        let ues = &self.cfg.ues;
+        let visits = |ue: usize, c: usize| {
+            ues[ue].initial_cell == c || ues[ue].mobility.iter().any(|st| st.cell == c)
+        };
         let mut queues: Vec<EventQueue<Box<Event>>> = of_cell
             .iter()
-            .map(|&o| if o == id { EventQueue::with_capacity(cap) } else { EventQueue::new() })
+            .enumerate()
+            .map(|(c, &o)| {
+                if o == id {
+                    let keys = wake_keys(&self.flows, |flow| visits(flow.ue_idx, c));
+                    EventQueue::with_wakeups(cap, keys)
+                } else {
+                    EventQueue::new()
+                }
+            })
             .collect();
         for (at, mut bx) in self.queue.drain_ordered() {
             let cell = match &*bx {
@@ -2287,7 +2343,7 @@ impl World {
                 ev => self.event_cell(ev).filter(|&c| of_cell[c] == id),
             };
             match cell {
-                Some(c) => queues[c].schedule(at, bx),
+                Some(c) => requeue(&mut queues[c], at, bx),
                 None => {
                     *bx = Event::Nop;
                     self.pool.push(bx);
@@ -2367,7 +2423,7 @@ impl World {
                         out.push((at, bx));
                     }
                 }
-                _ => self.cell_queue(src).schedule(at, bx),
+                _ => requeue(self.cell_queue(src), at, bx),
             }
         }
     }
@@ -2396,7 +2452,7 @@ impl World {
             "cell-major: event for cell {cell} at {at:?} behind its clock {:?} (missing flush barrier)",
             q.now()
         );
-        q.schedule(at, bx);
+        requeue(q, at, bx);
     }
 
     /// Move this epoch's cross-replica envelopes out (buffer reuse).
@@ -2601,6 +2657,7 @@ impl World {
             for (class, n) in w.event_counts.iter().enumerate() {
                 primary.event_counts[class] += n;
             }
+            primary.queue_depth_peak = primary.queue_depth_peak.max(w.queue_depth_peak);
             primary.ho_tbs_lost += w.ho_tbs_lost;
             primary.rate_err.append(&mut w.rate_err);
             primary.marker_time.0.append(&mut w.marker_time.0);
@@ -2779,6 +2836,7 @@ impl World {
                 .filter(|&(_, n)| n > 0)
                 .collect(),
             fading_evals: g.fading_evals,
+            queue_depth_peak: self.queue_depth_peak,
             shards: Vec::new(),
             shard_reject: None,
             impairment: self.impair.as_ref().map(|i| i.counters),
@@ -2787,6 +2845,43 @@ impl World {
             bonds,
         }
     }
+}
+
+/// Move `ev` into a box from `pool` when it has one.
+#[inline]
+#[allow(clippy::vec_box)]
+fn boxed_from(pool: &mut Vec<Box<Event>>, ev: Event) -> Box<Event> {
+    match pool.pop() {
+        Some(mut b) => {
+            *b = ev;
+            b
+        }
+        None => Box::new(ev),
+    }
+}
+
+/// Queue a boxed event that changes queues (installation, re-homing,
+/// mail): a timer's entry goes back into its owner's wake-up slot —
+/// disarmed there, since an owner has one entry and this is it — so it
+/// can still be moved; anything else is scheduled.
+fn requeue(q: &mut EventQueue<Box<Event>>, at: Instant, bx: Box<Event>) {
+    match Timer::of(&bx) {
+        Some(timer) => q.arm(timer.key(), at, || bx),
+        None => q.schedule(at, bx),
+    }
+}
+
+/// The queue keys of the timers of the flows `hosted` selects,
+/// ascending: what a queue that may run those flows reserves slots for.
+fn wake_keys(flows: &[Flow], hosted: impl Fn(&Flow) -> bool) -> Vec<usize> {
+    let mut keys = Vec::new();
+    for (f, flow) in flows.iter().enumerate().filter(|(_, flow)| hosted(flow)) {
+        keys.push(Timer::Flow(f).key());
+        if flow.app.is_some() {
+            keys.push(Timer::App(f).key());
+        }
+    }
+    keys
 }
 
 /// Swap the entries whose key matches `pred` between two BTree maps

@@ -137,7 +137,7 @@ fn stopped_video_flow_quiesces() {
 
 #[test]
 fn flow_stop_quiesces_even_an_app_that_ignores_its_stop_hook() {
-    use l4span_harness::app::{AppOffer, AppUnit, Application, UnitKind};
+    use l4span_harness::app::{AppUnit, Application, UnitKind};
     // A pathological source that never honours `stop()` (the default
     // no-op): the sealed transport must refuse its offers after the
     // scheduled FlowStop, or the stop would be silently violated.
@@ -149,12 +149,12 @@ fn flow_stop_quiesces_even_an_app_that_ignores_its_stop_hook() {
         fn next_activity(&self) -> Instant {
             self.next_at
         }
-        fn on_tick(&mut self, now: Instant) -> AppOffer {
-            let mut offer = AppOffer::empty();
+        fn on_tick(&mut self, now: Instant, units: &mut Vec<AppUnit>) -> u64 {
+            let mut bytes = 0;
             while now >= self.next_at {
                 self.offered += 20_000;
-                offer.bytes += 20_000;
-                offer.units.push(AppUnit {
+                bytes += 20_000;
+                units.push(AppUnit {
                     kind: UnitKind::Request,
                     end_byte: self.offered,
                     created: self.next_at,
@@ -162,7 +162,7 @@ fn flow_stop_quiesces_even_an_app_that_ignores_its_stop_hook() {
                 });
                 self.next_at += Duration::from_millis(20);
             }
-            offer
+            bytes
         }
     }
     let mut cfg = one_flow(

@@ -9,7 +9,8 @@
 //!   timestamps) are expressed in these units.
 //! * [`queue`] — a deterministic, stable [`EventQueue`]: events scheduled
 //!   for the same instant fire in insertion order, which keeps whole-system
-//!   runs bit-for-bit reproducible.
+//!   runs bit-for-bit reproducible; a timer owner re-arming earlier moves
+//!   its one entry instead of leaving a superseded one behind.
 //! * [`rng`] — a seedable deterministic random source ([`SimRng`]) with the
 //!   distributions the channel models and AQMs need (uniform, Bernoulli,
 //!   Gaussian, exponential).

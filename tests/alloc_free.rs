@@ -6,9 +6,10 @@
 //! rewrites (in-place), the RLC clone into segments (`PacketBuf: Copy`),
 //! and the event-queue schedule/pop cycle (pooled boxes, pre-sized
 //! heap). This test installs a counting global allocator and asserts
-//! exactly that, operation by operation — and then (step 8) for whole
-//! worlds, where nothing can be left out: the allocations a run makes
-//! per *additional* delivered packet, downlink, uplink and bonded.
+//! exactly that, operation by operation — and then (steps 8 and 9) for
+//! whole worlds, where nothing can be left out: the allocations a run
+//! makes per *additional* delivered packet, downlink, uplink and bonded,
+//! and what a marker-off cell's deep queues add as the run gets longer.
 //!
 //! Everything runs in ONE `#[test]` because the counter is process-wide:
 //! parallel test threads would bleed counts into each other.
@@ -436,9 +437,9 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     // rings that only allocate to grow, so what is left is a few
     // allocations per *hundred* packets: ≤ 0.05 on a downlink TCP cell
     // (the paper's case; 0.015 today, 0.09 while every segment
-    // sent churned a B-tree node), ≤ 0.1 on bidirectional TCP calls
-    // (0.091, nearly all of it the video application's per-frame
-    // unit list; 0.30 then) and ≤ 0.03 on the bonded FEC-media
+    // sent churned a B-tree node), ≤ 0.02 on bidirectional TCP calls
+    // (0.011; 0.091 while every video frame came in a unit list of
+    // its own, 0.30 with the B-trees) and ≤ 0.03 on the bonded FEC-media
     // uplink (0.024; 0.06 then, 15 before the uplink data path
     // stopped allocating per grant, per status and per SDU).
     use l4span::cc::WanLink;
@@ -461,7 +462,7 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     type Scenario<'a> = &'a dyn Fn(Duration) -> ScenarioConfig;
     let worlds: [(&str, f64, Scenario); 3] = [
         ("tcp cell", 0.05, &tcp_cell),
-        ("bidirectional calls", 0.1, &calls),
+        ("bidirectional calls", 0.02, &calls),
         ("bonded uplink", 0.03, &bonded_ul),
     ];
     for (name, limit, cfg) in worlds {
@@ -478,4 +479,30 @@ fn steady_state_downlink_path_makes_zero_allocations() {
              limit {limit} ({a1} over 3 s, {a2} over 6 s, {pkts} more packets)"
         );
     }
+
+    // --- 9. A marker-off cell: nothing follows the run length ------------
+    // Without L4Span the RLC queues hold seconds of data, so a sender's
+    // retransmission timeout sits ten seconds out while every ACK pulls
+    // its paced release earlier. Each pull used to leave the far timer
+    // entry queued until its instant: ten thousand of them by 20 s, one
+    // event box each (4 617 more allocations over 40 s than over 10 s).
+    // A timer owner has one queue entry now, so the most events ever
+    // pending is the traffic in flight plus a slot per flow, the same
+    // at 10 s and at 40 s, and what the longer run allocates on top is
+    // metric series doubling.
+    let bare_cell = |secs| {
+        let mut cfg = tcp_cell(Duration::from_secs(secs));
+        cfg.marker = l4span::harness::MarkerKind::None;
+        allocs_during(|| l4span::harness::run(cfg))
+    };
+    let ((a10, r10), (a40, r40)) = (bare_cell(10), bare_cell(40));
+    let (d10, d40) = (r10.queue_depth_peak, r40.queue_depth_peak);
+    assert!(
+        d40 <= 64 + 16 * 16 && d40.abs_diff(d10) * 10 <= d10,
+        "marker-off cell: {d10} events pending at most over 10 s, {d40} over 40 s"
+    );
+    assert!(
+        a40.saturating_sub(a10) <= 500,
+        "marker-off cell: {a10} allocations over 10 s, {a40} over 40 s"
+    );
 }

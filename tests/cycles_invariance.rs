@@ -7,8 +7,8 @@
 //! assertion behind the "zero behavioural footprint" claim in
 //! `l4span_sim::cycles` and the `fig_breakdown` tool: the fingerprint
 //! digest — which folds in every metric vector and final queue state —
-//! and the event count beside it are identical with instrumentation on
-//! and off.
+//! and the event count and peak queue depth beside it are identical with
+//! instrumentation on and off.
 
 use l4span::cc::WanLink;
 use l4span::harness::{self, scenario, scenario::ChannelMix};
@@ -39,6 +39,11 @@ fn fingerprint_identical_with_cycles_on_and_off() {
         "cycle accounting must not perturb simulation behaviour"
     );
     assert_eq!(off.events, on.events, "nor the number of events popped");
+    assert_eq!(
+        off.queue_depth_peak, on.queue_depth_peak,
+        "nor how many were ever pending"
+    );
+    assert!(off.queue_depth_peak > 0);
 }
 
 #[test]

@@ -570,10 +570,10 @@ fn event_count_is_proportional_to_simulated_work() {
     // sender's release earlier left an immortal FlowTimer chain behind,
     // so the events popped per delivered packet grew with the run
     // length (91 over 80 simulated seconds on the paper's case). With
-    // one live wake-up per timer owner and one radio event per (cell,
+    // one queue entry per timer owner and one radio event per (cell,
     // slot) in each direction the count is linear: twice the simulated
     // time is twice the events (the margin covers the start-up ramp),
-    // at a single-digit cost per packet — about 5.4 on the TCP cell and
+    // at a single-digit cost per packet — about 5.0 on the TCP cell and
     // 8.0 on the bonded uplink, whose grant-driven media flows pay a
     // slot-bound share per packet.
     use l4span::harness::scenario::bonded_xr_8ue;
@@ -606,7 +606,7 @@ fn event_count_is_proportional_to_simulated_work() {
             Duration::from_secs(secs),
         )
     };
-    check("tcp cell", tcp_cell, 8.0);
+    check("tcp cell", tcp_cell, 5.54);
     check("bonded uplink", |secs| bonded_xr_8ue(7, Duration::from_secs(secs)), 9.0);
 }
 

@@ -1,11 +1,14 @@
-//! Model-based tests of the sequence-keyed stores.
+//! Model-based tests: a retired implementation kept as the reference.
 //!
 //! `TcpSender`'s in-flight set, `RlcTx`'s unacknowledged store and
 //! `RlcRx`'s reassembly window used to be `BTreeMap`s keyed by sequence
-//! number; they are rings in sequence order now. The tree-backed
-//! originals live on in `model_based/` as the reference: a random
-//! sequence of operations drives both implementations, and every output
-//! and every observable of every step must be identical.
+//! number; they are rings in sequence order now. A timer owner used to
+//! schedule one more event each time its wake-up moved earlier and tell
+//! the live pop from the superseded ones with a `Wakeup`; it has one
+//! entry in the event queue's wake-up lane now. The originals live on in
+//! `model_based/` as the reference: a random sequence of operations
+//! drives both implementations, and every output and every observable
+//! of every step must be identical.
 
 use proptest::prelude::*;
 
@@ -17,15 +20,18 @@ use l4span::cc::{CongestionControl, TcpSender};
 use l4span::net::{Ecn, PacketBuf, TcpFlags, TcpHeader};
 use l4span::ran::config::RlcMode;
 use l4span::ran::rlc::{Nack, RlcRx, RlcStatus, RlcTx, Segment};
-use l4span::sim::{Duration, Instant, SimRng};
+use l4span::sim::{Duration, EventQueue, Instant, SimRng};
 
 #[path = "model_based/tree_rlc.rs"]
 mod tree_rlc;
 #[path = "model_based/tree_tcp.rs"]
 mod tree_tcp;
+#[path = "model_based/wakeup.rs"]
+mod wakeup;
 
 use tree_rlc::{TreeRlcRx, TreeRlcTx};
 use tree_tcp::TreeTcpSender;
+use wakeup::Wakeup;
 
 fn data_pkt(ident: u16, len: usize) -> PacketBuf {
     PacketBuf::tcp(1, 2, Ecn::Ect1, ident, &TcpHeader::default(), len)
@@ -307,5 +313,187 @@ proptest! {
             tree_out.clear();
         }
         prop_assert!(tree.delivered > 0, "the walk must deliver something");
+    }
+}
+
+/// What a queue entry pops as: a one-shot event, or owner `k`'s wake-up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Popped {
+    OneShot(u32),
+    Wake(usize),
+}
+
+/// The event loop as it was: a plain `(time, sequence)` heap that only
+/// takes entries, and one [`Wakeup`] per owner to tell its live pop from
+/// the ones an earlier arm superseded.
+#[derive(Clone)]
+struct WakeupOverHeap {
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<(Instant, u64, Popped)>>,
+    seq: u64,
+    /// Time of the last pop a handler ran for.
+    now: Instant,
+    wake: Vec<Wakeup>,
+    /// Per owner: the entry its wake-up will fire from — the oldest it
+    /// has queued at the armed instant …
+    live: Vec<Option<(Instant, u64)>>,
+    /// … and the live entry its last move earlier left behind.
+    displaced: Vec<Option<(Instant, u64)>>,
+    superseded_pops: u64,
+}
+
+impl WakeupOverHeap {
+    fn new(owners: usize) -> Self {
+        WakeupOverHeap {
+            heap: Default::default(),
+            seq: 0,
+            now: Instant::ZERO,
+            wake: vec![Wakeup::new(); owners],
+            live: vec![None; owners],
+            displaced: vec![None; owners],
+            superseded_pops: 0,
+        }
+    }
+
+    fn push(&mut self, at: Instant, what: Popped) -> (Instant, u64) {
+        let stamp = (at.max(self.now), self.seq);
+        self.heap.push(std::cmp::Reverse((stamp.0, stamp.1, what)));
+        self.seq += 1;
+        stamp
+    }
+
+    /// The oldest entry owner `k` still has queued at `at`.
+    fn oldest_queued(&self, k: usize, at: Instant) -> Option<(Instant, u64)> {
+        self.heap
+            .iter()
+            .filter(|e| e.0 .0 == at && e.0 .2 == Popped::Wake(k))
+            .map(|e| (e.0 .0, e.0 .1))
+            .min()
+    }
+
+    /// Would arming `k` at `at` fire from a superseded entry older than
+    /// the one its last move displaced? The lane keeps one displaced
+    /// stamp per owner, not the whole history a heap that never forgets
+    /// amounts to; such an arm fires at a fresh stamp there (pinned by
+    /// `returning_to_the_displaced_stamp_pops_at_its_old_place` in
+    /// `sim::queue`), so a script does not make it.
+    fn fires_from_a_forgotten_entry(&self, k: usize, at: Instant) -> bool {
+        let at = at.max(self.now);
+        let mut probe = self.wake[k];
+        probe.arm(at, self.now).is_some()
+            && self
+                .oldest_queued(k, at)
+                .is_some_and(|g| Some(g) != self.displaced[k])
+    }
+
+    fn arm(&mut self, k: usize, at: Instant) {
+        let was_armed = self.wake[k] != Wakeup::new();
+        if let Some(at) = self.wake[k].arm(at, self.now) {
+            let back = self.oldest_queued(k, at);
+            let fresh = self.push(at, Popped::Wake(k));
+            if was_armed {
+                self.displaced[k] = self.live[k];
+            } else if back.is_some() {
+                self.displaced[k] = None;
+            }
+            self.live[k] = Some(back.unwrap_or(fresh));
+        }
+    }
+
+    /// The next pop a handler runs for: superseded wake-ups are popped
+    /// and skipped on the way. With no such pop left the loop is over:
+    /// what is still queued stays queued (a script may go on scheduling,
+    /// which no handler of a drained loop could).
+    fn pop(&mut self) -> Option<(Instant, Popped)> {
+        let mut skipped = Vec::new();
+        while let Some(entry) = self.heap.pop() {
+            let std::cmp::Reverse((at, _, what)) = entry;
+            match what {
+                Popped::Wake(k) if !self.wake[k].fire(at) => skipped.push(entry),
+                _ => {
+                    if let Popped::Wake(k) = what {
+                        self.live[k] = None;
+                    }
+                    self.superseded_pops += skipped.len() as u64;
+                    self.now = at;
+                    return Some((at, what));
+                }
+            }
+        }
+        self.heap.extend(skipped);
+        None
+    }
+
+    fn armed(&self) -> usize {
+        self.wake.iter().filter(|&&w| w != Wakeup::new()).count()
+    }
+}
+
+proptest! {
+    /// Random `arm` / `schedule` / `pop` scripts over 1–8 owners, with
+    /// instants from a grid a few steps wide so that same-instant ties,
+    /// past-due arms and re-arms at an instant the owner was armed for
+    /// before are the norm: the lane hands out the same interleaved
+    /// sequence of wake-ups and one-shot events as the heap that keeps
+    /// every superseded entry, never holds more than one entry per armed
+    /// owner, and never pops a wake-up nobody is waiting for.
+    #[test]
+    fn wakeup_lane_matches_wakeup_over_plain_heap(seed in any::<u64>(), owners in 1usize..9) {
+        let mut rng = SimRng::new(seed);
+        let mut reference = WakeupOverHeap::new(owners);
+        // Sparse keys: a slot is a key's rank, not the key.
+        let key = |k: usize| 3 * k + 1;
+        let mut lane: EventQueue<Popped> = EventQueue::with_wakeups(0, (0..owners).map(key));
+        let (mut one_shots, mut next_id, mut wakeups) = (0usize, 0u32, 0u64);
+        let grid = |now: Instant, rng: &mut SimRng| {
+            // One step behind to five ahead, on a 1 ms grid.
+            Instant::from_millis((now.as_millis() + rng.range_u64(0, 7)).saturating_sub(1))
+        };
+        for step in 0..400 {
+            match rng.range_u64(0, 100) {
+                0..=44 => {
+                    let k = rng.range_u64(0, owners as u64) as usize;
+                    let at = if rng.chance(0.05) { Instant::MAX } else { grid(reference.now, &mut rng) };
+                    if reference.fires_from_a_forgotten_entry(k, at) {
+                        continue;
+                    }
+                    reference.arm(k, at);
+                    lane.arm(key(k), at, || Popped::Wake(k));
+                }
+                45..=64 => {
+                    let at = grid(reference.now, &mut rng);
+                    reference.push(at, Popped::OneShot(next_id));
+                    lane.schedule(at, Popped::OneShot(next_id));
+                    next_id += 1;
+                    one_shots += 1;
+                }
+                _ => {
+                    let popped = lane.pop();
+                    prop_assert_eq!(popped, reference.pop(), "step {}", step);
+                    match popped {
+                        Some((_, Popped::OneShot(_))) => one_shots -= 1,
+                        Some((_, Popped::Wake(_))) => wakeups += 1,
+                        None => {}
+                    }
+                    prop_assert_eq!(lane.now(), reference.now, "step {}", step);
+                }
+            }
+            prop_assert_eq!(lane.len(), one_shots + reference.armed(), "step {}", step);
+            prop_assert_eq!(
+                lane.next_at(),
+                reference.clone().pop().map(|(at, _)| at),
+                "step {}", step
+            );
+        }
+        while let Some(popped) = lane.pop() {
+            prop_assert_eq!(Some(popped), reference.pop());
+            wakeups += u64::from(matches!(popped.1, Popped::Wake(_)));
+        }
+        prop_assert_eq!(reference.pop(), None);
+        // What the lane no longer pops is exactly what the heap skipped,
+        // or was left holding.
+        prop_assert_eq!(
+            reference.seq,
+            u64::from(next_id) + wakeups + reference.superseded_pops + reference.heap.len() as u64
+        );
     }
 }

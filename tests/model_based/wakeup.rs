@@ -1,18 +1,18 @@
-//! One live wake-up per timer owner.
+//! One live wake-up per timer owner, as it was while the event queue
+//! could only add entries: the reference the queue's wake-up lane
+//! (`EventQueue::arm`) is compared to.
 //!
 //! Every component the world polls on a clock — a flow's sender, its
 //! application, the bottleneck router, an impairment queue stage —
 //! asks to be woken at its next activity, and that instant moves as
-//! the component's state does. Events cannot be cancelled once queued,
-//! so an owner that moves its wake-up earlier leaves the old event
-//! behind. A [`Wakeup`] makes that event harmless: it remembers the one
-//! instant the owner is armed for, and only the pop that matches it is
-//! live. A superseded pop returns before it touches the owner and, in
-//! particular, before it can arm a successor — so the number of wake-up
-//! events stays proportional to the number of times the owner asked,
-//! not to the run length.
+//! the component's state does. Events could not be cancelled once
+//! queued, so an owner that moved its wake-up earlier left the old
+//! event behind. A [`Wakeup`] made that event harmless: it remembers
+//! the one instant the owner is armed for, and only the pop that
+//! matches it is live. A superseded pop returned before it touched the
+//! owner and, in particular, before it could arm a successor.
 
-use l4span_sim::Instant;
+use l4span::sim::Instant;
 
 /// The armed instant of one timer owner ([`Instant::MAX`] = disarmed).
 ///

@@ -458,18 +458,19 @@ fn app_transcript(
 ) -> Vec<OfferRow> {
     let mut out = Vec::new();
     let mut offered = 0u64;
+    let mut units = Vec::new();
     for _ in 0..10_000 {
         let at = app.next_activity();
         if at > horizon {
             break;
         }
-        let o = app.on_tick(at);
-        offered += o.bytes;
+        let bytes = app.on_tick(at, &mut units);
+        offered += bytes;
         out.push((
             at.as_nanos(),
-            o.bytes,
-            o.units
-                .iter()
+            bytes,
+            units
+                .drain(..)
                 .map(|u| (u.end_byte, u.kind == UnitKind::Frame))
                 .collect(),
         ));
@@ -822,86 +823,74 @@ proptest! {
     }
 }
 
-// --- PR 12: one live wake-up per timer owner ----------------------------
+// --- One queue entry per timer owner ------------------------------------
 
 proptest! {
     /// A timer owner that asks for wake-ups in any pattern — later,
-    /// earlier, past-due, repeated — through a [`Wakeup`] and an event
-    /// queue it cannot cancel from: every wake-up asked for fires, at
-    /// the instant asked (never later); each arm yields exactly one
-    /// live pop, however many events share its instant, unless an
-    /// earlier arm superseded it; and a superseded pop changes nothing,
-    /// so it cannot arm a successor.
+    /// earlier, past-due, repeated — through its slot in the event
+    /// queue's wake-up lane: every wake-up asked for fires, at the
+    /// instant asked (never later); the owner never has more than one
+    /// entry queued, so every pop is one it still wants — there is no
+    /// superseded pop to skip; and each standing arm yields exactly one
+    /// pop, however often it moved.
     #[test]
-    fn wakeup_fires_every_ask_once_and_stale_pops_are_inert(
+    fn armed_wakeups_fire_every_ask_once_from_one_queue_entry(
         asks in proptest::collection::vec((0u64..40, 0u64..60, 0u64..30), 1..120),
     ) {
-        use l4span::harness::Wakeup;
-
         // The owner's handler: note the fire, then re-arm for the
         // earliest instant still wanted (as a sender re-arms from its
-        // `next_activity`). A stale pop returns before any of that.
+        // `next_activity`).
         struct Owner {
-            wake: Wakeup,
             queue: EventQueue<()>,
             /// Instants a wake-up was asked for and has not fired at.
             wanted: Vec<Instant>,
-            arms: u64,
-            /// Arms that replaced one still pending.
-            superseded: u64,
-            live: u64,
+            /// Arms that found the slot disarmed.
+            standing: u64,
+            pops: u64,
         }
         impl Owner {
-            fn arm(&mut self, at: Instant, now: Instant) {
-                let was_armed = self.wake != Wakeup::new();
-                if let Some(t) = self.wake.arm(at, now) {
-                    assert_eq!(t, at.max(now), "the clamped instant is what gets scheduled");
-                    self.queue.schedule(t, ());
-                    self.arms += 1;
-                    self.superseded += u64::from(was_armed);
-                }
+            fn arm(&mut self, at: Instant) {
+                self.standing += u64::from(self.queue.is_empty());
+                self.queue.arm(0, at, || ());
+                assert_eq!(self.queue.len(), 1, "one entry, moved in place");
+                assert!(self.queue.next_at().is_some_and(|t| t <= at), "armed no later than asked");
             }
             fn pop_until(&mut self, until: Instant) {
                 while self.queue.next_at().is_some_and(|t| t <= until) {
                     let (now, ()) = self.queue.pop().expect("peeked");
-                    let before = self.wake;
-                    if !self.wake.fire(now) {
-                        assert_eq!(self.wake, before, "a stale pop changes nothing");
-                        continue;
-                    }
-                    self.live += 1;
+                    self.pops += 1;
                     assert!(
                         self.wanted.iter().all(|&w| w >= now),
                         "a wake-up asked for before {now:?} was missed"
                     );
+                    assert!(self.wanted.contains(&now), "a pop nobody wanted at {now:?}");
                     self.wanted.retain(|&w| w != now);
                     if let Some(&next) = self.wanted.iter().min() {
-                        self.arm(next, now);
+                        self.arm(next);
                     }
                 }
             }
         }
 
         let mut o = Owner {
-            wake: Wakeup::new(),
-            queue: EventQueue::new(),
+            queue: EventQueue::with_wakeups(0, [0]),
             wanted: Vec::new(),
-            arms: 0,
-            superseded: 0,
-            live: 0,
+            standing: 0,
+            pops: 0,
         };
         let mut now = Instant::ZERO;
         for (advance, ahead, behind) in asks {
             now += Duration::from_micros(advance);
             o.pop_until(now);
-            // Ask for `now + ahead − behind`: often in the past.
+            // Ask for `now + ahead − behind`: often in the past, which
+            // means now.
             let at = Instant::from_micros((now.as_nanos() / 1000 + ahead).saturating_sub(behind));
             o.wanted.push(at.max(now));
-            o.arm(at, now);
+            o.arm(at.max(now));
         }
         o.pop_until(Instant::MAX);
         prop_assert!(o.wanted.is_empty(), "unfired: {:?}", o.wanted);
-        prop_assert_eq!(o.live, o.arms - o.superseded, "one live pop per standing arm");
-        prop_assert_eq!(o.wake, Wakeup::new(), "disarmed once everything fired");
+        prop_assert_eq!(o.pops, o.standing, "one pop per standing arm");
+        prop_assert!(o.queue.is_empty(), "disarmed once everything fired");
     }
 }

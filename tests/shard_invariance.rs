@@ -20,7 +20,7 @@
 //! comparison below is on all four.
 
 use l4span::core::HandoverPolicy;
-use l4span::harness::{plan_shards, run_sharded, scenario, Report, ScenarioConfig};
+use l4span::harness::{plan_shards, run_sharded, scenario, Report, ScenarioConfig, ShardReject};
 use l4span::sim::Duration;
 
 /// Pops per event class, as `Report::event_counts` lists them.
@@ -170,7 +170,7 @@ fn impairment_forces_the_classic_path_with_a_reason() {
         )
     };
     let (n, why) = l4span::harness::plan_shards_reason(&cfg(), 4);
-    assert_eq!((n, why), (1, Some("impairment pipeline")));
+    assert_eq!((n, why), (1, Some(ShardReject::ImpairmentPipeline)));
     let classic = l4span::harness::run(cfg());
     let sharded = run_sharded(cfg(), 4);
     assert_eq!(
@@ -178,7 +178,7 @@ fn impairment_forces_the_classic_path_with_a_reason() {
         outcome(&classic),
         "impairment → classic path at any shard count"
     );
-    assert_eq!(sharded.shard_reject, Some("impairment pipeline"));
+    assert_eq!(sharded.shard_reject, Some(ShardReject::ImpairmentPipeline));
     assert!(
         classic.impairment.is_some(),
         "pipeline counters present in the report"
@@ -220,7 +220,10 @@ fn bonded_flows_plan_to_one_shard_and_stay_invariant() {
     // still produce the classic single-world bytes.
     use l4span::harness::plan_shards_reason;
     let cfg = || scenario::bonded_xr_8ue(7, Duration::from_secs(1));
-    assert_eq!(plan_shards_reason(&cfg(), 2), (1, Some("bonded flow")));
+    assert_eq!(
+        plan_shards_reason(&cfg(), 2),
+        (1, Some(ShardReject::BondedFlow))
+    );
     assert_eq!(plan_shards(&cfg(), 4), 1);
     let base = digest(cfg(), 1);
     for shards in [2, 4] {
@@ -231,5 +234,5 @@ fn bonded_flows_plan_to_one_shard_and_stay_invariant() {
         );
     }
     let r = run_sharded(cfg(), 4);
-    assert_eq!(r.shard_reject, Some("bonded flow"));
+    assert_eq!(r.shard_reject, Some(ShardReject::BondedFlow));
 }
