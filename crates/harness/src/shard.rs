@@ -346,10 +346,8 @@ pub(crate) fn drive(worlds: &mut [World], schedule: &BarrierSchedule) -> Vec<Tal
         1
     };
     let mut tally = vec![Tally::default(); worlds.len()];
-    #[allow(clippy::vec_box)]
-    let mut moved: Vec<(Instant, Box<Event>)> = Vec::new();
-    #[allow(clippy::vec_box)]
-    let mut envelopes: Vec<(Instant, usize, usize, Box<Event>)> = Vec::new();
+    let mut moved: Vec<(Instant, Event)> = Vec::new();
+    let mut envelopes: Vec<(Instant, usize, usize, Event)> = Vec::new();
 
     let mut steps = schedule.steps.iter().peekable();
     for &barrier in &schedule.barriers {
@@ -416,11 +414,10 @@ fn run_epoch(
 /// pure function of those three keys — the mailbox contract the
 /// property test pins down. One world has no mail: what crosses its
 /// cells goes straight into the owner's queue.
-#[allow(clippy::vec_box)]
 fn deliver_mail(
     worlds: &mut [World],
     barrier: Instant,
-    envelopes: &mut Vec<(Instant, usize, usize, Box<Event>)>,
+    envelopes: &mut Vec<(Instant, usize, usize, Event)>,
     tally: &mut [Tally],
 ) {
     envelopes.clear();
@@ -428,9 +425,9 @@ fn deliver_mail(
     for (s, w) in worlds.iter_mut().enumerate() {
         let t0 = std::time::Instant::now();
         w.take_outbox(&mut buf);
-        for (k, (at, bx)) in buf.drain(..).enumerate() {
+        for (k, (at, ev)) in buf.drain(..).enumerate() {
             tally[s].mailed += 1;
-            envelopes.push((at, s, k, bx));
+            envelopes.push((at, s, k, ev));
         }
         tally[s].drain_ns += t0.elapsed().as_nanos() as u64;
     }
@@ -440,7 +437,7 @@ fn deliver_mail(
     // Unstable sort: the key is strictly total (no two envelopes share
     // `(at, s, k)`), and unlike the stable sort it never allocates.
     envelopes.sort_unstable_by_key(|&(at, s, k, _)| (at, s, k));
-    for (at, s, _, bx) in envelopes.drain(..) {
+    for (at, s, _, ev) in envelopes.drain(..) {
         // An envelope in the past would be silently clamped by the
         // queue — a protocol bug (a flush barrier missed it), so fail
         // loudly instead.
@@ -449,8 +446,8 @@ fn deliver_mail(
             "cross-shard envelope for t={at:?} delivered late at barrier {barrier:?}"
         );
         let t0 = std::time::Instant::now();
-        let dst = worlds[s].event_owner(&bx);
-        worlds[dst].inject(at, bx);
+        let dst = worlds[s].event_owner(&ev);
+        worlds[dst].inject(at, ev);
         tally[dst].drain_ns += t0.elapsed().as_nanos() as u64;
     }
 }
@@ -460,13 +457,12 @@ fn deliver_mail(
 /// verbatim; a cross-replica handover runs the Xn transfer across the
 /// two replicas. Either way a cell change then flips the attachment in
 /// every replica and re-homes the UE's queued events.
-#[allow(clippy::vec_box)]
 fn apply_step(
     worlds: &mut [World],
     ue: usize,
     st: MobilityStep,
     now: Instant,
-    moved: &mut Vec<(Instant, Box<Event>)>,
+    moved: &mut Vec<(Instant, Event)>,
     tally: &mut [Tally],
 ) {
     let src_cell = worlds[0].serving_cell(ue);
@@ -492,10 +488,10 @@ fn apply_step(
     let t0 = std::time::Instant::now();
     moved.clear();
     worlds[src_s].rehome_events(src_cell, moved);
-    for (at, bx) in moved.drain(..) {
+    for (at, ev) in moved.drain(..) {
         tally[src_s].mailed += 1;
-        let dst = worlds[src_s].event_owner(&bx);
-        worlds[dst].inject(at, bx);
+        let dst = worlds[src_s].event_owner(&ev);
+        worlds[dst].inject(at, ev);
     }
     tally[src_s].drain_ns += t0.elapsed().as_nanos() as u64;
 }
@@ -806,9 +802,6 @@ mod tests {
         w.cell_major_install(0, vec![0; 3]);
         w.run_until(Instant::from_millis(5), end);
         // Flow 1's UE lives on cell 1, which has run to 5 ms.
-        w.inject(
-            Instant::from_millis(1),
-            Box::new(Event::FlowTimer { flow: 1 }),
-        );
+        w.inject(Instant::from_millis(1), Event::FlowTimer { flow: 1 });
     }
 }

@@ -40,7 +40,7 @@ pub const CYCLE_LABELS: &[&str] = &[
     "wired_core",  // wired-bottleneck router hops
     "transport",   // endpoint senders/receivers (TCP/SCReAM/Prague)
     "metrics",     // QoE/series/ground-truth bookkeeping + sample tick
-    "event_queue", // event pop + box recycling in the run loop
+    "event_queue", // event pop in the run loop
 ];
 const CYC_GNB: usize = 0;
 const CYC_MARKER: usize = 1;
@@ -62,6 +62,24 @@ pub(crate) const UE_POLL_PERIOD: Duration = Duration::from_millis(5);
 /// How far per-cell CU deployments nudge both housekeeping ticks off
 /// their grids (see [`World::new`]).
 pub(crate) const TICK_PHASE_PER_CELL_CU: Duration = Duration::from_nanos(500);
+
+/// The instant of `cell`'s first slot: its slot grid, and its queue's.
+///
+/// Per-cell CU deployments de-synchronise the cells' slot grids by 1 µs
+/// per cell index (≪ one slot, invisible to the TDD pattern). Cross-cell
+/// event chains — UL feedback, its server echo, the ACK-clocked
+/// downlink — then never collide on the same nanosecond, so no
+/// cross-cell ordering depends on queue insertion order. That is what
+/// lets shard merge points reproduce the single-world order exactly; the
+/// classic central deployment keeps frame-synchronous cells,
+/// byte-for-byte.
+fn slot_origin(cfg: &ScenarioConfig, cell: usize) -> Instant {
+    if cfg.cu_per_cell {
+        Instant::from_micros(cell as u64)
+    } else {
+        Instant::ZERO
+    }
+}
 
 /// Runtime state of a bonded (dual-connectivity) uplink flow: the
 /// secondary leg's UE, the byte-balancing leg picker, the server-side
@@ -120,15 +138,13 @@ struct Flow {
     bond: Option<Box<BondState>>,
 }
 
-/// One scheduled occurrence. The queue stores events *boxed* so heap
-/// entries stay pointer-sized: several variants inline a ~100-byte
-/// `PacketBuf` (or whole segment vectors), and sifting those through a
-/// `BinaryHeap` would memmove packet bytes on every reorder. The boxes
-/// themselves are pooled by the world (`World::pool`), so scheduling is
-/// allocation-free in steady state.
+/// One scheduled occurrence, queued by value. Several variants inline a
+/// ~100-byte `PacketBuf` (or whole segment vectors), but nothing sifts
+/// them: the queue keeps each in a node of its slab and orders small
+/// references to the nodes — per-instant lists on the cell's slot grid,
+/// where most events fall, and an index heap for the rest — so an event
+/// is moved once in and once out, and a warm queue never allocates.
 pub(crate) enum Event {
-    /// Placeholder left in a recycled box; never scheduled.
-    Nop,
     /// One TDD slot of cell `cell` elapses (each cell has its own tick).
     Slot { cell: usize },
     DlAtRouter { pkt: PacketBuf },
@@ -178,8 +194,7 @@ pub(crate) enum Event {
 impl Event {
     /// Class names, indexed by [`Event::class`]: the rows of
     /// [`Report::event_counts`].
-    const CLASSES: [&'static str; 21] = [
-        "Nop",
+    const CLASSES: [&'static str; 20] = [
         "Slot",
         "DlAtRouter",
         "RouterPoll",
@@ -205,30 +220,29 @@ impl Event {
     /// Classes a cell-major run counts specially: mobility steps are
     /// executed (and counted) at their barrier instead of popped, and
     /// the housekeeping ticks have one copy per cell.
-    const HANDOVER: usize = 18;
-    const SAMPLE: usize = 19;
-    const UE_POLL: usize = 20;
+    const HANDOVER: usize = 17;
+    const SAMPLE: usize = 18;
+    const UE_POLL: usize = 19;
 
     fn class(&self) -> usize {
         match self {
-            Event::Nop => 0,
-            Event::Slot { .. } => 1,
-            Event::DlAtRouter { .. } => 2,
-            Event::RouterPoll => 3,
-            Event::RouterRate { .. } => 4,
-            Event::DlAtImpair { .. } => 5,
-            Event::ImpairPoll { .. } => 6,
-            Event::DlAtCu { .. } => 7,
-            Event::TbsAtUe { .. } => 8,
-            Event::AppDeliver { .. } => 9,
-            Event::UlAtGnb { .. } => 10,
-            Event::UlTbsAtGnb { .. } => 11,
-            Event::UlStatusAtUe { .. } => 12,
-            Event::UlAtServer { .. } => 13,
-            Event::FlowStart { .. } => 14,
-            Event::FlowStop { .. } => 15,
-            Event::FlowTimer { .. } => 16,
-            Event::AppTick { .. } => 17,
+            Event::Slot { .. } => 0,
+            Event::DlAtRouter { .. } => 1,
+            Event::RouterPoll => 2,
+            Event::RouterRate { .. } => 3,
+            Event::DlAtImpair { .. } => 4,
+            Event::ImpairPoll { .. } => 5,
+            Event::DlAtCu { .. } => 6,
+            Event::TbsAtUe { .. } => 7,
+            Event::AppDeliver { .. } => 8,
+            Event::UlAtGnb { .. } => 9,
+            Event::UlTbsAtGnb { .. } => 10,
+            Event::UlStatusAtUe { .. } => 11,
+            Event::UlAtServer { .. } => 12,
+            Event::FlowStart { .. } => 13,
+            Event::FlowStop { .. } => 14,
+            Event::FlowTimer { .. } => 15,
+            Event::AppTick { .. } => 16,
             Event::Handover { .. } => Event::HANDOVER,
             Event::Sample => Event::SAMPLE,
             Event::UePoll => Event::UE_POLL,
@@ -301,14 +315,10 @@ pub(crate) type UlBatch = (
 pub struct World {
     cfg: ScenarioConfig,
     /// The queue the pop loop runs: the only one of a time-major world,
-    /// the running cell's in a cell-major one ([`CellView`]).
-    queue: EventQueue<Box<Event>>,
-    /// Recycled event boxes: popped events return their allocation here
-    /// and `sched` reuses it, so the steady-state schedule/pop cycle
-    /// never touches the allocator. The boxing is the point (pooled
-    /// allocations handed back to the queue), so the lint is wrong here.
-    #[allow(clippy::vec_box)]
-    pool: Vec<Box<Event>>,
+    /// the running cell's in a cell-major one ([`CellView`]). Each
+    /// queue lists events on the slot grid of the cell it serves (cell
+    /// 0's for the time-major queue; [`slot_origin`]).
+    queue: EventQueue<Event>,
     /// The cells. Index = cell id; cell 0 is `ScenarioConfig::cell`.
     gnbs: Vec<Gnb>,
     /// UE → serving-cell attachment table.
@@ -338,8 +348,7 @@ pub struct World {
     /// run-time cross-cell edge). Drained by the coordinator at
     /// slot-boundary barriers; stays empty when one world owns every
     /// cell.
-    #[allow(clippy::vec_box)]
-    outbox: Vec<(Instant, Box<Event>)>,
+    outbox: Vec<(Instant, Event)>,
     /// Any flow carries uplink data: gates the whole UL data plane so
     /// downlink-only scenarios stay byte-identical.
     has_ul_data: bool,
@@ -430,7 +439,7 @@ pub struct World {
     breakdown: Vec<BreakdownAvg>,
     /// Estimation-error samples keyed by (sample time, (ue, drb)) so
     /// per-shard partitions merge back into the classic push order (a
-    /// stable sort on the key; a no-op for single-world runs).
+    /// sort on the unique key; a no-op for single-world runs).
     rate_err: Vec<(Instant, (u16, u8), f64)>,
     /// `[ue][drb]`: PDCP SN → (flow, ident), joining TxRecords to
     /// packets. Per UE so the whole lot follows the UE between shard
@@ -481,7 +490,7 @@ pub(crate) struct CellView {
     /// One queue per cell; those of cells another replica owns stay
     /// empty. While a cell runs its queue sits in `World::queue`, and
     /// this slot holds the idle (empty) one.
-    queues: Vec<EventQueue<Box<Event>>>,
+    queues: Vec<EventQueue<Event>>,
     /// The cell being run; `None` at barriers.
     running: Option<usize>,
 }
@@ -726,10 +735,11 @@ impl World {
         let mut keys: Vec<usize> = router.iter().map(|_| Timer::Router.key()).collect();
         keys.extend((0..stages).map(|i| Timer::Impair(i as u8).key()));
         keys.extend(wake_keys(&flows, |_| true));
+        let queue = EventQueue::with_wakeups(1024 + 128 * n, keys)
+            .with_grid(cfg.cell_config(0).slot_duration, slot_origin(&cfg, 0));
         let mut w = World {
             cfg,
-            queue: EventQueue::with_wakeups(1024 + 128 * n, keys),
-            pool: Vec::with_capacity(1024 + 128 * n),
+            queue,
             gnbs,
             serving,
             cell_ues,
@@ -793,21 +803,7 @@ impl World {
             cycles,
         };
         for cell in 0..n_cells {
-            // Per-cell CU deployments de-synchronise the cells' slot
-            // grids by 1 µs per cell index (≪ one slot, invisible to
-            // the TDD pattern). Cross-cell event chains — UL feedback,
-            // its server echo, the ACK-clocked downlink — then never
-            // collide on the same nanosecond, so no cross-cell ordering
-            // depends on queue insertion order. That is what lets shard
-            // merge points reproduce the single-world order exactly;
-            // the classic central deployment keeps frame-synchronous
-            // cells, byte-for-byte.
-            let phase = if w.cfg.cu_per_cell {
-                Duration::from_micros(cell as u64)
-            } else {
-                Duration::ZERO
-            };
-            w.sched(Instant::ZERO + phase, Event::Slot { cell });
+            w.sched(slot_origin(&w.cfg, cell), Event::Slot { cell });
         }
         // Per-cell CU deployments also nudge the housekeeping ticks
         // (one copy per cell once the world runs cell-major) half a
@@ -858,12 +854,6 @@ impl World {
         w
     }
 
-    /// Move `ev` into a pooled box when one is available.
-    #[inline]
-    fn boxed(&mut self, ev: Event) -> Box<Event> {
-        boxed_from(&mut self.pool, ev)
-    }
-
     /// Schedule an event on the running queue. In a cell-major world
     /// that is the running cell's, so whatever a handler schedules must
     /// belong to that cell — [`World::sched_ul_at_server`] is the one
@@ -877,8 +867,7 @@ impl World {
             self.event_cell(&ev),
             self.running_cell(),
         );
-        let bx = self.boxed(ev);
-        self.queue.schedule(at, bx);
+        self.queue.schedule(at, ev);
     }
 
     /// Ask for `timer`'s owner to be woken at `at` on the running queue:
@@ -892,9 +881,7 @@ impl World {
             "cell-major: a timer of another cell armed while cell {:?} runs",
             self.running_cell(),
         );
-        let pool = &mut self.pool;
-        self.queue
-            .arm(timer.key(), at, || boxed_from(pool, timer.event()));
+        self.queue.arm(timer.key(), at, || timer.event());
     }
 
     /// Marker-instance index for `cell`: the shared central instance, or
@@ -951,12 +938,10 @@ impl World {
         if let Some(v) = &self.cells {
             let cell = self.serving[self.flows[flow].ue_idx];
             if v.running != Some(cell) {
-                let here = v.of_cell[cell] == v.id;
-                let bx = self.boxed(ev);
-                if here {
-                    self.inject(at, bx);
+                if v.of_cell[cell] == v.id {
+                    self.inject(at, ev);
                 } else {
-                    self.outbox.push((at, bx));
+                    self.outbox.push((at, ev));
                 }
                 return;
             }
@@ -1043,10 +1028,7 @@ impl World {
                 }
                 self.queue_depth_peak = self.queue_depth_peak.max(self.queue.len());
                 let t0 = self.cycles.start();
-                let (now, mut bx) = self.queue.pop().expect("peeked");
-                // Recycle the box: move the event out, keep the allocation.
-                let ev = std::mem::replace(&mut *bx, Event::Nop);
-                self.pool.push(bx);
+                let (now, ev) = self.queue.pop().expect("peeked");
                 self.cycles.stop(t0, CYC_QUEUE);
                 self.event_counts[ev.class()] += 1;
                 self.handle(ev, now);
@@ -1070,7 +1052,6 @@ impl World {
 
     fn handle(&mut self, ev: Event, now: Instant) {
         match ev {
-            Event::Nop => {}
             Event::Slot { cell } => self.on_slot(cell, now),
             Event::DlAtRouter { pkt } => {
                 let t0 = self.cycles.start();
@@ -2315,39 +2296,36 @@ impl World {
         let visits = |ue: usize, c: usize| {
             ues[ue].initial_cell == c || ues[ue].mobility.iter().any(|st| st.cell == c)
         };
-        let mut queues: Vec<EventQueue<Box<Event>>> = of_cell
+        let mut queues: Vec<EventQueue<Event>> = of_cell
             .iter()
             .enumerate()
             .map(|(c, &o)| {
                 if o == id {
                     let keys = wake_keys(&self.flows, |flow| visits(flow.ue_idx, c));
-                    EventQueue::with_wakeups(cap, keys)
+                    let slot = self.cfg.cell_config(c).slot_duration;
+                    EventQueue::with_wakeups(cap, keys).with_grid(slot, slot_origin(&self.cfg, c))
                 } else {
                     EventQueue::new()
                 }
             })
             .collect();
-        for (at, mut bx) in self.queue.drain_ordered() {
-            let cell = match &*bx {
+        for (at, ev) in self.queue.drain_ordered() {
+            let cell = match &ev {
                 Event::Handover { .. } => None,
                 tick @ (Event::Sample | Event::UePoll) => {
                     let sample = matches!(tick, Event::Sample);
                     for (c, q) in queues.iter_mut().enumerate() {
                         if of_cell[c] == id {
                             let tick = if sample { Event::Sample } else { Event::UePoll };
-                            q.schedule(at, self.boxed(tick));
+                            q.schedule(at, tick);
                         }
                     }
                     None
                 }
                 ev => self.event_cell(ev).filter(|&c| of_cell[c] == id),
             };
-            match cell {
-                Some(c) => requeue(&mut queues[c], at, bx),
-                None => {
-                    *bx = Event::Nop;
-                    self.pool.push(bx);
-                }
+            if let Some(c) = cell {
+                requeue(&mut queues[c], at, ev);
             }
         }
         self.cells = Some(CellView { id, of_cell, queues, running: None });
@@ -2373,8 +2351,7 @@ impl World {
             | Event::AppTick { flow } => Some(of_flow(*flow)),
             Event::UlStatusAtUe { ue, .. } | Event::Handover { ue, .. } => Some(self.serving[*ue]),
             Event::AppDeliver { pkt, .. } => self.flow_of_dl_pkt(pkt).map(of_flow),
-            Event::Nop
-            | Event::DlAtRouter { .. }
+            Event::DlAtRouter { .. }
             | Event::RouterPoll
             | Event::RouterRate { .. }
             | Event::DlAtImpair { .. }
@@ -2386,7 +2363,7 @@ impl World {
 
     /// The queue of `cell`, which this replica must own and must not be
     /// running.
-    fn cell_queue(&mut self, cell: usize) -> &mut EventQueue<Box<Event>> {
+    fn cell_queue(&mut self, cell: usize) -> &mut EventQueue<Event> {
         let view = self.cells.as_mut().expect("cell-major world");
         debug_assert_eq!(view.of_cell[cell], view.id, "another replica's cell");
         debug_assert_ne!(view.running, Some(cell), "the running queue is `World::queue`");
@@ -2412,18 +2389,17 @@ impl World {
     /// `(time, seq)` order. What belongs to a cell of another replica
     /// goes to `out` instead, in the same order, for the coordinator to
     /// carry across.
-    #[allow(clippy::vec_box)]
-    pub(crate) fn rehome_events(&mut self, src: usize, out: &mut Vec<(Instant, Box<Event>)>) {
-        for (at, bx) in self.cell_queue(src).drain_ordered() {
-            match self.event_cell(&bx) {
+    pub(crate) fn rehome_events(&mut self, src: usize, out: &mut Vec<(Instant, Event)>) {
+        for (at, ev) in self.cell_queue(src).drain_ordered() {
+            match self.event_cell(&ev) {
                 Some(owner) if owner != src => {
                     if self.replica_of(owner) == self.replica_of(src) {
-                        self.inject(at, bx);
+                        self.inject(at, ev);
                     } else {
-                        out.push((at, bx));
+                        out.push((at, ev));
                     }
                 }
-                _ => requeue(self.cell_queue(src), at, bx),
+                _ => requeue(self.cell_queue(src), at, ev),
             }
         }
     }
@@ -2444,20 +2420,19 @@ impl World {
     /// already run past the instant, which the flush barriers exist to
     /// rule out — a protocol bug, so it fails loudly instead of being
     /// moved to the queue's "now" by `EventQueue::schedule`.
-    pub(crate) fn inject(&mut self, at: Instant, bx: Box<Event>) {
-        let cell = self.event_cell(&bx).expect("only cell-owned events travel");
+    pub(crate) fn inject(&mut self, at: Instant, ev: Event) {
+        let cell = self.event_cell(&ev).expect("only cell-owned events travel");
         let q = self.cell_queue(cell);
         assert!(
             at >= q.now(),
             "cell-major: event for cell {cell} at {at:?} behind its clock {:?} (missing flush barrier)",
             q.now()
         );
-        requeue(q, at, bx);
+        requeue(q, at, ev);
     }
 
     /// Move this epoch's cross-replica envelopes out (buffer reuse).
-    #[allow(clippy::vec_box)]
-    pub(crate) fn take_outbox(&mut self, out: &mut Vec<(Instant, Box<Event>)>) {
+    pub(crate) fn take_outbox(&mut self, out: &mut Vec<(Instant, Event)>) {
         out.append(&mut self.outbox);
     }
 
@@ -2713,15 +2688,20 @@ impl World {
         // Flatten the per-UE handover logs into the classic global push
         // order: ascending time, ties (distinct UEs stepping on the same
         // instant) in ascending UE order — exactly how the single event
-        // loop popped them.
+        // loop popped them. Same for the estimation-error samples, pushed
+        // in (tick, (ue, drb)) order: a no-op for single-world runs and a
+        // correct merge for sharded ones. Both keys are unique (a UE
+        // changes cells once per step instant, and a DRB is sampled once
+        // per tick, by the one replica serving it), so the in-place
+        // unstable sort gives the stable sort's result without its
+        // scratch buffer.
         let mut handovers: Vec<HandoverRecord> =
             std::mem::take(&mut self.ho_log).into_iter().flatten().collect();
-        handovers.sort_by_key(|h| (h.at, h.ue));
-        // Same for the estimation-error samples: the classic push order
-        // is (tick, (ue, drb)) ascending, so the stable sort is a no-op
-        // for single-world runs and a correct merge for sharded ones.
+        handovers.sort_unstable_by_key(|h| (h.at, h.ue));
+        debug_assert!(handovers.windows(2).all(|w| (w[0].at, w[0].ue) < (w[1].at, w[1].ue)));
         let mut rate_err = std::mem::take(&mut self.rate_err);
-        rate_err.sort_by_key(|&(at, key, _)| (at, key));
+        rate_err.sort_unstable_by_key(|&(at, key, _)| (at, key));
+        debug_assert!(rate_err.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
         let rate_err_pct: Vec<f64> = rate_err.into_iter().map(|(_, _, v)| v).collect();
         // Application QoE roll-up. The SCReAM media source lives inside
         // its sender, so its generation counter is read back here;
@@ -2847,27 +2827,14 @@ impl World {
     }
 }
 
-/// Move `ev` into a box from `pool` when it has one.
-#[inline]
-#[allow(clippy::vec_box)]
-fn boxed_from(pool: &mut Vec<Box<Event>>, ev: Event) -> Box<Event> {
-    match pool.pop() {
-        Some(mut b) => {
-            *b = ev;
-            b
-        }
-        None => Box::new(ev),
-    }
-}
-
-/// Queue a boxed event that changes queues (installation, re-homing,
-/// mail): a timer's entry goes back into its owner's wake-up slot —
-/// disarmed there, since an owner has one entry and this is it — so it
-/// can still be moved; anything else is scheduled.
-fn requeue(q: &mut EventQueue<Box<Event>>, at: Instant, bx: Box<Event>) {
-    match Timer::of(&bx) {
-        Some(timer) => q.arm(timer.key(), at, || bx),
-        None => q.schedule(at, bx),
+/// Queue an event that changes queues (installation, re-homing, mail):
+/// a timer's entry goes back into its owner's wake-up slot — disarmed
+/// there, since an owner has one entry and this is it — so it can still
+/// be moved; anything else is scheduled.
+fn requeue(q: &mut EventQueue<Event>, at: Instant, ev: Event) {
+    match Timer::of(&ev) {
+        Some(timer) => q.arm(timer.key(), at, || ev),
+        None => q.schedule(at, ev),
     }
 }
 
@@ -2959,9 +2926,17 @@ mod tests {
     #[test]
     fn event_class_names_follow_the_numbering() {
         let name = |ev: Event| Event::CLASSES[ev.class()];
-        assert_eq!(name(Event::Nop), "Nop");
+        assert_eq!(name(Event::Slot { cell: 0 }), "Slot");
         assert_eq!(name(Event::RouterPoll), "RouterPoll");
         assert_eq!(name(Event::UlAtGnb { cell: 0, ues: Vec::new() }), "UlAtGnb");
+        assert_eq!(name(Event::AppTick { flow: 0 }), "AppTick");
+        let step = Event::Handover {
+            ue: 0,
+            target_cell: 1,
+            profile: ChannelProfile::Static,
+            snr_db: 0.0,
+        };
+        assert_eq!(name(step), "Handover");
         assert_eq!(name(Event::Sample), "Sample");
         assert_eq!(name(Event::UePoll), "UePoll");
     }

@@ -1,61 +1,249 @@
 //! Deterministic event queue.
 //!
-//! A binary heap keyed on `(Instant, sequence)` so that events scheduled
-//! for the same instant dequeue in the order they were scheduled. This
+//! Every pending event carries a stamp `(Instant, sequence)` drawn from
+//! one counter, and events pop in stamp order, so events scheduled for
+//! the same instant dequeue in the order they were scheduled. This
 //! stability is what makes whole-network runs reproducible: the gNB slot
-//! tick, a WAN packet arrival, and a TCP retransmission timer may all fire
-//! at the same nanosecond, and their relative order must not depend on
-//! heap internals.
+//! tick, a WAN packet arrival, and a TCP retransmission timer may all
+//! fire at the same nanosecond, and their relative order must not depend
+//! on the queue's internals.
 //!
-//! Beside the heap sits the **wake-up lane**: one slot per timer owner
-//! (a sender's timer, an application's clock, a queue stage's next
+//! The events themselves live in one **node slab**: scheduling moves an
+//! event into a free node, popping moves it out and frees the node, so a
+//! warm queue neither allocates nor boxes. Two indexes over the slab
+//! keep the order:
+//!
+//! * **Per-instant lists on the slot grid.** A queue built
+//!   [`EventQueue::with_grid`] knows the slot clock most of its events
+//!   fall on — a cell's TDD slots: every delay of the radio model is a
+//!   whole number of them. An event exactly on that grid and fewer than
+//!   [`HORIZON`] slots ahead joins the list of its instant, in a ring of
+//!   buckets indexed by slot number; an occupancy mask of one bit per
+//!   bucket finds the next instant. A list holds its nodes in scheduling
+//!   order, which is sequence order, so appending is all the ordering it
+//!   needs.
+//! * **An index heap** for the rest — off the grid, beyond the horizon,
+//!   or on a queue without a grid: a binary heap of `(stamp, node)`
+//!   entries, which sifts 24 bytes whatever the size of the event.
+//!
+//! Beside them sits the **wake-up lane**: one slot per timer owner (a
+//! sender's timer, an application's clock, a queue stage's next
 //! departure). Such an owner asks to be woken at its next activity, and
-//! that instant moves as its state does. A heap entry cannot be moved,
-//! so an owner pulling its wake-up earlier through [`EventQueue::schedule`]
-//! would leave the old entry behind to pop as a no-op — and with a
-//! retransmission timeout tens of seconds out, thousands of them.
-//! [`EventQueue::arm`] moves the owner's one entry instead: a superseded
-//! entry cannot exist, and [`EventQueue::pop`] hands out the earlier of
-//! the heap's top and the lane's minimum by the same `(time, sequence)`
-//! order, drawn from the same counter.
+//! that instant moves as its state does. A scheduled entry cannot be
+//! moved, so an owner pulling its wake-up earlier through
+//! [`EventQueue::schedule`] would leave the old entry behind to pop as a
+//! no-op — and with a retransmission timeout tens of seconds out,
+//! thousands of them. [`EventQueue::arm`] moves the owner's one entry
+//! instead: a superseded entry cannot exist.
+//!
+//! [`EventQueue::pop`] hands out the smallest stamp of lists, heap and
+//! lane. Where an event waits is a matter of speed only: the stamps, and
+//! with them the pop order, are the same on any grid or none.
 
 use core::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::Instant;
+use crate::time::{Duration, Instant};
 
 /// The queue's total order: `(time, sequence)`.
 type Stamp = (Instant, u64);
 
-/// The stamp of a disarmed slot; no entry carries it.
+/// The stamp of a disarmed slot or an empty index; no entry carries it.
 const NEVER: Stamp = (Instant::MAX, u64::MAX);
 
-/// One scheduled entry. Ordered for a *min*-heap via reversed comparison.
-struct Entry<E> {
-    at: Instant,
+/// No node: the end of a list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// How many slots the per-instant lists reach ahead of the clock at
+/// most; an on-grid event further ahead waits in the heap. A bucket's
+/// number is a `u8`, so moving along the ring is wrapping arithmetic.
+const HORIZON: usize = 1 << u8::BITS;
+
+/// Words of the bucket occupancy mask.
+const MASK_WORDS: usize = HORIZON / 64;
+
+/// A slab node's event (`None` while the node is free), cache-line
+/// aligned: the world's events take exactly two lines each.
+#[repr(align(64))]
+struct Aligned<E>(Option<E>);
+
+/// A slab node's bookkeeping, apart from its event so that walking a
+/// list or the free list touches no event's memory.
+#[derive(Clone, Copy)]
+struct Link {
+    /// The event's sequence number (its instant is its list's, or its
+    /// heap entry's) …
     seq: u64,
-    event: E,
+    /// … and the next node of the same instant's list, or of the free
+    /// list.
+    next: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+/// An index-heap entry: a stamp and the node holding its event. Ordered
+/// for a *min*-heap via reversed comparison.
+struct HeapRef {
+    at: Instant,
+    seq: u64,
+    node: u32,
+}
+
+impl HeapRef {
+    fn stamp(&self) -> Stamp {
+        (self.at, self.seq)
     }
 }
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
+
+impl PartialEq for HeapRef {
+    fn eq(&self, other: &Self) -> bool {
+        self.stamp() == other.stamp()
+    }
+}
+impl Eq for HeapRef {}
+impl PartialOrd for HeapRef {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Entry<E> {
+impl Ord for HeapRef {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.stamp().cmp(&self.stamp())
     }
+}
+
+/// One bucket of the ring: the first and last node of its instant's
+/// list, and the instant.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+    at: Instant,
+}
+
+/// The per-instant lists: a ring of [`HORIZON`] buckets, one per slot of
+/// the grid from a base slot on.
+///
+/// The base is a grid instant no later than any listed event: the
+/// instant of the last list popped from, or the first grid instant not
+/// before the clock when no list is pending. It lags the clock while the
+/// queue pops off-grid events, which only sends events to the heap
+/// sooner; it never runs ahead of a listed one. Every listed event lies
+/// in the `reach` slots from the base on, so no two listed instants
+/// share a bucket, and the ring read from the earliest list on is in
+/// time order.
+struct Grid {
+    /// The slot length in nanoseconds …
+    slot: u64,
+    /// … and `⌈2⁶⁴ / slot⌉`: for an offset below 2³² (every offset within
+    /// reach of the base) `offset · magic` wraps below `magic` exactly
+    /// when the offset is a whole number of slots, and its high word is
+    /// that number — a multiply where a division would be.
+    magic: u64,
+    /// `reach · slot`, where `reach` is [`HORIZON`] slots or as many as
+    /// fit in 2³² ns: how far past the base a listed event may lie.
+    span: u64,
+    /// The base instant (nanoseconds) and its bucket.
+    base_at: u64,
+    base_bucket: u8,
+    lists: Box<[List; HORIZON]>,
+    /// Bit `b` is set iff bucket `b` holds a list.
+    occupied: [u64; MASK_WORDS],
+    /// The stamp of the earliest list's first node, or [`NEVER`] …
+    min: Stamp,
+    /// … and that list's bucket.
+    min_bucket: u8,
+}
+
+impl Grid {
+    fn new(slot: Duration, origin: Instant, now: Instant) -> Self {
+        let slot = slot.as_nanos();
+        let reach = (u64::from(u32::MAX) / slot).min(HORIZON as u64);
+        let empty = List {
+            head: NIL,
+            tail: NIL,
+            at: Instant::ZERO,
+        };
+        let mut grid = Grid {
+            slot,
+            magic: u64::MAX / slot + 1,
+            span: reach * slot,
+            base_at: origin.as_nanos(),
+            base_bucket: 0,
+            lists: Box::new([empty; HORIZON]),
+            occupied: [0; MASK_WORDS],
+            min: NEVER,
+            min_bucket: 0,
+        };
+        grid.rebase(now);
+        grid
+    }
+
+    /// The bucket of `at` (no earlier than the clock), when `at` lies on
+    /// the grid and within reach of the base.
+    #[inline]
+    fn bucket(&self, at: Instant) -> Option<u8> {
+        // Before the base the subtraction wraps far past the span.
+        let offset = at.as_nanos().wrapping_sub(self.base_at);
+        if offset >= self.span || offset.wrapping_mul(self.magic) >= self.magic {
+            return None;
+        }
+        let slots = (u128::from(offset) * u128::from(self.magic)) >> 64;
+        Some(self.base_bucket.wrapping_add(slots as u8))
+    }
+
+    #[inline]
+    fn list(&mut self, b: u8) -> &mut List {
+        &mut self.lists[usize::from(b)]
+    }
+
+    #[inline]
+    fn mark(&mut self, b: u8, on: bool) {
+        let (word, bit) = (usize::from(b) / 64, 1u64 << (b % 64));
+        if on {
+            self.occupied[word] |= bit;
+        } else {
+            self.occupied[word] &= !bit;
+        }
+    }
+
+    /// The first occupied bucket from `from` on, in ring order: the
+    /// earliest listed instant when `from` is the bucket of an instant
+    /// no later than every listed one.
+    fn first_occupied(&self, from: u8) -> Option<u8> {
+        let (w, bit) = (usize::from(from) / 64, from % 64);
+        let ahead = self.occupied[w] & (u64::MAX << bit);
+        if ahead != 0 {
+            return Some((w * 64) as u8 + ahead.trailing_zeros() as u8);
+        }
+        // Round the ring; the last word visited is `w` again, whose bits
+        // from `bit` on were just found clear.
+        (1..=MASK_WORDS)
+            .map(|k| (w + k) % MASK_WORDS)
+            .find(|&i| self.occupied[i] != 0)
+            .map(|i| (i * 64) as u8 + self.occupied[i].trailing_zeros() as u8)
+    }
+
+    /// With no list pending, move the base to the first grid instant
+    /// not before `now`.
+    fn rebase(&mut self, now: Instant) {
+        if let Some(behind) = now.as_nanos().checked_sub(self.base_at) {
+            self.base_at += behind.div_ceil(self.slot) * self.slot;
+        }
+    }
+
+    /// Forget every list.
+    fn reset(&mut self) {
+        self.occupied = [0; MASK_WORDS];
+        self.min = NEVER;
+    }
+}
+
+/// Where the smallest pending stamp waits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Lane,
+    Lists,
+    Heap,
 }
 
 /// The wake-up lane: a winner tree over one slot per hosted key, so the
@@ -137,9 +325,9 @@ impl<E> Lane<E> {
     }
 
     /// Disarm the minimum and replay its path to the root.
-    fn take_min(&mut self) -> (Stamp, E) {
+    fn take_min(&mut self) -> E {
         let s = self.tree[1] as usize;
-        let stamp = std::mem::replace(&mut self.when[s], NEVER);
+        self.when[s] = NEVER;
         let mut node = (self.width + s) >> 1;
         while node >= 1 {
             let (l, r) = (self.tree[2 * node], self.tree[2 * node + 1]);
@@ -152,8 +340,7 @@ impl<E> Lane<E> {
         }
         self.min = self.when[self.tree[1] as usize];
         self.armed -= 1;
-        let event = self.event[s].take().expect("an armed slot holds its event");
-        (stamp, event)
+        self.event[s].take().expect("an armed slot holds its event")
     }
 
     /// Disarm everything and forget every displaced stamp.
@@ -169,9 +356,18 @@ impl<E> Lane<E> {
 /// A stable, deterministic priority queue of future events.
 ///
 /// `E` is whatever event representation the driver chooses — the harness
-/// crate uses a single world-level `enum`.
+/// crate uses a single world-level `enum`, stored by value.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// The node slab: every scheduled event, in a node, and the nodes'
+    /// links; the free nodes chain through `next` from `free`.
+    events: Vec<Aligned<E>>,
+    links: Vec<Link>,
+    free: u32,
+    /// Nodes holding an event, listed or in the heap.
+    held: usize,
+    heap: BinaryHeap<HeapRef>,
+    /// The per-instant lists, on a queue that has a grid.
+    grid: Option<Grid>,
     lane: Lane<E>,
     seq: u64,
     /// Monotonically non-decreasing time of the last popped event …
@@ -193,8 +389,8 @@ impl<E> EventQueue<E> {
     }
 
     /// An empty queue with room for `cap` pending events before the
-    /// backing heap reallocates — drivers that know their steady-state
-    /// event population can avoid growth pauses mid-run.
+    /// slab or the heap reallocates — drivers that know their
+    /// steady-state event population can avoid growth pauses mid-run.
     pub fn with_capacity(cap: usize) -> Self {
         Self::with_wakeups(cap, [])
     }
@@ -205,7 +401,12 @@ impl<E> EventQueue<E> {
     /// not by the largest key.
     pub fn with_wakeups(cap: usize, keys: impl IntoIterator<Item = usize>) -> Self {
         EventQueue {
+            events: Vec::with_capacity(cap),
+            links: Vec::with_capacity(cap),
+            free: NIL,
+            held: 0,
             heap: BinaryHeap::with_capacity(cap),
+            grid: None,
             lane: Lane::new(keys.into_iter().collect()),
             seq: 0,
             now: Instant::ZERO,
@@ -213,8 +414,24 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// This queue, keeping the events that fall on the grid `origin + k
+    /// · slot` in per-instant lists (see the module documentation). The
+    /// grid changes where events wait, never the order they pop in.
+    ///
+    /// # Panics
+    ///
+    /// When `slot` is shorter than 2 ns, or events are already pending.
+    pub fn with_grid(mut self, slot: Duration, origin: Instant) -> Self {
+        assert!(slot.as_nanos() >= 2, "event queue: a grid slot is 2 ns or longer");
+        assert!(self.is_empty(), "event queue: the grid is set before scheduling");
+        self.grid = Some(Grid::new(slot, origin, self.now));
+        self
+    }
+
     /// Reserve room for at least `additional` more events.
     pub fn reserve(&mut self, additional: usize) {
+        self.events.reserve(additional);
+        self.links.reserve(additional);
         self.heap.reserve(additional);
     }
 
@@ -225,12 +442,13 @@ impl<E> EventQueue<E> {
     /// simulation stays monotonic rather than panicking deep inside a run.
     pub fn schedule(&mut self, at: Instant, event: E) {
         let at = at.max(self.now);
-        self.heap.push(Entry {
-            at,
-            seq: self.seq,
-            event,
-        });
+        let seq = self.seq;
         self.seq += 1;
+        let node = self.hold(seq, event);
+        match self.grid.as_ref().and_then(|g| g.bucket(at)) {
+            Some(b) => self.append(b, node, (at, seq)),
+            None => self.heap.push(HeapRef { at, seq, node }),
+        }
     }
 
     /// Ask for the owner `key` to be woken at `at` (a past-due `at`
@@ -287,35 +505,122 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest pending event, if any.
     pub fn next_at(&self) -> Option<Instant> {
-        let wake = self.lane.min.0;
-        match self.heap.peek() {
-            Some(top) => Some(top.at.min(wake)),
-            None => (wake != Instant::MAX).then_some(wake),
+        self.first().map(|((at, _), _)| at)
+    }
+
+    /// The smallest pending stamp of lists, heap and lane, and where it
+    /// waits.
+    #[inline]
+    fn first(&self) -> Option<(Stamp, Source)> {
+        let heap = self.heap.peek().map_or(NEVER, HeapRef::stamp);
+        let listed = self.grid.as_ref().map_or(NEVER, |g| g.min);
+        let wake = self.lane.min;
+        if wake < heap.min(listed) {
+            Some((wake, Source::Lane))
+        } else if listed < heap {
+            Some((listed, Source::Lists))
+        } else {
+            (heap != NEVER).then_some((heap, Source::Heap))
         }
     }
 
-    /// Remove the earliest entry of heap and lane. A queue with nothing
-    /// armed — every queue that never calls `arm` — pays one predictable
-    /// branch for the lane's existence.
+    /// Remove the entry [`EventQueue::first`] found at `from`.
     #[inline]
-    fn take_first(&mut self) -> Option<(Stamp, E)> {
-        if self.lane.armed != 0 {
-            let wake = self.lane.min;
-            if self.heap.peek().is_none_or(|top| wake < (top.at, top.seq)) {
-                return Some(self.lane.take_min());
-            }
+    fn take(&mut self, from: Source) -> E {
+        let node = match from {
+            Source::Lane => return self.lane.take_min(),
+            Source::Lists => self.unlist_first(),
+            Source::Heap => self.heap.pop().expect("the heap holds the minimum").node,
+        };
+        self.held -= 1;
+        self.links[node as usize].next = self.free;
+        self.free = node;
+        self.events[node as usize].0.take().expect("a held node holds its event")
+    }
+
+    /// Move `event`, stamped `seq`, into a free slab node.
+    #[inline]
+    fn hold(&mut self, seq: u64, event: E) -> u32 {
+        self.held += 1;
+        let link = Link { seq, next: NIL };
+        if self.free == NIL {
+            debug_assert!(self.links.len() < NIL as usize, "event queue: slab full");
+            self.events.push(Aligned(Some(event)));
+            self.links.push(link);
+            (self.links.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.links[i as usize].next;
+            self.links[i as usize] = link;
+            self.events[i as usize].0 = Some(event);
+            i
         }
-        let e = self.heap.pop()?;
-        Some(((e.at, e.seq), e.event))
+    }
+
+    /// Append `node`, stamped `stamp`, to the list of bucket `b`.
+    #[inline]
+    fn append(&mut self, b: u8, node: u32, stamp: Stamp) {
+        let g = self.grid.as_mut().expect("listed on a grid");
+        let occupied = g.occupied[usize::from(b) / 64] & (1 << (b % 64)) != 0;
+        let list = g.list(b);
+        if occupied {
+            self.links[list.tail as usize].next = node;
+            list.tail = node;
+            return;
+        }
+        *list = List {
+            head: node,
+            tail: node,
+            at: stamp.0,
+        };
+        g.mark(b, true);
+        // A fresh sequence number: a new list can only be the first if
+        // its instant is the earliest.
+        if stamp < g.min {
+            (g.min, g.min_bucket) = (stamp, b);
+        }
+    }
+
+    /// Unlink the first node of the earliest list.
+    #[inline]
+    fn unlist_first(&mut self) -> u32 {
+        let g = self.grid.as_mut().expect("the lists hold the minimum");
+        let b = g.min_bucket;
+        let list = g.list(b);
+        let node = list.head;
+        if node != list.tail {
+            list.head = self.links[node as usize].next;
+            g.min.1 = self.links[list.head as usize].seq;
+            return node;
+        }
+        g.mark(b, false);
+        g.min = match g.first_occupied(b) {
+            Some(nb) => {
+                g.min_bucket = nb;
+                let list = g.list(nb);
+                (list.at, self.links[list.head as usize].seq)
+            }
+            None => NEVER,
+        };
+        node
     }
 
     /// Pop the earliest event, advancing the queue clock to its time.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        let ((at, seq), event) = self.take_first()?;
+        let ((at, seq), from) = self.first()?;
         debug_assert!(at >= self.now, "event queue went backwards");
+        if let Some(g) = &mut self.grid {
+            if from == Source::Lists {
+                // The clock is on the grid: the new base.
+                (g.base_at, g.base_bucket) = (at.as_nanos(), g.min_bucket);
+            } else if g.min == NEVER {
+                // No list to keep the base behind: catch up with the clock.
+                g.rebase(at);
+            }
+        }
         self.now = at;
         self.now_seq = seq;
-        Some((at, event))
+        Some((at, self.take(from)))
     }
 
     /// Time of the most recently popped event (the simulation's "now").
@@ -325,7 +630,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events: scheduled ones plus armed wake-ups.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.armed
+        self.held + self.lane.armed
     }
 
     /// True if no events are pending.
@@ -335,7 +640,14 @@ impl<E> EventQueue<E> {
 
     /// Drop all pending events without advancing time.
     pub fn clear(&mut self) {
+        self.events.clear();
+        self.links.clear();
+        self.free = NIL;
+        self.held = 0;
         self.heap.clear();
+        if let Some(g) = &mut self.grid {
+            g.reset();
+        }
         self.lane.reset();
     }
 
@@ -350,8 +662,8 @@ impl<E> EventQueue<E> {
     /// that, so the lane forgets its displaced stamps.
     pub fn drain_ordered(&mut self) -> Vec<(Instant, E)> {
         let mut out = Vec::with_capacity(self.len());
-        while let Some(((at, _), event)) = self.take_first() {
-            out.push((at, event));
+        while let Some(((at, _), from)) = self.first() {
+            out.push((at, self.take(from)));
         }
         self.lane.reset();
         out
@@ -583,5 +895,130 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
         assert!(q.is_empty());
+    }
+
+    /// A queue on a 1 ms grid from t = 0.
+    fn gridded<E>() -> EventQueue<E> {
+        EventQueue::new().with_grid(Duration::from_millis(1), Instant::ZERO)
+    }
+
+    #[test]
+    fn an_on_grid_event_a_horizon_ahead_waits_in_the_heap() {
+        let mut q = gridded();
+        q.schedule(ms(HORIZON as u64), "far");
+        assert_eq!(q.heap.len(), 1, "slot 256 from slot 0 is past the lists");
+        q.schedule(ms(HORIZON as u64 - 1), "near");
+        q.schedule(ms(1), "tick");
+        assert_eq!(
+            q.heap.len(),
+            1,
+            "the last slot inside the horizon is listed"
+        );
+        assert_eq!(q.pop(), Some((ms(1), "tick")));
+        // From slot 1 the same instant is inside the horizon: listed
+        // behind the heap's older stamp for it.
+        q.schedule(ms(HORIZON as u64), "later");
+        assert_eq!(q.heap.len(), 1);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [(ms(255), "near"), (ms(256), "far"), (ms(256), "later")]
+        );
+    }
+
+    #[test]
+    fn a_past_due_schedule_joins_the_tail_of_the_current_instants_list() {
+        let mut q = gridded();
+        q.schedule(ms(5), "a");
+        q.schedule(ms(5), "b");
+        assert_eq!(q.pop(), Some((ms(5), "a")));
+        q.schedule(ms(2), "late");
+        q.schedule(ms(5), "c");
+        assert!(q.heap.is_empty(), "clamped onto the grid: listed");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, [(ms(5), "b"), (ms(5), "late"), (ms(5), "c")]);
+        // The instant's list emptied; a past-due event starts it again.
+        q.schedule(ms(1), "again");
+        assert_eq!(q.pop(), Some((ms(5), "again")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn the_grid_test_is_a_division() {
+        let mut rng = crate::SimRng::new(5);
+        for slot in [2, 3, 1_000, 499_999, 500_000, 1_000_000, 16_777_215, 16_777_216, 1 << 31] {
+            let base = Instant::from_nanos(rng.range_u64(1, 1 << 40));
+            let mut g = Grid::new(Duration::from_nanos(slot), base, base);
+            g.base_bucket = rng.range_u64(0, HORIZON as u64) as u8;
+            let reach = (u64::from(u32::MAX) / slot).min(HORIZON as u64);
+            for k in 0..reach + 2 {
+                for d in [0, 1, slot - 1, slot / 2] {
+                    let offset = (k * slot + d).min(u64::from(u32::MAX));
+                    let want = (offset % slot == 0 && offset / slot < reach)
+                        .then(|| g.base_bucket.wrapping_add((offset / slot) as u8));
+                    let at = Instant::from_nanos(base.as_nanos() + offset);
+                    assert_eq!(g.bucket(at), want, "slot {slot} offset {offset}");
+                }
+            }
+            assert_eq!(g.bucket(Instant::from_nanos(base.as_nanos() - 1)), None);
+        }
+    }
+
+    #[test]
+    fn queues_with_and_without_a_grid_pop_like_a_plain_heap() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut rng = crate::SimRng::new(26);
+        let mut plain: BinaryHeap<Reverse<(Instant, u64, u32)>> = BinaryHeap::new();
+        let mut queues = [
+            EventQueue::new(),
+            gridded(),
+            // A phased grid: every instant before its origin is off it.
+            EventQueue::new().with_grid(Duration::from_micros(500), Instant::from_micros(3)),
+        ];
+        let (mut now, mut seq) = (Instant::ZERO, 0u64);
+        let mut listed = [0; 3];
+        for id in 0..20_000u32 {
+            if rng.chance(0.55) {
+                // Mostly on one of the grids, up to ~300 ms ahead, and
+                // sometimes a little behind the clock.
+                let ns = now.as_nanos();
+                let at = match rng.range_u64(0, 4) {
+                    0 => ns + rng.range_u64(0, 300_000_000),
+                    1 => (ns / 500_000 + rng.range_u64(0, 600)) * 500_000 + 3_000,
+                    _ => (ns / 1_000_000 + rng.range_u64(0, 300)) * 1_000_000,
+                };
+                let at = Instant::from_nanos(at.saturating_sub(2_000_000));
+                plain.push(Reverse((at.max(now), seq, id)));
+                seq += 1;
+                for q in &mut queues {
+                    q.schedule(at, id);
+                }
+            } else {
+                let want = plain.pop().map(|Reverse((at, _, id))| (at, id));
+                for q in &mut queues {
+                    assert_eq!(q.pop(), want);
+                }
+                now = want.map_or(now, |(at, _)| at);
+            }
+            for (q, n) in queues.iter().zip(&mut listed) {
+                assert_eq!(q.len(), plain.len());
+                assert_eq!(q.next_at(), plain.peek().map(|e| e.0 .0));
+                *n += q.len() - q.heap.len();
+            }
+        }
+        assert_eq!(listed[0], 0, "no grid, no lists");
+        assert!(listed[1] > 0 && listed[2] > 0, "the grids list: {listed:?}");
+        for q in &mut queues {
+            let drained: Vec<_> = q.drain_ordered();
+            let want: Vec<_> = plain
+                .clone()
+                .into_sorted_vec()
+                .into_iter()
+                .rev()
+                .map(|Reverse((at, _, id))| (at, id))
+                .collect();
+            assert_eq!(drained, want);
+        }
     }
 }

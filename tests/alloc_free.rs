@@ -4,12 +4,13 @@
 //! costs **zero heap allocations** end to end on the downlink data path:
 //! construction (inline `[u8; 80]` header store), the L4Span ECN / TCP
 //! rewrites (in-place), the RLC clone into segments (`PacketBuf: Copy`),
-//! and the event-queue schedule/pop cycle (pooled boxes, pre-sized
-//! heap). This test installs a counting global allocator and asserts
-//! exactly that, operation by operation — and then (steps 8 and 9) for
-//! whole worlds, where nothing can be left out: the allocations a run
-//! makes per *additional* delivered packet, downlink, uplink and bonded,
-//! and what a marker-off cell's deep queues add as the run gets longer.
+//! and the event-queue schedule/pop cycle (events by value in a
+//! pre-sized node slab). This test installs a counting global allocator
+//! and asserts exactly that, operation by operation — and then (steps 8
+//! to 10) for whole worlds, where nothing can be left out: the
+//! allocations a run makes per *additional* delivered packet, downlink,
+//! uplink and bonded, what a marker-off cell's deep queues add as the
+//! run gets longer, and what a longer WAN's deeper event queue adds.
 //!
 //! Everything runs in ONE `#[test]` because the counter is process-wide:
 //! parallel test threads would bleed counts into each other.
@@ -98,8 +99,8 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     );
 
     // --- 3. UE uplink path: enqueue → uplink slot into pooled buffers ---
-    // PR 3 pools the `UlAtGnb` payload vectors exactly like the DL event
-    // boxes; with the buffers at steady-state size, a full uplink cycle
+    // The world pools the `UlAtGnb` payload vectors; with the buffers at
+    // steady-state size, a full uplink cycle
     // (ACK enqueue with SR-delay draw, queue drain, AM status emission)
     // must not allocate.
     let mut ue = UeStack::new(
@@ -201,29 +202,36 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         "uplink data enqueue/BSR cycle into pooled buffers must not allocate"
     );
 
-    // --- 4. Event-queue schedule/pop with a warm heap -------------------
-    let mut q: EventQueue<(u64, PacketBuf)> = EventQueue::with_capacity(1024);
-    for i in 0..512 {
-        q.schedule(Instant::from_millis(i), (i, data_packet(i as u16, 1400)));
+    // --- 4. Event-queue schedule/pop with a warm slab -------------------
+    // Once with the index heap alone, once with the instants on the
+    // queue's slot grid (its per-instant lists).
+    let grid = Duration::from_millis(1);
+    for mut q in [
+        EventQueue::with_capacity(1024),
+        EventQueue::with_capacity(1024).with_grid(grid, Instant::ZERO),
+    ] {
+        for i in 0..512 {
+            q.schedule(Instant::from_millis(i), (i, data_packet(i as u16, 1400)));
+        }
+        while q.pop().is_some() {}
+        let (n, _) = allocs_during(|| {
+            for i in 0..512u64 {
+                q.schedule(
+                    q.now() + grid * (1 + i % 7),
+                    (i, data_packet(i as u16, 1400)),
+                );
+            }
+            let mut sum = 0u64;
+            while let Some((_, (i, p))) = q.pop() {
+                sum += i + p.wire_len() as u64;
+            }
+            sum
+        });
+        assert_eq!(
+            n, 0,
+            "schedule/pop on a pre-sized event queue must not allocate"
+        );
     }
-    while q.pop().is_some() {}
-    let (n, _) = allocs_during(|| {
-        for i in 0..512u64 {
-            q.schedule(
-                q.now() + Duration::from_millis(1 + i % 7),
-                (i, data_packet(i as u16, 1400)),
-            );
-        }
-        let mut sum = 0u64;
-        while let Some((_, (i, p))) = q.pop() {
-            sum += i + p.wire_len() as u64;
-        }
-        sum
-    });
-    assert_eq!(
-        n, 0,
-        "schedule/pop on a pre-sized event heap must not allocate"
-    );
 
     // --- 5. gNB slot tick into reused SlotOutput (PR 8 shard hot loop) --
     // Each shard's epoch is dominated by per-cell slot ticks. With the
@@ -288,17 +296,15 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     // event carrying a pooled `Vec<TransportBlock>` (`TbsAtUe`; the
     // uplink mirror `UlTbsAtGnb` draws from the same buffer pool).
     // Continuing with the warm gNB of step 5, the steady-state cycle —
-    // slot output drained into a pooled batch, the batch moved into a
-    // pooled event box and scheduled, popped at the end of the slot,
+    // slot output drained into a pooled batch, the batch scheduled by
+    // value on the cell's slot grid, popped at the end of the slot,
     // its blocks handled in order (segment buffers recycled to the
     // gNB), the emptied batch returned to the pool — must not touch
     // the allocator. (The UE's RLC receiver is left out of this cycle;
     // step 8 covers it inside whole worlds.)
     use l4span::ran::mac::TransportBlock;
     type Batch = Vec<TransportBlock>;
-    let mut air: EventQueue<Box<Batch>> = EventQueue::with_capacity(64);
-    #[allow(clippy::vec_box)] // pooled allocations, as in `World::pool`
-    let mut box_pool: Vec<Box<Batch>> = (0..8).map(|_| Box::default()).collect();
+    let mut air: EventQueue<Batch> = EventQueue::with_capacity(64).with_grid(slot, Instant::ZERO);
     let mut tb_pool: Vec<Batch> = Vec::with_capacity(8);
     let mut slot_cycle = |i: u64| -> usize {
         let t = Instant::ZERO + slot * i;
@@ -310,15 +316,11 @@ fn steady_state_downlink_path_makes_zero_allocations() {
             let at = first.deliver_at;
             let mut tbs = tb_pool.pop().unwrap_or_default();
             tbs.extend(out.deliveries.drain(..).map(|d| d.tb));
-            let mut bx = box_pool.pop().expect("pooled event box");
-            *bx = tbs;
-            air.schedule(at, bx);
+            air.schedule(at, tbs);
         }
         let mut handled = 0;
         while air.next_at().is_some_and(|at| at <= t + slot) {
-            let (_, mut bx) = air.pop().expect("peeked");
-            let mut tbs = std::mem::take(&mut *bx);
-            box_pool.push(bx);
+            let (_, mut tbs) = air.pop().expect("peeked");
             for tb in tbs.drain(..) {
                 gnb.recycle_segments(tb.segments);
                 handled += 1;
@@ -335,7 +337,7 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     assert!(handled > 0, "the batches must carry blocks");
     assert_eq!(
         n, 0,
-        "slot → pooled TB batch → pooled event → handle → recycle must not allocate"
+        "slot → pooled TB batch → queued event → handle → recycle must not allocate"
     );
 
     // --- 5c. Uplink grant allocation -------------------------------------
@@ -357,46 +359,42 @@ fn steady_state_downlink_path_makes_zero_allocations() {
 
     // --- 6. Cross-shard mailbox cycle (PR 8) ----------------------------
     // The coordinator's steady-state envelope cycle: a source shard
-    // pushes pooled boxes into its outbox, the coordinator appends them
-    // into a reused buffer, wraps them as `(at, src, k)` envelopes,
+    // pushes events by value into its outbox, the coordinator appends
+    // them into a reused buffer, wraps them as `(at, src, k)` envelopes,
     // sorts (unstable — the key is strictly total, and unlike the
     // stable sort it never allocates), and injects into a warm
-    // destination heap that recycles the boxes back to the pool.
-    let mut pool: Vec<Box<u64>> = (0..64).map(Box::new).collect();
-    let mut outbox: Vec<(Instant, Box<u64>)> = Vec::with_capacity(64);
-    let mut buf: Vec<(Instant, Box<u64>)> = Vec::with_capacity(64);
-    let mut envelopes: Vec<(Instant, usize, usize, Box<u64>)> = Vec::with_capacity(64);
-    let mut dst: EventQueue<Box<u64>> = EventQueue::with_capacity(128);
-    // Warm the destination heap.
+    // destination queue on the cell's slot grid.
+    type Mail = (u64, PacketBuf);
+    let mut outbox: Vec<(Instant, Mail)> = Vec::with_capacity(64);
+    let mut buf: Vec<(Instant, Mail)> = Vec::with_capacity(64);
+    let mut envelopes: Vec<(Instant, usize, usize, Mail)> = Vec::with_capacity(64);
+    let mut dst: EventQueue<Mail> = EventQueue::with_capacity(128).with_grid(slot, Instant::ZERO);
+    // Warm the destination queue.
     for i in 0..64u64 {
-        dst.schedule(Instant::from_millis(i), pool.pop().expect("pooled"));
+        dst.schedule(Instant::from_millis(i), (i, data_packet(i as u16, 0)));
     }
-    while let Some((_, bx)) = dst.pop() {
-        pool.push(bx);
-    }
+    while dst.pop().is_some() {}
     let (n, _) = allocs_during(|| {
         let mut sum = 0u64;
         for round in 0..64u64 {
             let barrier = dst.now() + Duration::from_millis(1);
-            // Source epoch: mail produced with pooled boxes.
+            // Source epoch: mail produced, some of it off the slot grid.
             for k in 0..32u64 {
-                let mut bx = pool.pop().expect("pooled");
-                *bx = round * 100 + k;
-                outbox.push((barrier + Duration::from_micros(k % 7), bx));
+                let mail = (round * 100 + k, data_packet(k as u16, 0));
+                outbox.push((barrier + Duration::from_micros(k % 7 * 250), mail));
             }
             // Coordinator: take, wrap, sort, inject.
             buf.append(&mut outbox);
-            for (k, (at, bx)) in buf.drain(..).enumerate() {
-                envelopes.push((at, 0, k, bx));
+            for (k, (at, mail)) in buf.drain(..).enumerate() {
+                envelopes.push((at, 0, k, mail));
             }
             envelopes.sort_unstable_by_key(|&(at, s, k, _)| (at, s, k));
-            for (at, _, _, bx) in envelopes.drain(..) {
-                dst.schedule(at, bx);
+            for (at, _, _, mail) in envelopes.drain(..) {
+                dst.schedule(at, mail);
             }
-            // Destination epoch: drain, recycle the boxes.
-            while let Some((_, bx)) = dst.pop() {
-                sum += *bx;
-                pool.push(bx);
+            // Destination epoch: drain.
+            while let Some((_, (id, _))) = dst.pop() {
+                sum += id;
             }
         }
         sum
@@ -504,5 +502,33 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     assert!(
         a40.saturating_sub(a10) <= 500,
         "marker-off cell: {a10} allocations over 10 s, {a40} over 40 s"
+    );
+
+    // --- 10. A deeper queue costs no allocation per pending event -------
+    // The west WAN's 106 ms round trip keeps about 2.8× the packets of
+    // the east's 38 ms in flight, and with them the events that carry
+    // them. Events live by value in the queue's node slab, which grows
+    // by doubling, so the deeper queue adds a handful of allocations —
+    // not one per extra pending event, as a boxed event each did.
+    let bbr2_cell = |wan| {
+        let cfg = scenario::congested_cell(
+            8,
+            "bbr2",
+            ChannelMix::Mobile,
+            16_384,
+            wan,
+            scenario::l4span_default(),
+            7,
+            Duration::from_secs(5),
+        );
+        allocs_during(|| l4span::harness::run(cfg))
+    };
+    let ((a_east, r_east), (a_west, r_west)) =
+        (bbr2_cell(WanLink::east()), bbr2_cell(WanLink::west()));
+    let (d_east, d_west) = (r_east.queue_depth_peak, r_west.queue_depth_peak);
+    assert!(
+        d_west > 4 * d_east && a_west.saturating_sub(a_east) <= 200,
+        "bbr2 cell: {a_east} allocations with the east WAN ({d_east} events pending at most), \
+         {a_west} with the west one ({d_west})"
     );
 }

@@ -426,6 +426,38 @@ impl WakeupOverHeap {
     fn armed(&self) -> usize {
         self.wake.iter().filter(|&&w| w != Wakeup::new()).count()
     }
+
+    /// Take every queued entry out, superseded ones included, and queue
+    /// it again, in `(time, sequence)` order: fresh sequence numbers in
+    /// the same relative order, as a drain-and-reschedule of the plain
+    /// heap did. Returns the entries a handler would run for, in order.
+    /// The new numbers leave no displaced entry to go back to.
+    fn requeue_all(&mut self) -> Vec<(Instant, Popped)> {
+        let mut live = Vec::new();
+        for std::cmp::Reverse((at, seq, what)) in std::mem::take(&mut self.heap)
+            .into_sorted_vec()
+            .into_iter()
+            .rev()
+        {
+            let stamp = self.push(at, what);
+            match what {
+                Popped::Wake(k) if self.live[k] != Some((at, seq)) => continue,
+                Popped::Wake(k) => self.live[k] = Some(stamp),
+                Popped::OneShot(_) => {}
+            }
+            live.push((at, what));
+        }
+        self.displaced.fill(None);
+        live
+    }
+
+    /// Forget every entry and every armed wake-up.
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.wake.fill(Wakeup::new());
+        self.live.fill(None);
+        self.displaced.fill(None);
+    }
 }
 
 proptest! {
@@ -435,42 +467,78 @@ proptest! {
     /// before are the norm: the lane hands out the same interleaved
     /// sequence of wake-ups and one-shot events as the heap that keeps
     /// every superseded entry, never holds more than one entry per armed
-    /// owner, and never pops a wake-up nobody is waiting for.
+    /// owner, and never pops a wake-up nobody is waiting for. The queue
+    /// under test lists the events on the script's 1 ms grid; the script
+    /// also schedules off it (+0.3 ms) and past the lists' 256-slot
+    /// horizon, drains the queue and schedules the events again in
+    /// drained order (as shard installation and re-homing do), and
+    /// clears it.
     #[test]
     fn wakeup_lane_matches_wakeup_over_plain_heap(seed in any::<u64>(), owners in 1usize..9) {
         let mut rng = SimRng::new(seed);
         let mut reference = WakeupOverHeap::new(owners);
         // Sparse keys: a slot is a key's rank, not the key.
         let key = |k: usize| 3 * k + 1;
-        let mut lane: EventQueue<Popped> = EventQueue::with_wakeups(0, (0..owners).map(key));
-        let (mut one_shots, mut next_id, mut wakeups) = (0usize, 0u32, 0u64);
-        let grid = |now: Instant, rng: &mut SimRng| {
-            // One step behind to five ahead, on a 1 ms grid.
-            Instant::from_millis((now.as_millis() + rng.range_u64(0, 7)).saturating_sub(1))
+        let mut lane: EventQueue<Popped> = EventQueue::with_wakeups(0, (0..owners).map(key))
+            .with_grid(Duration::from_millis(1), Instant::ZERO);
+        let (mut one_shots, mut next_id) = (0usize, 0u32);
+        // How each reference entry ended: popped for a one-shot or a
+        // wake-up, taken out by a drain or a clear (or skipped as
+        // superseded, or still queued: the reference counts those).
+        let (mut one_shot_pops, mut wakeups, mut retired) = (0u64, 0u64, 0u64);
+        let instant = |now: Instant, rng: &mut SimRng| {
+            let ms = now.as_millis();
+            match rng.range_u64(0, 10) {
+                0 => Instant::from_millis(ms + rng.range_u64(0, 6)) + Duration::from_micros(300),
+                1 => Instant::from_millis(ms + rng.range_u64(250, 300)),
+                // One step behind to five ahead, on the grid.
+                _ => Instant::from_millis((ms + rng.range_u64(0, 7)).saturating_sub(1)),
+            }
         };
         for step in 0..400 {
             match rng.range_u64(0, 100) {
-                0..=44 => {
+                0..=43 => {
                     let k = rng.range_u64(0, owners as u64) as usize;
-                    let at = if rng.chance(0.05) { Instant::MAX } else { grid(reference.now, &mut rng) };
+                    let at = if rng.chance(0.05) { Instant::MAX } else { instant(reference.now, &mut rng) };
                     if reference.fires_from_a_forgotten_entry(k, at) {
                         continue;
                     }
                     reference.arm(k, at);
                     lane.arm(key(k), at, || Popped::Wake(k));
                 }
-                45..=64 => {
-                    let at = grid(reference.now, &mut rng);
+                44..=63 => {
+                    let at = instant(reference.now, &mut rng);
                     reference.push(at, Popped::OneShot(next_id));
                     lane.schedule(at, Popped::OneShot(next_id));
                     next_id += 1;
                     one_shots += 1;
                 }
+                64..=65 => {
+                    retired += reference.heap.len() as u64;
+                    let drained = lane.drain_ordered();
+                    prop_assert_eq!(&drained, &reference.requeue_all(), "step {}", step);
+                    prop_assert!(lane.is_empty());
+                    for (at, what) in drained {
+                        match what {
+                            Popped::OneShot(_) => lane.schedule(at, what),
+                            Popped::Wake(k) => lane.arm(key(k), at, || what),
+                        }
+                    }
+                }
+                66 => {
+                    retired += reference.heap.len() as u64;
+                    reference.clear();
+                    lane.clear();
+                    one_shots = 0;
+                }
                 _ => {
                     let popped = lane.pop();
                     prop_assert_eq!(popped, reference.pop(), "step {}", step);
                     match popped {
-                        Some((_, Popped::OneShot(_))) => one_shots -= 1,
+                        Some((_, Popped::OneShot(_))) => {
+                            one_shots -= 1;
+                            one_shot_pops += 1;
+                        }
                         Some((_, Popped::Wake(_))) => wakeups += 1,
                         None => {}
                     }
@@ -486,14 +554,17 @@ proptest! {
         }
         while let Some(popped) = lane.pop() {
             prop_assert_eq!(Some(popped), reference.pop());
-            wakeups += u64::from(matches!(popped.1, Popped::Wake(_)));
+            match popped.1 {
+                Popped::OneShot(_) => one_shot_pops += 1,
+                Popped::Wake(_) => wakeups += 1,
+            }
         }
         prop_assert_eq!(reference.pop(), None);
         // What the lane no longer pops is exactly what the heap skipped,
         // or was left holding.
         prop_assert_eq!(
             reference.seq,
-            u64::from(next_id) + wakeups + reference.superseded_pops + reference.heap.len() as u64
+            one_shot_pops + wakeups + retired + reference.superseded_pops + reference.heap.len() as u64
         );
     }
 }
