@@ -303,6 +303,55 @@ impl Timer {
     }
 }
 
+/// What the world keeps per (UE, DRB): the SN window joining transmit
+/// records to packets, the ground-truth egress log, and the bearer's
+/// queue-length series. Rows live in `World::drb_rows[ue][drb]`, so a
+/// UE's rows follow it between shard replicas in one swap and a
+/// transmit record or sample tick reaches its row by two indexings.
+#[derive(Default)]
+struct DrbRow {
+    /// PDCP SN → (flow, ident) of the downlink data SDUs in the RLC.
+    sn: SnRing,
+    /// Ground-truth egress log `(t_txed, bytes)`, the Fig. 20
+    /// reference. Written only when the world samples rate error, and
+    /// trimmed to four estimation windows at each sample tick.
+    gt: VecDeque<(Instant, usize)>,
+    /// First SN not yet logged in `gt`. A forwarded SDU retransmitted
+    /// by the target cell emits a second transmit record for the same
+    /// SN; the L4Span estimator's profile table ignores that
+    /// non-advancing feedback, so the ground truth must apply the same
+    /// SN-monotone dedup or `rate_err_pct` reads systematically negative
+    /// after every handover.
+    gt_next_sn: u64,
+    /// Downlink RLC queue samples, read from the serving cell at each
+    /// tick (`Report::queue_series`; empty until first sampled).
+    dl_queue: Vec<usize>,
+    /// The same samples per serving cell, in order of first attachment
+    /// (`Report::cell_queue_series`).
+    cell_dl_queue: Vec<(u8, Vec<usize>)>,
+    /// UE-side uplink transmit-queue samples (`Report::ul_queue_series`;
+    /// empty until first sampled).
+    ul_queue: Vec<usize>,
+}
+
+/// `rows[drb]`, growing `rows` up to it on first use.
+fn drb_row(rows: &mut Vec<DrbRow>, drb: u8) -> &mut DrbRow {
+    let d = drb as usize;
+    if rows.len() <= d {
+        rows.resize_with(d + 1, DrbRow::default);
+    }
+    &mut rows[d]
+}
+
+/// `series`, sized for the whole run's `cap` entries when it first
+/// appears, so recording into it never regrows it.
+fn run_sized<T>(series: &mut Vec<T>, cap: usize) -> &mut Vec<T> {
+    if series.capacity() == 0 {
+        series.reserve_exact(cap);
+    }
+    series
+}
+
 /// A pooled triple of one UE's uplink-slot buffers (packets, status
 /// reports, buffer-status entries).
 pub(crate) type UlBatch = (
@@ -406,8 +455,6 @@ pub struct World {
     /// Per-flow uplink data one-way delays (UE sender → server).
     ul_owd_ms: Vec<Vec<f64>>,
     ul_owd_at_s: Vec<Vec<f64>>,
-    /// UE-side uplink RLC queue samples per (ue, drb).
-    ul_queue_series: BTreeMap<(u16, u8), Vec<usize>>,
     /// Per-flow delivered-frame one-way delays (QoE).
     frame_owd_ms: Vec<Vec<f64>>,
     /// Per-flow frames generated by app-driven sources (the SCReAM path
@@ -425,8 +472,6 @@ pub struct World {
     rtt_at_s: Vec<Vec<f64>>,
     thr_bins: Vec<Vec<u64>>,
     cell_thr_bins: Vec<Vec<u64>>,
-    queue_series: BTreeMap<(u16, u8), Vec<usize>>,
-    cell_queue_series: BTreeMap<(u8, u16, u8), Vec<usize>>,
     /// Per-UE handover history. Kept per UE (not as one flat log) so a
     /// UE's records migrate with it between shard replicas; the report
     /// flattens them sorted by (time, ue) — the classic push order.
@@ -441,21 +486,15 @@ pub struct World {
     /// per-shard partitions merge back into the classic push order (a
     /// sort on the unique key; a no-op for single-world runs).
     rate_err: Vec<(Instant, (u16, u8), f64)>,
-    /// `[ue][drb]`: PDCP SN → (flow, ident), joining TxRecords to
-    /// packets. Per UE so the whole lot follows the UE between shard
-    /// replicas; a UE's row grows to its highest DRB id at first use.
-    sn_rings: Vec<Vec<SnRing>>,
+    /// `[ue][drb]`: the per-bearer rows. Per UE so the whole lot
+    /// follows the UE between shard replicas; a UE's rows grow to its
+    /// highest DRB id at first use.
+    drb_rows: Vec<Vec<DrbRow>>,
+    /// The L4Span estimation window when the world samples rate error
+    /// against ground truth (an L4Span marker), else `None`.
+    est_window: Option<Duration>,
     /// (flow, ident) → (queuing ms, scheduling ms) awaiting delivery.
     breakdown_pending: FxHashMap<(usize, u16), (f64, f64)>,
-    /// Ground-truth egress byte log per DRB (Fig. 20 reference).
-    gt_egress: BTreeMap<(u16, u8), VecDeque<(Instant, usize)>>,
-    /// Per-DRB first SN not yet logged in `gt_egress`. A forwarded SDU
-    /// retransmitted by the target cell emits a second TxRecord for the
-    /// same SN; the L4Span estimator's profile table ignores that
-    /// non-advancing feedback, so the ground truth must apply the same
-    /// SN-monotone dedup or `rate_err_pct` reads systematically negative
-    /// after every handover.
-    gt_watermark: FxHashMap<(u16, u8), u64>,
     marker_time: (Vec<u64>, Vec<u64>, Vec<u64>),
     /// Transport blocks destroyed mid-air because their UE handed over
     /// before decode; folded into `Report::tbs_lost` (the gNB counts the
@@ -737,6 +776,10 @@ impl World {
         keys.extend(wake_keys(&flows, |_| true));
         let queue = EventQueue::with_wakeups(1024 + 128 * n, keys)
             .with_grid(cfg.cell_config(0).slot_duration, slot_origin(&cfg, 0));
+        // Estimation error vs ground truth is an L4Span-only series.
+        let est_window = markers[0]
+            .as_l4span()
+            .map(|l| l.config().estimation_window);
         let mut w = World {
             cfg,
             queue,
@@ -774,7 +817,6 @@ impl World {
             owd_at_s: vec![Vec::new(); n],
             ul_owd_ms: vec![Vec::new(); n],
             ul_owd_at_s: vec![Vec::new(); n],
-            ul_queue_series: BTreeMap::new(),
             frame_owd_ms: vec![Vec::new(); n],
             frames_generated: vec![0; n],
             frames_delivered: vec![0; n],
@@ -785,17 +827,14 @@ impl World {
             rtt_at_s: vec![Vec::new(); n],
             thr_bins: vec![Vec::new(); n],
             cell_thr_bins: vec![Vec::new(); n_cells],
-            queue_series: BTreeMap::new(),
-            cell_queue_series: BTreeMap::new(),
             ho_log: vec![Vec::new(); n_ues],
             last_delivery: vec![None; n_ues],
             pending_ho: vec![None; n_ues],
             breakdown: vec![BreakdownAvg::default(); n],
             rate_err: Vec::new(),
-            sn_rings: vec![Vec::new(); n_ues],
+            drb_rows: (0..n_ues).map(|_| Vec::new()).collect(),
+            est_window,
             breakdown_pending: FxHashMap::default(),
-            gt_egress: BTreeMap::new(),
-            gt_watermark: FxHashMap::default(),
             marker_time: (Vec::new(), Vec::new(), Vec::new()),
             ho_tbs_lost: 0,
             event_counts: [0; Event::CLASSES.len()],
@@ -1348,8 +1387,9 @@ impl World {
 
     /// Take out the (flow, ident) registered for a downlink data SDU.
     fn sn_take(&mut self, ue: UeId, drb: DrbId, sn: u64) -> Option<(usize, u16)> {
-        self.sn_rings[ue.0 as usize]
+        self.drb_rows[ue.0 as usize]
             .get_mut(drb.0 as usize)?
+            .sn
             .remove(sn)
     }
 
@@ -1370,13 +1410,12 @@ impl World {
         }
         let c0 = self.cycles.start();
         for (ue, drb, rec) in &out.txed_records {
-            let watermark = self.gt_watermark.entry((ue.0, drb.0)).or_insert(0);
-            if rec.sn >= *watermark {
-                *watermark = rec.sn + 1;
-                self.gt_egress
-                    .entry((ue.0, drb.0))
-                    .or_default()
-                    .push_back((rec.t_txed, rec.size));
+            if self.est_window.is_some() {
+                let row = drb_row(&mut self.drb_rows[ue.0 as usize], drb.0);
+                if rec.sn >= row.gt_next_sn {
+                    row.gt_next_sn = rec.sn + 1;
+                    row.gt.push_back((rec.t_txed, rec.size));
+                }
             }
             if let Some((flow, ident)) = self.sn_take(*ue, *drb, rec.sn) {
                 let queuing = rec.t_head.saturating_since(rec.t_ingress).as_millis_f64();
@@ -1491,7 +1530,7 @@ impl World {
     fn on_dl_at_cu(&mut self, flow: usize, mut pkt: PacketBuf, now: Instant) {
         let (ue_id, qfi) = (self.flows[flow].ue_id, self.flows[flow].qfi);
         let drb = self.flows[flow].drb;
-        // `sent_at`/`sn_rings` bookkeeping is for downlink *data* only.
+        // `sent_at`/SN-window bookkeeping is for downlink *data* only.
         // For an uplink flow this packet is feedback whose ident space
         // belongs to the server-side receiver — it collides with the
         // UE-side sender's data idents, so touching `sent_at` here
@@ -1516,12 +1555,9 @@ impl World {
         match self.gnbs[cell].enqueue_downlink(ue_id, qfi, pkt, now) {
             Some((drb, sn)) => {
                 if dl {
-                    let rings = &mut self.sn_rings[ue_id.0 as usize];
-                    let d = drb.0 as usize;
-                    if rings.len() <= d {
-                        rings.resize_with(d + 1, SnRing::default);
-                    }
-                    rings[d].insert(sn, flow, ident);
+                    drb_row(&mut self.drb_rows[ue_id.0 as usize], drb.0)
+                        .sn
+                        .insert(sn, flow, ident);
                 }
             }
             None => {
@@ -2028,19 +2064,21 @@ impl World {
 
     /// Account one delivered data payload into the per-flow and
     /// per-cell throughput bins (both data directions; the cell is the
-    /// UE's serving cell at delivery time).
+    /// UE's serving cell at delivery time). Each series is sized for the
+    /// whole run when it first appears; its length still ends at the
+    /// last bin that saw a delivery.
     fn record_thr_bins(&mut self, flow: usize, ue: usize, payload: usize, now: Instant) {
-        let bin = (now.as_nanos() / self.cfg.thr_bin.as_nanos().max(1)) as usize;
-        let bins = &mut self.thr_bins[flow];
-        if bins.len() <= bin {
-            bins.resize(bin + 1, 0);
+        let width = self.cfg.thr_bin.as_nanos().max(1);
+        let bin = (now.as_nanos() / width) as usize;
+        let n_bins = (self.cfg.duration.as_nanos() / width) as usize + 1;
+        let cell = self.serving[ue];
+        for bins in [&mut self.thr_bins[flow], &mut self.cell_thr_bins[cell]] {
+            let bins = run_sized(bins, n_bins);
+            if bins.len() <= bin {
+                bins.resize(bin + 1, 0);
+            }
+            bins[bin] += payload as u64;
         }
-        bins[bin] += payload as u64;
-        let cbins = &mut self.cell_thr_bins[self.serving[ue]];
-        if cbins.len() <= bin {
-            cbins.resize(bin + 1, 0);
-        }
-        cbins[bin] += payload as u64;
     }
 
     /// Record a completed logical unit's QoE sample.
@@ -2188,19 +2226,15 @@ impl World {
     /// of a time-major world; the running cell's attachment list in a
     /// cell-major one, where each cell has its own tick.
     fn on_sample(&mut self, now: Instant) {
-        // Estimation error vs ground truth is an L4Span-only series.
-        let window = self.markers[0]
-            .as_l4span()
-            .map(|l| l.config().estimation_window);
         match self.running_cell() {
             None => {
                 for i in 0..self.ues.len() {
-                    self.sample_ue(i, window, now);
+                    self.sample_ue(i, now);
                 }
             }
             Some(c) => {
                 for k in 0..self.cell_ues[c].len() {
-                    self.sample_ue(self.cell_ues[c][k], window, now);
+                    self.sample_ue(self.cell_ues[c][k], now);
                 }
             }
         }
@@ -2208,21 +2242,26 @@ impl World {
     }
 
     /// One UE's share of a `Sample` tick.
-    fn sample_ue(&mut self, i: usize, window: Option<Duration>, now: Instant) {
+    fn sample_ue(&mut self, i: usize, now: Instant) {
         // RLC queue lengths, read from the UE's serving cell (and broken
         // out per cell for the per-cell series). A series is sized for
         // the whole run when it first appears, so the tick itself never
         // regrows one.
         let ticks = (self.cfg.duration.as_nanos() / SAMPLE_PERIOD.as_nanos()) as usize;
-        let series = || Vec::with_capacity(ticks);
         let cell = self.serving[i];
+        let rows = &mut self.drb_rows[i];
         for &(d, _) in &self.cfg.ues[i].drbs {
             let len = self.gnbs[cell].rlc_queue_len(UeId(i as u16), DrbId(d));
-            self.queue_series.entry((i as u16, d)).or_insert_with(series).push(len);
-            self.cell_queue_series
-                .entry((cell as u8, i as u16, d))
-                .or_insert_with(series)
-                .push(len);
+            let row = drb_row(rows, d);
+            run_sized(&mut row.dl_queue, ticks).push(len);
+            let per_cell = match row.cell_dl_queue.iter().position(|&(c, _)| c as usize == cell) {
+                Some(k) => &mut row.cell_dl_queue[k].1,
+                None => {
+                    row.cell_dl_queue.push((cell as u8, Vec::new()));
+                    &mut row.cell_dl_queue.last_mut().expect("just pushed").1
+                }
+            };
+            run_sized(per_cell, ticks).push(len);
         }
         // UE-side uplink transmit queues (the queue the UL marker
         // manages), sampled on the same tick.
@@ -2230,10 +2269,7 @@ impl World {
             let ue = &self.ues[i];
             for d in ue.ul_drbs() {
                 let len = ue.ul_queue_len_sdus(d);
-                self.ul_queue_series
-                    .entry((i as u16, d.0))
-                    .or_insert_with(series)
-                    .push(len);
+                run_sized(&mut drb_row(rows, d.0).ul_queue, ticks).push(len);
             }
         }
         // Estimation error vs ground truth. The ground truth window is
@@ -2241,12 +2277,14 @@ impl World {
         // its window at the latest feedback — anchoring at the
         // (arbitrary) sample tick instead would under-count by a partial
         // TDD frame and read as a systematic positive bias.
-        let Some(window) = window else { return };
+        let Some(window) = self.est_window else { return };
         // The estimate lives in the instance marking the UE's serving
         // cell (the only instance, centrally).
         let m = self.mk(cell);
-        let rows = (i as u16, u8::MIN)..=(i as u16, u8::MAX);
-        for (&(ue, drb), log) in self.gt_egress.range_mut(rows) {
+        let ue = i as u16;
+        for (drb, row) in self.drb_rows[i].iter_mut().enumerate() {
+            let drb = drb as u8;
+            let log = &mut row.gt;
             while let Some(&(t, _)) = log.front() {
                 if now.saturating_since(t) > window * 4 {
                     log.pop_front();
@@ -2551,14 +2589,7 @@ impl World {
         swap(&mut a.last_delivery[ue], &mut b.last_delivery[ue]);
         swap(&mut a.pending_ho[ue], &mut b.pending_ho[ue]);
         swap(&mut a.ho_log[ue], &mut b.ho_log[ue]);
-        let ue16 = ue as u16;
-        swap_btree_keys(&mut a.queue_series, &mut b.queue_series, |k| k.0 == ue16);
-        swap_btree_keys(&mut a.ul_queue_series, &mut b.ul_queue_series, |k| {
-            k.0 == ue16
-        });
-        swap_btree_keys(&mut a.gt_egress, &mut b.gt_egress, |k| k.0 == ue16);
-        swap_map_keys(&mut a.gt_watermark, &mut b.gt_watermark, |k| k.0 == ue16);
-        swap(&mut a.sn_rings[ue], &mut b.sn_rings[ue]);
+        swap(&mut a.drb_rows[ue], &mut b.drb_rows[ue]);
         for f in 0..a.flows.len() {
             if a.flows[f].ue_idx != ue {
                 continue;
@@ -2610,17 +2641,9 @@ impl World {
                 std::mem::swap(&mut primary.markers[c], &mut w.markers[c]);
                 std::mem::swap(&mut primary.ul_markers[c], &mut w.ul_markers[c]);
                 std::mem::swap(&mut primary.cell_thr_bins[c], &mut w.cell_thr_bins[c]);
-                let keys: Vec<(u8, u16, u8)> = w
-                    .cell_queue_series
-                    .keys()
-                    .copied()
-                    .filter(|k| k.0 as usize == c)
-                    .collect();
-                for k in keys {
-                    let v = w.cell_queue_series.remove(&k).expect("just listed");
-                    primary.cell_queue_series.insert(k, v);
-                }
             }
+            // A UE's rows, per-cell queue series included, travel with
+            // it: the replica owning its last serving cell holds them.
             for ue in 0..primary.serving.len() {
                 if of_cell[primary.serving[ue]] == sid {
                     World::swap_ue_cluster(&mut primary, &mut w, ue);
@@ -2703,6 +2726,26 @@ impl World {
         rate_err.sort_unstable_by_key(|&(at, key, _)| (at, key));
         debug_assert!(rate_err.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
         let rate_err_pct: Vec<f64> = rate_err.into_iter().map(|(_, _, v)| v).collect();
+        // The rows' queue series move into the report's maps, keyed as
+        // sampled: a series that never took a sample has no key.
+        let mut queue_series = BTreeMap::new();
+        let mut cell_queue_series = BTreeMap::new();
+        let mut ul_queue_series = BTreeMap::new();
+        for (ue, rows) in std::mem::take(&mut self.drb_rows).into_iter().enumerate() {
+            let ue = ue as u16;
+            for (drb, row) in rows.into_iter().enumerate() {
+                let drb = drb as u8;
+                if !row.dl_queue.is_empty() {
+                    queue_series.insert((ue, drb), row.dl_queue);
+                }
+                for (cell, series) in row.cell_dl_queue {
+                    cell_queue_series.insert((cell, ue, drb), series);
+                }
+                if !row.ul_queue.is_empty() {
+                    ul_queue_series.insert((ue, drb), row.ul_queue);
+                }
+            }
+        }
         // Application QoE roll-up. The SCReAM media source lives inside
         // its sender, so its generation counter is read back here;
         // app-driven flows counted on the world as frames were offered.
@@ -2774,13 +2817,13 @@ impl World {
             owd_at_s: self.owd_at_s,
             ul_owd_ms: self.ul_owd_ms,
             ul_owd_at_s: self.ul_owd_at_s,
-            ul_queue_series: self.ul_queue_series,
+            ul_queue_series,
             rtt_ms: self.rtt_ms,
             rtt_at_s: self.rtt_at_s,
             thr_bins: self.thr_bins,
             cell_thr_bins: self.cell_thr_bins,
-            queue_series: self.queue_series,
-            cell_queue_series: self.cell_queue_series,
+            queue_series,
+            cell_queue_series,
             handovers,
             breakdown: self.breakdown,
             rate_err_pct,
@@ -2851,32 +2894,8 @@ fn wake_keys(flows: &[Flow], hosted: impl Fn(&Flow) -> bool) -> Vec<usize> {
     keys
 }
 
-/// Swap the entries whose key matches `pred` between two BTree maps
+/// Swap the entries whose key matches `pred` between two hash maps
 /// (either side may be missing a key; present entries cross over).
-fn swap_btree_keys<K: Ord + Copy, V>(
-    a: &mut BTreeMap<K, V>,
-    b: &mut BTreeMap<K, V>,
-    pred: impl Fn(&K) -> bool,
-) {
-    let ka: Vec<K> = a.keys().copied().filter(|k| pred(k)).collect();
-    let kb: Vec<K> = b.keys().copied().filter(|k| pred(k)).collect();
-    let va: Vec<(K, V)> = ka
-        .into_iter()
-        .map(|k| (k, a.remove(&k).expect("just listed")))
-        .collect();
-    let vb: Vec<(K, V)> = kb
-        .into_iter()
-        .map(|k| (k, b.remove(&k).expect("just listed")))
-        .collect();
-    for (k, v) in va {
-        b.insert(k, v);
-    }
-    for (k, v) in vb {
-        a.insert(k, v);
-    }
-}
-
-/// [`swap_btree_keys`], for hash maps.
 fn swap_map_keys<K: Eq + std::hash::Hash + Copy, V>(
     a: &mut FxHashMap<K, V>,
     b: &mut FxHashMap<K, V>,
@@ -3164,6 +3183,48 @@ mod tests {
             owd_on < owd_off,
             "uplink L4Span must cut UL OWD: {owd_on} vs {owd_off} ms"
         );
+    }
+
+    #[test]
+    fn ground_truth_is_kept_only_where_rate_error_is_sampled() {
+        let run = |marker| {
+            let cfg = congested_cell(
+                16,
+                "prague",
+                ChannelMix::Mobile,
+                16_384,
+                WanLink::east(),
+                marker,
+                7,
+                Duration::from_secs(3),
+            );
+            let mut w = World::new(cfg);
+            w.run_until(Instant::MAX, Instant::ZERO + w.cfg.duration);
+            w
+        };
+        // Without a marker nothing reads the ground truth, so no row
+        // keeps one, however many SDUs went out.
+        let bare = run(crate::marker::MarkerKind::None);
+        assert_eq!(bare.est_window, None);
+        let rows = || bare.drb_rows.iter().flatten();
+        assert!(rows().any(|r| !r.dl_queue.is_empty()), "the bearers were sampled");
+        assert!(rows().all(|r| r.gt.is_empty() && r.gt_next_sn == 0));
+        // With L4Span each sample tick trims its UE's logs to four
+        // estimation windows; later records are newer than the tick.
+        let l4s = run(l4span_default());
+        let window = l4s.est_window.expect("an L4Span marker samples rate error");
+        let last_tick = Instant::ZERO + SAMPLE_PERIOD * l4s.event_counts[Event::SAMPLE];
+        let mut kept = 0;
+        for row in l4s.drb_rows.iter().flatten() {
+            for &(t, _) in &row.gt {
+                assert!(
+                    last_tick.saturating_since(t) <= window * 4,
+                    "a record at {t:?} outlived the tick at {last_tick:?}"
+                );
+            }
+            kept += row.gt.len();
+        }
+        assert!(kept > 0, "the L4Span cell compares against a live log");
     }
 
     #[test]

@@ -486,8 +486,11 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     // event box each (4 617 more allocations over 40 s than over 10 s).
     // A timer owner has one queue entry now, so the most events ever
     // pending is the traffic in flight plus a slot per flow, the same
-    // at 10 s and at 40 s, and what the longer run allocates on top is
-    // metric series doubling.
+    // at 10 s and at 40 s. The ground-truth transmit log, which only an
+    // L4Span run compares against, is no longer kept without one: it
+    // held every transmitted SDU and followed the run length (311 more
+    // allocations over 40 s). What the longer run allocates on top now
+    // is metric series doubling (245 more).
     let bare_cell = |secs| {
         let mut cfg = tcp_cell(Duration::from_secs(secs));
         cfg.marker = l4span::harness::MarkerKind::None;
@@ -500,7 +503,7 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         "marker-off cell: {d10} events pending at most over 10 s, {d40} over 40 s"
     );
     assert!(
-        a40.saturating_sub(a10) <= 500,
+        a40.saturating_sub(a10) <= 280,
         "marker-off cell: {a10} allocations over 10 s, {a40} over 40 s"
     );
 
