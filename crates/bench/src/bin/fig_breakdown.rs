@@ -37,26 +37,9 @@ fn main() {
         let t0 = WallInstant::now();
         let report = run_sharded(cfg, c.shards);
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        // A sharded run's merged `cycles` only carries the primary
-        // replica's attribution; sum across the per-shard snapshots so
-        // the subsystem table covers the whole shard set.
-        let mut stats = if report.shards.len() > 1 {
-            let mut acc: Vec<l4span_sim::CycleStat> = Vec::new();
-            for s in &report.shards {
-                for cy in &s.cycles {
-                    match acc.iter_mut().find(|a| a.label == cy.label) {
-                        Some(a) => {
-                            a.nanos += cy.nanos;
-                            a.calls += cy.calls;
-                        }
-                        None => acc.push(*cy),
-                    }
-                }
-            }
-            acc
-        } else {
-            report.cycles.clone()
-        };
+        // Summed over every replica, which a measured run drives on this
+        // one thread.
+        let mut stats = report.cycles.clone();
         let tracked: u64 = stats.iter().map(|c| c.nanos).sum();
         println!(
             "\n== {name}: {:.1} ms per simulated second, {:.2} events per delivered packet \

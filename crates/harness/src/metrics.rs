@@ -196,7 +196,8 @@ pub struct Report {
     pub marker_time_ns: (Vec<u64>, Vec<u64>, Vec<u64>),
     /// Per-subsystem wall-clock totals recorded when
     /// `ScenarioConfig::measure_cycles` was set (the `fig_breakdown`
-    /// attribution table); empty otherwise. Excluded from the
+    /// attribution table), summed over the run's replicas; empty
+    /// otherwise. Excluded from the
     /// fingerprint for the same reason as `marker_time_ns`: wall-clock
     /// readings legitimately vary between runs.
     pub cycles: Vec<CycleStat>,
@@ -221,8 +222,9 @@ pub struct Report {
     /// one. Deterministic and outside the fingerprint like `events`; it
     /// tracks the timers and packets in flight, not the run length.
     pub queue_depth_peak: usize,
-    /// Per-shard execution statistics when the run was sharded
-    /// ([`crate::run_sharded`]); empty for single-world runs.
+    /// Per-replica execution statistics when the world ran on more than
+    /// one replica ([`crate::World::run`] on a multi-core host, or
+    /// [`crate::run_sharded`]); empty for one-world runs.
     /// Excluded from the fingerprint like `cycles`: the deterministic
     /// `events` column aside, these are wall-clock readings, and the
     /// fingerprint must stay byte-invariant to shard count.

@@ -25,9 +25,11 @@ use std::sync::Mutex;
 
 use crate::metrics::Report;
 use crate::scenario::ScenarioConfig;
+use crate::world::World;
 
 /// Worker threads to use by default: `L4SPAN_THREADS` if set and
-/// positive, otherwise the machine's available parallelism.
+/// positive, otherwise the machine's available parallelism. Also the
+/// replica count [`World::run`] asks for.
 pub fn default_threads() -> usize {
     std::env::var("L4SPAN_THREADS")
         .ok()
@@ -48,15 +50,18 @@ pub fn run_batch(cfgs: Vec<ScenarioConfig>) -> Vec<Report> {
 
 /// Run a batch of scenarios across exactly `threads` workers, returning
 /// reports in input order. `threads` is clamped to `[1, cfgs.len()]`.
+/// The batch owns the cores, so each world runs as one replica
+/// ([`Report::shards`] stays empty).
 pub fn run_batch_on(cfgs: Vec<ScenarioConfig>, threads: usize) -> Vec<Report> {
     let n = cfgs.len();
     if n == 0 {
         return Vec::new();
     }
+    let run = |cfg| World::new(cfg).run_on(1);
     let threads = threads.clamp(1, n);
     if threads == 1 {
         // Sequential fast path: no locking, same results by contract.
-        return cfgs.into_iter().map(crate::run).collect();
+        return cfgs.into_iter().map(run).collect();
     }
     let jobs: Vec<Mutex<Option<ScenarioConfig>>> =
         cfgs.into_iter().map(|c| Mutex::new(Some(c))).collect();
@@ -74,7 +79,7 @@ pub fn run_batch_on(cfgs: Vec<ScenarioConfig>, threads: usize) -> Vec<Report> {
                     .expect("job mutex poisoned")
                     .take()
                     .expect("each job is claimed exactly once");
-                let report = crate::run(cfg);
+                let report = run(cfg);
                 *results[i].lock().expect("result mutex poisoned") = Some(report);
             });
         }
@@ -92,7 +97,7 @@ pub fn run_batch_on(cfgs: Vec<ScenarioConfig>, threads: usize) -> Vec<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{congested_cell, l4span_default, ChannelMix};
+    use crate::scenario::{congested_cell, l4span_default, metro_city, ChannelMix};
     use l4span_cc::WanLink;
     use l4span_sim::Duration;
 
@@ -129,6 +134,22 @@ mod tests {
         }
         // Different seeds must actually differ (order would show a swap).
         assert_ne!(par[0].fingerprint(), par[1].fingerprint());
+    }
+
+    #[test]
+    fn batch_worlds_run_as_one_replica_with_replicated_bytes() {
+        let metro = |seed| {
+            let dur = Duration::from_millis(600);
+            metro_city(3, 2, "cubic", l4span_default(), seed, dur)
+        };
+        let batch = run_batch_on(vec![metro(3), metro(5)], 2);
+        for (seed, r) in [3, 5].into_iter().zip(&batch) {
+            let replicas = World::new(metro(seed)).run_on(2);
+            assert_eq!(replicas.shard_reject, None, "an eligible world");
+            assert_eq!(replicas.shards.len(), 2);
+            assert!(r.shards.is_empty(), "a batch world is one replica");
+            assert_eq!(r.fingerprint_digest(), replicas.fingerprint_digest());
+        }
     }
 
     #[test]

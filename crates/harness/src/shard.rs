@@ -17,19 +17,20 @@
 //!
 //! Between barriers the cells are completely independent, so an
 //! eligible world keeps **one event queue per cell** and [`drive`] runs
-//! each cell up to the next barrier in turn. [`World::run`] does that on
-//! the one world — no replica, only a different order of execution, in
-//! which a cell's state stays in cache while it runs. [`run_sharded`]
-//! does it on `n` replicas, each owning the cells assigned to it, whose
-//! epochs run in parallel (`L4SPAN_THREADS`, the PR 2 convention); what
-//! crosses replicas travels as envelopes that drain in `(slot-boundary
-//! time, source shard, sequence)` order. Either way barrier-injected
-//! events take fresh sequence numbers *before* the receiving cell
-//! resumes — reproducing the time-major FIFO order, which is what makes
+//! each cell up to the next barrier in turn, in which order a cell's
+//! state stays in cache while it runs. `World::run_on` — the body of
+//! both [`World::run`] and [`run_sharded`] — does that on `n`
+//! replicas, each owning the cells assigned to it, whose epochs run in
+//! parallel on up to `L4SPAN_THREADS` threads (the PR 2 convention);
+//! one replica is the one world owning every cell. What crosses
+//! replicas travels as envelopes that drain in `(slot-boundary time,
+//! source shard, sequence)` order. Either way barrier-injected events
+//! take fresh sequence numbers *before* the receiving cell resumes —
+//! reproducing the time-major FIFO order, which is what makes
 //! [`Report::fingerprint`] byte-invariant to the execution order and
-//! the shard count. Mobility steps executed at barriers are counted into
-//! the event total exactly like the `Handover` pops of the time-major
-//! loop.
+//! the replica count. Mobility steps executed at barriers are counted
+//! into the event total exactly like the `Handover` pops of the
+//! time-major loop.
 //!
 //! Anything outside the eligible shape — a central CU marker, a wired
 //! bottleneck (whose router serializes all flows), a single cell, a
@@ -42,7 +43,6 @@ use l4span_ran::config::{CellConfig, RlcMode};
 use l4span_sim::{Duration, Instant};
 
 use crate::metrics::{Report, ShardStat};
-use crate::runner::default_threads;
 use crate::scenario::{FlowDir, MobilityStep, ScenarioConfig, TransportSpec};
 use crate::world::{Event, World, TICK_PHASE_PER_CELL_CU, UE_POLL_PERIOD};
 
@@ -287,64 +287,34 @@ pub(crate) fn barrier_schedule(cfg: &ScenarioConfig) -> BarrierSchedule {
     }
 }
 
-/// Run `cfg` across `want` per-cell shards (cells assigned round-robin)
-/// and return the merged report, with [`Report::shards`] carrying the
-/// per-shard statistics. One shard — requested or forced by
-/// [`plan_shards`] — is [`World::run`] itself.
+/// Run `cfg` on `want` replicas (cells assigned round-robin, capped at
+/// the cell count) and return the merged report, with
+/// [`Report::shards`] carrying the per-replica statistics when there
+/// was more than one: [`World::run`]'s body with the replica count
+/// given instead of taken from the cores.
 pub fn run_sharded(cfg: ScenarioConfig, want: usize) -> Report {
-    let n = plan_shards(&cfg, want);
-    if n <= 1 {
-        return World::new(cfg).run();
-    }
-    let schedule = barrier_schedule(&cfg);
-    let of_cell: Vec<usize> = (0..cfg.n_cells()).map(|c| c % n).collect();
-    let mut worlds: Vec<World> = (0..n)
-        .map(|s| {
-            let mut w = World::new(cfg.clone());
-            w.cell_major_install(s, of_cell.clone());
-            w
-        })
-        .collect();
-    let tallies = drive(&mut worlds, &schedule);
-    let stats: Vec<ShardStat> = worlds
-        .iter()
-        .zip(tallies)
-        .enumerate()
-        .map(|(s, (w, t))| ShardStat {
-            shard: s,
-            cells: of_cell.iter().filter(|&&o| o == s).count(),
-            events: w.events_processed(),
-            busy_ns: t.busy_ns,
-            drain_ns: t.drain_ns,
-            mailed: t.mailed,
-            cycles: w.cycles_snapshot(),
-        })
-        .collect();
-    let mut report = World::merge_sharded(worlds).into_report();
-    report.shards = stats;
-    report
+    World::new(cfg).run_on(want)
 }
 
 /// One replica's wall-clock and mailbox totals over a [`drive`].
 #[derive(Clone, Copy, Default)]
-pub(crate) struct Tally {
+struct Tally {
     busy_ns: u64,
     drain_ns: u64,
     mailed: u64,
 }
 
 /// Drive cell-major `worlds` — the replicas of one scenario, or the one
-/// world that owns every cell — through `schedule`: for each barrier,
-/// run every cell up to it, deliver the mail, execute the steps due at
-/// it in `(at, ue)` order; then run to the end.
-pub(crate) fn drive(worlds: &mut [World], schedule: &BarrierSchedule) -> Vec<Tally> {
+/// world that owns every cell — through `schedule` on `workers` threads:
+/// for each barrier, run every cell up to it, deliver the mail, execute
+/// the steps due at it in `(at, ue)` order; then run to the end. Returns
+/// each replica's statistics.
+pub(crate) fn drive(
+    worlds: &mut [World],
+    schedule: &BarrierSchedule,
+    workers: usize,
+) -> Vec<ShardStat> {
     let end = schedule.end;
-    // One world is one worker whatever `L4SPAN_THREADS` says.
-    let workers = if worlds.len() > 1 {
-        default_threads().min(worlds.len())
-    } else {
-        1
-    };
     let mut tally = vec![Tally::default(); worlds.len()];
     let mut moved: Vec<(Instant, Event)> = Vec::new();
     let mut envelopes: Vec<(Instant, usize, usize, Event)> = Vec::new();
@@ -366,16 +336,29 @@ pub(crate) fn drive(worlds: &mut [World], schedule: &BarrierSchedule) -> Vec<Tal
     // only target events beyond the run end (delivered for the merge
     // invariant, never popped).
     deliver_mail(worlds, end, &mut envelopes, &mut tally);
-    tally
+    worlds
+        .iter()
+        .zip(tally)
+        .enumerate()
+        .map(|(s, (w, t))| ShardStat {
+            shard: s,
+            cells: w.cells_owned(),
+            events: w.events_processed(),
+            busy_ns: t.busy_ns,
+            drain_ns: t.drain_ns,
+            mailed: t.mailed,
+            cycles: w.cycles_snapshot(),
+        })
+        .collect()
 }
 
 /// Run every replica up to (not including) `until` on `workers`
-/// threads, each taking a strided subset of the replicas — so a box
-/// with fewer cores than shards never has a replica's busy clock
-/// counting time its thread sat descheduled. Per-replica wall time
-/// accumulates into `tally` — under parallel execution each entry is
-/// still that shard's own busy time, which is what the aggregate-rate
-/// computation needs.
+/// threads — the calling one and `workers − 1` spawned — each taking a
+/// strided subset of the replicas, so a box with fewer cores than
+/// shards never has a replica's busy clock counting time its thread sat
+/// descheduled. Per-replica wall time accumulates into `tally` — under
+/// parallel execution each entry is still that shard's own busy time,
+/// which is what the aggregate-rate computation needs.
 fn run_epoch(
     worlds: &mut [World],
     until: Instant,
@@ -398,14 +381,18 @@ fn run_epoch(
     for (s, wt) in worlds.iter_mut().zip(tally.iter_mut()).enumerate() {
         lanes[s % workers].push(wt);
     }
-    std::thread::scope(|sc| {
-        for lane in lanes {
-            sc.spawn(move || {
-                for (w, t) in lane {
-                    run(w, t);
-                }
-            });
+    let run_lane = move |lane: Vec<(&mut World, &mut Tally)>| {
+        for (w, t) in lane {
+            run(w, t);
         }
+    };
+    std::thread::scope(|sc| {
+        let mut lanes = lanes.into_iter();
+        let first = lanes.next().expect("two lanes or more");
+        for lane in lanes {
+            sc.spawn(move || run_lane(lane));
+        }
+        run_lane(first);
     });
 }
 
@@ -533,8 +520,9 @@ mod tests {
         )
     }
 
-    /// `World::run` — which must have taken the cell-major path —
-    /// against the time-major reference.
+    /// `World::run` — which must have taken the cell-major path, on one
+    /// or two replicas as the host's cores allow — against the
+    /// time-major reference.
     fn assert_orders_agree(cfg: ScenarioConfig, what: &str) {
         let cell_major = World::new(cfg.clone()).run();
         assert_eq!(cell_major.shard_reject, None, "{what}: must run cell-major");
@@ -667,7 +655,9 @@ mod tests {
     }
 
     proptest! {
-        /// Any aligned mobility schedule: same bytes, same event counts.
+        /// Any aligned mobility schedule: same bytes, same event counts,
+        /// on one world and on two and three replicas (explicit counts,
+        /// so the host's cores do not pick what is covered).
         #[test]
         fn random_mobility_schedules_match_time_major(
             moves in proptest::collection::vec(
@@ -682,16 +672,19 @@ mod tests {
             if upload {
                 cfg.flows[1].dir = FlowDir::Uplink;
             }
-            let cell_major = World::new(cfg.clone()).run();
-            prop_assert_eq!(cell_major.shard_reject, None, "{moves:?}");
-            let time_major = World::new(cfg).run_time_major();
-            prop_assert_eq!(
-                outcome(&cell_major),
-                outcome(&time_major),
-                "{cc} upload={upload} {moves:?}: {:?} != {:?}",
-                outcome(&cell_major),
-                outcome(&time_major)
-            );
+            let time_major = outcome(&World::new(cfg.clone()).run_time_major());
+            for replicas in 1..=3 {
+                let cell_major = World::new(cfg.clone()).run_on(replicas);
+                prop_assert_eq!(cell_major.shard_reject, None, "{moves:?}");
+                prop_assert_eq!(cell_major.shards.len(), if replicas > 1 { replicas } else { 0 });
+                prop_assert_eq!(
+                    outcome(&cell_major),
+                    time_major,
+                    "{cc} upload={upload} on {replicas} {moves:?}: {:?} != {:?}",
+                    outcome(&cell_major),
+                    time_major
+                );
+            }
         }
     }
 

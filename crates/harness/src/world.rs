@@ -6,6 +6,7 @@
 //! marker-state migration policy).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use l4span_aqm::{DualPi2, Router, RouterAqm};
 use l4span_cc::CcEvent;
@@ -62,6 +63,15 @@ pub(crate) const UE_POLL_PERIOD: Duration = Duration::from_millis(5);
 /// How far per-cell CU deployments nudge both housekeeping ticks off
 /// their grids (see [`World::new`]).
 pub(crate) const TICK_PHASE_PER_CELL_CU: Duration = Duration::from_nanos(500);
+
+/// The most replicas [`World::run`] builds, however many cores it is
+/// given. Every replica past the first is a whole [`World`] — every
+/// cell and UE, ≈ 7 400 allocations and ≈ 7 MB on the 50-cell metro
+/// world — so allocations and peak resident set grow with the count.
+/// Two replicas halve each thread's cells for the cost of one; a
+/// replica that built only the cells and UEs it owns could lift the
+/// cap. [`crate::run_sharded`] takes any count.
+const RUN_REPLICAS_MAX: usize = 2;
 
 /// The instant of `cell`'s first slot: its slot grid, and its queue's.
 ///
@@ -362,7 +372,8 @@ pub(crate) type UlBatch = (
 
 /// The assembled world. Build with [`World::new`], run with [`World::run`].
 pub struct World {
-    cfg: ScenarioConfig,
+    /// Shared with the replicas [`World::run_on`] builds.
+    cfg: Arc<ScenarioConfig>,
     /// The queue the pop loop runs: the only one of a time-major world,
     /// the running cell's in a cell-major one ([`CellView`]). Each
     /// queue lists events on the slot grid of the cell it serves (cell
@@ -450,11 +461,12 @@ pub struct World {
     /// Reused buffer for the SDUs one uplink transport block delivers.
     scratch_ul_decoded: Vec<(DrbId, l4span_ran::rlc::RxDelivery)>,
     // --- metrics accumulators ---
-    owd_ms: Vec<Vec<f64>>,
-    owd_at_s: Vec<Vec<f64>>,
-    /// Per-flow uplink data one-way delays (UE sender → server).
-    ul_owd_ms: Vec<Vec<f64>>,
-    ul_owd_at_s: Vec<Vec<f64>>,
+    /// Per-flow one-way delays as `(ms, sample time s)` pairs: one push
+    /// per sample, split into `Report`'s two series at the end.
+    owd_ms: Vec<Vec<(f64, f64)>>,
+    /// Per-flow uplink data one-way delays (UE sender → server), paired
+    /// like `owd_ms`.
+    ul_owd_ms: Vec<Vec<(f64, f64)>>,
     /// Per-flow delivered-frame one-way delays (QoE).
     frame_owd_ms: Vec<Vec<f64>>,
     /// Per-flow frames generated by app-driven sources (the SCReAM path
@@ -468,8 +480,8 @@ pub struct World {
     frame_late_excess_ms: Vec<f64>,
     /// Per-flow request/burst completion times (QoE).
     request_ms: Vec<Vec<f64>>,
-    rtt_ms: Vec<Vec<f64>>,
-    rtt_at_s: Vec<Vec<f64>>,
+    /// Per-flow smoothed RTTs, paired like `owd_ms`.
+    rtt_ms: Vec<Vec<(f64, f64)>>,
     thr_bins: Vec<Vec<u64>>,
     cell_thr_bins: Vec<Vec<u64>>,
     /// Per-UE handover history. Kept per UE (not as one flat log) so a
@@ -523,7 +535,7 @@ pub struct World {
 /// without any mask maintenance.
 pub(crate) struct CellView {
     /// Which replica this world plays, and the static cell → replica
-    /// map. `World::run` is replica 0 of one: it owns every cell.
+    /// map. The only replica of a one-replica run owns every cell.
     id: usize,
     of_cell: Vec<usize>,
     /// One queue per cell; those of cells another replica owns stay
@@ -537,6 +549,11 @@ pub(crate) struct CellView {
 impl World {
     /// Wire up a scenario.
     pub fn new(cfg: ScenarioConfig) -> World {
+        World::wire(Arc::new(cfg))
+    }
+
+    /// [`World::new`] over a shared config: how a replica is built.
+    fn wire(cfg: Arc<ScenarioConfig>) -> World {
         let root = SimRng::new(cfg.seed);
         let n_cells = cfg.n_cells();
         // Cell 0 keeps the pre-multi-cell RNG stream (single-cell runs
@@ -814,9 +831,7 @@ impl World {
             scratch_ul_skips: Vec::new(),
             scratch_ul_decoded: Vec::new(),
             owd_ms: vec![Vec::new(); n],
-            owd_at_s: vec![Vec::new(); n],
             ul_owd_ms: vec![Vec::new(); n],
-            ul_owd_at_s: vec![Vec::new(); n],
             frame_owd_ms: vec![Vec::new(); n],
             frames_generated: vec![0; n],
             frames_delivered: vec![0; n],
@@ -824,7 +839,6 @@ impl World {
             frame_late_excess_ms: vec![0.0; n],
             request_ms: vec![Vec::new(); n],
             rtt_ms: vec![Vec::new(); n],
-            rtt_at_s: vec![Vec::new(); n],
             thr_bins: vec![Vec::new(); n],
             cell_thr_bins: vec![Vec::new(); n_cells],
             ho_log: vec![Vec::new(); n_ues],
@@ -1005,28 +1019,68 @@ impl World {
         self.serving[ue] = cell;
     }
 
-    /// Execute to the configured duration and produce the report.
+    /// Execute to the configured duration on the cores the host grants
+    /// (`L4SPAN_THREADS`, default: all of them), up to
+    /// [`RUN_REPLICAS_MAX`] replicas, and produce the report. The report
+    /// is the same whatever the replica count is.
+    pub fn run(self) -> Report {
+        self.run_on(crate::runner::default_threads().min(RUN_REPLICAS_MAX))
+    }
+
+    /// Execute to the configured duration on up to `replicas` replicas
+    /// of this world — the one body behind [`World::run`] and
+    /// [`crate::run_sharded`].
     ///
     /// A world whose cells are independent — the shard planner has no
     /// reason to refuse it — runs **cell-major**: one queue per cell,
     /// each cell run up to the next mobility barrier in turn
-    /// ([`crate::shard::drive`], the schedule `run_sharded` follows, on
-    /// this one world). Same events, same output, but a cell's state
-    /// stays in cache while it runs. Every other world runs time-major
-    /// off its single queue — the only valid order when cells share a
-    /// marker or a router — and [`Report::shard_reject`] says why.
-    pub fn run(mut self) -> Report {
+    /// ([`crate::shard::drive`]), so a cell's state stays in cache while
+    /// it runs. On `n = min(replicas, cells)` replicas, this world is
+    /// replica 0 and owns the cells `c` with `c % n == 0`; the others,
+    /// built here from the same shared config, own the rest, and their
+    /// epochs run in parallel. One replica is the one world owning every
+    /// cell. Every other world runs time-major off its single queue —
+    /// the only valid order when cells share a marker or a router — and
+    /// [`Report::shard_reject`] says why.
+    pub(crate) fn run_on(mut self, replicas: usize) -> Report {
         let reject = crate::shard::plan_shards_reason(&self.cfg, 2).1;
-        if reject.is_none() {
-            let schedule = crate::shard::barrier_schedule(&self.cfg);
-            self.cell_major_install(0, vec![0; self.gnbs.len()]);
-            crate::shard::drive(std::slice::from_mut(&mut self), &schedule);
-        } else {
+        if reject.is_some() {
             let end = Instant::ZERO + self.cfg.duration;
             self.run_until(Instant::MAX, end);
+            let mut report = self.into_report();
+            report.shard_reject = reject;
+            return report;
         }
-        let mut report = self.into_report();
-        report.shard_reject = reject;
+        let n = replicas.clamp(1, self.gnbs.len());
+        let schedule = crate::shard::barrier_schedule(&self.cfg);
+        let of_cell: Vec<usize> = (0..self.gnbs.len()).map(|c| c % n).collect();
+        // Spans must divide one thread's wall time: a measured world
+        // runs its replicas one after the other on this thread.
+        let workers = if self.cfg.measure_cycles {
+            1
+        } else {
+            crate::runner::default_threads().min(n)
+        };
+        let cfg = Arc::clone(&self.cfg);
+        let mut worlds = Vec::with_capacity(n);
+        worlds.push(self);
+        worlds.extend((1..n).map(|_| World::wire(Arc::clone(&cfg))));
+        for (s, w) in worlds.iter_mut().enumerate() {
+            w.cell_major_install(s, of_cell.clone());
+        }
+        let stats = crate::shard::drive(&mut worlds, &schedule, workers);
+        let mut report = World::merge_sharded(worlds).into_report();
+        if n > 1 {
+            // Every replica's spans, label by label: `calls` is exact at
+            // any replica count.
+            for s in &stats[1..] {
+                for (sum, c) in report.cycles.iter_mut().zip(&s.cycles) {
+                    sum.nanos += c.nanos;
+                    sum.calls += c.calls;
+                }
+            }
+            report.shards = stats;
+        }
         report
     }
 
@@ -1598,8 +1652,7 @@ impl World {
         if let Some(sent) = self.flows[flow].sent_at.remove(&ident) {
             let owd = now.saturating_since(sent).as_millis_f64();
             if payload > 0 {
-                self.owd_ms[flow].push(owd);
-                self.owd_at_s[flow].push(now.as_secs_f64());
+                self.owd_ms[flow].push((owd, now.as_secs_f64()));
                 self.record_thr_bins(flow, ue, payload, now);
                 // Handover-interruption accounting: this is a payload
                 // delivery to the UE, closing any pending gap.
@@ -1868,8 +1921,7 @@ impl World {
         let c0 = self.cycles.start();
         let up = f.endpoint.on_feedback(pkt, data, now, &mut tx);
         if let Some(srtt) = up.srtt {
-            self.rtt_ms[flow].push(srtt.as_millis_f64());
-            self.rtt_at_s[flow].push(now.as_secs_f64());
+            self.rtt_ms[flow].push((srtt.as_millis_f64(), now.as_secs_f64()));
         }
         if up.finished && f.finished_at.is_none() {
             f.finished_at = Some(now);
@@ -1975,8 +2027,7 @@ impl World {
         if let Some(sent) = self.flows[flow].sent_at.remove(&ident) {
             if payload > 0 {
                 let owd = now.saturating_since(sent);
-                self.ul_owd_ms[flow].push(owd.as_millis_f64());
-                self.ul_owd_at_s[flow].push(now.as_secs_f64());
+                self.ul_owd_ms[flow].push((owd.as_millis_f64(), now.as_secs_f64()));
                 self.record_thr_bins(flow, ue, payload, now);
                 if let Some(b) = &mut self.flows[flow].bond {
                     b.sbd.observe(leg, owd, now);
@@ -2505,6 +2556,12 @@ impl World {
         self.cycles.report()
     }
 
+    /// Cells this replica owns (shard statistics).
+    pub(crate) fn cells_owned(&self) -> usize {
+        let view = self.cells.as_ref().expect("cell-major world");
+        view.of_cell.iter().filter(|&&o| o == view.id).count()
+    }
+
     /// Execute a cross-shard Xn handover at an epoch barrier: `src_w`
     /// owns the UE (and its serving cell), `dst_w` the target cell.
     /// Mirrors `on_handover` step for step, with the UE's simulation
@@ -2596,9 +2653,7 @@ impl World {
             }
             swap(&mut a.flows[f], &mut b.flows[f]);
             swap(&mut a.owd_ms[f], &mut b.owd_ms[f]);
-            swap(&mut a.owd_at_s[f], &mut b.owd_at_s[f]);
             swap(&mut a.ul_owd_ms[f], &mut b.ul_owd_ms[f]);
-            swap(&mut a.ul_owd_at_s[f], &mut b.ul_owd_at_s[f]);
             swap(&mut a.frame_owd_ms[f], &mut b.frame_owd_ms[f]);
             swap(&mut a.frames_generated[f], &mut b.frames_generated[f]);
             swap(&mut a.frames_delivered[f], &mut b.frames_delivered[f]);
@@ -2606,7 +2661,6 @@ impl World {
             swap(&mut a.frame_late_excess_ms[f], &mut b.frame_late_excess_ms[f]);
             swap(&mut a.request_ms[f], &mut b.request_ms[f]);
             swap(&mut a.rtt_ms[f], &mut b.rtt_ms[f]);
-            swap(&mut a.rtt_at_s[f], &mut b.rtt_at_s[f]);
             swap(&mut a.thr_bins[f], &mut b.thr_bins[f]);
             swap(&mut a.breakdown[f], &mut b.breakdown[f]);
             swap_map_keys(&mut a.breakdown_pending, &mut b.breakdown_pending, |k| {
@@ -2810,16 +2864,19 @@ impl World {
             g.sdus_dropped += s.sdus_dropped;
             g.fading_evals += s.fading_evals;
         }
+        let (owd_ms, owd_at_s) = split_samples(self.owd_ms);
+        let (ul_owd_ms, ul_owd_at_s) = split_samples(self.ul_owd_ms);
+        let (rtt_ms, rtt_at_s) = split_samples(self.rtt_ms);
         Report {
             duration: self.cfg.duration,
             bin: self.cfg.thr_bin,
-            owd_ms: self.owd_ms,
-            owd_at_s: self.owd_at_s,
-            ul_owd_ms: self.ul_owd_ms,
-            ul_owd_at_s: self.ul_owd_at_s,
+            owd_ms,
+            owd_at_s,
+            ul_owd_ms,
+            ul_owd_at_s,
             ul_queue_series,
-            rtt_ms: self.rtt_ms,
-            rtt_at_s: self.rtt_at_s,
+            rtt_ms,
+            rtt_at_s,
             thr_bins: self.thr_bins,
             cell_thr_bins: self.cell_thr_bins,
             queue_series,
@@ -2868,6 +2925,18 @@ impl World {
             bonds,
         }
     }
+}
+
+/// Split per-flow `(value, t)` samples into the report's value and time
+/// series, one flow at a time, each vector sized to its flow's count.
+fn split_samples(series: Vec<Vec<(f64, f64)>>) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let mut values = Vec::with_capacity(series.len());
+    let mut times = Vec::with_capacity(series.len());
+    for pairs in series {
+        values.push(pairs.iter().map(|&(v, _)| v).collect());
+        times.push(pairs.iter().map(|&(_, t)| t).collect());
+    }
+    (values, times)
 }
 
 /// Queue an event that changes queues (installation, re-homing, mail):

@@ -47,6 +47,32 @@ fn fingerprint_identical_with_cycles_on_and_off() {
 }
 
 #[test]
+fn span_calls_are_exact_at_any_replica_count() {
+    // `Report::cycles` sums every replica's spans, so how many of each
+    // there were does not depend on how the cells were split.
+    let calls = |replicas| {
+        let mut cfg = scenario::metro_city(
+            8,
+            3,
+            "cubic",
+            scenario::l4span_default(),
+            11,
+            Duration::from_millis(600),
+        );
+        cfg.measure_cycles = true;
+        let r = harness::run_sharded(cfg, replicas);
+        assert_eq!(r.shards.len(), if replicas > 1 { replicas } else { 0 });
+        r.cycles
+            .iter()
+            .map(|c| (c.label, c.calls))
+            .collect::<Vec<_>>()
+    };
+    let one = calls(1);
+    assert!(one.iter().any(|&(_, n)| n > 0), "{one:?}");
+    assert_eq!(calls(3), one, "one world and three replicas");
+}
+
+#[test]
 fn cycles_report_empty_when_disabled_and_populated_when_enabled() {
     let off = harness::run(base_cfg());
     assert!(

@@ -5,9 +5,9 @@
 //! a [`Report::fingerprint`] **byte-identical** to the single-world run
 //! at *any* shard count, because shards exchange their only cross-cell
 //! edges (Xn handovers, migrated in-flight events, post-handover uplink
-//! stragglers) through deterministic slot-boundary mailboxes. One shard
-//! is `World::run` itself, so equality against `shards = 1` is equality
-//! against it — and `World::run` runs an eligible world cell-major, so
+//! stragglers) through deterministic slot-boundary mailboxes.
+//! `run_sharded` and `World::run` are one body with a replica count,
+//! and one shard is the one world running every cell cell-major, so
 //! this matrix pins the replicas against the one-world cell-major run.
 //! That run is pinned against the time-major loop it replaced, event
 //! for event, by the harness crate's `cell_major_matches_time_major_*`
@@ -203,7 +203,7 @@ fn single_shard_is_the_classic_code_path() {
     let classic = outcome(&l4span::harness::run(cfg()));
     assert_eq!(digest(cfg(), 4), classic, "ineligible → classic path");
     // And an eligible scenario explicitly asked to run on one shard
-    // also takes it (`run_sharded(_, 1)` calls `World::run` directly).
+    // runs as the one world.
     let classic_percell = outcome(&l4span::harness::run(handover_percell("cubic", 1)));
     assert_eq!(
         digest(handover_percell("cubic", 1), 1),
