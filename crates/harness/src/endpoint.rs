@@ -11,9 +11,11 @@
 //! [`flush_feedback`](Endpoint::flush_feedback) on the receiver side.
 //! What stays outside is everything that is not transport behaviour:
 //! which way a packet is routed (by [`FlowDir`]), when timers fire, and
-//! which metrics a sample lands in. Dispatch is a static four-arm
-//! `match`, not a `dyn` trait: the set of transports is closed and the
-//! per-packet path stays inlinable.
+//! which metrics a sample lands in. Dispatch is a static `match` over
+//! the four transports, not a `dyn` trait: the set of transports is
+//! closed and the per-packet path stays inlinable. A fifth arm,
+//! [`Endpoint::Vacant`], stands in a replica for a flow another replica
+//! owns, and panics if driven.
 
 use l4span_cc::scream::{FrameMark, ScreamFeedback, ScreamReceiver, ScreamSender};
 use l4span_cc::tcp::TcpConfig;
@@ -117,6 +119,17 @@ pub(crate) enum Endpoint {
         sender: Box<FecMediaSender>,
         receiver: Box<FecMediaReceiver>,
     },
+    /// The endpoint of a flow whose UE another replica serves: it holds
+    /// nothing, and every method panics ([`vacant`]).
+    Vacant,
+}
+
+/// What every method of [`Endpoint::Vacant`] does: a replica drove a
+/// flow it does not own.
+#[cold]
+#[track_caller]
+fn vacant() -> ! {
+    unreachable!("vacant endpoint driven: its flow lives on another replica")
 }
 
 /// Lower flow `f`'s (application, transport) pair onto an endpoint
@@ -230,13 +243,21 @@ impl Endpoint {
     /// world's join buffer to see them in transmission order? (A byte
     /// stream does; FEC media sequences for itself.)
     pub(crate) fn needs_join(&self) -> bool {
-        matches!(self, Endpoint::Tcp { .. })
+        match self {
+            Endpoint::Tcp { .. } => true,
+            Endpoint::Vacant => vacant(),
+            _ => false,
+        }
     }
 
     /// Does the receiver hold reports back behind a prohibit interval,
     /// so that it needs the periodic [`Endpoint::flush_feedback`]?
     pub(crate) fn paces_feedback(&self) -> bool {
-        !matches!(self, Endpoint::Tcp { .. })
+        match self {
+            Endpoint::Tcp { .. } => false,
+            Endpoint::Vacant => vacant(),
+            _ => true,
+        }
     }
 
     /// The flow starts. A connection-oriented receiver returns its
@@ -245,6 +266,7 @@ impl Endpoint {
     pub(crate) fn open(&mut self, now: Instant) -> Option<Feedback> {
         match self {
             Endpoint::Tcp { receiver, .. } => Some(Feedback { pkt: receiver.start(now), data: None }),
+            Endpoint::Vacant => vacant(),
             _ => None,
         }
     }
@@ -256,6 +278,7 @@ impl Endpoint {
             Endpoint::Scream { sender, .. } => sender.stop(),
             Endpoint::UdpPrague { sender, .. } => sender.stop(),
             Endpoint::FecMedia { sender, .. } => sender.stop(),
+            Endpoint::Vacant => vacant(),
         }
     }
 
@@ -269,6 +292,7 @@ impl Endpoint {
             }
             Endpoint::UdpPrague { sender, .. } => sender.poll_into(now, &mut out.pkts),
             Endpoint::FecMedia { sender, .. } => sender.poll_into(now, &mut out.leg_pkts),
+            Endpoint::Vacant => vacant(),
         }
     }
 
@@ -279,6 +303,7 @@ impl Endpoint {
             Endpoint::Scream { sender, .. } => Some(sender.next_activity()),
             Endpoint::UdpPrague { sender, .. } => Some(sender.next_activity()),
             Endpoint::FecMedia { sender, .. } => Some(sender.next_activity()),
+            Endpoint::Vacant => vacant(),
         }
     }
 
@@ -323,6 +348,7 @@ impl Endpoint {
                 }
                 sender.poll_into(now, &mut out.leg_pkts);
             }
+            Endpoint::Vacant => vacant(),
         }
         up
     }
@@ -356,6 +382,7 @@ impl Endpoint {
                 }
                 Feedback::report(receiver.on_packet(pkt, leg, now), FbData::Fec)
             }
+            Endpoint::Vacant => vacant(),
         };
         Delivery { feedback, tcp_watermark }
     }
@@ -371,6 +398,7 @@ impl Endpoint {
                 Feedback::report(receiver.poll(now), FbData::Prague)
             }
             Endpoint::FecMedia { receiver, .. } => Feedback::report(receiver.poll(now), FbData::Fec),
+            Endpoint::Vacant => vacant(),
         }
     }
 
@@ -379,6 +407,7 @@ impl Endpoint {
     pub(crate) fn offer(&mut self, bytes: u64) -> bool {
         match self {
             Endpoint::Tcp { sender, .. } => sender.offer(bytes),
+            Endpoint::Vacant => vacant(),
             _ => false,
         }
     }
@@ -386,8 +415,10 @@ impl Endpoint {
     /// The driving application is done: seal the stream so the flow can
     /// report finished.
     pub(crate) fn close_app(&mut self) {
-        if let Endpoint::Tcp { sender, .. } = self {
-            sender.close_app();
+        match self {
+            Endpoint::Tcp { sender, .. } => sender.close_app(),
+            Endpoint::Vacant => vacant(),
+            _ => {}
         }
     }
 
@@ -396,6 +427,7 @@ impl Endpoint {
         match self {
             Endpoint::Tcp { sender, .. } => sender.take_cc_events(),
             Endpoint::UdpPrague { sender, .. } => sender.take_events(),
+            Endpoint::Vacant => vacant(),
             _ => Vec::new(),
         }
     }
@@ -404,6 +436,7 @@ impl Endpoint {
     pub(crate) fn frames_generated(&self) -> Option<u64> {
         match self {
             Endpoint::Scream { sender, .. } => Some(sender.frames_generated),
+            Endpoint::Vacant => vacant(),
             _ => None,
         }
     }
@@ -412,8 +445,10 @@ impl Endpoint {
     /// repaired + abandoned covers everything the sender offered — and
     /// snapshot both codecs' ledgers as flow `flow`'s record.
     pub(crate) fn close_fec(&mut self, flow: u16, end: Instant) -> Option<FecStat> {
-        let Endpoint::FecMedia { sender, receiver } = self else {
-            return None;
+        let (sender, receiver) = match self {
+            Endpoint::FecMedia { sender, receiver } => (sender, receiver),
+            Endpoint::Vacant => vacant(),
+            _ => return None,
         };
         let offered = sender.codec().offered;
         receiver.close(offered, end);

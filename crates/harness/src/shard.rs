@@ -20,11 +20,12 @@
 //! each cell up to the next barrier in turn, in which order a cell's
 //! state stays in cache while it runs. `World::run_on` — the body of
 //! both [`World::run`] and [`run_sharded`] — does that on `n`
-//! replicas, each owning the cells assigned to it, whose epochs run in
-//! parallel on up to `L4SPAN_THREADS` threads (the PR 2 convention);
-//! one replica is the one world owning every cell. What crosses
-//! replicas travels as envelopes that drain in `(slot-boundary time,
-//! source shard, sequence)` order. Either way barrier-injected events
+//! replicas, each holding live state only for the cells assigned to it
+//! and the UEs they serve, whose epochs run in parallel on up to
+//! `L4SPAN_THREADS` threads (the runner's convention); one replica is the
+//! one world owning every cell. What crosses replicas travels as
+//! envelopes that drain in `(slot-boundary time, source shard,
+//! sequence)` order. Either way barrier-injected events
 //! take fresh sequence numbers *before* the receiving cell resumes —
 //! reproducing the time-major FIFO order, which is what makes
 //! [`Report::fingerprint`] byte-invariant to the execution order and
@@ -520,9 +521,9 @@ mod tests {
         )
     }
 
-    /// `World::run` — which must have taken the cell-major path, on one
-    /// or two replicas as the host's cores allow — against the
-    /// time-major reference.
+    /// `World::run` — which must have taken the cell-major path, on as
+    /// many replicas as the host's cores allow — against the time-major
+    /// reference.
     fn assert_orders_agree(cfg: ScenarioConfig, what: &str) {
         let cell_major = World::new(cfg.clone()).run();
         assert_eq!(cell_major.shard_reject, None, "{what}: must run cell-major");
@@ -656,8 +657,9 @@ mod tests {
 
     proptest! {
         /// Any aligned mobility schedule: same bytes, same event counts,
-        /// on one world and on two and three replicas (explicit counts,
-        /// so the host's cores do not pick what is covered).
+        /// on one world, on two replicas, and on one cell per replica —
+        /// the most vacant slots a split makes (explicit counts, so the
+        /// host's cores do not pick what is covered).
         #[test]
         fn random_mobility_schedules_match_time_major(
             moves in proptest::collection::vec(
@@ -673,7 +675,7 @@ mod tests {
                 cfg.flows[1].dir = FlowDir::Uplink;
             }
             let time_major = outcome(&World::new(cfg.clone()).run_time_major());
-            for replicas in 1..=3 {
+            for replicas in 1..=cfg.n_cells() {
                 let cell_major = World::new(cfg.clone()).run_on(replicas);
                 prop_assert_eq!(cell_major.shard_reject, None, "{moves:?}");
                 prop_assert_eq!(cell_major.shards.len(), if replicas > 1 { replicas } else { 0 });

@@ -17,7 +17,9 @@ use l4span_ran::config::{RlcMode, SlotRole};
 use l4span_ran::ids::Qfi;
 use l4span_ran::mac::TransportBlock;
 use l4span_ran::rlc::RlcStatus;
-use l4span_ran::{DlDataDeliveryStatus, DrbId, Gnb, SlotOutput, UeId, UeStack, UlTbOutcome};
+use l4span_ran::{
+    CellConfig, DlDataDeliveryStatus, DrbId, Gnb, SlotOutput, UeId, UeStack, UlTbOutcome,
+};
 use l4span_sim::{CycleScope, Duration, EventQueue, FxHashMap, Instant, SimRng};
 
 use crate::app::{AppUnit, Application, UnitKind};
@@ -63,15 +65,6 @@ pub(crate) const UE_POLL_PERIOD: Duration = Duration::from_millis(5);
 /// How far per-cell CU deployments nudge both housekeeping ticks off
 /// their grids (see [`World::new`]).
 pub(crate) const TICK_PHASE_PER_CELL_CU: Duration = Duration::from_nanos(500);
-
-/// The most replicas [`World::run`] builds, however many cores it is
-/// given. Every replica past the first is a whole [`World`] — every
-/// cell and UE, ≈ 7 400 allocations and ≈ 7 MB on the 50-cell metro
-/// world — so allocations and peak resident set grow with the count.
-/// Two replicas halve each thread's cells for the cost of one; a
-/// replica that built only the cells and UEs it owns could lift the
-/// cap. [`crate::run_sharded`] takes any count.
-const RUN_REPLICAS_MAX: usize = 2;
 
 /// The instant of `cell`'s first slot: its slot grid, and its queue's.
 ///
@@ -135,6 +128,9 @@ struct Flow {
     /// The driving [`Application`], for flows whose app is not executed
     /// natively by the transport.
     app: Option<Box<dyn Application + Send>>,
+    /// Whether the flow has an `app` — kept by a vacant flow, whose
+    /// `app` is `None`, so every replica reserves the same wake-up keys.
+    has_app: bool,
     /// Byte-stream units (frames/requests) awaiting UE-side delivery,
     /// in stream order — completed against the TCP receiver's in-order
     /// watermark.
@@ -146,6 +142,28 @@ struct Flow {
     framed: Option<(Duration, Duration)>,
     /// Dual-connectivity state ([`crate::scenario::FlowSpec::bond`]).
     bond: Option<Box<BondState>>,
+}
+
+impl Flow {
+    /// This flow as a replica that does not own it holds it: the static
+    /// identity events are routed and wake-up keys reserved by — UE,
+    /// bearer, tuple, WAN delay, direction, start and stop, framing,
+    /// whether it has an app — around an [`Endpoint::Vacant`] and no
+    /// live state. Allocation-free.
+    fn vacant(&self) -> Flow {
+        Flow {
+            endpoint: Endpoint::Vacant,
+            started: false,
+            finished_at: None,
+            sent_at: FxHashMap::default(),
+            fb_pending: FxHashMap::default(),
+            app: None,
+            pending_units: VecDeque::new(),
+            frame_pending: FxHashMap::default(),
+            bond: None,
+            ..*self
+        }
+    }
 }
 
 /// One scheduled occurrence, queued by value. Several variants inline a
@@ -372,7 +390,7 @@ pub(crate) type UlBatch = (
 
 /// The assembled world. Build with [`World::new`], run with [`World::run`].
 pub struct World {
-    /// Shared with the replicas [`World::run_on`] builds.
+    /// Shared with the replicas [`World::split`] carves out.
     cfg: Arc<ScenarioConfig>,
     /// The queue the pop loop runs: the only one of a time-major world,
     /// the running cell's in a cell-major one ([`CellView`]). Each
@@ -549,11 +567,7 @@ pub(crate) struct CellView {
 impl World {
     /// Wire up a scenario.
     pub fn new(cfg: ScenarioConfig) -> World {
-        World::wire(Arc::new(cfg))
-    }
-
-    /// [`World::new`] over a shared config: how a replica is built.
-    fn wire(cfg: Arc<ScenarioConfig>) -> World {
+        let cfg = Arc::new(cfg);
         let root = SimRng::new(cfg.seed);
         let n_cells = cfg.n_cells();
         // Cell 0 keeps the pre-multi-cell RNG stream (single-cell runs
@@ -699,6 +713,7 @@ impl World {
                 dir: spec.dir,
                 sent_at: FxHashMap::default(),
                 fb_pending: FxHashMap::default(),
+                has_app: app.is_some(),
                 app,
                 pending_units: VecDeque::new(),
                 frame_pending: FxHashMap::default(),
@@ -730,7 +745,6 @@ impl World {
             Impairment::new(spec, rngs)
         });
 
-        let n = flows.len();
         // UEs that actually need the periodic poll (UM reassembly skips)
         // and flows that need the UDP feedback flush; in an all-AM,
         // all-TCP cell the UePoll tick disappears entirely.
@@ -753,9 +767,6 @@ impl World {
             .filter(|(_, f)| f.bond.is_some())
             .map(|(i, _)| i)
             .collect();
-        let need_ue_poll =
-            !um_ues.is_empty() || !udp_flows.is_empty() || has_um_ul || !bond_flows.is_empty();
-        let n_ues = serving.len();
         // The UE-side uplink markers mirror the CU ones (same deployment
         // shape, disjoint stream range); their RNG streams are derived
         // (purely) from the root, so constructing them perturbs nothing
@@ -780,25 +791,19 @@ impl World {
         for (i, &c) in serving.iter().enumerate() {
             cell_ues[c].push(i);
         }
-        let cycles = if cfg.measure_cycles {
-            CycleScope::new(CYCLE_LABELS)
-        } else {
-            CycleScope::disabled()
-        };
         // One wake-up slot per timer owner: the wired plane's queues,
         // every flow's sender, the applications there are.
         let stages = impair.as_ref().map_or(0, Impairment::n_stages);
         let mut keys: Vec<usize> = router.iter().map(|_| Timer::Router.key()).collect();
         keys.extend((0..stages).map(|i| Timer::Impair(i as u8).key()));
         keys.extend(wake_keys(&flows, |_| true));
-        let queue = EventQueue::with_wakeups(1024 + 128 * n, keys)
+        let queue = EventQueue::with_wakeups(1024 + 128 * flows.len(), keys)
             .with_grid(cfg.cell_config(0).slot_duration, slot_origin(&cfg, 0));
         // Estimation error vs ground truth is an L4Span-only series.
         let est_window = markers[0]
             .as_l4span()
             .map(|l| l.config().estimation_window);
         let mut w = World {
-            cfg,
             queue,
             gnbs,
             serving,
@@ -806,8 +811,6 @@ impl World {
             ues,
             markers,
             ul_markers,
-            cells: None,
-            outbox: Vec::new(),
             has_ul_data,
             has_um_ul,
             flows,
@@ -817,6 +820,45 @@ impl World {
             um_ues,
             udp_flows,
             bond_flows,
+            est_window,
+            ..World::empty(cfg)
+        };
+        w.schedule_start();
+        w
+    }
+
+    /// A world of `cfg`'s shape with nothing in it: empty pools and
+    /// scratch buffers, and metric accumulators sized for its flows, UEs
+    /// and cells. [`World::new`] fills in the cells, UEs, markers, flows
+    /// and the tables it derives; [`World::vacant_replica`] fills in
+    /// vacant ones and copies of the tables.
+    fn empty(cfg: Arc<ScenarioConfig>) -> World {
+        let (n, n_ues, n_cells) = (cfg.flows.len(), cfg.ues.len(), cfg.n_cells());
+        let cycles = if cfg.measure_cycles {
+            CycleScope::new(CYCLE_LABELS)
+        } else {
+            CycleScope::disabled()
+        };
+        World {
+            cfg,
+            queue: EventQueue::new(),
+            gnbs: Vec::new(),
+            serving: Vec::new(),
+            cell_ues: Vec::new(),
+            ues: Vec::new(),
+            markers: Vec::new(),
+            ul_markers: Vec::new(),
+            cells: None,
+            outbox: Vec::new(),
+            has_ul_data: false,
+            has_um_ul: false,
+            flows: Vec::new(),
+            tuple_to_flow: FxHashMap::default(),
+            router: None,
+            impair: None,
+            um_ues: Vec::new(),
+            udp_flows: Vec::new(),
+            bond_flows: Vec::new(),
             slot_out: SlotOutput::default(),
             ul_pool: Vec::new(),
             ul_slot_pool: Vec::new(),
@@ -847,16 +889,69 @@ impl World {
             breakdown: vec![BreakdownAvg::default(); n],
             rate_err: Vec::new(),
             drb_rows: (0..n_ues).map(|_| Vec::new()).collect(),
-            est_window,
+            est_window: None,
             breakdown_pending: FxHashMap::default(),
             marker_time: (Vec::new(), Vec::new(), Vec::new()),
             ho_tbs_lost: 0,
             event_counts: [0; Event::CLASSES.len()],
             queue_depth_peak: 0,
             cycles,
+        }
+    }
+
+    /// A replica of this freshly built world with every live slot vacant
+    /// — a [`Gnb`] with no UEs and no TDD pattern, a [`UeStack`] with no
+    /// DRBs, [`Marker::None`], [`Flow::vacant`] — over the same config,
+    /// static tables and start events. [`World::exchange`] then moves in
+    /// the cells it owns. Only a world whose cells are independent has
+    /// replicas, so there is no router or impairment pipeline to copy.
+    fn vacant_replica(&self) -> World {
+        let cfg = &self.cfg;
+        let gnbs = (0..self.gnbs.len())
+            .map(|c| {
+                let cell = CellConfig {
+                    tdd_pattern: Vec::new(),
+                    ..*cfg.cell_config(c)
+                };
+                Gnb::new(cell, cfg.scheduler, SimRng::new(0))
+            })
+            .collect();
+        let ues = (0..self.ues.len())
+            .map(|i| {
+                let zero = Duration::ZERO;
+                UeStack::new(UeId(i as u16), &[], zero, zero, zero, SimRng::new(0))
+            })
+            .collect();
+        let mut w = World {
+            queue: EventQueue::with_capacity(self.queue.len()),
+            gnbs,
+            serving: self.serving.clone(),
+            cell_ues: self.cell_ues.clone(),
+            ues,
+            markers: self.markers.iter().map(|_| Marker::None).collect(),
+            ul_markers: self.ul_markers.iter().map(|_| Marker::None).collect(),
+            has_ul_data: self.has_ul_data,
+            has_um_ul: self.has_um_ul,
+            flows: self.flows.iter().map(Flow::vacant).collect(),
+            tuple_to_flow: self.tuple_to_flow.clone(),
+            um_ues: self.um_ues.clone(),
+            udp_flows: self.udp_flows.clone(),
+            bond_flows: self.bond_flows.clone(),
+            est_window: self.est_window,
+            ..World::empty(Arc::clone(cfg))
         };
-        for cell in 0..n_cells {
-            w.sched(slot_origin(&w.cfg, cell), Event::Slot { cell });
+        w.schedule_start();
+        w
+    }
+
+    /// Schedule what every run starts from — each cell's first slot, the
+    /// housekeeping ticks, every flow's start and stop, the bottleneck's
+    /// rate changes, the mobility steps — in one order, on a world and
+    /// on each of its vacant replicas alike.
+    fn schedule_start(&mut self) {
+        let cfg = Arc::clone(&self.cfg);
+        for cell in 0..self.gnbs.len() {
+            self.sched(slot_origin(&cfg, cell), Event::Slot { cell });
         }
         // Per-cell CU deployments also nudge the housekeeping ticks
         // (one copy per cell once the world runs cell-major) half a
@@ -868,35 +963,38 @@ impl World {
         // older, sampling a queue one SDU early. Off-grid ticks make the
         // order a pure function of time, identical under either
         // execution order and at every shard count.
-        let hk = if w.cfg.cu_per_cell {
+        let hk = if cfg.cu_per_cell {
             TICK_PHASE_PER_CELL_CU
         } else {
             Duration::ZERO
         };
-        w.sched(Instant::ZERO + SAMPLE_PERIOD + hk, Event::Sample);
+        self.sched(Instant::ZERO + SAMPLE_PERIOD + hk, Event::Sample);
+        let need_ue_poll = !self.um_ues.is_empty()
+            || !self.udp_flows.is_empty()
+            || self.has_um_ul
+            || !self.bond_flows.is_empty();
         if need_ue_poll {
-            w.sched(Instant::ZERO + UE_POLL_PERIOD + hk, Event::UePoll);
+            self.sched(Instant::ZERO + UE_POLL_PERIOD + hk, Event::UePoll);
         }
-        for f in 0..n {
-            let start = w.flows[f].start;
-            w.sched(start, Event::FlowStart { flow: f });
-            if let Some(stop) = w.flows[f].stop {
-                w.sched(stop, Event::FlowStop { flow: f });
+        for f in 0..self.flows.len() {
+            let start = self.flows[f].start;
+            self.sched(start, Event::FlowStart { flow: f });
+            if let Some(stop) = self.flows[f].stop {
+                self.sched(stop, Event::FlowStop { flow: f });
             }
         }
-        if let Some(b) = w.cfg.bottleneck.clone() {
-            for (t, bps) in b.schedule {
-                w.sched(t, Event::RouterRate { bps });
+        if let Some(b) = &cfg.bottleneck {
+            for &(t, bps) in &b.schedule {
+                self.sched(t, Event::RouterRate { bps });
             }
         }
         // Mobility trajectories.
-        for i in 0..w.cfg.ues.len() {
-            for k in 0..w.cfg.ues[i].mobility.len() {
-                let step = w.cfg.ues[i].mobility[k];
-                w.sched(
+        for (ue, spec) in cfg.ues.iter().enumerate() {
+            for step in &spec.mobility {
+                self.sched(
                     step.at,
                     Event::Handover {
-                        ue: i,
+                        ue,
                         target_cell: step.cell,
                         profile: step.profile,
                         snr_db: step.snr_db,
@@ -904,7 +1002,6 @@ impl World {
                 );
             }
         }
-        w
     }
 
     /// Schedule an event on the running queue. In a cell-major world
@@ -1020,11 +1117,11 @@ impl World {
     }
 
     /// Execute to the configured duration on the cores the host grants
-    /// (`L4SPAN_THREADS`, default: all of them), up to
-    /// [`RUN_REPLICAS_MAX`] replicas, and produce the report. The report
-    /// is the same whatever the replica count is.
+    /// (`L4SPAN_THREADS`, default: all of them) — one replica per core,
+    /// at most one per cell — and produce the report. The report is the
+    /// same whatever the replica count is.
     pub fn run(self) -> Report {
-        self.run_on(crate::runner::default_threads().min(RUN_REPLICAS_MAX))
+        self.run_on(crate::runner::default_threads())
     }
 
     /// Execute to the configured duration on up to `replicas` replicas
@@ -1035,13 +1132,11 @@ impl World {
     /// reason to refuse it — runs **cell-major**: one queue per cell,
     /// each cell run up to the next mobility barrier in turn
     /// ([`crate::shard::drive`]), so a cell's state stays in cache while
-    /// it runs. On `n = min(replicas, cells)` replicas, this world is
-    /// replica 0 and owns the cells `c` with `c % n == 0`; the others,
-    /// built here from the same shared config, own the rest, and their
-    /// epochs run in parallel. One replica is the one world owning every
-    /// cell. Every other world runs time-major off its single queue —
-    /// the only valid order when cells share a marker or a router — and
-    /// [`Report::shard_reject`] says why.
+    /// it runs. On `n = min(replicas, cells)` replicas ([`World::split`])
+    /// their epochs run in parallel; one replica is the one world owning
+    /// every cell. Every other world runs time-major off its single
+    /// queue — the only valid order when cells share a marker or a
+    /// router — and [`Report::shard_reject`] says why.
     pub(crate) fn run_on(mut self, replicas: usize) -> Report {
         let reject = crate::shard::plan_shards_reason(&self.cfg, 2).1;
         if reject.is_some() {
@@ -1053,7 +1148,6 @@ impl World {
         }
         let n = replicas.clamp(1, self.gnbs.len());
         let schedule = crate::shard::barrier_schedule(&self.cfg);
-        let of_cell: Vec<usize> = (0..self.gnbs.len()).map(|c| c % n).collect();
         // Spans must divide one thread's wall time: a measured world
         // runs its replicas one after the other on this thread.
         let workers = if self.cfg.measure_cycles {
@@ -1061,13 +1155,7 @@ impl World {
         } else {
             crate::runner::default_threads().min(n)
         };
-        let cfg = Arc::clone(&self.cfg);
-        let mut worlds = Vec::with_capacity(n);
-        worlds.push(self);
-        worlds.extend((1..n).map(|_| World::wire(Arc::clone(&cfg))));
-        for (s, w) in worlds.iter_mut().enumerate() {
-            w.cell_major_install(s, of_cell.clone());
-        }
+        let mut worlds = self.split(n);
         let stats = crate::shard::drive(&mut worlds, &schedule, workers);
         let mut report = World::merge_sharded(worlds).into_report();
         if n > 1 {
@@ -1082,6 +1170,27 @@ impl World {
             report.shards = stats;
         }
         report
+    }
+
+    /// Carve this freshly built world into `n` cell-major replicas, the
+    /// cells dealt round-robin: replica `s > 0` starts as a
+    /// [`World::vacant_replica`] and [`World::exchange`] moves the cells
+    /// `c % n == s` into it, with the UEs they serve; this world is
+    /// replica 0 and keeps the rest. A replica holds live state only for
+    /// what it owns, so its cost follows its share of the world.
+    fn split(mut self, n: usize) -> Vec<World> {
+        let of_cell: Vec<usize> = (0..self.gnbs.len()).map(|c| c % n).collect();
+        let mut worlds = Vec::with_capacity(n);
+        for s in 1..n {
+            let mut replica = self.vacant_replica();
+            World::exchange(&mut self, &mut replica, s, &of_cell);
+            worlds.push(replica);
+        }
+        worlds.insert(0, self);
+        for (s, w) in worlds.iter_mut().enumerate() {
+            w.cell_major_install(s, of_cell.clone());
+        }
+        worlds
     }
 
     /// The time-major loop over *any* world: the reference the
@@ -2623,8 +2732,8 @@ impl World {
             dst_w.ul_markers[target_cell].on_handover(ue_id, d, dst_w.cfg.marker_ho_policy);
         }
         // The UE's whole simulation cluster follows it into the owning
-        // replica; the stale replica state swaps back symmetrically.
-        World::swap_ue_cluster(src_w, dst_w, ue);
+        // replica; the vacant slots swap back symmetrically.
+        World::swap_ue_clusters(src_w, dst_w, |u| u == ue);
         dst_w.ho_log[ue].push(HandoverRecord {
             ue: ue as u16,
             at: now,
@@ -2636,21 +2745,23 @@ impl World {
         dst_w.pending_ho[ue] = Some(dst_w.ho_log[ue].len() - 1);
     }
 
-    /// Swap a UE's entire live state cluster — stack, per-UE series and
-    /// logs, its flows, and their per-flow metrics — between two world
-    /// replicas. Symmetric by construction: the live copy always sits
-    /// in the current owner, so ping-pong migrations stay consistent.
-    pub(crate) fn swap_ue_cluster(a: &mut World, b: &mut World, ue: usize) {
+    /// Swap the whole live state cluster of every UE `moves` picks —
+    /// stack, per-UE series and logs, its flows with their per-flow
+    /// metrics and pending breakdowns — between two replicas. Symmetric
+    /// by construction: the live copy always sits in the current owner,
+    /// so ping-pong migrations stay consistent. One pass over the UEs,
+    /// the flows and each pending-breakdown map, however many UEs move.
+    fn swap_ue_clusters(a: &mut World, b: &mut World, moves: impl Fn(usize) -> bool) {
         use std::mem::swap;
-        swap(&mut a.ues[ue], &mut b.ues[ue]);
-        swap(&mut a.last_delivery[ue], &mut b.last_delivery[ue]);
-        swap(&mut a.pending_ho[ue], &mut b.pending_ho[ue]);
-        swap(&mut a.ho_log[ue], &mut b.ho_log[ue]);
-        swap(&mut a.drb_rows[ue], &mut b.drb_rows[ue]);
-        for f in 0..a.flows.len() {
-            if a.flows[f].ue_idx != ue {
-                continue;
-            }
+        for ue in (0..a.ues.len()).filter(|&ue| moves(ue)) {
+            swap(&mut a.ues[ue], &mut b.ues[ue]);
+            swap(&mut a.last_delivery[ue], &mut b.last_delivery[ue]);
+            swap(&mut a.pending_ho[ue], &mut b.pending_ho[ue]);
+            swap(&mut a.ho_log[ue], &mut b.ho_log[ue]);
+            swap(&mut a.drb_rows[ue], &mut b.drb_rows[ue]);
+        }
+        let flows: Vec<bool> = a.flows.iter().map(|f| moves(f.ue_idx)).collect();
+        for f in (0..flows.len()).filter(|&f| flows[f]) {
             swap(&mut a.flows[f], &mut b.flows[f]);
             swap(&mut a.owd_ms[f], &mut b.owd_ms[f]);
             swap(&mut a.ul_owd_ms[f], &mut b.ul_owd_ms[f]);
@@ -2663,46 +2774,50 @@ impl World {
             swap(&mut a.rtt_ms[f], &mut b.rtt_ms[f]);
             swap(&mut a.thr_bins[f], &mut b.thr_bins[f]);
             swap(&mut a.breakdown[f], &mut b.breakdown[f]);
-            swap_map_keys(&mut a.breakdown_pending, &mut b.breakdown_pending, |k| {
-                k.0 == f
-            });
         }
+        let from_a: Vec<_> = a.breakdown_pending.extract_if(|k, _| flows[k.0]).collect();
+        let from_b: Vec<_> = b.breakdown_pending.extract_if(|k, _| flows[k.0]).collect();
+        a.breakdown_pending.extend(from_b);
+        b.breakdown_pending.extend(from_a);
+    }
+
+    /// Swap what replica `sid` owns under `of_cell` between `a` and `b`:
+    /// its cells' gNBs, both markers and throughput bins, then the
+    /// cluster of every UE those cells serve. On a freshly built world
+    /// and a vacant replica this carves the replica out
+    /// ([`World::split`]); on the primary and that replica after the run
+    /// it folds the replica back ([`World::merge_sharded`]) — split and
+    /// merge are one involution over the same swaps.
+    fn exchange(a: &mut World, b: &mut World, sid: usize, of_cell: &[usize]) {
+        use std::mem::swap;
+        for c in (0..of_cell.len()).filter(|&c| of_cell[c] == sid) {
+            swap(&mut a.gnbs[c], &mut b.gnbs[c]);
+            swap(&mut a.markers[c], &mut b.markers[c]);
+            swap(&mut a.ul_markers[c], &mut b.ul_markers[c]);
+            swap(&mut a.cell_thr_bins[c], &mut b.cell_thr_bins[c]);
+        }
+        // A UE's rows, per-cell queue series included, travel with it:
+        // the replica owning its serving cell holds them.
+        let served: Vec<bool> = a.serving.iter().map(|&c| of_cell[c] == sid).collect();
+        World::swap_ue_clusters(a, b, |ue| served[ue]);
     }
 
     /// Fold every replica's owned state into the primary (shard 0)
     /// world, so `into_report` runs unchanged on the merged state.
     pub(crate) fn merge_sharded(mut worlds: Vec<World>) -> World {
         let mut primary = worlds.remove(0);
-        let n_cells = primary.gnbs.len();
         assert!(
             primary.outbox.is_empty(),
             "shard 0: undelivered cross-shard mail at merge"
         );
         for mut w in worlds {
-            let (sid, of_cell) = {
-                let v = w.cells.as_ref().expect("sharded world");
-                (v.id, v.of_cell.clone())
-            };
+            let view = w.cells.take().expect("sharded world");
             assert!(
                 w.outbox.is_empty(),
-                "shard {sid}: undelivered cross-shard mail at merge"
+                "shard {}: undelivered cross-shard mail at merge",
+                view.id
             );
-            for (c, &owner) in of_cell.iter().enumerate().take(n_cells) {
-                if owner != sid {
-                    continue;
-                }
-                std::mem::swap(&mut primary.gnbs[c], &mut w.gnbs[c]);
-                std::mem::swap(&mut primary.markers[c], &mut w.markers[c]);
-                std::mem::swap(&mut primary.ul_markers[c], &mut w.ul_markers[c]);
-                std::mem::swap(&mut primary.cell_thr_bins[c], &mut w.cell_thr_bins[c]);
-            }
-            // A UE's rows, per-cell queue series included, travel with
-            // it: the replica owning its last serving cell holds them.
-            for ue in 0..primary.serving.len() {
-                if of_cell[primary.serving[ue]] == sid {
-                    World::swap_ue_cluster(&mut primary, &mut w, ue);
-                }
-            }
+            World::exchange(&mut primary, &mut w, view.id, &view.of_cell);
             // Disjoint work throughout: only cell 0's owner counted the
             // housekeeping ticks, and each barrier step was counted by
             // the replica that executed it.
@@ -2956,36 +3071,11 @@ fn wake_keys(flows: &[Flow], hosted: impl Fn(&Flow) -> bool) -> Vec<usize> {
     let mut keys = Vec::new();
     for (f, flow) in flows.iter().enumerate().filter(|(_, flow)| hosted(flow)) {
         keys.push(Timer::Flow(f).key());
-        if flow.app.is_some() {
+        if flow.has_app {
             keys.push(Timer::App(f).key());
         }
     }
     keys
-}
-
-/// Swap the entries whose key matches `pred` between two hash maps
-/// (either side may be missing a key; present entries cross over).
-fn swap_map_keys<K: Eq + std::hash::Hash + Copy, V>(
-    a: &mut FxHashMap<K, V>,
-    b: &mut FxHashMap<K, V>,
-    pred: impl Fn(&K) -> bool,
-) {
-    let ka: Vec<K> = a.keys().copied().filter(|k| pred(k)).collect();
-    let kb: Vec<K> = b.keys().copied().filter(|k| pred(k)).collect();
-    let va: Vec<(K, V)> = ka
-        .into_iter()
-        .map(|k| (k, a.remove(&k).expect("just listed")))
-        .collect();
-    let vb: Vec<(K, V)> = kb
-        .into_iter()
-        .map(|k| (k, b.remove(&k).expect("just listed")))
-        .collect();
-    for (k, v) in va {
-        b.insert(k, v);
-    }
-    for (k, v) in vb {
-        a.insert(k, v);
-    }
 }
 
 #[cfg(test)]
@@ -3294,6 +3384,63 @@ mod tests {
             kept += row.gt.len();
         }
         assert!(kept > 0, "the L4Span cell compares against a live log");
+    }
+
+    /// Eight cells of three UEs, each with one TCP upload (so a live UE
+    /// stack shows in its uplink bearers), carved into `n` replicas.
+    fn split_metro(n: usize) -> Vec<World> {
+        let mut cfg = crate::scenario::metro_city(
+            8,
+            3,
+            "cubic",
+            l4span_default(),
+            7,
+            Duration::from_millis(300),
+        );
+        for flow in &mut cfg.flows {
+            flow.dir = FlowDir::Uplink;
+        }
+        World::new(cfg).split(n)
+    }
+
+    #[test]
+    fn a_replica_holds_live_state_only_for_what_it_owns() {
+        let replicas = split_metro(3);
+        let mut vacant = Vec::new();
+        for (s, w) in replicas.iter().enumerate() {
+            let view = w.cells.as_ref().expect("cell-major");
+            let owned = |cell: usize| view.of_cell[cell] == s;
+            for c in 0..w.gnbs.len() {
+                let ues = w.gnbs[c].ue_ids();
+                let attached: Vec<usize> = ues.iter().map(|u| u.0 as usize).collect();
+                let live = owned(c).then(|| w.cell_ues[c].clone());
+                assert_eq!(attached, live.unwrap_or_default(), "replica {s}, cell {c}");
+                assert_eq!(w.markers[c].as_l4span().is_some(), owned(c));
+                assert_eq!(w.ul_markers[c].as_l4span().is_some(), owned(c));
+            }
+            for (ue, stack) in w.ues.iter().enumerate() {
+                let live = stack.ul_drbs().next().is_some();
+                assert_eq!(live, owned(w.serving[ue]), "replica {s}, UE {ue}");
+            }
+            let mut n = 0;
+            for (f, flow) in w.flows.iter().enumerate() {
+                let live = !matches!(flow.endpoint, Endpoint::Vacant);
+                assert_eq!(live, owned(w.serving[flow.ue_idx]), "replica {s}, flow {f}");
+                n += usize::from(!live);
+            }
+            vacant.push(n);
+        }
+        // 24 flows, one per UE, three UEs per cell; replicas 0 and 1 own
+        // three cells each, replica 2 the other two.
+        assert_eq!(vacant, [15, 15, 18], "vacant endpoints per replica");
+    }
+
+    #[test]
+    #[should_panic(expected = "vacant endpoint driven")]
+    fn driving_a_flow_another_replica_owns_panics() {
+        let mut replicas = split_metro(2);
+        // Flow 0's UE is homed on cell 0, which replica 0 owns.
+        replicas[1].handle(Event::FlowStop { flow: 0 }, Instant::ZERO);
     }
 
     #[test]

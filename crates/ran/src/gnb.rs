@@ -213,7 +213,12 @@ impl UeCtx {
 
     /// The scheduler's link adaptation for this UE: bring `la_cqi` (the
     /// CQI read off the channel as it was at `stale_at`) and
-    /// `la_rbg_bytes` up to date.
+    /// `la_rbg_bytes` up to date. Called only for a UE the slot can
+    /// grant — one with downlink backlog or a known uplink BSR: both
+    /// allocators drop zero-backlog candidates before reading their
+    /// rate, and the channel's SNR is a pure function of the grid
+    /// point, so skipping idle UEs changes no grant, only how often the
+    /// fading sum is evaluated (`GnbStats::fading_evals`).
     fn adapt_link(&mut self, stale_at: Instant, cfg: &CellConfig) {
         let point = self.channel.grid_point(stale_at) + 1;
         if self.la_point != point {
@@ -601,7 +606,9 @@ impl Gnb {
         self.scratch_cands.clear();
         for (ue, ctx) in self.ues.iter_mut() {
             let backlog: usize = ctx.drbs.values().map(|d| d.rlc.backlog_bytes()).sum();
-            ctx.adapt_link(stale_at, &self.cfg);
+            if backlog > 0 {
+                ctx.adapt_link(stale_at, &self.cfg);
+            }
             let per_rbg =
                 (ctx.la_rbg_bytes as f64 * dl_fraction * f64::from(ctx.ca_factor)) as usize;
             self.scratch_cands.push(Candidate {
@@ -783,7 +790,9 @@ impl Gnb {
         );
         self.scratch_cands.clear();
         for (ue, ctx) in self.ues.iter_mut() {
-            ctx.adapt_link(stale_at, &self.cfg);
+            if ctx.ul_bsr > 0 {
+                ctx.adapt_link(stale_at, &self.cfg);
+            }
             let per_rbg = ctx.la_rbg_bytes * usize::from(ctx.ca_factor);
             self.scratch_cands.push(Candidate {
                 ue,

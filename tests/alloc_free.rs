@@ -7,10 +7,11 @@
 //! and the event-queue schedule/pop cycle (events by value in a
 //! pre-sized node slab). This test installs a counting global allocator
 //! and asserts exactly that, operation by operation — and then (steps 8
-//! to 10) for whole worlds, where nothing can be left out: the
+//! to 11) for whole worlds, where nothing can be left out: the
 //! allocations a run makes per *additional* delivered packet, downlink,
 //! uplink and bonded, what a marker-off cell's deep queues add as the
-//! run gets longer, and what a longer WAN's deeper event queue adds.
+//! run gets longer, what a longer WAN's deeper event queue adds, and
+//! what each extra replica of a cell-major world adds.
 //!
 //! Everything runs in ONE `#[test]` because the counter is process-wide:
 //! parallel test threads would bleed counts into each other.
@@ -533,5 +534,35 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         d_west > 4 * d_east && a_west.saturating_sub(a_east) <= 200,
         "bbr2 cell: {a_east} allocations with the east WAN ({d_east} events pending at most), \
          {a_west} with the west one ({d_west})"
+    );
+
+    // --- 11. A replica costs its share of the world, not a world --------
+    // Eight cells of three UEs, run on one replica and on four. Each
+    // replica past the first starts vacant — no radio, stack, marker or
+    // endpoint state, only the static tables events are routed by — and
+    // takes the live state of the cells it owns out of the world. What
+    // an extra replica still allocates is its tables and accumulator
+    // vectors, its own pools and scratch buffers warming up, and its
+    // share of each epoch's worker threads: 90 with one worker, 110 with
+    // four or more. Built as a whole world it cost 290.
+    let metro = || {
+        let cfg = scenario::metro_city(
+            8,
+            3,
+            "cubic",
+            scenario::l4span_default(),
+            7,
+            Duration::from_secs(1),
+        );
+        assert_eq!(l4span::harness::plan_shards(&cfg, 4), 4, "eligible");
+        cfg
+    };
+    let (one, r1) = allocs_during(|| l4span::harness::run_sharded(metro(), 1));
+    let (four, r4) = allocs_during(|| l4span::harness::run_sharded(metro(), 4));
+    assert_eq!(r4.shards.len(), 4);
+    assert_eq!(r1.fingerprint_digest(), r4.fingerprint_digest());
+    assert!(
+        four.saturating_sub(one) < 128 * 3,
+        "metro_city(8, 3): {one} allocations on one replica, {four} on four"
     );
 }

@@ -612,12 +612,14 @@ fn event_count_is_proportional_to_simulated_work() {
 
 #[test]
 fn fading_is_evaluated_once_per_ue_and_grid_point() {
-    // The slot loop reads each UE's channel at `now − cqi_delay` (link
-    // adaptation) and at `now` (block-error draw), every 0.5 ms; the
-    // channel holds its 16-path Jakes sum constant on a 2 ms grid. The
-    // work proxy says the sum is evaluated once per (UE, grid point)
-    // read — 16 mobile UEs × 1000 points in 2 s, plus at most the one
-    // point the final slot at t = 2 s opens — not once per reader.
+    // The slot loop reads a backlogged UE's channel at `now − cqi_delay`
+    // (link adaptation) and a scheduled one's at `now` (block-error
+    // draw), every 0.5 ms; the channel holds its 16-path Jakes sum
+    // constant on a 2 ms grid. The work proxy says the sum is evaluated
+    // at most once per (UE, grid point) — 16 mobile UEs × 1000 points
+    // in 2 s, plus at most the one point the final slot at t = 2 s
+    // opens — not once per reader. Points where a UE had nothing queued
+    // are never read, so this busy cell evaluates 14 812.
     let r = harness::run(congested_cell(
         16,
         "prague",
@@ -629,7 +631,7 @@ fn fading_is_evaluated_once_per_ue_and_grid_point() {
         Duration::from_secs(2),
     ));
     assert!(
-        (16_000..=16_016).contains(&r.fading_evals),
+        (14_000..=16_016).contains(&r.fading_evals),
         "{} Jakes evaluations for 16 000 (UE, grid point) pairs",
         r.fading_evals
     );
