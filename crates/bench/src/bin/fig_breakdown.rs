@@ -1,41 +1,69 @@
-//! Per-subsystem cycle breakdown of the canonical perf scenarios: the
-//! attribution companion to `perf_gate`. Each scenario runs once with
-//! the harness's `CycleScope` instrumentation enabled; the table says
-//! where the wall-clock went — gNB slot machinery, the L4Span marker,
-//! UE stacks, the UL grant/BSR/status path, the wired core, transport
-//! endpoints, metrics/QoE bookkeeping, and the event queue itself —
-//! plus the untracked remainder (dispatch glue, scheduling, map
-//! lookups).
+//! Per-subsystem cycle breakdown of the benchmark's five workloads. Each
+//! workload runs once with the harness's `CycleScope` instrumentation
+//! enabled; the table says where the wall-clock went — gNB slot
+//! machinery, the L4Span marker, UE stacks, the UL grant/BSR/status
+//! path, the wired core, transport endpoints, metrics/QoE bookkeeping,
+//! and the event queue itself — plus the untracked remainder (dispatch
+//! glue, scheduling, map lookups).
 //!
-//! `cargo run --release -p l4span-bench --bin fig_breakdown [--secs N]`
+//! `cargo run --release -p l4span-bench --bin fig_breakdown -- --seed 7 [--secs N]`
 //!
+//! The workloads are `benchmark/src/workloads.rs`'s: the same names, the
+//! same scenario constructors with the same arguments, and — unless
+//! `--secs` is given — the same simulated durations, so at `--seed 7`
+//! each section reads beside that workload in `benchmark/out/results.json`.
 //! Enabling the instrumentation costs two monotonic-clock reads per
-//! span, so the wall per simulated second printed here sits above
-//! `perf_gate`'s (uninstrumented) number; use this binary to decide
-//! *what* to optimise and `perf_gate` to verify *that* it worked. The
-//! headline beside it, events per delivered packet, is exact and the
-//! same in both. The simulation itself never observes the
-//! instrumentation: fingerprints and event counts are identical with
-//! it on or off (asserted by a harness test).
+//! span, so the wall per simulated second printed here sits above the
+//! benchmark's (uninstrumented) `wall_ms_per_sim_s`; use this binary to
+//! decide *what* to optimise and the benchmark to verify *that* it
+//! worked. The headline beside it, events per delivered packet, is exact
+//! and the same in both. The simulation itself never observes the
+//! instrumentation: fingerprints and event counts are identical with it
+//! on or off (asserted by a harness test).
 
 use std::time::Instant as WallInstant;
 
-use l4span_bench::gate::{canonical_scenarios, CANONICAL_SECS};
 use l4span_bench::Args;
-use l4span_harness::run_sharded;
+use l4span_cc::WanLink;
+use l4span_harness::scenario::{
+    bonded_xr_8ue, congested_cell, l4span_default, metro_1000ue_50cell, ChannelMix,
+};
+use l4span_harness::{MarkerKind, World};
+use l4span_sim::Duration;
 
 fn main() {
     let args = Args::parse();
-    let secs = args.secs_or(CANONICAL_SECS);
-    println!("fig_breakdown: per-subsystem cycle accounting, {secs} simulated seconds per scenario");
-    println!("(instrumented run: ms per simulated second is higher than perf_gate's)");
-    for c in canonical_scenarios(secs) {
-        let name = c.name;
-        let mut cfg = c.cfg;
+    let seed = args.seed;
+    let dur = |benchmark_secs| Duration::from_secs(args.secs_or(benchmark_secs));
+    let cell = |n, cc, marker, secs| {
+        congested_cell(
+            n,
+            cc,
+            ChannelMix::Mobile,
+            16_384,
+            WanLink::east(),
+            marker,
+            seed,
+            dur(secs),
+        )
+    };
+    let workloads = [
+        ("cell_l4s_16ue", cell(16, "prague", l4span_default(), 80)),
+        ("cell_bare_16ue", cell(16, "prague", MarkerKind::None, 80)),
+        ("bbr2_mobile_8ue", cell(8, "bbr2", l4span_default(), 40)),
+        ("xr_bonded_ul_8dev", bonded_xr_8ue(seed, dur(120))),
+        (
+            "metro_1000ue_50cell",
+            metro_1000ue_50cell("prague", seed, dur(2)),
+        ),
+    ];
+    println!("fig_breakdown: per-subsystem cycle accounting of the benchmark workloads, seed {seed}");
+    println!("(instrumented run: ms per simulated second is higher than the benchmark's)");
+    for (name, mut cfg) in workloads {
         cfg.measure_cycles = true;
         let sim_secs = cfg.duration.as_secs_f64();
         let t0 = WallInstant::now();
-        let report = run_sharded(cfg, c.shards);
+        let report = World::new(cfg).run();
         let wall_ns = t0.elapsed().as_nanos() as u64;
         // Summed over every replica, which a measured run drives on this
         // one thread.
@@ -43,7 +71,7 @@ fn main() {
         let tracked: u64 = stats.iter().map(|c| c.nanos).sum();
         println!(
             "\n== {name}: {:.1} ms per simulated second, {:.2} events per delivered packet \
-             ({} events, {:.2} wall s) ==",
+             ({} events, {sim_secs} simulated s, {:.2} wall s) ==",
             wall_ns as f64 / 1e6 / sim_secs,
             report.events_per_packet(),
             report.events,
@@ -86,10 +114,10 @@ fn main() {
             report.fading_evals as f64 / pkts
         );
         println!("{:<14} {:>12}", "(queue peak)", report.queue_depth_peak);
-        // Sharded scenarios: where each shard's epoch time went. The
-        // idle column is the barrier wait a shard would see under
-        // fully parallel epochs — 1 − busy/longest-shard-busy — i.e.
-        // the load-balance figure of the cell assignment.
+        // Worlds run on replicas (the metro world): where each one's
+        // epoch time went. The idle column is the barrier wait a replica
+        // would see under fully parallel epochs — 1 − busy/longest
+        // busy — i.e. the load-balance figure of the cell assignment.
         if report.shards.len() > 1 {
             let busy_max = report.shards.iter().map(|s| s.busy_ns).max().unwrap_or(1);
             println!(

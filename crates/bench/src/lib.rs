@@ -10,8 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gate;
-
 use l4span_sim::stats::{BoxStats, Cdf};
 
 /// Command-line arguments shared by all runners.
