@@ -23,12 +23,13 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use l4span::cc::WanLink;
+use l4span::cc::{CcKind, WanLink};
 use l4span::core::HandoverPolicy;
 use l4span::harness::app::AppProfile;
-use l4span::harness::scenario::{FlowSpec, ScenarioConfig, TransportSpec};
-use l4span::harness::{self, scenario, scenario::ChannelMix, ImpairmentSpec, UeSpec};
+use l4span::harness::scenario::{BottleneckSpec, FlowSpec, ScenarioConfig, TransportSpec};
+use l4span::harness::{self, scenario, scenario::ChannelMix, ImpairmentSpec, MarkerKind, UeSpec};
 use l4span::ran::config::RlcMode;
+use l4span::ran::ChannelProfile;
 use l4span::sim::{Duration, Instant};
 
 /// Every congestion controller in the paper's evaluation.
@@ -107,11 +108,41 @@ fn media_cell(app: AppProfile, transport: TransportSpec, mode: RlcMode) -> Scena
     cfg
 }
 
+/// Fig. 2 (b)/(c)'s world at 1 s: a Prague and a CUBIC download on two
+/// static UEs behind a DualPi2 middlebox whose rate steps 1 Gbit/s →
+/// 20 Mbit/s → 1 Gbit/s inside the run, so the bottleneck moves out of
+/// the RAN and back.
+fn wired_bottleneck(marker: MarkerKind) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::new(7, Duration::from_secs(1));
+    cfg.marker = marker;
+    cfg.bottleneck = Some(BottleneckSpec {
+        rate_bps: 1e9,
+        schedule: vec![
+            (Instant::from_millis(300), 20e6),
+            (Instant::from_millis(700), 1e9),
+        ],
+        l4s_aqm: true,
+    });
+    for (i, cc) in [CcKind::Prague, CcKind::Cubic].into_iter().enumerate() {
+        cfg.ues.push(UeSpec::simple(ChannelProfile::Static, 24.0));
+        cfg.flows.push(FlowSpec::new(
+            i,
+            AppProfile::bulk(),
+            TransportSpec::tcp(cc),
+            WanLink::east(),
+            Instant::from_millis(10 * i as u64),
+        ));
+    }
+    cfg
+}
+
 /// The rows the TCP grid above cannot reach, as (section, key, config):
 /// the three UDP endpoint families (SCReAM, UDP Prague, FEC media), a
 /// UM bearer (the `UePoll` reassembly poll and feedback flush), the
-/// bonded uplink's FEC self-join and TCP join buffer, and an impaired
-/// path under Prague's classic fallback.
+/// bonded uplink's FEC self-join and TCP join buffer, an impaired path
+/// under Prague's classic fallback, and the wired bottleneck: alone,
+/// stepping its rate, and behind impairment stages whose last one feeds
+/// it directly.
 fn endpoint_corpus() -> Vec<(&'static str, &'static str, ScenarioConfig)> {
     let video = || AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6);
     let mut rows = vec![
@@ -146,6 +177,32 @@ fn endpoint_corpus() -> Vec<(&'static str, &'static str, ScenarioConfig)> {
                 Duration::from_secs(1),
             ),
         ),
+        (
+            "wired_bottleneck_2ue",
+            "marker-off",
+            wired_bottleneck(MarkerKind::None),
+        ),
+        (
+            "wired_bottleneck_2ue",
+            "l4span",
+            wired_bottleneck(scenario::l4span_default()),
+        ),
+        ("impaired_bottleneck_2ue", "prague", {
+            let mut cfg = scenario::impaired_path_cell(
+                2,
+                "prague",
+                ImpairmentSpec::bleaching(0.25).then_classic_hop(60e6),
+                scenario::l4span_default(),
+                7,
+                Duration::from_secs(1),
+            );
+            cfg.bottleneck = Some(BottleneckSpec {
+                rate_bps: 30e6,
+                schedule: Vec::new(),
+                l4s_aqm: true,
+            });
+            cfg
+        }),
     ];
     for (section, bonded) in [("xr_bonding_4dev_single", false), ("xr_bonding_4dev_bonded", true)] {
         for cc in ["fec-media", "nada", "prague"] {
