@@ -21,17 +21,18 @@
 //! queue turns would-be CE marks into drops (the queue sees Not-ECT),
 //! while bleaching *after* it erases the queue's marks. Stateless stages
 //! (bleach / remark / drop) apply instantaneously; the
-//! [`StageSpec::ClassicQueue`] stage is a real rate-served [`Router`]
-//! running the RFC 3168 [`Red`] AQM on one shared FIFO, so it adds
-//! queueing delay and is where L4S and classic flows collide.
+//! [`StageSpec::ClassicQueue`] stage is a real rate-served
+//! [`Router`](l4span_aqm::Router) running the RFC 3168
+//! [`Red`](l4span_aqm::Red) AQM on one shared FIFO, so it adds queueing
+//! delay and is where L4S and classic flows collide.
 //!
-//! Each stage draws from its own derived RNG stream, so impairment
-//! decisions are deterministic, independent of worker count, and
-//! independent of every pre-existing stream in the world.
+//! This module holds the description; the stages run as hops `0..k` of
+//! the world's [`WiredPlane`](crate::wired::WiredPlane), ahead of the
+//! bottleneck router. Each stage draws from its own derived RNG stream,
+//! so impairment decisions are deterministic, independent of worker
+//! count, and independent of every pre-existing stream in the world.
 
-use l4span_aqm::{Red, Router, RouterAqm};
-use l4span_net::{Ecn, PacketBuf};
-use l4span_sim::{Instant, SimRng};
+use l4span_net::Ecn;
 
 /// One configured impairment policy, applied in pipeline order.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +75,7 @@ pub enum StageSpec {
 
 /// Queue byte cap of a [`StageSpec::ClassicQueue`] hop (1 MiB — a small
 /// legacy-router buffer; the hop is an impairment, not the bottleneck).
-const CLASSIC_QUEUE_BYTES: usize = 1 << 20;
+pub(crate) const CLASSIC_QUEUE_BYTES: usize = 1 << 20;
 
 /// Ordered impairment pipeline between server egress and the core.
 ///
@@ -144,9 +145,17 @@ impl ImpairmentSpec {
     }
 
     /// Check every stage is well-formed: probabilities in `[0, 1]`,
-    /// remark transitions legal, queue rates positive. Returns the first
-    /// problem found.
+    /// remark transitions legal, queue rates positive — and that the
+    /// stages leave room for a bottleneck behind them in the `u8` the
+    /// wired plane numbers its hops by. Returns the first problem found.
     pub fn validate(&self) -> Result<(), String> {
+        if self.stages.len() > u8::MAX as usize {
+            return Err(format!(
+                "{} stages: at most {} fit ahead of a bottleneck",
+                self.stages.len(),
+                u8::MAX
+            ));
+        }
         for (i, s) in self.stages.iter().enumerate() {
             match *s {
                 StageSpec::Bleach { prob } | StageSpec::EctDrop { prob } => {
@@ -200,215 +209,91 @@ impl ImpairmentCounters {
     }
 }
 
-/// What one stage did with one packet.
-#[derive(Debug)]
-pub enum StageOutcome {
-    /// The packet continues to the next stage (possibly rewritten).
-    Continue(PacketBuf),
-    /// The packet was dropped and counted; processing stops.
-    Dropped,
-    /// The packet entered this stage's queue; it re-emerges from
-    /// [`Impairment::poll_queue`] later.
-    Queued,
-}
-
-/// Runtime stage: the spec plus its RNG stream / router state. The
-/// router is boxed to keep the stateless variants small.
-#[derive(Debug)]
-enum Stage {
-    Bleach { prob: f64, rng: SimRng },
-    Remark { from: Ecn, to: Ecn, prob: f64, rng: SimRng },
-    EctDrop { prob: f64, rng: SimRng },
-    ClassicQueue { router: Box<Router> },
-}
-
-/// The instantiated pipeline (one per world; see `World::new`).
-#[derive(Debug)]
-pub struct Impairment {
-    stages: Vec<Stage>,
-    /// Cumulative counters across all stages.
-    pub counters: ImpairmentCounters,
-}
-
-impl Impairment {
-    /// Instantiate `spec`, drawing one RNG stream per stage from `rngs`
-    /// (must supply exactly `spec.stages.len()` streams; queue stages
-    /// consume theirs for the AQM).
-    ///
-    /// # Panics
-    /// If `spec` fails [`ImpairmentSpec::validate`] or `rngs` has the
-    /// wrong length — both are configuration bugs.
-    pub fn new(spec: &ImpairmentSpec, rngs: Vec<SimRng>) -> Impairment {
-        if let Err(e) = spec.validate() {
-            panic!("invalid ImpairmentSpec: {e}");
-        }
-        assert_eq!(rngs.len(), spec.stages.len(), "one RNG stream per stage");
-        let stages = spec
-            .stages
-            .iter()
-            .zip(rngs)
-            .map(|(s, rng)| match *s {
-                StageSpec::Bleach { prob } => Stage::Bleach { prob, rng },
-                StageSpec::Remark { from, to, prob } => Stage::Remark { from, to, prob, rng },
-                StageSpec::EctDrop { prob } => Stage::EctDrop { prob, rng },
-                StageSpec::ClassicQueue { rate_bps } => Stage::ClassicQueue {
-                    router: Box::new(Router::new(
-                        rate_bps,
-                        CLASSIC_QUEUE_BYTES,
-                        RouterAqm::ClassicEcn(Red::default()),
-                        rng,
-                    )),
-                },
-            })
-            .collect();
-        Impairment {
-            stages,
-            counters: ImpairmentCounters::default(),
-        }
-    }
-
-    /// Number of pipeline stages.
-    pub fn n_stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Run stage `i` on `pkt`. Stateless stages decide immediately;
-    /// a queue stage takes ownership of the packet (collect departures
-    /// with [`Impairment::poll_queue`]).
-    pub fn apply(&mut self, i: usize, mut pkt: PacketBuf, now: Instant) -> StageOutcome {
-        match &mut self.stages[i] {
-            Stage::Bleach { prob, rng } => {
-                if pkt.ecn().is_ect() && rng.chance(*prob) {
-                    let bleached = pkt.ecn().bleach();
-                    pkt.set_ecn(bleached);
-                    self.counters.bleached += 1;
-                }
-                StageOutcome::Continue(pkt)
-            }
-            Stage::Remark { from, to, prob, rng } => {
-                if pkt.ecn() == *from && rng.chance(*prob) {
-                    let to = pkt.ecn().remark_to(*to);
-                    pkt.set_ecn(to);
-                    self.counters.remarked += 1;
-                }
-                StageOutcome::Continue(pkt)
-            }
-            Stage::EctDrop { prob, rng } => {
-                if pkt.ecn().is_ect() && rng.chance(*prob) {
-                    self.counters.ect_dropped += 1;
-                    StageOutcome::Dropped
-                } else {
-                    StageOutcome::Continue(pkt)
-                }
-            }
-            Stage::ClassicQueue { router, .. } => {
-                // Counter deltas are folded in at poll time (the router
-                // owns the raw drop/mark counts).
-                router.enqueue(pkt, now);
-                StageOutcome::Queued
-            }
-        }
-    }
-
-    /// Poll queue stage `i`: returns the packets whose service completed
-    /// by `now` and the next departure instant, if any. The caller feeds
-    /// departures into stage `i + 1` and polls again at the returned
-    /// instant; keeping that to one pending poll per stage is the
-    /// caller's business (the world arms one wake-up slot per stage).
-    pub fn poll_queue(&mut self, i: usize, now: Instant) -> (Vec<PacketBuf>, Option<Instant>) {
-        let Stage::ClassicQueue { router } = &mut self.stages[i] else {
-            return (Vec::new(), None);
-        };
-        let (marks0, drops0) = (router.marks, router.drops);
-        let out = router.poll(now);
-        self.counters.queue_marks += router.marks - marks0;
-        self.counters.queue_drops += router.drops - drops0;
-        (out, router.next_departure())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use l4span_net::TcpHeader;
+    use crate::wired::{HopSink, WiredPlane};
+    use l4span_net::{PacketBuf, TcpHeader};
+    use l4span_sim::{Instant, SimRng};
 
     fn pkt(ecn: Ecn) -> PacketBuf {
         PacketBuf::tcp(1, 2, ecn, 0, &TcpHeader::default(), 1200)
     }
 
-    fn streams(n: usize) -> Vec<SimRng> {
+    fn plane(spec: &ImpairmentSpec) -> WiredPlane {
         let root = SimRng::new(9);
-        (0..n).map(|k| root.derive(5000 + k as u64)).collect()
+        let rngs = (0..spec.stages.len())
+            .map(|k| root.derive(5000 + k as u64))
+            .collect();
+        WiredPlane::new(spec, rngs)
     }
 
-    fn expect_continue(out: StageOutcome) -> PacketBuf {
-        match out {
-            StageOutcome::Continue(p) => p,
-            other => panic!("expected Continue, got {other:?}"),
+    /// What left the plane, and the polls it asked for.
+    #[derive(Default)]
+    struct Out {
+        exited: Vec<PacketBuf>,
+        polls: Vec<(u8, Instant)>,
+    }
+
+    impl HopSink for Out {
+        fn exit(&mut self, pkt: PacketBuf, _now: Instant) {
+            self.exited.push(pkt);
         }
+
+        fn poll_at(&mut self, hop: u8, at: Instant) {
+            self.polls.push((hop, at));
+        }
+    }
+
+    /// Send `ecn` through `plane` at time zero; what came out, if anything.
+    fn cross(plane: &mut WiredPlane, ecn: Ecn) -> Option<PacketBuf> {
+        let mut out = Out::default();
+        plane.arrive(0, pkt(ecn), Instant::ZERO, &mut out);
+        out.exited.pop()
     }
 
     #[test]
     fn bleach_stage_rewrites_ect_only() {
-        let spec = ImpairmentSpec::bleaching(1.0);
-        let mut imp = Impairment::new(&spec, streams(1));
-        for ecn in [Ecn::Ect1, Ecn::Ect0, Ecn::Ce] {
-            let p = expect_continue(imp.apply(0, pkt(ecn), Instant::ZERO));
+        let mut imp = plane(&ImpairmentSpec::bleaching(1.0));
+        for ecn in [Ecn::Ect1, Ecn::Ect0, Ecn::Ce, Ecn::NotEct] {
+            let p = cross(&mut imp, ecn).expect("a bleach stage drops nothing");
             assert_eq!(p.ecn(), Ecn::NotEct);
         }
-        let p = expect_continue(imp.apply(0, pkt(Ecn::NotEct), Instant::ZERO));
-        assert_eq!(p.ecn(), Ecn::NotEct);
-        assert_eq!(imp.counters.bleached, 3, "Not-ECT passes uncounted");
+        assert_eq!(imp.impairment().bleached, 3, "Not-ECT passes uncounted");
     }
 
     #[test]
     fn remark_stage_matches_exact_codepoint() {
-        let spec = ImpairmentSpec::remarking(Ecn::Ect1, Ecn::Ect0, 1.0);
-        let mut imp = Impairment::new(&spec, streams(1));
-        let p = expect_continue(imp.apply(0, pkt(Ecn::Ect1), Instant::ZERO));
+        let mut imp = plane(&ImpairmentSpec::remarking(Ecn::Ect1, Ecn::Ect0, 1.0));
+        let p = cross(&mut imp, Ecn::Ect1).expect("passes");
         assert_eq!(p.ecn(), Ecn::Ect0);
-        let q = expect_continue(imp.apply(0, pkt(Ecn::Ect0), Instant::ZERO));
+        let q = cross(&mut imp, Ecn::Ect0).expect("passes");
         assert_eq!(q.ecn(), Ecn::Ect0, "non-matching codepoint untouched");
-        assert_eq!(imp.counters.remarked, 1);
+        assert_eq!(imp.impairment().remarked, 1);
     }
 
     #[test]
     fn ect_drop_stage_spares_not_ect() {
-        let spec = ImpairmentSpec::ect_dropping(1.0);
-        let mut imp = Impairment::new(&spec, streams(1));
-        assert!(matches!(
-            imp.apply(0, pkt(Ecn::Ect1), Instant::ZERO),
-            StageOutcome::Dropped
-        ));
-        let _ = expect_continue(imp.apply(0, pkt(Ecn::NotEct), Instant::ZERO));
-        assert_eq!(imp.counters.ect_dropped, 1);
+        let mut imp = plane(&ImpairmentSpec::ect_dropping(1.0));
+        assert!(cross(&mut imp, Ecn::Ect1).is_none());
+        assert!(cross(&mut imp, Ecn::NotEct).is_some());
+        assert_eq!(imp.impairment().ect_dropped, 1);
     }
 
     #[test]
     fn queue_stage_serves_and_counts() {
         // 9.6 Mbit/s, 1240-byte wire packets ≈ 1.03 ms each.
-        let spec = ImpairmentSpec::classic_hop(9.6e6);
-        let mut imp = Impairment::new(&spec, streams(1));
-        let mut offered = 0;
-        for _ in 0..5 {
-            assert!(matches!(
-                imp.apply(0, pkt(Ecn::Ect1), Instant::ZERO),
-                StageOutcome::Queued
-            ));
-            offered += 1;
+        let mut imp = plane(&ImpairmentSpec::classic_hop(9.6e6));
+        let mut out = Out::default();
+        let offered = 5;
+        for _ in 0..offered {
+            imp.arrive(0, pkt(Ecn::Ect1), Instant::ZERO, &mut out);
         }
-        let mut got = 0;
-        let mut now = Instant::ZERO;
-        let (out, mut next) = imp.poll_queue(0, now);
-        got += out.len();
-        while let Some(d) = next {
-            now = d;
-            let (out, n) = imp.poll_queue(0, now);
-            got += out.len();
-            next = n;
+        while let Some((hop, at)) = out.polls.pop() {
+            imp.poll(hop as usize, at, &mut out);
         }
         assert_eq!(
-            got as u64 + imp.counters.queue_drops,
+            out.exited.len() as u64 + imp.impairment().queue_drops,
             offered,
             "conservation at the hop"
         );
@@ -425,5 +310,16 @@ mod tests {
             .then_classic_hop(50e6)
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn validate_leaves_a_u8_hop_index_for_the_bottleneck() {
+        // 255 stages are hops 0..=254 and a bottleneck hop 255; one more
+        // stage would number the bottleneck 256, which wraps onto hop 0.
+        let stages = |n| ImpairmentSpec {
+            stages: vec![StageSpec::Bleach { prob: 0.5 }; n],
+        };
+        assert!(stages(255).validate().is_ok());
+        assert!(stages(256).validate().is_err());
     }
 }

@@ -12,7 +12,7 @@
 //!   transport sender/receiver pair behind one form of every
 //!   operation, so the world never matches on the transport kind;
 //! * [`world`] — the event loop wiring content servers, WAN links, an
-//!   optional wired router, the CU marker (L4Span or a baseline), an
+//!   optional wired plane, the CU marker (L4Span or a baseline), an
 //!   N-cell RAN with runtime handover, and the UE stacks — carrying
 //!   data in **both directions**: downlink flows from content servers,
 //!   and uplink flows whose senders live at the UE behind grant/BSR-
@@ -25,7 +25,9 @@
 //! * [`impairment`] — mid-path internet impairments between server
 //!   egress and the core: ECT bleaching, codepoint remarking, ECT drop,
 //!   and an RFC 3168 classic-ECN single-queue hop;
-//! * [`wired`] — the wired-only topology of Fig. 2(a);
+//! * [`wired`] — the wired plane: the impairment stages and the
+//!   bottleneck router as one chain of hops, and the wired-only topology
+//!   of Fig. 2(a) run through it;
 //! * [`dci`] — synthetic DCI/MCS traces and the channel stable-period
 //!   CDF of Fig. 18;
 //! * [`runner`] — parallel execution of independent scenario batches

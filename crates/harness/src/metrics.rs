@@ -232,8 +232,8 @@ pub struct Report {
     /// Why the world ran time-major off a single queue — the reason
     /// [`crate::plan_shards_reason`] gives for refusing to treat its
     /// cells as independent (single cell, central CU marker, wired
-    /// bottleneck, impairment pipeline, bonded flow, a mobility step the
-    /// barrier order would misplace). `None` for a world that ran
+    /// plane, bonded flow, a mobility step the barrier order would
+    /// misplace). `None` for a world that ran
     /// cell-major, in one world or sharded. Excluded from the
     /// fingerprint like `shards`: it describes execution planning, not
     /// simulation.

@@ -648,8 +648,8 @@ pub fn interactive_apps_mixed(
 /// (≈11 Mbit/s shared), so the uplink legs congest the UE-side queues
 /// well before the downlink ones congest the cell: this is the scenario
 /// where the UE-side L4Span instance (SR/BSR-and-grant-driven delay
-/// prediction) earns its keep, and the canonical perf-gate entry for
-/// the bidirectional data path.
+/// prediction) earns its keep, and the golden corpus's row for the
+/// bidirectional data path.
 pub fn video_call_bidir(
     n_calls: usize,
     cc: &str,
@@ -833,17 +833,18 @@ pub fn xr_bonding_cell(
 
 /// The canonical bonding scenario: 8 XR devices, each bonded across
 /// the two cells, running the FEC/ARQ media endpoint under NADA with
-/// the L4Span marker per cell. The perf-gate row for the bonded
-/// uplink data path; bonded flows serialize the world (the two legs
-/// couple the cells), so the shard planner must reject sharding it.
+/// the L4Span marker per cell. The benchmark's `xr_bonded_ul_8dev`
+/// workload for the bonded uplink data path; bonded flows serialize
+/// the world (the two legs couple the cells), so the shard planner
+/// must reject sharding it.
 pub fn bonded_xr_8ue(seed: u64, duration: Duration) -> ScenarioConfig {
     xr_bonding_cell(8, "fec-media", l4span_default(), true, seed, duration)
 }
 
 /// The canonical metro world: 50 cells × 20 UEs = 1000 UEs of mixed
 /// interactive traffic with continuous handover churn, sharded per cell
-/// (`cu_per_cell`). The perf-gate scenario for the ≥10M aggregate
-/// events/sec bar.
+/// (`cu_per_cell`). The benchmark's `metro_1000ue_50cell` workload:
+/// the largest world a contract run checks.
 pub fn metro_1000ue_50cell(cc: &str, seed: u64, duration: Duration) -> ScenarioConfig {
     metro_city(50, 20, cc, l4span_default(), seed, duration)
 }

@@ -34,7 +34,7 @@
 //! time-major loop.
 //!
 //! Anything outside the eligible shape — a central CU marker, a wired
-//! bottleneck (whose router serializes all flows), a single cell, a
+//! plane (whose queue hops serialize all flows), a single cell, a
 //! mobility step the barrier order would misplace — runs time-major off
 //! one queue, untouched.
 
@@ -49,7 +49,7 @@ use crate::world::{Event, World, TICK_PHASE_PER_CELL_CU, UE_POLL_PERIOD};
 
 /// How many shards a scenario actually supports: `want`, capped at the
 /// cell count — or 1 when the scenario is ineligible (central CU
-/// marker, wired bottleneck, impairment pipeline, a single cell, …), in
+/// marker, wired plane, a single cell, …), in
 /// which case [`run_sharded`] is [`World::run`] on its time-major path.
 pub fn plan_shards(cfg: &ScenarioConfig, want: usize) -> usize {
     plan_shards_reason(cfg, want).0
@@ -60,8 +60,9 @@ pub fn plan_shards(cfg: &ScenarioConfig, want: usize) -> usize {
 /// the time-major loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardReject {
-    /// A mid-path impairment pipeline serializes every downlink flow.
-    ImpairmentPipeline,
+    /// A wired plane — impairment stages or a bottleneck router —
+    /// serializes every downlink flow through hops shared across cells.
+    WiredPlane,
     /// A bonded flow spans two cells by construction (the legs feed one
     /// sender/receiver pair), so its cells can never simulate
     /// independently.
@@ -70,8 +71,6 @@ pub enum ShardReject {
     SingleCell,
     /// One marker instance holds state for every cell.
     CentralCuMarker,
-    /// The bottleneck router serializes every flow.
-    WiredBottleneck,
     /// A mobility step shares its instant with a housekeeping tick or
     /// with a start or stop of one of the UE's own flows.
     StepOnTickOrFlowBoundary,
@@ -86,11 +85,10 @@ pub enum ShardReject {
 impl std::fmt::Display for ShardReject {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            ShardReject::ImpairmentPipeline => "impairment pipeline",
+            ShardReject::WiredPlane => "wired plane",
             ShardReject::BondedFlow => "bonded flow",
             ShardReject::SingleCell => "single cell",
             ShardReject::CentralCuMarker => "central CU marker",
-            ShardReject::WiredBottleneck => "wired bottleneck",
             ShardReject::StepOnTickOrFlowBoundary => "mobility step on a tick or flow boundary",
             ShardReject::CellReusedWithinRoundTrip => {
                 "mobility steps reuse a cell within a round trip"
@@ -103,8 +101,8 @@ impl std::fmt::Display for ShardReject {
 }
 
 /// [`plan_shards`] plus *why* a scenario was forced to one shard,
-/// surfaced in [`Report::shard_reject`] and the perf-gate table so a
-/// scenario silently falling off the fast path is visible. `None` when
+/// surfaced in [`Report::shard_reject`] so a scenario silently falling
+/// off the fast path is visible. `None` when
 /// the plan honored the request (including the trivial `want <= 1`).
 ///
 /// `plan_shards_reason(cfg, 2).1.is_none()` is the eligibility test of
@@ -113,16 +111,14 @@ pub fn plan_shards_reason(cfg: &ScenarioConfig, want: usize) -> (usize, Option<S
     if want <= 1 {
         return (1, None);
     }
-    let reject = if cfg.impairment.is_some() {
-        Some(ShardReject::ImpairmentPipeline)
+    let reject = if cfg.impairment.is_some() || cfg.bottleneck.is_some() {
+        Some(ShardReject::WiredPlane)
     } else if cfg.flows.iter().any(|f| f.bond.is_some()) {
         Some(ShardReject::BondedFlow)
     } else if cfg.n_cells() < 2 {
         Some(ShardReject::SingleCell)
     } else if !cfg.cu_per_cell {
         Some(ShardReject::CentralCuMarker)
-    } else if cfg.bottleneck.is_some() {
-        Some(ShardReject::WiredBottleneck)
     } else if step_misaligned(cfg) {
         Some(ShardReject::StepOnTickOrFlowBoundary)
     } else if steps_reuse_a_grid(cfg) {

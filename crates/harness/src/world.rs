@@ -1,5 +1,5 @@
 //! The discrete-event world: content servers ↔ WAN ↔ (optional wired
-//! bottleneck) ↔ CU marker ↔ cells ↔ air ↔ UE stacks ↔ uplink, exactly
+//! plane) ↔ CU marker ↔ cells ↔ air ↔ UE stacks ↔ uplink, exactly
 //! the end-to-end path of paper Fig. 3 — generalised to an N-cell
 //! topology in which UEs hand over between cells at runtime (Xn context
 //! transfer, PDCP re-establishment, lossless RLC forwarding, and a
@@ -8,7 +8,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use l4span_aqm::{DualPi2, Router, RouterAqm};
 use l4span_cc::CcEvent;
 use l4span_core::DlVerdict;
 use l4span_net::{FiveTuple, PacketBuf};
@@ -25,11 +24,11 @@ use l4span_sim::{CycleScope, Duration, EventQueue, FxHashMap, Instant, SimRng};
 use crate::app::{AppUnit, Application, UnitKind};
 use crate::bond::{BondJoin, BondTx, SbdDetector};
 use crate::endpoint::{self, Built, Endpoint, FbData, Feedback, Released};
-use crate::impairment::{Impairment, StageOutcome};
 use crate::marker::Marker;
 use crate::metrics::{BondStat, Breakdown, BreakdownAvg, FallbackRecord, HandoverRecord, Report};
-use crate::scenario::{BottleneckSpec, FlowDir, ScenarioConfig};
+use crate::scenario::{FlowDir, ScenarioConfig};
 use crate::sn_ring::SnRing;
+use crate::wired::{HopSink, WiredPlane};
 
 /// Subsystem labels of the world's [`CycleScope`] (the `fig_breakdown`
 /// attribution table). Indices are the `CYC_*` constants below; spans
@@ -40,7 +39,7 @@ pub const CYCLE_LABELS: &[&str] = &[
     "marker",      // both L4Span instances: DL/UL hooks + feedback
     "ue_stack",    // UE RLC rx/tx entities, polls, UL status handling
     "ul_control",  // UL grant/BSR/status path + per-UE uplink-slot scan
-    "wired_core",  // wired-bottleneck router hops
+    "wired_core",  // wired-plane hops: impairment stages, bottleneck router
     "transport",   // endpoint senders/receivers (TCP/SCReAM/Prague)
     "metrics",     // QoE/series/ground-truth bookkeeping + sample tick
     "event_queue", // event pop in the run loop
@@ -175,14 +174,11 @@ impl Flow {
 pub(crate) enum Event {
     /// One TDD slot of cell `cell` elapses (each cell has its own tick).
     Slot { cell: usize },
-    DlAtRouter { pkt: PacketBuf },
-    RouterPoll,
-    RouterRate { bps: f64 },
-    /// A downlink packet reaches impairment-pipeline stage `stage`
-    /// (stage 0 = arrival at the hostile middle, after the WAN hop).
-    DlAtImpair { stage: u8, pkt: PacketBuf },
-    /// Poll the queue at impairment stage `stage` for departures.
-    ImpairPoll { stage: u8 },
+    /// A downlink packet reaches wired-plane hop `hop` (hop 0: the end
+    /// of the WAN link).
+    DlAtHop { hop: u8, pkt: PacketBuf },
+    /// Poll wired-plane queue hop `hop` for departures.
+    HopPoll { hop: u8 },
     DlAtCu { flow: usize, pkt: PacketBuf },
     /// The transport blocks `cell` put on the air in one slot decode at
     /// their UEs, in scheduling order (one pooled batch per slot: every
@@ -222,13 +218,10 @@ pub(crate) enum Event {
 impl Event {
     /// Class names, indexed by [`Event::class`]: the rows of
     /// [`Report::event_counts`].
-    const CLASSES: [&'static str; 20] = [
+    const CLASSES: [&'static str; 17] = [
         "Slot",
-        "DlAtRouter",
-        "RouterPoll",
-        "RouterRate",
-        "DlAtImpair",
-        "ImpairPoll",
+        "DlAtHop",
+        "HopPoll",
         "DlAtCu",
         "TbsAtUe",
         "AppDeliver",
@@ -248,29 +241,26 @@ impl Event {
     /// Classes a cell-major run counts specially: mobility steps are
     /// executed (and counted) at their barrier instead of popped, and
     /// the housekeeping ticks have one copy per cell.
-    const HANDOVER: usize = 17;
-    const SAMPLE: usize = 18;
-    const UE_POLL: usize = 19;
+    const HANDOVER: usize = 14;
+    const SAMPLE: usize = 15;
+    const UE_POLL: usize = 16;
 
     fn class(&self) -> usize {
         match self {
             Event::Slot { .. } => 0,
-            Event::DlAtRouter { .. } => 1,
-            Event::RouterPoll => 2,
-            Event::RouterRate { .. } => 3,
-            Event::DlAtImpair { .. } => 4,
-            Event::ImpairPoll { .. } => 5,
-            Event::DlAtCu { .. } => 6,
-            Event::TbsAtUe { .. } => 7,
-            Event::AppDeliver { .. } => 8,
-            Event::UlAtGnb { .. } => 9,
-            Event::UlTbsAtGnb { .. } => 10,
-            Event::UlStatusAtUe { .. } => 11,
-            Event::UlAtServer { .. } => 12,
-            Event::FlowStart { .. } => 13,
-            Event::FlowStop { .. } => 14,
-            Event::FlowTimer { .. } => 15,
-            Event::AppTick { .. } => 16,
+            Event::DlAtHop { .. } => 1,
+            Event::HopPoll { .. } => 2,
+            Event::DlAtCu { .. } => 3,
+            Event::TbsAtUe { .. } => 4,
+            Event::AppDeliver { .. } => 5,
+            Event::UlAtGnb { .. } => 6,
+            Event::UlTbsAtGnb { .. } => 7,
+            Event::UlStatusAtUe { .. } => 8,
+            Event::UlAtServer { .. } => 9,
+            Event::FlowStart { .. } => 10,
+            Event::FlowStop { .. } => 11,
+            Event::FlowTimer { .. } => 12,
+            Event::AppTick { .. } => 13,
             Event::Handover { .. } => Event::HANDOVER,
             Event::Sample => Event::SAMPLE,
             Event::UePoll => Event::UE_POLL,
@@ -287,23 +277,20 @@ enum Timer {
     Flow(usize),
     /// A flow's [`Application`] (`AppTick`).
     App(usize),
-    /// The bottleneck router's next departure (`RouterPoll`).
-    Router,
-    /// An impairment queue stage's next departure (`ImpairPoll`).
-    Impair(u8),
+    /// A wired-plane queue hop's next departure (`HopPoll`).
+    Hop(u8),
 }
 
 impl Timer {
-    /// Queue keys below this are the wired plane's: the router, then
-    /// every stage a `u8` can number. A queue reserves slots for the
-    /// keys it hosts, not for the range, so the gap costs nothing.
-    const WIRED_KEYS: usize = 2 + u8::MAX as usize;
+    /// Queue keys below this are the wired plane's: one per hop a `u8`
+    /// can number. A queue reserves slots for the keys it hosts, not for
+    /// the range, so the gap costs nothing.
+    const WIRED_KEYS: usize = 1 + u8::MAX as usize;
 
     /// The owner's queue key.
     fn key(self) -> usize {
         match self {
-            Timer::Router => 0,
-            Timer::Impair(stage) => 1 + stage as usize,
+            Timer::Hop(hop) => hop as usize,
             Timer::Flow(f) => Timer::WIRED_KEYS + 2 * f,
             Timer::App(f) => Timer::WIRED_KEYS + 2 * f + 1,
         }
@@ -314,8 +301,7 @@ impl Timer {
         match self {
             Timer::Flow(flow) => Event::FlowTimer { flow },
             Timer::App(flow) => Event::AppTick { flow },
-            Timer::Router => Event::RouterPoll,
-            Timer::Impair(stage) => Event::ImpairPoll { stage },
+            Timer::Hop(hop) => Event::HopPoll { hop },
         }
     }
 
@@ -324,8 +310,7 @@ impl Timer {
         match *ev {
             Event::FlowTimer { flow } => Some(Timer::Flow(flow)),
             Event::AppTick { flow } => Some(Timer::App(flow)),
-            Event::RouterPoll => Some(Timer::Router),
-            Event::ImpairPoll { stage } => Some(Timer::Impair(stage)),
+            Event::HopPoll { hop } => Some(Timer::Hop(hop)),
             _ => None,
         }
     }
@@ -435,11 +420,10 @@ pub struct World {
     has_um_ul: bool,
     flows: Vec<Flow>,
     tuple_to_flow: FxHashMap<FiveTuple, usize>,
-    router: Option<Router>,
-    /// Mid-path impairment pipeline (bleach/remark/drop stages and the
-    /// RFC 3168 classic hop), applied ahead of the bottleneck router.
-    /// `None` keeps the wired path byte-identical to the faithful one.
-    impair: Option<Impairment>,
+    /// The hops between server egress and the core: impairment stages,
+    /// then the bottleneck router. `None` sends a packet from the WAN
+    /// link straight on to the CU.
+    wired: Option<WiredPlane>,
     /// UEs with at least one UM DRB (the only ones whose RLC receivers
     /// need the reassembly-timeout poll).
     um_ues: Vec<usize>,
@@ -531,7 +515,7 @@ pub struct World {
     /// HARQ-queue half of handover losses itself).
     ho_tbs_lost: u64,
     /// Events popped by the run loop, per [`Event::class`]; their sum
-    /// is `Report::events` (the perf-gate denominator). A cell-major
+    /// is `Report::events` (the benchmark's `events`). A cell-major
     /// world pops `Sample` and `UePoll` once per cell and counts cell
     /// 0's copy, and counts the mobility steps its barriers execute as
     /// `Handover` — which makes `Report::events` the same number under
@@ -721,29 +705,7 @@ impl World {
                 bond,
             });
         }
-        let router = cfg.bottleneck.as_ref().map(|b: &BottleneckSpec| {
-            let aqm = if b.l4s_aqm {
-                RouterAqm::DualPi2(DualPi2::default())
-            } else {
-                RouterAqm::Droptail
-            };
-            Router::new(b.rate_bps, 4 << 20, aqm, root.derive(3))
-        });
-        // Impairment stages draw dedicated streams: derive(5) for stage
-        // 0, then a 40_000+ block — disjoint from every stream above, so
-        // configuring impairments perturbs nothing else.
-        let impair = cfg.impairment.as_ref().map(|spec| {
-            let rngs = (0..spec.stages.len())
-                .map(|k| {
-                    if k == 0 {
-                        root.derive(5)
-                    } else {
-                        root.derive(40_000 + k as u64)
-                    }
-                })
-                .collect();
-            Impairment::new(spec, rngs)
-        });
+        let wired = WiredPlane::of_scenario(&cfg, &root);
 
         // UEs that actually need the periodic poll (UM reassembly skips)
         // and flows that need the UDP feedback flush; in an all-AM,
@@ -791,11 +753,10 @@ impl World {
         for (i, &c) in serving.iter().enumerate() {
             cell_ues[c].push(i);
         }
-        // One wake-up slot per timer owner: the wired plane's queues,
+        // One wake-up slot per timer owner: the wired plane's hops,
         // every flow's sender, the applications there are.
-        let stages = impair.as_ref().map_or(0, Impairment::n_stages);
-        let mut keys: Vec<usize> = router.iter().map(|_| Timer::Router.key()).collect();
-        keys.extend((0..stages).map(|i| Timer::Impair(i as u8).key()));
+        let hops = wired.as_ref().map_or(0, WiredPlane::n_hops);
+        let mut keys: Vec<usize> = (0..hops).map(|h| Timer::Hop(h as u8).key()).collect();
         keys.extend(wake_keys(&flows, |_| true));
         let queue = EventQueue::with_wakeups(1024 + 128 * flows.len(), keys)
             .with_grid(cfg.cell_config(0).slot_duration, slot_origin(&cfg, 0));
@@ -815,8 +776,7 @@ impl World {
             has_um_ul,
             flows,
             tuple_to_flow,
-            router,
-            impair,
+            wired,
             um_ues,
             udp_flows,
             bond_flows,
@@ -854,8 +814,7 @@ impl World {
             has_um_ul: false,
             flows: Vec::new(),
             tuple_to_flow: FxHashMap::default(),
-            router: None,
-            impair: None,
+            wired: None,
             um_ues: Vec::new(),
             udp_flows: Vec::new(),
             bond_flows: Vec::new(),
@@ -904,7 +863,7 @@ impl World {
     /// DRBs, [`Marker::None`], [`Flow::vacant`] — over the same config,
     /// static tables and start events. [`World::exchange`] then moves in
     /// the cells it owns. Only a world whose cells are independent has
-    /// replicas, so there is no router or impairment pipeline to copy.
+    /// replicas, so there is no wired plane to copy.
     fn vacant_replica(&self) -> World {
         let cfg = &self.cfg;
         let gnbs = (0..self.gnbs.len())
@@ -945,8 +904,8 @@ impl World {
     }
 
     /// Schedule what every run starts from — each cell's first slot, the
-    /// housekeeping ticks, every flow's start and stop, the bottleneck's
-    /// rate changes, the mobility steps — in one order, on a world and
+    /// housekeeping ticks, every flow's start and stop, the mobility
+    /// steps — in one order, on a world and
     /// on each of its vacant replicas alike.
     fn schedule_start(&mut self) {
         let cfg = Arc::clone(&self.cfg);
@@ -981,11 +940,6 @@ impl World {
             self.sched(start, Event::FlowStart { flow: f });
             if let Some(stop) = self.flows[f].stop {
                 self.sched(stop, Event::FlowStop { flow: f });
-            }
-        }
-        if let Some(b) = &cfg.bottleneck {
-            for &(t, bps) in &b.schedule {
-                self.sched(t, Event::RouterRate { bps });
             }
         }
         // Mobility trajectories.
@@ -1255,32 +1209,14 @@ impl World {
     fn handle(&mut self, ev: Event, now: Instant) {
         match ev {
             Event::Slot { cell } => self.on_slot(cell, now),
-            Event::DlAtRouter { pkt } => {
+            Event::DlAtHop { hop, pkt } => {
                 let t0 = self.cycles.start();
-                if let Some(r) = &mut self.router {
-                    r.enqueue(pkt, now);
-                }
-                self.drain_router(now);
+                self.wired_step(|plane, sink| plane.arrive(hop as usize, pkt, now, sink));
                 self.cycles.stop(t0, CYC_WIRED);
             }
-            Event::RouterPoll => {
+            Event::HopPoll { hop } => {
                 let t0 = self.cycles.start();
-                self.drain_router(now);
-                self.cycles.stop(t0, CYC_WIRED);
-            }
-            Event::RouterRate { bps } => {
-                if let Some(r) = &mut self.router {
-                    r.set_rate(bps);
-                }
-            }
-            Event::DlAtImpair { stage, pkt } => {
-                let t0 = self.cycles.start();
-                self.impair_advance(stage as usize, pkt, now);
-                self.cycles.stop(t0, CYC_WIRED);
-            }
-            Event::ImpairPoll { stage } => {
-                let t0 = self.cycles.start();
-                self.impair_poll(stage as usize, now);
+                self.wired_step(|plane, sink| plane.poll(hop as usize, now, sink));
                 self.cycles.stop(t0, CYC_WIRED);
             }
             Event::DlAtCu { flow, pkt } => self.on_dl_at_cu(flow, pkt, now),
@@ -2291,10 +2227,8 @@ impl World {
             self.flows[flow].sent_at.insert(ident, now);
         }
         let wan = self.flows[flow].wan_one_way;
-        if self.impair.is_some() {
-            self.sched(now + wan, Event::DlAtImpair { stage: 0, pkt });
-        } else if self.router.is_some() {
-            self.sched(now + wan, Event::DlAtRouter { pkt });
+        if self.wired.is_some() {
+            self.sched(now + wan, Event::DlAtHop { hop: 0, pkt });
         } else {
             let cell = self.serving[self.flows[flow].ue_idx];
             let delay = wan + self.gnbs[cell].config().core_to_cu_delay;
@@ -2302,75 +2236,12 @@ impl World {
         }
     }
 
-    /// Push `pkt` through impairment stages starting at `from`. Stateless
-    /// stages apply in place; a queue stage absorbs the packet (it
-    /// re-emerges via [`World::impair_poll`] at stage `from + 1`). A
-    /// packet that clears the whole pipeline continues to the bottleneck
-    /// router, or straight to the CU when none is configured.
-    fn impair_advance(&mut self, from: usize, pkt: PacketBuf, now: Instant) {
-        let Some(imp) = &mut self.impair else { return };
-        let mut pkt = pkt;
-        let mut i = from;
-        while i < imp.n_stages() {
-            match imp.apply(i, pkt, now) {
-                StageOutcome::Continue(p) => {
-                    pkt = p;
-                    i += 1;
-                }
-                StageOutcome::Dropped => return,
-                StageOutcome::Queued => {
-                    self.impair_poll(i, now);
-                    return;
-                }
-            }
-        }
-        self.impair_exit(pkt, now);
-    }
-
-    /// Poll the queue at impairment stage `i`; departures continue at
-    /// stage `i + 1`.
-    fn impair_poll(&mut self, i: usize, now: Instant) {
-        let Some(imp) = &mut self.impair else { return };
-        let (departed, next) = imp.poll_queue(i, now);
-        for pkt in departed {
-            self.impair_advance(i + 1, pkt, now);
-        }
-        if let Some(at) = next {
-            self.arm(Timer::Impair(i as u8), at);
-        }
-    }
-
-    /// A packet cleared the impairment pipeline: hand it to the rest of
-    /// the wired path (bottleneck router, or the CU hop directly).
-    fn impair_exit(&mut self, pkt: PacketBuf, now: Instant) {
-        if let Some(r) = &mut self.router {
-            r.enqueue(pkt, now);
-            self.drain_router(now);
-        } else {
-            self.sched_dl_at_cu(pkt, now);
-        }
-    }
-
-    /// A packet cleared the wired path: on to its flow's CU, recovering
-    /// the flow from the five-tuple.
-    fn sched_dl_at_cu(&mut self, pkt: PacketBuf, now: Instant) {
-        if let Some(flow) = self.flow_of_dl_pkt(&pkt) {
-            let cell = self.serving[self.flows[flow].ue_idx];
-            let core = self.gnbs[cell].config().core_to_cu_delay;
-            self.sched(now + core, Event::DlAtCu { flow, pkt });
-        }
-    }
-
-    fn drain_router(&mut self, now: Instant) {
-        let Some(r) = &mut self.router else { return };
-        let departed = r.poll(now);
-        let next = r.next_departure();
-        for pkt in departed {
-            self.sched_dl_at_cu(pkt, now);
-        }
-        if let Some(at) = next {
-            self.arm(Timer::Router, at);
-        }
+    /// Run `step` on the wired plane, with this world as the sink its
+    /// departures and re-arms are scheduled into.
+    fn wired_step(&mut self, step: impl FnOnce(&mut WiredPlane, &mut WiredSink<'_>)) {
+        let mut plane = self.wired.take().expect("a wired-plane event needs a wired plane");
+        step(&mut plane, &mut WiredSink(self));
+        self.wired = Some(plane);
     }
 
     fn reschedule_timer(&mut self, flow: usize) {
@@ -2549,13 +2420,7 @@ impl World {
             | Event::AppTick { flow } => Some(of_flow(*flow)),
             Event::UlStatusAtUe { ue, .. } | Event::Handover { ue, .. } => Some(self.serving[*ue]),
             Event::AppDeliver { pkt, .. } => self.flow_of_dl_pkt(pkt).map(of_flow),
-            Event::DlAtRouter { .. }
-            | Event::RouterPoll
-            | Event::RouterRate { .. }
-            | Event::DlAtImpair { .. }
-            | Event::ImpairPoll { .. }
-            | Event::Sample
-            | Event::UePoll => None,
+            Event::DlAtHop { .. } | Event::HopPoll { .. } | Event::Sample | Event::UePoll => None,
         }
     }
 
@@ -3034,11 +2899,35 @@ impl World {
             queue_depth_peak: self.queue_depth_peak,
             shards: Vec::new(),
             shard_reject: None,
-            impairment: self.impair.as_ref().map(|i| i.counters),
+            impairment: self
+                .cfg
+                .impairment
+                .as_ref()
+                .and(self.wired.as_ref())
+                .map(WiredPlane::impairment),
             fallbacks,
             fec,
             bonds,
         }
+    }
+}
+
+/// The world as its wired plane's [`HopSink`]: a packet leaving the
+/// last hop goes on to its flow's CU, recovered from the five-tuple, and
+/// a queue hop's poll is its timer.
+struct WiredSink<'a>(&'a mut World);
+
+impl HopSink for WiredSink<'_> {
+    fn exit(&mut self, pkt: PacketBuf, now: Instant) {
+        let w = &mut *self.0;
+        if let Some(flow) = w.flow_of_dl_pkt(&pkt) {
+            let core = w.gnbs[w.serving[w.flows[flow].ue_idx]].config().core_to_cu_delay;
+            w.sched(now + core, Event::DlAtCu { flow, pkt });
+        }
+    }
+
+    fn poll_at(&mut self, hop: u8, at: Instant) {
+        self.0.arm(Timer::Hop(hop), at);
     }
 }
 
@@ -3105,7 +2994,7 @@ mod tests {
     fn event_class_names_follow_the_numbering() {
         let name = |ev: Event| Event::CLASSES[ev.class()];
         assert_eq!(name(Event::Slot { cell: 0 }), "Slot");
-        assert_eq!(name(Event::RouterPoll), "RouterPoll");
+        assert_eq!(name(Event::HopPoll { hop: 0 }), "HopPoll");
         assert_eq!(name(Event::UlAtGnb { cell: 0, ues: Vec::new() }), "UlAtGnb");
         assert_eq!(name(Event::AppTick { flow: 0 }), "AppTick");
         let step = Event::Handover {

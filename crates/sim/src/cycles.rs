@@ -14,7 +14,7 @@
 //!    bool and returns `None`; `stop(None, _)` is a predictable branch.
 //!    This is the same convention as the harness's existing
 //!    `measure_marker_time` instrumentation, which has never been
-//!    measurable in the perf gate.
+//!    measurable on a benchmark workload.
 //! 2. **No effect on simulation state.** The scope only reads the OS
 //!    monotonic clock; nothing simulated depends on it, so enabling it
 //!    cannot change a fingerprint (asserted by a harness test).

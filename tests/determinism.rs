@@ -271,8 +271,8 @@ fn bonded_cubic_is_deterministic() {
 
 #[test]
 fn bonded_xr_8ue_is_deterministic() {
-    // The perf-gate canonical itself (8 devices × 2 legs): the exact
-    // world whose fingerprint the acceptance bar pins must be
+    // The benchmark's `xr_bonded_ul_8dev` world itself (8 devices × 2
+    // legs): the exact world whose digest the benchmark records must be
     // worker-invariant, not just a smaller cousin. Seed variation is
     // covered by the matrix's third run; `bonded_xr_8ue` fixes every
     // other knob by design.

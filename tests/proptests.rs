@@ -553,15 +553,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Impairment pipeline conservation (PR 9): whatever stages a path is
-// built from, every packet offered to the pipeline is either delivered
-// out the far end, counted as dropped by exactly one stage, or still in
-// a queue stage — never duplicated, never silently lost — and any
-// codepoint rewrite the pipeline performed composes to a legal ECN
-// lattice transition.
+// Wired-plane conservation: whatever impairment stages a path is built
+// from, with or without a bottleneck router behind them, every packet
+// offered to the plane is either delivered out the far end, counted as
+// dropped by exactly one hop, or still queued — never duplicated, never
+// silently lost — and any codepoint rewrite the plane performed composes
+// to a legal ECN lattice transition. The plane runs through its own
+// `arrive` / `poll`, the pair the world drives.
 // ---------------------------------------------------------------------
 
-use l4span::harness::impairment::{Impairment, ImpairmentSpec, StageOutcome, StageSpec};
+use l4span::aqm::{DualPi2, Router, RouterAqm};
+use l4span::harness::impairment::{ImpairmentSpec, StageSpec};
+use l4span::harness::wired::{HopSink, WiredPlane};
 
 fn arb_stage() -> impl Strategy<Value = StageSpec> {
     // Probabilities as permille so the strategy stays on integer ranges.
@@ -584,52 +587,58 @@ fn arb_stage() -> impl Strategy<Value = StageSpec> {
     ]
 }
 
-/// Push `pkt` through stages `start..`; packets that clear the last
-/// stage land in `delivered`.
-fn impair_feed(
-    imp: &mut Impairment,
-    start: usize,
-    pkt: PacketBuf,
-    now: Instant,
-    delivered: &mut Vec<PacketBuf>,
-) {
-    let mut cur = pkt;
-    for i in start..imp.n_stages() {
-        match imp.apply(i, cur, now) {
-            StageOutcome::Continue(p) => cur = p,
-            StageOutcome::Dropped | StageOutcome::Queued => return,
-        }
-    }
-    delivered.push(cur);
+/// The world's event queue, reduced to what the plane asks of it: the
+/// packets leaving the last hop, and one pending poll per queue hop
+/// (arming it earlier moves it, arming it later changes nothing).
+#[derive(Default)]
+struct PlaneHost {
+    delivered: Vec<PacketBuf>,
+    polls: std::collections::BTreeMap<u8, Instant>,
 }
 
-/// Poll every queue stage at `now`, feeding departures onward (a
-/// departure may enter a later queue) and collecting follow-up poll
-/// times into `agenda` — the world's `impair_poll` loop, inlined.
-fn impair_poll_all(
-    imp: &mut Impairment,
-    now: Instant,
-    delivered: &mut Vec<PacketBuf>,
-    agenda: &mut Vec<Instant>,
-) {
-    for i in 0..imp.n_stages() {
-        let (out, next) = imp.poll_queue(i, now);
-        for p in out {
-            impair_feed(imp, i + 1, p, now, delivered);
+impl HopSink for PlaneHost {
+    fn exit(&mut self, pkt: PacketBuf, _now: Instant) {
+        self.delivered.push(pkt);
+    }
+
+    fn poll_at(&mut self, hop: u8, at: Instant) {
+        let due = self.polls.entry(hop).or_insert(at);
+        *due = (*due).min(at);
+    }
+}
+
+impl PlaneHost {
+    /// Run the earliest pending poll if it is due by `until`; whether
+    /// one ran.
+    fn poll_next(&mut self, plane: &mut WiredPlane, until: Instant) -> bool {
+        let Some((hop, at)) = self
+            .polls
+            .iter()
+            .map(|(&h, &t)| (h, t))
+            .min_by_key(|&(h, t)| (t, h))
+        else {
+            return false;
+        };
+        if at > until {
+            return false;
         }
-        if let Some(d) = next {
-            agenda.push(d);
-        }
+        self.polls.remove(&hop);
+        plane.poll(hop as usize, at, self);
+        true
     }
 }
 
 proptest! {
-    /// Impairment conservation: offered == delivered + counted drops,
-    /// delivery order preserves send order per codepoint stream, no
-    /// duplication, and every net codepoint change is lattice-legal.
+    /// Wired-plane conservation: offered == delivered + counted drops,
+    /// no duplication, and every net codepoint change is lattice-legal.
     #[test]
     fn impairment_pipeline_conserves_packets(
         stages in proptest::collection::vec(arb_stage(), 1..5),
+        bottleneck in proptest::option::of((
+            1e6f64..1e8,
+            any::<bool>(),
+            proptest::collection::vec((0u64..200_000, 1e6f64..1e8), 0..3),
+        )),
         arrivals in proptest::collection::vec((0u64..200_000, 0usize..4), 1..150),
         seed in any::<u64>(),
     ) {
@@ -639,64 +648,62 @@ proptest! {
         let rngs = (0..spec.stages.len())
             .map(|k| root.derive(40_000 + k as u64))
             .collect();
-        let mut imp = Impairment::new(&spec, rngs);
+        let mut plane = WiredPlane::new(&spec, rngs);
+        if let Some((rate_bps, l4s, steps)) = bottleneck {
+            let aqm = if l4s {
+                RouterAqm::DualPi2(DualPi2::default())
+            } else {
+                RouterAqm::Droptail
+            };
+            let schedule: Vec<(Instant, f64)> = steps
+                .into_iter()
+                .map(|(t_us, bps)| (Instant::from_micros(t_us), bps))
+                .collect();
+            // A 64 KiB buffer, so bursts overflow it and its tail drops
+            // enter the count too.
+            let router = Router::new(rate_bps, 1 << 16, aqm, root.derive(3));
+            plane = plane.then_router(router, &schedule);
+        }
 
         let mut t_sorted = arrivals;
         t_sorted.sort();
         let hdr = TcpHeader::default();
-        let mut delivered: Vec<PacketBuf> = Vec::new();
-        let mut agenda: Vec<Instant> = Vec::new();
+        let mut host = PlaneHost::default();
         let mut sent_ecn: Vec<Ecn> = Vec::new();
-        let mut last = Instant::ZERO;
         for (k, (t_us, ecn_k)) in t_sorted.into_iter().enumerate() {
             let now = Instant::from_micros(t_us);
-            // Serve any queue departures due before this arrival.
-            while let Some(&t) = agenda.iter().filter(|&&t| t <= now).min() {
-                agenda.retain(|&x| x != t);
-                impair_poll_all(&mut imp, t, &mut delivered, &mut agenda);
-            }
-            last = now;
+            // Serve the queue departures due before this arrival.
+            while host.poll_next(&mut plane, now) {}
             let ecn = [Ecn::NotEct, Ecn::Ect0, Ecn::Ect1, Ecn::Ce][ecn_k];
             // seq tags the packet so delivery can be matched to its send.
             let hdr = TcpHeader { seq: k as u32, ..hdr };
             sent_ecn.push(ecn);
-            impair_feed(
-                &mut imp,
-                0,
-                PacketBuf::tcp(1, 2, ecn, 0, &hdr, 1000),
-                now,
-                &mut delivered,
-            );
-            impair_poll_all(&mut imp, now, &mut delivered, &mut agenda);
+            plane.arrive(0, PacketBuf::tcp(1, 2, ecn, 0, &hdr, 1000), now, &mut host);
         }
-        // Drain every queue stage to empty (agenda-driven; bounded).
+        // Drain every queue hop to empty (poll-driven; bounded).
         for round in 0..100_000usize {
-            let Some(&t) = agenda.iter().min() else { break };
-            agenda.retain(|&x| x != t);
-            last = last.max(t);
-            impair_poll_all(&mut imp, t, &mut delivered, &mut agenda);
+            if !host.poll_next(&mut plane, Instant::MAX) {
+                break;
+            }
             prop_assert!(round < 99_999, "queue drain livelock");
         }
-        // Generous settle poll: nothing further may emerge.
-        let n0 = delivered.len();
-        impair_poll_all(
-            &mut imp,
-            last + Duration::from_secs(60),
-            &mut delivered,
-            &mut agenda,
-        );
-        prop_assert_eq!(delivered.len(), n0, "drain left packets queued");
+        // Generous settle poll of every hop: nothing further may emerge.
+        let n0 = host.delivered.len();
+        for hop in 0..plane.n_hops() {
+            plane.poll(hop, Instant::from_secs(3600), &mut host);
+        }
+        prop_assert_eq!(host.delivered.len(), n0, "drain left packets queued");
 
         prop_assert_eq!(
-            delivered.len() as u64 + imp.counters.total_dropped(),
+            host.delivered.len() as u64 + plane.dropped(),
             sent_ecn.len() as u64,
             "conservation: {} delivered, {:?}",
-            delivered.len(),
-            imp.counters
+            host.delivered.len(),
+            plane.impairment()
         );
         // No duplication, and each packet's net rewrite is lattice-legal.
         let mut seen = std::collections::HashSet::new();
-        for p in &delivered {
+        for p in &host.delivered {
             let tcp = p.tcp_header().expect("tcp survives");
             prop_assert!(seen.insert(tcp.seq), "duplicate delivery of {}", tcp.seq);
             let sent = sent_ecn[tcp.seq as usize];

@@ -155,10 +155,10 @@ fn ineligible_scenarios_plan_to_one_shard() {
 
 #[test]
 fn impairment_forces_the_classic_path_with_a_reason() {
-    // An impairment pipeline serializes every flow through one shared
-    // mid-path element, so the scenario can never shard: `run_sharded`
-    // at any count must match the classic run byte-for-byte and the
-    // report must say why sharding was rejected.
+    // Impairment stages are a wired plane: they serialize every flow
+    // through shared mid-path hops, so the scenario can never shard:
+    // `run_sharded` at any count must match the classic run
+    // byte-for-byte and the report must say why sharding was rejected.
     let cfg = || {
         scenario::impaired_path_cell(
             2,
@@ -170,7 +170,7 @@ fn impairment_forces_the_classic_path_with_a_reason() {
         )
     };
     let (n, why) = l4span::harness::plan_shards_reason(&cfg(), 4);
-    assert_eq!((n, why), (1, Some(ShardReject::ImpairmentPipeline)));
+    assert_eq!((n, why), (1, Some(ShardReject::WiredPlane)));
     let classic = l4span::harness::run(cfg());
     let sharded = run_sharded(cfg(), 4);
     assert_eq!(
@@ -178,7 +178,7 @@ fn impairment_forces_the_classic_path_with_a_reason() {
         outcome(&classic),
         "impairment → classic path at any shard count"
     );
-    assert_eq!(sharded.shard_reject, Some(ShardReject::ImpairmentPipeline));
+    assert_eq!(sharded.shard_reject, Some(ShardReject::WiredPlane));
     assert!(
         classic.impairment.is_some(),
         "pipeline counters present in the report"
