@@ -282,21 +282,21 @@ mod tests {
 
     #[test]
     fn queue_stage_serves_and_counts() {
-        // 9.6 Mbit/s, 1240-byte wire packets ≈ 1.03 ms each.
+        // 9.6 Mbit/s, 1240-byte wire packets ≈ 1.03 ms each; a burst of
+        // 1000 (1.24 MB) overflows the 1 MiB buffer, and those tail
+        // drops are counted too.
         let mut imp = plane(&ImpairmentSpec::classic_hop(9.6e6));
         let mut out = Out::default();
-        let offered = 5;
+        let offered = 1000;
         for _ in 0..offered {
             imp.arrive(0, pkt(Ecn::Ect1), Instant::ZERO, &mut out);
         }
         while let Some((hop, at)) = out.polls.pop() {
             imp.poll(hop as usize, at, &mut out);
         }
-        assert_eq!(
-            out.exited.len() as u64 + imp.impairment().queue_drops,
-            offered,
-            "conservation at the hop"
-        );
+        let drops = imp.impairment().queue_drops;
+        assert!(drops > 0, "the burst overflows the buffer");
+        assert_eq!(out.exited.len() as u64 + drops, offered, "conservation at the hop");
     }
 
     #[test]
