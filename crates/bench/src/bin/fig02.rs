@@ -9,9 +9,8 @@ use l4span_bench::{banner, run_grid, Args};
 use l4span_cc::{CcKind, WanLink};
 use l4span_harness::app::AppProfile;
 use l4span_harness::scenario::{
-    l4span_default, BottleneckSpec, FlowSpec, ScenarioConfig, TransportSpec, UeSpec,
+    l4span_default, wired_l4s, BottleneckSpec, FlowSpec, ScenarioConfig, TransportSpec, UeSpec,
 };
-use l4span_harness::wired::{run_wired, WiredConfig};
 use l4span_harness::{MarkerKind, Report};
 use l4span_ran::ChannelProfile;
 use l4span_sim::{Duration, Instant};
@@ -86,29 +85,12 @@ fn main() {
     let secs = args.secs_or(30);
     banner("Fig. 2", "L4S status quo: wired vs 5G vs 5G+L4Span", &args);
 
-    println!("\n--- (a) wired network with a DualPi2 router (40 Mbit/s) ---");
-    let wired = run_wired(WiredConfig {
-        seed: args.seed,
-        duration: Duration::from_secs(secs.min(20)),
-        rate_bps: 40e6,
-        one_way: Duration::from_millis(5),
-        flows: vec![
-            (CcKind::Prague, Instant::from_millis(0)),
-            (CcKind::Cubic, Instant::from_millis(100)),
-        ],
-        thr_bin: Duration::from_millis(100),
-    });
-    for (f, name) in ["prague", "cubic"].iter().enumerate() {
-        let rtt = wired.rtt_stats(f);
-        println!(
-            "{name:<8} rtt median {:>7.1} ms   goodput {:>6.2} Mbit/s",
-            rtt.median,
-            wired.goodput_total_mbps(f)
-        );
-    }
-
-    // Run panels (b) and (c) concurrently on the scenario runner.
-    let panels = run_grid(vec![
+    // All three panels run concurrently on the scenario runner.
+    let mut panels = run_grid(vec![
+        (
+            "(a) wired network with a DualPi2 router (40 Mbit/s)",
+            wired_l4s(args.seed, Duration::from_secs(secs.min(20))),
+        ),
         (
             "(b) 5G network, no L4S signaling; bottleneck shifts at 10/20 s",
             ran_scenario(args.seed, secs, MarkerKind::None),
@@ -118,6 +100,17 @@ fn main() {
             ran_scenario(args.seed, secs, l4span_default()),
         ),
     ]);
+    let (title, wired) = panels.remove(0);
+    println!("\n--- {title} ---");
+    for (f, name) in ["prague", "cubic"].iter().enumerate() {
+        let rtt = wired.rtt_stats(f);
+        println!(
+            "{name:<8} rtt median {:>7.1} ms   goodput {:>6.2} Mbit/s",
+            rtt.median,
+            wired.goodput_total_mbps(f)
+        );
+    }
+
     for (title, r) in &panels {
         println!("\n--- {title} ---");
         print_series(r, &["prague", "cubic"], &[(0, 0), (1, 0)]);

@@ -26,8 +26,8 @@
 //!   egress and the core: ECT bleaching, codepoint remarking, ECT drop,
 //!   and an RFC 3168 classic-ECN single-queue hop;
 //! * [`wired`] — the wired plane: the impairment stages and the
-//!   bottleneck router as one chain of hops, and the wired-only topology
-//!   of Fig. 2(a) run through it;
+//!   bottleneck router as one chain of hops, which the world's event
+//!   loop drives;
 //! * [`dci`] — synthetic DCI/MCS traces and the channel stable-period
 //!   CDF of Fig. 18;
 //! * [`runner`] — parallel execution of independent scenario batches

@@ -3,7 +3,7 @@
 
 use l4span_cc::{CcKind, WanLink};
 use l4span_core::{HandoverPolicy, L4SpanConfig};
-use l4span_ran::config::{CellConfig, RlcMode, SchedulerKind};
+use l4span_ran::config::{CellConfig, RlcMode, SchedulerKind, SlotRole};
 use l4span_ran::ChannelProfile;
 use l4span_sim::{Duration, Instant};
 
@@ -356,6 +356,22 @@ pub struct BottleneckSpec {
     pub l4s_aqm: bool,
 }
 
+impl BottleneckSpec {
+    /// Check that the initial rate and every scheduled rate are
+    /// positive. Returns the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.rate_bps <= 0.0 || self.rate_bps.is_nan() {
+            return Err(format!("bottleneck rate {} not positive", self.rate_bps));
+        }
+        for (i, &(_, bps)) in self.schedule.iter().enumerate() {
+            if bps <= 0.0 || bps.is_nan() {
+                return Err(format!("schedule step {i}: rate {bps} not positive"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A complete experiment description.
 ///
 /// Construct with [`ScenarioConfig::new`] and mutate fields; the struct
@@ -521,6 +537,37 @@ pub fn impaired_path_cell(
         duration,
     );
     cfg.impairment = Some(impairment);
+    cfg
+}
+
+/// Fig. 2(a)'s wired L4S network: a Prague and a CUBIC download through
+/// a 40 Mbit/s DualPi2 router at a 20 ms base RTT. It models a radio
+/// plane built never to be the bottleneck: a ~400 MHz FR2 carrier
+/// (264 PRBs, 125 µs slots alternating DL/UL) on static 30 dB channels
+/// with no UE, SR or core-to-CU delay and no marker, so the router is
+/// the only queue on the path.
+pub fn wired_l4s(seed: u64, duration: Duration) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::new(seed, duration);
+    cfg.cell.n_prbs = 264;
+    cfg.cell.slot_duration = Duration::from_micros(125);
+    cfg.cell.tdd_pattern = vec![SlotRole::Downlink, SlotRole::Uplink];
+    cfg.cell.carrier_hz = 28e9;
+    cfg.cell.ue_internal_delay = Duration::ZERO;
+    cfg.cell.ul_sr_delay_max = Duration::ZERO;
+    cfg.cell.core_to_cu_delay = Duration::ZERO;
+    cfg.bottleneck = Some(BottleneckSpec {
+        rate_bps: 40e6,
+        schedule: vec![],
+        l4s_aqm: true,
+    });
+    let wan = WanLink {
+        one_way: Duration::from_millis(10),
+    };
+    for (i, cc) in [CcKind::Prague, CcKind::Cubic].into_iter().enumerate() {
+        cfg.ues.push(UeSpec::simple(ChannelProfile::Static, 30.0));
+        let start = Instant::from_millis(100 * i as u64);
+        cfg.flows.push(FlowSpec::new(i, AppProfile::bulk(), TransportSpec::tcp(cc), wan, start));
+    }
     cfg
 }
 
@@ -980,6 +1027,22 @@ mod tests {
             let (p, s) = (&bonded.ues[f.ue], &bonded.ues[f.bond.unwrap()]);
             assert_ne!(p.initial_cell, s.initial_cell);
             assert!(p.mobility.is_empty() && s.mobility.is_empty());
+        }
+    }
+
+    #[test]
+    fn bottleneck_rates_must_be_positive() {
+        let spec = |rate_bps, step| BottleneckSpec {
+            rate_bps,
+            schedule: vec![(Instant::from_millis(500), step)],
+            l4s_aqm: true,
+        };
+        assert_eq!(spec(1e9, 20e6).validate(), Ok(()));
+        for bad in [0.0, -1.0, f64::NAN] {
+            let e = spec(bad, 20e6).validate().unwrap_err();
+            assert!(e.contains("bottleneck rate"), "{e}");
+            let e = spec(1e9, bad).validate().unwrap_err();
+            assert!(e.contains("schedule step 0"), "{e}");
         }
     }
 

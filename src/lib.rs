@@ -16,8 +16,9 @@
 //!   1071 checksums;
 //! * [`sim`] — virtual time, the deterministic event queue, seeded RNG,
 //!   statistics;
-//! * [`harness`] — scenario configs, the end-to-end world, metrics, and
-//!   the wired topology of Fig. 2(a).
+//! * [`harness`] — scenario configs, the end-to-end world (with its
+//!   optional wired plane of impairment hops and a bottleneck router),
+//!   and metrics.
 //!
 //! ## Quickstart
 //!

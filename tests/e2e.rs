@@ -5,8 +5,8 @@ use l4span::cc::WanLink;
 use l4span::core::{HandoverPolicy, L4SpanConfig};
 use l4span::harness::app::AppProfile;
 use l4span::harness::scenario::{
-    congested_cell, handover_cell, impaired_path_cell, l4span_default, ChannelMix, FlowSpec,
-    ScenarioConfig, TransportSpec, UeSpec,
+    congested_cell, handover_cell, impaired_path_cell, l4span_default, wired_l4s, ChannelMix,
+    FlowSpec, ScenarioConfig, TransportSpec, UeSpec,
 };
 use l4span::harness::{self, ImpairmentSpec, MarkerKind};
 use l4span::ran::config::RlcMode;
@@ -312,6 +312,72 @@ fn prague_falls_back_on_a_fully_bleached_path() {
     );
     let v = run("prague");
     assert!(v.fallbacks.is_empty(), "vanilla prague records no fallback");
+}
+
+/// Fig. 2(a): Prague holds the base RTT and CUBIC sits at the PI target
+/// behind a 40 Mbit/s DualPi2 router, and the radio plane the world
+/// puts behind that router never queues, so the panel shows the router
+/// alone.
+#[test]
+fn wired_l4s_matches_fig2a() {
+    let base_rtt_ms = 20.0;
+    let seeds = [3, 7, 11];
+    let reports = harness::run_batch(
+        seeds
+            .iter()
+            .map(|&seed| wired_l4s(seed, Duration::from_secs(4)))
+            .collect(),
+    );
+    for (seed, r) in seeds.into_iter().zip(&reports) {
+        let prague = r.rtt_stats(0).median;
+        let cubic = r.rtt_stats(1).median;
+        assert!(
+            prague <= base_rtt_ms + 2.0,
+            "seed {seed}: Prague RTT median {prague} ms, base {base_rtt_ms} ms"
+        );
+        assert!(
+            cubic >= prague + 5.0,
+            "seed {seed}: CUBIC median {cubic} ms not above Prague's {prague} ms"
+        );
+        let total: f64 = (0..2)
+            .map(|f| r.goodput_mbps(f, Instant::from_secs(2), Instant::from_secs(4)))
+            .sum();
+        assert!(total >= 36.0, "seed {seed}: line utilisation {total} Mbit/s");
+        // The radio plane stayed out of the way.
+        for (key, series) in &r.queue_series {
+            let peak = series.iter().copied().max().unwrap_or(0);
+            assert!(peak <= 1, "seed {seed}: RLC queue {key:?} peaked at {peak} SDUs");
+        }
+        assert_eq!(
+            (r.harq_retx, r.rlc_drops, r.tbs_lost),
+            (0, 0, 0),
+            "seed {seed}: (harq_retx, rlc_drops, tbs_lost)"
+        );
+    }
+}
+
+/// Limit-case oracle: where nothing ever queues in the RAN, the L4Span
+/// marker has nothing to signal, so switching it on leaves Prague's RTT
+/// where it was and marks (almost) nothing.
+#[test]
+fn marker_is_inert_where_the_ran_never_queues() {
+    let run = |marker: MarkerKind| {
+        let mut cfg = wired_l4s(7, Duration::from_secs(4));
+        cfg.marker = marker;
+        harness::run(cfg)
+    };
+    let (off, on) = (run(MarkerKind::None), run(l4span_default()));
+    let (rtt_off, rtt_on) = (off.rtt_stats(0).median, on.rtt_stats(0).median);
+    assert!(
+        (rtt_on - rtt_off).abs() <= 0.5,
+        "Prague RTT median {rtt_on} ms with the marker, {rtt_off} ms without"
+    );
+    let delivered = on.delivered_packets() as u64;
+    assert!(
+        on.total_marks * 1000 <= delivered,
+        "{} marks over {delivered} delivered packets",
+        on.total_marks
+    );
 }
 
 /// Prague (flow 0) and CUBIC (flow 1) sharing one RFC 3168 classic

@@ -141,8 +141,9 @@ fn wired_bottleneck(marker: MarkerKind) -> ScenarioConfig {
 /// UM bearer (the `UePoll` reassembly poll and feedback flush), the
 /// bonded uplink's FEC self-join and TCP join buffer, an impaired path
 /// under Prague's classic fallback, and the wired bottleneck: alone,
-/// stepping its rate, and behind impairment stages whose last one feeds
-/// it directly.
+/// stepping its rate, as Fig. 2(a)'s only queue (on a fast TDD cell
+/// with short slots), and behind impairment stages whose last one
+/// feeds it directly.
 fn endpoint_corpus() -> Vec<(&'static str, &'static str, ScenarioConfig)> {
     let video = || AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6);
     let mut rows = vec![
@@ -186,6 +187,11 @@ fn endpoint_corpus() -> Vec<(&'static str, &'static str, ScenarioConfig)> {
             "wired_bottleneck_2ue",
             "l4span",
             wired_bottleneck(scenario::l4span_default()),
+        ),
+        (
+            "wired_l4s_2ue",
+            "marker-off",
+            scenario::wired_l4s(7, Duration::from_secs(1)),
         ),
         ("impaired_bottleneck_2ue", "prague", {
             let mut cfg = scenario::impaired_path_cell(
