@@ -95,9 +95,6 @@ struct BondState {
     tx: BondTx,
     join: Option<BondJoin>,
     sbd: SbdDetector,
-    /// Data-direction ident → leg it was striped onto (consumed at the
-    /// server to attribute OWD samples and route join bookkeeping).
-    leg_of: FxHashMap<u16, u8>,
     /// Data packets that reached the server, per leg.
     leg_pkts: [u64; 2],
 }
@@ -676,7 +673,6 @@ impl World {
                     tx: BondTx::new(),
                     join: endpoint.needs_join().then(BondJoin::new),
                     sbd: SbdDetector::new(),
-                    leg_of: FxHashMap::default(),
                     leg_pkts: [0; 2],
                 }))
             } else {
@@ -1919,7 +1915,6 @@ impl World {
     /// it and RLC queues it for grant-driven transmission on that leg's
     /// serving cell.
     fn send_ul_data_leg(&mut self, flow: usize, leg: u8, mut pkt: PacketBuf, now: Instant) {
-        let ident = pkt.identification();
         let (ue, ue_id, drb) = {
             let f = &self.flows[flow];
             match (&f.bond, leg) {
@@ -1936,15 +1931,11 @@ impl World {
         if verdict == DlVerdict::Drop {
             return;
         }
+        // The server reads the send time and the leg off the packet.
+        pkt.stamp(now.as_nanos(), leg);
         let c0 = self.cycles.start();
-        let queued = self.ues[ue].enqueue_uplink_data(drb, pkt, now).is_some();
+        self.ues[ue].enqueue_uplink_data(drb, pkt, now);
         self.cycles.stop(c0, CYC_UE);
-        if queued {
-            self.flows[flow].sent_at.insert(ident, now);
-            if let Some(b) = &mut self.flows[flow].bond {
-                b.leg_of.insert(ident, leg);
-            }
-        }
     }
 
     fn on_ul_at_server(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
@@ -2059,24 +2050,19 @@ impl World {
         let ident = pkt.identification();
         let payload = pkt.payload_len();
         let ue = self.flows[flow].ue_idx;
-        // Attribute the arrival to its bonded leg (0 for unbonded) and
-        // feed the per-leg OWD to the shared-bottleneck detector.
-        let leg = match &mut self.flows[flow].bond {
-            Some(b) => {
-                let leg = b.leg_of.remove(&ident).unwrap_or(0);
-                b.leg_pkts[leg as usize] += 1;
-                leg
-            }
-            None => 0,
-        };
-        if let Some(sent) = self.flows[flow].sent_at.remove(&ident) {
-            if payload > 0 {
-                let owd = now.saturating_since(sent);
-                self.ul_owd_ms[flow].push((owd.as_millis_f64(), now.as_secs_f64()));
-                self.record_thr_bins(flow, ue, payload, now);
-                if let Some(b) = &mut self.flows[flow].bond {
-                    b.sbd.observe(leg, owd, now);
-                }
+        // Attribute the arrival to the bonded leg stamped on it (0 for
+        // unbonded) and feed the per-leg OWD to the shared-bottleneck
+        // detector.
+        let leg = pkt.leg();
+        if let Some(b) = &mut self.flows[flow].bond {
+            b.leg_pkts[leg as usize] += 1;
+        }
+        if payload > 0 {
+            let owd = now.saturating_since(Instant::from_nanos(pkt.sent_ns()));
+            self.ul_owd_ms[flow].push((owd.as_millis_f64(), now.as_secs_f64()));
+            self.record_thr_bins(flow, ue, payload, now);
+            if let Some(b) = &mut self.flows[flow].bond {
+                b.sbd.observe(leg, owd, now);
             }
         }
         // Bonded TCP legs interleave arbitrarily on the air: restore

@@ -72,6 +72,13 @@ pub const HEAD_CAPACITY: usize = 80;
 /// The header bytes live in a fixed inline array (no heap pointer), so
 /// `PacketBuf` is `Copy`: every clone on the RLC segmentation/ARQ path is
 /// a flat memcpy and the steady-state packet path is allocation-free.
+///
+/// Beside the wire image rides a simulation-side tag (see
+/// [`PacketBuf::stamp`]): the instant the packet left its sender and the
+/// bond leg it was striped onto. The tag is never emitted, never part of
+/// a checksum and not counted in [`PacketBuf::wire_len`]; every copy of
+/// the packet carries it, so whoever receives the packet can read it.
+/// The derived equality compares it too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketBuf {
     head: [u8; HEAD_CAPACITY],
@@ -83,6 +90,10 @@ pub struct PacketBuf {
     /// Cached at construction; the ECN rewrite and the in-flight TCP
     /// header edit never change addresses, ports, or protocol.
     tuple: FiveTuple,
+    /// Tag: send instant in ns of simulated time (0 until stamped).
+    sent_ns: u64,
+    /// Tag: bond leg (0 until stamped, and for unbonded flows).
+    leg: u8,
 }
 
 impl PacketBuf {
@@ -126,6 +137,8 @@ impl PacketBuf {
                 dst_port: tcp.dst_port,
                 protocol: Protocol::Tcp,
             },
+            sent_ns: 0,
+            leg: 0,
         }
     }
 
@@ -174,6 +187,8 @@ impl PacketBuf {
                 dst_port,
                 protocol: Protocol::Udp,
             },
+            sent_ns: 0,
+            leg: 0,
         }
     }
 
@@ -182,6 +197,27 @@ impl PacketBuf {
     /// in the stack accounts in.
     pub fn wire_len(&self) -> usize {
         self.head_len as usize + self.payload_len as usize
+    }
+
+    /// Set the simulation-side tag: the packet left its sender at
+    /// `sent_ns` (simulated time) on bond leg `leg`. The wire image is
+    /// untouched.
+    #[inline]
+    pub fn stamp(&mut self, sent_ns: u64, leg: u8) {
+        self.sent_ns = sent_ns;
+        self.leg = leg;
+    }
+
+    /// The send instant of the last [`PacketBuf::stamp`], in ns.
+    #[inline]
+    pub fn sent_ns(&self) -> u64 {
+        self.sent_ns
+    }
+
+    /// The bond leg of the last [`PacketBuf::stamp`].
+    #[inline]
+    pub fn leg(&self) -> u8 {
+        self.leg
     }
 
     /// Transport payload length (excludes all headers).
@@ -378,14 +414,30 @@ mod tests {
     }
 
     #[test]
+    fn stamp_rides_beside_the_wire_image() {
+        let plain = tcp_pkt();
+        let mut p = plain;
+        p.stamp(123_456_789, 1);
+        assert_eq!((p.sent_ns(), p.leg()), (123_456_789, 1));
+        assert_eq!(p.header_bytes(), plain.header_bytes());
+        assert_eq!(p.wire_len(), plain.wire_len());
+        assert!(p.checksums_valid());
+        // In-flight edits keep the tag.
+        p.set_ecn(Ecn::Ce);
+        p.update_tcp(|h| h.ack = 9);
+        assert_eq!((p.sent_ns(), p.leg()), (123_456_789, 1));
+    }
+
+    #[test]
     fn packet_buf_is_inline_and_copy() {
         // `Copy` proves clones can never allocate; the size bound keeps
-        // queue entries and RLC SDU slots cache-friendly.
+        // queue entries and RLC SDU slots cache-friendly (the tag's u64
+        // rounds 108 bytes of fields up to 112).
         fn assert_copy<T: Copy>() {}
         assert_copy::<PacketBuf>();
         assert!(
-            std::mem::size_of::<PacketBuf>() <= 128,
-            "PacketBuf grew past 128 bytes: {}",
+            std::mem::size_of::<PacketBuf>() <= 112,
+            "PacketBuf grew past 112 bytes: {}",
             std::mem::size_of::<PacketBuf>()
         );
     }

@@ -174,8 +174,8 @@ fn packet_buf_layout_is_inline_copy_and_small() {
     fn is_copy<T: Copy>() {}
     is_copy::<PacketBuf>();
     assert!(
-        std::mem::size_of::<PacketBuf>() <= 128,
-        "PacketBuf must stay ≤128 bytes, is {}",
+        std::mem::size_of::<PacketBuf>() <= 112,
+        "PacketBuf must stay ≤112 bytes, is {}",
         std::mem::size_of::<PacketBuf>()
     );
 }

@@ -585,6 +585,27 @@ fn bonded_media_uses_both_legs() {
     }
 }
 
+/// Every bonded media packet that reaches the server yields exactly one
+/// uplink OWD sample. FEC media reuses its sequence number as the IP
+/// ident (a retransmission, a repair packet's coverage end), so a send
+/// time keyed by ident loses samples; the packet's own stamp cannot.
+#[test]
+fn every_bonded_media_arrival_is_an_owd_sample() {
+    use l4span::harness::scenario::xr_bonding_cell;
+    let r = harness::run(xr_bonding_cell(
+        4,
+        "fec-media",
+        l4span_default(),
+        true,
+        11,
+        Duration::from_secs(4),
+    ));
+    let samples: usize = r.ul_owd_ms.iter().map(Vec::len).sum();
+    let arrivals: u64 = r.bonds.iter().map(|b| b.leg_pkts[0] + b.leg_pkts[1]).sum();
+    assert!(arrivals > 1000, "only {arrivals} arrivals");
+    assert_eq!(samples as u64, arrivals, "uplink OWD samples vs server arrivals");
+}
+
 #[test]
 fn bonded_tcp_join_restores_stream_order() {
     use l4span::harness::scenario::xr_bonding_cell;
