@@ -361,7 +361,7 @@ pub struct FecMediaSender {
     next_frame_at: Instant,
     /// Pending ARQ retransmissions (seq order).
     retx_q: VecDeque<u64>,
-    /// Per-leg `(cumulative packets, sent_at)` RTT probes.
+    /// Per-leg `(cumulative packets, send time)` RTT probes.
     probes: Vec<VecDeque<(u64, Instant)>>,
     sent_on: Vec<u64>,
     last_fb: [FecLegStats; 2],

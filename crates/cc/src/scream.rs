@@ -97,7 +97,7 @@ pub struct ScreamSender {
     /// Cumulative frames the encoder's queue discipline discarded (in
     /// whole or part); these can never be delivered complete.
     pub frames_dropped: u64,
-    /// Send log for RTT estimation: (seq, sent_at).
+    /// Send log for RTT estimation: (seq, send time).
     sent_log: std::collections::VecDeque<(u64, Instant)>,
     /// Congestion window in bytes and current flight.
     cwnd: f64,

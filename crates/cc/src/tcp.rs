@@ -100,7 +100,7 @@ const INFLIGHT_RESERVE: usize = 32;
 struct SentSeg {
     seq: u64,
     end: u64,
-    sent_at: Instant,
+    t_sent: Instant,
     is_retx: bool,
 }
 
@@ -316,7 +316,7 @@ impl TcpSender {
         let seg = SentSeg {
             seq,
             end: seq + len as u64,
-            sent_at: now,
+            t_sent: now,
             is_retx,
         };
         if is_retx {
@@ -462,14 +462,14 @@ impl TcpSender {
                 self.bytes_in_flight -= (s.end - s.seq) as usize;
                 if !s.is_retx {
                     newest = Some(match newest {
-                        Some(n) if n.sent_at >= s.sent_at => n,
+                        Some(n) if n.t_sent >= s.t_sent => n,
                         _ => s,
                     });
                 }
             }
             self.delivered += newly_acked;
             if let Some(s) = newest {
-                let rtt = now.saturating_since(s.sent_at);
+                let rtt = now.saturating_since(s.t_sent);
                 rtt_sample = Some(rtt);
                 self.update_rtt(rtt);
             }

@@ -51,7 +51,7 @@ pub struct UdpPragueSender {
     rtt_gate: Duration,
     /// Datagrams sent so far.
     n_sent: u64,
-    /// Sparse (count, sent_at) probes for RTT estimation.
+    /// Sparse (count, send time) probes for RTT estimation.
     probe_log: std::collections::VecDeque<(u64, Instant)>,
     /// Smoothed RTT from feedback arrival.
     srtt: Option<Duration>,

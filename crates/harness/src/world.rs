@@ -117,8 +117,6 @@ struct Flow {
     /// endpoint roles flip: the sender lives at the UE feeding the UL
     /// PDCP/RLC queue, the receiver at the content server.
     dir: FlowDir,
-    /// ident → send time of *data-direction* packets (for OWD).
-    sent_at: FxHashMap<u16, Instant>,
     /// ident of an in-flight feedback packet → its report payload.
     fb_pending: FxHashMap<u16, FbData>,
     /// The driving [`Application`], for flows whose app is not executed
@@ -151,7 +149,6 @@ impl Flow {
             endpoint: Endpoint::Vacant,
             started: false,
             finished_at: None,
-            sent_at: FxHashMap::default(),
             fb_pending: FxHashMap::default(),
             app: None,
             pending_units: VecDeque::new(),
@@ -163,7 +160,7 @@ impl Flow {
 }
 
 /// One scheduled occurrence, queued by value. Several variants inline a
-/// ~100-byte `PacketBuf` (or whole segment vectors), but nothing sifts
+/// 112-byte `PacketBuf` (or whole segment vectors), but nothing sifts
 /// them: the queue keeps each in a node of its slab and orders small
 /// references to the nodes — per-instant lists on the cell's slot grid,
 /// where most events fall, and an index heap for the rest — so an event
@@ -182,7 +179,7 @@ pub(crate) enum Event {
     /// block of a slot shares its decode instant). A block whose UE
     /// handed over while it was in flight is dropped mid-air.
     TbsAtUe { cell: usize, tbs: Vec<TransportBlock> },
-    AppDeliver { pkt: PacketBuf, t_cu_ingress: Instant },
+    AppDeliver { pkt: PacketBuf },
     /// What `cell`'s UEs transmitted in one uplink slot arrives, in
     /// ascending UE order (one pooled batch per slot, like `TbsAtUe`;
     /// the per-UE buffers return to `World::ul_pool` after processing):
@@ -691,7 +688,6 @@ impl World {
                 started: false,
                 finished_at: None,
                 dir: spec.dir,
-                sent_at: FxHashMap::default(),
                 fb_pending: FxHashMap::default(),
                 has_app: app.is_some(),
                 app,
@@ -1222,9 +1218,7 @@ impl World {
                 }
                 self.tb_pool.push(tbs);
             }
-            Event::AppDeliver { pkt, t_cu_ingress } => {
-                self.on_app_deliver(pkt, t_cu_ingress, now)
-            }
+            Event::AppDeliver { pkt } => self.on_app_deliver(pkt, now),
             Event::UlAtGnb { cell, mut ues } => {
                 for (ue, batch) in ues.drain(..) {
                     self.on_ul_at_gnb(cell, ue, batch, now);
@@ -1280,13 +1274,7 @@ impl World {
                     }
                     self.ues[i].poll_into(now, &mut deliveries);
                     for d in deliveries.drain(..) {
-                        self.sched(
-                            d.deliver_at,
-                            Event::AppDeliver {
-                                pkt: d.pkt,
-                                t_cu_ingress: d.t_cu_ingress,
-                            },
-                        );
+                        self.sched(d.deliver_at, Event::AppDeliver { pkt: d.pkt });
                     }
                 }
                 self.scratch_app_deliv = deliveries;
@@ -1387,12 +1375,10 @@ impl World {
         let ctx = self.gnbs[src].detach_ue(ue_id);
         let dropped = self.gnbs[target_cell].attach_ue_handover(ue_id, ch, ctx, now);
         // Forwarded SDUs tail-dropped at a congested target will never
-        // produce a transmit record: release their per-SDU bookkeeping
-        // (and the flow's OWD registration) instead of leaking it.
+        // produce a transmit record: release their SN-window slots
+        // instead of leaking them.
         for (drb, sn) in dropped {
-            if let Some((flow, ident)) = self.sn_take(ue_id, drb, sn) {
-                self.flows[flow].sent_at.remove(&ident);
-            }
+            self.sn_take(ue_id, drb, sn);
         }
         let tgt_cfg = self.gnbs[target_cell].config();
         let (sp, id, sr) = (
@@ -1468,13 +1454,7 @@ impl World {
         let segs = self.ues[ue].on_transport_block_into(tb, now, &mut deliveries);
         self.gnbs[cell].recycle_segments(segs);
         for d in deliveries.drain(..) {
-            self.sched(
-                d.deliver_at,
-                Event::AppDeliver {
-                    pkt: d.pkt,
-                    t_cu_ingress: d.t_cu_ingress,
-                },
-            );
+            self.sched(d.deliver_at, Event::AppDeliver { pkt: d.pkt });
         }
         self.scratch_app_deliv = deliveries;
         self.cycles.stop(t0, CYC_UE);
@@ -1625,12 +1605,9 @@ impl World {
     fn on_dl_at_cu(&mut self, flow: usize, mut pkt: PacketBuf, now: Instant) {
         let (ue_id, qfi) = (self.flows[flow].ue_id, self.flows[flow].qfi);
         let drb = self.flows[flow].drb;
-        // `sent_at`/SN-window bookkeeping is for downlink *data* only.
-        // For an uplink flow this packet is feedback whose ident space
-        // belongs to the server-side receiver — it collides with the
-        // UE-side sender's data idents, so touching `sent_at` here
-        // would erase a pending uplink OWD registration; and its
-        // per-SDU breakdown is never consumed.
+        // SN-window bookkeeping is for downlink *data* only: for an
+        // uplink flow this packet is feedback, whose per-SDU breakdown
+        // is never consumed.
         let dl = self.flows[flow].dir == FlowDir::Downlink;
         let ident = pkt.identification();
         let cell = self.serving[self.flows[flow].ue_idx];
@@ -1641,25 +1618,16 @@ impl World {
         self.clock_stop(t0, 0);
         self.cycles.stop(c0, CYC_MARKER);
         if verdict == DlVerdict::Drop {
-            if dl {
-                self.flows[flow].sent_at.remove(&ident);
-            }
             return;
         }
         let c0 = self.cycles.start();
-        match self.gnbs[cell].enqueue_downlink(ue_id, qfi, pkt, now) {
-            Some((drb, sn)) => {
-                if dl {
-                    drb_row(&mut self.drb_rows[ue_id.0 as usize], drb.0)
-                        .sn
-                        .insert(sn, flow, ident);
-                }
-            }
-            None => {
-                // RLC tail drop: the packet is gone; TCP sees the loss.
-                if dl {
-                    self.flows[flow].sent_at.remove(&ident);
-                }
+        // `None` is an RLC tail drop: the packet is gone; TCP sees the
+        // loss.
+        if let Some((drb, sn)) = self.gnbs[cell].enqueue_downlink(ue_id, qfi, pkt, now) {
+            if dl {
+                drb_row(&mut self.drb_rows[ue_id.0 as usize], drb.0)
+                    .sn
+                    .insert(sn, flow, ident);
             }
         }
         self.cycles.stop(c0, CYC_GNB);
@@ -1679,7 +1647,7 @@ impl World {
         })
     }
 
-    fn on_app_deliver(&mut self, pkt: PacketBuf, t_cu_ingress: Instant, now: Instant) {
+    fn on_app_deliver(&mut self, pkt: PacketBuf, now: Instant) {
         let Some(flow) = self.flow_of_dl_pkt(&pkt) else {
             return;
         };
@@ -1690,32 +1658,31 @@ impl World {
         let payload = pkt.payload_len();
         let ue = self.flows[flow].ue_idx;
         let c0 = self.cycles.start();
-        if let Some(sent) = self.flows[flow].sent_at.remove(&ident) {
-            let owd = now.saturating_since(sent).as_millis_f64();
-            if payload > 0 {
-                self.owd_ms[flow].push((owd, now.as_secs_f64()));
-                self.record_thr_bins(flow, ue, payload, now);
-                // Handover-interruption accounting: this is a payload
-                // delivery to the UE, closing any pending gap.
-                self.last_delivery[ue] = Some(now);
-                if let Some(h) = self.pending_ho[ue].take() {
-                    self.ho_log[ue][h].first_delivery_after = Some(now);
-                }
-            }
-            if let Some((queuing, sched)) = self.breakdown_pending.remove(&(flow, ident)) {
-                let core = self.gnbs[self.serving[ue]].config().core_to_cu_delay;
-                let prop = (self.flows[flow].wan_one_way + core).as_millis_f64();
-                let other = (owd - prop - queuing - sched).max(0.0);
-                self.breakdown[flow].push(Breakdown {
-                    propagation: prop,
-                    queuing,
-                    scheduling: sched,
-                    other,
-                });
+        let owd = now
+            .saturating_since(Instant::from_nanos(pkt.sent_ns()))
+            .as_millis_f64();
+        if payload > 0 {
+            self.owd_ms[flow].push((owd, now.as_secs_f64()));
+            self.record_thr_bins(flow, ue, payload, now);
+            // Handover-interruption accounting: this is a payload
+            // delivery to the UE, closing any pending gap.
+            self.last_delivery[ue] = Some(now);
+            if let Some(h) = self.pending_ho[ue].take() {
+                self.ho_log[ue][h].first_delivery_after = Some(now);
             }
         }
+        if let Some((queuing, sched)) = self.breakdown_pending.remove(&(flow, ident)) {
+            let core = self.gnbs[self.serving[ue]].config().core_to_cu_delay;
+            let prop = (self.flows[flow].wan_one_way + core).as_millis_f64();
+            let other = (owd - prop - queuing - sched).max(0.0);
+            self.breakdown[flow].push(Breakdown {
+                propagation: prop,
+                queuing,
+                scheduling: sched,
+                other,
+            });
+        }
         self.cycles.stop(c0, CYC_METRICS);
-        let _ = t_cu_ingress;
         // Hand to the client endpoint.
         let c0 = self.cycles.start();
         let tcp_watermark = self.receive_data(flow, &pkt, 0, now);
@@ -2204,13 +2171,12 @@ impl World {
     }
 
     /// Route one packet downlink toward the UE. For downlink flows this
-    /// is the data path and the send time is registered for OWD; for
-    /// uplink flows it carries feedback (ACKs, reports), which is not an
-    /// OWD sample.
-    fn route_dl_pkt(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
+    /// is the data path and the packet is stamped with its send time for
+    /// OWD; for uplink flows it carries feedback (ACKs, reports), which
+    /// is not an OWD sample.
+    fn route_dl_pkt(&mut self, flow: usize, mut pkt: PacketBuf, now: Instant) {
         if self.flows[flow].dir == FlowDir::Downlink {
-            let ident = pkt.identification();
-            self.flows[flow].sent_at.insert(ident, now);
+            pkt.stamp(now.as_nanos(), 0);
         }
         let wan = self.flows[flow].wan_one_way;
         if self.wired.is_some() {
@@ -2545,12 +2511,10 @@ impl World {
         let ch = dst_w.fresh_channel(ue, target_cell, profile, snr_db, now);
         let ctx = src_w.gnbs[src].detach_ue(ue_id);
         let dropped = dst_w.gnbs[target_cell].attach_ue_handover(ue_id, ch, ctx, now);
-        // Per-SDU bookkeeping of tail-dropped forwarded SDUs still lives
-        // in the source replica (the flow cluster migrates below).
+        // The SN windows of tail-dropped forwarded SDUs still live in
+        // the source replica (the flow cluster migrates below).
         for (drb, sn) in dropped {
-            if let Some((flow, ident)) = src_w.sn_take(ue_id, drb, sn) {
-                src_w.flows[flow].sent_at.remove(&ident);
-            }
+            src_w.sn_take(ue_id, drb, sn);
         }
         let tgt_cfg = dst_w.gnbs[target_cell].config();
         let (sp, id, sr) = (
@@ -2992,6 +2956,15 @@ mod tests {
         assert_eq!(name(step), "Handover");
         assert_eq!(name(Event::Sample), "Sample");
         assert_eq!(name(Event::UePoll), "UePoll");
+    }
+
+    #[test]
+    fn an_event_fits_two_cache_lines() {
+        // The queue's slab keeps each event in a 64-byte-aligned node:
+        // past 128 bytes every node would take three lines.
+        let size = std::mem::size_of::<Option<Event>>();
+        assert!(size <= 128, "Option<Event> is {size} bytes");
+        assert!(std::mem::size_of::<Event>() <= 128);
     }
 
     #[test]

@@ -42,8 +42,6 @@ pub struct Segment {
     /// SDU's final byte (a simulator shortcut; on a real link the bytes
     /// themselves are the payload).
     pub payload: Option<PacketBuf>,
-    /// CU ingress timestamp of the SDU, for end-to-end metrics.
-    pub t_ingress: Instant,
 }
 
 impl Segment {
@@ -95,8 +93,8 @@ pub struct TxRecord {
 /// One SDU lifted out of a downlink RLC entity for Xn-style data
 /// forwarding at handover (TS 38.300 §9.2.3.2): everything the target
 /// cell needs to retransmit the SDU losslessly under its original PDCP
-/// SN, with the CU ingress timestamp preserved so end-to-end delay
-/// metrics span the switch.
+/// SN, with the CU ingress timestamp preserved so the SDU's transmit
+/// record (queuing delay, the marker's profile) spans the switch.
 #[derive(Debug, Clone, Copy)]
 pub struct ForwardedSdu {
     /// Original PDCP sequence number (preserved across re-establishment).
@@ -374,7 +372,6 @@ impl RlcTx {
                     } else {
                         None
                     },
-                    t_ingress: sdu.t_ingress,
                 };
                 budget -= take as usize + oh;
                 consumed += take as usize + oh;
@@ -407,7 +404,6 @@ impl RlcTx {
                 len: take,
                 sdu_size: s.size,
                 payload: if last { Some(s.pkt) } else { None },
-                t_ingress: s.t_ingress,
             };
             s.txed += take;
             budget -= take as usize + oh;
@@ -487,9 +483,9 @@ impl RlcTx {
 
     /// Accept an SDU forwarded from a source cell at handover: enqueued
     /// as new data under its *original* SN with its *original* CU ingress
-    /// timestamp (PDCP SNs and delay accounting are continuous across
-    /// re-establishment). Subject to the same tail-drop capacity check as
-    /// fresh traffic. `now` stamps the head-of-queue arrival.
+    /// timestamp (PDCP SNs and queuing-delay accounting are continuous
+    /// across re-establishment). Subject to the same tail-drop capacity
+    /// check as fresh traffic. `now` stamps the head-of-queue arrival.
     pub fn enqueue_forwarded(&mut self, fwd: ForwardedSdu, now: Instant) -> bool {
         self.enqueue_at(fwd.sn, fwd.pkt, fwd.t_ingress, now)
     }
@@ -560,7 +556,6 @@ struct RxEntry {
     size: u32,
     payload: Option<PacketBuf>,
     t_first: Instant,
-    t_ingress: Instant,
 }
 
 impl RxEntry {
@@ -608,16 +603,13 @@ impl RxEntry {
     }
 }
 
-/// An SDU delivered up from the UE's RLC with its original CU ingress
-/// time (for one-way-delay accounting).
+/// An SDU delivered up from the UE's RLC.
 #[derive(Debug)]
 pub struct RxDelivery {
     /// The reassembled IP packet.
     pub pkt: PacketBuf,
     /// Sequence number it carried.
     pub sn: Sn,
-    /// CU ingress timestamp (metric plumbing).
-    pub t_ingress: Instant,
 }
 
 /// Receive-side RLC entity (one per DRB) living in the UE.
@@ -694,7 +686,6 @@ impl RlcRx {
                     size: seg.sdu_size,
                     payload: None,
                     t_first: now,
-                    t_ingress: seg.t_ingress,
                 };
                 self.entries.insert(i, entry);
                 i
@@ -722,7 +713,6 @@ impl RlcRx {
             out.push(RxDelivery {
                 pkt: e.payload.take().expect("complete implies payload"),
                 sn,
-                t_ingress: e.t_ingress,
             });
             // Bounded so a reordering burst cannot pin memory.
             if self.range_pool.len() < 64 {
@@ -1089,7 +1079,6 @@ mod tests {
                 len: 1000,
                 sdu_size: 1000,
                 payload: Some(pkt(960)),
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(1),
         );
@@ -1100,7 +1089,6 @@ mod tests {
                 len: 300,
                 sdu_size: 1000,
                 payload: None,
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(2),
         );
@@ -1120,7 +1108,6 @@ mod tests {
                 len: 1000,
                 sdu_size: 1000,
                 payload: Some(pkt(960)),
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(25),
         );
@@ -1137,7 +1124,6 @@ mod tests {
             len,
             sdu_size: 1000,
             payload: if with_payload { Some(p) } else { None },
-            t_ingress: Instant::ZERO,
         };
         // Tail first, then head.
         assert!(recv(&mut rx, mk(500, 500, true), Instant::from_millis(1)).is_empty());
@@ -1155,7 +1141,6 @@ mod tests {
             len: 1000,
             sdu_size: 1000,
             payload: Some(pkt(960)),
-            t_ingress: Instant::ZERO,
         };
         // SN 1 arrives before SN 0: held back.
         assert!(recv(&mut rx, seg(1), Instant::from_millis(1)).is_empty());
@@ -1176,7 +1161,6 @@ mod tests {
                 len: 400,
                 sdu_size: 1000,
                 payload: None,
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(1),
         );
@@ -1187,7 +1171,6 @@ mod tests {
                 len: 1000,
                 sdu_size: 1000,
                 payload: Some(pkt(960)),
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(2),
         );
@@ -1218,7 +1201,6 @@ mod tests {
                 len: 1000,
                 sdu_size: 1000,
                 payload: Some(pkt(960)),
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(100),
         );
@@ -1234,7 +1216,6 @@ mod tests {
                 len: 1000,
                 sdu_size: 1000,
                 payload: Some(pkt(960)),
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(106),
         );
@@ -1255,7 +1236,6 @@ mod tests {
                 len: 100,
                 sdu_size: 1000,
                 payload: None,
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(0),
         );
@@ -1266,7 +1246,6 @@ mod tests {
                 len: 1000,
                 sdu_size: 1000,
                 payload: Some(pkt(960)),
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(1),
         );
@@ -1289,7 +1268,6 @@ mod tests {
                 len: 1000,
                 sdu_size: 1000,
                 payload: Some(pkt(960)),
-                t_ingress: Instant::ZERO,
             },
             Instant::from_millis(0),
         );
@@ -1306,7 +1284,6 @@ mod tests {
             size,
             payload,
             t_first: Instant::ZERO,
-            t_ingress: Instant::ZERO,
         }
     }
 

@@ -26,16 +26,13 @@ use crate::pdcp::PdcpTx;
 use crate::rlc::{RlcRx, RlcStatus, RlcTx, RxDelivery, Segment, Sn, TxRecord};
 use crate::table::IdTable;
 
-/// A downlink IP packet delivered up to the UE application, with the
-/// timing metadata the harness needs for one-way-delay accounting.
+/// A downlink IP packet delivered up to the UE application.
 #[derive(Debug)]
 pub struct AppDelivery {
     /// The reassembled IP packet.
     pub pkt: PacketBuf,
     /// When the application sees it (after the modem/kernel delay).
     pub deliver_at: Instant,
-    /// CU ingress timestamp (carried through the RAN for metrics).
-    pub t_cu_ingress: Instant,
     /// DRB it arrived on.
     pub drb: DrbId,
 }
@@ -146,7 +143,6 @@ impl UeStack {
                 out.push(AppDelivery {
                     pkt: d.pkt,
                     deliver_at: now + self.internal_delay,
-                    t_cu_ingress: d.t_ingress,
                     drb,
                 });
             }
@@ -165,7 +161,6 @@ impl UeStack {
                 out.push(AppDelivery {
                     pkt: d.pkt,
                     deliver_at: now + self.internal_delay,
-                    t_cu_ingress: d.t_ingress,
                     drb,
                 });
             }
@@ -555,13 +550,11 @@ mod tests {
             len: 1000,
             sdu_size: 1000,
             payload: Some(p),
-            t_ingress: Instant::from_millis(1),
         };
         let now = Instant::from_millis(10);
         let d = recv_tb(&mut u, vec![(DrbId(0), seg)], now);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].deliver_at, now + Duration::from_millis(2));
-        assert_eq!(d[0].t_cu_ingress, Instant::from_millis(1));
     }
 
     #[test]
@@ -573,7 +566,6 @@ mod tests {
             len: 1000,
             sdu_size: 1000,
             payload: Some(pkt(960)),
-            t_ingress: Instant::ZERO,
         };
         let d = recv_tb(&mut u, vec![(DrbId(9), seg)], Instant::ZERO);
         assert!(d.is_empty());
@@ -612,7 +604,6 @@ mod tests {
             len: 1000,
             sdu_size: 1000,
             payload: Some(pkt(960)),
-            t_ingress: Instant::ZERO,
         };
         let d = recv_tb(&mut u, vec![(DrbId(0), seg1)], Instant::from_millis(50));
         assert!(d.is_empty());
@@ -634,7 +625,6 @@ mod tests {
             len: 1000,
             sdu_size: 1000,
             payload: Some(pkt(960)),
-            t_ingress: Instant::ZERO,
         };
         let d = recv_tb(&mut u, vec![(DrbId(0), seg0)], Instant::from_millis(70));
         assert_eq!(d.len(), 2, "SN 0 then the buffered SN 1, exactly once each");
@@ -781,7 +771,6 @@ mod tests {
             len: 1000,
             sdu_size: 1000,
             payload: Some(pkt(960)),
-            t_ingress: Instant::ZERO,
         };
         recv_tb(&mut u, vec![(DrbId(0), seg)], Instant::from_millis(50));
         let (_, statuses) = uplink_slot(&mut u, Instant::from_millis(65));

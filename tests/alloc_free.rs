@@ -130,7 +130,6 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         len: 1480,
         sdu_size: 1480,
         payload: Some(data_packet(0, 1400)),
-        t_ingress: Instant::from_millis(100),
     };
     let mut deliveries = Vec::new();
     ue.on_transport_block_into(

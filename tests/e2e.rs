@@ -380,6 +380,57 @@ fn marker_is_inert_where_the_ran_never_queues() {
     );
 }
 
+/// Limit-case oracle: one static UE with a paced 2 Mbit/s downlink, far
+/// below the cell's capacity, never queues. Its OWD is the configured
+/// constants — WAN, core, UE-internal delay and the slot its block
+/// decodes in — plus the wait for the next slot that carries downlink
+/// data. That wait is under one slot, plus the longest run of uplink
+/// slots when the packet reaches the CU just after the last downlink
+/// slot before them began. With the marker on it marks nothing.
+#[test]
+fn a_light_flow_sees_only_the_configured_delays() {
+    use l4span::ran::config::SlotRole;
+    let wan = WanLink {
+        one_way: Duration::from_millis(10),
+    };
+    let mut cfg = ScenarioConfig::new(7, Duration::from_secs(4));
+    cfg.marker = l4span_default();
+    cfg.ues.push(UeSpec::simple(ChannelProfile::Static, 30.0));
+    let rate = 2.5e5; // bytes/s, pinned: min = start = max
+    cfg.flows.push(FlowSpec::new(
+        0,
+        AppProfile::bulk(),
+        TransportSpec::udp_prague(rate, rate, rate),
+        wan,
+        Instant::ZERO,
+    ));
+    let cell = cfg.cell.clone();
+    let r = harness::run(cfg);
+
+    let slot = cell.slot_duration.as_millis_f64();
+    let pattern = &cell.tdd_pattern;
+    let uplink_run = (0..pattern.len())
+        .map(|i| {
+            (0..pattern.len())
+                .take_while(|k| pattern[(i + k) % pattern.len()] == SlotRole::Uplink)
+                .count()
+        })
+        .max()
+        .unwrap_or(0);
+    let lo = (wan.one_way + cell.core_to_cu_delay + cell.ue_internal_delay + cell.slot_duration)
+        .as_millis_f64();
+    let hi = lo + (1 + uplink_run) as f64 * slot;
+    let owd = &r.owd_ms[0];
+    assert!(owd.len() > 500, "only {} OWD samples", owd.len());
+    for &ms in owd {
+        assert!(
+            (lo - 1e-6..hi).contains(&ms),
+            "OWD {ms} ms outside [{lo}, {hi}) ms"
+        );
+    }
+    assert_eq!((r.total_marks, r.rlc_drops), (0, 0), "(marks, rlc_drops)");
+}
+
 /// Prague (flow 0) and CUBIC (flow 1) sharing one RFC 3168 classic
 /// single-queue hop — the Briscoe coexistence hazard.
 fn classic_hop_coexist(prague: &str, secs: u64) -> ScenarioConfig {

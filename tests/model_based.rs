@@ -187,7 +187,6 @@ proptest! {
                         len: end - offset,
                         sdu_size: size,
                         payload: (end == size).then(|| data_pkt(sn as u16, size as usize - 40)),
-                        t_ingress: Instant::from_micros(sn),
                     };
                     ring.on_segment_into(seg.clone(), now, &mut ring_out);
                     tree.on_segment(seg, now, &mut tree_out);
@@ -209,8 +208,7 @@ proptest! {
                     }
                 }
             }
-            let ring_delivered: Vec<_> =
-                ring_out.drain(..).map(|d| (d.sn, d.pkt, d.t_ingress)).collect();
+            let ring_delivered: Vec<_> = ring_out.drain(..).map(|d| (d.sn, d.pkt)).collect();
             prop_assert_eq!(&ring_delivered, &tree_out, "step {}: deliveries", step);
             prop_assert_eq!(ring.skipped_count(), tree.skipped, "step {}", step);
             delivered += tree_out.len();

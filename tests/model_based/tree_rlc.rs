@@ -151,7 +151,6 @@ impl TreeRlcTx {
                     len: take,
                     sdu_size: sdu.size,
                     payload: (r.from + take == sdu.size).then_some(sdu.pkt),
-                    t_ingress: sdu.t_ingress,
                 };
                 budget -= take as usize + oh;
                 consumed += take as usize + oh;
@@ -176,7 +175,6 @@ impl TreeRlcTx {
                 len: take,
                 sdu_size: s.size,
                 payload: last.then_some(s.pkt),
-                t_ingress: s.t_ingress,
             };
             s.txed += take;
             budget -= take as usize + oh;
@@ -276,7 +274,6 @@ struct RxEntry {
     size: u32,
     payload: Option<PacketBuf>,
     t_first: Instant,
-    t_ingress: Instant,
 }
 
 impl RxEntry {
@@ -320,8 +317,8 @@ impl RxEntry {
     }
 }
 
-/// `(sn, packet, CU ingress time)` of a delivered SDU.
-pub type Delivered = (Sn, PacketBuf, Instant);
+/// `(sn, packet)` of a delivered SDU.
+pub type Delivered = (Sn, PacketBuf);
 
 pub struct TreeRlcRx {
     mode: RlcMode,
@@ -361,7 +358,6 @@ impl TreeRlcRx {
             size: seg.sdu_size,
             payload: None,
             t_first: now,
-            t_ingress: seg.t_ingress,
         });
         entry.add_range(seg.offset, seg.offset + seg.len);
         if let Some(p) = seg.payload {
@@ -377,7 +373,7 @@ impl TreeRlcRx {
             }
             let sn = self.next_expected;
             let mut e = self.entries.remove(&sn).expect("present");
-            out.push((sn, e.payload.take().expect("complete implies payload"), e.t_ingress));
+            out.push((sn, e.payload.take().expect("complete implies payload")));
             self.next_expected += 1;
         }
     }
