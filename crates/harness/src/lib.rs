@@ -47,7 +47,6 @@ pub mod metrics;
 pub mod runner;
 pub mod scenario;
 pub mod shard;
-mod sn_ring;
 pub mod wired;
 pub mod world;
 
@@ -55,7 +54,9 @@ pub use app::{AppProfile, Application};
 pub use bond::{BondJoin, BondTx, SbdDetector};
 pub use impairment::{ImpairmentCounters, ImpairmentSpec, StageSpec};
 pub use marker::MarkerKind;
-pub use metrics::{BondStat, FallbackRecord, FecStat, HandoverRecord, Report, ShardStat};
+pub use metrics::{
+    BondStat, FallbackRecord, FecStat, HandoverRecord, Report, ShardStat, UplinkStats,
+};
 pub use runner::{run_batch, run_batch_on};
 pub use scenario::{
     ChannelMix, FlowDir, FlowSpec, MobilitySpec, MobilityStep, ScenarioConfig, TransportSpec,

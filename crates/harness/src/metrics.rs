@@ -183,12 +183,18 @@ pub struct Report {
     /// CE marks applied by the **UE-side uplink** marker instance alone
     /// (zero in downlink-only scenarios; a subset of `total_marks`).
     pub ul_marks: u64,
-    /// SDUs dropped at full RLC queues.
+    /// Downlink SDUs dropped at full RLC queues.
     pub rlc_drops: u64,
-    /// Transport blocks lost after HARQ exhaustion.
+    /// Downlink transport blocks lost after HARQ exhaustion or
+    /// destroyed mid-air by a handover.
     pub tbs_lost: u64,
-    /// HARQ retransmission attempts.
+    /// Downlink HARQ retransmission attempts.
     pub harq_retx: u64,
+    /// The uplink data plane's transport-block and RLC counters (all
+    /// zero unless a flow carries uplink data). Outside
+    /// [`Report::fingerprint`]: the uplink's outcome already reaches it
+    /// through `ul_owd_ms` and `ul_queue_series`.
+    pub uplink: UplinkStats,
     /// L4Span resident table memory at end of run, bytes (if it ran).
     pub marker_memory: usize,
     /// Wall-clock nanoseconds spent inside marker event handlers,
@@ -282,6 +288,29 @@ pub struct FecStat {
     pub repairs: u64,
     /// Repair packets that arrived with nothing to repair.
     pub repairs_unused: u64,
+}
+
+/// Uplink data-plane counters, summed over the cells and UEs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UplinkStats {
+    /// Uplink transport blocks received (first attempts).
+    pub tbs_sent: u64,
+    /// Uplink HARQ retransmission attempts.
+    pub harq_retx: u64,
+    /// Uplink transport blocks lost after HARQ exhaustion or destroyed
+    /// mid-air by a handover.
+    pub tbs_lost: u64,
+    /// Uplink SDUs tail-dropped at a full UE-side RLC queue.
+    pub rlc_drops: u64,
+}
+
+impl std::ops::AddAssign for UplinkStats {
+    fn add_assign(&mut self, o: UplinkStats) {
+        self.tbs_sent += o.tbs_sent;
+        self.harq_retx += o.harq_retx;
+        self.tbs_lost += o.tbs_lost;
+        self.rlc_drops += o.rlc_drops;
+    }
 }
 
 /// End-of-run summary of one bonded (dual-connectivity) flow.

@@ -15,7 +15,7 @@ use l4span_ran::channel::{ChannelProfile, FadingChannel};
 use l4span_ran::config::{RlcMode, SlotRole};
 use l4span_ran::ids::Qfi;
 use l4span_ran::mac::TransportBlock;
-use l4span_ran::rlc::RlcStatus;
+use l4span_ran::rlc::{RlcStatus, Sn, TxRecord};
 use l4span_ran::{
     CellConfig, DlDataDeliveryStatus, DrbId, Gnb, SlotOutput, UeId, UeStack, UlTbOutcome,
 };
@@ -25,9 +25,10 @@ use crate::app::{AppUnit, Application, UnitKind};
 use crate::bond::{BondJoin, BondTx, SbdDetector};
 use crate::endpoint::{self, Built, Endpoint, FbData, Feedback, Released};
 use crate::marker::Marker;
-use crate::metrics::{BondStat, Breakdown, BreakdownAvg, FallbackRecord, HandoverRecord, Report};
+use crate::metrics::{
+    BondStat, Breakdown, BreakdownAvg, FallbackRecord, HandoverRecord, Report, UplinkStats,
+};
 use crate::scenario::{FlowDir, ScenarioConfig};
-use crate::sn_ring::SnRing;
 use crate::wired::{HopSink, WiredPlane};
 
 /// Subsystem labels of the world's [`CycleScope`] (the `fig_breakdown`
@@ -179,7 +180,9 @@ pub(crate) enum Event {
     /// block of a slot shares its decode instant). A block whose UE
     /// handed over while it was in flight is dropped mid-air.
     TbsAtUe { cell: usize, tbs: Vec<TransportBlock> },
-    AppDeliver { pkt: PacketBuf },
+    /// A downlink packet reaches the UE application: the PDCP SN it
+    /// carried on `drb` joins it to its transmit record.
+    AppDeliver { pkt: PacketBuf, drb: DrbId, sn: Sn },
     /// What `cell`'s UEs transmitted in one uplink slot arrives, in
     /// ascending UE order (one pooled batch per slot, like `TbsAtUe`;
     /// the per-UE buffers return to `World::ul_pool` after processing):
@@ -310,26 +313,40 @@ impl Timer {
     }
 }
 
-/// What the world keeps per (UE, DRB): the SN window joining transmit
-/// records to packets, the ground-truth egress log, and the bearer's
+/// An entry of [`DrbRow::in_air`] this many SNs behind a delivery
+/// belongs to an SDU that will never be delivered (lost in UM, or a
+/// forwarded SDU tail-dropped at a handover target) and is dropped.
+const IN_AIR_LOST_SNS: Sn = 1024;
+
+/// Slots [`DrbRow::in_air`] reserves at its first push, so a bearer's
+/// first packets do not regrow it (and an idle bearer never allocates).
+const IN_AIR_RESERVE: usize = 32;
+
+/// What the world keeps per (UE, DRB): the delay breakdown of the SDUs
+/// on the air, the ground-truth egress log, and the bearer's
 /// queue-length series. Rows live in `World::drb_rows[ue][drb]`, so a
 /// UE's rows follow it between shard replicas in one swap and a
-/// transmit record or sample tick reaches its row by two indexings.
+/// transmit record, delivery or sample tick reaches its row by two
+/// indexings.
 #[derive(Default)]
 struct DrbRow {
-    /// PDCP SN → (flow, ident) of the downlink data SDUs in the RLC.
-    sn: SnRing,
+    /// `(PDCP SN, queuing ms, scheduling ms)` of the SDUs between their
+    /// first transmit record and their delivery, in ascending SN: the
+    /// Fig. 10 breakdown awaiting its one-way delay. Filled only when
+    /// the world has a downlink flow.
+    in_air: VecDeque<(Sn, f64, f64)>,
     /// Ground-truth egress log `(t_txed, bytes)`, the Fig. 20
     /// reference. Written only when the world samples rate error, and
     /// trimmed to four estimation windows at each sample tick.
     gt: VecDeque<(Instant, usize)>,
-    /// First SN not yet logged in `gt`. A forwarded SDU retransmitted
-    /// by the target cell emits a second transmit record for the same
-    /// SN; the L4Span estimator's profile table ignores that
-    /// non-advancing feedback, so the ground truth must apply the same
-    /// SN-monotone dedup or `rate_err_pct` reads systematically negative
-    /// after every handover.
-    gt_next_sn: u64,
+    /// First SN without a transmit record. A forwarded SDU
+    /// retransmitted by the target cell emits a second transmit record
+    /// for the same SN; the L4Span estimator's profile table ignores
+    /// that non-advancing feedback, so the ground truth must apply the
+    /// same SN-monotone dedup or `rate_err_pct` reads systematically
+    /// negative after every handover. The breakdown keeps the first
+    /// record's timing by the same rule.
+    next_sn: Sn,
     /// Downlink RLC queue samples, read from the serving cell at each
     /// tick (`Report::queue_series`; empty until first sampled).
     dl_queue: Vec<usize>,
@@ -339,6 +356,41 @@ struct DrbRow {
     /// UE-side uplink transmit-queue samples (`Report::ul_queue_series`;
     /// empty until first sampled).
     ul_queue: Vec<usize>,
+}
+
+impl DrbRow {
+    /// Apply a transmit record: only the first for its SN counts, and
+    /// goes into the ground-truth log (`gt`) and the breakdown window
+    /// (`in_air`) as asked.
+    fn on_txed(&mut self, rec: &TxRecord, gt: bool, in_air: bool) {
+        if rec.sn < self.next_sn {
+            return;
+        }
+        self.next_sn = rec.sn + 1;
+        if gt {
+            self.gt.push_back((rec.t_txed, rec.size));
+        }
+        if in_air {
+            if self.in_air.capacity() == 0 {
+                self.in_air.reserve(IN_AIR_RESERVE);
+            }
+            let queuing = rec.t_head.saturating_since(rec.t_ingress).as_millis_f64();
+            let sched = rec.t_first_tx.saturating_since(rec.t_head).as_millis_f64();
+            self.in_air.push_back((rec.sn, queuing, sched));
+        }
+    }
+
+    /// Take the `(queuing ms, scheduling ms)` of the SDU delivered
+    /// under `sn`, dropping the entries [`IN_AIR_LOST_SNS`] behind it.
+    /// By SN, not from the front: a handover onto a cell with a shorter
+    /// UE-internal delay can deliver out of SN order.
+    fn take_in_air(&mut self, sn: Sn) -> Option<(f64, f64)> {
+        while self.in_air.front().is_some_and(|e| e.0 + IN_AIR_LOST_SNS <= sn) {
+            self.in_air.pop_front();
+        }
+        let i = self.in_air.binary_search_by_key(&sn, |e| e.0).ok()?;
+        self.in_air.remove(i).map(|(_, queuing, sched)| (queuing, sched))
+    }
 }
 
 /// `rows[drb]`, growing `rows` up to it on first use.
@@ -409,6 +461,9 @@ pub struct World {
     /// Any flow carries uplink data: gates the whole UL data plane so
     /// downlink-only scenarios stay byte-identical.
     has_ul_data: bool,
+    /// Any flow carries downlink data: gates the delay-breakdown window
+    /// ([`DrbRow::in_air`]), so an uplink-only world keeps none.
+    has_dl_data: bool,
     /// Any uplink data bearer runs RLC UM (needs the gNB-side
     /// reassembly-timeout poll).
     has_um_ul: bool,
@@ -501,13 +556,15 @@ pub struct World {
     /// The L4Span estimation window when the world samples rate error
     /// against ground truth (an L4Span marker), else `None`.
     est_window: Option<Duration>,
-    /// (flow, ident) → (queuing ms, scheduling ms) awaiting delivery.
-    breakdown_pending: FxHashMap<(usize, u16), (f64, f64)>,
     marker_time: (Vec<u64>, Vec<u64>, Vec<u64>),
-    /// Transport blocks destroyed mid-air because their UE handed over
-    /// before decode; folded into `Report::tbs_lost` (the gNB counts the
-    /// HARQ-queue half of handover losses itself).
+    /// Downlink transport blocks destroyed mid-air because their UE
+    /// handed over before decode; folded into `Report::tbs_lost` (the
+    /// gNB counts the HARQ-queue half of handover losses itself).
     ho_tbs_lost: u64,
+    /// The world's share of `Report::uplink`: uplink blocks destroyed
+    /// mid-air by a handover and UE-side RLC tail drops (the gNBs count
+    /// the rest).
+    uplink: UplinkStats,
     /// Events popped by the run loop, per [`Event::class`]; their sum
     /// is `Report::events` (the benchmark's `events`). A cell-major
     /// world pops `Sample` and `UePoll` once per cell and counts cell
@@ -752,6 +809,7 @@ impl World {
         keys.extend(wake_keys(&flows, |_| true));
         let queue = EventQueue::with_wakeups(1024 + 128 * flows.len(), keys)
             .with_grid(cfg.cell_config(0).slot_duration, slot_origin(&cfg, 0));
+        let has_dl_data = cfg.flows.iter().any(|f| f.dir == FlowDir::Downlink);
         // Estimation error vs ground truth is an L4Span-only series.
         let est_window = markers[0]
             .as_l4span()
@@ -765,6 +823,7 @@ impl World {
             markers,
             ul_markers,
             has_ul_data,
+            has_dl_data,
             has_um_ul,
             flows,
             tuple_to_flow,
@@ -803,6 +862,7 @@ impl World {
             cells: None,
             outbox: Vec::new(),
             has_ul_data: false,
+            has_dl_data: false,
             has_um_ul: false,
             flows: Vec::new(),
             tuple_to_flow: FxHashMap::default(),
@@ -841,9 +901,9 @@ impl World {
             rate_err: Vec::new(),
             drb_rows: (0..n_ues).map(|_| Vec::new()).collect(),
             est_window: None,
-            breakdown_pending: FxHashMap::default(),
             marker_time: (Vec::new(), Vec::new(), Vec::new()),
             ho_tbs_lost: 0,
+            uplink: UplinkStats::default(),
             event_counts: [0; Event::CLASSES.len()],
             queue_depth_peak: 0,
             cycles,
@@ -882,6 +942,7 @@ impl World {
             markers: self.markers.iter().map(|_| Marker::None).collect(),
             ul_markers: self.ul_markers.iter().map(|_| Marker::None).collect(),
             has_ul_data: self.has_ul_data,
+            has_dl_data: self.has_dl_data,
             has_um_ul: self.has_um_ul,
             flows: self.flows.iter().map(Flow::vacant).collect(),
             tuple_to_flow: self.tuple_to_flow.clone(),
@@ -1218,7 +1279,7 @@ impl World {
                 }
                 self.tb_pool.push(tbs);
             }
-            Event::AppDeliver { pkt } => self.on_app_deliver(pkt, now),
+            Event::AppDeliver { pkt, drb, sn } => self.on_app_deliver(pkt, drb, sn, now),
             Event::UlAtGnb { cell, mut ues } => {
                 for (ue, batch) in ues.drain(..) {
                     self.on_ul_at_gnb(cell, ue, batch, now);
@@ -1274,7 +1335,8 @@ impl World {
                     }
                     self.ues[i].poll_into(now, &mut deliveries);
                     for d in deliveries.drain(..) {
-                        self.sched(d.deliver_at, Event::AppDeliver { pkt: d.pkt });
+                        let (pkt, drb, sn) = (d.pkt, d.drb, d.sn);
+                        self.sched(d.deliver_at, Event::AppDeliver { pkt, drb, sn });
                     }
                 }
                 self.scratch_app_deliv = deliveries;
@@ -1373,13 +1435,7 @@ impl World {
         }
         let ue_id = UeId(ue as u16);
         let ctx = self.gnbs[src].detach_ue(ue_id);
-        let dropped = self.gnbs[target_cell].attach_ue_handover(ue_id, ch, ctx, now);
-        // Forwarded SDUs tail-dropped at a congested target will never
-        // produce a transmit record: release their SN-window slots
-        // instead of leaking them.
-        for (drb, sn) in dropped {
-            self.sn_take(ue_id, drb, sn);
-        }
+        self.gnbs[target_cell].attach_ue_handover(ue_id, ch, ctx, now);
         let tgt_cfg = self.gnbs[target_cell].config();
         let (sp, id, sr) = (
             tgt_cfg.rlc_status_period,
@@ -1454,18 +1510,11 @@ impl World {
         let segs = self.ues[ue].on_transport_block_into(tb, now, &mut deliveries);
         self.gnbs[cell].recycle_segments(segs);
         for d in deliveries.drain(..) {
-            self.sched(d.deliver_at, Event::AppDeliver { pkt: d.pkt });
+            let (pkt, drb, sn) = (d.pkt, d.drb, d.sn);
+            self.sched(d.deliver_at, Event::AppDeliver { pkt, drb, sn });
         }
         self.scratch_app_deliv = deliveries;
         self.cycles.stop(t0, CYC_UE);
-    }
-
-    /// Take out the (flow, ident) registered for a downlink data SDU.
-    fn sn_take(&mut self, ue: UeId, drb: DrbId, sn: u64) -> Option<(usize, u16)> {
-        self.drb_rows[ue.0 as usize]
-            .get_mut(drb.0 as usize)?
-            .sn
-            .remove(sn)
     }
 
     fn on_slot(&mut self, cell: usize, now: Instant) {
@@ -1484,18 +1533,10 @@ impl World {
             self.cycles.stop(c0, CYC_MARKER);
         }
         let c0 = self.cycles.start();
-        for (ue, drb, rec) in &out.txed_records {
-            if self.est_window.is_some() {
-                let row = drb_row(&mut self.drb_rows[ue.0 as usize], drb.0);
-                if rec.sn >= row.gt_next_sn {
-                    row.gt_next_sn = rec.sn + 1;
-                    row.gt.push_back((rec.t_txed, rec.size));
-                }
-            }
-            if let Some((flow, ident)) = self.sn_take(*ue, *drb, rec.sn) {
-                let queuing = rec.t_head.saturating_since(rec.t_ingress).as_millis_f64();
-                let sched = rec.t_first_tx.saturating_since(rec.t_head).as_millis_f64();
-                self.breakdown_pending.insert((flow, ident), (queuing, sched));
+        let (gt, in_air) = (self.est_window.is_some(), self.has_dl_data);
+        if gt || in_air {
+            for (ue, drb, rec) in &out.txed_records {
+                drb_row(&mut self.drb_rows[ue.0 as usize], drb.0).on_txed(rec, gt, in_air);
             }
         }
         self.cycles.stop(c0, CYC_METRICS);
@@ -1605,11 +1646,6 @@ impl World {
     fn on_dl_at_cu(&mut self, flow: usize, mut pkt: PacketBuf, now: Instant) {
         let (ue_id, qfi) = (self.flows[flow].ue_id, self.flows[flow].qfi);
         let drb = self.flows[flow].drb;
-        // SN-window bookkeeping is for downlink *data* only: for an
-        // uplink flow this packet is feedback, whose per-SDU breakdown
-        // is never consumed.
-        let dl = self.flows[flow].dir == FlowDir::Downlink;
-        let ident = pkt.identification();
         let cell = self.serving[self.flows[flow].ue_idx];
         let m = self.mk(cell);
         let c0 = self.cycles.start();
@@ -1623,13 +1659,7 @@ impl World {
         let c0 = self.cycles.start();
         // `None` is an RLC tail drop: the packet is gone; TCP sees the
         // loss.
-        if let Some((drb, sn)) = self.gnbs[cell].enqueue_downlink(ue_id, qfi, pkt, now) {
-            if dl {
-                drb_row(&mut self.drb_rows[ue_id.0 as usize], drb.0)
-                    .sn
-                    .insert(sn, flow, ident);
-            }
-        }
+        self.gnbs[cell].enqueue_downlink(ue_id, qfi, pkt, now);
         self.cycles.stop(c0, CYC_GNB);
     }
 
@@ -1647,17 +1677,23 @@ impl World {
         })
     }
 
-    fn on_app_deliver(&mut self, pkt: PacketBuf, now: Instant) {
+    fn on_app_deliver(&mut self, pkt: PacketBuf, drb: DrbId, sn: Sn, now: Instant) {
         let Some(flow) = self.flow_of_dl_pkt(&pkt) else {
             return;
         };
+        let ue = self.flows[flow].ue_idx;
+        let c0 = self.cycles.start();
+        // Every delivered SDU leaves its window, an uplink flow's
+        // feedback too.
+        let in_air = self.drb_rows[ue]
+            .get_mut(drb.0 as usize)
+            .and_then(|row| row.take_in_air(sn));
         if self.flows[flow].dir == FlowDir::Uplink {
+            self.cycles.stop(c0, CYC_METRICS);
             return self.on_feedback_at_sender(flow, &pkt, now);
         }
         let ident = pkt.identification();
         let payload = pkt.payload_len();
-        let ue = self.flows[flow].ue_idx;
-        let c0 = self.cycles.start();
         let owd = now
             .saturating_since(Instant::from_nanos(pkt.sent_ns()))
             .as_millis_f64();
@@ -1671,7 +1707,7 @@ impl World {
                 self.ho_log[ue][h].first_delivery_after = Some(now);
             }
         }
-        if let Some((queuing, sched)) = self.breakdown_pending.remove(&(flow, ident)) {
+        if let Some((queuing, sched)) = in_air {
             let core = self.gnbs[self.serving[ue]].config().core_to_cu_delay;
             let prop = (self.flows[flow].wan_one_way + core).as_millis_f64();
             let other = (owd - prop - queuing - sched).max(0.0);
@@ -1806,7 +1842,7 @@ impl World {
             // Destroyed mid-air by the handover, exactly like a downlink
             // block: in AM the UE's re-established transmit entity
             // retransmits the SDUs at the target anyway.
-            self.ho_tbs_lost += 1;
+            self.uplink.tbs_lost += 1;
             return;
         }
         let c0 = self.cycles.start();
@@ -1901,7 +1937,10 @@ impl World {
         // The server reads the send time and the leg off the packet.
         pkt.stamp(now.as_nanos(), leg);
         let c0 = self.cycles.start();
-        self.ues[ue].enqueue_uplink_data(drb, pkt, now);
+        // `None` is a tail drop at the UE's full RLC queue.
+        if self.ues[ue].enqueue_uplink_data(drb, pkt, now).is_none() {
+            self.uplink.rlc_drops += 1;
+        }
         self.cycles.stop(c0, CYC_UE);
     }
 
@@ -2510,12 +2549,7 @@ impl World {
         let ue_id = UeId(ue as u16);
         let ch = dst_w.fresh_channel(ue, target_cell, profile, snr_db, now);
         let ctx = src_w.gnbs[src].detach_ue(ue_id);
-        let dropped = dst_w.gnbs[target_cell].attach_ue_handover(ue_id, ch, ctx, now);
-        // The SN windows of tail-dropped forwarded SDUs still live in
-        // the source replica (the flow cluster migrates below).
-        for (drb, sn) in dropped {
-            src_w.sn_take(ue_id, drb, sn);
-        }
+        dst_w.gnbs[target_cell].attach_ue_handover(ue_id, ch, ctx, now);
         let tgt_cfg = dst_w.gnbs[target_cell].config();
         let (sp, id, sr) = (
             tgt_cfg.rlc_status_period,
@@ -2561,11 +2595,11 @@ impl World {
     }
 
     /// Swap the whole live state cluster of every UE `moves` picks —
-    /// stack, per-UE series and logs, its flows with their per-flow
-    /// metrics and pending breakdowns — between two replicas. Symmetric
-    /// by construction: the live copy always sits in the current owner,
-    /// so ping-pong migrations stay consistent. One pass over the UEs,
-    /// the flows and each pending-breakdown map, however many UEs move.
+    /// stack, per-UE series, logs and bearer rows, its flows with their
+    /// per-flow metrics — between two replicas. Symmetric by
+    /// construction: the live copy always sits in the current owner, so
+    /// ping-pong migrations stay consistent. One pass over the UEs and
+    /// the flows, however many UEs move.
     fn swap_ue_clusters(a: &mut World, b: &mut World, moves: impl Fn(usize) -> bool) {
         use std::mem::swap;
         for ue in (0..a.ues.len()).filter(|&ue| moves(ue)) {
@@ -2575,8 +2609,10 @@ impl World {
             swap(&mut a.ho_log[ue], &mut b.ho_log[ue]);
             swap(&mut a.drb_rows[ue], &mut b.drb_rows[ue]);
         }
-        let flows: Vec<bool> = a.flows.iter().map(|f| moves(f.ue_idx)).collect();
-        for f in (0..flows.len()).filter(|&f| flows[f]) {
+        for f in 0..a.flows.len() {
+            if !moves(a.flows[f].ue_idx) {
+                continue;
+            }
             swap(&mut a.flows[f], &mut b.flows[f]);
             swap(&mut a.owd_ms[f], &mut b.owd_ms[f]);
             swap(&mut a.ul_owd_ms[f], &mut b.ul_owd_ms[f]);
@@ -2590,10 +2626,6 @@ impl World {
             swap(&mut a.thr_bins[f], &mut b.thr_bins[f]);
             swap(&mut a.breakdown[f], &mut b.breakdown[f]);
         }
-        let from_a: Vec<_> = a.breakdown_pending.extract_if(|k, _| flows[k.0]).collect();
-        let from_b: Vec<_> = b.breakdown_pending.extract_if(|k, _| flows[k.0]).collect();
-        a.breakdown_pending.extend(from_b);
-        b.breakdown_pending.extend(from_a);
     }
 
     /// Swap what replica `sid` owns under `of_cell` between `a` and `b`:
@@ -2641,6 +2673,7 @@ impl World {
             }
             primary.queue_depth_peak = primary.queue_depth_peak.max(w.queue_depth_peak);
             primary.ho_tbs_lost += w.ho_tbs_lost;
+            primary.uplink += w.uplink;
             primary.rate_err.append(&mut w.rate_err);
             primary.marker_time.0.append(&mut w.marker_time.0);
             primary.marker_time.1.append(&mut w.marker_time.1);
@@ -2785,6 +2818,7 @@ impl World {
         }
         // Table-1 accounting sums over every cell in the topology.
         let mut g = l4span_ran::gnb::GnbStats::default();
+        let mut uplink = self.uplink;
         for gnb in &self.gnbs {
             let s = gnb.stats();
             g.tbs_sent += s.tbs_sent;
@@ -2793,6 +2827,9 @@ impl World {
             g.sdus_enqueued += s.sdus_enqueued;
             g.sdus_dropped += s.sdus_dropped;
             g.fading_evals += s.fading_evals;
+            uplink.tbs_sent += s.ul_tbs_sent;
+            uplink.harq_retx += s.ul_harq_retx;
+            uplink.tbs_lost += s.ul_tbs_lost;
         }
         let (owd_ms, owd_at_s) = split_samples(self.owd_ms);
         let (ul_owd_ms, ul_owd_at_s) = split_samples(self.ul_owd_ms);
@@ -2835,6 +2872,7 @@ impl World {
             rlc_drops: g.sdus_dropped,
             tbs_lost: g.tbs_lost + self.ho_tbs_lost,
             harq_retx: g.harq_retx,
+            uplink,
             marker_memory,
             marker_time_ns: self.marker_time,
             cycles: self.cycles.report(),
@@ -3215,7 +3253,7 @@ mod tests {
         assert_eq!(bare.est_window, None);
         let rows = || bare.drb_rows.iter().flatten();
         assert!(rows().any(|r| !r.dl_queue.is_empty()), "the bearers were sampled");
-        assert!(rows().all(|r| r.gt.is_empty() && r.gt_next_sn == 0));
+        assert!(rows().all(|r| r.gt.is_empty()));
         // With L4Span each sample tick trims its UE's logs to four
         // estimation windows; later records are newer than the tick.
         let l4s = run(l4span_default());
@@ -3232,6 +3270,119 @@ mod tests {
             kept += row.gt.len();
         }
         assert!(kept > 0, "the L4Span cell compares against a live log");
+    }
+
+    /// The transmit record of `sn` after `queuing` ms in the queue and
+    /// `sched` ms at its head.
+    fn txed(sn: Sn, queuing: u64, sched: u64) -> TxRecord {
+        let t_head = Instant::from_millis(queuing);
+        let t_first_tx = t_head + Duration::from_millis(sched);
+        TxRecord {
+            sn,
+            size: 1000,
+            t_ingress: Instant::ZERO,
+            t_head,
+            t_first_tx,
+            t_txed: t_first_tx,
+        }
+    }
+
+    #[test]
+    fn the_breakdown_window_takes_by_sn() {
+        let mut row = DrbRow::default();
+        for sn in [3, 4, 5, 7] {
+            row.on_txed(&txed(sn, sn, 1), true, true);
+        }
+        assert_eq!(row.in_air.capacity(), IN_AIR_RESERVE);
+        assert_eq!(row.take_in_air(3), Some((3.0, 1.0)), "in order");
+        // A handover onto a cell with a shorter UE-internal delay
+        // delivers later SNs first.
+        assert_eq!(row.take_in_air(7), Some((7.0, 1.0)), "out of order");
+        assert_eq!(row.take_in_air(5), Some((5.0, 1.0)));
+        // A forwarded SDU the target cell retransmits: its second
+        // transmit record changes neither its timing nor the log.
+        row.on_txed(&txed(4, 40, 9), true, true);
+        assert_eq!(row.gt.len(), 4, "one ground-truth entry per SN");
+        assert_eq!(row.take_in_air(4), Some((4.0, 1.0)), "the first record's timing");
+        assert_eq!(row.take_in_air(4), None, "taken already");
+        assert_eq!(row.take_in_air(6), None, "never transmitted");
+        assert_eq!(row.take_in_air(99), None, "above the window");
+        // An SDU that is never delivered goes once a delivery runs
+        // IN_AIR_LOST_SNS ahead of it, and not before.
+        for sn in [10, 11, 10 + IN_AIR_LOST_SNS - 1, 10 + IN_AIR_LOST_SNS] {
+            row.on_txed(&txed(sn, 2, 2), false, true);
+        }
+        assert_eq!(row.take_in_air(10 + IN_AIR_LOST_SNS - 1), Some((2.0, 2.0)));
+        assert_eq!(row.in_air.front().map(|e| e.0), Some(10));
+        assert_eq!(row.take_in_air(10 + IN_AIR_LOST_SNS), Some((2.0, 2.0)));
+        let left: Vec<Sn> = row.in_air.iter().map(|e| e.0).collect();
+        assert_eq!(left, [11], "SN 10 is dropped as lost");
+        assert_eq!(row.take_in_air(11), Some((2.0, 2.0)));
+        assert_eq!(row.gt.len(), 4, "`gt` off: no ground-truth entry");
+    }
+
+    #[test]
+    fn the_breakdown_window_follows_the_air_not_the_queue() {
+        let cfg = congested_cell(
+            16,
+            "prague",
+            ChannelMix::Mobile,
+            16_384,
+            WanLink::east(),
+            crate::marker::MarkerKind::None,
+            7,
+            Duration::from_secs(5),
+        );
+        let mut w = World::new(cfg);
+        let end = Instant::ZERO + w.cfg.duration;
+        let (mut deepest_queue, mut widest_window) = (0, 0);
+        let mut t = Instant::ZERO;
+        while t < end {
+            t += Duration::from_millis(50);
+            w.run_until(t, end);
+            for (ue, rows) in w.drb_rows.iter().enumerate() {
+                for (drb, row) in rows.iter().enumerate() {
+                    let q = w.gnbs[0].rlc_queue_len(UeId(ue as u16), DrbId(drb as u8));
+                    deepest_queue = deepest_queue.max(q);
+                    widest_window = widest_window.max(row.in_air.len());
+                }
+            }
+        }
+        assert!(deepest_queue > 500, "the RLC queues build: {deepest_queue} SDUs");
+        assert!(widest_window <= 16, "a window held {widest_window} SDUs");
+    }
+
+    #[test]
+    fn uplink_losses_reach_the_report_apart_from_the_downlink() {
+        // Four TCP uploads ping-ponging between two cells behind short
+        // RLC queues: uplink blocks die mid-air at the handovers and
+        // the UE-side queues tail-drop.
+        let mut cfg = handover_cell(
+            4,
+            "cubic",
+            Duration::from_millis(300),
+            HandoverPolicy::MigrateState,
+            crate::marker::MarkerKind::None,
+            7,
+            Duration::from_secs(3),
+        );
+        for flow in &mut cfg.flows {
+            flow.dir = FlowDir::Uplink;
+        }
+        cfg.cell.rlc_queue_sdus = 32;
+        cfg.extra_cells[0].rlc_queue_sdus = 32;
+        let mut w = World::new(cfg);
+        w.run_until(Instant::MAX, Instant::ZERO + w.cfg.duration);
+        let dl_lost = w.ho_tbs_lost + w.gnbs.iter().map(|g| g.stats().tbs_lost).sum::<u64>();
+        let ul_mid_air = w.uplink.tbs_lost;
+        let r = w.into_report();
+        assert!(ul_mid_air > 0, "a handover destroyed uplink blocks on the air");
+        assert_eq!(r.tbs_lost, dl_lost, "uplink blocks stay out of the downlink count");
+        let ul = r.uplink;
+        assert!(ul.tbs_sent > 0 && ul.harq_retx > 0, "{ul:?}");
+        assert!(ul.tbs_lost >= ul_mid_air, "{ul:?}");
+        assert!(ul.rlc_drops > 0, "the UE-side queues tail-drop: {ul:?}");
+        assert!(!r.fingerprint().contains("uplink"), "outside the fingerprint");
     }
 
     /// Eight cells of three UEs, each with one TCP upload (so a live UE

@@ -408,27 +408,21 @@ impl Gnb {
     /// re-enqueue the forwarded SDUs as new data under their original
     /// SNs, and install the migrated SDAP map. `channel` is this cell's
     /// own radio link to the UE. Forwarded SDUs that overflow this
-    /// cell's RLC queue are tail-dropped and counted; their identities
-    /// are returned so the caller can release any per-SDU bookkeeping
-    /// (they will never produce a transmit record). The returned vector
-    /// is empty — and allocation-free — on the common, uncongested path.
+    /// cell's RLC queue are tail-dropped and counted.
     pub fn attach_ue_handover(
         &mut self,
         ue: UeId,
         channel: FadingChannel,
         ctx: UeHandoverCtx,
         now: Instant,
-    ) -> Vec<(DrbId, Sn)> {
+    ) {
         assert!(!ctx.drbs.is_empty(), "a UE needs at least one DRB");
-        let mut dropped = Vec::new();
         let mut map = IdTable::new();
         for st in ctx.drbs {
             let mut rlc = RlcTx::new(st.mode, self.cfg.rlc_queue_sdus, self.cfg.segment_overhead);
             for fwd in st.forwarded {
-                let sn = fwd.sn;
                 if !rlc.enqueue_forwarded(fwd, now) {
                     self.stats.sdus_dropped += 1;
-                    dropped.push((st.drb, sn));
                 }
             }
             map.insert(
@@ -455,7 +449,6 @@ impl Gnb {
             .ues
             .insert(ue, UeCtx::new(channel, ctx.sdap, map, ctx.ca_factor, ul_rx));
         assert!(prev.is_none(), "UE {ue} already attached to this cell");
-        dropped
     }
 
     /// Configure carrier aggregation for a UE: `carriers` ≥ 1 equal-width
@@ -509,16 +502,6 @@ impl Gnb {
     /// the Fig. 18 DCI-trace generator).
     pub fn snr_db(&self, ue: UeId, now: Instant) -> f64 {
         self.ues.get(ue).expect("unknown UE").channel.snr_db(now)
-    }
-
-    /// CQI the scheduler would use for a UE at `now` (stale by
-    /// `cqi_delay`, minus the link-adaptation backoff).
-    pub fn current_cqi(&self, ue: UeId, now: Instant) -> u8 {
-        let ch = &self.ues.get(ue).expect("unknown UE").channel;
-        let t = Instant::from_nanos(
-            now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()),
-        );
-        phy::select_mcs(ch.snr_db(t), self.cfg.link_adaptation_backoff_db)
     }
 
     /// A downlink packet arrives from the core network (post-L4Span).

@@ -105,17 +105,6 @@ pub struct ForwardedSdu {
     pub t_ingress: Instant,
 }
 
-/// Result of one MAC pull.
-#[derive(Debug, Default)]
-pub struct PullResult {
-    /// Segments to place into the transport block.
-    pub segments: Vec<Segment>,
-    /// Budget bytes actually consumed (payload + per-segment overhead).
-    pub consumed: usize,
-    /// SDUs that became fully-transmitted during this pull.
-    pub txed: Vec<TxRecord>,
-}
-
 /// An SDU waiting in (or partially pulled from) the downlink queue.
 #[derive(Debug)]
 struct SduTx {
@@ -309,20 +298,11 @@ impl RlcTx {
 
     /// Pull up to `budget` bytes (including per-segment overhead) for a
     /// transport block. Retransmissions are served before new data, as
-    /// TS 38.322 requires.
-    pub fn pull(&mut self, budget: usize, now: Instant) -> PullResult {
-        let mut out = PullResult::default();
-        let mut txed = Vec::new();
-        out.consumed = self.pull_with(budget, now, &mut txed, |s| out.segments.push(s));
-        out.txed = txed;
-        out
-    }
-
-    /// Allocation-free variant of [`RlcTx::pull`] for the MAC's per-slot
-    /// hot path: segments are streamed into `emit` (typically a push into
-    /// the transport block's own buffer) and transmit records are appended
-    /// to the caller's reusable `txed` scratch. Returns the bytes
-    /// consumed (payload plus per-segment overhead).
+    /// TS 38.322 requires. Segments are streamed into `emit` (typically a
+    /// push into the transport block's own buffer) and transmit records
+    /// are appended to the caller's reusable `txed` scratch, so the MAC's
+    /// per-slot hot path allocates nothing. Returns the bytes consumed
+    /// (payload plus per-segment overhead).
     pub fn pull_with<F: FnMut(Segment)>(
         &mut self,
         mut budget: usize,
@@ -853,13 +833,26 @@ mod tests {
         out
     }
 
+    /// What one pull of up to `budget` bytes at `now` produced.
+    struct Pulled {
+        segments: Vec<Segment>,
+        consumed: usize,
+        txed: Vec<TxRecord>,
+    }
+
+    fn pull(t: &mut RlcTx, budget: usize, now: Instant) -> Pulled {
+        let (mut segments, mut txed) = (Vec::new(), Vec::new());
+        let consumed = t.pull_with(budget, now, &mut txed, |s| segments.push(s));
+        Pulled { segments, consumed, txed }
+    }
+
     #[test]
     fn enqueue_pull_whole_sdu() {
         let mut t = tx(RlcMode::Um);
         let p = pkt(960); // wire 1000
         assert!(t.enqueue(0, p, Instant::ZERO));
         assert_eq!(t.backlog_bytes(), 1000);
-        let r = t.pull(2000, Instant::from_millis(1));
+        let r = pull(&mut t, 2000, Instant::from_millis(1));
         assert_eq!(r.segments.len(), 1);
         assert!(r.segments[0].is_last());
         assert!(r.segments[0].payload.is_some());
@@ -873,13 +866,13 @@ mod tests {
     fn segmentation_respects_budget() {
         let mut t = tx(RlcMode::Um);
         t.enqueue(0, pkt(1460), Instant::ZERO); // wire 1500
-        let r1 = t.pull(600, Instant::from_millis(1));
+        let r1 = pull(&mut t, 600, Instant::from_millis(1));
         assert_eq!(r1.segments.len(), 1);
         assert_eq!(r1.segments[0].len as usize, 600 - OH);
         assert!(!r1.segments[0].is_last());
         assert!(r1.segments[0].payload.is_none());
         assert!(r1.txed.is_empty());
-        let r2 = t.pull(10_000, Instant::from_millis(2));
+        let r2 = pull(&mut t, 10_000, Instant::from_millis(2));
         assert_eq!(r2.segments.len(), 1);
         assert!(r2.segments[0].is_last());
         assert_eq!(
@@ -894,7 +887,7 @@ mod tests {
     fn pull_with_tiny_budget_does_nothing() {
         let mut t = tx(RlcMode::Um);
         t.enqueue(0, pkt(100), Instant::ZERO);
-        let r = t.pull(OH, Instant::ZERO); // budget <= overhead
+        let r = pull(&mut t, OH, Instant::ZERO); // budget <= overhead
         assert!(r.segments.is_empty());
         assert_eq!(r.consumed, 0);
     }
@@ -914,7 +907,7 @@ mod tests {
         let mut t = tx(RlcMode::Am);
         t.enqueue(0, pkt(500), Instant::ZERO);
         t.enqueue(1, pkt(500), Instant::ZERO);
-        t.pull(10_000, Instant::from_millis(1));
+        pull(&mut t, 10_000, Instant::from_millis(1));
         assert_eq!(t.highest_txed(), Some(1));
         assert_eq!(t.highest_delivered(), None);
         let acked = t.on_status(
@@ -933,7 +926,7 @@ mod tests {
     fn nack_triggers_retx_before_new_data() {
         let mut t = tx(RlcMode::Am);
         t.enqueue(0, pkt(500), Instant::ZERO);
-        t.pull(10_000, Instant::from_millis(1));
+        pull(&mut t, 10_000, Instant::from_millis(1));
         t.enqueue(1, pkt(500), Instant::from_millis(2));
         t.on_status(
             &RlcStatus {
@@ -946,7 +939,7 @@ mod tests {
             },
             Instant::from_millis(10),
         );
-        let r = t.pull(10_000, Instant::from_millis(11));
+        let r = pull(&mut t, 10_000, Instant::from_millis(11));
         // Retx of SN 0 must precede new SN 1.
         assert_eq!(r.segments[0].sn, 0);
         assert_eq!(r.segments[0].offset, 0);
@@ -962,18 +955,18 @@ mod tests {
         // recover it.
         let mut t = tx(RlcMode::Am);
         t.enqueue(0, pkt(500), Instant::ZERO);
-        let first = t.pull(10_000, Instant::from_millis(1));
+        let first = pull(&mut t, 10_000, Instant::from_millis(1));
         assert_eq!(first.segments.len(), 1); // ...and we pretend it's lost
         // Well within the poll timer: nothing happens.
-        let quiet = t.pull(10_000, Instant::from_millis(20));
+        let quiet = pull(&mut t, 10_000, Instant::from_millis(20));
         assert!(quiet.segments.is_empty());
         // After T_POLL_RETRANSMIT of silence: the SDU is retransmitted.
-        let retx = t.pull(10_000, Instant::from_millis(60));
+        let retx = pull(&mut t, 10_000, Instant::from_millis(60));
         assert_eq!(retx.segments.len(), 1);
         assert_eq!(retx.segments[0].sn, 0);
         assert!(retx.segments[0].payload.is_some());
         // And it does not machine-gun: the next pull is quiet again.
-        let quiet2 = t.pull(10_000, Instant::from_millis(61));
+        let quiet2 = pull(&mut t, 10_000, Instant::from_millis(61));
         assert!(quiet2.segments.is_empty());
     }
 
@@ -981,7 +974,7 @@ mod tests {
     fn duplicate_nacks_are_not_requeued() {
         let mut t = tx(RlcMode::Am);
         t.enqueue(0, pkt(500), Instant::ZERO);
-        t.pull(10_000, Instant::from_millis(1));
+        pull(&mut t, 10_000, Instant::from_millis(1));
         let nack = RlcStatus {
             ack_sn: 0,
             nacks: vec![Nack {
@@ -992,7 +985,7 @@ mod tests {
         };
         t.on_status(&nack, Instant::from_millis(10));
         t.on_status(&nack, Instant::from_millis(11));
-        let r = t.pull(100_000, Instant::from_millis(12));
+        let r = pull(&mut t, 100_000, Instant::from_millis(12));
         let count_sn0 = r.segments.iter().filter(|s| s.sn == 0).count();
         assert_eq!(count_sn0, 1, "retransmit once, not twice");
     }
@@ -1003,10 +996,10 @@ mod tests {
         // SN 0: fully transmitted, unacked. SN 1: partially pulled.
         // SN 2: untouched in the queue.
         t.enqueue(0, pkt(492), Instant::ZERO); // wire 532
-        t.pull(1000, Instant::from_millis(1));
+        pull(&mut t, 1000, Instant::from_millis(1));
         t.enqueue(1, pkt(1460), Instant::from_millis(2)); // wire 1500
         t.enqueue(2, pkt(500), Instant::from_millis(3));
-        t.pull(600, Instant::from_millis(4)); // SN 1 partially out
+        pull(&mut t, 600, Instant::from_millis(4)); // SN 1 partially out
         let fwd = t.drain_for_handover();
         assert_eq!(
             fwd.iter().map(|f| f.sn).collect::<Vec<_>>(),
@@ -1022,7 +1015,7 @@ mod tests {
         for f in fwd {
             assert!(target.enqueue_forwarded(f, Instant::from_millis(5)));
         }
-        let r = target.pull(100_000, Instant::from_millis(6));
+        let r = pull(&mut target, 100_000, Instant::from_millis(6));
         let sns: Vec<Sn> = r.segments.iter().map(|s| s.sn).collect();
         assert_eq!(sns, vec![0, 1, 2], "full retransmission at the target");
         assert!(
@@ -1036,7 +1029,7 @@ mod tests {
         let mut t = tx(RlcMode::Am);
         t.enqueue(0, pkt(500), Instant::ZERO);
         t.enqueue(1, pkt(500), Instant::ZERO);
-        t.pull(10_000, Instant::from_millis(1));
+        pull(&mut t, 10_000, Instant::from_millis(1));
         // SN 0 confirmed delivered: it must NOT be forwarded.
         t.on_status(
             &RlcStatus {
@@ -1347,7 +1340,7 @@ mod tests {
         );
         // The retransmission carries the payload and terminates (no
         // infinite zero-byte loop).
-        let r = t.pull(1000, Instant::from_millis(2));
+        let r = pull(&mut t, 1000, Instant::from_millis(2));
         assert_eq!(r.segments.len(), 1);
         assert_eq!(r.segments[0].sn, 7);
         assert_eq!(r.segments[0].len, 0);
@@ -1388,7 +1381,7 @@ mod tests {
         let mut delivered = Vec::new();
         let mut guard = 0;
         while got < size as u32 {
-            let r = t.pull(4000, Instant::from_millis(1));
+            let r = pull(&mut t, 4000, Instant::from_millis(1));
             assert!(!r.segments.is_empty(), "sender stalled mid-SDU");
             for seg in r.segments {
                 got = got.max(seg.offset + seg.len);

@@ -35,6 +35,8 @@ pub struct AppDelivery {
     pub deliver_at: Instant,
     /// DRB it arrived on.
     pub drb: DrbId,
+    /// PDCP sequence number it carried on that DRB.
+    pub sn: Sn,
 }
 
 /// One queued uplink item (client ACK or any uplink IP packet).
@@ -144,6 +146,7 @@ impl UeStack {
                     pkt: d.pkt,
                     deliver_at: now + self.internal_delay,
                     drb,
+                    sn: d.sn,
                 });
             }
         }
@@ -162,6 +165,7 @@ impl UeStack {
                     pkt: d.pkt,
                     deliver_at: now + self.internal_delay,
                     drb,
+                    sn: d.sn,
                 });
             }
         }
@@ -182,11 +186,6 @@ impl UeStack {
             pkt,
             ready_at: now + sr,
         });
-    }
-
-    /// Number of uplink packets waiting.
-    pub fn uplink_backlog(&self) -> usize {
-        self.ul_queue.len()
     }
 
     /// Drain the uplink at a TDD uplink slot: the IP packets that ride
@@ -555,6 +554,7 @@ mod tests {
         let d = recv_tb(&mut u, vec![(DrbId(0), seg)], now);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].deliver_at, now + Duration::from_millis(2));
+        assert_eq!((d[0].drb, d[0].sn), (DrbId(0), 0), "the bearer and PDCP SN ride along");
     }
 
     #[test]
@@ -580,7 +580,8 @@ mod tests {
         // for a fresh queue; at +6 ms it must have.
         let (sent, _) = uplink_slot(&mut u, now + Duration::from_millis(6));
         assert_eq!(sent.len(), 1);
-        assert_eq!(u.uplink_backlog(), 0);
+        let (rest, _) = uplink_slot(&mut u, now + Duration::from_millis(7));
+        assert!(rest.is_empty(), "the one packet left on the first slot");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use l4span::cc::tcp::TcpConfig;
 use l4span::cc::{CongestionControl, TcpSender};
 use l4span::net::{Ecn, PacketBuf, TcpFlags, TcpHeader};
 use l4span::ran::config::RlcMode;
-use l4span::ran::rlc::{Nack, RlcRx, RlcStatus, RlcTx, Segment};
+use l4span::ran::rlc::{Nack, RlcRx, RlcStatus, RlcTx, Segment, TxRecord};
 use l4span::sim::{Duration, EventQueue, Instant, SimRng};
 
 #[path = "model_based/tree_rlc.rs"]
@@ -35,6 +35,13 @@ use wakeup::Wakeup;
 
 fn data_pkt(ident: u16, len: usize) -> PacketBuf {
     PacketBuf::tcp(1, 2, Ecn::Ect1, ident, &TcpHeader::default(), len)
+}
+
+/// `(bytes consumed, segments, transmit records)` of one RLC pull.
+fn pull(tx: &mut RlcTx, budget: usize, now: Instant) -> (usize, Vec<Segment>, Vec<TxRecord>) {
+    let (mut segments, mut txed) = (Vec::new(), Vec::new());
+    let consumed = tx.pull_with(budget, now, &mut txed, |s| segments.push(s));
+    (consumed, segments, txed)
 }
 
 fn mode(am: bool) -> RlcMode {
@@ -100,16 +107,16 @@ proptest! {
                 }
                 35..=74 => {
                     let budget = rng.range_u64(0, 5000) as usize;
-                    let pulled = ring.pull(budget, now);
+                    let (ring_consumed, ring_segs, ring_txed) = pull(&mut ring, budget, now);
                     tree_txed.clear();
                     tree_segs.clear();
                     let consumed = tree.pull(budget, now, &mut tree_txed, &mut tree_segs);
-                    prop_assert_eq!(pulled.consumed, consumed, "step {}: pull {}", step, budget);
+                    prop_assert_eq!(ring_consumed, consumed, "step {}: pull {}", step, budget);
                     prop_assert_eq!(
-                        format!("{:?}", pulled.segments), format!("{:?}", tree_segs),
+                        format!("{:?}", ring_segs), format!("{:?}", tree_segs),
                         "step {}: pull {}", step, budget
                     );
-                    prop_assert_eq!(format!("{:?}", pulled.txed), format!("{:?}", tree_txed));
+                    prop_assert_eq!(format!("{:?}", ring_txed), format!("{:?}", tree_txed));
                 }
                 75..=89 if am => {
                     let status = arb_status(&mut rng, tree.highest_delivered, tree.highest_txed);

@@ -8,7 +8,7 @@ use l4span::core::marking;
 use l4span::core::profile::ProfileTable;
 use l4span::net::{AccEcnCounters, Ecn, PacketBuf, TcpFlags, TcpHeader};
 use l4span::ran::config::RlcMode;
-use l4span::ran::rlc::{RlcRx, RlcTx};
+use l4span::ran::rlc::{RlcRx, RlcTx, Segment};
 use l4span::sim::stats::{percentile_sorted, Cdf};
 use l4span::sim::{Duration, EventQueue, Instant, SimRng};
 
@@ -23,6 +23,13 @@ fn arb_ecn() -> impl Strategy<Value = Ecn> {
 
 fn arb_flags() -> impl Strategy<Value = TcpFlags> {
     (0u16..512).prop_map(TcpFlags)
+}
+
+/// The segments one RLC pull of up to `budget` bytes at `now` emits.
+fn pull_segments(tx: &mut RlcTx, budget: usize, now: Instant) -> Vec<Segment> {
+    let mut segments = Vec::new();
+    tx.pull_with(budget, now, &mut Vec::new(), |s| segments.push(s));
+    segments
 }
 
 proptest! {
@@ -267,8 +274,8 @@ proptest! {
         for round in 0..10_000usize {
             now += Duration::from_micros(500);
             let budget = budgets[round % budgets.len()];
-            let pulled = tx.pull(budget, now);
-            for seg in pulled.segments {
+            let pulled = pull_segments(&mut tx, budget, now);
+            for seg in pulled {
                 if rng.chance(0.2) {
                     continue; // lost transport block
                 }
@@ -308,8 +315,8 @@ proptest! {
         let mut now = Instant::ZERO;
         for _ in 0..2000 {
             now += Duration::from_micros(500);
-            let pulled = tx.pull(1200, now);
-            for seg in pulled.segments {
+            let pulled = pull_segments(&mut tx, 1200, now);
+            for seg in pulled {
                 if rng.chance(0.3) {
                     continue;
                 }
@@ -375,8 +382,8 @@ proptest! {
                 }
                 now += Duration::from_micros(500);
                 let budget = budgets[round % budgets.len()];
-                let pulled = tx.pull(budget, now);
-                for seg in pulled.segments {
+                let pulled = pull_segments(&mut tx, budget, now);
+                for seg in pulled {
                     if rng.chance(0.2) {
                         continue; // lost transport block
                     }
@@ -425,8 +432,8 @@ fn rlc_am_lossless_fast_path() {
     let mut now = Instant::ZERO;
     while delivered.len() < 10 {
         now += Duration::from_micros(500);
-        let pulled = tx.pull(3000, now);
-        for seg in pulled.segments {
+        let pulled = pull_segments(&mut tx, 3000, now);
+        for seg in pulled {
             rx.on_segment_into(seg, now, &mut delivered);
         }
     }
