@@ -34,7 +34,7 @@ fn print_series(r: &Report, names: &[&str], queue_keys: &[(u16, u8)]) {
     for t in 0..=max_t {
         let tq = t as f64;
         // RLC queue: max over the sampled second across the listed DRBs.
-        let q: usize = queue_keys
+        let q: u32 = queue_keys
             .iter()
             .filter_map(|k| r.queue_series.get(k))
             .flat_map(|v| {

@@ -114,6 +114,15 @@ fn main() {
             report.fading_evals as f64 / pkts
         );
         println!("{:<14} {:>12}", "(queue peak)", report.queue_depth_peak);
+        // What the run's metric samples take as the recorder stores
+        // them, per series family.
+        println!("{:<14} {:>12} {:>10}", "sample store", "samples", "kB");
+        let store = report.sample_store();
+        for s in &store {
+            println!("{:<14} {:>12} {:>10.1}", s.family, s.samples, s.bytes as f64 / 1e3);
+        }
+        let (n, bytes) = store.iter().fold((0, 0), |(n, b), s| (n + s.samples, b + s.bytes));
+        println!("{:<14} {n:>12} {:>10.1}", "(total)", bytes as f64 / 1e3);
         // Worlds run on replicas (the metro world): where each one's
         // epoch time went. The idle column is the barrier wait a replica
         // would see under fully parallel epochs — 1 − busy/longest

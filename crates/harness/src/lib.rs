@@ -21,7 +21,8 @@
 //!   (§6.3.1 ablation), TC-RAN CoDel/ECN-CoDel (§6.2.2 baseline), or
 //!   nothing;
 //! * [`metrics`] — one-way delay, RTT, throughput time series, RLC queue
-//!   CDFs, delay breakdowns, estimation-error samples;
+//!   CDFs, delay breakdowns, estimation-error samples, and the one
+//!   sample store a world records into;
 //! * [`impairment`] — mid-path internet impairments between server
 //!   egress and the core: ECT bleaching, codepoint remarking, ECT drop,
 //!   and an RFC 3168 classic-ECN single-queue hop;
@@ -55,7 +56,8 @@ pub use bond::{BondJoin, BondTx, SbdDetector};
 pub use impairment::{ImpairmentCounters, ImpairmentSpec, StageSpec};
 pub use marker::MarkerKind;
 pub use metrics::{
-    BondStat, FallbackRecord, FecStat, HandoverRecord, Report, ShardStat, UplinkStats,
+    BondStat, FallbackRecord, FecStat, HandoverRecord, Report, ShardStat, StoreShare,
+    UplinkStats,
 };
 pub use runner::{run_batch, run_batch_on};
 pub use scenario::{

@@ -1,7 +1,14 @@
 //! Measurement plumbing and the final [`Report`].
+//!
+//! A world writes its samples into one `Recorder` — the only code that
+//! knows how they are stored — and the recorder assembles them into the
+//! report's series at the end of the run. Each sample is stored once, at
+//! the width its value needs: a queue length as a `u32` beside the runs
+//! of its serving cell, an estimation error as one 16-byte record.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
+use l4span_ran::rlc::{Sn, TxRecord};
 use l4span_sim::{stats::BoxStats, CycleStat, Duration, Instant};
 
 use crate::impairment::ImpairmentCounters;
@@ -126,18 +133,20 @@ pub struct Report {
     pub rtt_at_s: Vec<Vec<f64>>,
     /// Per-flow received payload bytes per bin (UE side).
     pub thr_bins: Vec<Vec<u64>>,
-    /// RLC queue-length samples (SDUs) per (ue, drb), read from the UE's
-    /// *serving* cell at each tick. A `BTreeMap` so both serialisation
-    /// and the fingerprint iterate in key order regardless of hash state.
-    pub queue_series: BTreeMap<(u16, u8), Vec<usize>>,
-    /// The same queue samples broken out per serving cell: (cell, ue,
-    /// drb) → lengths sampled while that cell served the UE. Series
-    /// lengths differ per key exactly by attachment time.
-    pub cell_queue_series: BTreeMap<(u8, u16, u8), Vec<usize>>,
-    /// **Uplink** RLC transmission-queue samples (SDUs) per (ue, drb),
-    /// read from the UE-side transmit entity at each tick. Empty unless
-    /// the scenario carries uplink data flows.
-    pub ul_queue_series: BTreeMap<(u16, u8), Vec<usize>>,
+    /// RLC queue-length samples (SDUs, `u32`) per (ue, drb), read from
+    /// the UE's *serving* cell at each tick. A `BTreeMap` so both
+    /// serialisation and the fingerprint iterate in key order regardless
+    /// of hash state.
+    pub queue_series: BTreeMap<(u16, u8), Vec<u32>>,
+    /// The serving-cell runs of each `queue_series` entry, in time
+    /// order: `(index of the run's first sample, cell)`, one run per
+    /// attachment. [`Report::cell_queue_series`] derives the per-cell
+    /// view from them.
+    pub queue_cell_runs: BTreeMap<(u16, u8), Vec<(u32, u8)>>,
+    /// **Uplink** RLC transmission-queue samples (SDUs, `u32`) per
+    /// (ue, drb), read from the UE-side transmit entity at each tick.
+    /// Empty unless the scenario carries uplink data flows.
+    pub ul_queue_series: BTreeMap<(u16, u8), Vec<u32>>,
     /// Delivered payload bytes per bin, attributed to the cell serving
     /// the receiving UE at delivery time (per-cell throughput series).
     pub cell_thr_bins: Vec<Vec<u64>>,
@@ -288,6 +297,18 @@ pub struct FecStat {
     pub repairs: u64,
     /// Repair packets that arrived with nothing to repair.
     pub repairs_unused: u64,
+}
+
+/// One series family's share of a run's sample store
+/// ([`Report::sample_store`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreShare {
+    /// Which series.
+    pub family: &'static str,
+    /// Samples stored.
+    pub samples: usize,
+    /// Bytes they take as stored.
+    pub bytes: usize,
 }
 
 /// Uplink data-plane counters, summed over the cells and UEs.
@@ -558,6 +579,55 @@ impl Report {
         Some(gaps.iter().sum::<f64>() / gaps.len() as f64)
     }
 
+    /// The queue samples broken out per serving cell, derived from
+    /// [`Report::queue_series`] and its [`Report::queue_cell_runs`]:
+    /// (cell, ue, drb) → the lengths sampled while that cell served the
+    /// UE, every run of that attachment in time order. Series lengths
+    /// differ per key exactly by attachment time.
+    pub fn cell_queue_series(&self) -> BTreeMap<(u8, u16, u8), Vec<u32>> {
+        let mut out: BTreeMap<(u8, u16, u8), Vec<u32>> = BTreeMap::new();
+        for (&(ue, drb), runs) in &self.queue_cell_runs {
+            let series = &self.queue_series[&(ue, drb)];
+            for (k, &(first, cell)) in runs.iter().enumerate() {
+                let end = runs.get(k + 1).map_or(series.len(), |&(next, _)| next as usize);
+                out.entry((cell, ue, drb))
+                    .or_default()
+                    .extend_from_slice(&series[first as usize..end]);
+            }
+        }
+        out
+    }
+
+    /// The run's sample store per series family — OWD/RTT pairs, queue
+    /// samples with their serving-cell runs, estimation-error records —
+    /// counted from this report's series at the width the recorder keeps
+    /// each sample (growth slack not included).
+    pub fn sample_store(&self) -> [StoreShare; 3] {
+        let n = |v: &[Vec<f64>]| v.iter().map(Vec::len).sum::<usize>();
+        let pairs = n(&self.owd_ms) + n(&self.ul_owd_ms) + n(&self.rtt_ms);
+        let queues = self.queue_series.values().chain(self.ul_queue_series.values());
+        let queue: usize = queues.map(Vec::len).sum();
+        let runs: usize = self.queue_cell_runs.values().map(Vec::len).sum();
+        let rate_err = self.rate_err_pct.len();
+        [
+            StoreShare {
+                family: "owd/rtt pairs",
+                samples: pairs,
+                bytes: pairs * size_of::<(f64, f64)>(),
+            },
+            StoreShare {
+                family: "queue",
+                samples: queue,
+                bytes: queue * size_of::<QueueSample>() + runs * size_of::<(u32, u8)>(),
+            },
+            StoreShare {
+                family: "rate error",
+                samples: rate_err,
+                bytes: rate_err * size_of::<RateErr>(),
+            },
+        ]
+    }
+
     /// Mean goodput served by one cell over the whole run, in Mbit/s.
     pub fn cell_goodput_mbps(&self, cell: usize) -> f64 {
         let bytes: u64 = self.cell_thr_bins.get(cell).map_or(0, |b| b.iter().sum());
@@ -602,7 +672,7 @@ impl Report {
         for (k, v) in &self.queue_series {
             let _ = write!(s, "q{:?}={:?};", k, v);
         }
-        for (k, v) in &self.cell_queue_series {
+        for (k, v) in &self.cell_queue_series() {
             let _ = write!(s, "cq{:?}={:?};", k, v);
         }
         for (k, v) in &self.ul_queue_series {
@@ -715,9 +785,440 @@ impl Report {
     }
 }
 
+/// Cadence of the world's `Sample` housekeeping tick: the step of the
+/// queue-length series and of the estimation-error log.
+pub(crate) const SAMPLE_PERIOD: Duration = Duration::from_millis(10);
+
+/// An entry of [`DrbRow::in_air`] this many SNs behind a delivery
+/// belongs to an SDU that will never be delivered (lost in UM, or a
+/// forwarded SDU tail-dropped at a handover target) and is dropped.
+const IN_AIR_LOST_SNS: Sn = 1024;
+
+/// Slots [`DrbRow::in_air`] reserves at its first push, so a bearer's
+/// first packets do not regrow it (and an idle bearer never allocates).
+const IN_AIR_RESERVE: usize = 32;
+
+/// One stored RLC queue-length sample, in SDUs.
+type QueueSample = u32;
+
+/// One stored estimation-error sample: the error in percent beside a key
+/// packing `(tick, ue, drb)` — the sample tick (instant /
+/// [`SAMPLE_PERIOD`]) in the high 40 bits, the UE in the next 16, the
+/// DRB in the low 8. Ordering by key is ordering by `(at, (ue, drb))`,
+/// the push order of a world that runs on one queue.
+#[derive(Clone, Copy)]
+struct RateErr {
+    key: u64,
+    pct: f64,
+}
+
+const _: () = assert!(size_of::<RateErr>() == 16);
+const _: () = assert!(size_of::<QueueSample>() == 4);
+
+impl RateErr {
+    fn new(at: Instant, ue: u16, drb: u8, pct: f64) -> RateErr {
+        let tick = at.as_nanos() / SAMPLE_PERIOD.as_nanos();
+        debug_assert!(tick < 1 << 40, "tick {tick} overflows the rate-error key");
+        RateErr {
+            key: tick << 24 | u64::from(ue) << 8 | u64::from(drb),
+            pct,
+        }
+    }
+}
+
+/// What the recorder keeps per (UE, DRB): the delay breakdown of the
+/// SDUs on the air, the ground-truth egress log, and the bearer's
+/// queue-length series.
+#[derive(Default)]
+struct DrbRow {
+    /// `(PDCP SN, queuing ms, scheduling ms)` of the SDUs between their
+    /// first transmit record and their delivery, in ascending SN: the
+    /// Fig. 10 breakdown awaiting its one-way delay.
+    in_air: VecDeque<(Sn, f64, f64)>,
+    /// Ground-truth egress log `(t_txed, bytes)`, the Fig. 20
+    /// reference, trimmed to four estimation windows at each sample
+    /// tick.
+    gt: VecDeque<(Instant, usize)>,
+    /// First SN without a transmit record. A forwarded SDU
+    /// retransmitted by the target cell emits a second transmit record
+    /// for the same SN; the L4Span estimator's profile table ignores
+    /// that non-advancing feedback, so the ground truth must apply the
+    /// same SN-monotone dedup or `rate_err_pct` reads systematically
+    /// negative after every handover. The breakdown keeps the first
+    /// record's timing by the same rule.
+    next_sn: Sn,
+    /// Downlink RLC queue samples, read from the serving cell at each
+    /// tick (`Report::queue_series`; empty until first sampled).
+    dl_queue: Vec<QueueSample>,
+    /// `dl_queue`'s serving-cell runs (`Report::queue_cell_runs`).
+    dl_cells: Vec<(u32, u8)>,
+    /// UE-side uplink transmit-queue samples (`Report::ul_queue_series`;
+    /// empty until first sampled).
+    ul_queue: Vec<QueueSample>,
+}
+
+impl DrbRow {
+    /// Apply a transmit record: only the first for its SN counts, and
+    /// goes into the ground-truth log (`gt`) and the breakdown window
+    /// (`in_air`) as asked.
+    fn on_txed(&mut self, rec: &TxRecord, gt: bool, in_air: bool) {
+        if rec.sn < self.next_sn {
+            return;
+        }
+        self.next_sn = rec.sn + 1;
+        if gt {
+            self.gt.push_back((rec.t_txed, rec.size));
+        }
+        if in_air {
+            if self.in_air.capacity() == 0 {
+                self.in_air.reserve(IN_AIR_RESERVE);
+            }
+            let queuing = rec.t_head.saturating_since(rec.t_ingress).as_millis_f64();
+            let sched = rec.t_first_tx.saturating_since(rec.t_head).as_millis_f64();
+            self.in_air.push_back((rec.sn, queuing, sched));
+        }
+    }
+
+    /// Take the `(queuing ms, scheduling ms)` of the SDU delivered
+    /// under `sn`, dropping the entries [`IN_AIR_LOST_SNS`] behind it.
+    /// By SN, not from the front: a handover onto a cell with a shorter
+    /// UE-internal delay can deliver out of SN order.
+    fn take_in_air(&mut self, sn: Sn) -> Option<(f64, f64)> {
+        while self.in_air.front().is_some_and(|e| e.0 + IN_AIR_LOST_SNS <= sn) {
+            self.in_air.pop_front();
+        }
+        let i = self.in_air.binary_search_by_key(&sn, |e| e.0).ok()?;
+        self.in_air.remove(i).map(|(_, queuing, sched)| (queuing, sched))
+    }
+
+    /// The ground truth at `now`: bytes per second sent in the `window`
+    /// before the newest transmit record, after trimming the log to four
+    /// windows. `None` when the bearer has been idle for a window.
+    fn ground_truth(&mut self, now: Instant, window: Duration) -> Option<f64> {
+        while self.gt.front().is_some_and(|&(t, _)| now.saturating_since(t) > window * 4) {
+            self.gt.pop_front();
+        }
+        let &(anchor, _) = self.gt.back()?;
+        if now.saturating_since(anchor) > window {
+            return None; // stale: DRB idle, nothing to compare
+        }
+        let bytes: usize = self
+            .gt
+            .iter()
+            .filter(|&&(t, _)| anchor.saturating_since(t) < window)
+            .map(|&(_, b)| b)
+            .sum();
+        Some(bytes as f64 / window.as_secs_f64())
+    }
+}
+
+/// `rows[drb]`, growing `rows` up to it on first use.
+fn drb_row(rows: &mut Vec<DrbRow>, drb: u8) -> &mut DrbRow {
+    let d = usize::from(drb);
+    if rows.len() <= d {
+        rows.resize_with(d + 1, DrbRow::default);
+    }
+    &mut rows[d]
+}
+
+/// `series`, sized for the whole run's `cap` entries when it first
+/// appears, so recording into it never regrows it.
+pub(crate) fn run_sized<T>(series: &mut Vec<T>, cap: usize) -> &mut Vec<T> {
+    if series.capacity() == 0 {
+        series.reserve_exact(cap);
+    }
+    series
+}
+
+/// A queue length as stored.
+fn queue_sample(len: usize) -> QueueSample {
+    QueueSample::try_from(len).expect("an RLC queue holds fewer than 2^32 SDUs")
+}
+
+/// The run-time sample store of a world: per-flow one-way delays and
+/// RTTs, the estimation-error log, and per (UE, DRB) the breakdown
+/// window, ground-truth log and queue series. The world writes through
+/// the methods below and hands the store to [`Recorder::finish`], which
+/// assembles the report's series. Logs are indexed by flow and rows by
+/// UE, so a shard replica's share swaps with its owner
+/// ([`Recorder::swap_ue`], [`Recorder::swap_flow`]) and the replicas'
+/// estimation-error logs fold into one ([`Recorder::absorb`]).
+pub(crate) struct Recorder {
+    /// Per-flow one-way delays as `(ms, sample time s)` pairs: one push
+    /// per sample, split into the report's two series at the end.
+    owd: Vec<Vec<(f64, f64)>>,
+    /// Per-flow uplink data one-way delays (UE sender → server), paired
+    /// like `owd`.
+    ul_owd: Vec<Vec<(f64, f64)>>,
+    /// Per-flow smoothed RTTs, paired like `owd`.
+    rtt: Vec<Vec<(f64, f64)>>,
+    /// Estimation-error samples in push order; sorted by key at the end,
+    /// which merges the replicas' logs into one world's order.
+    rate_err: Vec<RateErr>,
+    /// `[ue][drb]`: the per-bearer rows. A UE's rows grow to its highest
+    /// DRB id at first use.
+    rows: Vec<Vec<DrbRow>>,
+    /// Sample ticks in the run: what a queue series reserves.
+    ticks: usize,
+}
+
+impl Recorder {
+    /// An empty store for `flows` flows and `ues` UEs over a run of
+    /// `duration`.
+    pub(crate) fn new(flows: usize, ues: usize, duration: Duration) -> Recorder {
+        Recorder {
+            owd: vec![Vec::new(); flows],
+            ul_owd: vec![Vec::new(); flows],
+            rtt: vec![Vec::new(); flows],
+            rate_err: Vec::new(),
+            rows: (0..ues).map(|_| Vec::new()).collect(),
+            ticks: (duration.as_nanos() / SAMPLE_PERIOD.as_nanos()) as usize,
+        }
+    }
+
+    /// A transmit record of `ue`'s bearer `drb`: the first one for its
+    /// SN goes into the ground-truth log if `gt` and the breakdown
+    /// window if `in_air`.
+    #[inline]
+    pub(crate) fn on_txed(&mut self, ue: usize, drb: u8, rec: &TxRecord, gt: bool, in_air: bool) {
+        drb_row(&mut self.rows[ue], drb).on_txed(rec, gt, in_air);
+    }
+
+    /// The `(queuing ms, scheduling ms)` of the SDU `ue`'s bearer `drb`
+    /// delivered under `sn`, leaving the breakdown window.
+    #[inline]
+    pub(crate) fn take_in_air(&mut self, ue: usize, drb: u8, sn: Sn) -> Option<(f64, f64)> {
+        self.rows[ue].get_mut(usize::from(drb))?.take_in_air(sn)
+    }
+
+    /// A downlink one-way delay of `flow`, delivered at `now`.
+    #[inline]
+    pub(crate) fn push_owd(&mut self, flow: usize, ms: f64, now: Instant) {
+        self.owd[flow].push((ms, now.as_secs_f64()));
+    }
+
+    /// An uplink one-way delay of `flow`, delivered at `now`.
+    #[inline]
+    pub(crate) fn push_ul_owd(&mut self, flow: usize, ms: f64, now: Instant) {
+        self.ul_owd[flow].push((ms, now.as_secs_f64()));
+    }
+
+    /// A smoothed-RTT reading of `flow`'s sender at `now`.
+    #[inline]
+    pub(crate) fn push_rtt(&mut self, flow: usize, ms: f64, now: Instant) {
+        self.rtt[flow].push((ms, now.as_secs_f64()));
+    }
+
+    /// A tick's downlink queue length of `ue`'s bearer `drb`, read from
+    /// its serving `cell`.
+    pub(crate) fn push_dl_queue(&mut self, ue: usize, drb: u8, cell: u8, len: usize) {
+        let ticks = self.ticks;
+        let row = drb_row(&mut self.rows[ue], drb);
+        if row.dl_cells.last().is_none_or(|&(_, c)| c != cell) {
+            let first = u32::try_from(row.dl_queue.len()).expect("fewer than 2^32 ticks");
+            row.dl_cells.push((first, cell));
+        }
+        run_sized(&mut row.dl_queue, ticks).push(queue_sample(len));
+    }
+
+    /// A tick's UE-side uplink queue length of `ue`'s bearer `drb`.
+    pub(crate) fn push_ul_queue(&mut self, ue: usize, drb: u8, len: usize) {
+        let ticks = self.ticks;
+        run_sized(&mut drb_row(&mut self.rows[ue], drb).ul_queue, ticks).push(queue_sample(len));
+    }
+
+    /// A tick's estimation error on each of `ue`'s bearers: the ground
+    /// truth over `window`, anchored at the newest dequeue event exactly
+    /// as Eq. 3 anchors its window at the latest feedback (anchoring at
+    /// the sample tick instead would under-count by a partial TDD frame
+    /// and read as a systematic positive bias), against the marker's
+    /// `estimate` for the DRB. A bearer idle for a window, or carrying
+    /// under 50 kB/s, takes no sample.
+    pub(crate) fn push_rate_err(
+        &mut self,
+        ue: usize,
+        now: Instant,
+        window: Duration,
+        mut estimate: impl FnMut(u8) -> Option<f64>,
+    ) {
+        for (drb, row) in self.rows[ue].iter_mut().enumerate() {
+            let drb = drb as u8;
+            let Some(gt) = row.ground_truth(now, window) else { continue };
+            if gt > 50_000.0 {
+                if let Some(est) = estimate(drb) {
+                    let pct = (est - gt) / gt * 100.0;
+                    self.rate_err.push(RateErr::new(now, ue as u16, drb, pct));
+                }
+            }
+        }
+    }
+
+    /// Swap `ue`'s rows between two replicas' stores.
+    pub(crate) fn swap_ue(a: &mut Recorder, b: &mut Recorder, ue: usize) {
+        std::mem::swap(&mut a.rows[ue], &mut b.rows[ue]);
+    }
+
+    /// Swap `flow`'s logs between two replicas' stores.
+    pub(crate) fn swap_flow(a: &mut Recorder, b: &mut Recorder, flow: usize) {
+        std::mem::swap(&mut a.owd[flow], &mut b.owd[flow]);
+        std::mem::swap(&mut a.ul_owd[flow], &mut b.ul_owd[flow]);
+        std::mem::swap(&mut a.rtt[flow], &mut b.rtt[flow]);
+    }
+
+    /// Fold another replica's estimation-error log into this one.
+    pub(crate) fn absorb(&mut self, other: &mut Recorder) {
+        self.rate_err.append(&mut other.rate_err);
+    }
+
+    /// Assemble the store into `r`'s sample series. The estimation-error
+    /// samples go in `(tick, (ue, drb))` order: a no-op for a world that
+    /// ran on one queue and a correct merge for a sharded one. The key
+    /// is unique (a DRB is sampled once per tick, by the one replica
+    /// serving it), so the in-place unstable sort gives the stable
+    /// sort's result without its scratch buffer. A queue series that
+    /// never took a sample has no key.
+    pub(crate) fn finish(self, r: &mut Report) {
+        let mut rate_err = self.rate_err;
+        rate_err.sort_unstable_by_key(|e| e.key);
+        debug_assert!(rate_err.windows(2).all(|w| w[0].key < w[1].key));
+        r.rate_err_pct = rate_err.into_iter().map(|e| e.pct).collect();
+        for (ue, rows) in self.rows.into_iter().enumerate() {
+            for (drb, row) in rows.into_iter().enumerate() {
+                let key = (ue as u16, drb as u8);
+                if !row.dl_queue.is_empty() {
+                    r.queue_series.insert(key, row.dl_queue);
+                    r.queue_cell_runs.insert(key, row.dl_cells);
+                }
+                if !row.ul_queue.is_empty() {
+                    r.ul_queue_series.insert(key, row.ul_queue);
+                }
+            }
+        }
+        (r.owd_ms, r.owd_at_s) = split_samples(self.owd);
+        (r.ul_owd_ms, r.ul_owd_at_s) = split_samples(self.ul_owd);
+        (r.rtt_ms, r.rtt_at_s) = split_samples(self.rtt);
+    }
+
+    /// Downlink queue samples taken so far, over every bearer.
+    #[cfg(test)]
+    pub(crate) fn dl_queue_samples(&self) -> usize {
+        self.rows.iter().flatten().map(|r| r.dl_queue.len()).sum()
+    }
+
+    /// The send times in every bearer's ground-truth log.
+    #[cfg(test)]
+    pub(crate) fn ground_truth_log(&self) -> impl Iterator<Item = Instant> + '_ {
+        self.rows.iter().flatten().flat_map(|r| r.gt.iter().map(|&(t, _)| t))
+    }
+
+    /// The most SDUs any bearer's breakdown window holds.
+    #[cfg(test)]
+    pub(crate) fn widest_in_air(&self) -> usize {
+        self.rows.iter().flatten().map(|r| r.in_air.len()).max().unwrap_or(0)
+    }
+}
+
+/// Split per-flow `(value, t)` samples into the report's value and time
+/// series, one flow at a time, each vector sized to its flow's count.
+fn split_samples(series: Vec<Vec<(f64, f64)>>) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let mut values = Vec::with_capacity(series.len());
+    let mut times = Vec::with_capacity(series.len());
+    for pairs in series {
+        values.push(pairs.iter().map(|&(v, _)| v).collect());
+        times.push(pairs.iter().map(|&(_, t)| t).collect());
+    }
+    (values, times)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The transmit record of `sn` after `queuing` ms in the queue and
+    /// `sched` ms at its head.
+    fn txed(sn: Sn, queuing: u64, sched: u64) -> TxRecord {
+        let t_head = Instant::from_millis(queuing);
+        let t_first_tx = t_head + Duration::from_millis(sched);
+        TxRecord {
+            sn,
+            size: 1000,
+            t_ingress: Instant::ZERO,
+            t_head,
+            t_first_tx,
+            t_txed: t_first_tx,
+        }
+    }
+
+    #[test]
+    fn the_breakdown_window_takes_by_sn() {
+        let mut row = DrbRow::default();
+        for sn in [3, 4, 5, 7] {
+            row.on_txed(&txed(sn, sn, 1), true, true);
+        }
+        assert_eq!(row.in_air.capacity(), IN_AIR_RESERVE);
+        assert_eq!(row.take_in_air(3), Some((3.0, 1.0)), "in order");
+        // A handover onto a cell with a shorter UE-internal delay
+        // delivers later SNs first.
+        assert_eq!(row.take_in_air(7), Some((7.0, 1.0)), "out of order");
+        assert_eq!(row.take_in_air(5), Some((5.0, 1.0)));
+        // A forwarded SDU the target cell retransmits: its second
+        // transmit record changes neither its timing nor the log.
+        row.on_txed(&txed(4, 40, 9), true, true);
+        assert_eq!(row.gt.len(), 4, "one ground-truth entry per SN");
+        assert_eq!(row.take_in_air(4), Some((4.0, 1.0)), "the first record's timing");
+        assert_eq!(row.take_in_air(4), None, "taken already");
+        assert_eq!(row.take_in_air(6), None, "never transmitted");
+        assert_eq!(row.take_in_air(99), None, "above the window");
+        // An SDU that is never delivered goes once a delivery runs
+        // IN_AIR_LOST_SNS ahead of it, and not before.
+        for sn in [10, 11, 10 + IN_AIR_LOST_SNS - 1, 10 + IN_AIR_LOST_SNS] {
+            row.on_txed(&txed(sn, 2, 2), false, true);
+        }
+        assert_eq!(row.take_in_air(10 + IN_AIR_LOST_SNS - 1), Some((2.0, 2.0)));
+        assert_eq!(row.in_air.front().map(|e| e.0), Some(10));
+        assert_eq!(row.take_in_air(10 + IN_AIR_LOST_SNS), Some((2.0, 2.0)));
+        let left: Vec<Sn> = row.in_air.iter().map(|e| e.0).collect();
+        assert_eq!(left, [11], "SN 10 is dropped as lost");
+        assert_eq!(row.take_in_air(11), Some((2.0, 2.0)));
+        assert_eq!(row.gt.len(), 4, "`gt` off: no ground-truth entry");
+    }
+
+
+    #[test]
+    fn rate_error_keys_sort_in_time_then_bearer_order() {
+        let at = |ms: u64| Instant::from_nanos(ms * 1_000_000 + 500);
+        let mut log = [
+            RateErr::new(at(20), 0, 0, 1.0),
+            RateErr::new(at(10), 65_535, 255, 2.0),
+            RateErr::new(at(10), 3, 1, 3.0),
+            RateErr::new(at(10), 3, 0, 4.0),
+        ];
+        log.sort_unstable_by_key(|e| e.key);
+        let pct: Vec<f64> = log.iter().map(|e| e.pct).collect();
+        assert_eq!(pct, [4.0, 3.0, 2.0, 1.0]);
+    }
+
+    #[test]
+    fn the_per_cell_view_is_cut_from_the_runs() {
+        let mut rec = Recorder::new(0, 1, Duration::from_millis(80));
+        for (cell, len) in [(0, 5), (0, 6), (1, 7), (0, 8), (0, 9), (2, 10)] {
+            rec.push_dl_queue(0, 1, cell, len);
+        }
+        let mut r = Report::default();
+        rec.finish(&mut r);
+        assert_eq!(r.queue_series[&(0, 1)], [5, 6, 7, 8, 9, 10]);
+        assert_eq!(r.queue_cell_runs[&(0, 1)], [(0, 0), (2, 1), (3, 0), (5, 2)]);
+        let per_cell = r.cell_queue_series();
+        let expect = BTreeMap::from([
+            ((0, 0, 1), vec![5, 6, 8, 9]),
+            ((1, 0, 1), vec![7]),
+            ((2, 0, 1), vec![10]),
+        ]);
+        assert_eq!(per_cell, expect);
+        assert!(r.fingerprint().contains("cq(1, 0, 1)=[7];"));
+        let queue = r.sample_store()[1];
+        assert_eq!((queue.samples, queue.bytes), (6, 6 * 4 + 4 * 8));
+    }
 
     #[test]
     fn breakdown_mean() {

@@ -344,6 +344,15 @@ pub fn video_call(
     )
 }
 
+/// Most cells a world can number: a cell id is a `u8`.
+pub const MAX_CELLS: usize = 1 << u8::BITS;
+
+/// Most UEs a world can number: a UE id is a `u16`.
+pub const MAX_UES: usize = 1 << u16::BITS;
+
+/// Most flows a world can number: a flow id is a `u16`.
+pub const MAX_FLOWS: usize = 1 << u16::BITS;
+
 /// A wired bottleneck between the servers and the core (Fig. 2's
 /// middlebox). `schedule` entries change the rate mid-run.
 #[derive(Debug, Clone)]
@@ -459,6 +468,25 @@ impl ScenarioConfig {
     /// Number of cells in the topology.
     pub fn n_cells(&self) -> usize {
         1 + self.extra_cells.len()
+    }
+
+    /// Check that every cell, UE and flow index fits the id it is
+    /// narrowed into — a cell the `u8` of [`crate::HandoverRecord`] and
+    /// of the per-cell queue view's key, a UE the `u16` of `UeId`, a flow
+    /// the `u16` of the report's flow records — so no two of them alias.
+    /// Returns the first count over its limit.
+    pub fn check_id_widths(&self) -> Result<(), String> {
+        let counts = [
+            ("cells", self.n_cells(), MAX_CELLS),
+            ("UEs", self.ues.len(), MAX_UES),
+            ("flows", self.flows.len(), MAX_FLOWS),
+        ];
+        for (what, n, limit) in counts {
+            if n > limit {
+                return Err(format!("{n} {what} exceed the limit of {limit}"));
+            }
+        }
+        Ok(())
     }
 
     /// Configuration of cell `c`.
@@ -1063,5 +1091,27 @@ mod tests {
         assert_eq!(cfg.cell.rlc_queue_sdus, 256);
         // SNRs differ across UEs.
         assert_ne!(cfg.ues[0].mean_snr_db, cfg.ues[1].mean_snr_db);
+    }
+
+    #[test]
+    fn ids_past_their_width_are_refused() {
+        let mut cfg = ScenarioConfig::new(7, Duration::from_secs(1));
+        let ue = UeSpec::simple(ChannelProfile::Static, 20.0);
+        cfg.ues = vec![ue; MAX_UES];
+        assert_eq!(cfg.check_id_widths(), Ok(()));
+        cfg.ues.push(cfg.ues[0].clone());
+        let e = cfg.check_id_widths().unwrap_err();
+        assert_eq!(e, "65537 UEs exceed the limit of 65536");
+        cfg.ues.truncate(1);
+        let flow = FlowSpec::new(
+            0,
+            AppProfile::bulk(),
+            TransportSpec::tcp(CcKind::Cubic),
+            WanLink::east(),
+            Instant::ZERO,
+        );
+        cfg.flows = vec![flow; MAX_FLOWS + 1];
+        let e = cfg.check_id_widths().unwrap_err();
+        assert_eq!(e, "65537 flows exceed the limit of 65536");
     }
 }

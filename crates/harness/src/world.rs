@@ -5,7 +5,7 @@
 //! transfer, PDCP re-establishment, lossless RLC forwarding, and a
 //! marker-state migration policy).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use l4span_cc::CcEvent;
@@ -15,7 +15,7 @@ use l4span_ran::channel::{ChannelProfile, FadingChannel};
 use l4span_ran::config::{RlcMode, SlotRole};
 use l4span_ran::ids::Qfi;
 use l4span_ran::mac::TransportBlock;
-use l4span_ran::rlc::{RlcStatus, Sn, TxRecord};
+use l4span_ran::rlc::{RlcStatus, Sn};
 use l4span_ran::{
     CellConfig, DlDataDeliveryStatus, DrbId, Gnb, SlotOutput, UeId, UeStack, UlTbOutcome,
 };
@@ -26,7 +26,8 @@ use crate::bond::{BondJoin, BondTx, SbdDetector};
 use crate::endpoint::{self, Built, Endpoint, FbData, Feedback, Released};
 use crate::marker::Marker;
 use crate::metrics::{
-    BondStat, Breakdown, BreakdownAvg, FallbackRecord, HandoverRecord, Report, UplinkStats,
+    run_sized, BondStat, Breakdown, BreakdownAvg, FallbackRecord, HandoverRecord, Recorder,
+    Report, UplinkStats, SAMPLE_PERIOD,
 };
 use crate::scenario::{FlowDir, ScenarioConfig};
 use crate::wired::{HopSink, WiredPlane};
@@ -53,10 +54,6 @@ const CYC_WIRED: usize = 4;
 const CYC_TRANSPORT: usize = 5;
 const CYC_METRICS: usize = 6;
 const CYC_QUEUE: usize = 7;
-
-/// Cadence of the `Sample` housekeeping tick (queue-length series,
-/// estimation error).
-const SAMPLE_PERIOD: Duration = Duration::from_millis(10);
 
 /// Cadence of the `UePoll` housekeeping tick (reassembly timeouts,
 /// paced feedback, join-buffer flushes).
@@ -313,104 +310,6 @@ impl Timer {
     }
 }
 
-/// An entry of [`DrbRow::in_air`] this many SNs behind a delivery
-/// belongs to an SDU that will never be delivered (lost in UM, or a
-/// forwarded SDU tail-dropped at a handover target) and is dropped.
-const IN_AIR_LOST_SNS: Sn = 1024;
-
-/// Slots [`DrbRow::in_air`] reserves at its first push, so a bearer's
-/// first packets do not regrow it (and an idle bearer never allocates).
-const IN_AIR_RESERVE: usize = 32;
-
-/// What the world keeps per (UE, DRB): the delay breakdown of the SDUs
-/// on the air, the ground-truth egress log, and the bearer's
-/// queue-length series. Rows live in `World::drb_rows[ue][drb]`, so a
-/// UE's rows follow it between shard replicas in one swap and a
-/// transmit record, delivery or sample tick reaches its row by two
-/// indexings.
-#[derive(Default)]
-struct DrbRow {
-    /// `(PDCP SN, queuing ms, scheduling ms)` of the SDUs between their
-    /// first transmit record and their delivery, in ascending SN: the
-    /// Fig. 10 breakdown awaiting its one-way delay. Filled only when
-    /// the world has a downlink flow.
-    in_air: VecDeque<(Sn, f64, f64)>,
-    /// Ground-truth egress log `(t_txed, bytes)`, the Fig. 20
-    /// reference. Written only when the world samples rate error, and
-    /// trimmed to four estimation windows at each sample tick.
-    gt: VecDeque<(Instant, usize)>,
-    /// First SN without a transmit record. A forwarded SDU
-    /// retransmitted by the target cell emits a second transmit record
-    /// for the same SN; the L4Span estimator's profile table ignores
-    /// that non-advancing feedback, so the ground truth must apply the
-    /// same SN-monotone dedup or `rate_err_pct` reads systematically
-    /// negative after every handover. The breakdown keeps the first
-    /// record's timing by the same rule.
-    next_sn: Sn,
-    /// Downlink RLC queue samples, read from the serving cell at each
-    /// tick (`Report::queue_series`; empty until first sampled).
-    dl_queue: Vec<usize>,
-    /// The same samples per serving cell, in order of first attachment
-    /// (`Report::cell_queue_series`).
-    cell_dl_queue: Vec<(u8, Vec<usize>)>,
-    /// UE-side uplink transmit-queue samples (`Report::ul_queue_series`;
-    /// empty until first sampled).
-    ul_queue: Vec<usize>,
-}
-
-impl DrbRow {
-    /// Apply a transmit record: only the first for its SN counts, and
-    /// goes into the ground-truth log (`gt`) and the breakdown window
-    /// (`in_air`) as asked.
-    fn on_txed(&mut self, rec: &TxRecord, gt: bool, in_air: bool) {
-        if rec.sn < self.next_sn {
-            return;
-        }
-        self.next_sn = rec.sn + 1;
-        if gt {
-            self.gt.push_back((rec.t_txed, rec.size));
-        }
-        if in_air {
-            if self.in_air.capacity() == 0 {
-                self.in_air.reserve(IN_AIR_RESERVE);
-            }
-            let queuing = rec.t_head.saturating_since(rec.t_ingress).as_millis_f64();
-            let sched = rec.t_first_tx.saturating_since(rec.t_head).as_millis_f64();
-            self.in_air.push_back((rec.sn, queuing, sched));
-        }
-    }
-
-    /// Take the `(queuing ms, scheduling ms)` of the SDU delivered
-    /// under `sn`, dropping the entries [`IN_AIR_LOST_SNS`] behind it.
-    /// By SN, not from the front: a handover onto a cell with a shorter
-    /// UE-internal delay can deliver out of SN order.
-    fn take_in_air(&mut self, sn: Sn) -> Option<(f64, f64)> {
-        while self.in_air.front().is_some_and(|e| e.0 + IN_AIR_LOST_SNS <= sn) {
-            self.in_air.pop_front();
-        }
-        let i = self.in_air.binary_search_by_key(&sn, |e| e.0).ok()?;
-        self.in_air.remove(i).map(|(_, queuing, sched)| (queuing, sched))
-    }
-}
-
-/// `rows[drb]`, growing `rows` up to it on first use.
-fn drb_row(rows: &mut Vec<DrbRow>, drb: u8) -> &mut DrbRow {
-    let d = drb as usize;
-    if rows.len() <= d {
-        rows.resize_with(d + 1, DrbRow::default);
-    }
-    &mut rows[d]
-}
-
-/// `series`, sized for the whole run's `cap` entries when it first
-/// appears, so recording into it never regrows it.
-fn run_sized<T>(series: &mut Vec<T>, cap: usize) -> &mut Vec<T> {
-    if series.capacity() == 0 {
-        series.reserve_exact(cap);
-    }
-    series
-}
-
 /// A pooled triple of one UE's uplink-slot buffers (packets, status
 /// reports, buffer-status entries).
 pub(crate) type UlBatch = (
@@ -462,7 +361,7 @@ pub struct World {
     /// downlink-only scenarios stay byte-identical.
     has_ul_data: bool,
     /// Any flow carries downlink data: gates the delay-breakdown window
-    /// ([`DrbRow::in_air`]), so an uplink-only world keeps none.
+    /// ([`Recorder::on_txed`]), so an uplink-only world keeps none.
     has_dl_data: bool,
     /// Any uplink data bearer runs RLC UM (needs the gNB-side
     /// reassembly-timeout poll).
@@ -512,12 +411,9 @@ pub struct World {
     /// Reused buffer for the SDUs one uplink transport block delivers.
     scratch_ul_decoded: Vec<(DrbId, l4span_ran::rlc::RxDelivery)>,
     // --- metrics accumulators ---
-    /// Per-flow one-way delays as `(ms, sample time s)` pairs: one push
-    /// per sample, split into `Report`'s two series at the end.
-    owd_ms: Vec<Vec<(f64, f64)>>,
-    /// Per-flow uplink data one-way delays (UE sender → server), paired
-    /// like `owd_ms`.
-    ul_owd_ms: Vec<Vec<(f64, f64)>>,
+    /// The sample store: one-way delays, RTTs, estimation error, and
+    /// the per-bearer rows (breakdown window, ground truth, queues).
+    rec: Recorder,
     /// Per-flow delivered-frame one-way delays (QoE).
     frame_owd_ms: Vec<Vec<f64>>,
     /// Per-flow frames generated by app-driven sources (the SCReAM path
@@ -531,8 +427,6 @@ pub struct World {
     frame_late_excess_ms: Vec<f64>,
     /// Per-flow request/burst completion times (QoE).
     request_ms: Vec<Vec<f64>>,
-    /// Per-flow smoothed RTTs, paired like `owd_ms`.
-    rtt_ms: Vec<Vec<(f64, f64)>>,
     thr_bins: Vec<Vec<u64>>,
     cell_thr_bins: Vec<Vec<u64>>,
     /// Per-UE handover history. Kept per UE (not as one flat log) so a
@@ -545,14 +439,6 @@ pub struct World {
     /// first post-switch delivery.
     pending_ho: Vec<Option<usize>>,
     breakdown: Vec<BreakdownAvg>,
-    /// Estimation-error samples keyed by (sample time, (ue, drb)) so
-    /// per-shard partitions merge back into the classic push order (a
-    /// sort on the unique key; a no-op for single-world runs).
-    rate_err: Vec<(Instant, (u16, u8), f64)>,
-    /// `[ue][drb]`: the per-bearer rows. Per UE so the whole lot
-    /// follows the UE between shard replicas; a UE's rows grow to its
-    /// highest DRB id at first use.
-    drb_rows: Vec<Vec<DrbRow>>,
     /// The L4Span estimation window when the world samples rate error
     /// against ground truth (an L4Span marker), else `None`.
     est_window: Option<Duration>,
@@ -602,6 +488,9 @@ pub(crate) struct CellView {
 impl World {
     /// Wire up a scenario.
     pub fn new(cfg: ScenarioConfig) -> World {
+        if let Err(e) = cfg.check_id_widths() {
+            panic!("invalid ScenarioConfig: {e}");
+        }
         let cfg = Arc::new(cfg);
         let root = SimRng::new(cfg.seed);
         let n_cells = cfg.n_cells();
@@ -845,6 +734,7 @@ impl World {
     /// vacant ones and copies of the tables.
     fn empty(cfg: Arc<ScenarioConfig>) -> World {
         let (n, n_ues, n_cells) = (cfg.flows.len(), cfg.ues.len(), cfg.n_cells());
+        let rec = Recorder::new(n, n_ues, cfg.duration);
         let cycles = if cfg.measure_cycles {
             CycleScope::new(CYCLE_LABELS)
         } else {
@@ -883,23 +773,19 @@ impl World {
             scratch_ul_statuses: Vec::new(),
             scratch_ul_skips: Vec::new(),
             scratch_ul_decoded: Vec::new(),
-            owd_ms: vec![Vec::new(); n],
-            ul_owd_ms: vec![Vec::new(); n],
+            rec,
             frame_owd_ms: vec![Vec::new(); n],
             frames_generated: vec![0; n],
             frames_delivered: vec![0; n],
             frame_late_n: vec![0; n],
             frame_late_excess_ms: vec![0.0; n],
             request_ms: vec![Vec::new(); n],
-            rtt_ms: vec![Vec::new(); n],
             thr_bins: vec![Vec::new(); n],
             cell_thr_bins: vec![Vec::new(); n_cells],
             ho_log: vec![Vec::new(); n_ues],
             last_delivery: vec![None; n_ues],
             pending_ho: vec![None; n_ues],
             breakdown: vec![BreakdownAvg::default(); n],
-            rate_err: Vec::new(),
-            drb_rows: (0..n_ues).map(|_| Vec::new()).collect(),
             est_window: None,
             marker_time: (Vec::new(), Vec::new(), Vec::new()),
             ho_tbs_lost: 0,
@@ -1536,7 +1422,7 @@ impl World {
         let (gt, in_air) = (self.est_window.is_some(), self.has_dl_data);
         if gt || in_air {
             for (ue, drb, rec) in &out.txed_records {
-                drb_row(&mut self.drb_rows[ue.0 as usize], drb.0).on_txed(rec, gt, in_air);
+                self.rec.on_txed(ue.0 as usize, drb.0, rec, gt, in_air);
             }
         }
         self.cycles.stop(c0, CYC_METRICS);
@@ -1685,9 +1571,7 @@ impl World {
         let c0 = self.cycles.start();
         // Every delivered SDU leaves its window, an uplink flow's
         // feedback too.
-        let in_air = self.drb_rows[ue]
-            .get_mut(drb.0 as usize)
-            .and_then(|row| row.take_in_air(sn));
+        let in_air = self.rec.take_in_air(ue, drb.0, sn);
         if self.flows[flow].dir == FlowDir::Uplink {
             self.cycles.stop(c0, CYC_METRICS);
             return self.on_feedback_at_sender(flow, &pkt, now);
@@ -1698,7 +1582,7 @@ impl World {
             .saturating_since(Instant::from_nanos(pkt.sent_ns()))
             .as_millis_f64();
         if payload > 0 {
-            self.owd_ms[flow].push((owd, now.as_secs_f64()));
+            self.rec.push_owd(flow, owd, now);
             self.record_thr_bins(flow, ue, payload, now);
             // Handover-interruption accounting: this is a payload
             // delivery to the UE, closing any pending gap.
@@ -1963,7 +1847,7 @@ impl World {
         let c0 = self.cycles.start();
         let up = f.endpoint.on_feedback(pkt, data, now, &mut tx);
         if let Some(srtt) = up.srtt {
-            self.rtt_ms[flow].push((srtt.as_millis_f64(), now.as_secs_f64()));
+            self.rec.push_rtt(flow, srtt.as_millis_f64(), now);
         }
         if up.finished && f.finished_at.is_none() {
             f.finished_at = Some(now);
@@ -2065,7 +1949,7 @@ impl World {
         }
         if payload > 0 {
             let owd = now.saturating_since(Instant::from_nanos(pkt.sent_ns()));
-            self.ul_owd_ms[flow].push((owd.as_millis_f64(), now.as_secs_f64()));
+            self.rec.push_ul_owd(flow, owd.as_millis_f64(), now);
             self.record_thr_bins(flow, ue, payload, now);
             if let Some(b) = &mut self.flows[flow].bond {
                 b.sbd.observe(leg, owd, now);
@@ -2263,76 +2147,28 @@ impl World {
         self.sched(now + SAMPLE_PERIOD, Event::Sample);
     }
 
-    /// One UE's share of a `Sample` tick.
+    /// One UE's share of a `Sample` tick: its bearers' RLC queue
+    /// lengths, read from its serving cell, its UE-side uplink transmit
+    /// queues (the queue the UL marker manages), and — where an L4Span
+    /// marker runs — the estimation error of the instance marking its
+    /// serving cell (the only instance, centrally).
     fn sample_ue(&mut self, i: usize, now: Instant) {
-        // RLC queue lengths, read from the UE's serving cell (and broken
-        // out per cell for the per-cell series). A series is sized for
-        // the whole run when it first appears, so the tick itself never
-        // regrows one.
-        let ticks = (self.cfg.duration.as_nanos() / SAMPLE_PERIOD.as_nanos()) as usize;
         let cell = self.serving[i];
-        let rows = &mut self.drb_rows[i];
         for &(d, _) in &self.cfg.ues[i].drbs {
             let len = self.gnbs[cell].rlc_queue_len(UeId(i as u16), DrbId(d));
-            let row = drb_row(rows, d);
-            run_sized(&mut row.dl_queue, ticks).push(len);
-            let per_cell = match row.cell_dl_queue.iter().position(|&(c, _)| c as usize == cell) {
-                Some(k) => &mut row.cell_dl_queue[k].1,
-                None => {
-                    row.cell_dl_queue.push((cell as u8, Vec::new()));
-                    &mut row.cell_dl_queue.last_mut().expect("just pushed").1
-                }
-            };
-            run_sized(per_cell, ticks).push(len);
+            self.rec.push_dl_queue(i, d, cell as u8, len);
         }
-        // UE-side uplink transmit queues (the queue the UL marker
-        // manages), sampled on the same tick.
         if self.has_ul_data {
             let ue = &self.ues[i];
             for d in ue.ul_drbs() {
-                let len = ue.ul_queue_len_sdus(d);
-                run_sized(&mut drb_row(rows, d.0).ul_queue, ticks).push(len);
+                self.rec.push_ul_queue(i, d.0, ue.ul_queue_len_sdus(d));
             }
         }
-        // Estimation error vs ground truth. The ground truth window is
-        // anchored at the newest dequeue event, exactly as Eq. 3 anchors
-        // its window at the latest feedback — anchoring at the
-        // (arbitrary) sample tick instead would under-count by a partial
-        // TDD frame and read as a systematic positive bias.
         let Some(window) = self.est_window else { return };
-        // The estimate lives in the instance marking the UE's serving
-        // cell (the only instance, centrally).
-        let m = self.mk(cell);
-        let ue = i as u16;
-        for (drb, row) in self.drb_rows[i].iter_mut().enumerate() {
-            let drb = drb as u8;
-            let log = &mut row.gt;
-            while let Some(&(t, _)) = log.front() {
-                if now.saturating_since(t) > window * 4 {
-                    log.pop_front();
-                } else {
-                    break;
-                }
-            }
-            let Some(&(anchor, _)) = log.back() else { continue };
-            if now.saturating_since(anchor) > window {
-                continue; // stale: DRB idle, nothing to compare
-            }
-            let bytes: usize = log
-                .iter()
-                .filter(|&&(t, _)| anchor.saturating_since(t) < window)
-                .map(|&(_, b)| b)
-                .sum();
-            let gt = bytes as f64 / window.as_secs_f64();
-            if gt > 50_000.0 {
-                if let Some(est) = self.markers[m]
-                    .as_l4span()
-                    .and_then(|l| l.egress_rate(UeId(ue), DrbId(drb)))
-                {
-                    self.rate_err.push((now, (ue, drb), (est - gt) / gt * 100.0));
-                }
-            }
-        }
+        let marker = self.markers[self.mk(cell)].as_l4span();
+        self.rec.push_rate_err(i, now, window, |drb| {
+            marker?.egress_rate(UeId(i as u16), DrbId(drb))
+        });
     }
 
     // ------------------------------------------------------------------
@@ -2607,22 +2443,20 @@ impl World {
             swap(&mut a.last_delivery[ue], &mut b.last_delivery[ue]);
             swap(&mut a.pending_ho[ue], &mut b.pending_ho[ue]);
             swap(&mut a.ho_log[ue], &mut b.ho_log[ue]);
-            swap(&mut a.drb_rows[ue], &mut b.drb_rows[ue]);
+            Recorder::swap_ue(&mut a.rec, &mut b.rec, ue);
         }
         for f in 0..a.flows.len() {
             if !moves(a.flows[f].ue_idx) {
                 continue;
             }
             swap(&mut a.flows[f], &mut b.flows[f]);
-            swap(&mut a.owd_ms[f], &mut b.owd_ms[f]);
-            swap(&mut a.ul_owd_ms[f], &mut b.ul_owd_ms[f]);
+            Recorder::swap_flow(&mut a.rec, &mut b.rec, f);
             swap(&mut a.frame_owd_ms[f], &mut b.frame_owd_ms[f]);
             swap(&mut a.frames_generated[f], &mut b.frames_generated[f]);
             swap(&mut a.frames_delivered[f], &mut b.frames_delivered[f]);
             swap(&mut a.frame_late_n[f], &mut b.frame_late_n[f]);
             swap(&mut a.frame_late_excess_ms[f], &mut b.frame_late_excess_ms[f]);
             swap(&mut a.request_ms[f], &mut b.request_ms[f]);
-            swap(&mut a.rtt_ms[f], &mut b.rtt_ms[f]);
             swap(&mut a.thr_bins[f], &mut b.thr_bins[f]);
             swap(&mut a.breakdown[f], &mut b.breakdown[f]);
         }
@@ -2643,8 +2477,8 @@ impl World {
             swap(&mut a.ul_markers[c], &mut b.ul_markers[c]);
             swap(&mut a.cell_thr_bins[c], &mut b.cell_thr_bins[c]);
         }
-        // A UE's rows, per-cell queue series included, travel with it:
-        // the replica owning its serving cell holds them.
+        // A UE's rows, serving-cell runs included, travel with it: the
+        // replica owning its serving cell holds them.
         let served: Vec<bool> = a.serving.iter().map(|&c| of_cell[c] == sid).collect();
         World::swap_ue_clusters(a, b, |ue| served[ue]);
     }
@@ -2674,7 +2508,7 @@ impl World {
             primary.queue_depth_peak = primary.queue_depth_peak.max(w.queue_depth_peak);
             primary.ho_tbs_lost += w.ho_tbs_lost;
             primary.uplink += w.uplink;
-            primary.rate_err.append(&mut w.rate_err);
+            primary.rec.absorb(&mut w.rec);
             primary.marker_time.0.append(&mut w.marker_time.0);
             primary.marker_time.1.append(&mut w.marker_time.1);
             primary.marker_time.2.append(&mut w.marker_time.2);
@@ -2728,41 +2562,13 @@ impl World {
         // Flatten the per-UE handover logs into the classic global push
         // order: ascending time, ties (distinct UEs stepping on the same
         // instant) in ascending UE order — exactly how the single event
-        // loop popped them. Same for the estimation-error samples, pushed
-        // in (tick, (ue, drb)) order: a no-op for single-world runs and a
-        // correct merge for sharded ones. Both keys are unique (a UE
-        // changes cells once per step instant, and a DRB is sampled once
-        // per tick, by the one replica serving it), so the in-place
-        // unstable sort gives the stable sort's result without its
-        // scratch buffer.
+        // loop popped them. The key is unique (a UE changes cells once
+        // per step instant), so the in-place unstable sort gives the
+        // stable sort's result without its scratch buffer.
         let mut handovers: Vec<HandoverRecord> =
             std::mem::take(&mut self.ho_log).into_iter().flatten().collect();
         handovers.sort_unstable_by_key(|h| (h.at, h.ue));
         debug_assert!(handovers.windows(2).all(|w| (w[0].at, w[0].ue) < (w[1].at, w[1].ue)));
-        let mut rate_err = std::mem::take(&mut self.rate_err);
-        rate_err.sort_unstable_by_key(|&(at, key, _)| (at, key));
-        debug_assert!(rate_err.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        let rate_err_pct: Vec<f64> = rate_err.into_iter().map(|(_, _, v)| v).collect();
-        // The rows' queue series move into the report's maps, keyed as
-        // sampled: a series that never took a sample has no key.
-        let mut queue_series = BTreeMap::new();
-        let mut cell_queue_series = BTreeMap::new();
-        let mut ul_queue_series = BTreeMap::new();
-        for (ue, rows) in std::mem::take(&mut self.drb_rows).into_iter().enumerate() {
-            let ue = ue as u16;
-            for (drb, row) in rows.into_iter().enumerate() {
-                let drb = drb as u8;
-                if !row.dl_queue.is_empty() {
-                    queue_series.insert((ue, drb), row.dl_queue);
-                }
-                for (cell, series) in row.cell_dl_queue {
-                    cell_queue_series.insert((cell, ue, drb), series);
-                }
-                if !row.ul_queue.is_empty() {
-                    ul_queue_series.insert((ue, drb), row.ul_queue);
-                }
-            }
-        }
         // Application QoE roll-up. The SCReAM media source lives inside
         // its sender, so its generation counter is read back here;
         // app-driven flows counted on the world as frames were offered.
@@ -2831,26 +2637,13 @@ impl World {
             uplink.harq_retx += s.ul_harq_retx;
             uplink.tbs_lost += s.ul_tbs_lost;
         }
-        let (owd_ms, owd_at_s) = split_samples(self.owd_ms);
-        let (ul_owd_ms, ul_owd_at_s) = split_samples(self.ul_owd_ms);
-        let (rtt_ms, rtt_at_s) = split_samples(self.rtt_ms);
-        Report {
+        let mut report = Report {
             duration: self.cfg.duration,
             bin: self.cfg.thr_bin,
-            owd_ms,
-            owd_at_s,
-            ul_owd_ms,
-            ul_owd_at_s,
-            ul_queue_series,
-            rtt_ms,
-            rtt_at_s,
             thr_bins: self.thr_bins,
             cell_thr_bins: self.cell_thr_bins,
-            queue_series,
-            cell_queue_series,
             handovers,
             breakdown: self.breakdown,
-            rate_err_pct,
             frame_owd_ms: self.frame_owd_ms,
             frames_generated,
             frames_delivered: self.frames_delivered,
@@ -2896,7 +2689,10 @@ impl World {
             fallbacks,
             fec,
             bonds,
-        }
+            ..Report::default()
+        };
+        self.rec.finish(&mut report);
+        report
     }
 }
 
@@ -2917,18 +2713,6 @@ impl HopSink for WiredSink<'_> {
     fn poll_at(&mut self, hop: u8, at: Instant) {
         self.0.arm(Timer::Hop(hop), at);
     }
-}
-
-/// Split per-flow `(value, t)` samples into the report's value and time
-/// series, one flow at a time, each vector sized to its flow's count.
-fn split_samples(series: Vec<Vec<(f64, f64)>>) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let mut values = Vec::with_capacity(series.len());
-    let mut times = Vec::with_capacity(series.len());
-    for pairs in series {
-        values.push(pairs.iter().map(|&(v, _)| v).collect());
-        times.push(pairs.iter().map(|&(_, t)| t).collect());
-    }
-    (values, times)
 }
 
 /// Queue an event that changes queues (installation, re-homing, mail):
@@ -2957,6 +2741,8 @@ fn wake_keys(flows: &[Flow], hosted: impl Fn(&Flow) -> bool) -> Vec<usize> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::scenario::{
         congested_cell, handover_cell, l4span_default, ChannelMix, MobilityStep,
@@ -3251,74 +3037,22 @@ mod tests {
         // keeps one, however many SDUs went out.
         let bare = run(crate::marker::MarkerKind::None);
         assert_eq!(bare.est_window, None);
-        let rows = || bare.drb_rows.iter().flatten();
-        assert!(rows().any(|r| !r.dl_queue.is_empty()), "the bearers were sampled");
-        assert!(rows().all(|r| r.gt.is_empty()));
+        assert!(bare.rec.dl_queue_samples() > 0, "the bearers were sampled");
+        assert_eq!(bare.rec.ground_truth_log().count(), 0);
         // With L4Span each sample tick trims its UE's logs to four
         // estimation windows; later records are newer than the tick.
         let l4s = run(l4span_default());
         let window = l4s.est_window.expect("an L4Span marker samples rate error");
         let last_tick = Instant::ZERO + SAMPLE_PERIOD * l4s.event_counts[Event::SAMPLE];
         let mut kept = 0;
-        for row in l4s.drb_rows.iter().flatten() {
-            for &(t, _) in &row.gt {
-                assert!(
-                    last_tick.saturating_since(t) <= window * 4,
-                    "a record at {t:?} outlived the tick at {last_tick:?}"
-                );
-            }
-            kept += row.gt.len();
+        for t in l4s.rec.ground_truth_log() {
+            assert!(
+                last_tick.saturating_since(t) <= window * 4,
+                "a record at {t:?} outlived the tick at {last_tick:?}"
+            );
+            kept += 1;
         }
         assert!(kept > 0, "the L4Span cell compares against a live log");
-    }
-
-    /// The transmit record of `sn` after `queuing` ms in the queue and
-    /// `sched` ms at its head.
-    fn txed(sn: Sn, queuing: u64, sched: u64) -> TxRecord {
-        let t_head = Instant::from_millis(queuing);
-        let t_first_tx = t_head + Duration::from_millis(sched);
-        TxRecord {
-            sn,
-            size: 1000,
-            t_ingress: Instant::ZERO,
-            t_head,
-            t_first_tx,
-            t_txed: t_first_tx,
-        }
-    }
-
-    #[test]
-    fn the_breakdown_window_takes_by_sn() {
-        let mut row = DrbRow::default();
-        for sn in [3, 4, 5, 7] {
-            row.on_txed(&txed(sn, sn, 1), true, true);
-        }
-        assert_eq!(row.in_air.capacity(), IN_AIR_RESERVE);
-        assert_eq!(row.take_in_air(3), Some((3.0, 1.0)), "in order");
-        // A handover onto a cell with a shorter UE-internal delay
-        // delivers later SNs first.
-        assert_eq!(row.take_in_air(7), Some((7.0, 1.0)), "out of order");
-        assert_eq!(row.take_in_air(5), Some((5.0, 1.0)));
-        // A forwarded SDU the target cell retransmits: its second
-        // transmit record changes neither its timing nor the log.
-        row.on_txed(&txed(4, 40, 9), true, true);
-        assert_eq!(row.gt.len(), 4, "one ground-truth entry per SN");
-        assert_eq!(row.take_in_air(4), Some((4.0, 1.0)), "the first record's timing");
-        assert_eq!(row.take_in_air(4), None, "taken already");
-        assert_eq!(row.take_in_air(6), None, "never transmitted");
-        assert_eq!(row.take_in_air(99), None, "above the window");
-        // An SDU that is never delivered goes once a delivery runs
-        // IN_AIR_LOST_SNS ahead of it, and not before.
-        for sn in [10, 11, 10 + IN_AIR_LOST_SNS - 1, 10 + IN_AIR_LOST_SNS] {
-            row.on_txed(&txed(sn, 2, 2), false, true);
-        }
-        assert_eq!(row.take_in_air(10 + IN_AIR_LOST_SNS - 1), Some((2.0, 2.0)));
-        assert_eq!(row.in_air.front().map(|e| e.0), Some(10));
-        assert_eq!(row.take_in_air(10 + IN_AIR_LOST_SNS), Some((2.0, 2.0)));
-        let left: Vec<Sn> = row.in_air.iter().map(|e| e.0).collect();
-        assert_eq!(left, [11], "SN 10 is dropped as lost");
-        assert_eq!(row.take_in_air(11), Some((2.0, 2.0)));
-        assert_eq!(row.gt.len(), 4, "`gt` off: no ground-truth entry");
     }
 
     #[test]
@@ -3340,13 +3074,13 @@ mod tests {
         while t < end {
             t += Duration::from_millis(50);
             w.run_until(t, end);
-            for (ue, rows) in w.drb_rows.iter().enumerate() {
-                for (drb, row) in rows.iter().enumerate() {
-                    let q = w.gnbs[0].rlc_queue_len(UeId(ue as u16), DrbId(drb as u8));
+            for (ue, spec) in w.cfg.ues.iter().enumerate() {
+                for &(drb, _) in &spec.drbs {
+                    let q = w.gnbs[0].rlc_queue_len(UeId(ue as u16), DrbId(drb));
                     deepest_queue = deepest_queue.max(q);
-                    widest_window = widest_window.max(row.in_air.len());
                 }
             }
+            widest_window = widest_window.max(w.rec.widest_in_air());
         }
         assert!(deepest_queue > 500, "the RLC queues build: {deepest_queue} SDUs");
         assert!(widest_window <= 16, "a window held {widest_window} SDUs");
@@ -3440,6 +3174,79 @@ mod tests {
         let mut replicas = split_metro(2);
         // Flow 0's UE is homed on cell 0, which replica 0 owns.
         replicas[1].handle(Event::FlowStop { flow: 0 }, Instant::ZERO);
+    }
+
+    #[test]
+    fn the_per_cell_queue_view_follows_the_serving_cell() {
+        // Two UEs ping-pong between two cells every 700 ms; the marker
+        // runs, so the rate-error log fills beside the queue series.
+        let cfg = handover_cell(
+            2,
+            "prague",
+            Duration::from_millis(700),
+            HandoverPolicy::MigrateState,
+            l4span_default(),
+            7,
+            Duration::from_secs(3),
+        );
+        let homes: Vec<u8> = cfg.ues.iter().map(|u| u.initial_cell as u8).collect();
+        let r = World::new(cfg).run();
+        assert!(!r.rate_err_pct.is_empty());
+        let per_cell = r.cell_queue_series();
+        let mut pieces = 0;
+        for (&(ue, drb), series) in &r.queue_series {
+            // The cell serving `ue` at sample `j`, from the handover
+            // records: a step executes before the sample on its instant.
+            let serving_at = |j: usize| {
+                let t = Instant::ZERO + SAMPLE_PERIOD * (j as u64 + 1);
+                r.handovers
+                    .iter()
+                    .rev()
+                    .find(|h| h.ue == ue && h.at <= t)
+                    .map_or(homes[ue as usize], |h| h.to_cell)
+            };
+            // Walking the whole series in time order takes each sample
+            // from the front of its serving cell's piece, and uses every
+            // piece up.
+            let mut next: BTreeMap<u8, usize> = BTreeMap::new();
+            for (j, &q) in series.iter().enumerate() {
+                let cell = serving_at(j);
+                let k = next.entry(cell).or_default();
+                assert_eq!(per_cell[&(cell, ue, drb)].get(*k), Some(&q), "ue {ue} sample {j}");
+                *k += 1;
+            }
+            assert_eq!(next.len(), 2, "ue {ue} was sampled under both cells");
+            for (&cell, &n) in &next {
+                assert_eq!(per_cell[&(cell, ue, drb)].len(), n, "ue {ue} cell {cell}");
+            }
+            pieces += next.len();
+        }
+        assert_eq!(per_cell.len(), pieces, "no piece without a sample");
+        assert!(r.handovers.len() >= 6, "{} handovers", r.handovers.len());
+    }
+
+    /// A metro world of `cells` cells with one UE each, built but not run.
+    fn metro_of(cells: usize) -> World {
+        let cfg = crate::scenario::metro_city(
+            cells,
+            1,
+            "cubic",
+            crate::marker::MarkerKind::None,
+            7,
+            Duration::from_millis(20),
+        );
+        World::new(cfg)
+    }
+
+    #[test]
+    fn a_256_cell_world_builds() {
+        assert_eq!(metro_of(256).gnbs.len(), 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "257 cells exceed the limit of 256")]
+    fn a_257_cell_world_is_refused() {
+        metro_of(257);
     }
 
     #[test]
