@@ -28,7 +28,7 @@ use crate::ids::{DrbId, Qfi, UeId};
 use crate::mac::{self, Candidate, Grant, TransportBlock};
 use crate::pdcp::PdcpTx;
 use crate::phy;
-use crate::rlc::{ForwardedSdu, RlcRx, RlcStatus, RlcTx, RxDelivery, Segment, Sn, TxRecord};
+use crate::rlc::{RlcRx, RlcStatus, RlcTx, RxDelivery, Sdu, Segment, Sn, TxRecord};
 use crate::sdap::SdapEntity;
 use crate::table::IdTable;
 
@@ -75,7 +75,7 @@ pub struct DrbHandoverState {
     /// PDCP SN the target continues numbering at (no SN reuse).
     pub next_sn: Sn,
     /// SDUs to retransmit at the target, ascending SN order.
-    pub forwarded: Vec<ForwardedSdu>,
+    pub forwarded: Vec<Sdu>,
 }
 
 /// Everything a source gNB hands the target over Xn when a UE moves:

@@ -7,6 +7,12 @@
 //! order, and — in AM — generates the status reports that drive both ARQ
 //! and the *highest delivered* half of the F1-U feedback.
 //!
+//! One 128-byte record, [`Sdu`] (SN, packet, CU ingress time), serves the
+//! transmission queue, the AM unacknowledged store and Xn forwarding at
+//! handover. What only the head SDU has — when it reached the front, its
+//! first transmission, the bytes already pulled — is kept once per
+//! entity.
+//!
 //! Simplifications relative to TS 38.322, documented here and in
 //! DESIGN.md: sequence numbers are non-wrapping `u64`s (the 18-bit wrap is
 //! bookkeeping that does not affect queueing behaviour); the PDCP
@@ -90,14 +96,18 @@ pub struct TxRecord {
     pub t_txed: Instant,
 }
 
-/// One SDU lifted out of a downlink RLC entity for Xn-style data
-/// forwarding at handover (TS 38.300 §9.2.3.2): everything the target
-/// cell needs to retransmit the SDU losslessly under its original PDCP
-/// SN, with the CU ingress timestamp preserved so the SDU's transmit
-/// record (queuing delay, the marker's profile) spans the switch.
+/// One SDU as a transmit entity holds it, in whichever of its three
+/// places: the transmission queue, the AM unacknowledged store, or the
+/// set lifted out for Xn-style data forwarding at handover (TS 38.300
+/// §9.2.3.2). It moves between them by value. A forwarded SDU keeps its
+/// PDCP SN and CU ingress timestamp, so the target retransmits it
+/// losslessly and its transmit record (queuing delay, the marker's
+/// profile) spans the switch. Its size is the packet's wire length; how
+/// far its transmission has got is kept by the entity, since only the
+/// head of the queue is ever partly pulled.
 #[derive(Debug, Clone, Copy)]
-pub struct ForwardedSdu {
-    /// Original PDCP sequence number (preserved across re-establishment).
+pub struct Sdu {
+    /// PDCP sequence number (preserved across re-establishment).
     pub sn: Sn,
     /// The full SDU.
     pub pkt: PacketBuf,
@@ -105,25 +115,26 @@ pub struct ForwardedSdu {
     pub t_ingress: Instant,
 }
 
-/// An SDU waiting in (or partially pulled from) the downlink queue.
-#[derive(Debug)]
-struct SduTx {
-    sn: Sn,
-    pkt: PacketBuf,
-    size: u32,
-    t_ingress: Instant,
-    t_head: Option<Instant>,
-    t_first_tx: Option<Instant>,
-    txed: u32,
+// A deep queue holds thousands of these per bearer.
+const _: () = assert!(size_of::<Sdu>() == 128);
+
+impl Sdu {
+    /// Size in bytes, checked to fit `u32` when the SDU entered the
+    /// entity ([`RlcTx::push_sdu`]).
+    fn size(&self) -> u32 {
+        self.pkt.wire_len() as u32
+    }
 }
 
-/// An AM SDU kept after full transmission until the UE acknowledges it.
-#[derive(Debug)]
-struct UnackedSdu {
-    sn: Sn,
-    pkt: PacketBuf,
-    size: u32,
-    t_ingress: Instant,
+/// How far the SDU at the front of the transmission queue has got.
+#[derive(Debug, Clone, Copy, Default)]
+struct HeadProgress {
+    /// When it reached the front.
+    t_head: Option<Instant>,
+    /// When its first byte was scheduled.
+    t_first_tx: Option<Instant>,
+    /// Bytes of it already handed to the MAC.
+    txed: u32,
 }
 
 /// A pending retransmission range.
@@ -147,24 +158,29 @@ const UNACKED_RESERVE: usize = 32;
 /// The SDU numbered `sn` in an SN-ordered unacknowledged store, if it is
 /// still held. Tail drops leave holes in the numbering, so the position
 /// is found by binary search, not by offset from the front.
-fn find_unacked(unacked: &VecDeque<UnackedSdu>, sn: Sn) -> Option<&UnackedSdu> {
+fn find_unacked(unacked: &VecDeque<Sdu>, sn: Sn) -> Option<&Sdu> {
     let i = unacked.binary_search_by_key(&sn, |u| u.sn).ok()?;
     Some(&unacked[i])
 }
 
-/// Downlink RLC entity (one per DRB) living in the DU.
+/// Transmit RLC entity (one per DRB): the gNB's downlink bearers live in
+/// the DU, the UE's uplink bearers in the UE. Queue, unacknowledged
+/// store and forwarded set all hold the one [`Sdu`] record; the head
+/// SDU's progress is kept once per entity.
 #[derive(Debug)]
 pub struct RlcTx {
     mode: RlcMode,
     capacity_sdus: usize,
     segment_overhead: usize,
-    queue: VecDeque<SduTx>,
+    queue: VecDeque<Sdu>,
+    /// Progress of `queue`'s front SDU; reset whenever it leaves.
+    head: HeadProgress,
     retx: VecDeque<RetxSeg>,
     /// Byte sum of the ranges in `retx`.
     retx_bytes: usize,
     /// Fully-transmitted AM SDUs awaiting acknowledgement, in SN order
     /// (the order they are transmitted in); see [`find_unacked`].
-    unacked: VecDeque<UnackedSdu>,
+    unacked: VecDeque<Sdu>,
     /// Bytes not yet handed to the MAC (queued SDUs minus pulled bytes).
     queued_bytes: usize,
     highest_txed: Option<Sn>,
@@ -178,13 +194,14 @@ pub struct RlcTx {
 }
 
 impl RlcTx {
-    /// Create a downlink RLC entity.
+    /// Create a transmit RLC entity.
     pub fn new(mode: RlcMode, capacity_sdus: usize, segment_overhead: usize) -> RlcTx {
         RlcTx {
             mode,
             capacity_sdus,
             segment_overhead,
             queue: VecDeque::new(),
+            head: HeadProgress::default(),
             retx: VecDeque::new(),
             retx_bytes: 0,
             unacked: VecDeque::new(),
@@ -206,40 +223,34 @@ impl RlcTx {
     /// the queue is at capacity — srsRAN's tail-drop behaviour that the
     /// 256-SDU configuration of Fig. 9 leans on.
     pub fn enqueue(&mut self, sn: Sn, pkt: PacketBuf, now: Instant) -> bool {
-        self.enqueue_at(sn, pkt, now, now)
+        self.admit(Sdu { sn, pkt, t_ingress: now }, now)
     }
 
-    /// The one enqueue path: `t_ingress` is the SDU's CU ingress time
-    /// (equal to `now` for fresh traffic, the original timestamp for
-    /// SDUs forwarded at handover), `now` stamps the head-of-queue
+    /// The one enqueue path: the SDU's `t_ingress` is its CU ingress
+    /// time (equal to `now` for fresh traffic, the original timestamp
+    /// for SDUs forwarded at handover), `now` stamps the head-of-queue
     /// arrival.
-    fn enqueue_at(&mut self, sn: Sn, pkt: PacketBuf, t_ingress: Instant, now: Instant) -> bool {
+    fn admit(&mut self, sdu: Sdu, now: Instant) -> bool {
         if self.queue.len() >= self.capacity_sdus {
             self.drops += 1;
             return false;
         }
-        self.push_sdu(sn, pkt, t_ingress, now);
+        self.push_sdu(sdu, now);
         true
     }
 
     /// Append an SDU with no admission check (re-establishment path;
     /// the SDU already passed admission when it first entered).
-    fn push_sdu(&mut self, sn: Sn, pkt: PacketBuf, t_ingress: Instant, now: Instant) {
+    fn push_sdu(&mut self, sdu: Sdu, now: Instant) {
         // All offset arithmetic below is u32; a >4 GiB SDU would
         // silently wrap `as u32` into a tiny size, so reject it loudly
         // (no IP packet is remotely that large).
-        let size = u32::try_from(pkt.wire_len()).expect("SDU exceeds the u32 offset space");
-        let head = self.queue.is_empty() && self.retx.is_empty();
+        let size = u32::try_from(sdu.pkt.wire_len()).expect("SDU exceeds the u32 offset space");
+        if self.queue.is_empty() && self.retx.is_empty() {
+            self.head.t_head = Some(now);
+        }
         self.queued_bytes += size as usize;
-        self.queue.push_back(SduTx {
-            sn,
-            pkt,
-            size,
-            t_ingress,
-            t_head: if head { Some(now) } else { None },
-            t_first_tx: None,
-            txed: 0,
-        });
+        self.queue.push_back(sdu);
     }
 
     /// PDCP re-establishment for an entity that keeps serving the same
@@ -253,9 +264,8 @@ impl RlcTx {
     /// here would permanently stall the migrated receiver's in-order
     /// delivery point (AM never skips an SN).
     pub fn reestablish_requeue(&mut self, now: Instant) {
-        let forwarded = self.drain_for_handover();
-        for f in forwarded {
-            self.push_sdu(f.sn, f.pkt, f.t_ingress, now);
+        for sdu in self.drain_for_handover() {
+            self.push_sdu(sdu, now);
         }
     }
 
@@ -323,9 +333,9 @@ impl RlcTx {
                 self.retx.push_back(RetxSeg {
                     sn: sdu.sn,
                     from: 0,
-                    to: sdu.size,
+                    to: sdu.size(),
                 });
-                self.retx_bytes += sdu.size as usize;
+                self.retx_bytes += sdu.size() as usize;
                 self.last_poll_retx_at = now;
             }
         }
@@ -342,12 +352,13 @@ impl RlcTx {
                 let take = want.min(avail) as u32;
                 let sdu = find_unacked(&self.unacked, r.sn)
                     .expect("retx range for SDU not in unacked store");
+                let size = sdu.size();
                 let seg = Segment {
                     sn: r.sn,
                     offset: r.from,
                     len: take,
-                    sdu_size: sdu.size,
-                    payload: if r.from + take == sdu.size {
+                    sdu_size: size,
+                    payload: if r.from + take == size {
                         Some(sdu.pkt)
                     } else {
                         None
@@ -364,28 +375,26 @@ impl RlcTx {
                 continue;
             }
             // 2. New data.
-            let Some(s) = self.queue.front_mut() else {
+            let Some(s) = self.queue.front() else {
                 break;
             };
-            if s.t_head.is_none() {
-                s.t_head = Some(now);
-            }
-            if s.t_first_tx.is_none() {
-                s.t_first_tx = Some(now);
-            }
-            let remaining = (s.size - s.txed) as usize;
+            let h = &mut self.head;
+            let t_head = *h.t_head.get_or_insert(now);
+            let t_first_tx = *h.t_first_tx.get_or_insert(now);
+            let size = s.size();
+            let remaining = (size - h.txed) as usize;
             // Lossless narrowing: bounded by `remaining`, itself a u32
             // difference.
             let take = remaining.min(avail) as u32;
-            let last = s.txed + take == s.size;
+            let last = h.txed + take == size;
             let seg = Segment {
                 sn: s.sn,
-                offset: s.txed,
+                offset: h.txed,
                 len: take,
-                sdu_size: s.size,
+                sdu_size: size,
                 payload: if last { Some(s.pkt) } else { None },
             };
-            s.txed += take;
+            h.txed += take;
             budget -= take as usize + oh;
             consumed += take as usize + oh;
             self.queued_bytes -= take as usize;
@@ -394,10 +403,10 @@ impl RlcTx {
                 let done = self.queue.pop_front().expect("front exists");
                 txed.push(TxRecord {
                     sn: done.sn,
-                    size: done.size as usize,
+                    size: size as usize,
                     t_ingress: done.t_ingress,
-                    t_head: done.t_head.unwrap_or(now),
-                    t_first_tx: done.t_first_tx.unwrap_or(now),
+                    t_head,
+                    t_first_tx,
                     t_txed: now,
                 });
                 self.highest_txed = Some(self.highest_txed.map_or(done.sn, |h| h.max(done.sn)));
@@ -409,19 +418,13 @@ impl RlcTx {
                     if self.unacked.capacity() == 0 {
                         self.unacked.reserve(UNACKED_RESERVE);
                     }
-                    self.unacked.push_back(UnackedSdu {
-                        sn: done.sn,
-                        pkt: done.pkt,
-                        size: done.size,
-                        t_ingress: done.t_ingress,
-                    });
+                    self.unacked.push_back(done);
                 }
-                // Mark the new head's arrival at the queue front.
-                if let Some(next) = self.queue.front_mut() {
-                    if next.t_head.is_none() {
-                        next.t_head = Some(now);
-                    }
-                }
+                // The next SDU, if any, reaches the queue front now.
+                self.head = HeadProgress {
+                    t_head: self.queue.front().map(|_| now),
+                    ..HeadProgress::default()
+                };
             }
         }
         consumed
@@ -436,24 +439,13 @@ impl RlcTx {
     /// cell. The entity is left empty; pending retransmission ranges are
     /// dropped (the whole SDUs travel instead). Drop/delivery counters
     /// survive, as they describe this entity's history.
-    pub fn drain_for_handover(&mut self) -> Vec<ForwardedSdu> {
+    pub fn drain_for_handover(&mut self) -> Vec<Sdu> {
         let mut out = Vec::with_capacity(self.unacked.len() + self.queue.len());
         // Pull order is strictly SN order, so every unacked SN precedes
         // every queued SN: chaining the two stores keeps ascending order.
-        for sdu in self.unacked.drain(..) {
-            out.push(ForwardedSdu {
-                sn: sdu.sn,
-                pkt: sdu.pkt,
-                t_ingress: sdu.t_ingress,
-            });
-        }
-        for s in self.queue.drain(..) {
-            out.push(ForwardedSdu {
-                sn: s.sn,
-                pkt: s.pkt,
-                t_ingress: s.t_ingress,
-            });
-        }
+        out.extend(self.unacked.drain(..));
+        out.extend(self.queue.drain(..));
+        self.head = HeadProgress::default();
         self.retx.clear();
         self.retx_bytes = 0;
         self.queued_bytes = 0;
@@ -466,8 +458,8 @@ impl RlcTx {
     /// timestamp (PDCP SNs and queuing-delay accounting are continuous
     /// across re-establishment). Subject to the same tail-drop capacity
     /// check as fresh traffic. `now` stamps the head-of-queue arrival.
-    pub fn enqueue_forwarded(&mut self, fwd: ForwardedSdu, now: Instant) -> bool {
-        self.enqueue_at(fwd.sn, fwd.pkt, fwd.t_ingress, now)
+    pub fn enqueue_forwarded(&mut self, fwd: Sdu, now: Instant) -> bool {
+        self.admit(fwd, now)
     }
 
     /// Process an AM status report from the UE: SDUs below `ack_sn` are
@@ -491,21 +483,13 @@ impl RlcTx {
             let Some(sdu) = find_unacked(&self.unacked, n.sn) else {
                 continue; // already acknowledged or never transmitted
             };
-            // A zero-size SDU's only segment is the empty
-            // payload-carrying one, NACKed as the empty range (0, 0)
-            // (what `RxEntry::for_each_missing` emits when the payload segment
-            // was lost); clamping would read it as nothing-to-resend
-            // and stall that SN forever.
-            let (from, to) = if sdu.size == 0 {
-                (0, 0)
-            } else {
-                let from = n.from.min(sdu.size);
-                let to = n.to.min(sdu.size);
-                if from >= to {
-                    continue;
-                }
-                (from, to)
-            };
+            // No SDU is empty (its size counts the IP header), so an
+            // empty range after clamping asks for nothing.
+            let size = sdu.size();
+            let (from, to) = (n.from.min(size), n.to.min(size));
+            if from >= to {
+                continue;
+            }
             let seg = RetxSeg { sn: n.sn, from, to };
             if !self.retx.contains(&seg) {
                 self.retx.push_back(seg);
@@ -539,21 +523,20 @@ struct RxEntry {
 }
 
 impl RxEntry {
+    /// Add `[from, to)` to the ranges, which stay sorted with touching
+    /// or overlapping ranges merged. Merges in place: an in-order
+    /// segment only extends the last range.
     fn add_range(&mut self, from: u32, to: u32) {
-        self.ranges.push((from, to));
-        self.ranges.sort_unstable();
-        // Merge overlapping ranges in place (write cursor `w`).
-        let mut w = 0;
-        for i in 1..self.ranges.len() {
-            let (f, t) = self.ranges[i];
-            if f <= self.ranges[w].1 {
-                self.ranges[w].1 = self.ranges[w].1.max(t);
-            } else {
-                w += 1;
-                self.ranges[w] = (f, t);
-            }
+        let r = &mut self.ranges;
+        // `i..j` are the ranges the new one touches or overlaps.
+        let i = r.partition_point(|&(_, t)| t < from);
+        let j = r.partition_point(|&(f, _)| f <= to);
+        if i == j {
+            r.insert(i, (from, to));
+        } else {
+            r[i] = (r[i].0.min(from), r[j - 1].1.max(to));
+            r.drain(i + 1..j);
         }
-        self.ranges.truncate(w + 1);
     }
 
     fn complete(&self) -> bool {
@@ -1046,12 +1029,12 @@ mod tests {
     #[test]
     fn enqueue_forwarded_respects_capacity() {
         let mut t = RlcTx::new(RlcMode::Am, 1, OH);
-        let f0 = ForwardedSdu {
+        let f0 = Sdu {
             sn: 0,
             pkt: pkt(100),
             t_ingress: Instant::ZERO,
         };
-        let f1 = ForwardedSdu {
+        let f1 = Sdu {
             sn: 1,
             pkt: pkt(100),
             t_ingress: Instant::ZERO,
@@ -1287,6 +1270,42 @@ mod tests {
     }
 
     #[test]
+    fn add_range_matches_sort_and_merge() {
+        // Reference: push, sort, then merge touching neighbours.
+        fn reference(ranges: &mut Vec<ByteRange>, from: u32, to: u32) {
+            ranges.push((from, to));
+            ranges.sort_unstable();
+            let mut w = 0;
+            for i in 1..ranges.len() {
+                let (f, t) = ranges[i];
+                if f <= ranges[w].1 {
+                    ranges[w].1 = ranges[w].1.max(t);
+                } else {
+                    w += 1;
+                    ranges[w] = (f, t);
+                }
+            }
+            ranges.truncate(w + 1);
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            ((x >> 33) % n) as u32
+        };
+        for _ in 0..2000 {
+            let mut e = entry(&[], 64, None);
+            let mut want = Vec::new();
+            for _ in 0..next(12) {
+                let from = next(65);
+                let to = from + next(65 - u64::from(from));
+                e.add_range(from, to);
+                reference(&mut want, from, to);
+                assert_eq!(e.ranges, want);
+            }
+        }
+    }
+
+    #[test]
     fn lost_payload_segment_is_renacked() {
         // Byte coverage complete but the final (payload-carrying) segment
         // never arrived: the entry must request the tail again.
@@ -1309,60 +1328,100 @@ mod tests {
     }
 
     #[test]
-    fn zero_size_nack_retransmits_instead_of_stalling() {
-        // Regression: `on_status` clamped the (0, 0) NACK of a
-        // zero-size SDU to an empty range and discarded it, so the SN
-        // never retransmitted and in-order delivery stalled forever.
+    fn an_empty_nack_range_is_a_no_op() {
+        // No SDU is empty (even a bare packet has its headers), so a NACK
+        // whose range clamps to nothing queues no retransmission.
+        assert!(pkt(0).wire_len() > 0);
         let mut t = tx(RlcMode::Am);
-        t.unacked.push_back(UnackedSdu {
-            sn: 7,
-            pkt: pkt(0),
-            size: 0,
-            t_ingress: Instant::ZERO,
-        });
-        let status = RlcStatus {
-            ack_sn: 7,
-            nacks: vec![Nack {
-                sn: 7,
-                from: 0,
-                to: 0,
-            }],
-        };
-        t.on_status(&status, Instant::from_millis(1));
-        assert_eq!(
-            t.retx.front(),
-            Some(&RetxSeg {
-                sn: 7,
-                from: 0,
-                to: 0
-            }),
-            "the empty payload segment must be queued for retx"
+        t.enqueue(8, pkt(100), Instant::ZERO); // wire 140
+        pull(&mut t, 1000, Instant::from_millis(1));
+        for (from, to) in [(5, 5), (0, 0), (140, u32::MAX)] {
+            let status = RlcStatus {
+                ack_sn: 8,
+                nacks: vec![Nack { sn: 8, from, to }],
+            };
+            t.on_status(&status, Instant::from_millis(3));
+            assert!(t.retx.is_empty(), "({from}, {to}) asks for nothing");
+        }
+    }
+
+    /// `(sn, t_head, t_first_tx)` of each transmit record, in ms.
+    fn head_times(r: &Pulled) -> Vec<(Sn, Instant, Instant)> {
+        r.txed.iter().map(|x| (x.sn, x.t_head, x.t_first_tx)).collect()
+    }
+
+    #[test]
+    fn head_times_follow_the_queue_front() {
+        let ms = Instant::from_millis;
+        // Pushed into an empty queue: at the front from its push.
+        let mut t = tx(RlcMode::Am);
+        t.enqueue(0, pkt(460), ms(1)); // wire 500
+        let r = pull(&mut t, 10_000, ms(5));
+        assert_eq!(head_times(&r), vec![(0, ms(1), ms(5))]);
+        // Pushed while a retransmission is pending: at the front from the
+        // first pull that reaches new data (the pull at 20 ms only
+        // retransmits).
+        t.on_status(
+            &RlcStatus {
+                ack_sn: 0,
+                nacks: vec![Nack { sn: 0, from: 0, to: u32::MAX }],
+            },
+            ms(10),
         );
-        // The retransmission carries the payload and terminates (no
-        // infinite zero-byte loop).
-        let r = pull(&mut t, 1000, Instant::from_millis(2));
-        assert_eq!(r.segments.len(), 1);
-        assert_eq!(r.segments[0].sn, 7);
-        assert_eq!(r.segments[0].len, 0);
-        assert!(r.segments[0].payload.is_some());
-        assert!(t.retx.is_empty());
-        // A non-empty SDU's clamped-empty NACK is still discarded.
-        t.unacked.push_back(UnackedSdu {
-            sn: 8,
-            pkt: pkt(100),
-            size: 140,
-            t_ingress: Instant::ZERO,
-        });
-        let status = RlcStatus {
-            ack_sn: 8,
-            nacks: vec![Nack {
-                sn: 8,
-                from: 5,
-                to: 5,
-            }],
-        };
-        t.on_status(&status, Instant::from_millis(3));
-        assert!(t.retx.is_empty(), "empty range on a sized SDU is a no-op");
+        t.enqueue(1, pkt(460), ms(11));
+        assert!(pull(&mut t, 500 + OH, ms(20)).txed.is_empty());
+        let r = pull(&mut t, 10_000, ms(25));
+        assert_eq!(head_times(&r), vec![(1, ms(25), ms(25))]);
+        // Split over several pulls: first transmission at the first one.
+        let mut t = tx(RlcMode::Um);
+        t.enqueue(0, pkt(1460), ms(0)); // wire 1500
+        assert!(pull(&mut t, 600, ms(2)).txed.is_empty());
+        assert!(pull(&mut t, 600, ms(3)).txed.is_empty());
+        let r = pull(&mut t, 10_000, ms(4));
+        assert_eq!(r.segments[0].offset, 2 * (600 - OH as u32));
+        assert_eq!(head_times(&r), vec![(0, ms(0), ms(2))]);
+        // Pop: the next SDU reaches the front when the one ahead leaves.
+        let mut t = tx(RlcMode::Um);
+        t.enqueue(0, pkt(460), ms(0));
+        t.enqueue(1, pkt(460), ms(0));
+        let r = pull(&mut t, 500 + OH, ms(2));
+        assert_eq!(head_times(&r), vec![(0, ms(0), ms(2))]);
+        let r = pull(&mut t, 10_000, ms(7));
+        assert_eq!(head_times(&r), vec![(1, ms(2), ms(7))]);
+        // Drain at handover with the head partly pulled, then forward:
+        // the target's front is the first forwarded SDU from its enqueue,
+        // and the source starts its next SDU afresh.
+        let mut src = tx(RlcMode::Am);
+        src.enqueue(0, pkt(1460), ms(0));
+        src.enqueue(1, pkt(460), ms(1));
+        pull(&mut src, 600, ms(2));
+        let mut target = tx(RlcMode::Am);
+        for f in src.drain_for_handover() {
+            assert!(target.enqueue_forwarded(f, ms(10)));
+        }
+        let r = pull(&mut target, 10_000, ms(12));
+        assert_eq!(r.segments[0].offset, 0);
+        assert_eq!(head_times(&r), vec![(0, ms(10), ms(12)), (1, ms(12), ms(12))]);
+        assert_eq!(r.txed[1].t_ingress, ms(1));
+        src.enqueue(2, pkt(460), ms(15));
+        let r = pull(&mut src, 10_000, ms(16));
+        assert_eq!(r.segments[0].offset, 0);
+        assert_eq!(head_times(&r), vec![(2, ms(15), ms(16))]);
+        // UE-side re-establishment: unacked, partial and queued SDUs
+        // return to the queue, the first at its front from the requeue.
+        let mut ue = tx(RlcMode::Am);
+        ue.enqueue(0, pkt(460), ms(0));
+        pull(&mut ue, 10_000, ms(1));
+        ue.enqueue(1, pkt(1460), ms(2));
+        ue.enqueue(2, pkt(460), ms(2));
+        pull(&mut ue, 600, ms(3));
+        ue.reestablish_requeue(ms(10));
+        let r = pull(&mut ue, 10_000, ms(12));
+        assert_eq!(r.segments[1].offset, 0, "the partial SDU travels whole");
+        assert_eq!(
+            head_times(&r),
+            vec![(0, ms(10), ms(12)), (1, ms(12), ms(12)), (2, ms(12), ms(12))]
+        );
     }
 
     #[test]

@@ -80,6 +80,29 @@ fn short_rlc_queue_drops_but_flows_survive() {
     }
 }
 
+/// A tail-dropped SDU already holds a PDCP SN, which the AM receiver
+/// waits for forever: in Fig. 9's marker-off, 256-SDU, mobile cell every
+/// flow's last delivery falls at 2.9–3.7 s of the 20 s run.
+#[test]
+#[ignore = "AM tail-drop stall: ROADMAP item 13"]
+fn every_flow_still_delivers_after_am_tail_drops() {
+    let r = harness::run(congested_cell(
+        16,
+        "cubic",
+        ChannelMix::Mobile,
+        256,
+        WanLink::east(),
+        MarkerKind::None,
+        7,
+        Duration::from_secs(20),
+    ));
+    assert!(r.rlc_drops > 0, "the 256-SDU queue tail-drops");
+    for (f, at) in r.owd_at_s.iter().enumerate() {
+        let last = at.last().copied().unwrap_or(0.0);
+        assert!(last >= 10.0, "flow {f}: last delivery at {last:.2} s of 20 s");
+    }
+}
+
 #[test]
 fn rlc_um_mode_still_delivers_tcp() {
     let mut cfg = ScenarioConfig::new(17, Duration::from_secs(4));

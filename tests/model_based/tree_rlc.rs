@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use l4span::net::PacketBuf;
 use l4span::ran::config::RlcMode;
-use l4span::ran::rlc::{ByteRange, ForwardedSdu, Nack, RlcStatus, Segment, Sn, TxRecord};
+use l4span::ran::rlc::{ByteRange, Nack, RlcStatus, Sdu, Segment, Sn, TxRecord};
 use l4span::sim::{Duration, Instant};
 
 struct SduTx {
@@ -210,17 +210,17 @@ impl TreeRlcTx {
         consumed
     }
 
-    pub fn drain_for_handover(&mut self) -> Vec<ForwardedSdu> {
+    pub fn drain_for_handover(&mut self) -> Vec<Sdu> {
         let mut out = Vec::new();
         for (sn, sdu) in std::mem::take(&mut self.unacked) {
-            out.push(ForwardedSdu {
+            out.push(Sdu {
                 sn,
                 pkt: sdu.pkt,
                 t_ingress: sdu.t_ingress,
             });
         }
         for s in self.queue.drain(..) {
-            out.push(ForwardedSdu {
+            out.push(Sdu {
                 sn: s.sn,
                 pkt: s.pkt,
                 t_ingress: s.t_ingress,
