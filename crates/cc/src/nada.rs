@@ -6,7 +6,7 @@
 //! reference rate `r_ref` (§4.3):
 //!
 //! * **accelerated ramp-up** while the path shows no congestion at all
-//!   (no marks, no losses, queuing delay under [`QEPS`]): multiplicative
+//!   (no marks, no losses, queuing delay under `QEPS`): multiplicative
 //!   growth bounded by `gamma = min(GAMMA_MAX, QBOUND / (rtt + DELTA))`;
 //! * **gradual update** otherwise: a proportional–integral step driven
 //!   by the offset of `x_curr` from the per-flow target and by its

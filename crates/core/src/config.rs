@@ -47,7 +47,7 @@ pub struct L4SpanConfig {
     /// this in Fig. 19 and finds the knee at 10 ms).
     pub tau_s: Duration,
     /// Estimation window: half the pre-set channel coherence time
-    /// (24.9 ms measured at 3.5 GHz / 70 km/h, [78] in the paper).
+    /// (24.9 ms measured at 3.5 GHz / 70 km/h, \[78\] in the paper).
     pub estimation_window: Duration,
     /// Rewrite uplink TCP ACKs at the CU instead of marking downlink IP
     /// headers (§4.4). Disabled automatically for UDP flows.

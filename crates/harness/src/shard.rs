@@ -9,14 +9,14 @@
 //!    cluster, executed at the step's barrier;
 //! 2. **In-flight events of a migrated UE** — queued packets and
 //!    timers re-homed in `(time, seq)` order right after the flip
-//!    ([`World::rehome_events`]);
+//!    (`World::rehome_events`);
 //! 3. **Post-handover uplink stragglers** — feedback that was on the
 //!    air toward the old cell when the UE left; the old cell still
 //!    processes it (exactly as in time order), and the resulting server
 //!    arrival goes to the new cell's queue.
 //!
 //! Between barriers the cells are completely independent, so an
-//! eligible world keeps **one event queue per cell** and [`drive`] runs
+//! eligible world keeps **one event queue per cell** and `drive` runs
 //! each cell up to the next barrier in turn, in which order a cell's
 //! state stays in cache while it runs. `World::run_on` — the body of
 //! both [`World::run`] and [`run_sharded`] — does that on `n`

@@ -217,7 +217,8 @@ impl WiredPlane {
         }
     }
 
-    /// What the impairment stages did ([`Report::impairment`]); a
+    /// What the impairment stages did
+    /// ([`Report::impairment`](crate::Report::impairment)); a
     /// bottleneck behind them is not counted.
     pub fn impairment(&self) -> ImpairmentCounters {
         let mut c = self.counters;

@@ -448,8 +448,7 @@ pub struct World {
     /// gNB counts the HARQ-queue half of handover losses itself).
     ho_tbs_lost: u64,
     /// The world's share of `Report::uplink`: uplink blocks destroyed
-    /// mid-air by a handover and UE-side RLC tail drops (the gNBs count
-    /// the rest).
+    /// mid-air by a handover (the gNBs and the UE stacks count the rest).
     uplink: UplinkStats,
     /// Events popped by the run loop, per [`Event::class`]; their sum
     /// is `Report::events` (the benchmark's `events`). A cell-major
@@ -1821,10 +1820,8 @@ impl World {
         // The server reads the send time and the leg off the packet.
         pkt.stamp(now.as_nanos(), leg);
         let c0 = self.cycles.start();
-        // `None` is a tail drop at the UE's full RLC queue.
-        if self.ues[ue].enqueue_uplink_data(drb, pkt, now).is_none() {
-            self.uplink.rlc_drops += 1;
-        }
+        // A tail drop at the UE's full RLC queue is counted there.
+        self.ues[ue].enqueue_uplink_data(drb, pkt, now);
         self.cycles.stop(c0, CYC_UE);
     }
 
@@ -2622,15 +2619,16 @@ impl World {
                 });
             }
         }
-        // Table-1 accounting sums over every cell in the topology.
+        // Table-1 accounting sums over every cell in the topology; the
+        // uplink tail drops are counted by the UEs' own bearers.
         let mut g = l4span_ran::gnb::GnbStats::default();
         let mut uplink = self.uplink;
+        uplink.rlc_drops += self.ues.iter().map(UeStack::ul_drops).sum::<u64>();
         for gnb in &self.gnbs {
             let s = gnb.stats();
             g.tbs_sent += s.tbs_sent;
             g.harq_retx += s.harq_retx;
             g.tbs_lost += s.tbs_lost;
-            g.sdus_enqueued += s.sdus_enqueued;
             g.sdus_dropped += s.sdus_dropped;
             g.fading_evals += s.fading_evals;
             uplink.tbs_sent += s.ul_tbs_sent;

@@ -16,7 +16,7 @@ use l4span_sim::{Duration, Instant, SimRng};
 
 /// Mobility profile of a UE. Doppler values are chosen so the coherence
 /// times bracket the paper's τ_c = 24.9 ms vehicular measurement at
-/// 3.5 GHz ([78] in the paper).
+/// 3.5 GHz (\[78\] in the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelProfile {
     /// No mobility: constant SNR (small lognormal shadowing only).
@@ -202,7 +202,7 @@ impl FadingChannel {
     }
 
     /// Instantaneous SNR in dB at time `at` (fading held constant within
-    /// each [`SAMPLE_PERIOD_NANOS`] grid interval).
+    /// each `SAMPLE_PERIOD_NANOS` grid interval).
     pub fn snr_db(&self, at: Instant) -> f64 {
         if self.doppler_hz <= 0.0 {
             // Static: mean SNR plus a fixed per-UE shadowing offset.

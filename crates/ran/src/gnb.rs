@@ -5,14 +5,18 @@
 //! machine in the smoltcp idiom:
 //!
 //! * [`Gnb::enqueue_downlink`] — a packet arrives from the core (after
-//!   L4Span has seen it), is mapped by SDAP, sequenced by PDCP, and
-//!   queued in the DU's RLC;
-//! * [`Gnb::on_slot`] — one TDD slot elapses: HARQ retransmissions are
-//!   served first, then the scheduler allocates RBGs, RLC queues are
+//!   L4Span has seen it), is mapped by SDAP to a DRB, whose transmit
+//!   bearer ([`BearerTx`], the type the UE runs for its uplink) numbers
+//!   it (PDCP) and queues it (the DU's RLC);
+//! * [`Gnb::on_slot_into`] — one TDD slot elapses: HARQ retransmissions
+//!   are served first, then the scheduler allocates RBGs, RLC queues are
 //!   drained into transport blocks, and block-error outcomes are drawn;
 //! * [`Gnb::on_rlc_status`] — an RLC AM status report arrives on the
 //!   uplink, acknowledging SDUs (→ F1-U *highest delivered*) and NACKing
 //!   losses (→ ARQ retransmission).
+//!
+//! Each UE's uplink receivers are one [`RxBearers`], the type the UE
+//! holds for its downlink.
 //!
 //! Outputs are plain data (transport-block deliveries with an arrival
 //! time, F1-U status frames, per-SDU timing records) that the harness
@@ -21,14 +25,14 @@
 use l4span_net::PacketBuf;
 use l4span_sim::{stats::Ewma, Instant, SimRng};
 
+use crate::bearer::{BearerTx, DrbHandoverState, RxBearers};
 use crate::channel::FadingChannel;
 use crate::config::{CellConfig, RlcMode, SchedulerKind, SlotRole};
 use crate::f1u::DlDataDeliveryStatus;
 use crate::ids::{DrbId, Qfi, UeId};
 use crate::mac::{self, Candidate, Grant, TransportBlock};
-use crate::pdcp::PdcpTx;
 use crate::phy;
-use crate::rlc::{RlcRx, RlcStatus, RlcTx, RxDelivery, Sdu, Segment, Sn, TxRecord};
+use crate::rlc::{RlcStatus, RxDelivery, Segment, Sn, TxRecord};
 use crate::sdap::SdapEntity;
 use crate::table::IdTable;
 
@@ -63,21 +67,6 @@ pub struct SlotOutput {
     pub lost_tbs: usize,
 }
 
-/// Serialized per-DRB context carried over Xn at handover: the PDCP
-/// transmit state plus every SDU not yet confirmed delivered, in SN
-/// order, for lossless forwarding to the target cell.
-#[derive(Debug)]
-pub struct DrbHandoverState {
-    /// The bearer.
-    pub drb: DrbId,
-    /// Its RLC mode (the target re-creates the entity in the same mode).
-    pub mode: RlcMode,
-    /// PDCP SN the target continues numbering at (no SN reuse).
-    pub next_sn: Sn,
-    /// SDUs to retransmit at the target, ascending SN order.
-    pub forwarded: Vec<Sdu>,
-}
-
 /// Everything a source gNB hands the target over Xn when a UE moves:
 /// the SDAP QFI→DRB map, the CA configuration, and per-DRB PDCP/RLC
 /// context (TS 38.300 §9.2.3.2 handover with data forwarding). The
@@ -91,11 +80,11 @@ pub struct UeHandoverCtx {
     pub ca_factor: u8,
     /// Per-DRB context, in DRB-id order.
     pub drbs: Vec<DrbHandoverState>,
-    /// gNB-side uplink RLC receive entities, in DRB-id order. The
-    /// target applies PDCP re-establishment (drop partials, keep the
-    /// in-order delivery point) before installing them, so uplink SNs —
-    /// like downlink ones — are continuous across the switch.
-    pub ul_rx: Vec<(DrbId, RlcRx)>,
+    /// gNB-side uplink RLC receive entities. The target applies PDCP
+    /// re-establishment (drop partials, keep the in-order delivery
+    /// point) before installing them, so uplink SNs — like downlink
+    /// ones — are continuous across the switch.
+    pub ul_rx: RxBearers,
 }
 
 /// Outcome of an uplink transport block arriving at the gNB PHY.
@@ -122,9 +111,8 @@ pub struct GnbStats {
     pub harq_retx: u64,
     /// Transport blocks lost after max attempts.
     pub tbs_lost: u64,
-    /// Downlink SDUs accepted into RLC queues.
-    pub sdus_enqueued: u64,
-    /// Downlink SDUs tail-dropped at full RLC queues.
+    /// Downlink SDUs tail-dropped at full RLC queues, forwarded ones at
+    /// handover included: the bearers' own counts, live and detached.
     pub sdus_dropped: u64,
     /// Uplink transport blocks received (first attempts).
     pub ul_tbs_sent: u64,
@@ -139,18 +127,10 @@ pub struct GnbStats {
 }
 
 #[derive(Debug)]
-struct DrbCtx {
-    pdcp: PdcpTx,
-    rlc: RlcTx,
-    /// Last highest-transmitted SN reported over F1-U.
-    reported_txed: Option<Sn>,
-}
-
-#[derive(Debug)]
 struct UeCtx {
     channel: FadingChannel,
     sdap: SdapEntity,
-    drbs: IdTable<DrbId, DrbCtx>,
+    drbs: IdTable<DrbId, BearerTx>,
     /// Link-adaptation memo: the fading grid point (plus one; 0 = none)
     /// the stale-CQI reader was last on, the CQI chosen there and the
     /// bytes one RBG of one carrier carries at it. All three follow from
@@ -172,7 +152,7 @@ struct UeCtx {
     ca_factor: u8,
     /// Uplink RLC receive entities (empty unless the UE has UL data
     /// bearers configured).
-    ul_rx: IdTable<DrbId, RlcRx>,
+    ul_rx: RxBearers,
     /// Most recent buffer-status report from the UE, minus bytes already
     /// granted against it (refreshed by every arriving BSR).
     ul_bsr: usize,
@@ -189,9 +169,9 @@ impl UeCtx {
     fn new(
         channel: FadingChannel,
         sdap: SdapEntity,
-        drbs: IdTable<DrbId, DrbCtx>,
+        drbs: IdTable<DrbId, BearerTx>,
         ca_factor: u8,
-        ul_rx: IdTable<DrbId, RlcRx>,
+        ul_rx: RxBearers,
     ) -> UeCtx {
         UeCtx {
             channel,
@@ -283,7 +263,7 @@ impl Gnb {
             scheduler,
             rr_cursor: 0,
             ul_rr_cursor: 0,
-            ues: IdTable::new(),
+            ues: IdTable::default(),
             pending_harq: Vec::new(),
             slot_index: 0,
             rng,
@@ -321,31 +301,26 @@ impl Gnb {
         &self.cfg
     }
 
-    /// Cumulative counters.
+    /// Cumulative counters: those of detached UEs plus the live ones.
     pub fn stats(&self) -> GnbStats {
-        let live: u64 = self.ues.values().map(|c| c.channel.evaluations()).sum();
-        GnbStats {
-            fading_evals: self.stats.fading_evals + live,
-            ..self.stats
+        let mut s = self.stats;
+        for c in self.ues.values() {
+            s.fading_evals += c.channel.evaluations();
+            s.sdus_dropped += c.drbs.values().map(|b| b.rlc.drop_count()).sum::<u64>();
         }
+        s
     }
 
     /// Attach a UE with its channel and DRB set. The first DRB listed
     /// becomes the SDAP default.
     pub fn add_ue(&mut self, ue: UeId, channel: FadingChannel, drbs: &[(DrbId, RlcMode)]) {
         assert!(!drbs.is_empty(), "a UE needs at least one DRB");
-        let mut map = IdTable::new();
+        let mut map = IdTable::default();
         for &(id, mode) in drbs {
-            map.insert(
-                id,
-                DrbCtx {
-                    pdcp: PdcpTx::new(),
-                    rlc: RlcTx::new(mode, self.cfg.rlc_queue_sdus, self.cfg.segment_overhead),
-                    reported_txed: None,
-                },
-            );
+            let b = BearerTx::new(mode, self.cfg.rlc_queue_sdus, self.cfg.segment_overhead);
+            map.insert(id, b);
         }
-        let ctx = UeCtx::new(channel, SdapEntity::new(drbs[0].0), map, 1, IdTable::new());
+        let ctx = UeCtx::new(channel, SdapEntity::new(drbs[0].0), map, 1, RxBearers::default());
         let prev = self.ues.insert(ue, ctx);
         assert!(prev.is_none(), "duplicate UE id {ue}");
     }
@@ -386,20 +361,17 @@ impl Gnb {
         self.stats.tbs_lost += (before - self.pending_harq.len()) as u64;
         let drbs = ctx
             .drbs
-            .iter_mut()
-            .map(|(drb, d)| DrbHandoverState {
-                drb,
-                mode: d.rlc.mode(),
-                next_sn: d.pdcp.next_sn(),
-                forwarded: d.rlc.drain_for_handover(),
+            .drain()
+            .map(|(drb, b)| {
+                self.stats.sdus_dropped += b.rlc.drop_count();
+                b.detach(drb)
             })
             .collect();
-        let ul_rx = ctx.ul_rx.drain().collect();
         UeHandoverCtx {
             sdap: ctx.sdap,
             ca_factor: ctx.ca_factor,
             drbs,
-            ul_rx,
+            ul_rx: ctx.ul_rx,
         }
     }
 
@@ -417,34 +389,18 @@ impl Gnb {
         now: Instant,
     ) {
         assert!(!ctx.drbs.is_empty(), "a UE needs at least one DRB");
-        let mut map = IdTable::new();
+        let (cap, oh) = (self.cfg.rlc_queue_sdus, self.cfg.segment_overhead);
+        let mut map = IdTable::default();
         for st in ctx.drbs {
-            let mut rlc = RlcTx::new(st.mode, self.cfg.rlc_queue_sdus, self.cfg.segment_overhead);
-            for fwd in st.forwarded {
-                if !rlc.enqueue_forwarded(fwd, now) {
-                    self.stats.sdus_dropped += 1;
-                }
-            }
-            map.insert(
-                st.drb,
-                DrbCtx {
-                    pdcp: PdcpTx::resuming_at(st.next_sn),
-                    rlc,
-                    reported_txed: None,
-                },
-            );
+            map.insert(st.drb, BearerTx::attach(st, cap, oh, now));
         }
         // Uplink receive entities migrate whole, through PDCP
         // re-establishment: partial reassembly state from the source is
         // dropped (the UE retransmits those SDUs in full), the in-order
         // delivery point survives, and the cadence adopts this cell's
         // status period. A forced status resynchronises the UE's ARQ.
-        let mut ul_rx = IdTable::new();
-        for (drb, mut rx) in ctx.ul_rx {
-            rx.reestablish();
-            rx.set_status_period(self.cfg.rlc_status_period);
-            ul_rx.insert(drb, rx);
-        }
+        let mut ul_rx = ctx.ul_rx;
+        ul_rx.reestablish(self.cfg.rlc_status_period);
         let prev = self
             .ues
             .insert(ue, UeCtx::new(channel, ctx.sdap, map, ctx.ca_factor, ul_rx));
@@ -484,12 +440,7 @@ impl Gnb {
         self.drb(ue, drb).rlc.backlog_bytes()
     }
 
-    /// SDUs tail-dropped on this DRB so far.
-    pub fn rlc_drops(&self, ue: UeId, drb: DrbId) -> u64 {
-        self.drb(ue, drb).rlc.drop_count()
-    }
-
-    fn drb(&self, ue: UeId, drb: DrbId) -> &DrbCtx {
+    fn drb(&self, ue: UeId, drb: DrbId) -> &BearerTx {
         self.ues
             .get(ue)
             .expect("unknown UE")
@@ -518,14 +469,7 @@ impl Gnb {
         let ctx = self.ues.get_mut(ue).expect("unknown UE");
         let drb = ctx.sdap.drb_for(qfi);
         let d = ctx.drbs.get_mut(drb).expect("SDAP mapped to missing DRB");
-        let sn = d.pdcp.assign_sn();
-        if d.rlc.enqueue(sn, pkt, now) {
-            self.stats.sdus_enqueued += 1;
-            Some((drb, sn))
-        } else {
-            self.stats.sdus_dropped += 1;
-            None
-        }
+        Some((drb, d.enqueue(pkt, now)?))
     }
 
     /// Advance one TDD slot starting at `now`, filling the caller's
@@ -683,22 +627,11 @@ impl Gnb {
         self.scratch_grants = grants;
 
         // --- 4. Per UE: the PF throughput average (every connected UE,
-        // every slot) and F1-U reports for DRBs whose highest-transmitted
-        // SN advanced ---
+        // every slot) and F1-U reports for DRBs whose watermarks moved ---
         for (ue, ctx) in self.ues.iter_mut() {
             ctx.avg_tput.push(std::mem::take(&mut ctx.served_bytes) as f64);
             for (drb, d) in ctx.drbs.iter_mut() {
-                if d.rlc.highest_txed() != d.reported_txed {
-                    d.reported_txed = d.rlc.highest_txed();
-                    out.f1u.push(DlDataDeliveryStatus {
-                        ue,
-                        drb,
-                        highest_txed_sn: d.rlc.highest_txed(),
-                        highest_delivered_sn: d.rlc.highest_delivered(),
-                        timestamp: now,
-                        desired_buffer_size: 0,
-                    });
-                }
+                out.f1u.extend(d.f1u(ue, drb, now));
             }
         }
     }
@@ -714,17 +647,8 @@ impl Gnb {
     ) -> Option<DlDataDeliveryStatus> {
         let ctx = self.ues.get_mut(ue).expect("unknown UE");
         let d = ctx.drbs.get_mut(drb).expect("unknown DRB");
-        let before = d.rlc.highest_delivered();
-        d.rlc.on_status(status, now);
-        let after = d.rlc.highest_delivered();
-        (after != before).then(|| DlDataDeliveryStatus {
-            ue,
-            drb,
-            highest_txed_sn: d.rlc.highest_txed(),
-            highest_delivered_sn: after,
-            timestamp: now,
-            desired_buffer_size: 0,
-        })
+        d.on_status(status, now);
+        d.f1u(ue, drb, now)
     }
 
     // ------------------------------------------------------------------
@@ -736,8 +660,7 @@ impl Gnb {
     /// Idempotent per DRB.
     pub fn ensure_ul_drb(&mut self, ue: UeId, drb: DrbId, mode: RlcMode) {
         let ctx = self.ues.get_mut(ue).expect("unknown UE");
-        ctx.ul_rx
-            .get_or_insert_with(drb, || RlcRx::new(mode, self.cfg.rlc_status_period));
+        ctx.ul_rx.ensure(drb, mode, self.cfg.rlc_status_period);
     }
 
     /// A buffer-status report arrived from a UE: the scheduler now knows
@@ -852,15 +775,9 @@ impl Gnb {
             return UlTbOutcome::Retx(tb);
         }
         let ctx = self.ues.get_mut(tb.ue).expect("checked above");
-        let mut deliv = std::mem::take(&mut self.scratch_rx);
-        for (drb, seg) in tb.segments.drain(..) {
-            let Some(rx) = ctx.ul_rx.get_mut(drb) else {
-                continue; // segment for an unconfigured UL DRB: dropped
-            };
-            rx.on_segment_into(seg, now, &mut deliv);
-            out.extend(deliv.drain(..).map(|d| (drb, d)));
-        }
-        self.scratch_rx = deliv;
+        let segments = tb.segments.drain(..);
+        ctx.ul_rx
+            .on_segments(segments, now, &mut self.scratch_rx, |drb, d| out.push((drb, d)));
         self.recycle_segments(tb.segments);
         UlTbOutcome::Decoded
     }
@@ -874,21 +791,17 @@ impl Gnb {
         out: &mut Vec<(UeId, DrbId, RlcStatus)>,
     ) {
         for (ue, ctx) in self.ues.iter_mut() {
-            for (drb, rx) in ctx.ul_rx.iter_mut() {
-                if let Some(st) = rx.make_status(now) {
-                    out.push((ue, drb, st));
-                }
-            }
+            ctx.ul_rx.statuses(now, |drb, st| out.push((ue, drb, st)));
         }
     }
 
     /// A status report collected by [`Gnb::ul_statuses_into`] has been
     /// consumed by the UE: its buffer returns to the receive entity that
-    /// made it (see [`RlcRx::recycle_status`]); dropped if the UE has
-    /// left the cell meanwhile.
+    /// made it (see [`RxBearers::recycle_status`]); dropped if the UE
+    /// has left the cell meanwhile.
     pub fn recycle_ul_status(&mut self, ue: UeId, drb: DrbId, status: RlcStatus) {
-        if let Some(rx) = self.ues.get_mut(ue).and_then(|c| c.ul_rx.get_mut(drb)) {
-            rx.recycle_status(status);
+        if let Some(c) = self.ues.get_mut(ue) {
+            c.ul_rx.recycle_status(drb, status);
         }
     }
 
@@ -898,16 +811,9 @@ impl Gnb {
     /// uplink paths — the poll runs every 5 ms and is almost always
     /// empty).
     pub fn poll_ul_rx_into(&mut self, now: Instant, out: &mut Vec<(UeId, DrbId, RxDelivery)>) {
-        let mut deliv = std::mem::take(&mut self.scratch_rx);
         for (ue, ctx) in self.ues.iter_mut() {
-            for (drb, rx) in ctx.ul_rx.iter_mut() {
-                rx.poll_into(now, &mut deliv);
-                for d in deliv.drain(..) {
-                    out.push((ue, drb, d));
-                }
-            }
+            ctx.ul_rx.poll(now, &mut self.scratch_rx, |drb, d| out.push((ue, drb, d)));
         }
-        self.scratch_rx = deliv;
     }
 }
 
@@ -1055,7 +961,6 @@ mod tests {
         }
         assert_eq!(g.stats().sdus_dropped, 6);
         assert_eq!(g.rlc_queue_len(UeId(0), DrbId(0)), 4);
-        assert_eq!(g.rlc_drops(UeId(0), DrbId(0)), 6);
     }
 
     #[test]

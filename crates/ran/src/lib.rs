@@ -15,14 +15,15 @@
 //! * [`rlc`] — RLC Acknowledged and Unacknowledged modes with byte-level
 //!   segmentation, ARQ status reporting, and bounded SDU queues (the deep
 //!   default of 16384 SDUs or the short 256-SDU variant of Fig. 9);
-//! * [`pdcp`] + [`f1u`] — PDCP sequence numbering and the 3GPP TS 38.425
-//!   *downlink data delivery status* feedback L4Span consumes;
+//! * [`bearer`] + [`f1u`] — one bearer type for both directions (PDCP
+//!   numbering over RLC, the receivers at the far end) and the 3GPP
+//!   TS 38.425 *downlink data delivery status* feedback L4Span consumes;
 //! * [`sdap`] — QFI→DRB mapping;
 //! * [`ue`] — the UE-side stack: reassembly, in-order delivery, RLC
 //!   status generation, modem/kernel delay, TDD uplink opportunities
 //!   (the RAN "jitter" that feedback short-circuiting bypasses), and
-//!   the uplink data plane — per-DRB PDCP/RLC transmit entities with
-//!   SR/BSR solicitation and grant-bounded transport-block building;
+//!   the uplink data plane — per-DRB transmit bearers with SR/BSR
+//!   solicitation and grant-bounded transport-block building;
 //! * [`gnb`] — the composition of all of the above into one cell.
 //!
 //! The crate deliberately knows nothing about L4Span: the hook points are
@@ -32,22 +33,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bearer;
 pub mod channel;
 pub mod config;
 pub mod f1u;
 pub mod gnb;
 pub mod ids;
 pub mod mac;
-pub mod pdcp;
 pub mod phy;
 pub mod rlc;
 pub mod sdap;
 mod table;
 pub mod ue;
 
+pub use bearer::DrbHandoverState;
 pub use channel::{ChannelProfile, FadingChannel};
 pub use config::{CellConfig, RlcMode, SchedulerKind};
 pub use f1u::DlDataDeliveryStatus;
-pub use gnb::{DrbHandoverState, Gnb, SlotOutput, UeHandoverCtx, UlTbOutcome};
+pub use gnb::{Gnb, SlotOutput, UeHandoverCtx, UlTbOutcome};
 pub use ids::{DrbId, UeId};
 pub use ue::UeStack;

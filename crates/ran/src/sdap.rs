@@ -19,7 +19,7 @@ impl SdapEntity {
     /// Create with a default DRB for unmapped QFIs.
     pub fn new(default_drb: DrbId) -> SdapEntity {
         SdapEntity {
-            map: IdTable::new(),
+            map: IdTable::default(),
             default_drb,
         }
     }

@@ -13,11 +13,13 @@ pub(crate) struct IdTable<K, V> {
     rows: Vec<(K, V)>,
 }
 
-impl<K: Ord + Copy, V> IdTable<K, V> {
-    pub(crate) const fn new() -> Self {
+impl<K, V> Default for IdTable<K, V> {
+    fn default() -> Self {
         IdTable { rows: Vec::new() }
     }
+}
 
+impl<K: Ord + Copy, V> IdTable<K, V> {
     fn position(&self, id: K) -> Result<usize, usize> {
         self.rows.binary_search_by_key(&id, |row| row.0)
     }
@@ -100,7 +102,7 @@ mod tests {
 
     #[test]
     fn rows_stay_sorted_and_unique_whatever_the_insert_order() {
-        let mut t = IdTable::new();
+        let mut t = IdTable::default();
         for id in [5u8, 1, 9, 3] {
             assert_eq!(t.insert(id, u32::from(id)), None);
         }

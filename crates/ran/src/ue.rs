@@ -3,7 +3,7 @@
 //! L4Span's feedback short-circuiting bypasses (paper §4.4, Fig. 7).
 //!
 //! Since the bidirectional extension the UE also hosts a full uplink
-//! *data* plane: per-DRB PDCP numbering and RLC transmit queues fed by
+//! *data* plane: per-DRB [`BearerTx`]s (as the gNB's downlink) fed by
 //! UE-side senders, a scheduling-request / buffer-status-report (SR/BSR)
 //! machine that tells the serving gNB how much is buffered, and a
 //! grant-driven transport-block builder ([`UeStack::build_ul_tb`]) that
@@ -18,12 +18,12 @@ use std::collections::VecDeque;
 use l4span_net::PacketBuf;
 use l4span_sim::{Duration, Instant, SimRng};
 
+use crate::bearer::{BearerTx, RxBearers};
 use crate::config::RlcMode;
 use crate::f1u::DlDataDeliveryStatus;
 use crate::ids::{DrbId, UeId};
 use crate::mac::TransportBlock;
-use crate::pdcp::PdcpTx;
-use crate::rlc::{RlcRx, RlcStatus, RlcTx, RxDelivery, Segment, Sn, TxRecord};
+use crate::rlc::{RlcStatus, RxDelivery, Segment, Sn, TxRecord};
 use crate::table::IdTable;
 
 /// A downlink IP packet delivered up to the UE application.
@@ -47,32 +47,21 @@ struct UlItem {
     ready_at: Instant,
 }
 
-/// Per-DRB uplink transmit context: UE-side PDCP numbering plus the RLC
-/// queue that grant-driven transmission drains.
-#[derive(Debug)]
-struct UlDrbCtx {
-    pdcp: PdcpTx,
-    rlc: RlcTx,
-    /// Last transmit watermark reported via [`UeStack::ul_f1u_into`].
-    reported_txed: Option<Sn>,
-    /// Last delivery watermark reported via [`UeStack::ul_f1u_into`].
-    reported_delivered: Option<Sn>,
-}
-
 /// The UE model: RLC receivers plus an uplink queue drained at TDD
 /// uplink opportunities — and, for bidirectional scenarios, per-DRB
-/// uplink PDCP/RLC transmit entities driven by BSR-solicited grants.
+/// uplink transmit bearers driven by BSR-solicited grants.
 #[derive(Debug)]
 pub struct UeStack {
     id: UeId,
-    rlc: IdTable<DrbId, RlcRx>,
+    /// Downlink receive entities.
+    rx: RxBearers,
     ul_queue: VecDeque<UlItem>,
     internal_delay: Duration,
     sr_delay_max: Duration,
     rng: SimRng,
     /// Uplink data-plane entities (empty unless the scenario configures
     /// uplink flows, so downlink-only runs are byte-identical).
-    ul_tx: IdTable<DrbId, UlDrbCtx>,
+    ul_tx: IdTable<DrbId, BearerTx>,
     /// Intra-UE UL DRB round-robin cursor for TB building.
     ul_drb_cursor: usize,
     /// Earliest instant the *first* BSR of the current busy period may
@@ -98,18 +87,18 @@ impl UeStack {
         sr_delay_max: Duration,
         rng: SimRng,
     ) -> UeStack {
-        let mut rlc = IdTable::new();
+        let mut rx = RxBearers::default();
         for &(d, m) in drbs {
-            rlc.insert(d, RlcRx::new(m, status_period));
+            rx.ensure(d, m, status_period);
         }
         UeStack {
             id,
-            rlc,
+            rx,
             ul_queue: VecDeque::new(),
             internal_delay,
             sr_delay_max,
             rng,
-            ul_tx: IdTable::new(),
+            ul_tx: IdTable::default(),
             ul_drb_cursor: 0,
             ul_sr_at: Instant::MAX,
             bsr_open: false,
@@ -135,41 +124,21 @@ impl UeStack {
         now: Instant,
         out: &mut Vec<AppDelivery>,
     ) -> Vec<(DrbId, Segment)> {
-        let mut deliv = std::mem::take(&mut self.scratch_rx);
-        for (drb, seg) in tb.segments.drain(..) {
-            let Some(rx) = self.rlc.get_mut(drb) else {
-                continue; // segment for an unconfigured DRB: dropped
-            };
-            rx.on_segment_into(seg, now, &mut deliv);
-            for d in deliv.drain(..) {
-                out.push(AppDelivery {
-                    pkt: d.pkt,
-                    deliver_at: now + self.internal_delay,
-                    drb,
-                    sn: d.sn,
-                });
-            }
-        }
-        self.scratch_rx = deliv;
+        let deliver_at = now + self.internal_delay;
+        let segments = tb.segments.drain(..);
+        self.rx.on_segments(segments, now, &mut self.scratch_rx, |drb, d| {
+            out.push(AppDelivery { pkt: d.pkt, deliver_at, drb, sn: d.sn });
+        });
         tb.segments
     }
 
     /// Timer poll: UM reassembly-timeout skips (lost SDUs are abandoned
     /// so later ones flow). Deliveries are appended to `out`.
     pub fn poll_into(&mut self, now: Instant, out: &mut Vec<AppDelivery>) {
-        let mut deliv = std::mem::take(&mut self.scratch_rx);
-        for (drb, rx) in self.rlc.iter_mut() {
-            rx.poll_into(now, &mut deliv);
-            for d in deliv.drain(..) {
-                out.push(AppDelivery {
-                    pkt: d.pkt,
-                    deliver_at: now + self.internal_delay,
-                    drb,
-                    sn: d.sn,
-                });
-            }
-        }
-        self.scratch_rx = deliv;
+        let deliver_at = now + self.internal_delay;
+        self.rx.poll(now, &mut self.scratch_rx, |drb, d| {
+            out.push(AppDelivery { pkt: d.pkt, deliver_at, drb, sn: d.sn });
+        });
     }
 
     /// Enqueue an uplink IP packet (e.g. a TCP ACK from the client
@@ -207,11 +176,7 @@ impl UeStack {
             }
             pkts.push(self.ul_queue.pop_front().expect("front exists").pkt);
         }
-        for (drb, rx) in self.rlc.iter_mut() {
-            if let Some(st) = rx.make_status(now) {
-                statuses.push((drb, st));
-            }
-        }
+        self.rx.statuses(now, |drb, st| statuses.push((drb, st)));
     }
 
     /// Whether this UE has anything to do on an uplink slot at `now`:
@@ -229,7 +194,7 @@ impl UeStack {
         if self.ul_queue.front().is_some_and(|item| item.ready_at <= now) {
             return true;
         }
-        if self.rlc.values().any(|rx| rx.status_due(now)) {
+        if self.rx.status_due(now) {
             return true;
         }
         if !with_bsr || self.ul_tx.is_empty() {
@@ -254,10 +219,9 @@ impl UeStack {
     // Uplink data plane (bidirectional scenarios)
     // ------------------------------------------------------------------
 
-    /// Configure an uplink data bearer: a PDCP transmit entity plus an
-    /// RLC transmit queue in `mode`. Idempotent per DRB. Downlink-only
-    /// scenarios never call this, so the legacy uplink (ACK/feedback)
-    /// path is untouched.
+    /// Configure an uplink data bearer in `mode`. Idempotent per DRB.
+    /// Downlink-only scenarios never call this, so the legacy uplink
+    /// (ACK/feedback) path is untouched.
     pub fn configure_ul_drb(
         &mut self,
         drb: DrbId,
@@ -265,12 +229,8 @@ impl UeStack {
         capacity_sdus: usize,
         segment_overhead: usize,
     ) {
-        self.ul_tx.get_or_insert_with(drb, || UlDrbCtx {
-            pdcp: PdcpTx::new(),
-            rlc: RlcTx::new(mode, capacity_sdus, segment_overhead),
-            reported_txed: None,
-            reported_delivered: None,
-        });
+        self.ul_tx
+            .get_or_insert_with(drb, || BearerTx::new(mode, capacity_sdus, segment_overhead));
     }
 
     /// UL DRBs configured on this UE, in id order.
@@ -286,10 +246,7 @@ impl UeStack {
     pub fn enqueue_uplink_data(&mut self, drb: DrbId, pkt: PacketBuf, now: Instant) -> Option<Sn> {
         let was_empty = self.ul_backlog_bytes() == 0;
         let d = self.ul_tx.get_mut(drb).expect("UL DRB not configured");
-        let sn = d.pdcp.assign_sn();
-        if !d.rlc.enqueue(sn, pkt, now) {
-            return None;
-        }
+        let sn = d.enqueue(pkt, now)?;
         if was_empty && !self.bsr_open {
             let sr = if self.sr_delay_max.is_zero() {
                 Duration::ZERO
@@ -311,6 +268,11 @@ impl UeStack {
     /// Uplink RLC transmission-queue length in SDUs for one DRB.
     pub fn ul_queue_len_sdus(&self, drb: DrbId) -> usize {
         self.ul_tx.get(drb).map_or(0, |d| d.rlc.queue_len_sdus())
+    }
+
+    /// Uplink SDUs tail-dropped at this UE's full RLC queues so far.
+    pub fn ul_drops(&self) -> u64 {
+        self.ul_tx.values().map(|d| d.rlc.drop_count()).sum()
     }
 
     /// Append the buffer-status report that rides this uplink
@@ -405,40 +367,24 @@ impl UeStack {
     /// bytes get granted).
     pub fn on_ul_status(&mut self, drb: DrbId, status: &RlcStatus, now: Instant) {
         let d = self.ul_tx.get_mut(drb).expect("UL DRB not configured");
-        d.rlc.on_status(status, now);
+        d.on_status(status, now);
     }
 
     /// A status report this UE emitted ([`UeStack::on_uplink_slot_into`])
     /// has been consumed: its buffer returns to the receive entity that
-    /// made it (see [`RlcRx::recycle_status`]).
+    /// made it (see [`RxBearers::recycle_status`]).
     pub fn recycle_status(&mut self, drb: DrbId, status: RlcStatus) {
-        if let Some(rx) = self.rlc.get_mut(drb) {
-            rx.recycle_status(status);
-        }
+        self.rx.recycle_status(drb, status);
     }
 
-    /// Report uplink transmit/delivery watermarks that advanced since
-    /// the last call — the UE-side mirror of the gNB's F1-U delivery
-    /// status, synthesised from granted-bytes history. This is the
-    /// feedback stream that drives the uplink L4Span instance's egress
-    /// estimator: `timestamp` is the grant time at which the bytes left
-    /// the queue.
+    /// Report uplink transmit/delivery watermarks that moved since the
+    /// last call ([`BearerTx::f1u`], the rule the gNB's downlink uses) —
+    /// the feedback stream that drives the uplink L4Span instance's
+    /// egress estimator: `timestamp` is the grant time at which the
+    /// bytes left the queue.
     pub fn ul_f1u_into(&mut self, now: Instant, out: &mut Vec<DlDataDeliveryStatus>) {
         for (drb, d) in self.ul_tx.iter_mut() {
-            let txed = d.rlc.highest_txed();
-            let delivered = d.rlc.highest_delivered();
-            if txed != d.reported_txed || delivered != d.reported_delivered {
-                d.reported_txed = txed;
-                d.reported_delivered = delivered;
-                out.push(DlDataDeliveryStatus {
-                    ue: self.id,
-                    drb,
-                    highest_txed_sn: txed,
-                    highest_delivered_sn: delivered,
-                    timestamp: now,
-                    desired_buffer_size: 0,
-                });
-            }
+            out.extend(d.f1u(self.id, drb, now));
         }
     }
 
@@ -470,20 +416,9 @@ impl UeStack {
     ) {
         self.internal_delay = internal_delay;
         self.sr_delay_max = sr_delay_max;
-        for rx in self.rlc.values_mut() {
-            rx.set_status_period(status_period);
-            rx.reestablish();
-        }
+        self.rx.reestablish(status_period);
         for d in self.ul_tx.values_mut() {
-            // Lossless by construction: the requeue path skips the
-            // admission check (every SDU passed it once), because a
-            // tail drop here would leave a permanent SN gap that the
-            // migrated gNB-side receiver's in-order point never passes.
-            d.rlc.reestablish_requeue(now);
-            // The target's watermark bookkeeping starts fresh, exactly
-            // like the gNB-side DrbCtx after `attach_ue_handover`.
-            d.reported_txed = None;
-            d.reported_delivered = None;
+            d.reestablish(now);
         }
         if self.ul_backlog_bytes() > 0 {
             self.bsr_open = false;

@@ -62,7 +62,7 @@ const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
 /// [`sin_cos`] of `N` phases at once: `sin[j]`, `cos[j]` are bit for
 /// bit what `sin_cos(x[j])` returns. Same reduction and polynomials,
 /// but written without a call or a branch — `round()` (a libm call on
-/// the baseline x86-64 target) becomes the [`ROUND_MAGIC`]
+/// the baseline x86-64 target) becomes the `ROUND_MAGIC`
 /// add/subtract with an exact fix-up of its ties-to-even, and the
 /// quadrant `match` becomes mask selects and sign-bit XORs — so the
 /// element-wise loop compiles to packed arithmetic. Callers keep their

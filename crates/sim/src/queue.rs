@@ -17,7 +17,7 @@
 //!   [`EventQueue::with_grid`] knows the slot clock most of its events
 //!   fall on — a cell's TDD slots: every delay of the radio model is a
 //!   whole number of them. An event exactly on that grid and fewer than
-//!   [`HORIZON`] slots ahead joins the list of its instant, in a ring of
+//!   `HORIZON` slots ahead joins the list of its instant, in a ring of
 //!   buckets indexed by slot number; an occupancy mask of one bit per
 //!   bucket finds the next instant. A list holds its nodes in scheduling
 //!   order, which is sequence order, so appending is all the ordering it
