@@ -1,7 +1,8 @@
 //! Fig. 21 — processing time of the three L4Span events (downlink
 //! packet, uplink ACK, RAN feedback) measured wall-clock inside a busy
-//! multi-UE cell. Criterion micro-benchmarks of the same paths live in
-//! `benches/event_processing.rs`.
+//! multi-UE cell. Micro-benchmarks of the same paths are the
+//! benchmark's `core.marker.{dl_packet_ns_1drb, ul_packet_ns,
+//! ran_feedback_ns}` rows, in `benchmark/src/drivers/core.rs`.
 //!
 //! `cargo run --release -p l4span-bench --bin fig21`
 

@@ -11,6 +11,8 @@
 //! payload, so L4Span can only mark the downlink IP header — exactly the
 //! fallback path of §4.4.
 
+use std::num::NonZeroU32;
+
 use crate::cc::FeedbackGate;
 use l4span_net::{Ecn, PacketBuf};
 use l4span_sim::{Duration, Instant};
@@ -43,22 +45,17 @@ pub struct ScreamFeedback {
 struct RtpPkt {
     len: usize,
     frame: u64,
-    /// `Some(created_at)` on the frame's final packet.
-    frame_end: Option<Instant>,
+    /// The frame's final packet.
+    last: bool,
 }
 
-/// Emission-time record of a frame's last packet: the wire send counter
-/// it rode (its low 16 bits are the IP identification), the frame id,
-/// and the encoder's capture timestamp. The harness drains these to join
-/// frame creation to UE-side delivery (per-frame one-way delay).
-#[derive(Debug, Clone, Copy)]
-pub struct FrameMark {
-    /// Send counter of the frame's last packet (`& 0xFFFF` = IP ident).
-    pub wire_seq: u64,
-    /// Frame id (0-based generation order).
-    pub frame: u64,
-    /// Encoder capture timestamp.
-    pub created: Instant,
+/// The id frame `frame` (0-based generation order) carries on its last
+/// packet ([`PacketBuf::mark_frame_end`]): ids count from 1.
+fn frame_id(frame: u64) -> NonZeroU32 {
+    u32::try_from(frame + 1)
+        .ok()
+        .and_then(NonZeroU32::new)
+        .expect("a call generates fewer than 2^32 frames")
 }
 
 /// SCReAM sender: media source + window-based rate adaptation.
@@ -90,8 +87,6 @@ pub struct ScreamSender {
     frame_count: u64,
     /// Frames at least partially discarded by the queue discipline.
     dropped_frames: std::collections::BTreeSet<u64>,
-    /// Emission-time marks of complete frames, for the harness to drain.
-    frame_marks: Vec<FrameMark>,
     /// Cumulative frames the encoder produced (QoE denominator).
     pub frames_generated: u64,
     /// Cumulative frames the encoder's queue discipline discarded (in
@@ -149,7 +144,6 @@ impl ScreamSender {
             keyframe_boost: 1.0,
             frame_count: 0,
             dropped_frames: std::collections::BTreeSet::new(),
-            frame_marks: Vec::new(),
             frames_generated: 0,
             frames_dropped: 0,
             sent_log: std::collections::VecDeque::new(),
@@ -163,7 +157,7 @@ impl ScreamSender {
             srtt: Duration::from_millis(50),
             last_reduction: Instant::ZERO,
             ident: 0,
-        media_bytes: 0,
+            media_bytes: 0,
         }
     }
 
@@ -184,10 +178,13 @@ impl ScreamSender {
         self.target_bps
     }
 
-    /// Drain the emission-time marks of complete frames into `out` (the
-    /// harness joins them to UE-side deliveries for per-frame QoE).
-    pub fn take_frame_marks_into(&mut self, out: &mut Vec<FrameMark>) {
-        out.append(&mut self.frame_marks);
+    /// The encoder's capture instant of the frame `frame` names (the id
+    /// on its last packet, [`PacketBuf::frame_end`]). Frame `k` is
+    /// captured at `k` frame intervals: `poll_into` steps its capture
+    /// clock from zero by the interval, so the instant is derived, not
+    /// stored.
+    pub fn frame_captured(&self, frame: NonZeroU32) -> Instant {
+        Instant::ZERO + self.frame_interval * u64::from(frame.get() - 1)
     }
 
     /// The DCTCP-style CE fraction EWMA (diagnostics).
@@ -219,8 +216,6 @@ impl ScreamSender {
     pub fn poll_into(&mut self, now: Instant, out: &mut Vec<PacketBuf>) {
         // Frame generation.
         while now >= self.next_frame_at {
-            // The encoder's capture timestamp is the nominal frame time.
-            let created = self.next_frame_at;
             let frame = self.frame_count;
             let frame_bytes = if self.keyframe_every >= 2 {
                 // I/P pattern around the same GOP-average size.
@@ -243,7 +238,7 @@ impl ScreamSender {
                 self.rtp_queue.push_back(RtpPkt {
                     len: take,
                     frame,
-                    frame_end: (left == take).then_some(created),
+                    last: left == take,
                 });
                 self.next_seq += 1;
                 left -= take;
@@ -261,7 +256,7 @@ impl ScreamSender {
                 if self.dropped_frames.insert(p.frame) {
                     self.frames_dropped += 1;
                 }
-                if p.frame_end.is_some() {
+                if p.last {
                     self.dropped_frames.remove(&p.frame);
                 }
             }
@@ -275,18 +270,7 @@ impl ScreamSender {
             // RTP seq is internal; the wire counter is n_sent.
             self.n_sent += 1;
             self.ident = (self.n_sent & 0xFFFF) as u16;
-            if let Some(created) = p.frame_end {
-                // Suppress the mark if the head of this frame was
-                // discarded by the queue discipline: it arrives corrupt.
-                if !self.dropped_frames.remove(&p.frame) {
-                    self.frame_marks.push(FrameMark {
-                        wire_seq: self.n_sent,
-                        frame: p.frame,
-                        created,
-                    });
-                }
-            }
-            out.push(PacketBuf::udp(
+            let mut pkt = PacketBuf::udp(
                 self.src_ip,
                 self.dst_ip,
                 self.ecn(),
@@ -294,7 +278,14 @@ impl ScreamSender {
                 self.src_port,
                 self.dst_port,
                 p.len,
-            ));
+            );
+            // The last packet of a frame names it, like RTP's marker
+            // bit: its arrival completes the frame. Not if the queue
+            // discipline discarded the frame's head: it arrives corrupt.
+            if p.last && !self.dropped_frames.remove(&p.frame) {
+                pkt.mark_frame_end(frame_id(p.frame));
+            }
+            out.push(pkt);
             self.bytes_in_flight += p.len;
             self.sent_bytes += p.len as u64;
             self.sent_log.push_back((self.n_sent, now));
@@ -503,24 +494,52 @@ mod tests {
         assert_eq!(pa.len(), pb.len());
     }
 
+    /// The frame ids the packets carry, in emission order.
+    fn frame_ends(pkts: &[PacketBuf]) -> Vec<u32> {
+        pkts.iter().filter_map(|p| p.frame_end()).map(NonZeroU32::get).collect()
+    }
+
     #[test]
-    fn frame_marks_record_complete_frames_at_emission() {
-        let mut s = sender(true);
-        let pkts = poll(&mut s, Instant::ZERO);
-        assert!(!pkts.is_empty());
-        let mut marks = Vec::new();
-        s.take_frame_marks_into(&mut marks);
-        assert_eq!(marks.len(), 1, "one frame emitted, one mark");
-        assert_eq!(marks[0].frame, 0);
-        assert_eq!(marks[0].created, Instant::ZERO);
-        // The mark's wire seq is the last packet's ident.
-        assert_eq!(
-            (marks[0].wire_seq & 0xFFFF) as u16,
-            pkts.last().unwrap().ip().identification
-        );
-        // Draining twice yields nothing new.
-        s.take_frame_marks_into(&mut marks);
-        assert_eq!(marks.len(), 1);
+    fn only_the_last_packet_of_an_intact_frame_carries_its_id() {
+        // 30 fps: the interval, 33 333 333 ns, is not a whole number of
+        // milliseconds, so a drifting derivation would show.
+        let mut s = ScreamSender::new(1, 2, 5004, 5006, 0.5e6, 2e6, 20e6, 30.0, true);
+        s.cwnd = 1e9; // never window-limited
+        let interval = Duration::from_secs_f64(1.0 / 30.0);
+        // The capture clock the sender steps, frame by frame.
+        let mut captured = Instant::ZERO;
+        for k in 0..90u32 {
+            let pkts = poll(&mut s, captured);
+            assert!(pkts.len() > 1, "frame {k} spans several packets");
+            let (last, head) = pkts.split_last().unwrap();
+            assert!(head.iter().all(|p| p.frame_end().is_none()), "frame {k}");
+            let id = last.frame_end().expect("the last packet names its frame");
+            assert_eq!(id.get(), k + 1, "ids count from 1");
+            assert_eq!(s.frame_captured(id), captured, "frame {k}'s capture instant");
+            captured += interval;
+        }
+    }
+
+    #[test]
+    fn a_frame_whose_head_was_discarded_carries_no_id() {
+        // GOPs of three frames (20 kB keyframe, two 5 kB deltas) against
+        // the 400 ms cap of 100 kB: the tenth frame overflows it by
+        // 10 kB, which the discipline takes off the front of the 20 kB
+        // keyframe 0, leaving its tail queued.
+        let mut s = sender(true).with_keyframes(3, 2.0);
+        s.cwnd = 0.0;
+        let mut t = Instant::ZERO;
+        for _ in 0..10 {
+            assert!(poll(&mut s, t).is_empty());
+            t += Duration::from_millis(40);
+        }
+        assert_eq!(s.frames_dropped, 1);
+        assert!(s.dropped_frames.contains(&0), "frame 0 lost its head, not its tail");
+        s.cwnd = 1e9;
+        let pkts = poll(&mut s, t - Duration::from_millis(40));
+        assert!(pkts.last().is_some_and(|p| p.frame_end().is_some()));
+        assert_eq!(frame_ends(&pkts), (2..=10).collect::<Vec<u32>>(), "frames 1 to 9 only");
+        assert!(s.dropped_frames.is_empty(), "frame 0's tail left the queue");
     }
 
     #[test]
@@ -534,9 +553,11 @@ mod tests {
             t += Duration::from_millis(40);
         }
         assert!(s.frames_dropped > 0, "queue discipline engaged");
-        let mut marks = Vec::new();
-        s.take_frame_marks_into(&mut marks);
-        assert!(marks.is_empty(), "nothing emitted, nothing marked");
+        // Whatever the discipline left completes, one id per frame.
+        s.cwnd = 1e9;
+        let pkts = poll(&mut s, t);
+        let ends = frame_ends(&pkts).len() as u64;
+        assert_eq!(ends, s.frames_generated - s.frames_dropped);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! [`Endpoint::Vacant`], stands in a replica for a flow another replica
 //! owns, and panics if driven.
 
-use l4span_cc::scream::{FrameMark, ScreamFeedback, ScreamReceiver, ScreamSender};
+use l4span_cc::scream::{ScreamFeedback, ScreamReceiver, ScreamSender};
 use l4span_cc::tcp::TcpConfig;
 use l4span_cc::udp_prague::{PragueFeedback, UdpPragueReceiver, UdpPragueSender};
 use l4span_cc::{CcEvent, FecFeedback, FecMediaReceiver, FecMediaSender, TcpReceiver, TcpSender};
@@ -68,8 +68,6 @@ pub(crate) struct Released {
     pub pkts: Vec<PacketBuf>,
     /// Data packets that name their own leg (FEC media pre-stripes).
     pub leg_pkts: Vec<(u8, PacketBuf)>,
-    /// Frames whose last packet was just emitted (SCReAM).
-    pub frame_marks: Vec<FrameMark>,
 }
 
 /// What one arriving feedback packet told the world about the sender.
@@ -87,6 +85,9 @@ pub(crate) struct Delivery {
     pub feedback: Option<Feedback>,
     /// In-order byte watermark (byte-stream transports only).
     pub tcp_watermark: Option<u64>,
+    /// The capture instant of the media frame this packet completed
+    /// (SCReAM: the packet carried the frame's id).
+    pub frame_captured: Option<Instant>,
 }
 
 /// A freshly lowered flow: its endpoint, registered data-direction
@@ -286,10 +287,7 @@ impl Endpoint {
     pub(crate) fn poll(&mut self, now: Instant, out: &mut Released) {
         match self {
             Endpoint::Tcp { sender, .. } => sender.poll_into(now, &mut out.pkts),
-            Endpoint::Scream { sender, .. } => {
-                sender.poll_into(now, &mut out.pkts);
-                sender.take_frame_marks_into(&mut out.frame_marks);
-            }
+            Endpoint::Scream { sender, .. } => sender.poll_into(now, &mut out.pkts),
             Endpoint::UdpPrague { sender, .. } => sender.poll_into(now, &mut out.pkts),
             Endpoint::FecMedia { sender, .. } => sender.poll_into(now, &mut out.leg_pkts),
             Endpoint::Vacant => vacant(),
@@ -331,7 +329,6 @@ impl Endpoint {
                     up.srtt = Some(sender.srtt());
                 }
                 sender.poll_into(now, &mut out.pkts);
-                sender.take_frame_marks_into(&mut out.frame_marks);
             }
             Endpoint::UdpPrague { sender, .. } => {
                 if let Some(FbData::Prague(fb)) = data {
@@ -353,24 +350,25 @@ impl Endpoint {
         up
     }
 
-    /// Data packet `pkt` reached the receiver on bonded leg `leg` (0 for
-    /// unbonded flows). `coupled` is the world's shared-bottleneck
-    /// verdict for bonded flows, which FEC media echoes to its sender.
+    /// Data packet `pkt` reached the receiver on the bonded leg stamped
+    /// on it (0 for unbonded flows). `coupled` is the world's
+    /// shared-bottleneck verdict for bonded flows, which FEC media
+    /// echoes to its sender.
     pub(crate) fn on_data(
         &mut self,
         pkt: &PacketBuf,
-        leg: u8,
         coupled: Option<bool>,
         now: Instant,
     ) -> Delivery {
-        let mut tcp_watermark = None;
+        let (mut tcp_watermark, mut frame_captured) = (None, None);
         let feedback = match self {
             Endpoint::Tcp { receiver, .. } => {
                 let ack = receiver.on_packet(pkt, now);
                 tcp_watermark = Some(receiver.received);
                 ack.map(|pkt| Feedback { pkt, data: None })
             }
-            Endpoint::Scream { receiver, .. } => {
+            Endpoint::Scream { sender, receiver } => {
+                frame_captured = pkt.frame_end().map(|frame| sender.frame_captured(frame));
                 Feedback::report(receiver.on_packet(pkt, now), FbData::Scream)
             }
             Endpoint::UdpPrague { receiver, .. } => {
@@ -380,11 +378,11 @@ impl Endpoint {
                 if let Some(c) = coupled {
                     receiver.set_coupled(c);
                 }
-                Feedback::report(receiver.on_packet(pkt, leg, now), FbData::Fec)
+                Feedback::report(receiver.on_packet(pkt, pkt.leg(), now), FbData::Fec)
             }
             Endpoint::Vacant => vacant(),
         };
-        Delivery { feedback, tcp_watermark }
+        Delivery { feedback, tcp_watermark, frame_captured }
     }
 
     /// Emit a report the prohibit interval suppressed, once it is due.

@@ -1,8 +1,8 @@
 //! Measurement plumbing and the final [`Report`].
 //!
-//! A world writes its samples into one `Recorder` — the only code that
-//! knows how they are stored — and the recorder assembles them into the
-//! report's series at the end of the run. Each sample is stored once, at
+//! A world writes its samples and counters into one `Recorder` — the
+//! only code that knows how they are stored — and the recorder assembles
+//! them into the report's series at the end of the run. Each sample is stored once, at
 //! the width its value needs: a queue length as a `u32` beside the runs
 //! of its serving cell, an estimation error as one 16-byte record.
 
@@ -11,7 +11,9 @@ use std::collections::{BTreeMap, VecDeque};
 use l4span_ran::rlc::{Sn, TxRecord};
 use l4span_sim::{stats::BoxStats, CycleStat, Duration, Instant};
 
+use crate::app::UnitKind;
 use crate::impairment::ImpairmentCounters;
+use crate::scenario::{FlowDir, FlowSpec, ScenarioConfig};
 use crate::shard::ShardReject;
 
 /// One congestion-control classic-fallback transition: a Prague sender
@@ -935,44 +937,90 @@ fn queue_sample(len: usize) -> QueueSample {
     QueueSample::try_from(len).expect("an RLC queue holds fewer than 2^32 SDUs")
 }
 
-/// The run-time sample store of a world: per-flow one-way delays and
-/// RTTs, the estimation-error log, and per (UE, DRB) the breakdown
-/// window, ground-truth log and queue series. The world writes through
-/// the methods below and hands the store to [`Recorder::finish`], which
-/// assembles the report's series. Logs are indexed by flow and rows by
-/// UE, so a shard replica's share swaps with its owner
-/// ([`Recorder::swap_ue`], [`Recorder::swap_flow`]) and the replicas'
+/// What the recorder keeps per flow.
+#[derive(Default)]
+struct FlowRow {
+    /// The flow's UE and data direction.
+    ue: usize,
+    dir: FlowDir,
+    /// One-way delays as `(ms, sample time s)` pairs: one push per
+    /// sample, split into the report's two series at the end.
+    owd: Vec<(f64, f64)>,
+    /// Uplink data one-way delays (UE sender → server), paired like
+    /// `owd`.
+    ul_owd: Vec<(f64, f64)>,
+    /// Smoothed RTTs, paired like `owd`.
+    rtt: Vec<(f64, f64)>,
+    /// Received payload bytes per throughput bin.
+    thr: Vec<u64>,
+    /// Delay breakdown of the delivered downlink packets.
+    breakdown: BreakdownAvg,
+    /// Delivered frames' one-way delays (capture → complete), ms; one
+    /// per frame delivered.
+    frame_owd_ms: Vec<f64>,
+    /// Frames an application offered the transport (a media source
+    /// inside the sender counts its own: [`Recorder::finish`]).
+    frames_generated: u64,
+    /// Frames that missed their deadline: delivered late, and from the
+    /// end of the run those never delivered.
+    frames_missed: u64,
+    /// Playback stall, ms: the deadline excess of late frames, and from
+    /// the end of the run one frame interval per frame never delivered.
+    stall_ms: f64,
+    /// Request/burst completion times, ms.
+    request_ms: Vec<f64>,
+}
+
+/// What the recorder keeps per UE.
+#[derive(Default)]
+struct UeRow {
+    /// `[drb]`: the per-bearer rows, grown to the highest DRB id at
+    /// first use.
+    drbs: Vec<DrbRow>,
+    /// The UE's handovers in time order. The last one's gap is open
+    /// (`first_delivery_after` is `None`) until the next delivery.
+    handovers: Vec<HandoverRecord>,
+    /// Time of the last payload-bearing downlink delivery.
+    last_delivery: Option<Instant>,
+}
+
+/// The run-time metric store of a world, its one sink: a row per flow,
+/// a row per UE, the per-cell throughput bins and the estimation-error
+/// log. The world writes through the methods below and hands the store
+/// to [`Recorder::finish`], which assembles the report's series. A shard
+/// replica's share swaps with its owner row by row ([`Recorder::swap_flow`],
+/// [`Recorder::swap_ue`], [`Recorder::swap_cell`]) and the replicas'
 /// estimation-error logs fold into one ([`Recorder::absorb`]).
 pub(crate) struct Recorder {
-    /// Per-flow one-way delays as `(ms, sample time s)` pairs: one push
-    /// per sample, split into the report's two series at the end.
-    owd: Vec<Vec<(f64, f64)>>,
-    /// Per-flow uplink data one-way delays (UE sender → server), paired
-    /// like `owd`.
-    ul_owd: Vec<Vec<(f64, f64)>>,
-    /// Per-flow smoothed RTTs, paired like `owd`.
-    rtt: Vec<Vec<(f64, f64)>>,
+    flows: Vec<FlowRow>,
+    ues: Vec<UeRow>,
+    /// Delivered payload bytes per throughput bin, per cell serving the
+    /// receiving UE at delivery time.
+    cells: Vec<Vec<u64>>,
     /// Estimation-error samples in push order; sorted by key at the end,
     /// which merges the replicas' logs into one world's order.
     rate_err: Vec<RateErr>,
-    /// `[ue][drb]`: the per-bearer rows. A UE's rows grow to its highest
-    /// DRB id at first use.
-    rows: Vec<Vec<DrbRow>>,
     /// Sample ticks in the run: what a queue series reserves.
     ticks: usize,
+    /// Throughput bin width, ns.
+    bin_ns: u64,
+    /// Throughput bins in the run: what a bin series reserves.
+    bins: usize,
 }
 
 impl Recorder {
-    /// An empty store for `flows` flows and `ues` UEs over a run of
-    /// `duration`.
-    pub(crate) fn new(flows: usize, ues: usize, duration: Duration) -> Recorder {
+    /// An empty store for `cfg`'s flows, UEs and cells.
+    pub(crate) fn new(cfg: &ScenarioConfig) -> Recorder {
+        let bin_ns = cfg.thr_bin.as_nanos().max(1);
+        let flow = |f: &FlowSpec| FlowRow { ue: f.ue, dir: f.dir, ..FlowRow::default() };
         Recorder {
-            owd: vec![Vec::new(); flows],
-            ul_owd: vec![Vec::new(); flows],
-            rtt: vec![Vec::new(); flows],
+            flows: cfg.flows.iter().map(flow).collect(),
+            ues: (0..cfg.ues.len()).map(|_| UeRow::default()).collect(),
+            cells: vec![Vec::new(); cfg.n_cells()],
             rate_err: Vec::new(),
-            rows: (0..ues).map(|_| Vec::new()).collect(),
-            ticks: (duration.as_nanos() / SAMPLE_PERIOD.as_nanos()) as usize,
+            ticks: (cfg.duration.as_nanos() / SAMPLE_PERIOD.as_nanos()) as usize,
+            bin_ns,
+            bins: (cfg.duration.as_nanos() / bin_ns) as usize + 1,
         }
     }
 
@@ -981,39 +1029,123 @@ impl Recorder {
     /// window if `in_air`.
     #[inline]
     pub(crate) fn on_txed(&mut self, ue: usize, drb: u8, rec: &TxRecord, gt: bool, in_air: bool) {
-        drb_row(&mut self.rows[ue], drb).on_txed(rec, gt, in_air);
+        drb_row(&mut self.ues[ue].drbs, drb).on_txed(rec, gt, in_air);
     }
 
     /// The `(queuing ms, scheduling ms)` of the SDU `ue`'s bearer `drb`
     /// delivered under `sn`, leaving the breakdown window.
     #[inline]
     pub(crate) fn take_in_air(&mut self, ue: usize, drb: u8, sn: Sn) -> Option<(f64, f64)> {
-        self.rows[ue].get_mut(usize::from(drb))?.take_in_air(sn)
+        self.ues[ue].drbs.get_mut(usize::from(drb))?.take_in_air(sn)
     }
 
-    /// A downlink one-way delay of `flow`, delivered at `now`.
-    #[inline]
-    pub(crate) fn push_owd(&mut self, flow: usize, ms: f64, now: Instant) {
-        self.owd[flow].push((ms, now.as_secs_f64()));
-    }
-
-    /// An uplink one-way delay of `flow`, delivered at `now`.
-    #[inline]
-    pub(crate) fn push_ul_owd(&mut self, flow: usize, ms: f64, now: Instant) {
-        self.ul_owd[flow].push((ms, now.as_secs_f64()));
+    /// `bytes` of `flow`'s payload reached its receiver at `now`, `ms`
+    /// after they left the sender, while `cell` served the flow's UE: a
+    /// one-way delay sample, throughput for the flow and the cell, and
+    /// for a downlink flow the end of the delivery gap a handover of the
+    /// UE left open. Each bin series is sized for the whole run when it
+    /// first appears; its length still ends at the last bin that saw a
+    /// delivery.
+    pub(crate) fn push_delivery(
+        &mut self,
+        flow: usize,
+        cell: usize,
+        ms: f64,
+        bytes: usize,
+        now: Instant,
+    ) {
+        let row = &mut self.flows[flow];
+        let sample = (ms, now.as_secs_f64());
+        match row.dir {
+            FlowDir::Uplink => row.ul_owd.push(sample),
+            FlowDir::Downlink => {
+                row.owd.push(sample);
+                let ue = &mut self.ues[row.ue];
+                ue.last_delivery = Some(now);
+                let open = ue.handovers.last_mut().filter(|h| h.first_delivery_after.is_none());
+                if let Some(h) = open {
+                    h.first_delivery_after = Some(now);
+                }
+            }
+        }
+        let bin = (now.as_nanos() / self.bin_ns) as usize;
+        for bins in [&mut row.thr, &mut self.cells[cell]] {
+            let bins = run_sized(bins, self.bins);
+            if bins.len() <= bin {
+                bins.resize(bin + 1, 0);
+            }
+            bins[bin] += bytes as u64;
+        }
     }
 
     /// A smoothed-RTT reading of `flow`'s sender at `now`.
     #[inline]
     pub(crate) fn push_rtt(&mut self, flow: usize, ms: f64, now: Instant) {
-        self.rtt[flow].push((ms, now.as_secs_f64()));
+        self.flows[flow].rtt.push((ms, now.as_secs_f64()));
+    }
+
+    /// The delay breakdown of a downlink packet of `flow` that arrived
+    /// `owd` ms after it left the server: `prop` ms on the WAN and core,
+    /// `(queuing, scheduling)` ms in the RLC queue, the rest transmission.
+    pub(crate) fn push_breakdown(&mut self, flow: usize, owd: f64, prop: f64, rlc: (f64, f64)) {
+        let (queuing, scheduling) = rlc;
+        let other = (owd - prop - queuing - scheduling).max(0.0);
+        let b = Breakdown { propagation: prop, queuing, scheduling, other };
+        self.flows[flow].breakdown.push(b);
+    }
+
+    /// `flow`'s application offered `frames` more frames.
+    pub(crate) fn push_frames_generated(&mut self, flow: usize, frames: u64) {
+        self.flows[flow].frames_generated += frames;
+    }
+
+    /// A unit of `flow` created at `created` completed at `now`: a
+    /// frame (late past `deadline`, if it has one) or a request.
+    pub(crate) fn push_unit(
+        &mut self,
+        flow: usize,
+        kind: UnitKind,
+        created: Instant,
+        deadline: Option<Duration>,
+        now: Instant,
+    ) {
+        let row = &mut self.flows[flow];
+        let ms = now.saturating_since(created).as_millis_f64();
+        match kind {
+            UnitKind::Frame => {
+                row.frame_owd_ms.push(ms);
+                if let Some(d) = deadline {
+                    let d_ms = d.as_millis_f64();
+                    if ms > d_ms {
+                        row.frames_missed += 1;
+                        row.stall_ms += ms - d_ms;
+                    }
+                }
+            }
+            UnitKind::Request => row.request_ms.push(ms),
+        }
+    }
+
+    /// `ue` handed over from cell `from` to cell `to` at `at`. Its
+    /// delivery gap opens at its last delivery and stays open until the
+    /// next one.
+    pub(crate) fn push_handover(&mut self, ue: usize, at: Instant, from: usize, to: usize) {
+        let row = &mut self.ues[ue];
+        row.handovers.push(HandoverRecord {
+            ue: ue as u16,
+            at,
+            from_cell: from as u8,
+            to_cell: to as u8,
+            last_delivery_before: row.last_delivery,
+            first_delivery_after: None,
+        });
     }
 
     /// A tick's downlink queue length of `ue`'s bearer `drb`, read from
     /// its serving `cell`.
     pub(crate) fn push_dl_queue(&mut self, ue: usize, drb: u8, cell: u8, len: usize) {
         let ticks = self.ticks;
-        let row = drb_row(&mut self.rows[ue], drb);
+        let row = drb_row(&mut self.ues[ue].drbs, drb);
         if row.dl_cells.last().is_none_or(|&(_, c)| c != cell) {
             let first = u32::try_from(row.dl_queue.len()).expect("fewer than 2^32 ticks");
             row.dl_cells.push((first, cell));
@@ -1024,7 +1156,8 @@ impl Recorder {
     /// A tick's UE-side uplink queue length of `ue`'s bearer `drb`.
     pub(crate) fn push_ul_queue(&mut self, ue: usize, drb: u8, len: usize) {
         let ticks = self.ticks;
-        run_sized(&mut drb_row(&mut self.rows[ue], drb).ul_queue, ticks).push(queue_sample(len));
+        let row = drb_row(&mut self.ues[ue].drbs, drb);
+        run_sized(&mut row.ul_queue, ticks).push(queue_sample(len));
     }
 
     /// A tick's estimation error on each of `ue`'s bearers: the ground
@@ -1041,7 +1174,7 @@ impl Recorder {
         window: Duration,
         mut estimate: impl FnMut(u8) -> Option<f64>,
     ) {
-        for (drb, row) in self.rows[ue].iter_mut().enumerate() {
+        for (drb, row) in self.ues[ue].drbs.iter_mut().enumerate() {
             let drb = drb as u8;
             let Some(gt) = row.ground_truth(now, window) else { continue };
             if gt > 50_000.0 {
@@ -1053,16 +1186,19 @@ impl Recorder {
         }
     }
 
-    /// Swap `ue`'s rows between two replicas' stores.
+    /// Swap `ue`'s row between two replicas' stores.
     pub(crate) fn swap_ue(a: &mut Recorder, b: &mut Recorder, ue: usize) {
-        std::mem::swap(&mut a.rows[ue], &mut b.rows[ue]);
+        std::mem::swap(&mut a.ues[ue], &mut b.ues[ue]);
     }
 
-    /// Swap `flow`'s logs between two replicas' stores.
+    /// Swap `flow`'s row between two replicas' stores.
     pub(crate) fn swap_flow(a: &mut Recorder, b: &mut Recorder, flow: usize) {
-        std::mem::swap(&mut a.owd[flow], &mut b.owd[flow]);
-        std::mem::swap(&mut a.ul_owd[flow], &mut b.ul_owd[flow]);
-        std::mem::swap(&mut a.rtt[flow], &mut b.rtt[flow]);
+        std::mem::swap(&mut a.flows[flow], &mut b.flows[flow]);
+    }
+
+    /// Swap `cell`'s throughput bins between two replicas' stores.
+    pub(crate) fn swap_cell(a: &mut Recorder, b: &mut Recorder, cell: usize) {
+        std::mem::swap(&mut a.cells[cell], &mut b.cells[cell]);
     }
 
     /// Fold another replica's estimation-error log into this one.
@@ -1070,20 +1206,29 @@ impl Recorder {
         self.rate_err.append(&mut other.rate_err);
     }
 
-    /// Assemble the store into `r`'s sample series. The estimation-error
-    /// samples go in `(tick, (ue, drb))` order: a no-op for a world that
-    /// ran on one queue and a correct merge for a sharded one. The key
-    /// is unique (a DRB is sampled once per tick, by the one replica
-    /// serving it), so the in-place unstable sort gives the stable
-    /// sort's result without its scratch buffer. A queue series that
-    /// never took a sample has no key.
-    pub(crate) fn finish(self, r: &mut Report) {
-        let mut rate_err = self.rate_err;
+    /// Assemble the store into `r`'s series, given per flow what only the
+    /// world knows: the frames a media source inside the sender generated
+    /// (`None`: the offers counted here) and the frame interval. A frame
+    /// never completed by run end (in flight, lost in UM, or discarded by
+    /// the encoder) misses its deadline and stalls playback one interval.
+    /// Handovers go in `(time, ue)` order and estimation errors in
+    /// `(tick, (ue, drb))` order, the one-world push orders, which merges
+    /// the replicas' logs; both keys are unique, so the in-place unstable
+    /// sort gives the stable sort's result without its scratch buffer. A
+    /// queue series that never took a sample has no key.
+    pub(crate) fn finish(
+        self,
+        r: &mut Report,
+        framing: impl Iterator<Item = (Option<u64>, Option<Duration>)>,
+    ) {
+        let Recorder { mut flows, ues, cells, mut rate_err, .. } = self;
         rate_err.sort_unstable_by_key(|e| e.key);
         debug_assert!(rate_err.windows(2).all(|w| w[0].key < w[1].key));
         r.rate_err_pct = rate_err.into_iter().map(|e| e.pct).collect();
-        for (ue, rows) in self.rows.into_iter().enumerate() {
-            for (drb, row) in rows.into_iter().enumerate() {
+        let mut handovers = Vec::new();
+        for (ue, row) in ues.into_iter().enumerate() {
+            handovers.extend(row.handovers);
+            for (drb, row) in row.drbs.into_iter().enumerate() {
                 let key = (ue as u16, drb as u8);
                 if !row.dl_queue.is_empty() {
                     r.queue_series.insert(key, row.dl_queue);
@@ -1094,36 +1239,60 @@ impl Recorder {
                 }
             }
         }
-        (r.owd_ms, r.owd_at_s) = split_samples(self.owd);
-        (r.ul_owd_ms, r.ul_owd_at_s) = split_samples(self.ul_owd);
-        (r.rtt_ms, r.rtt_at_s) = split_samples(self.rtt);
+        handovers.sort_unstable_by_key(|h| (h.at, h.ue));
+        debug_assert!(handovers.windows(2).all(|w| (w[0].at, w[0].ue) < (w[1].at, w[1].ue)));
+        r.handovers = handovers;
+        r.cell_thr_bins = cells;
+        for (row, (in_sender, interval)) in flows.iter_mut().zip(framing) {
+            row.frames_generated = in_sender.unwrap_or(row.frames_generated);
+            let undelivered = row.frames_generated.saturating_sub(row.frame_owd_ms.len() as u64);
+            row.frames_missed += undelivered;
+            row.stall_ms += undelivered as f64 * interval.map_or(0.0, |i| i.as_millis_f64());
+        }
+        r.frames_generated = flows.iter().map(|f| f.frames_generated).collect();
+        r.frames_delivered = flows.iter().map(|f| f.frame_owd_ms.len() as u64).collect();
+        r.frames_missed = flows.iter().map(|f| f.frames_missed).collect();
+        r.stall_ms = flows.iter().map(|f| f.stall_ms).collect();
+        r.breakdown = flows.iter().map(|f| f.breakdown).collect();
+        (r.owd_ms, r.owd_at_s) = split_samples(&mut flows, |f| &mut f.owd);
+        (r.ul_owd_ms, r.ul_owd_at_s) = split_samples(&mut flows, |f| &mut f.ul_owd);
+        (r.rtt_ms, r.rtt_at_s) = split_samples(&mut flows, |f| &mut f.rtt);
+        use std::mem::take;
+        r.thr_bins = flows.iter_mut().map(|f| take(&mut f.thr)).collect();
+        r.frame_owd_ms = flows.iter_mut().map(|f| take(&mut f.frame_owd_ms)).collect();
+        r.request_ms = flows.iter_mut().map(|f| take(&mut f.request_ms)).collect();
     }
 
     /// Downlink queue samples taken so far, over every bearer.
     #[cfg(test)]
     pub(crate) fn dl_queue_samples(&self) -> usize {
-        self.rows.iter().flatten().map(|r| r.dl_queue.len()).sum()
+        self.ues.iter().flat_map(|u| &u.drbs).map(|r| r.dl_queue.len()).sum()
     }
 
     /// The send times in every bearer's ground-truth log.
     #[cfg(test)]
     pub(crate) fn ground_truth_log(&self) -> impl Iterator<Item = Instant> + '_ {
-        self.rows.iter().flatten().flat_map(|r| r.gt.iter().map(|&(t, _)| t))
+        self.ues.iter().flat_map(|u| &u.drbs).flat_map(|r| r.gt.iter().map(|&(t, _)| t))
     }
 
     /// The most SDUs any bearer's breakdown window holds.
     #[cfg(test)]
     pub(crate) fn widest_in_air(&self) -> usize {
-        self.rows.iter().flatten().map(|r| r.in_air.len()).max().unwrap_or(0)
+        self.ues.iter().flat_map(|u| &u.drbs).map(|r| r.in_air.len()).max().unwrap_or(0)
     }
 }
 
-/// Split per-flow `(value, t)` samples into the report's value and time
-/// series, one flow at a time, each vector sized to its flow's count.
-fn split_samples(series: Vec<Vec<(f64, f64)>>) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let mut values = Vec::with_capacity(series.len());
-    let mut times = Vec::with_capacity(series.len());
-    for pairs in series {
+/// Split the flows' `(value, t)` samples in `series` into the report's
+/// value and time series, one flow at a time, each vector sized to its
+/// flow's count and each flow's pairs freed once split.
+fn split_samples(
+    flows: &mut [FlowRow],
+    series: impl Fn(&mut FlowRow) -> &mut Vec<(f64, f64)>,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let mut values = Vec::with_capacity(flows.len());
+    let mut times = Vec::with_capacity(flows.len());
+    for f in flows {
+        let pairs = std::mem::take(series(f));
         values.push(pairs.iter().map(|&(v, _)| v).collect());
         times.push(pairs.iter().map(|&(_, t)| t).collect());
     }
@@ -1200,12 +1369,14 @@ mod tests {
 
     #[test]
     fn the_per_cell_view_is_cut_from_the_runs() {
-        let mut rec = Recorder::new(0, 1, Duration::from_millis(80));
+        let mut cfg = ScenarioConfig::new(7, Duration::from_millis(80));
+        cfg.ues.push(crate::UeSpec::simple(l4span_ran::ChannelProfile::Static, 20.0));
+        let mut rec = Recorder::new(&cfg);
         for (cell, len) in [(0, 5), (0, 6), (1, 7), (0, 8), (0, 9), (2, 10)] {
             rec.push_dl_queue(0, 1, cell, len);
         }
         let mut r = Report::default();
-        rec.finish(&mut r);
+        rec.finish(&mut r, std::iter::empty());
         assert_eq!(r.queue_series[&(0, 1)], [5, 6, 7, 8, 9, 10]);
         assert_eq!(r.queue_cell_runs[&(0, 1)], [(0, 0), (2, 1), (3, 0), (5, 2)]);
         let per_cell = r.cell_queue_series();

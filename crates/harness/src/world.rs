@@ -23,12 +23,9 @@ use l4span_sim::{CycleScope, Duration, EventQueue, FxHashMap, Instant, SimRng};
 
 use crate::app::{AppUnit, Application, UnitKind};
 use crate::bond::{BondJoin, BondTx, SbdDetector};
-use crate::endpoint::{self, Built, Endpoint, FbData, Feedback, Released};
+use crate::endpoint::{self, Built, Delivery, Endpoint, FbData, Feedback, Released};
 use crate::marker::Marker;
-use crate::metrics::{
-    run_sized, BondStat, Breakdown, BreakdownAvg, FallbackRecord, HandoverRecord, Recorder,
-    Report, UplinkStats, SAMPLE_PERIOD,
-};
+use crate::metrics::{BondStat, FallbackRecord, Recorder, Report, UplinkStats, SAMPLE_PERIOD};
 use crate::scenario::{FlowDir, ScenarioConfig};
 use crate::wired::{HopSink, WiredPlane};
 
@@ -127,9 +124,6 @@ struct Flow {
     /// in stream order — completed against the TCP receiver's in-order
     /// watermark.
     pending_units: VecDeque<AppUnit>,
-    /// Sender-paced media: data ident of a frame's last packet →
-    /// encoder capture time, completed at delivery of that packet.
-    frame_pending: FxHashMap<u16, Instant>,
     /// Frame cadence + deadline for QoE accounting (framed apps only).
     framed: Option<(Duration, Duration)>,
     /// Dual-connectivity state ([`crate::scenario::FlowSpec::bond`]).
@@ -150,7 +144,6 @@ impl Flow {
             fb_pending: FxHashMap::default(),
             app: None,
             pending_units: VecDeque::new(),
-            frame_pending: FxHashMap::default(),
             bond: None,
             ..*self
         }
@@ -410,35 +403,10 @@ pub struct World {
     scratch_ul_skips: Vec<(UeId, DrbId, l4span_ran::rlc::RxDelivery)>,
     /// Reused buffer for the SDUs one uplink transport block delivers.
     scratch_ul_decoded: Vec<(DrbId, l4span_ran::rlc::RxDelivery)>,
-    // --- metrics accumulators ---
-    /// The sample store: one-way delays, RTTs, estimation error, and
-    /// the per-bearer rows (breakdown window, ground truth, queues).
+    /// The metric store: per-flow delays, throughput, breakdown and
+    /// QoE, per-UE bearer rows and handover logs, per-cell throughput,
+    /// the estimation-error log.
     rec: Recorder,
-    /// Per-flow delivered-frame one-way delays (QoE).
-    frame_owd_ms: Vec<Vec<f64>>,
-    /// Per-flow frames generated by app-driven sources (the SCReAM path
-    /// keeps its own counter inside the sender).
-    frames_generated: Vec<u64>,
-    /// Per-flow frames delivered complete to the UE.
-    frames_delivered: Vec<u64>,
-    /// Per-flow delivered frames that missed their deadline.
-    frame_late_n: Vec<u64>,
-    /// Per-flow summed deadline excess of late frames, milliseconds.
-    frame_late_excess_ms: Vec<f64>,
-    /// Per-flow request/burst completion times (QoE).
-    request_ms: Vec<Vec<f64>>,
-    thr_bins: Vec<Vec<u64>>,
-    cell_thr_bins: Vec<Vec<u64>>,
-    /// Per-UE handover history. Kept per UE (not as one flat log) so a
-    /// UE's records migrate with it between shard replicas; the report
-    /// flattens them sorted by (time, ue) — the classic push order.
-    ho_log: Vec<Vec<HandoverRecord>>,
-    /// Per-UE time of the last payload-bearing app delivery.
-    last_delivery: Vec<Option<Instant>>,
-    /// Per-UE index into `ho_log[ue]` of a record still awaiting its
-    /// first post-switch delivery.
-    pending_ho: Vec<Option<usize>>,
-    breakdown: Vec<BreakdownAvg>,
     /// The L4Span estimation window when the world samples rate error
     /// against ground truth (an L4Span marker), else `None`.
     est_window: Option<Duration>,
@@ -637,7 +605,6 @@ impl World {
                 has_app: app.is_some(),
                 app,
                 pending_units: VecDeque::new(),
-                frame_pending: FxHashMap::default(),
                 framed,
                 bond,
             });
@@ -727,13 +694,12 @@ impl World {
     }
 
     /// A world of `cfg`'s shape with nothing in it: empty pools and
-    /// scratch buffers, and metric accumulators sized for its flows, UEs
-    /// and cells. [`World::new`] fills in the cells, UEs, markers, flows
+    /// scratch buffers, and a metric store sized for its flows, UEs and
+    /// cells. [`World::new`] fills in the cells, UEs, markers, flows
     /// and the tables it derives; [`World::vacant_replica`] fills in
     /// vacant ones and copies of the tables.
     fn empty(cfg: Arc<ScenarioConfig>) -> World {
-        let (n, n_ues, n_cells) = (cfg.flows.len(), cfg.ues.len(), cfg.n_cells());
-        let rec = Recorder::new(n, n_ues, cfg.duration);
+        let rec = Recorder::new(&cfg);
         let cycles = if cfg.measure_cycles {
             CycleScope::new(CYCLE_LABELS)
         } else {
@@ -773,18 +739,6 @@ impl World {
             scratch_ul_skips: Vec::new(),
             scratch_ul_decoded: Vec::new(),
             rec,
-            frame_owd_ms: vec![Vec::new(); n],
-            frames_generated: vec![0; n],
-            frames_delivered: vec![0; n],
-            frame_late_n: vec![0; n],
-            frame_late_excess_ms: vec![0.0; n],
-            request_ms: vec![Vec::new(); n],
-            thr_bins: vec![Vec::new(); n],
-            cell_thr_bins: vec![Vec::new(); n_cells],
-            ho_log: vec![Vec::new(); n_ues],
-            last_delivery: vec![None; n_ues],
-            pending_ho: vec![None; n_ues],
-            breakdown: vec![BreakdownAvg::default(); n],
             est_window: None,
             marker_time: (Vec::new(), Vec::new(), Vec::new()),
             ho_tbs_lost: 0,
@@ -1271,7 +1225,7 @@ impl World {
                         join.poll(now, &mut joined);
                     }
                     for pkt in joined.drain(..) {
-                        self.deliver_ul_at_server(flow, pkt, 0, now);
+                        self.deliver_ul_at_server(flow, pkt, now);
                     }
                 }
                 self.scratch_join = joined;
@@ -1346,15 +1300,7 @@ impl World {
             self.ul_markers[m].on_handover(ue_id, DrbId(d), self.cfg.marker_ho_policy);
         }
         self.set_serving(ue, target_cell);
-        self.ho_log[ue].push(HandoverRecord {
-            ue: ue as u16,
-            at: now,
-            from_cell: src as u8,
-            to_cell: target_cell as u8,
-            last_delivery_before: self.last_delivery[ue],
-            first_delivery_after: None,
-        });
-        self.pending_ho[ue] = Some(self.ho_log[ue].len() - 1);
+        self.rec.push_handover(ue, now, src, target_cell);
     }
 
     /// Move a UE's marker state (both instances) between per-cell
@@ -1575,39 +1521,26 @@ impl World {
             self.cycles.stop(c0, CYC_METRICS);
             return self.on_feedback_at_sender(flow, &pkt, now);
         }
-        let ident = pkt.identification();
         let payload = pkt.payload_len();
         let owd = now
             .saturating_since(Instant::from_nanos(pkt.sent_ns()))
             .as_millis_f64();
+        let cell = self.serving[ue];
         if payload > 0 {
-            self.rec.push_owd(flow, owd, now);
-            self.record_thr_bins(flow, ue, payload, now);
-            // Handover-interruption accounting: this is a payload
-            // delivery to the UE, closing any pending gap.
-            self.last_delivery[ue] = Some(now);
-            if let Some(h) = self.pending_ho[ue].take() {
-                self.ho_log[ue][h].first_delivery_after = Some(now);
-            }
+            self.rec.push_delivery(flow, cell, owd, payload, now);
         }
-        if let Some((queuing, sched)) = in_air {
-            let core = self.gnbs[self.serving[ue]].config().core_to_cu_delay;
+        if let Some(rlc) = in_air {
+            let core = self.gnbs[cell].config().core_to_cu_delay;
             let prop = (self.flows[flow].wan_one_way + core).as_millis_f64();
-            let other = (owd - prop - queuing - sched).max(0.0);
-            self.breakdown[flow].push(Breakdown {
-                propagation: prop,
-                queuing,
-                scheduling: sched,
-                other,
-            });
+            self.rec.push_breakdown(flow, owd, prop, rlc);
         }
         self.cycles.stop(c0, CYC_METRICS);
         // Hand to the client endpoint.
         let c0 = self.cycles.start();
-        let tcp_watermark = self.receive_data(flow, &pkt, 0, now);
+        let d = self.receive_data(flow, &pkt, now);
         self.cycles.stop(c0, CYC_TRANSPORT);
         let c0 = self.cycles.start();
-        self.complete_stream_units(flow, tcp_watermark, ident, now);
+        self.complete_stream_units(flow, &d, now);
         self.cycles.stop(c0, CYC_METRICS);
     }
 
@@ -1616,30 +1549,15 @@ impl World {
     /// stream units against the TCP in-order watermark, or the SCReAM
     /// frame whose last packet this delivery was. Natively-lowered bulk
     /// flows skip all of it.
-    fn complete_stream_units(
-        &mut self,
-        flow: usize,
-        tcp_watermark: Option<u64>,
-        ident: u16,
-        now: Instant,
-    ) {
-        if let Some(wm) = tcp_watermark {
+    fn complete_stream_units(&mut self, flow: usize, d: &Delivery, now: Instant) {
+        if let Some(wm) = d.tcp_watermark {
             if self.flows[flow].app.is_some() || !self.flows[flow].pending_units.is_empty()
             {
                 self.on_stream_progress(flow, wm, now);
             }
-        } else if let Some(created) = self.flows[flow].frame_pending.remove(&ident) {
-            // The join key is the 16-bit IP ident of the frame's last
-            // packet. If that packet was lost (RLC UM), its entry can
-            // linger until an unrelated packet reuses the ident after
-            // the 65 536-packet wrap; a capture timestamp implausibly
-            // far in the past identifies such a stale entry, which is
-            // dropped (the frame stays counted as never delivered).
-            const STALE_FRAME_MARK: Duration = Duration::from_secs(10);
-            if now.saturating_since(created) < STALE_FRAME_MARK {
-                let deadline = self.flows[flow].framed.map(|(_, d)| d);
-                self.record_unit(flow, UnitKind::Frame, created, deadline, now);
-            }
+        } else if let Some(captured) = d.frame_captured {
+            let deadline = self.flows[flow].framed.map(|(_, d)| d);
+            self.rec.push_unit(flow, UnitKind::Frame, captured, deadline, now);
         }
     }
 
@@ -1873,15 +1791,8 @@ impl World {
     /// Route what a sender released in the flow's data direction,
     /// draining `tx`: downlink data onto the WAN, uplink data onto the
     /// UE's bearer (bonded flows stripe across legs by byte balance;
-    /// leg-tagged releases go straight onto their leg). Frame marks join
-    /// the flow's pending table first (ident of the frame's last packet
-    /// → capture time).
+    /// leg-tagged releases go straight onto their leg).
     fn route_released(&mut self, flow: usize, tx: &mut Released, now: Instant) {
-        for m in tx.frame_marks.drain(..) {
-            self.flows[flow]
-                .frame_pending
-                .insert((m.wire_seq & 0xFFFF) as u16, m.created);
-        }
         let dir = self.flows[flow].dir;
         for pkt in tx.pkts.drain(..) {
             match (dir, &mut self.flows[flow].bond) {
@@ -1900,17 +1811,17 @@ impl World {
 
     /// Hand one data packet to the flow's receiver — at the UE for
     /// downlink flows, at the content server for uplink ones — and send
-    /// what it answers back toward the sender. Returns the receiver's
-    /// in-order byte watermark (byte-stream transports only).
-    fn receive_data(&mut self, flow: usize, pkt: &PacketBuf, leg: u8, now: Instant) -> Option<u64> {
+    /// what it answers back toward the sender. Returns what the packet
+    /// completed, the answer taken out.
+    fn receive_data(&mut self, flow: usize, pkt: &PacketBuf, now: Instant) -> Delivery {
         let f = &mut self.flows[flow];
         // The harness-side detector owns the shared-bottleneck verdict.
         let coupled = f.bond.as_ref().map(|b| b.sbd.coupled());
-        let d = f.endpoint.on_data(pkt, leg, coupled, now);
-        if let Some(fb) = d.feedback {
+        let mut d = f.endpoint.on_data(pkt, coupled, now);
+        if let Some(fb) = d.feedback.take() {
             self.send_feedback(flow, fb, now);
         }
-        d.tcp_watermark
+        d
     }
 
     /// Route a packet travelling against the data direction (SYN, ACK,
@@ -1936,7 +1847,7 @@ impl World {
     fn on_ul_data_at_server(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
         let ident = pkt.identification();
         let payload = pkt.payload_len();
-        let ue = self.flows[flow].ue_idx;
+        let cell = self.serving[self.flows[flow].ue_idx];
         // Attribute the arrival to the bonded leg stamped on it (0 for
         // unbonded) and feed the per-leg OWD to the shared-bottleneck
         // detector.
@@ -1946,8 +1857,7 @@ impl World {
         }
         if payload > 0 {
             let owd = now.saturating_since(Instant::from_nanos(pkt.sent_ns()));
-            self.rec.push_ul_owd(flow, owd.as_millis_f64(), now);
-            self.record_thr_bins(flow, ue, payload, now);
+            self.rec.push_delivery(flow, cell, owd.as_millis_f64(), payload, now);
             if let Some(b) = &mut self.flows[flow].bond {
                 b.sbd.observe(leg, owd, now);
             }
@@ -1962,16 +1872,16 @@ impl World {
             None => joined.push(pkt),
         }
         for p in joined.drain(..) {
-            self.deliver_ul_at_server(flow, p, leg, now);
+            self.deliver_ul_at_server(flow, p, now);
         }
         self.scratch_join = joined;
     }
 
     /// Hand one uplink data packet (post-join for bonded TCP flows) to
     /// the server-side receiver, then complete frame/unit QoE.
-    fn deliver_ul_at_server(&mut self, flow: usize, pkt: PacketBuf, leg: u8, now: Instant) {
-        let tcp_watermark = self.receive_data(flow, &pkt, leg, now);
-        self.complete_stream_units(flow, tcp_watermark, pkt.identification(), now);
+    fn deliver_ul_at_server(&mut self, flow: usize, pkt: PacketBuf, now: Instant) {
+        let d = self.receive_data(flow, &pkt, now);
+        self.complete_stream_units(flow, &d, now);
     }
 
     fn on_flow_start(&mut self, flow: usize, now: Instant) {
@@ -2004,7 +1914,7 @@ impl World {
         // application that ignores its stop() hook still quiesces.
         if bytes > 0 && self.flows[flow].endpoint.offer(bytes) {
             let frames = units.iter().filter(|u| u.kind == UnitKind::Frame).count();
-            self.frames_generated[flow] += frames as u64;
+            self.rec.push_frames_generated(flow, frames as u64);
             self.flows[flow].pending_units.extend(units.iter());
             if self.flows[flow].started {
                 self.poll_sender(flow, now);
@@ -2023,56 +1933,11 @@ impl World {
                 break;
             }
             self.flows[flow].pending_units.pop_front();
-            self.record_unit(flow, u.kind, u.created, u.deadline, now);
+            self.rec.push_unit(flow, u.kind, u.created, u.deadline, now);
         }
         if let Some(app) = &mut self.flows[flow].app {
             app.on_delivered(watermark, now);
             self.resched_app(flow);
-        }
-    }
-
-    /// Account one delivered data payload into the per-flow and
-    /// per-cell throughput bins (both data directions; the cell is the
-    /// UE's serving cell at delivery time). Each series is sized for the
-    /// whole run when it first appears; its length still ends at the
-    /// last bin that saw a delivery.
-    fn record_thr_bins(&mut self, flow: usize, ue: usize, payload: usize, now: Instant) {
-        let width = self.cfg.thr_bin.as_nanos().max(1);
-        let bin = (now.as_nanos() / width) as usize;
-        let n_bins = (self.cfg.duration.as_nanos() / width) as usize + 1;
-        let cell = self.serving[ue];
-        for bins in [&mut self.thr_bins[flow], &mut self.cell_thr_bins[cell]] {
-            let bins = run_sized(bins, n_bins);
-            if bins.len() <= bin {
-                bins.resize(bin + 1, 0);
-            }
-            bins[bin] += payload as u64;
-        }
-    }
-
-    /// Record a completed logical unit's QoE sample.
-    fn record_unit(
-        &mut self,
-        flow: usize,
-        kind: UnitKind,
-        created: Instant,
-        deadline: Option<Duration>,
-        now: Instant,
-    ) {
-        let ms = now.saturating_since(created).as_millis_f64();
-        match kind {
-            UnitKind::Frame => {
-                self.frame_owd_ms[flow].push(ms);
-                self.frames_delivered[flow] += 1;
-                if let Some(d) = deadline {
-                    let d_ms = d.as_millis_f64();
-                    if ms > d_ms {
-                        self.frame_late_n[flow] += 1;
-                        self.frame_late_excess_ms[flow] += ms - d_ms;
-                    }
-                }
-            }
-            UnitKind::Request => self.request_ms[flow].push(ms),
         }
     }
 
@@ -2416,20 +2281,12 @@ impl World {
         // The UE's whole simulation cluster follows it into the owning
         // replica; the vacant slots swap back symmetrically.
         World::swap_ue_clusters(src_w, dst_w, |u| u == ue);
-        dst_w.ho_log[ue].push(HandoverRecord {
-            ue: ue as u16,
-            at: now,
-            from_cell: src as u8,
-            to_cell: target_cell as u8,
-            last_delivery_before: dst_w.last_delivery[ue],
-            first_delivery_after: None,
-        });
-        dst_w.pending_ho[ue] = Some(dst_w.ho_log[ue].len() - 1);
+        dst_w.rec.push_handover(ue, now, src, target_cell);
     }
 
     /// Swap the whole live state cluster of every UE `moves` picks —
-    /// stack, per-UE series, logs and bearer rows, its flows with their
-    /// per-flow metrics — between two replicas. Symmetric by
+    /// stack and metric row, its flows with theirs — between two
+    /// replicas. Symmetric by
     /// construction: the live copy always sits in the current owner, so
     /// ping-pong migrations stay consistent. One pass over the UEs and
     /// the flows, however many UEs move.
@@ -2437,9 +2294,6 @@ impl World {
         use std::mem::swap;
         for ue in (0..a.ues.len()).filter(|&ue| moves(ue)) {
             swap(&mut a.ues[ue], &mut b.ues[ue]);
-            swap(&mut a.last_delivery[ue], &mut b.last_delivery[ue]);
-            swap(&mut a.pending_ho[ue], &mut b.pending_ho[ue]);
-            swap(&mut a.ho_log[ue], &mut b.ho_log[ue]);
             Recorder::swap_ue(&mut a.rec, &mut b.rec, ue);
         }
         for f in 0..a.flows.len() {
@@ -2448,14 +2302,6 @@ impl World {
             }
             swap(&mut a.flows[f], &mut b.flows[f]);
             Recorder::swap_flow(&mut a.rec, &mut b.rec, f);
-            swap(&mut a.frame_owd_ms[f], &mut b.frame_owd_ms[f]);
-            swap(&mut a.frames_generated[f], &mut b.frames_generated[f]);
-            swap(&mut a.frames_delivered[f], &mut b.frames_delivered[f]);
-            swap(&mut a.frame_late_n[f], &mut b.frame_late_n[f]);
-            swap(&mut a.frame_late_excess_ms[f], &mut b.frame_late_excess_ms[f]);
-            swap(&mut a.request_ms[f], &mut b.request_ms[f]);
-            swap(&mut a.thr_bins[f], &mut b.thr_bins[f]);
-            swap(&mut a.breakdown[f], &mut b.breakdown[f]);
         }
     }
 
@@ -2472,7 +2318,7 @@ impl World {
             swap(&mut a.gnbs[c], &mut b.gnbs[c]);
             swap(&mut a.markers[c], &mut b.markers[c]);
             swap(&mut a.ul_markers[c], &mut b.ul_markers[c]);
-            swap(&mut a.cell_thr_bins[c], &mut b.cell_thr_bins[c]);
+            Recorder::swap_cell(&mut a.rec, &mut b.rec, c);
         }
         // A UE's rows, serving-cell runs included, travel with it: the
         // replica owning its serving cell holds them.
@@ -2556,35 +2402,6 @@ impl World {
             }
             total_marks += ul_marks;
         }
-        // Flatten the per-UE handover logs into the classic global push
-        // order: ascending time, ties (distinct UEs stepping on the same
-        // instant) in ascending UE order — exactly how the single event
-        // loop popped them. The key is unique (a UE changes cells once
-        // per step instant), so the in-place unstable sort gives the
-        // stable sort's result without its scratch buffer.
-        let mut handovers: Vec<HandoverRecord> =
-            std::mem::take(&mut self.ho_log).into_iter().flatten().collect();
-        handovers.sort_unstable_by_key(|h| (h.at, h.ue));
-        debug_assert!(handovers.windows(2).all(|w| (w[0].at, w[0].ue) < (w[1].at, w[1].ue)));
-        // Application QoE roll-up. The SCReAM media source lives inside
-        // its sender, so its generation counter is read back here;
-        // app-driven flows counted on the world as frames were offered.
-        // A frame that never completed by run end (in flight, lost in
-        // UM, or discarded by the encoder) is a deadline miss and stalls
-        // playback for one frame interval.
-        let n = self.flows.len();
-        let mut frames_generated = self.frames_generated.clone();
-        let mut frames_missed = vec![0u64; n];
-        let mut stall_ms = vec![0.0f64; n];
-        for (f, fl) in self.flows.iter().enumerate() {
-            if let Some(n) = fl.endpoint.frames_generated() {
-                frames_generated[f] = n;
-            }
-            let undelivered = frames_generated[f].saturating_sub(self.frames_delivered[f]);
-            frames_missed[f] = self.frame_late_n[f] + undelivered;
-            let interval_ms = fl.framed.map_or(0.0, |(i, _)| i.as_millis_f64());
-            stall_ms[f] = self.frame_late_excess_ms[f] + undelivered as f64 * interval_ms;
-        }
         // Typed congestion-control transitions → fallback records, in
         // flow order (the per-flow event queues are each drained once,
         // so the order is deterministic).
@@ -2638,16 +2455,6 @@ impl World {
         let mut report = Report {
             duration: self.cfg.duration,
             bin: self.cfg.thr_bin,
-            thr_bins: self.thr_bins,
-            cell_thr_bins: self.cell_thr_bins,
-            handovers,
-            breakdown: self.breakdown,
-            frame_owd_ms: self.frame_owd_ms,
-            frames_generated,
-            frames_delivered: self.frames_delivered,
-            frames_missed,
-            stall_ms,
-            request_ms: self.request_ms,
             finish_ms: self
                 .flows
                 .iter()
@@ -2689,7 +2496,14 @@ impl World {
             bonds,
             ..Report::default()
         };
-        self.rec.finish(&mut report);
+        // The SCReAM media source lives inside its sender, so its
+        // generation counter is read back here; app-driven flows counted
+        // in the store as frames were offered.
+        let framing = self
+            .flows
+            .iter()
+            .map(|f| (f.endpoint.frames_generated(), f.framed.map(|(i, _)| i)));
+        self.rec.finish(&mut report, framing);
         report
     }
 }

@@ -7,6 +7,8 @@
 //! the content server through the WAN, the 5G core, L4Span, the RLC
 //! queues, and over the air to the UE.
 
+use std::num::NonZeroU32;
+
 use crate::ecn::Ecn;
 use crate::ipv4::{self, Ipv4Header, IPV4_HEADER_LEN};
 use crate::tcp::{self, TcpHeader};
@@ -73,12 +75,14 @@ pub const HEAD_CAPACITY: usize = 80;
 /// `PacketBuf` is `Copy`: every clone on the RLC segmentation/ARQ path is
 /// a flat memcpy and the steady-state packet path is allocation-free.
 ///
-/// Beside the wire image rides a simulation-side tag (see
-/// [`PacketBuf::stamp`]): the instant the packet left its sender and the
-/// bond leg it was striped onto. The tag is never emitted, never part of
-/// a checksum and not counted in [`PacketBuf::wire_len`]; every copy of
-/// the packet carries it, so whoever receives the packet can read it.
-/// The derived equality compares it too.
+/// Beside the wire image rides a simulation-side tag: the instant the
+/// packet left its sender and the bond leg it was striped onto (see
+/// [`PacketBuf::stamp`]), and on the last packet of a media frame the
+/// frame's id (see [`PacketBuf::mark_frame_end`]). The tag is never
+/// emitted, never part of a checksum and not counted in
+/// [`PacketBuf::wire_len`]; every copy of the packet carries it, so
+/// whoever receives the packet can read it. The derived equality
+/// compares it too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketBuf {
     head: [u8; HEAD_CAPACITY],
@@ -94,6 +98,9 @@ pub struct PacketBuf {
     sent_ns: u64,
     /// Tag: bond leg (0 until stamped, and for unbonded flows).
     leg: u8,
+    /// Tag: the id of the media frame this packet completes (`None` on
+    /// every other packet).
+    frame_end: Option<NonZeroU32>,
 }
 
 impl PacketBuf {
@@ -139,6 +146,7 @@ impl PacketBuf {
             },
             sent_ns: 0,
             leg: 0,
+            frame_end: None,
         }
     }
 
@@ -189,6 +197,7 @@ impl PacketBuf {
             },
             sent_ns: 0,
             leg: 0,
+            frame_end: None,
         }
     }
 
@@ -200,8 +209,8 @@ impl PacketBuf {
     }
 
     /// Set the simulation-side tag: the packet left its sender at
-    /// `sent_ns` (simulated time) on bond leg `leg`. The wire image is
-    /// untouched.
+    /// `sent_ns` (simulated time) on bond leg `leg`. The wire image and
+    /// the frame mark are untouched.
     #[inline]
     pub fn stamp(&mut self, sent_ns: u64, leg: u8) {
         self.sent_ns = sent_ns;
@@ -218,6 +227,21 @@ impl PacketBuf {
     #[inline]
     pub fn leg(&self) -> u8 {
         self.leg
+    }
+
+    /// Tag this packet as the last of media frame `frame`, the way RTP's
+    /// marker bit closes a frame: its arrival completes the frame. The
+    /// wire image is untouched.
+    #[inline]
+    pub fn mark_frame_end(&mut self, frame: NonZeroU32) {
+        self.frame_end = Some(frame);
+    }
+
+    /// The frame this packet completes, if [`PacketBuf::mark_frame_end`]
+    /// tagged it.
+    #[inline]
+    pub fn frame_end(&self) -> Option<NonZeroU32> {
+        self.frame_end
     }
 
     /// Transport payload length (excludes all headers).
@@ -237,7 +261,8 @@ impl PacketBuf {
     }
 
     /// The IP identification field, read without a full (checksum-
-    /// verifying) parse — the per-packet key the harness joins metrics on.
+    /// verifying) parse: the key of a parked report payload and of the
+    /// bond join's order.
     #[inline]
     pub fn identification(&self) -> u16 {
         u16::from_be_bytes([self.head[4], self.head[5]])
@@ -429,10 +454,30 @@ mod tests {
     }
 
     #[test]
+    fn frame_mark_survives_copies_and_stamps() {
+        let frame = NonZeroU32::new(42).unwrap();
+        let mut p = PacketBuf::udp(1, 2, Ecn::Ect1, 9, 5004, 6001, 1200);
+        assert_eq!(p.frame_end(), None, "unmarked until tagged");
+        let plain = p;
+        p.mark_frame_end(frame);
+        assert_eq!(p.header_bytes(), plain.header_bytes());
+        assert_eq!(p.wire_len(), plain.wire_len());
+        assert_ne!(p, plain, "equality compares the tag");
+        // An RLC segment copy carries it; a re-stamp (routing, a bond
+        // leg) leaves it alone.
+        let mut copy = p;
+        copy.stamp(5_000, 1);
+        copy.set_ecn(Ecn::Ce);
+        assert_eq!(copy.frame_end(), Some(frame));
+        assert_eq!((copy.sent_ns(), copy.leg()), (5_000, 1));
+    }
+
+    #[test]
     fn packet_buf_is_inline_and_copy() {
         // `Copy` proves clones can never allocate; the size bound keeps
-        // queue entries and RLC SDU slots cache-friendly (the tag's u64
-        // rounds 108 bytes of fields up to 112).
+        // queue entries and RLC SDU slots cache-friendly (108 bytes of
+        // fields round up to 112 for the tag's u64; the frame mark takes
+        // the 4 bytes of padding).
         fn assert_copy<T: Copy>() {}
         assert_copy::<PacketBuf>();
         assert!(

@@ -437,12 +437,14 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     // (the paper's case; 0.015 today, 0.09 while every segment
     // sent churned a B-tree node), ≤ 0.02 on bidirectional TCP calls
     // (0.011; 0.091 while every video frame came in a unit list of
-    // its own, 0.30 with the B-trees) and ≤ 0.03 on the bonded FEC-media
+    // its own, 0.30 with the B-trees), ≤ 0.03 on the bonded FEC-media
     // uplink (0.024; 0.06 then, 15 before the uplink data path
-    // stopped allocating per grant, per status and per SDU).
+    // stopped allocating per grant, per status and per SDU) and ≤ 0.02
+    // on SCReAM calls, every other one uplink, whose frames complete
+    // by the id their last packet carries (0.0077).
     use l4span::cc::WanLink;
     use l4span::harness::scenario::{self, ChannelMix, ScenarioConfig};
-    use l4span::harness::Report;
+    use l4span::harness::{AppProfile, FlowDir, FlowSpec, Report, TransportSpec, UeSpec};
     let tcp_cell = |d| {
         scenario::congested_cell(
             16,
@@ -457,11 +459,28 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     };
     let calls = |d| scenario::video_call_bidir(4, "prague", scenario::l4span_default(), 7, d);
     let bonded_ul = |d| scenario::bonded_xr_8ue(7, d);
+    let scream_calls = |d| {
+        let mut cfg = ScenarioConfig::new(7, d);
+        cfg.marker = scenario::l4span_default();
+        for i in 0..8 {
+            let snr = 20.0 + 3.0 * (i % 3) as f64;
+            cfg.ues.push(UeSpec::simple(ChannelMix::Mobile.profile(i), snr));
+            let video = AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6);
+            let start = Instant::from_millis(20 * i as u64);
+            let dir = [FlowDir::Downlink, FlowDir::Uplink][i % 2];
+            cfg.flows.push(
+                FlowSpec::new(i, video, TransportSpec::scream(), WanLink::east(), start)
+                    .direction(dir),
+            );
+        }
+        cfg
+    };
     type Scenario<'a> = &'a dyn Fn(Duration) -> ScenarioConfig;
-    let worlds: [(&str, f64, Scenario); 3] = [
+    let worlds: [(&str, f64, Scenario); 4] = [
         ("tcp cell", 0.05, &tcp_cell),
         ("bidirectional calls", 0.02, &calls),
         ("bonded uplink", 0.03, &bonded_ul),
+        ("scream calls", 0.02, &scream_calls),
     ];
     for (name, limit, cfg) in worlds {
         let run = |secs| -> (u64, Report) {

@@ -19,8 +19,13 @@
 //! and the radio model's work count `Report::fading_evals` — so every
 //! comparison below is on all four.
 
+use l4span::cc::WanLink;
 use l4span::core::HandoverPolicy;
-use l4span::harness::{plan_shards, run_sharded, scenario, Report, ScenarioConfig, ShardReject};
+use l4span::harness::{
+    plan_shards, run_sharded, scenario, AppProfile, FlowSpec, Report, ScenarioConfig, ShardReject,
+    TransportSpec,
+};
+use l4span::ran::config::RlcMode;
 use l4span::sim::Duration;
 
 /// Pops per event class, as `Report::event_counts` lists them.
@@ -57,6 +62,22 @@ fn handover_percell(cc: &str, secs: u64) -> ScenarioConfig {
     cfg
 }
 
+/// The same world carrying downlink SCReAM video instead of TCP, on
+/// bearers in RLC `mode`: frame QoE and the handover log both cross the
+/// replicas. (An uplink SCReAM leg would make it ineligible:
+/// `StepUnderTickPacedUplink`.)
+fn handover_scream(mode: RlcMode, secs: u64) -> ScenarioConfig {
+    let mut cfg = handover_percell("prague", secs);
+    for ue in &mut cfg.ues {
+        ue.drbs = vec![(0, mode)];
+    }
+    for (i, f) in cfg.flows.iter_mut().enumerate() {
+        let video = AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6);
+        *f = FlowSpec::new(i, video, TransportSpec::scream(), WanLink::east(), f.start);
+    }
+    cfg
+}
+
 /// A small metro (8 cells × 3 UEs, one mover) that still exercises
 /// every cross-shard mechanism: per-cell markers, cross-shard Xn
 /// handover, in-flight event migration, and straggler mail.
@@ -83,6 +104,14 @@ fn handover_2cell_invariant_across_shard_counts() {
                 "handover_2cell cc={cc} shards={shards}"
             );
         }
+    }
+    for mode in [RlcMode::Am, RlcMode::Um] {
+        assert_eq!(plan_shards(&handover_scream(mode, 3), 2), 2, "{mode:?}: eligible");
+        let one = run_sharded(handover_scream(mode, 3), 1);
+        assert!(one.frames_delivered.iter().sum::<u64>() > 0, "{mode:?}: frames complete");
+        assert!(!one.handovers.is_empty(), "{mode:?}: UEs hand over");
+        let two = digest(handover_scream(mode, 3), 2);
+        assert_eq!(two, outcome(&one), "handover_2cell scream {mode:?} shards=2");
     }
 }
 
