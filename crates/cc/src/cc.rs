@@ -94,6 +94,30 @@ pub enum CcEvent {
     },
 }
 
+// Prague's constants, shared by the TCP sender (`prague`) and the UDP
+// one (`udp_prague`).
+
+/// EWMA gain for Prague's α (DCTCP's g = 1/16).
+pub(crate) const ALPHA_GAIN: f64 = 1.0 / 16.0;
+
+/// Classic-AQM pattern: CE co-occurring with queueing delay above this
+/// over the path floor reads as a classic (RFC 3168) single-queue AQM
+/// (classic AQMs target tens of ms of standing queue; an L4S step
+/// target sits around 1 ms).
+pub(crate) const CLASSIC_DELAY: Duration = Duration::from_millis(15);
+
+/// Consecutive suspicious rounds — RTT rounds for TCP, feedback epochs
+/// for UDP — of classic or bleached evidence before a Prague sender
+/// falls back to classic dynamics.
+pub(crate) const FALLBACK_STREAK: u32 = 3;
+
+/// How far back a Prague fallback detector remembers its RTT floor. A
+/// lifetime minimum poisons the `srtt - min` queue estimate after a
+/// handover to a longer-RTT cell: the old floor makes the clean new
+/// path read as standing queue and can trip classic fallback on a good
+/// L4S path. The [`WindowedMin`] forgets it within this window.
+pub(crate) const MIN_RTT_WINDOW: Duration = Duration::from_secs(10);
+
 /// A running minimum over a sliding time window (the BBR min-RTT
 /// idiom): a monotonic deque of `(seen_at, value)` candidates where
 /// each new sample evicts every older candidate it dominates, and the

@@ -9,25 +9,11 @@
 
 use l4span_sim::{Duration, Instant};
 
-use crate::cc::{AckSample, CcEvent, CongestionControl, EcnMode, FallbackReason, WindowedMin};
+use crate::cc::{
+    AckSample, CcEvent, CongestionControl, EcnMode, FallbackReason, WindowedMin, ALPHA_GAIN,
+    CLASSIC_DELAY, FALLBACK_STREAK, MIN_RTT_WINDOW,
+};
 use crate::reno::INITIAL_WINDOW_SEGS;
-
-/// EWMA gain for α (DCTCP's g = 1/16).
-const ALPHA_GAIN: f64 = 1.0 / 16.0;
-
-/// Classic-AQM pattern: CE co-occurring with queueing delay above this
-/// (classic AQMs target tens of ms of standing queue; an L4S step
-/// target sits around 1 ms).
-const CLASSIC_DELAY: Duration = Duration::from_millis(15);
-
-/// Consecutive suspicious RTT rounds before the sender falls back.
-const FALLBACK_ROUNDS: u32 = 3;
-
-/// How far back the detector remembers its RTT floor. A lifetime
-/// minimum poisons the `srtt - min` queue estimate after a handover to
-/// a longer-RTT cell (the old floor makes the clean new path read as
-/// standing queue); the BBR-style windowed min forgets it instead.
-const MIN_RTT_WINDOW: Duration = Duration::from_secs(10);
 
 /// Classic-fallback detector state (present only on fallback-enabled
 /// Prague senders, so vanilla Prague's byte-exact behaviour is
@@ -105,9 +91,9 @@ impl FallbackDetector {
             Some(_) => self.bleach_rounds = 0,
             None => {}
         }
-        if self.classic_rounds >= FALLBACK_ROUNDS {
+        if self.classic_rounds >= FALLBACK_STREAK {
             Some(FallbackReason::ClassicEcn)
-        } else if self.bleach_rounds >= FALLBACK_ROUNDS {
+        } else if self.bleach_rounds >= FALLBACK_STREAK {
             Some(FallbackReason::Bleached)
         } else {
             None

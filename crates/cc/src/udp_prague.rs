@@ -3,20 +3,15 @@
 //! packet/CE counts in the UDP payload; the sender runs the DCTCP-style
 //! `α` update on a paced rate instead of a window.
 
-use crate::cc::{CcEvent, FallbackReason, FeedbackGate, WindowedMin};
+use crate::cc::{
+    CcEvent, FallbackReason, FeedbackGate, WindowedMin, ALPHA_GAIN, CLASSIC_DELAY,
+    FALLBACK_STREAK, MIN_RTT_WINDOW,
+};
 use l4span_net::{Ecn, PacketBuf};
 use l4span_sim::{Duration, Instant};
 
-/// EWMA gain for α.
-const ALPHA_GAIN: f64 = 1.0 / 16.0;
 /// Payload bytes per datagram.
 const MTU_PAYLOAD: usize = 1200;
-/// Queueing delay above the path floor that reads as a classic (RFC 3168)
-/// single-queue AQM rather than an L4S one.
-const CLASSIC_DELAY: Duration = Duration::from_millis(15);
-/// Consecutive feedback epochs of classic/bleached evidence before the
-/// sender abandons scalable dynamics.
-const FALLBACK_EPOCHS: u32 = 3;
 
 /// Cumulative feedback counters (carried in the UDP payload uplink).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,14 +55,6 @@ pub struct UdpPragueSender {
     fallback: Option<UdpFallbackDetector>,
 }
 
-/// How far back the fallback detectors remember their RTT floor. A
-/// *lifetime* minimum poisons the `srtt - min` queue estimate after a
-/// handover to a longer-RTT cell: the old cell's floor makes the new
-/// cell's clean path read as standing queue and can trip classic
-/// fallback on a perfectly good L4S path. A windowed minimum (the BBR
-/// min-RTT idiom) forgets the old floor within [`MIN_RTT_WINDOW`].
-const MIN_RTT_WINDOW: Duration = Duration::from_secs(10);
-
 /// Classic-ECN / bleaching detector for the UDP sender, mirroring the
 /// TCP Prague one but keyed on feedback epochs instead of ACK rounds.
 #[derive(Debug)]
@@ -93,7 +80,7 @@ impl Default for UdpFallbackDetector {
 
 impl UdpFallbackDetector {
     /// Score one feedback epoch; returns the reason once the evidence
-    /// has persisted for [`FALLBACK_EPOCHS`].
+    /// has persisted for [`FALLBACK_STREAK`] epochs.
     fn on_epoch(
         &mut self,
         pkts: u64,
@@ -119,9 +106,9 @@ impl UdpFallbackDetector {
         } else {
             self.bleach_epochs = 0;
         }
-        if self.classic_epochs >= FALLBACK_EPOCHS {
+        if self.classic_epochs >= FALLBACK_STREAK {
             Some(FallbackReason::ClassicEcn)
-        } else if self.bleach_epochs >= FALLBACK_EPOCHS {
+        } else if self.bleach_epochs >= FALLBACK_STREAK {
             Some(FallbackReason::Bleached)
         } else {
             None

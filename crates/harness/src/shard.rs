@@ -15,6 +15,10 @@
 //!    processes it (exactly as in time order), and the resulting server
 //!    arrival goes to the new cell's queue.
 //!
+//! Every world runs through `drive`, and one rule holds on every
+//! path: a mobility step runs at its barrier, before every event at its
+//! instant, and counts as one `Handover` in [`Report::event_counts`].
+//!
 //! Between barriers the cells are completely independent, so an
 //! eligible world keeps **one event queue per cell** and `drive` runs
 //! each cell up to the next barrier in turn, in which order a cell's
@@ -27,16 +31,15 @@
 //! envelopes that drain in `(slot-boundary time, source shard,
 //! sequence)` order. Either way barrier-injected events
 //! take fresh sequence numbers *before* the receiving cell resumes —
-//! reproducing the time-major FIFO order, which is what makes
+//! reproducing the one-queue FIFO order, which is what makes
 //! [`Report::fingerprint`] byte-invariant to the execution order and
-//! the replica count. Mobility steps executed at barriers are counted
-//! into the event total exactly like the `Handover` pops of the
-//! time-major loop.
+//! the replica count.
 //!
 //! Anything outside the eligible shape — a central CU marker, a wired
 //! plane (whose queue hops serialize all flows), a single cell, a
-//! mobility step the barrier order would misplace — runs time-major off
-//! one queue, untouched.
+//! mobility step whose re-homed events would lose a tie — is one
+//! replica that keeps its single queue: time-major, with nothing to
+//! re-home.
 
 use std::collections::BTreeSet;
 
@@ -49,15 +52,15 @@ use crate::world::{Event, World, TICK_PHASE_PER_CELL_CU, UE_POLL_PERIOD};
 
 /// How many shards a scenario actually supports: `want`, capped at the
 /// cell count — or 1 when the scenario is ineligible (central CU
-/// marker, wired plane, a single cell, …), in
-/// which case [`run_sharded`] is [`World::run`] on its time-major path.
+/// marker, wired plane, a single cell, …), in which case [`run_sharded`]
+/// is [`World::run`] on one queue.
 pub fn plan_shards(cfg: &ScenarioConfig, want: usize) -> usize {
     plan_shards_reason(cfg, want).0
 }
 
 /// The property that makes a scenario's cells non-independent: why
 /// [`plan_shards_reason`] forced it to one shard, and [`World::run`] onto
-/// the time-major loop.
+/// one queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardReject {
     /// A wired plane — impairment stages or a bottleneck router —
@@ -71,9 +74,10 @@ pub enum ShardReject {
     SingleCell,
     /// One marker instance holds state for every cell.
     CentralCuMarker,
-    /// A mobility step shares its instant with a housekeeping tick or
-    /// with a start or stop of one of the UE's own flows.
-    StepOnTickOrFlowBoundary,
+    /// A mobility step shares its instant with a housekeeping tick: an
+    /// event re-homed at its barrier would take a fresh sequence number
+    /// behind the same-instant tick it precedes on one queue.
+    StepOnTick,
     /// Mobility steps bring one cell's slot grid into a queue twice
     /// within a wired round trip.
     CellReusedWithinRoundTrip,
@@ -89,7 +93,7 @@ impl std::fmt::Display for ShardReject {
             ShardReject::BondedFlow => "bonded flow",
             ShardReject::SingleCell => "single cell",
             ShardReject::CentralCuMarker => "central CU marker",
-            ShardReject::StepOnTickOrFlowBoundary => "mobility step on a tick or flow boundary",
+            ShardReject::StepOnTick => "mobility step on a housekeeping tick",
             ShardReject::CellReusedWithinRoundTrip => {
                 "mobility steps reuse a cell within a round trip"
             }
@@ -119,8 +123,8 @@ pub fn plan_shards_reason(cfg: &ScenarioConfig, want: usize) -> (usize, Option<S
         Some(ShardReject::SingleCell)
     } else if !cfg.cu_per_cell {
         Some(ShardReject::CentralCuMarker)
-    } else if step_misaligned(cfg) {
-        Some(ShardReject::StepOnTickOrFlowBoundary)
+    } else if step_on_tick(cfg) {
+        Some(ShardReject::StepOnTick)
     } else if steps_reuse_a_grid(cfg) {
         Some(ShardReject::CellReusedWithinRoundTrip)
     } else if tick_paced_uplink_moves(cfg) {
@@ -134,29 +138,20 @@ pub fn plan_shards_reason(cfg: &ScenarioConfig, want: usize) -> (usize, Option<S
     }
 }
 
-/// Does some mobility step sit where "barrier work runs before
-/// everything at its instant" is not the time-major pop order? Two
-/// cases: the step shares its instant with a start or stop of one of the
-/// UE's own flows (init-scheduled ahead of the `Handover`, so time-major
-/// pops the flow event *first*); or it lands on the housekeeping grid,
-/// where an event re-homed at the barrier would take its fresh sequence
-/// number behind a same-instant tick it used to precede. `UePoll`'s
-/// 5 ms grid contains `Sample`'s 10 ms one; both sit
-/// [`TICK_PHASE_PER_CELL_CU`] off the round instants.
-fn step_misaligned(cfg: &ScenarioConfig) -> bool {
+/// Does some mobility step land on the housekeeping grid? An event
+/// re-homed at the step's barrier takes a fresh sequence number in its
+/// new cell's queue — behind that cell's same-instant tick, which it
+/// precedes on one queue. `UePoll`'s 5 ms grid contains `Sample`'s
+/// 10 ms one; both sit [`TICK_PHASE_PER_CELL_CU`] off the round
+/// instants.
+fn step_on_tick(cfg: &ScenarioConfig) -> bool {
     let (period, phase) = (UE_POLL_PERIOD.as_nanos(), TICK_PHASE_PER_CELL_CU.as_nanos());
     let on_tick =
         |at: Instant| at.as_nanos() > phase && (at.as_nanos() - phase).is_multiple_of(period);
-    let steps = |ue: usize| cfg.ues.get(ue).map_or(&[][..], |u| &u.mobility[..]);
     cfg.ues
         .iter()
         .flat_map(|u| &u.mobility)
         .any(|st| on_tick(st.at))
-        || cfg.flows.iter().any(|f| {
-            steps(f.ue)
-                .iter()
-                .any(|st| st.at == f.start || Some(st.at) == f.stop)
-        })
 }
 
 /// Do two cell changes carry one cell's slot grid into one queue twice?
@@ -243,10 +238,8 @@ fn tick_paced_uplink_moves(cfg: &ScenarioConfig) -> bool {
 /// The mobility schedule of a run: what [`drive`] executes between
 /// epochs.
 pub(crate) struct BarrierSchedule {
-    /// Every step the time-major loop would pop (at ≤ `end`), in
-    /// `(at, ue)` order — the order their init-scheduled `Handover`
-    /// events carry.
-    steps: Vec<(Instant, usize, MobilityStep)>,
+    /// Every step at or before `end`, with its UE, in `(at, ue)` order.
+    steps: Vec<(usize, MobilityStep)>,
     /// Epoch barriers, ascending: every step instant `t`, then `t +
     /// slot` and `t + 2·slot`. Flush horizon: one cell slot. Straggler
     /// feedback toward an old cell is all in flight at handover time,
@@ -262,20 +255,20 @@ pub(crate) struct BarrierSchedule {
 pub(crate) fn barrier_schedule(cfg: &ScenarioConfig) -> BarrierSchedule {
     let end = Instant::ZERO + cfg.duration;
     let slot = longest(cfg, |c| c.slot_duration);
-    let mut steps: Vec<(Instant, usize, MobilityStep)> = Vec::new();
+    let mut steps: Vec<(usize, MobilityStep)> = Vec::new();
     for (ue, spec) in cfg.ues.iter().enumerate() {
         for st in &spec.mobility {
             if st.at <= end {
-                steps.push((st.at, ue, *st));
+                steps.push((ue, *st));
             }
         }
     }
-    steps.sort_by_key(|&(at, ue, _)| (at, ue));
+    steps.sort_by_key(|&(ue, st)| (st.at, ue));
     let mut barriers: BTreeSet<Instant> = BTreeSet::new();
-    for &(at, _, _) in &steps {
-        barriers.insert(at);
-        barriers.insert(at + slot);
-        barriers.insert(at + slot + slot);
+    for &(_, st) in &steps {
+        barriers.insert(st.at);
+        barriers.insert(st.at + slot);
+        barriers.insert(st.at + slot + slot);
     }
     BarrierSchedule {
         steps,
@@ -293,26 +286,26 @@ pub fn run_sharded(cfg: ScenarioConfig, want: usize) -> Report {
     World::new(cfg).run_on(want)
 }
 
-/// One replica's wall-clock and mailbox totals over a [`drive`].
-#[derive(Clone, Copy, Default)]
-struct Tally {
-    busy_ns: u64,
-    drain_ns: u64,
-    mailed: u64,
-}
-
-/// Drive cell-major `worlds` — the replicas of one scenario, or the one
-/// world that owns every cell — through `schedule` on `workers` threads:
-/// for each barrier, run every cell up to it, deliver the mail, execute
-/// the steps due at it in `(at, ue)` order; then run to the end. Returns
-/// each replica's statistics.
+/// Drive `worlds` — the cell-major replicas of one scenario, or the one
+/// world that owns every cell, cell-major or on one queue — through
+/// `schedule` on `workers` threads: for each barrier, run every cell up
+/// to it, deliver the mail, execute the steps due at it in `(at, ue)`
+/// order; then run to the end. Nothing at a barrier's instant has run
+/// when its steps do. Returns each replica's statistics.
 pub(crate) fn drive(
     worlds: &mut [World],
     schedule: &BarrierSchedule,
     workers: usize,
 ) -> Vec<ShardStat> {
     let end = schedule.end;
-    let mut tally = vec![Tally::default(); worlds.len()];
+    // Wall-clock and mailbox totals accumulate as the run goes; the
+    // rest is read off each replica at the end.
+    let mut tally: Vec<ShardStat> = (0..worlds.len())
+        .map(|shard| ShardStat {
+            shard,
+            ..ShardStat::default()
+        })
+        .collect();
     let mut moved: Vec<(Instant, Event)> = Vec::new();
     let mut envelopes: Vec<(Instant, usize, usize, Event)> = Vec::new();
 
@@ -320,11 +313,8 @@ pub(crate) fn drive(
     for &barrier in &schedule.barriers {
         run_epoch(worlds, barrier, end, workers, &mut tally);
         deliver_mail(worlds, barrier, &mut envelopes, &mut tally);
-        // The time-major loop pops one `Handover` event per step; its
-        // init-time sequence number makes it pop *before* any
-        // same-instant runtime event — exactly this barrier point.
-        while let Some(&(at, ue, st)) = steps.next_if(|s| s.0 == barrier) {
-            apply_step(worlds, ue, st, at, &mut moved, &mut tally);
+        while let Some(&(ue, st)) = steps.next_if(|(_, st)| st.at == barrier) {
+            apply_step(worlds, ue, st, &mut moved, &mut tally);
         }
     }
     run_epoch(worlds, Instant::MAX, end, workers, &mut tally);
@@ -333,20 +323,12 @@ pub(crate) fn drive(
     // only target events beyond the run end (delivered for the merge
     // invariant, never popped).
     deliver_mail(worlds, end, &mut envelopes, &mut tally);
-    worlds
-        .iter()
-        .zip(tally)
-        .enumerate()
-        .map(|(s, (w, t))| ShardStat {
-            shard: s,
-            cells: w.cells_owned(),
-            events: w.events_processed(),
-            busy_ns: t.busy_ns,
-            drain_ns: t.drain_ns,
-            mailed: t.mailed,
-            cycles: w.cycles_snapshot(),
-        })
-        .collect()
+    for (w, t) in worlds.iter().zip(&mut tally) {
+        t.cells = w.cells_owned();
+        t.events = w.events_processed();
+        t.cycles = w.cycles_snapshot();
+    }
+    tally
 }
 
 /// Run every replica up to (not including) `until` on `workers`
@@ -361,9 +343,9 @@ fn run_epoch(
     until: Instant,
     end: Instant,
     workers: usize,
-    tally: &mut [Tally],
+    tally: &mut [ShardStat],
 ) {
-    let run = |w: &mut World, t: &mut Tally| {
+    let run = |w: &mut World, t: &mut ShardStat| {
         let t0 = std::time::Instant::now();
         w.run_until(until, end);
         t.busy_ns += t0.elapsed().as_nanos() as u64;
@@ -374,11 +356,12 @@ fn run_epoch(
         }
         return;
     }
-    let mut lanes: Vec<Vec<(&mut World, &mut Tally)>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut lanes: Vec<Vec<(&mut World, &mut ShardStat)>> =
+        (0..workers).map(|_| Vec::new()).collect();
     for (s, wt) in worlds.iter_mut().zip(tally.iter_mut()).enumerate() {
         lanes[s % workers].push(wt);
     }
-    let run_lane = move |lane: Vec<(&mut World, &mut Tally)>| {
+    let run_lane = move |lane: Vec<(&mut World, &mut ShardStat)>| {
         for (w, t) in lane {
             run(w, t);
         }
@@ -402,7 +385,7 @@ fn deliver_mail(
     worlds: &mut [World],
     barrier: Instant,
     envelopes: &mut Vec<(Instant, usize, usize, Event)>,
-    tally: &mut [Tally],
+    tally: &mut [ShardStat],
 ) {
     envelopes.clear();
     let mut buf = Vec::new();
@@ -436,18 +419,17 @@ fn deliver_mail(
     }
 }
 
-/// Execute one mobility step at its barrier. A step inside one world
-/// (including a pure channel change) takes the intra-world path
-/// verbatim; a cross-replica handover runs the Xn transfer across the
-/// two replicas. Either way a cell change then flips the attachment in
-/// every replica and re-homes the UE's queued events.
+/// Execute one mobility step at its barrier, in the replica that holds
+/// the UE ([`World::apply_mobility_step`]). For a handover to a cell of
+/// another replica that replica lends it the target cell for the step,
+/// and the UE's cluster then moves to it. A cell change then flips the
+/// attachment in every replica and re-homes the UE's queued events.
 fn apply_step(
     worlds: &mut [World],
     ue: usize,
     st: MobilityStep,
-    now: Instant,
     moved: &mut Vec<(Instant, Event)>,
-    tally: &mut [Tally],
+    tally: &mut [ShardStat],
 ) {
     let src_cell = worlds[0].serving_cell(ue);
     let (src_s, dst_s) = (
@@ -455,10 +437,13 @@ fn apply_step(
         worlds[0].replica_of(st.cell),
     );
     if src_s == dst_s {
-        worlds[src_s].apply_mobility_step(ue, st.cell, st.profile, st.snr_db, now);
+        worlds[src_s].apply_mobility_step(ue, st);
     } else {
         let (src_w, dst_w) = pair_mut(worlds, src_s, dst_s);
-        World::handover_across(src_w, dst_w, ue, st.cell, st.profile, st.snr_db, now);
+        World::swap_cell(src_w, dst_w, st.cell);
+        src_w.apply_mobility_step(ue, st);
+        World::swap_cell(src_w, dst_w, st.cell);
+        World::swap_ue_clusters(src_w, dst_w, |u| u == ue);
     }
     if src_cell == st.cell {
         return;
@@ -494,8 +479,8 @@ fn pair_mut(v: &mut [World], i: usize, j: usize) -> (&mut World, &mut World) {
 
 #[cfg(test)]
 mod tests {
-    //! The cell-major order against the time-major loop it replaced on
-    //! eligible worlds, which survives as `World::run_time_major`.
+    //! The cell-major order against the same world run off one queue,
+    //! `World::run_time_major`.
 
     use l4span_cc::WanLink;
     use l4span_core::HandoverPolicy;
@@ -519,12 +504,13 @@ mod tests {
 
     /// `World::run` — which must have taken the cell-major path, on as
     /// many replicas as the host's cores allow — against the time-major
-    /// reference.
-    fn assert_orders_agree(cfg: ScenarioConfig, what: &str) {
+    /// reference. Returns the cell-major report.
+    fn assert_orders_agree(cfg: ScenarioConfig, what: &str) -> Report {
         let cell_major = World::new(cfg.clone()).run();
         assert_eq!(cell_major.shard_reject, None, "{what}: must run cell-major");
         let time_major = World::new(cfg).run_time_major();
         assert_eq!(outcome(&cell_major), outcome(&time_major), "{what}");
+        cell_major
     }
 
     // `cell_major_matches_time_major`, one test per world shape so the
@@ -543,10 +529,64 @@ mod tests {
                     7,
                     Duration::from_millis(1_600),
                 );
+                // One step exactly at the end, which runs, and one after
+                // it, which does not.
+                let step = |ms, cell| {
+                    MobilityStep::new(
+                        Instant::from_millis(ms),
+                        cell,
+                        ChannelProfile::Pedestrian,
+                        17.0,
+                    )
+                };
+                cfg.ues[0].mobility.push(step(1_600, 0));
+                cfg.ues[1].mobility.push(step(1_700, 1));
+                let what = format!("handover_cell {cc} {policy:?}");
+                // A central CU marker keeps the world on one queue.
+                let r = assert_rejected(cfg.clone(), Some(ShardReject::CentralCuMarker), &what);
+                assert_steps_executed(&cfg, &r, &format!("{what}, central CU"));
                 cfg.cu_per_cell = true;
-                assert_orders_agree(cfg, &format!("handover_cell {cc} {policy:?}"));
+                let r = assert_orders_agree(cfg.clone(), &what);
+                assert_steps_executed(&cfg, &r, &what);
             }
         }
+    }
+
+    /// `r` counts one `Handover` per step of `cfg` at or before the end,
+    /// and records one handover per cell change among them.
+    fn assert_steps_executed(cfg: &ScenarioConfig, r: &Report, what: &str) {
+        let end = Instant::ZERO + cfg.duration;
+        let (mut steps, mut changes) = (0, Vec::new());
+        for (ue, spec) in cfg.ues.iter().enumerate() {
+            let mut cur = spec.initial_cell;
+            let mut due: Vec<&MobilityStep> =
+                spec.mobility.iter().filter(|st| st.at <= end).collect();
+            due.sort_by_key(|st| st.at);
+            steps += due.len() as u64;
+            for st in due {
+                if st.cell != cur {
+                    changes.push((ue as u16, st.at, cur as u8, st.cell as u8));
+                    cur = st.cell;
+                }
+            }
+        }
+        let counted = r
+            .event_counts
+            .iter()
+            .find(|(class, _)| *class == "Handover");
+        assert_eq!(
+            counted.map_or(0, |&(_, n)| n),
+            steps,
+            "{what}: Handover count"
+        );
+        let mut recorded: Vec<_> = r
+            .handovers
+            .iter()
+            .map(|h| (h.ue, h.at, h.from_cell, h.to_cell))
+            .collect();
+        recorded.sort_unstable();
+        changes.sort_unstable();
+        assert_eq!(recorded, changes, "{what}: handover records");
     }
 
     #[test]
@@ -607,10 +647,15 @@ mod tests {
                 AppProfile::bulk(),
                 TransportSpec::tcp_named(cc).expect("known controller"),
                 WanLink::east(),
-                Instant::from_micros(137 + 3_000 * i as u64),
+                start_of(i),
             ));
         }
         cfg
+    }
+
+    /// The start instant of flow `i` of [`three_cells`].
+    fn start_of(i: usize) -> Instant {
+        Instant::from_micros(137 + 3_000 * i as u64)
     }
 
     /// One generated move: at slot-aligned instant number `k` (≡ 2.5 ms
@@ -623,12 +668,18 @@ mod tests {
     /// toward the first cell are still landing.
     type Move = (u64, usize, usize, Option<u64>);
 
-    fn trajectories(mut moves: Vec<Move>) -> [Vec<MobilityStep>; 2] {
+    /// The generated moves, after UE `lead` (if any) stepped one cell on
+    /// at its own flow's start.
+    fn trajectories(mut moves: Vec<Move>, lead: Option<usize>) -> [Vec<MobilityStep>; 2] {
         moves.sort_by_key(|m| m.0);
         moves.dedup_by_key(|m| m.0);
         let mut cur = [0, 1];
         let mut out = [Vec::new(), Vec::new()];
         let step = |at, cell| MobilityStep::new(at, cell, ChannelProfile::Pedestrian, 17.0);
+        if let Some(ue) = lead {
+            cur[ue] = (cur[ue] + 1) % 3;
+            out[ue].push(step(start_of(ue), cur[ue]));
+        }
         for (k, who, by, hop) in moves {
             let at = Instant::from_micros(102_500 + 45_000 * k);
             // Two UEs leaving one cell together would reuse its grid —
@@ -655,7 +706,9 @@ mod tests {
         /// Any aligned mobility schedule: same bytes, same event counts,
         /// on one world, on two replicas, and on one cell per replica —
         /// the most vacant slots a split makes (explicit counts, so the
-        /// host's cores do not pick what is covered).
+        /// host's cores do not pick what is covered). With `edge`, UE
+        /// `who` also steps at its flow's start, or its flow stops at its
+        /// first step.
         #[test]
         fn random_mobility_schedules_match_time_major(
             moves in proptest::collection::vec(
@@ -664,9 +717,14 @@ mod tests {
             ),
             cubic in any::<bool>(),
             upload in any::<bool>(),
+            edge in proptest::option::of((0usize..2, any::<bool>())),
         ) {
             let cc = if cubic { "cubic" } else { "prague" };
-            let mut cfg = three_cells(cc, trajectories(moves.clone()));
+            let lead = edge.and_then(|(who, stop)| (!stop).then_some(who));
+            let mut cfg = three_cells(cc, trajectories(moves.clone(), lead));
+            if let Some((who, true)) = edge {
+                cfg.flows[who].stop = cfg.ues[who].mobility.first().map(|st| st.at);
+            }
             if upload {
                 cfg.flows[1].dir = FlowDir::Uplink;
             }
@@ -678,7 +736,7 @@ mod tests {
                 prop_assert_eq!(
                     outcome(&cell_major),
                     time_major,
-                    "{cc} upload={upload} on {replicas} {moves:?}: {:?} != {:?}",
+                    "{cc} upload={upload} {edge:?} on {replicas} {moves:?}: {:?} != {:?}",
                     outcome(&cell_major),
                     time_major
                 );
@@ -688,26 +746,30 @@ mod tests {
 
     #[test]
     fn misaligned_steps_are_rejected_and_run_time_major() {
-        const WHY: Option<ShardReject> = Some(ShardReject::StepOnTickOrFlowBoundary);
         let step = |at| vec![MobilityStep::new(at, 2, ChannelProfile::Pedestrian, 17.0)];
         let aligned = three_cells("cubic", [step(Instant::from_micros(102_500)), Vec::new()]);
         assert_eq!(plan_shards_reason(&aligned, 2), (2, None));
 
-        // On the UE's own flow start; on its stop; on the `UePoll` grid.
-        let on_start = three_cells("cubic", [step(Instant::from_micros(137)), Vec::new()]);
-        let mut on_stop = aligned.clone();
-        on_stop.flows[0].stop = Some(Instant::from_micros(102_500));
+        // On the `UePoll` grid.
         let on_tick = three_cells(
             "cubic",
             [Vec::new(), step(Instant::from_nanos(105_000_500))],
         );
-        // Someone else's flow boundary is no obstacle.
+        assert_rejected(on_tick, Some(ShardReject::StepOnTick), "tick");
+
+        // On the UE's own flow start or stop, or somebody else's: the step
+        // runs first on either order.
+        let on_start = three_cells("cubic", [step(start_of(0)), Vec::new()]);
+        let mut on_stop = aligned.clone();
+        on_stop.flows[0].stop = Some(Instant::from_micros(102_500));
         let mut others_stop = aligned.clone();
         others_stop.flows[1].stop = Some(Instant::from_micros(102_500));
-        assert_eq!(plan_shards_reason(&others_stop, 2), (2, None));
-
-        for (cfg, what) in [(on_start, "start"), (on_stop, "stop"), (on_tick, "tick")] {
-            assert_rejected(cfg, WHY, what);
+        for (cfg, what) in [
+            (on_start, "start"),
+            (on_stop, "stop"),
+            (others_stop, "other's stop"),
+        ] {
+            assert_orders_agree(cfg, what);
         }
     }
 
@@ -771,8 +833,8 @@ mod tests {
     }
 
     /// `cfg` must be refused for `why` — and then both entry points run
-    /// it time-major and say so.
-    fn assert_rejected(cfg: ScenarioConfig, why: Option<ShardReject>, what: &str) {
+    /// it off one queue and say so. Returns `World::run`'s report.
+    fn assert_rejected(cfg: ScenarioConfig, why: Option<ShardReject>, what: &str) -> Report {
         assert_eq!(plan_shards_reason(&cfg, 3), (1, why), "{what}");
         let reference = outcome(&World::new(cfg.clone()).run_time_major());
         let one_world = World::new(cfg.clone()).run();
@@ -782,6 +844,7 @@ mod tests {
         assert_eq!(sharded.shard_reject, why, "{what}");
         assert!(sharded.shards.is_empty(), "{what}: no replicas");
         assert_eq!(outcome(&sharded), reference, "{what}: run_sharded");
+        one_world
     }
 
     #[test]

@@ -25,8 +25,10 @@ use crate::app::{AppUnit, Application, UnitKind};
 use crate::bond::{BondJoin, BondTx, SbdDetector};
 use crate::endpoint::{self, Built, Delivery, Endpoint, FbData, Feedback, Released};
 use crate::marker::Marker;
-use crate::metrics::{BondStat, FallbackRecord, Recorder, Report, UplinkStats, SAMPLE_PERIOD};
-use crate::scenario::{FlowDir, ScenarioConfig};
+use crate::metrics::{
+    BondStat, FallbackRecord, Recorder, Report, ShardStat, UplinkStats, SAMPLE_PERIOD,
+};
+use crate::scenario::{FlowDir, MobilityStep, ScenarioConfig};
 use crate::wired::{HopSink, WiredPlane};
 
 /// Subsystem labels of the world's [`CycleScope`] (the `fig_breakdown`
@@ -194,17 +196,15 @@ pub(crate) enum Event {
     /// The flow's [`Application`] asked to be woken (app-driven flows
     /// only; natively-lowered flows never schedule one).
     AppTick { flow: usize },
-    /// A mobility step: the UE now observes (`profile`, `snr_db`) toward
-    /// `target_cell`. Same cell → channel replacement; different cell →
-    /// full Xn handover.
-    Handover { ue: usize, target_cell: usize, profile: ChannelProfile, snr_db: f64 },
     Sample,
     UePoll,
 }
 
 impl Event {
     /// Class names, indexed by [`Event::class`]: the rows of
-    /// [`Report::event_counts`].
+    /// [`Report::event_counts`]. `Handover` is the one class no event
+    /// carries: it counts the mobility steps [`crate::shard::drive`]
+    /// executes at its barriers.
     const CLASSES: [&'static str; 17] = [
         "Slot",
         "DlAtHop",
@@ -225,9 +225,9 @@ impl Event {
         "UePoll",
     ];
 
-    /// Classes a cell-major run counts specially: mobility steps are
-    /// executed (and counted) at their barrier instead of popped, and
-    /// the housekeeping ticks have one copy per cell.
+    /// Classes counted specially: mobility steps are executed (and
+    /// counted) at their barrier, and the housekeeping ticks of a
+    /// cell-major run have one copy per cell.
     const HANDOVER: usize = 14;
     const SAMPLE: usize = 15;
     const UE_POLL: usize = 16;
@@ -248,7 +248,6 @@ impl Event {
             Event::FlowStop { .. } => 11,
             Event::FlowTimer { .. } => 12,
             Event::AppTick { .. } => 13,
-            Event::Handover { .. } => Event::HANDOVER,
             Event::Sample => Event::SAMPLE,
             Event::UePoll => Event::UE_POLL,
         }
@@ -315,10 +314,10 @@ pub(crate) type UlBatch = (
 pub struct World {
     /// Shared with the replicas [`World::split`] carves out.
     cfg: Arc<ScenarioConfig>,
-    /// The queue the pop loop runs: the only one of a time-major world,
+    /// The queue the pop loop runs: the only one of a one-queue world,
     /// the running cell's in a cell-major one ([`CellView`]). Each
     /// queue lists events on the slot grid of the cell it serves (cell
-    /// 0's for the time-major queue; [`slot_origin`]).
+    /// 0's for the one queue; [`slot_origin`]).
     queue: EventQueue<Event>,
     /// The cells. Index = cell id; cell 0 is `ScenarioConfig::cell`.
     gnbs: Vec<Gnb>,
@@ -341,8 +340,8 @@ pub struct World {
     /// internally by (ue, drb). Inert in downlink-only scenarios.
     ul_markers: Vec<Marker>,
     /// `Some` once [`World::cell_major_install`] gave every cell its own
-    /// queue; `None` is the time-major run of a world whose cells share
-    /// a marker, a router or a flow.
+    /// queue; `None` keeps one queue for a world whose cells share a
+    /// marker, a router or a flow.
     cells: Option<CellView>,
     /// Envelopes for cells another replica owns, produced this epoch
     /// (in-flight uplink ACKs of flows whose UE migrated away — the only
@@ -418,12 +417,12 @@ pub struct World {
     /// The world's share of `Report::uplink`: uplink blocks destroyed
     /// mid-air by a handover (the gNBs and the UE stacks count the rest).
     uplink: UplinkStats,
-    /// Events popped by the run loop, per [`Event::class`]; their sum
-    /// is `Report::events` (the benchmark's `events`). A cell-major
-    /// world pops `Sample` and `UePoll` once per cell and counts cell
-    /// 0's copy, and counts the mobility steps its barriers execute as
-    /// `Handover` — which makes `Report::events` the same number under
-    /// either execution order and at every shard count.
+    /// Events popped by the run loop, per [`Event::class`], plus the
+    /// mobility steps executed at barriers as `Handover`; their sum is
+    /// `Report::events` (the benchmark's `events`). A cell-major world
+    /// pops `Sample` and `UePoll` once per cell and counts cell 0's
+    /// copy — which makes `Report::events` the same number under either
+    /// execution order and at every shard count.
     event_counts: [u64; Event::CLASSES.len()],
     /// Largest number of pending events the pop loop found on a queue.
     queue_depth_peak: usize,
@@ -796,9 +795,10 @@ impl World {
     }
 
     /// Schedule what every run starts from — each cell's first slot, the
-    /// housekeeping ticks, every flow's start and stop, the mobility
-    /// steps — in one order, on a world and
-    /// on each of its vacant replicas alike.
+    /// housekeeping ticks, every flow's start and stop — in one order,
+    /// on a world and on each of its vacant replicas alike. The mobility
+    /// steps are not events: [`crate::shard::drive`] executes them at
+    /// their barriers.
     fn schedule_start(&mut self) {
         let cfg = Arc::clone(&self.cfg);
         for cell in 0..self.gnbs.len() {
@@ -832,20 +832,6 @@ impl World {
             self.sched(start, Event::FlowStart { flow: f });
             if let Some(stop) = self.flows[f].stop {
                 self.sched(stop, Event::FlowStop { flow: f });
-            }
-        }
-        // Mobility trajectories.
-        for (ue, spec) in cfg.ues.iter().enumerate() {
-            for step in &spec.mobility {
-                self.sched(
-                    step.at,
-                    Event::Handover {
-                        ue,
-                        target_cell: step.cell,
-                        profile: step.profile,
-                        snr_db: step.snr_db,
-                    },
-                );
             }
         }
     }
@@ -972,39 +958,45 @@ impl World {
 
     /// Execute to the configured duration on up to `replicas` replicas
     /// of this world — the one body behind [`World::run`] and
-    /// [`crate::run_sharded`].
+    /// [`crate::run_sharded`]. Every world runs through
+    /// [`crate::shard::drive`], which executes each mobility step at its
+    /// barrier, before every event at its instant.
     ///
     /// A world whose cells are independent — the shard planner has no
     /// reason to refuse it — runs **cell-major**: one queue per cell,
-    /// each cell run up to the next mobility barrier in turn
-    /// ([`crate::shard::drive`]), so a cell's state stays in cache while
-    /// it runs. On `n = min(replicas, cells)` replicas ([`World::split`])
-    /// their epochs run in parallel; one replica is the one world owning
-    /// every cell. Every other world runs time-major off its single
-    /// queue — the only valid order when cells share a marker or a
-    /// router — and [`Report::shard_reject`] says why.
+    /// each cell run up to the next mobility barrier in turn, so a
+    /// cell's state stays in cache while it runs. On `n = min(replicas,
+    /// cells)` replicas ([`World::split`]) their epochs run in parallel;
+    /// one replica is the one world owning every cell. Every other world
+    /// is one replica that keeps its single queue — the only valid order
+    /// when cells share a marker or a router — and
+    /// [`Report::shard_reject`] says why.
     pub(crate) fn run_on(mut self, replicas: usize) -> Report {
         let reject = crate::shard::plan_shards_reason(&self.cfg, 2).1;
-        if reject.is_some() {
-            let end = Instant::ZERO + self.cfg.duration;
-            self.run_until(Instant::MAX, end);
-            let mut report = self.into_report();
-            report.shard_reject = reject;
-            return report;
-        }
-        let n = replicas.clamp(1, self.gnbs.len());
-        let schedule = crate::shard::barrier_schedule(&self.cfg);
-        // Spans must divide one thread's wall time: a measured world
-        // runs its replicas one after the other on this thread.
-        let workers = if self.cfg.measure_cycles {
-            1
-        } else {
-            crate::runner::default_threads().min(n)
+        let (world, stats) = match reject {
+            Some(_) => {
+                let stats = self.drive_alone();
+                (self, stats)
+            }
+            None => {
+                let n = replicas.clamp(1, self.gnbs.len());
+                // Spans must divide one thread's wall time: a measured
+                // world runs its replicas one after the other on this
+                // thread.
+                let workers = if self.cfg.measure_cycles {
+                    1
+                } else {
+                    crate::runner::default_threads().min(n)
+                };
+                let schedule = crate::shard::barrier_schedule(&self.cfg);
+                let mut worlds = self.split(n);
+                let stats = crate::shard::drive(&mut worlds, &schedule, workers);
+                (World::merge_sharded(worlds), stats)
+            }
         };
-        let mut worlds = self.split(n);
-        let stats = crate::shard::drive(&mut worlds, &schedule, workers);
-        let mut report = World::merge_sharded(worlds).into_report();
-        if n > 1 {
+        let mut report = world.into_report();
+        report.shard_reject = reject;
+        if stats.len() > 1 {
             // Every replica's spans, label by label: `calls` is exact at
             // any replica count.
             for s in &stats[1..] {
@@ -1039,23 +1031,29 @@ impl World {
         worlds
     }
 
-    /// The time-major loop over *any* world: the reference the
+    /// Run this world alone through its mobility barriers
+    /// ([`crate::shard::drive`] on this thread): on its one queue, or
+    /// cell-major as the only replica.
+    fn drive_alone(&mut self) -> Vec<ShardStat> {
+        let schedule = crate::shard::barrier_schedule(&self.cfg);
+        crate::shard::drive(std::slice::from_mut(self), &schedule, 1)
+    }
+
+    /// Any world run off one queue, time-major: the reference the
     /// cell-major order is checked against.
     #[cfg(test)]
     pub(crate) fn run_time_major(mut self) -> Report {
-        let end = Instant::ZERO + self.cfg.duration;
-        self.run_until(Instant::MAX, end);
+        self.drive_alone();
         self.into_report()
     }
 
     /// Drive the event loop until the next event would fire at or after
     /// `until` (an epoch barrier) or after `end` — the one queue of a
-    /// time-major world, or each owned cell's in turn. Events exactly at
-    /// `until` stay queued: the coordinator's barrier work (handovers,
-    /// mailbox drain) runs *before* anything at the barrier instant —
-    /// which is the time-major pop order, because an init-scheduled
-    /// `Handover` always carries a smaller sequence number than the
-    /// runtime-rescheduled events sharing its instant.
+    /// one-queue world, or each owned cell's in turn. Events exactly at
+    /// `until` stay queued: the coordinator's barrier work (mobility
+    /// steps, mailbox drain) runs *before* anything at the barrier
+    /// instant. That is the rule, on every path: a mobility step runs
+    /// before every event at its instant.
     pub(crate) fn run_until(&mut self, until: Instant, end: Instant) {
         let passes = self.cells.as_ref().map_or(1, |v| v.queues.len());
         for c in 0..passes {
@@ -1155,9 +1153,6 @@ impl World {
                 }
             }
             Event::AppTick { flow } => self.on_app_tick(flow, now),
-            Event::Handover { ue, target_cell, profile, snr_db } => {
-                self.on_handover(ue, target_cell, profile, snr_db, now)
-            }
             Event::Sample => {
                 let t0 = self.cycles.start();
                 self.on_sample(now);
@@ -1252,20 +1247,18 @@ impl World {
         )
     }
 
-    /// Execute one mobility step: a pure channel change when the target
-    /// is already serving, otherwise a full Xn handover — detach with
-    /// context serialization at the source, PDCP re-establishment and
-    /// lossless SDU forwarding at the target, UE-side re-establishment
-    /// (forced status report), the marker's handover policy per DRB, and
-    /// the attachment-table flip.
-    fn on_handover(
-        &mut self,
-        ue: usize,
-        target_cell: usize,
-        profile: ChannelProfile,
-        snr_db: f64,
-        now: Instant,
-    ) {
+    /// Execute `ue`'s mobility `step` at its barrier, counted as a
+    /// `Handover`: a pure channel change when the target is already
+    /// serving, otherwise a full Xn handover — detach with context
+    /// serialization at the source, PDCP re-establishment and lossless
+    /// SDU forwarding at the target, UE-side re-establishment (forced
+    /// status report), the marker's handover policy per DRB, and the
+    /// attachment-table flip. This world holds the UE and both cells:
+    /// between replicas, [`crate::shard::drive`] lends it the target
+    /// cell first ([`World::swap_cell`]).
+    pub(crate) fn apply_mobility_step(&mut self, ue: usize, step: MobilityStep) {
+        self.event_counts[Event::HANDOVER] += 1;
+        let MobilityStep { at: now, cell: target_cell, profile, snr_db } = step;
         let src = self.serving[ue];
         let ch = self.fresh_channel(ue, target_cell, profile, snr_db, now);
         if target_cell == src {
@@ -1508,6 +1501,20 @@ impl World {
         })
     }
 
+    /// The flow an uplink-travelling packet belongs to, the mirror of
+    /// [`World::flow_of_dl_pkt`]: a direct hit is an uplink flow's data;
+    /// a reversed hit is a downlink flow's feedback heading up to the
+    /// server.
+    fn flow_of_ul_pkt(&self, pkt: &PacketBuf) -> Option<usize> {
+        let tuple = pkt.five_tuple()?;
+        self.tuple_to_flow.get(&tuple).copied().or_else(|| {
+            self.tuple_to_flow
+                .get(&tuple.reversed())
+                .copied()
+                .filter(|&f| self.flows[f].dir == FlowDir::Downlink)
+        })
+    }
+
     fn on_app_deliver(&mut self, pkt: PacketBuf, drb: DrbId, sn: Sn, now: Instant) {
         let Some(flow) = self.flow_of_dl_pkt(&pkt) else {
             return;
@@ -1609,18 +1616,8 @@ impl World {
         // — and when the UE's flows now live on another cell, the
         // scheduled server arrival goes to that cell's queue.
         let core = self.gnbs[cell].config().core_to_cu_delay;
-        for mut pkt in pkts.drain(..) {
-            let c0 = self.cycles.start();
-            let t0 = self.clock_start();
-            self.markers[m].on_ul(&mut pkt, now);
-            self.clock_stop(t0, 1);
-            self.cycles.stop(c0, CYC_MARKER);
-            let Some(tuple) = pkt.five_tuple() else { continue };
-            let Some(&flow) = self.tuple_to_flow.get(&tuple.reversed()) else {
-                continue;
-            };
-            let delay = core + self.flows[flow].wan_one_way;
-            self.sched_ul_at_server(flow, pkt, now + delay);
+        for pkt in pkts.drain(..) {
+            self.forward_ul_to_server(cell, pkt, core, now);
         }
         // All buffers are empty again: back to the pool.
         self.ul_pool.push((pkts, statuses, bsr));
@@ -1671,9 +1668,10 @@ impl World {
         self.scratch_ul_decoded = decoded;
     }
 
-    /// Route one decoded uplink data packet onward to its content
-    /// server, through the CU (where `cell`'s downlink marker's uplink
-    /// hook sees it, like every packet heading for the core).
+    /// Route one uplink packet `cell` received — a downlink flow's
+    /// feedback or an uplink flow's data — onward to its content server,
+    /// through the CU (where `cell`'s downlink marker's uplink hook sees
+    /// it, like every packet heading for the core).
     fn forward_ul_to_server(&mut self, cell: usize, mut pkt: PacketBuf, core: Duration, now: Instant) {
         let m = self.mk(cell);
         let c0 = self.cycles.start();
@@ -1681,11 +1679,7 @@ impl World {
         self.markers[m].on_ul(&mut pkt, now);
         self.clock_stop(t0, 1);
         self.cycles.stop(c0, CYC_MARKER);
-        let Some(tuple) = pkt.five_tuple() else {
-            return;
-        };
-        // Uplink data tuples are registered in their data direction.
-        let Some(&flow) = self.tuple_to_flow.get(&tuple) else {
+        let Some(flow) = self.flow_of_ul_pkt(&pkt) else {
             return;
         };
         let delay = core + self.flows[flow].wan_one_way;
@@ -2040,10 +2034,8 @@ impl World {
     /// Turn this freshly built world cell-major, as replica `id` of the
     /// cell → replica map `of_cell`: every init-scheduled event moves, in
     /// `(time, seq)` order, to the queue of the cell that owns it
-    /// (events of cells another replica owns are dropped); the `Sample`
-    /// and `UePoll` ticks are copied to every owned cell; and the
-    /// mobility `Handover` events leave the queues — the barrier
-    /// schedule executes those steps from the config.
+    /// (events of cells another replica owns are dropped), and the
+    /// `Sample` and `UePoll` ticks are copied to every owned cell.
     pub(crate) fn cell_major_install(&mut self, id: usize, of_cell: Vec<usize>) {
         // One reservation per queue: the world's own sizing rule, with
         // the flows split evenly over the cells.
@@ -2069,7 +2061,6 @@ impl World {
             .collect();
         for (at, ev) in self.queue.drain_ordered() {
             let cell = match &ev {
-                Event::Handover { .. } => None,
                 tick @ (Event::Sample | Event::UePoll) => {
                     let sample = matches!(tick, Event::Sample);
                     for (c, q) in queues.iter_mut().enumerate() {
@@ -2107,7 +2098,7 @@ impl World {
             | Event::FlowStop { flow }
             | Event::FlowTimer { flow }
             | Event::AppTick { flow } => Some(of_flow(*flow)),
-            Event::UlStatusAtUe { ue, .. } | Event::Handover { ue, .. } => Some(self.serving[*ue]),
+            Event::UlStatusAtUe { ue, .. } => Some(self.serving[*ue]),
             Event::AppDeliver { pkt, .. } => self.flow_of_dl_pkt(pkt).map(of_flow),
             Event::DlAtHop { .. } | Event::HopPoll { .. } | Event::Sample | Event::UePoll => None,
         }
@@ -2122,9 +2113,10 @@ impl World {
         &mut view.queues[cell]
     }
 
-    /// The replica that owns `cell`.
+    /// The replica that owns `cell`: 0 for a one-queue world, the only
+    /// replica there is.
     pub(crate) fn replica_of(&self, cell: usize) -> usize {
-        self.cells.as_ref().expect("cell-major world").of_cell[cell]
+        self.cells.as_ref().map_or(0, |v| v.of_cell[cell])
     }
 
     /// The replica that owns an event (coordinator routing of mail and
@@ -2140,8 +2132,11 @@ impl World {
     /// events — to its new owner through [`World::inject`], in
     /// `(time, seq)` order. What belongs to a cell of another replica
     /// goes to `out` instead, in the same order, for the coordinator to
-    /// carry across.
+    /// carry across. A one-queue world has nothing to move.
     pub(crate) fn rehome_events(&mut self, src: usize, out: &mut Vec<(Instant, Event)>) {
+        if self.cells.is_none() {
+            return;
+        }
         for (at, ev) in self.cell_queue(src).drain_ordered() {
             match self.event_cell(&ev) {
                 Some(owner) if owner != src => {
@@ -2188,22 +2183,6 @@ impl World {
         out.append(&mut self.outbox);
     }
 
-    /// Barrier entry point for a mobility step whose source and target
-    /// cells live in this world (including pure channel changes): the
-    /// intra-world path, verbatim, counted as the `Handover` pop it
-    /// replaces.
-    pub(crate) fn apply_mobility_step(
-        &mut self,
-        ue: usize,
-        target_cell: usize,
-        profile: ChannelProfile,
-        snr_db: f64,
-        now: Instant,
-    ) {
-        self.event_counts[Event::HANDOVER] += 1;
-        self.on_handover(ue, target_cell, profile, snr_db, now);
-    }
-
     /// Serving cell of `ue` (coordinator routing).
     pub(crate) fn serving_cell(&self, ue: usize) -> usize {
         self.serving[ue]
@@ -2219,69 +2198,13 @@ impl World {
         self.cycles.report()
     }
 
-    /// Cells this replica owns (shard statistics).
+    /// Cells this replica owns (shard statistics): all of them in a
+    /// one-queue world.
     pub(crate) fn cells_owned(&self) -> usize {
-        let view = self.cells.as_ref().expect("cell-major world");
-        view.of_cell.iter().filter(|&&o| o == view.id).count()
-    }
-
-    /// Execute a cross-shard Xn handover at an epoch barrier: `src_w`
-    /// owns the UE (and its serving cell), `dst_w` the target cell.
-    /// Mirrors `on_handover` step for step, with the UE's simulation
-    /// state migrating between the replicas, and like
-    /// [`World::apply_mobility_step`] counts as one `Handover` pop. The
-    /// caller flips `serving` in *every* replica afterwards, then
-    /// re-homes the UE's queued events out of `src_w`.
-    pub(crate) fn handover_across(
-        src_w: &mut World,
-        dst_w: &mut World,
-        ue: usize,
-        target_cell: usize,
-        profile: ChannelProfile,
-        snr_db: f64,
-        now: Instant,
-    ) {
-        let src = src_w.serving[ue];
-        debug_assert_ne!(src, target_cell, "cross-shard step must change cells");
-        src_w.event_counts[Event::HANDOVER] += 1;
-        let ue_id = UeId(ue as u16);
-        let ch = dst_w.fresh_channel(ue, target_cell, profile, snr_db, now);
-        let ctx = src_w.gnbs[src].detach_ue(ue_id);
-        dst_w.gnbs[target_cell].attach_ue_handover(ue_id, ch, ctx, now);
-        let tgt_cfg = dst_w.gnbs[target_cell].config();
-        let (sp, id, sr) = (
-            tgt_cfg.rlc_status_period,
-            tgt_cfg.ue_internal_delay,
-            tgt_cfg.ul_sr_delay_max,
-        );
-        src_w.ues[ue].on_handover(sp, id, sr, now);
-        // Marker state crosses Xn between per-cell instances (shard
-        // eligibility guarantees the per-cell deployment), then the
-        // policy runs on the target instance — as in the intra-world
-        // path.
-        let drbs: Vec<DrbId> = src_w.cfg.ues[ue]
-            .drbs
-            .iter()
-            .map(|&(d, _)| DrbId(d))
-            .collect();
-        let tuples: Vec<FiveTuple> = src_w
-            .flows
-            .iter()
-            .filter(|f| f.ue_idx == ue)
-            .map(|f| f.tuple)
-            .collect();
-        let carry = src_w.markers[src].extract_ue(ue_id, &drbs, &tuples);
-        dst_w.markers[target_cell].absorb_ue(carry);
-        let carry = src_w.ul_markers[src].extract_ue(ue_id, &drbs, &tuples);
-        dst_w.ul_markers[target_cell].absorb_ue(carry);
-        for &d in &drbs {
-            dst_w.markers[target_cell].on_handover(ue_id, d, dst_w.cfg.marker_ho_policy);
-            dst_w.ul_markers[target_cell].on_handover(ue_id, d, dst_w.cfg.marker_ho_policy);
+        match &self.cells {
+            None => self.gnbs.len(),
+            Some(v) => v.of_cell.iter().filter(|&&o| o == v.id).count(),
         }
-        // The UE's whole simulation cluster follows it into the owning
-        // replica; the vacant slots swap back symmetrically.
-        World::swap_ue_clusters(src_w, dst_w, |u| u == ue);
-        dst_w.rec.push_handover(ue, now, src, target_cell);
     }
 
     /// Swap the whole live state cluster of every UE `moves` picks —
@@ -2290,7 +2213,7 @@ impl World {
     /// construction: the live copy always sits in the current owner, so
     /// ping-pong migrations stay consistent. One pass over the UEs and
     /// the flows, however many UEs move.
-    fn swap_ue_clusters(a: &mut World, b: &mut World, moves: impl Fn(usize) -> bool) {
+    pub(crate) fn swap_ue_clusters(a: &mut World, b: &mut World, moves: impl Fn(usize) -> bool) {
         use std::mem::swap;
         for ue in (0..a.ues.len()).filter(|&ue| moves(ue)) {
             swap(&mut a.ues[ue], &mut b.ues[ue]);
@@ -2305,6 +2228,16 @@ impl World {
         }
     }
 
+    /// Swap cell `c` between two replicas: its gNB, both marker
+    /// instances and its throughput bins.
+    pub(crate) fn swap_cell(a: &mut World, b: &mut World, c: usize) {
+        use std::mem::swap;
+        swap(&mut a.gnbs[c], &mut b.gnbs[c]);
+        swap(&mut a.markers[c], &mut b.markers[c]);
+        swap(&mut a.ul_markers[c], &mut b.ul_markers[c]);
+        Recorder::swap_cell(&mut a.rec, &mut b.rec, c);
+    }
+
     /// Swap what replica `sid` owns under `of_cell` between `a` and `b`:
     /// its cells' gNBs, both markers and throughput bins, then the
     /// cluster of every UE those cells serve. On a freshly built world
@@ -2313,12 +2246,8 @@ impl World {
     /// it folds the replica back ([`World::merge_sharded`]) — split and
     /// merge are one involution over the same swaps.
     fn exchange(a: &mut World, b: &mut World, sid: usize, of_cell: &[usize]) {
-        use std::mem::swap;
         for c in (0..of_cell.len()).filter(|&c| of_cell[c] == sid) {
-            swap(&mut a.gnbs[c], &mut b.gnbs[c]);
-            swap(&mut a.markers[c], &mut b.markers[c]);
-            swap(&mut a.ul_markers[c], &mut b.ul_markers[c]);
-            Recorder::swap_cell(&mut a.rec, &mut b.rec, c);
+            World::swap_cell(a, b, c);
         }
         // A UE's rows, serving-cell runs included, travel with it: the
         // replica owning its serving cell holds them.
@@ -2583,13 +2512,7 @@ mod tests {
         assert_eq!(name(Event::HopPoll { hop: 0 }), "HopPoll");
         assert_eq!(name(Event::UlAtGnb { cell: 0, ues: Vec::new() }), "UlAtGnb");
         assert_eq!(name(Event::AppTick { flow: 0 }), "AppTick");
-        let step = Event::Handover {
-            ue: 0,
-            target_cell: 1,
-            profile: ChannelProfile::Static,
-            snr_db: 0.0,
-        };
-        assert_eq!(name(step), "Handover");
+        assert_eq!(Event::CLASSES[Event::HANDOVER], "Handover");
         assert_eq!(name(Event::Sample), "Sample");
         assert_eq!(name(Event::UePoll), "UePoll");
     }
@@ -2917,8 +2840,9 @@ mod tests {
         }
         cfg.cell.rlc_queue_sdus = 32;
         cfg.extra_cells[0].rlc_queue_sdus = 32;
+        // Through the driver, which executes the mobility steps.
         let mut w = World::new(cfg);
-        w.run_until(Instant::MAX, Instant::ZERO + w.cfg.duration);
+        w.drive_alone();
         let dl_lost = w.ho_tbs_lost + w.gnbs.iter().map(|g| g.stats().tbs_lost).sum::<u64>();
         let ul_mid_air = w.uplink.tbs_lost;
         let r = w.into_report();

@@ -9,7 +9,7 @@
 //! `run_sharded` and `World::run` are one body with a replica count,
 //! and one shard is the one world running every cell cell-major, so
 //! this matrix pins the replicas against the one-world cell-major run.
-//! That run is pinned against the time-major loop it replaced, event
+//! That run is pinned against the same world run off one queue, event
 //! for event, by the harness crate's `cell_major_matches_time_major_*`
 //! tests.
 //!
