@@ -7,18 +7,27 @@
 //!
 //! This is the only crate in the workspace allowed to use `unsafe`: the
 //! two unsafe functions below delegate verbatim to [`System`] and add a
-//! relaxed atomic increment. Everything else inherits the workspace-wide
-//! `unsafe_code = "forbid"`.
+//! relaxed atomic increment and a per-thread one. Everything else
+//! inherits the workspace-wide `unsafe_code = "forbid"`.
 
 #![warn(missing_docs)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or registers a destructor.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A [`GlobalAlloc`] that counts allocation requests.
 ///
 /// Install with `#[global_allocator]` in a test binary, then diff
-/// [`CountingAlloc::count`] around the code under test.
+/// [`CountingAlloc::count`] (every thread) or
+/// [`CountingAlloc::thread_count`] (the calling thread) around the code
+/// under test.
 pub struct CountingAlloc {
     allocations: AtomicU64,
 }
@@ -35,6 +44,17 @@ impl CountingAlloc {
     pub fn count(&self) -> u64 {
         self.allocations.load(Ordering::Relaxed)
     }
+
+    /// Allocation requests the calling thread made so far: immune to
+    /// what other threads (a test harness's own, say) allocate meanwhile.
+    pub fn thread_count(&self) -> u64 {
+        THREAD_ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
+    }
+
+    fn counted(&self) {
+        self.allocations.fetch_add(1, Ordering::Relaxed);
+        let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 impl Default for CountingAlloc {
@@ -45,7 +65,7 @@ impl Default for CountingAlloc {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.counted();
         unsafe { System.alloc(layout) }
     }
 
@@ -54,12 +74,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.counted();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.counted();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }

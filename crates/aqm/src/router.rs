@@ -120,14 +120,6 @@ impl Router {
         Duration::from_secs_f64(pkt.wire_len() as f64 * 8.0 / self.rate_bps)
     }
 
-    /// Sojourn time of the head of the classic queue (PI input).
-    fn c_head_sojourn(&self, now: Instant) -> Duration {
-        self.c_queue
-            .front()
-            .map(|q| now.saturating_since(q.enqueued_at))
-            .unwrap_or(Duration::ZERO)
-    }
-
     /// Collect packets whose transmission completed by `now`, starting
     /// new transmissions as the wire frees up.
     pub fn poll(&mut self, now: Instant) -> Vec<PacketBuf> {
@@ -235,11 +227,6 @@ impl Router {
     /// poll time).
     pub fn next_departure(&self) -> Option<Instant> {
         self.in_service.as_ref().map(|&(_, d)| d)
-    }
-
-    /// Sojourn diagnostics for tests.
-    pub fn head_sojourn(&self, now: Instant) -> Duration {
-        self.c_head_sojourn(now)
     }
 }
 

@@ -1,5 +1,7 @@
 //! The congestion-control trait shared by all senders.
 
+use std::collections::VecDeque;
+
 use l4span_net::Ecn;
 use l4span_sim::{Duration, Instant};
 
@@ -104,19 +106,19 @@ pub(crate) const ALPHA_GAIN: f64 = 1.0 / 16.0;
 /// over the path floor reads as a classic (RFC 3168) single-queue AQM
 /// (classic AQMs target tens of ms of standing queue; an L4S step
 /// target sits around 1 ms).
-pub(crate) const CLASSIC_DELAY: Duration = Duration::from_millis(15);
+const CLASSIC_DELAY: Duration = Duration::from_millis(15);
 
 /// Consecutive suspicious rounds — RTT rounds for TCP, feedback epochs
 /// for UDP — of classic or bleached evidence before a Prague sender
 /// falls back to classic dynamics.
-pub(crate) const FALLBACK_STREAK: u32 = 3;
+const FALLBACK_STREAK: u32 = 3;
 
 /// How far back a Prague fallback detector remembers its RTT floor. A
 /// lifetime minimum poisons the `srtt - min` queue estimate after a
 /// handover to a longer-RTT cell: the old floor makes the clean new
 /// path read as standing queue and can trip classic fallback on a good
 /// L4S path. The [`WindowedMin`] forgets it within this window.
-pub(crate) const MIN_RTT_WINDOW: Duration = Duration::from_secs(10);
+const MIN_RTT_WINDOW: Duration = Duration::from_secs(10);
 
 /// A running minimum over a sliding time window (the BBR min-RTT
 /// idiom): a monotonic deque of `(seen_at, value)` candidates where
@@ -128,7 +130,7 @@ pub(crate) const MIN_RTT_WINDOW: Duration = Duration::from_secs(10);
 #[derive(Debug, Clone)]
 pub struct WindowedMin {
     window: Duration,
-    samples: std::collections::VecDeque<(Instant, Duration)>,
+    samples: VecDeque<(Instant, Duration)>,
 }
 
 impl WindowedMin {
@@ -136,7 +138,7 @@ impl WindowedMin {
     pub fn new(window: Duration) -> WindowedMin {
         WindowedMin {
             window,
-            samples: std::collections::VecDeque::new(),
+            samples: VecDeque::new(),
         }
     }
 
@@ -171,6 +173,133 @@ impl WindowedMin {
                 break;
             }
             self.samples.pop_front();
+        }
+    }
+}
+
+/// The classic-ECN / bleaching fallback judge of the Prague senders: TCP
+/// Prague hands it one verdict per ACK round, UDP Prague one per
+/// feedback epoch. [`FALLBACK_STREAK`] consecutive classic verdicts
+/// (CE while srtt sits [`CLASSIC_DELAY`] above the RTT floor) or
+/// bleached ones (most arrivals lost their ECT codepoint) make the
+/// sender fall back to Reno-friendly dynamics for good; classic wins a
+/// tie. The fall is recorded as one [`CcEvent::ClassicFallback`].
+#[derive(Debug)]
+pub(crate) struct FallbackDetector {
+    /// Windowed-lowest RTT sample (the queueing-delay baseline).
+    floor: WindowedMin,
+    classic_rounds: u32,
+    bleach_rounds: u32,
+    /// Set once: the recorded transition, until drained.
+    event: Option<CcEvent>,
+    fallen: bool,
+}
+
+impl FallbackDetector {
+    pub(crate) fn new() -> FallbackDetector {
+        FallbackDetector {
+            floor: WindowedMin::new(MIN_RTT_WINDOW),
+            classic_rounds: 0,
+            bleach_rounds: 0,
+            event: None,
+            fallen: false,
+        }
+    }
+
+    /// Feed one RTT sample to the floor.
+    pub(crate) fn sample_floor(&mut self, now: Instant, rtt: Duration) {
+        self.floor.update(now, rtt);
+    }
+
+    /// Does `srtt` sit a classic-scale queue above the floor?
+    pub(crate) fn classic_queue(&mut self, now: Instant, srtt: Duration) -> bool {
+        self.floor
+            .get(now)
+            .map_or(Duration::ZERO, |m| srtt.saturating_sub(m))
+            > CLASSIC_DELAY
+    }
+
+    /// Judge one round: `Some(true)` is evidence, `Some(false)` a clean
+    /// round that resets the streak, `None` no evidence either way.
+    pub(crate) fn judge(&mut self, now: Instant, classic: Option<bool>, bleached: Option<bool>) {
+        if self.fallen {
+            return;
+        }
+        for (rounds, seen) in [
+            (&mut self.classic_rounds, classic),
+            (&mut self.bleach_rounds, bleached),
+        ] {
+            match seen {
+                Some(true) => *rounds += 1,
+                Some(false) => *rounds = 0,
+                None => {}
+            }
+        }
+        let reason = if self.classic_rounds >= FALLBACK_STREAK {
+            FallbackReason::ClassicEcn
+        } else if self.bleach_rounds >= FALLBACK_STREAK {
+            FallbackReason::Bleached
+        } else {
+            return;
+        };
+        self.fallen = true;
+        self.event = Some(CcEvent::ClassicFallback { at: now, reason });
+    }
+
+    /// The sender is in Reno-friendly mode for good.
+    pub(crate) fn fallen(&self) -> bool {
+        self.fallen
+    }
+
+    /// The fallback event, once.
+    pub(crate) fn take_event(&mut self) -> Option<CcEvent> {
+        self.event.take()
+    }
+}
+
+/// Sparse RTT sampling for a rate-paced UDP sender: one `(datagrams
+/// sent, send time)` probe per [`RttProbe::EVERY`] datagrams, at most
+/// [`RttProbe::KEEP`] outstanding. A feedback report's cumulative
+/// received count pops every probe it covers into a 7/8 EWMA.
+#[derive(Debug, Default)]
+pub(crate) struct RttProbe {
+    sent: u64,
+    probes: VecDeque<(u64, Instant)>,
+    /// Smoothed RTT; `None` until the first probe returns.
+    pub(crate) srtt: Option<Duration>,
+}
+
+impl RttProbe {
+    /// Probe spacing in datagrams.
+    const EVERY: u64 = 16;
+    /// Outstanding probes kept; the oldest goes first.
+    const KEEP: usize = 256;
+
+    /// One datagram left at `now`.
+    pub(crate) fn on_send(&mut self, now: Instant) {
+        self.sent += 1;
+        if self.sent % Self::EVERY == 1 {
+            self.probes.push_back((self.sent, now));
+            if self.probes.len() > Self::KEEP {
+                self.probes.pop_front();
+            }
+        }
+    }
+
+    /// A report counting `received` datagrams arrived at `now`.
+    pub(crate) fn on_report(&mut self, received: u64, now: Instant) {
+        while let Some(&(count, sent)) = self.probes.front() {
+            if count > received {
+                break;
+            }
+            self.probes.pop_front();
+            let rtt = now.saturating_since(sent);
+            self.srtt = Some(match self.srtt {
+                None => rtt,
+                Some(s) => {
+                    Duration::from_secs_f64(0.875 * s.as_secs_f64() + 0.125 * rtt.as_secs_f64())
+                }
+            });
         }
     }
 }
@@ -274,6 +403,102 @@ mod tests {
             m.get(Instant::ZERO + Duration::from_secs(30)),
             Some(Duration::from_millis(30))
         );
+    }
+
+    /// One verdict per round, all at instant `t`.
+    fn judge_rounds(d: &mut FallbackDetector, t: Instant, rounds: &[(Option<bool>, Option<bool>)]) {
+        for &(classic, bleached) in rounds {
+            d.judge(t, classic, bleached);
+        }
+    }
+
+    #[test]
+    fn fallback_streak_survives_no_evidence_and_resets_on_a_clean_round() {
+        let t = Instant::ZERO;
+        let (yes, no) = (Some(true), Some(false));
+        // Either streak, in turn: `None` leaves it as it is …
+        for (hit, idle) in [((yes, None), (None, None)), ((None, yes), (None, None))] {
+            let mut d = FallbackDetector::new();
+            judge_rounds(&mut d, t, &[hit, hit, idle, idle, idle]);
+            assert!(!d.fallen());
+            d.judge(t, hit.0, hit.1);
+            assert!(d.fallen(), "three rounds of evidence around idle ones");
+        }
+        // … a clean round starts it over.
+        for (hit, clean) in [((yes, None), (no, None)), ((None, yes), (None, no))] {
+            let mut d = FallbackDetector::new();
+            judge_rounds(&mut d, t, &[hit, hit, clean, hit, hit]);
+            assert!(!d.fallen());
+        }
+    }
+
+    #[test]
+    fn classic_outranks_bleaching_on_the_same_round() {
+        let mut d = FallbackDetector::new();
+        let both = (Some(true), Some(true));
+        judge_rounds(&mut d, Instant::from_millis(1), &[both, both]);
+        d.judge(Instant::from_millis(7), Some(true), Some(true));
+        assert_eq!(
+            d.take_event(),
+            Some(CcEvent::ClassicFallback {
+                at: Instant::from_millis(7),
+                reason: FallbackReason::ClassicEcn,
+            })
+        );
+    }
+
+    #[test]
+    fn fallen_is_terminal_and_its_event_is_taken_once() {
+        let mut d = FallbackDetector::new();
+        let bleached = (Some(false), Some(true));
+        judge_rounds(&mut d, Instant::ZERO, &[bleached; 3]);
+        assert!(matches!(
+            d.take_event(),
+            Some(CcEvent::ClassicFallback {
+                reason: FallbackReason::Bleached,
+                ..
+            })
+        ));
+        assert_eq!(d.take_event(), None, "taken once");
+        let clean = (Some(false), Some(false));
+        judge_rounds(&mut d, Instant::ZERO, &[clean, (Some(true), None)]);
+        judge_rounds(&mut d, Instant::ZERO, &[(Some(true), None); 3]);
+        assert!(d.fallen(), "no way back");
+        assert_eq!(d.take_event(), None, "no second event");
+    }
+
+    #[test]
+    fn rtt_probe_samples_one_datagram_in_sixteen_and_keeps_the_newest() {
+        let mut p = RttProbe::default();
+        for i in 0..16 * 300 {
+            p.on_send(Instant::from_millis(i));
+        }
+        assert_eq!(p.probes.len(), RttProbe::KEEP);
+        // The 300 probes sit on datagrams 1, 17, 33, …; the first 44 went.
+        let counts: Vec<u64> = p.probes.iter().map(|&(c, _)| c).collect();
+        assert_eq!(counts[0], 16 * 44 + 1);
+        assert!(counts.windows(2).all(|w| w[1] - w[0] == RttProbe::EVERY));
+        assert_eq!(p.probes[0].1, Instant::from_millis(16 * 44));
+    }
+
+    #[test]
+    fn rtt_probe_pops_by_cumulative_count_and_seeds_srtt_with_the_first_sample() {
+        let mut p = RttProbe::default();
+        // Probes on datagrams 1, 17 and 33, sent at 0, 16 and 32 ms.
+        for i in 0..40 {
+            p.on_send(Instant::from_millis(i));
+        }
+        p.on_report(0, Instant::from_millis(40));
+        assert_eq!(p.srtt, None, "no probe covered yet");
+        p.on_report(16, Instant::from_millis(50));
+        assert_eq!(p.srtt, Some(Duration::from_millis(50)), "first seeds");
+        assert_eq!(p.probes.len(), 2);
+        // Both remaining probes return: 84 ms, then 68 ms, each at 1/8.
+        p.on_report(40, Instant::from_millis(100));
+        assert!(p.probes.is_empty());
+        let want = 0.875 * (0.875 * 0.050 + 0.125 * 0.084) + 0.125 * 0.068;
+        let got = p.srtt.expect("smoothed").as_secs_f64();
+        assert!((got - want).abs() < 1e-9, "srtt {got}, want {want}");
     }
 
     #[test]

@@ -25,9 +25,9 @@
 
 use std::collections::VecDeque;
 
-use crate::cc::FeedbackGate;
+use crate::cc::{FeedbackGate, RttProbe};
 use crate::nada::NadaCore;
-use l4span_net::{Ecn, PacketBuf};
+use l4span_net::{ipv4::unwrap_ident, Ecn, PacketBuf};
 use l4span_sim::{Duration, Instant};
 
 /// Source packets between two repair packets (25% repair overhead).
@@ -361,11 +361,9 @@ pub struct FecMediaSender {
     next_frame_at: Instant,
     /// Pending ARQ retransmissions (seq order).
     retx_q: VecDeque<u64>,
-    /// Per-leg `(cumulative packets, send time)` RTT probes.
-    probes: Vec<VecDeque<(u64, Instant)>>,
-    sent_on: Vec<u64>,
+    /// Per-leg RTT from sparse probes.
+    rtt: Vec<RttProbe>,
     last_fb: [FecLegStats; 2],
-    srtt: Vec<Option<Duration>>,
 }
 
 impl FecMediaSender {
@@ -402,10 +400,8 @@ impl FecMediaSender {
             fps,
             next_frame_at: Instant::ZERO,
             retx_q: VecDeque::new(),
-            probes: (0..n_legs).map(|_| VecDeque::new()).collect(),
-            sent_on: vec![0; n_legs],
+            rtt: (0..n_legs).map(|_| RttProbe::default()).collect(),
             last_fb: [FecLegStats::default(); 2],
-            srtt: vec![None; n_legs],
         }
     }
 
@@ -446,7 +442,7 @@ impl FecMediaSender {
 
     /// Smoothed RTT of `leg`, if feedback produced one yet.
     pub fn leg_srtt(&self, leg: usize) -> Option<Duration> {
-        self.srtt.get(leg).copied().flatten()
+        self.rtt.get(leg).and_then(|p| p.srtt)
     }
 
     /// Stop sending (flow teardown).
@@ -493,15 +489,7 @@ impl FecMediaSender {
                 payload,
             ),
         ));
-        let li = leg as usize;
-        self.sent_on[li] += 1;
-        // Sparse RTT probes, one per 16 datagrams per leg.
-        if self.sent_on[li] % 16 == 1 {
-            self.probes[li].push_back((self.sent_on[li], now));
-            if self.probes[li].len() > 256 {
-                self.probes[li].pop_front();
-            }
-        }
+        self.rtt[leg as usize].on_send(now);
     }
 
     /// Emit everything due: pending retransmissions first (they race a
@@ -543,24 +531,11 @@ impl FecMediaSender {
         for li in 0..self.legs.len() {
             let cur = fb.legs[li];
             let prev = self.last_fb[li];
-            // Leg RTT from the sparse probe log.
-            while let Some(&(count, sent)) = self.probes[li].front() {
-                if count > cur.packets {
-                    break;
-                }
-                self.probes[li].pop_front();
-                let rtt = now.saturating_since(sent);
-                self.srtt[li] = Some(match self.srtt[li] {
-                    None => rtt,
-                    Some(s) => Duration::from_secs_f64(
-                        0.875 * s.as_secs_f64() + 0.125 * rtt.as_secs_f64(),
-                    ),
-                });
-            }
+            self.rtt[li].on_report(cur.packets, now);
             let pkts = cur.packets.saturating_sub(prev.packets);
             let ce = cur.ce_packets.saturating_sub(prev.ce_packets);
             if pkts > 0 {
-                let srtt = self.srtt[li].unwrap_or(Duration::from_millis(40));
+                let srtt = self.rtt[li].srtt.unwrap_or(Duration::from_millis(40));
                 self.legs[li].on_sample(
                     now,
                     pkts * MTU_PAYLOAD as u64,
@@ -651,14 +626,6 @@ impl FecMediaReceiver {
         self.coupled = coupled;
     }
 
-    /// Map a wrapped u16 wire ident back onto the u64 sequence space,
-    /// relative to the receive high-water mark.
-    fn unwrap_seq(&self, ident: u16) -> u64 {
-        let reference = self.core.high();
-        let delta = i64::from(ident.wrapping_sub(reference as u16) as i16);
-        (reference as i64 + delta).max(0) as u64
-    }
-
     fn emit_feedback(&mut self, now: Instant) -> (PacketBuf, FecFeedback) {
         self.fb_ident = self.fb_ident.wrapping_add(1);
         let mut fb = FecFeedback {
@@ -694,7 +661,7 @@ impl FecMediaReceiver {
             _ => {}
         }
         self.received_bytes += pkt.payload_len() as u64;
-        let seq = self.unwrap_seq(pkt.identification());
+        let seq = unwrap_ident(pkt.identification(), self.core.high());
         if pkt.payload_len() == REPAIR_PAYLOAD {
             self.core.on_repair(seq.saturating_sub(FEC_WINDOW), seq, now);
         } else {

@@ -9,102 +9,8 @@
 
 use l4span_sim::{Duration, Instant};
 
-use crate::cc::{
-    AckSample, CcEvent, CongestionControl, EcnMode, FallbackReason, WindowedMin, ALPHA_GAIN,
-    CLASSIC_DELAY, FALLBACK_STREAK, MIN_RTT_WINDOW,
-};
+use crate::cc::{AckSample, CcEvent, CongestionControl, EcnMode, FallbackDetector, ALPHA_GAIN};
 use crate::reno::INITIAL_WINDOW_SEGS;
-
-/// Classic-fallback detector state (present only on fallback-enabled
-/// Prague senders, so vanilla Prague's byte-exact behaviour is
-/// untouched).
-#[derive(Debug)]
-struct FallbackDetector {
-    /// Windowed-lowest RTT sample (the queueing-delay baseline).
-    min_rtt: WindowedMin,
-    /// Bytes this round reported arriving with any ECN codepoint
-    /// (`None` until AccECN evidence arrives this round).
-    round_ect: Option<usize>,
-    /// This round saw CE while srtt sat a classic queue above min RTT.
-    round_classic: bool,
-    /// Consecutive rounds matching the classic-AQM pattern.
-    classic_rounds: u32,
-    /// Consecutive rounds with a majority arrival-codepoint shortfall.
-    bleach_rounds: u32,
-    /// Set once: the recorded transition, until drained.
-    event: Option<CcEvent>,
-    /// The sender is in Reno-friendly mode for good.
-    fallen: bool,
-}
-
-impl Default for FallbackDetector {
-    fn default() -> FallbackDetector {
-        FallbackDetector {
-            min_rtt: WindowedMin::new(MIN_RTT_WINDOW),
-            round_ect: None,
-            round_classic: false,
-            classic_rounds: 0,
-            bleach_rounds: 0,
-            event: None,
-            fallen: false,
-        }
-    }
-}
-
-impl FallbackDetector {
-    /// Per-ACK evidence gathering.
-    fn on_ack(&mut self, ack: &AckSample) {
-        if let Some(rtt) = ack.rtt {
-            self.min_rtt.update(ack.now, rtt);
-        }
-        if let Some(e) = ack.ect_bytes {
-            *self.round_ect.get_or_insert(0) += e;
-        }
-        if ack.ce_bytes > 0 {
-            let queued = self
-                .min_rtt
-                .get(ack.now)
-                .map_or(Duration::ZERO, |m| ack.srtt.saturating_sub(m));
-            if queued > CLASSIC_DELAY {
-                self.round_classic = true;
-            }
-        }
-    }
-
-    /// Per-round verdict; returns the reason once the evidence is
-    /// sustained.
-    fn end_round(&mut self, round_acked: usize) -> Option<FallbackReason> {
-        if self.fallen {
-            return None;
-        }
-        if self.round_classic {
-            self.classic_rounds += 1;
-        } else {
-            self.classic_rounds = 0;
-        }
-        self.round_classic = false;
-        // Bleach: a majority of this round's acked bytes arrived with no
-        // ECN codepoint at all. Requires AccECN evidence this round (a
-        // round of pure stale ACKs proves nothing).
-        match self.round_ect.take() {
-            Some(ect) if round_acked > 0 && ect < round_acked / 2 => self.bleach_rounds += 1,
-            Some(_) => self.bleach_rounds = 0,
-            None => {}
-        }
-        if self.classic_rounds >= FALLBACK_STREAK {
-            Some(FallbackReason::ClassicEcn)
-        } else if self.bleach_rounds >= FALLBACK_STREAK {
-            Some(FallbackReason::Bleached)
-        } else {
-            None
-        }
-    }
-
-    fn fall_back(&mut self, at: Instant, reason: FallbackReason) {
-        self.fallen = true;
-        self.event = Some(CcEvent::ClassicFallback { at, reason });
-    }
-}
 
 /// TCP Prague congestion control.
 #[derive(Debug)]
@@ -125,6 +31,11 @@ pub struct Prague {
     /// Classic-fallback detector (`None` = vanilla Prague; `Some` adds
     /// the L4S-ops-guidance detection and Reno-friendly fallback).
     fallback: Option<FallbackDetector>,
+    /// Fallback evidence this round: bytes reported arriving with any
+    /// ECN codepoint (`None` until AccECN evidence arrives), and CE
+    /// seen while srtt sat a classic queue above the RTT floor.
+    round_ect: Option<usize>,
+    round_classic: bool,
 }
 
 impl Prague {
@@ -141,6 +52,8 @@ impl Prague {
             reduced_this_round: false,
             acked_credit: 0.0,
             fallback: None,
+            round_ect: None,
+            round_classic: false,
         }
     }
 
@@ -152,7 +65,7 @@ impl Prague {
     /// transition as a [`CcEvent`].
     pub fn with_fallback(mss: usize) -> Prague {
         Prague {
-            fallback: Some(FallbackDetector::default()),
+            fallback: Some(FallbackDetector::new()),
             ..Prague::new(mss)
         }
     }
@@ -165,7 +78,7 @@ impl Prague {
     /// Whether a fallback-enabled sender has switched to Reno-friendly
     /// dynamics (always `false` on vanilla Prague).
     pub fn fallen_back(&self) -> bool {
-        self.fallback.as_ref().is_some_and(|f| f.fallen)
+        self.fallback.as_ref().is_some_and(FallbackDetector::fallen)
     }
 
     fn end_round(&mut self, now: Instant, srtt: Duration) {
@@ -188,16 +101,25 @@ impl CongestionControl for Prague {
         if ack.now >= self.round_end {
             // Judge the completed round's evidence before its counters
             // reset (vanilla Prague carries no detector — nothing here
-            // perturbs its byte-exact behaviour).
-            if let Some(fb) = &mut self.fallback {
-                if let Some(reason) = fb.end_round(self.round_acked) {
-                    fb.fall_back(ack.now, reason);
-                }
+            // perturbs its byte-exact behaviour). Bleached: a majority
+            // of the round's acked bytes arrived with no ECN codepoint
+            // at all; a round of pure stale ACKs proves nothing.
+            if let Some(det) = &mut self.fallback {
+                let acked = self.round_acked;
+                let bleached = self.round_ect.take().map(|e| acked > 0 && e < acked / 2);
+                let classic = std::mem::take(&mut self.round_classic);
+                det.judge(ack.now, Some(classic), bleached);
             }
             self.end_round(ack.now, ack.srtt);
         }
-        if let Some(fb) = &mut self.fallback {
-            fb.on_ack(ack);
+        if let Some(det) = &mut self.fallback {
+            if let Some(rtt) = ack.rtt {
+                det.sample_floor(ack.now, rtt);
+            }
+            if let Some(e) = ack.ect_bytes {
+                *self.round_ect.get_or_insert(0) += e;
+            }
+            self.round_classic |= ack.ce_bytes > 0 && det.classic_queue(ack.now, ack.srtt);
         }
         self.round_acked += ack.newly_acked;
         self.round_ce += ack.ce_bytes;
@@ -207,7 +129,7 @@ impl CongestionControl for Prague {
             self.ssthresh = self.ssthresh.min(self.cwnd);
             if !self.reduced_this_round {
                 self.reduced_this_round = true;
-                if self.fallback.as_ref().is_some_and(|f| f.fallen) {
+                if self.fallen_back() {
                     // Reno-friendly mode: the marks come from a classic
                     // AQM, so answer with the classic 50% decrease (once
                     // per RTT) instead of the scalable α/2 nudge.
@@ -268,7 +190,7 @@ impl CongestionControl for Prague {
     fn take_events(&mut self) -> Vec<CcEvent> {
         self.fallback
             .as_mut()
-            .and_then(|f| f.event.take())
+            .and_then(FallbackDetector::take_event)
             .into_iter()
             .collect()
     }
@@ -277,6 +199,7 @@ impl CongestionControl for Prague {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::FallbackReason;
 
     fn ack(now_ms: u64, bytes: usize, ce: usize) -> AckSample {
         // Faithful path: every acked byte arrived with its codepoint.

@@ -58,6 +58,32 @@ fn frame_id(frame: u64) -> NonZeroU32 {
         .expect("a call generates fewer than 2^32 frames")
 }
 
+/// Size of frame `frame` (0-based) of a source encoding `target_bps` at
+/// one frame per `interval`. With an I/P pattern — every
+/// `keyframe_every`-th frame `keyframe_boost`× the GOP-average size —
+/// delta frames shrink so the GOP average stays on the target. An
+/// `every` below 2, or a boost outside `(1, every)` that would leave
+/// delta frames non-positive, keeps uniform sizes.
+pub fn gop_frame_bytes(
+    frame: u64,
+    target_bps: f64,
+    interval: Duration,
+    keyframe_every: u32,
+    keyframe_boost: f64,
+) -> usize {
+    let base = target_bps * interval.as_secs_f64() / 8.0;
+    let k = keyframe_every as f64;
+    if keyframe_every >= 2 && keyframe_boost > 1.0 && keyframe_boost < k {
+        if frame.is_multiple_of(u64::from(keyframe_every)) {
+            (base * keyframe_boost) as usize
+        } else {
+            (base * (k - keyframe_boost) / (k - 1.0)) as usize
+        }
+    } else {
+        base as usize
+    }
+}
+
 /// SCReAM sender: media source + window-based rate adaptation.
 #[derive(Debug)]
 pub struct ScreamSender {
@@ -161,15 +187,10 @@ impl ScreamSender {
         }
     }
 
-    /// Enable an I/P keyframe pattern: every `every`-th frame is `boost`×
-    /// the GOP-average size, delta frames shrink to compensate. `every`
-    /// below 2 (or a boost that would leave delta frames non-positive)
-    /// keeps uniform sizes.
+    /// Enable an I/P keyframe pattern (see [`gop_frame_bytes`]).
     pub fn with_keyframes(mut self, every: u32, boost: f64) -> ScreamSender {
-        if every >= 2 && boost > 1.0 && boost < every as f64 {
-            self.keyframe_every = every;
-            self.keyframe_boost = boost;
-        }
+        self.keyframe_every = every;
+        self.keyframe_boost = boost;
         self
     }
 
@@ -217,18 +238,13 @@ impl ScreamSender {
         // Frame generation.
         while now >= self.next_frame_at {
             let frame = self.frame_count;
-            let frame_bytes = if self.keyframe_every >= 2 {
-                // I/P pattern around the same GOP-average size.
-                let base = self.target_bps * self.frame_interval.as_secs_f64() / 8.0;
-                let k = self.keyframe_every as f64;
-                if frame.is_multiple_of(u64::from(self.keyframe_every)) {
-                    (base * self.keyframe_boost) as usize
-                } else {
-                    (base * (k - self.keyframe_boost) / (k - 1.0)) as usize
-                }
-            } else {
-                (self.target_bps * self.frame_interval.as_secs_f64() / 8.0) as usize
-            };
+            let frame_bytes = gop_frame_bytes(
+                frame,
+                self.target_bps,
+                self.frame_interval,
+                self.keyframe_every,
+                self.keyframe_boost,
+            );
             self.frame_count += 1;
             self.frames_generated += 1;
             self.media_bytes += frame_bytes as u64;
@@ -293,11 +309,6 @@ impl ScreamSender {
                 self.sent_log.pop_front();
             }
         }
-    }
-
-    /// Diagnostics: (cwnd bytes, bytes in flight, RTP queue packets).
-    pub fn debug_state(&self) -> (f64, usize, usize) {
-        (self.cwnd, self.bytes_in_flight, self.rtp_queue.len())
     }
 
     /// Next frame-generation instant.

@@ -3,10 +3,7 @@
 //! packet/CE counts in the UDP payload; the sender runs the DCTCP-style
 //! `α` update on a paced rate instead of a window.
 
-use crate::cc::{
-    CcEvent, FallbackReason, FeedbackGate, WindowedMin, ALPHA_GAIN, CLASSIC_DELAY,
-    FALLBACK_STREAK, MIN_RTT_WINDOW,
-};
+use crate::cc::{CcEvent, FallbackDetector, FeedbackGate, RttProbe, ALPHA_GAIN};
 use l4span_net::{Ecn, PacketBuf};
 use l4span_sim::{Duration, Instant};
 
@@ -44,81 +41,11 @@ pub struct UdpPragueSender {
     ident: u16,
     /// Estimated feedback round-trip (reduction gate).
     rtt_gate: Duration,
-    /// Datagrams sent so far.
-    n_sent: u64,
-    /// Sparse (count, send time) probes for RTT estimation.
-    probe_log: std::collections::VecDeque<(u64, Instant)>,
-    /// Smoothed RTT from feedback arrival.
-    srtt: Option<Duration>,
+    /// RTT from sparse probes, smoothed at feedback arrival.
+    rtt: RttProbe,
     /// Classic-path detector, engaged via
     /// [`UdpPragueSender::enable_fallback`].
-    fallback: Option<UdpFallbackDetector>,
-}
-
-/// Classic-ECN / bleaching detector for the UDP sender, mirroring the
-/// TCP Prague one but keyed on feedback epochs instead of ACK rounds.
-#[derive(Debug)]
-struct UdpFallbackDetector {
-    min_srtt: WindowedMin,
-    classic_epochs: u32,
-    bleach_epochs: u32,
-    event: Option<CcEvent>,
-    fallen: bool,
-}
-
-impl Default for UdpFallbackDetector {
-    fn default() -> UdpFallbackDetector {
-        UdpFallbackDetector {
-            min_srtt: WindowedMin::new(MIN_RTT_WINDOW),
-            classic_epochs: 0,
-            bleach_epochs: 0,
-            event: None,
-            fallen: false,
-        }
-    }
-}
-
-impl UdpFallbackDetector {
-    /// Score one feedback epoch; returns the reason once the evidence
-    /// has persisted for [`FALLBACK_STREAK`] epochs.
-    fn on_epoch(
-        &mut self,
-        pkts: u64,
-        ce: u64,
-        not_ect: u64,
-        srtt: Option<Duration>,
-        now: Instant,
-    ) -> Option<FallbackReason> {
-        if self.fallen {
-            return None;
-        }
-        if let Some(s) = srtt {
-            let m = self.min_srtt.update(now, s);
-            let classic_delay = ce > 0 && s.saturating_sub(m) > CLASSIC_DELAY;
-            if classic_delay {
-                self.classic_epochs += 1;
-            } else {
-                self.classic_epochs = 0;
-            }
-        }
-        if not_ect > pkts / 2 {
-            self.bleach_epochs += 1;
-        } else {
-            self.bleach_epochs = 0;
-        }
-        if self.classic_epochs >= FALLBACK_STREAK {
-            Some(FallbackReason::ClassicEcn)
-        } else if self.bleach_epochs >= FALLBACK_STREAK {
-            Some(FallbackReason::Bleached)
-        } else {
-            None
-        }
-    }
-
-    fn fall_back(&mut self, at: Instant, reason: FallbackReason) {
-        self.fallen = true;
-        self.event = Some(CcEvent::ClassicFallback { at, reason });
-    }
+    fallback: Option<FallbackDetector>,
 }
 
 impl UdpPragueSender {
@@ -146,9 +73,7 @@ impl UdpPragueSender {
             next_send_at: Instant::ZERO,
             ident: 0,
             rtt_gate: Duration::from_millis(40),
-            n_sent: 0,
-            probe_log: std::collections::VecDeque::new(),
-            srtt: None,
+            rtt: RttProbe::default(),
             fallback: None,
         }
     }
@@ -156,26 +81,27 @@ impl UdpPragueSender {
     /// Arm the classic-ECN / bleaching detector. Off by default so the
     /// vanilla sender's trajectory is untouched.
     pub fn enable_fallback(&mut self) {
-        self.fallback = Some(UdpFallbackDetector::default());
+        self.fallback = Some(FallbackDetector::new());
     }
 
     /// True once the detector has permanently switched this sender to
     /// Reno-friendly (rate-halving) dynamics.
     pub fn fallen_back(&self) -> bool {
-        self.fallback.as_ref().is_some_and(|f| f.fallen)
+        self.fallback.as_ref().is_some_and(FallbackDetector::fallen)
     }
 
     /// Drain the typed fallback event, if one fired since the last call.
     pub fn take_events(&mut self) -> Vec<CcEvent> {
-        match self.fallback.as_mut().and_then(|f| f.event.take()) {
-            Some(ev) => vec![ev],
-            None => Vec::new(),
-        }
+        self.fallback
+            .as_mut()
+            .and_then(FallbackDetector::take_event)
+            .into_iter()
+            .collect()
     }
 
     /// Smoothed RTT observed via feedback, if any.
     pub fn srtt(&self) -> Option<Duration> {
-        self.srtt
+        self.rtt.srtt
     }
 
     /// Current paced rate in bytes/sec.
@@ -210,14 +136,7 @@ impl UdpPragueSender {
             ));
             let gap = Duration::from_secs_f64(MTU_PAYLOAD as f64 / self.rate.max(1.0));
             self.next_send_at = self.next_send_at.max(now) + gap;
-            self.n_sent += 1;
-            // Sparse RTT probes: one every 16 datagrams.
-            if self.n_sent % 16 == 1 {
-                self.probe_log.push_back((self.n_sent, now));
-                if self.probe_log.len() > 256 {
-                    self.probe_log.pop_front();
-                }
-            }
+            self.rtt.on_send(now);
             emitted += 1;
             if emitted >= 64 {
                 break; // bound burst size after long idle gaps
@@ -232,20 +151,7 @@ impl UdpPragueSender {
 
     /// Apply one feedback report.
     pub fn on_feedback(&mut self, fb: &PragueFeedback, now: Instant) {
-        // RTT from the sparse probe log.
-        while let Some(&(count, sent)) = self.probe_log.front() {
-            if count > fb.packets {
-                break;
-            }
-            self.probe_log.pop_front();
-            let rtt = now.saturating_since(sent);
-            self.srtt = Some(match self.srtt {
-                None => rtt,
-                Some(s) => Duration::from_secs_f64(
-                    0.875 * s.as_secs_f64() + 0.125 * rtt.as_secs_f64(),
-                ),
-            });
-        }
+        self.rtt.on_report(fb.packets, now);
         let pkts = fb.packets.saturating_sub(self.last_fb.packets);
         let ce = fb.ce_packets.saturating_sub(self.last_fb.ce_packets);
         let not_ect = fb.not_ect_packets.saturating_sub(self.last_fb.not_ect_packets);
@@ -254,16 +160,20 @@ impl UdpPragueSender {
             return;
         }
         if let Some(det) = &mut self.fallback {
-            if let Some(reason) = det.on_epoch(pkts, ce, not_ect, self.srtt, now) {
-                det.fall_back(now, reason);
-            }
+            // Classic: CE while srtt sits a classic queue above its
+            // floor. Bleached: most datagrams arrived Not-ECT.
+            let classic = self.rtt.srtt.map(|s| {
+                det.sample_floor(now, s);
+                ce > 0 && det.classic_queue(now, s)
+            });
+            det.judge(now, classic, Some(not_ect > pkts / 2));
         }
         let frac = ce as f64 / pkts as f64;
         self.alpha += ALPHA_GAIN * (frac - self.alpha);
         if ce > 0 && now.saturating_since(self.last_reduction) > self.rtt_gate {
             // Fallen back: classic rate-halving instead of the scalable
             // α-proportional cut.
-            if self.fallback.as_ref().is_some_and(|f| f.fallen) {
+            if self.fallen_back() {
                 self.rate *= 0.5;
             } else {
                 self.rate *= 1.0 - self.alpha / 2.0;
@@ -350,6 +260,7 @@ impl UdpPragueReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::FallbackReason;
 
     #[test]
     fn pacing_respects_rate() {
@@ -450,12 +361,12 @@ mod tests {
         s.enable_fallback();
         // Seed the srtt floor, then inflate it past the classic
         // threshold: the detector needs both CE and standing delay.
-        s.srtt = Some(Duration::from_millis(20));
+        s.rtt.srtt = Some(Duration::from_millis(20));
         let mut fb = PragueFeedback::default();
         let mut t = Instant::ZERO;
         fb.packets += 25;
         s.on_feedback(&fb, t);
-        s.srtt = Some(Duration::from_millis(60));
+        s.rtt.srtt = Some(Duration::from_millis(60));
         for _ in 0..4 {
             t += Duration::from_millis(50);
             fb.packets += 25;
@@ -489,7 +400,7 @@ mod tests {
         let mut fb = PragueFeedback::default();
         let mut t = Instant::ZERO;
         // A second on the short-RTT cell establishes the 20 ms floor.
-        s.srtt = Some(Duration::from_millis(20));
+        s.rtt.srtt = Some(Duration::from_millis(20));
         for _ in 0..40 {
             fb.packets += 25;
             s.on_feedback(&fb, t);
@@ -497,7 +408,7 @@ mod tests {
         }
         // Handover: the serving cell's path floor is now 60 ms. Clean
         // (unmarked) epochs ride out the windowed-min expiry.
-        s.srtt = Some(Duration::from_millis(60));
+        s.rtt.srtt = Some(Duration::from_millis(60));
         while t < Instant::from_secs(12) {
             fb.packets += 25;
             s.on_feedback(&fb, t);

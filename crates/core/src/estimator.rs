@@ -192,11 +192,6 @@ impl EgressEstimator {
         Some(Duration::from_secs_f64(n_queue as f64 / r))
     }
 
-    /// Number of live rate samples (diagnostics).
-    pub fn sample_count(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Resident memory estimate (Table 1 accounting).
     pub fn memory_bytes(&self) -> usize {
         self.txed.capacity() * core::mem::size_of::<(Instant, usize)>()

@@ -107,11 +107,6 @@ impl L4SpanLayer {
         self.stats
     }
 
-    /// Number of tracked flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     fn drb_state(&mut self, ue: UeId, drb: DrbId) -> &mut DrbState {
         let window = self.cfg.estimation_window;
         self.drbs

@@ -26,6 +26,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use l4span_cc::scream::gop_frame_bytes;
 use l4span_sim::{Duration, Instant};
 
 /// Offer granularity of an unlimited [`Bulk`](AppProfile::Bulk) app when
@@ -203,35 +204,16 @@ impl FramedVideoCfg {
         self
     }
 
-    /// Override the per-frame delivery deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> FramedVideoCfg {
-        self.deadline = deadline;
-        self
-    }
-
     /// Frame cadence.
     pub fn frame_interval(&self) -> Duration {
         Duration::from_secs_f64(1.0 / self.fps)
     }
 
     /// Size of frame number `frame` (0-based) at `target_bps`, honouring
-    /// the keyframe pattern; identical arithmetic to the SCReAM source.
+    /// the keyframe pattern ([`gop_frame_bytes`]), at least 200 bytes.
     pub fn frame_bytes(&self, frame: u64, target_bps: f64) -> usize {
-        let base = target_bps * self.frame_interval().as_secs_f64() / 8.0;
-        let size = if self.keyframe_every >= 2
-            && self.keyframe_boost > 1.0
-            && self.keyframe_boost < self.keyframe_every as f64
-        {
-            let k = self.keyframe_every as f64;
-            if frame.is_multiple_of(u64::from(self.keyframe_every)) {
-                (base * self.keyframe_boost) as usize
-            } else {
-                (base * (k - self.keyframe_boost) / (k - 1.0)) as usize
-            }
-        } else {
-            base as usize
-        };
-        size.max(200)
+        let (every, boost) = (self.keyframe_every, self.keyframe_boost);
+        gop_frame_bytes(frame, target_bps, self.frame_interval(), every, boost).max(200)
     }
 }
 

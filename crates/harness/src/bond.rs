@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use l4span_net::PacketBuf;
+use l4span_net::{ipv4::unwrap_ident, PacketBuf};
 use l4span_sim::{Duration, Instant};
 
 /// How long the join buffer waits on a head-of-line gap before
@@ -121,13 +121,6 @@ impl BondJoin {
         }
     }
 
-    /// Unwrap a 16-bit identification to the 64-bit sequence line using
-    /// the signed distance from the current high-water mark.
-    fn unwrap_seq(&self, ident: u16) -> u64 {
-        let delta = ident.wrapping_sub(self.high as u16) as i16 as i64;
-        (self.high as i64 + delta).max(0) as u64
-    }
-
     /// Ingest one packet from either leg; in-order releases (possibly
     /// several, if this packet filled a gap) are appended to `out`.
     pub fn on_packet(&mut self, ident: u16, pkt: PacketBuf, now: Instant, out: &mut Vec<PacketBuf>) {
@@ -139,7 +132,7 @@ impl BondJoin {
             out.push(pkt);
             return;
         };
-        let seq = self.unwrap_seq(ident);
+        let seq = unwrap_ident(ident, self.high);
         self.high = self.high.max(seq);
         if seq < next {
             // Late retransmit arrival from the slower leg: the release

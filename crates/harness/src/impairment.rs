@@ -132,12 +132,6 @@ impl ImpairmentSpec {
         self
     }
 
-    /// Append a bleaching stage.
-    #[must_use]
-    pub fn then_bleaching(self, prob: f64) -> ImpairmentSpec {
-        self.then(StageSpec::Bleach { prob })
-    }
-
     /// Append an RFC 3168 classic-ECN hop.
     #[must_use]
     pub fn then_classic_hop(self, rate_bps: f64) -> ImpairmentSpec {
@@ -200,13 +194,6 @@ pub struct ImpairmentCounters {
     pub queue_marks: u64,
     /// Drops (AQM + tail) at classic-queue hops.
     pub queue_drops: u64,
-}
-
-impl ImpairmentCounters {
-    /// Total packets removed from the path by the pipeline.
-    pub fn total_dropped(&self) -> u64 {
-        self.ect_dropped + self.queue_drops
-    }
 }
 
 #[cfg(test)]

@@ -756,13 +756,14 @@ pub fn video_call_bidir(
 /// offsets so churn is continuous rather than synchronised.
 ///
 /// Built for intra-scenario sharding (`cu_per_cell = true`, one marker
-/// instance per cell), with two deterministic alignment rules that keep
-/// the fingerprint byte-invariant to shard count:
-///
-/// * mobility times sit on slot boundaries but ≡ 2.5 ms (mod 5 ms), so
-///   a handover barrier never coincides with a Sample or UePoll tick;
-/// * flow starts sit at ≡ 137 µs (mod 1 ms), so they never coincide
-///   with a slot boundary or a mobility step.
+/// instance per cell). Mobility steps sit on slot boundaries at
+/// ≡ 2.5 ms (mod 5 ms) and flow starts at ≡ 137 µs (mod 1 ms). These
+/// are fixed workload instants — moving them would change the output —
+/// not what keeps it invariant to shard count: a step on a flow start
+/// or stop runs at its barrier, before every event at its instant, on
+/// every path, and a step on a housekeeping tick (the ticks sit 500 ns
+/// off the slot grid these steps are on) is refused by
+/// [`ShardReject::StepOnTick`](crate::ShardReject::StepOnTick).
 pub fn metro_city(
     n_cells: usize,
     ues_per_cell: usize,

@@ -186,11 +186,11 @@ fn flow_stop_quiesces_even_an_app_that_ignores_its_stop_hook() {
 
 #[test]
 fn framed_video_and_scream_agree_on_frame_sizes() {
-    // The keyframe sizing arithmetic exists twice — in
-    // `FramedVideoCfg::frame_bytes` (FramedVideo-over-TCP) and inside
-    // `ScreamSender::poll` (FramedVideo-over-SCReAM). This pins the
-    // implicit contract that both produce identical frame sizes, so an
-    // edit to one side can't silently diverge the two transports.
+    // FramedVideo-over-TCP (`FramedVideoCfg::frame_bytes`) and the
+    // SCReAM encoder size frames by one rule, `gop_frame_bytes`. What
+    // each transport makes of it must agree: the bytes SCReAM's encoder
+    // queues per frame equal the app's frame sizes, keyframes included,
+    // whatever each adds around the rule (the app's 200-byte floor).
     use l4span_cc::scream::ScreamSender;
     for (every, boost) in [(0u32, 1.0f64), (5, 3.0), (30, 3.0), (2, 1.5)] {
         let cfg = FramedVideoCfg::new(25.0, 0.5e6, 2.0e6, 20.0e6)

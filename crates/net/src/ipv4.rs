@@ -123,6 +123,14 @@ pub fn set_ecn_in_place(buf: &mut [u8], ecn: Ecn) {
     }
 }
 
+/// Map a 16-bit identification back onto a sender's 64-bit counter:
+/// the candidate nearest `high`, the highest value seen so far, by
+/// signed 16-bit distance (never below zero).
+pub fn unwrap_ident(ident: u16, high: u64) -> u64 {
+    let delta = i64::from(ident.wrapping_sub(high as u16) as i16);
+    (high as i64 + delta).max(0) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,5 +197,14 @@ mod tests {
         let mut buf = [0u8; IPV4_HEADER_LEN];
         sample().emit(&mut buf);
         assert_eq!(ecn_of(&buf), Ecn::Ect1);
+    }
+
+    #[test]
+    fn unwrap_ident_follows_the_counter_across_the_seam() {
+        assert_eq!(unwrap_ident(5, 3), 5);
+        assert_eq!(unwrap_ident(2, 3), 2, "behind the mark");
+        assert_eq!(unwrap_ident(3, 65_534), 65_539, "across the u16 seam");
+        assert_eq!(unwrap_ident(65_534, 65_539), 65_534, "back across it");
+        assert_eq!(unwrap_ident(65_535, 0), 0, "never below zero");
     }
 }

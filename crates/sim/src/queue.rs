@@ -256,9 +256,6 @@ struct Lane<E> {
     width: usize,
     /// Per slot, padded to `width`: the armed stamp, or [`NEVER`].
     when: Vec<Stamp>,
-    /// Per slot: the stamp its last move earlier displaced (see
-    /// [`EventQueue::arm`]), or [`NEVER`].
-    displaced: Vec<Stamp>,
     /// Per slot: the event an armed slot pops as.
     event: Vec<Option<E>>,
     /// `tree[width + s] = s`, and `tree[i]` is whichever of `tree[2i]`
@@ -291,7 +288,6 @@ impl<E> Lane<E> {
             keys,
             width,
             when: vec![NEVER; width],
-            displaced: vec![NEVER; n],
             event: (0..n).map(|_| None).collect(),
             tree,
             min: NEVER,
@@ -343,10 +339,9 @@ impl<E> Lane<E> {
         self.event[s].take().expect("an armed slot holds its event")
     }
 
-    /// Disarm everything and forget every displaced stamp.
+    /// Disarm everything.
     fn reset(&mut self) {
         self.when.fill(NEVER);
-        self.displaced.fill(NEVER);
         self.event.iter_mut().for_each(|e| *e = None);
         self.min = NEVER;
         self.armed = 0;
@@ -370,10 +365,8 @@ pub struct EventQueue<E> {
     grid: Option<Grid>,
     lane: Lane<E>,
     seq: u64,
-    /// Monotonically non-decreasing time of the last popped event …
+    /// Monotonically non-decreasing time of the last popped event.
     now: Instant,
-    /// … and its sequence number.
-    now_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -410,7 +403,6 @@ impl<E> EventQueue<E> {
             lane: Lane::new(keys.into_iter().collect()),
             seq: 0,
             now: Instant::ZERO,
-            now_seq: 0,
         }
     }
 
@@ -460,17 +452,6 @@ impl<E> EventQueue<E> {
     /// a freshly scheduled event would and the order of everything else
     /// is untouched.
     ///
-    /// One tie is kept as the plain heap had it. There a displaced entry
-    /// stayed queued, so an owner that went back to the very instant its
-    /// last move displaced — armed for its timeout, pulled earlier by an
-    /// ACK, woken, and with nothing further to send armed for the same
-    /// timeout again — fired from that older entry, ahead of whatever
-    /// had been scheduled for the instant in between. The slot remembers
-    /// the stamp its last move displaced and takes it back on such an
-    /// arm, unless the queue has already popped past it. Only the last
-    /// one: an owner returning to an instant it left two moves ago takes
-    /// a fresh stamp.
-    ///
     /// # Panics
     ///
     /// When `key` is not one of this queue's
@@ -482,23 +463,11 @@ impl<E> EventQueue<E> {
         if at >= armed.0 {
             return;
         }
-        let displaced = self.lane.displaced[s];
-        let back = displaced.0 == at && displaced > (self.now, self.now_seq);
-        self.lane.when[s] = if back {
-            displaced
-        } else {
-            let fresh = (at, self.seq);
-            self.seq += 1;
-            fresh
-        };
-        if armed != NEVER {
-            self.lane.displaced[s] = armed;
-        } else {
+        self.lane.when[s] = (at, self.seq);
+        self.seq += 1;
+        if armed == NEVER {
             self.lane.event[s] = Some(event());
             self.lane.armed += 1;
-            if back {
-                self.lane.displaced[s] = NEVER;
-            }
         }
         self.lane.moved_earlier(s);
     }
@@ -607,7 +576,7 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing the queue clock to its time.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        let ((at, seq), from) = self.first()?;
+        let ((at, _), from) = self.first()?;
         debug_assert!(at >= self.now, "event queue went backwards");
         if let Some(g) = &mut self.grid {
             if from == Source::Lists {
@@ -619,7 +588,6 @@ impl<E> EventQueue<E> {
             }
         }
         self.now = at;
-        self.now_seq = seq;
         Some((at, self.take(from)))
     }
 
@@ -658,14 +626,12 @@ impl<E> EventQueue<E> {
     /// ascending sequence numbers, so the relative FIFO order of
     /// same-instant events is preserved — this is what shard
     /// installation relies on when it prunes a replica's queue down to
-    /// the events its cells own. The old numbers mean nothing after
-    /// that, so the lane forgets its displaced stamps.
+    /// the events its cells own.
     pub fn drain_ordered(&mut self) -> Vec<(Instant, E)> {
         let mut out = Vec::with_capacity(self.len());
         while let Some(((at, _), from)) = self.first() {
             out.push((at, self.take(from)));
         }
-        self.lane.reset();
         out
     }
 }
@@ -795,42 +761,6 @@ mod tests {
         q.arm(0, ms(5), || "again");
         assert_eq!(q.pop(), Some((ms(7), "again")));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn returning_to_the_displaced_stamp_pops_at_its_old_place() {
-        let mut q = EventQueue::with_wakeups(0, [0]);
-        q.arm(0, ms(9), || "timer");
-        q.schedule(ms(9), "x");
-        q.arm(0, ms(5), || unreachable!());
-        assert_eq!(q.pop(), Some((ms(5), "timer")));
-        // Back to the timeout the pull-earlier displaced: ahead of `x`,
-        // as the entry left at 9 ms in a plain heap would be.
-        q.arm(0, ms(9), || "timer");
-        assert_eq!(q.pop(), Some((ms(9), "timer")));
-        assert_eq!(q.pop(), Some((ms(9), "x")));
-
-        // Only the last displacement is remembered: two moves later the
-        // timeout is a fresh entry, behind `y`.
-        q.arm(0, ms(20), || "timer");
-        q.schedule(ms(20), "y");
-        q.arm(0, ms(15), || unreachable!());
-        q.arm(0, ms(12), || unreachable!());
-        assert_eq!(q.pop(), Some((ms(12), "timer")));
-        q.arm(0, ms(20), || "timer");
-        assert_eq!(q.pop(), Some((ms(20), "y")));
-        assert_eq!(q.pop(), Some((ms(20), "timer")));
-
-        // And a stamp the queue has already passed is gone for good.
-        q.arm(0, ms(30), || "timer");
-        q.schedule(ms(30), "z");
-        q.schedule(ms(30), "w");
-        q.arm(0, ms(25), || unreachable!());
-        assert_eq!(q.pop(), Some((ms(25), "timer")));
-        assert_eq!(q.pop(), Some((ms(30), "z")));
-        q.arm(0, ms(30), || "timer");
-        assert_eq!(q.pop(), Some((ms(30), "w")));
-        assert_eq!(q.pop(), Some((ms(30), "timer")));
     }
 
     #[test]

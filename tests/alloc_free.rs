@@ -13,8 +13,10 @@
 //! run gets longer, what a longer WAN's deeper event queue adds, and
 //! what each extra replica of a cell-major world adds.
 //!
-//! Everything runs in ONE `#[test]` because the counter is process-wide:
-//! parallel test threads would bleed counts into each other.
+//! Steps 1 to 7 count the test thread's own allocations; the whole
+//! worlds of steps 8 to 11 run replicas on spawned threads and count
+//! process-wide. Everything runs in ONE `#[test]` so that no other test
+//! of this binary allocates during those steps.
 
 use l4span::net::{Ecn, PacketBuf, TcpFlags, TcpHeader};
 use l4span::ran::config::RlcMode;
@@ -26,8 +28,15 @@ use l4span_alloctrack::CountingAlloc;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// Allocation requests made while running `f`.
+/// Allocation requests this thread made while running `f`.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOC.thread_count();
+    let r = f();
+    (ALLOC.thread_count() - before, r)
+}
+
+/// Allocation requests any thread made while running `f`.
+fn process_allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOC.count();
     let r = f();
     (ALLOC.count() - before, r)
@@ -484,7 +493,7 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     ];
     for (name, limit, cfg) in worlds {
         let run = |secs| -> (u64, Report) {
-            allocs_during(|| l4span::harness::run(cfg(Duration::from_secs(secs))))
+            process_allocs_during(|| l4span::harness::run(cfg(Duration::from_secs(secs))))
         };
         let ((a1, r1), (a2, r2)) = (run(3), run(6));
         let pkts = r2.delivered_packets() - r1.delivered_packets();
@@ -513,7 +522,7 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     let bare_cell = |secs| {
         let mut cfg = tcp_cell(Duration::from_secs(secs));
         cfg.marker = l4span::harness::MarkerKind::None;
-        allocs_during(|| l4span::harness::run(cfg))
+        process_allocs_during(|| l4span::harness::run(cfg))
     };
     let ((a10, r10), (a40, r40)) = (bare_cell(10), bare_cell(40));
     let (d10, d40) = (r10.queue_depth_peak, r40.queue_depth_peak);
@@ -543,7 +552,7 @@ fn steady_state_downlink_path_makes_zero_allocations() {
             7,
             Duration::from_secs(5),
         );
-        allocs_during(|| l4span::harness::run(cfg))
+        process_allocs_during(|| l4span::harness::run(cfg))
     };
     let ((a_east, r_east), (a_west, r_west)) =
         (bbr2_cell(WanLink::east()), bbr2_cell(WanLink::west()));
@@ -575,8 +584,8 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         assert_eq!(l4span::harness::plan_shards(&cfg, 4), 4, "eligible");
         cfg
     };
-    let (one, r1) = allocs_during(|| l4span::harness::run_sharded(metro(), 1));
-    let (four, r4) = allocs_during(|| l4span::harness::run_sharded(metro(), 4));
+    let (one, r1) = process_allocs_during(|| l4span::harness::run_sharded(metro(), 1));
+    let (four, r4) = process_allocs_during(|| l4span::harness::run_sharded(metro(), 4));
     assert_eq!(r4.shards.len(), 4);
     assert_eq!(r1.fingerprint_digest(), r4.fingerprint_digest());
     assert!(

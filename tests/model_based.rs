@@ -338,11 +338,6 @@ struct WakeupOverHeap {
     /// Time of the last pop a handler ran for.
     now: Instant,
     wake: Vec<Wakeup>,
-    /// Per owner: the entry its wake-up will fire from — the oldest it
-    /// has queued at the armed instant …
-    live: Vec<Option<(Instant, u64)>>,
-    /// … and the live entry its last move earlier left behind.
-    displaced: Vec<Option<(Instant, u64)>>,
     superseded_pops: u64,
 }
 
@@ -353,54 +348,18 @@ impl WakeupOverHeap {
             seq: 0,
             now: Instant::ZERO,
             wake: vec![Wakeup::new(); owners],
-            live: vec![None; owners],
-            displaced: vec![None; owners],
             superseded_pops: 0,
         }
     }
 
-    fn push(&mut self, at: Instant, what: Popped) -> (Instant, u64) {
-        let stamp = (at.max(self.now), self.seq);
-        self.heap.push(std::cmp::Reverse((stamp.0, stamp.1, what)));
+    fn push(&mut self, at: Instant, what: Popped) {
+        self.heap.push(std::cmp::Reverse((at.max(self.now), self.seq, what)));
         self.seq += 1;
-        stamp
-    }
-
-    /// The oldest entry owner `k` still has queued at `at`.
-    fn oldest_queued(&self, k: usize, at: Instant) -> Option<(Instant, u64)> {
-        self.heap
-            .iter()
-            .filter(|e| e.0 .0 == at && e.0 .2 == Popped::Wake(k))
-            .map(|e| (e.0 .0, e.0 .1))
-            .min()
-    }
-
-    /// Would arming `k` at `at` fire from a superseded entry older than
-    /// the one its last move displaced? The lane keeps one displaced
-    /// stamp per owner, not the whole history a heap that never forgets
-    /// amounts to; such an arm fires at a fresh stamp there (pinned by
-    /// `returning_to_the_displaced_stamp_pops_at_its_old_place` in
-    /// `sim::queue`), so a script does not make it.
-    fn fires_from_a_forgotten_entry(&self, k: usize, at: Instant) -> bool {
-        let at = at.max(self.now);
-        let mut probe = self.wake[k];
-        probe.arm(at, self.now).is_some()
-            && self
-                .oldest_queued(k, at)
-                .is_some_and(|g| Some(g) != self.displaced[k])
     }
 
     fn arm(&mut self, k: usize, at: Instant) {
-        let was_armed = self.wake[k] != Wakeup::new();
-        if let Some(at) = self.wake[k].arm(at, self.now) {
-            let back = self.oldest_queued(k, at);
-            let fresh = self.push(at, Popped::Wake(k));
-            if was_armed {
-                self.displaced[k] = self.live[k];
-            } else if back.is_some() {
-                self.displaced[k] = None;
-            }
-            self.live[k] = Some(back.unwrap_or(fresh));
+        if let Some(at) = self.wake[k].arm(at, self.now, self.seq) {
+            self.push(at, Popped::Wake(k));
         }
     }
 
@@ -411,13 +370,10 @@ impl WakeupOverHeap {
     fn pop(&mut self) -> Option<(Instant, Popped)> {
         let mut skipped = Vec::new();
         while let Some(entry) = self.heap.pop() {
-            let std::cmp::Reverse((at, _, what)) = entry;
+            let std::cmp::Reverse((at, seq, what)) = entry;
             match what {
-                Popped::Wake(k) if !self.wake[k].fire(at) => skipped.push(entry),
+                Popped::Wake(k) if !self.wake[k].fire(at, seq) => skipped.push(entry),
                 _ => {
-                    if let Popped::Wake(k) = what {
-                        self.live[k] = None;
-                    }
                     self.superseded_pops += skipped.len() as u64;
                     self.now = at;
                     return Some((at, what));
@@ -435,8 +391,8 @@ impl WakeupOverHeap {
     /// Take every queued entry out, superseded ones included, and queue
     /// it again, in `(time, sequence)` order: fresh sequence numbers in
     /// the same relative order, as a drain-and-reschedule of the plain
-    /// heap did. Returns the entries a handler would run for, in order.
-    /// The new numbers leave no displaced entry to go back to.
+    /// heap did. A live wake-up moves its arm to its new entry. Returns
+    /// the entries a handler would run for, in order.
     fn requeue_all(&mut self) -> Vec<(Instant, Popped)> {
         let mut live = Vec::new();
         for std::cmp::Reverse((at, seq, what)) in std::mem::take(&mut self.heap)
@@ -444,15 +400,17 @@ impl WakeupOverHeap {
             .into_iter()
             .rev()
         {
-            let stamp = self.push(at, what);
-            match what {
-                Popped::Wake(k) if self.live[k] != Some((at, seq)) => continue,
-                Popped::Wake(k) => self.live[k] = Some(stamp),
-                Popped::OneShot(_) => {}
+            let is_live = match what {
+                Popped::Wake(k) => {
+                    self.wake[k].fire(at, seq) && self.wake[k].arm(at, self.now, self.seq).is_some()
+                }
+                Popped::OneShot(_) => true,
+            };
+            self.push(at, what);
+            if is_live {
+                live.push((at, what));
             }
-            live.push((at, what));
         }
-        self.displaced.fill(None);
         live
     }
 
@@ -460,8 +418,6 @@ impl WakeupOverHeap {
     fn clear(&mut self) {
         self.heap.clear();
         self.wake.fill(Wakeup::new());
-        self.live.fill(None);
-        self.displaced.fill(None);
     }
 }
 
@@ -505,9 +461,6 @@ proptest! {
                 0..=43 => {
                     let k = rng.range_u64(0, owners as u64) as usize;
                     let at = if rng.chance(0.05) { Instant::MAX } else { instant(reference.now, &mut rng) };
-                    if reference.fires_from_a_forgotten_entry(k, at) {
-                        continue;
-                    }
                     reference.arm(k, at);
                     lane.arm(key(k), at, || Popped::Wake(k));
                 }
