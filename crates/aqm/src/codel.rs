@@ -28,7 +28,11 @@ pub struct CoDel {
 impl CoDel {
     /// Standard 5 ms / 100 ms configuration.
     pub fn new(ecn_mode: bool) -> CoDel {
-        CoDel::with_params(Duration::from_millis(5), Duration::from_millis(100), ecn_mode)
+        CoDel::with_params(
+            Duration::from_millis(5),
+            Duration::from_millis(100),
+            ecn_mode,
+        )
     }
 
     /// Custom parameters.
@@ -58,9 +62,7 @@ impl CoDel {
     }
 
     fn next_drop_delay(&self) -> Duration {
-        Duration::from_secs_f64(
-            self.interval.as_secs_f64() / f64::from(self.count.max(1)).sqrt(),
-        )
+        Duration::from_secs_f64(self.interval.as_secs_f64() / f64::from(self.count.max(1)).sqrt())
     }
 
     /// Decide the fate of the packet at the queue head given its sojourn
@@ -141,8 +143,7 @@ mod tests {
         let mut c = CoDel::new(false);
         let mut drops = Vec::new();
         for ms in 0..2000 {
-            if c.decide(Duration::from_millis(20), Instant::from_millis(ms)) == Verdict::Drop
-            {
+            if c.decide(Duration::from_millis(20), Instant::from_millis(ms)) == Verdict::Drop {
                 drops.push(ms);
             }
         }

@@ -22,7 +22,8 @@ fn walkthrough_cfg(cc: &str, seed: u64, secs: u64) -> ScenarioConfig {
     // The Fig. 4 storyline: stable channel, sharp degradation at 40% of
     // the run ("channel sharply turns bad"), recovery at 70% — two
     // mobility steps naming the serving cell, i.e. pure channel changes.
-    let step = |at, snr_db| MobilityStep::new(Instant::from_secs(at), 0, ChannelProfile::Static, snr_db);
+    let step =
+        |at, snr_db| MobilityStep::new(Instant::from_secs(at), 0, ChannelProfile::Static, snr_db);
     cfg.ues.push(
         UeSpec::simple(ChannelProfile::Static, 25.0)
             .with_mobility(vec![step(secs * 2 / 5, 10.0), step(secs * 7 / 10, 25.0)]),
@@ -38,7 +39,11 @@ fn walkthrough_cfg(cc: &str, seed: u64, secs: u64) -> ScenarioConfig {
 }
 
 fn print_walkthrough(cc: &str, r: &Report, secs: u64) {
-    println!("\n--- {cc}: stable → bad channel at {}s → recovery at {}s ---", secs * 2 / 5, secs * 7 / 10);
+    println!(
+        "\n--- {cc}: stable → bad channel at {}s → recovery at {}s ---",
+        secs * 2 / 5,
+        secs * 7 / 10
+    );
     println!(
         "{:<7} {:>11} {:>10} {:>11}",
         "t(s)", "thr(Mbps)", "rtt(ms)", "rlcQ(SDU)"

@@ -14,7 +14,11 @@ use l4span_sim::Duration;
 fn main() {
     let args = Args::parse();
     let secs = args.secs_or(12);
-    banner("Fig. 10", "delay breakdown by scheduler and cell load", &args);
+    banner(
+        "Fig. 10",
+        "delay breakdown by scheduler and cell load",
+        &args,
+    );
 
     println!(
         "\n{:<14} {:<3} {:>12} {:>12} {:>12} {:>12} {:>12}",

@@ -7,20 +7,13 @@
 use l4span_bench::{banner, fmt_box, run_grid, Args};
 use l4span_cc::WanLink;
 use l4span_harness::app::AppProfile;
-use l4span_harness::scenario::{
-    l4span_default, FlowSpec, ScenarioConfig, TransportSpec, UeSpec,
-};
+use l4span_harness::scenario::{l4span_default, FlowSpec, ScenarioConfig, TransportSpec, UeSpec};
 use l4span_harness::MarkerKind;
 use l4span_ran::ChannelProfile;
 use l4span_sim::stats::BoxStats;
 use l4span_sim::{Duration, Instant};
 
-fn scenario(
-    cc: &str,
-    marker: MarkerKind,
-    seed: u64,
-    secs: u64,
-) -> (ScenarioConfig, Vec<usize>) {
+fn scenario(cc: &str, marker: MarkerKind, seed: u64, secs: u64) -> (ScenarioConfig, Vec<usize>) {
     let mut cfg = ScenarioConfig::new(seed, Duration::from_secs(secs));
     cfg.marker = marker;
     cfg.ues.push(UeSpec::simple(ChannelProfile::Static, 24.0));

@@ -41,7 +41,11 @@ fn video_cell(
 fn main() {
     let args = Args::parse();
     let secs = args.secs_or(15);
-    banner("Fig. 13", "interactive video congestion control ±L4Span", &args);
+    banner(
+        "Fig. 13",
+        "interactive video congestion control ±L4Span",
+        &args,
+    );
 
     let n = 8;
     let scream = (

@@ -34,18 +34,17 @@ fn staggered(ccs: &[&str], wans: &[WanLink], seed: u64, secs: u64) -> ScenarioCo
 
 fn show(title: &str, ccs: &[&str], r: &Report, secs: u64) {
     println!("\n--- {title} ---");
-    println!(
-        "{:<6} {:>10} {:>10} {:>10}",
-        "t(s)", ccs[0], ccs[1], ccs[2]
-    );
-    let series: Vec<Vec<(f64, f64)>> =
-        (0..3).map(|f| r.throughput_series_mbps(f, 10)).collect();
+    println!("{:<6} {:>10} {:>10} {:>10}", "t(s)", ccs[0], ccs[1], ccs[2]);
+    let series: Vec<Vec<(f64, f64)>> = (0..3).map(|f| r.throughput_series_mbps(f, 10)).collect();
     let len = series.iter().map(|s| s.len()).max().unwrap_or(0);
     for i in (0..len).step_by(2) {
         let at = |f: usize| series[f].get(i).map(|&(_, m)| m).unwrap_or(0.0);
         println!(
             "{:<6.0} {:>10.1} {:>10.1} {:>10.1}",
-            i as f64, at(0), at(1), at(2)
+            i as f64,
+            at(0),
+            at(1),
+            at(2)
         );
     }
     // Shares in the fully-overlapped middle window.
@@ -61,7 +60,11 @@ fn show(title: &str, ccs: &[&str], r: &Report, secs: u64) {
 fn main() {
     let args = Args::parse();
     let secs = args.secs_or(60);
-    banner("Fig. 14", "fairness among staggered flows under L4Span", &args);
+    banner(
+        "Fig. 14",
+        "fairness among staggered flows under L4Span",
+        &args,
+    );
     let east = vec![WanLink::east()];
     let distinct = vec![
         WanLink::east(),
@@ -81,8 +84,16 @@ fn main() {
             vec!["prague", "prague", "prague"],
             &distinct,
         ),
-        ("(c) two Prague + CUBIC", vec!["prague", "cubic", "prague"], &east),
-        ("(d) two Prague + BBRv2", vec!["prague", "bbr2", "prague"], &east),
+        (
+            "(c) two Prague + CUBIC",
+            vec!["prague", "cubic", "prague"],
+            &east,
+        ),
+        (
+            "(d) two Prague + BBRv2",
+            vec!["prague", "bbr2", "prague"],
+            &east,
+        ),
     ];
     let cells = panels
         .into_iter()

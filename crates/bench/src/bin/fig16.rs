@@ -60,9 +60,7 @@ fn main() {
         let r0 = r.rtt_stats(0).median;
         let r1 = r.rtt_stats(1).median;
         let rtt_ratio = 100.0 * r0 / (r0 + r1).max(1e-9);
-        println!(
-            "{name:<10} {t0:>14.2} {t1:>14.2} {thr_ratio:>11.1}% {rtt_ratio:>11.1}%"
-        );
+        println!("{name:<10} {t0:>14.2} {t1:>14.2} {thr_ratio:>11.1}% {rtt_ratio:>11.1}%");
     }
     println!("\nPaper shape: 'original' starves the L4S flow, 'l4s' starves the");
     println!("classic flow (~25% share), 'classic' has high variance, and the");

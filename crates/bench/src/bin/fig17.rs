@@ -46,8 +46,8 @@ fn main() {
         for q in r.queue_series.values() {
             samples.extend(q.iter().map(|&v| v as f64));
         }
-        let zero_frac = samples.iter().filter(|&&v| v == 0.0).count() as f64
-            / samples.len().max(1) as f64;
+        let zero_frac =
+            samples.iter().filter(|&&v| v == 0.0).count() as f64 / samples.len().max(1) as f64;
         println!(
             "\n{cc} {chan}: zero-queue fraction {:.1}%",
             zero_frac * 100.0

@@ -12,7 +12,11 @@ use l4span_sim::Duration;
 fn main() {
     let args = Args::parse();
     let secs = args.secs_or(60);
-    banner("Fig. 18", "channel stable periods vs the estimation window", &args);
+    banner(
+        "Fig. 18",
+        "channel stable periods vs the estimation window",
+        &args,
+    );
 
     for (name, spec) in [
         ("FDD 600 MHz", CellTraceSpec::fdd_600mhz()),

@@ -15,7 +15,11 @@ use l4span_sim::Duration;
 fn main() {
     let args = Args::parse();
     let secs = args.secs_or(12);
-    banner("Fig. 19", "τ_s sweep and the DualPi2-in-RAN ablation", &args);
+    banner(
+        "Fig. 19",
+        "τ_s sweep and the DualPi2-in-RAN ablation",
+        &args,
+    );
 
     let ue_counts: Vec<usize> = if args.full {
         vec![1, 4, 8, 16, 32, 64]

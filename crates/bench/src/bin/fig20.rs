@@ -42,7 +42,11 @@ fn main() {
             "\n{name}: {} samples, median error {med:+.1}%, mean {mean:+.1}%",
             r.rate_err_pct.len()
         );
-        print_cdf(&format!("{name} rate estimation error (%)"), &r.rate_err_pct, 11);
+        print_cdf(
+            &format!("{name} rate estimation error (%)"),
+            &r.rate_err_pct,
+            11,
+        );
     }
     println!("\nPaper shape: errors concentrate near 0% in all three channels,");
     println!("approximately zero-mean Gaussian (the Eq. 1 modelling assumption).");

@@ -17,17 +17,42 @@ fn main() {
 
     let panels: Vec<(usize, usize, WanLink, &str)> = if args.full {
         vec![
-            (16, 16_384, WanLink::east(), "(a) 16 UE, default queue, 38 ms"),
-            (64, 16_384, WanLink::east(), "(b) 64 UE, default queue, 38 ms"),
+            (
+                16,
+                16_384,
+                WanLink::east(),
+                "(a) 16 UE, default queue, 38 ms",
+            ),
+            (
+                64,
+                16_384,
+                WanLink::east(),
+                "(b) 64 UE, default queue, 38 ms",
+            ),
             (16, 256, WanLink::east(), "(c) 16 UE, queue 256, 38 ms"),
             (64, 256, WanLink::east(), "(d) 64 UE, queue 256, 38 ms"),
-            (16, 16_384, WanLink::west(), "(e) 16 UE, default queue, 106 ms"),
-            (64, 16_384, WanLink::west(), "(f) 64 UE, default queue, 106 ms"),
+            (
+                16,
+                16_384,
+                WanLink::west(),
+                "(e) 16 UE, default queue, 106 ms",
+            ),
+            (
+                64,
+                16_384,
+                WanLink::west(),
+                "(f) 64 UE, default queue, 106 ms",
+            ),
             (16, 256, WanLink::west(), "(g) 16 UE, queue 256, 106 ms"),
             (64, 256, WanLink::west(), "(h) 64 UE, queue 256, 106 ms"),
         ]
     } else {
-        vec![(16, 16_384, WanLink::east(), "(a) 16 UE, default queue, 38 ms")]
+        vec![(
+            16,
+            16_384,
+            WanLink::east(),
+            "(a) 16 UE, default queue, 38 ms",
+        )]
     };
 
     let mut cells = Vec::new();
@@ -58,7 +83,10 @@ fn main() {
             println!("\n--- {title} ---");
             println!(
                 "{:<8} {:<4} {:<3} {:>52} {:>52}",
-                "cc", "chan", "+", "one-way delay ms: med [p25,p75] (p10,p90)",
+                "cc",
+                "chan",
+                "+",
+                "one-way delay ms: med [p25,p75] (p10,p90)",
                 "per-UE throughput Mbit/s"
             );
             last_title = title;

@@ -34,7 +34,12 @@ fn main() {
     );
     println!(
         "\n{:<7} {:<3} {:>8} {:>10} {:>10} {:>11} {:>52}",
-        "cc", "+", "miss %", "fOWD med", "stall ms", "bulk Mb/s",
+        "cc",
+        "+",
+        "miss %",
+        "fOWD med",
+        "stall ms",
+        "bulk Mb/s",
         "request ms: med [p25,p75] (p10,p90)"
     );
 
@@ -43,13 +48,7 @@ fn main() {
         for (mark, marker) in [(" ", MarkerKind::None), ("+", l4span_default())] {
             cells.push((
                 (cc, mark),
-                interactive_apps_mixed(
-                    groups,
-                    cc,
-                    marker,
-                    args.seed,
-                    Duration::from_secs(secs),
-                ),
+                interactive_apps_mixed(groups, cc, marker, args.seed, Duration::from_secs(secs)),
             ));
         }
     }
@@ -61,11 +60,10 @@ fn main() {
         let missed: u64 = video.iter().map(|&f| r.frames_missed[f]).sum();
         let miss_pct = 100.0 * missed as f64 / generated.max(1) as f64;
         let fowd = r.frame_owd_stats_pooled(&video);
-        let stall: f64 = video.iter().map(|&f| r.stall_time_ms(f)).sum::<f64>()
-            / video.len().max(1) as f64;
+        let stall: f64 =
+            video.iter().map(|&f| r.stall_time_ms(f)).sum::<f64>() / video.len().max(1) as f64;
         let bulk_mbps: f64 =
-            bulk.iter().map(|&f| r.goodput_total_mbps(f)).sum::<f64>()
-                / bulk.len().max(1) as f64;
+            bulk.iter().map(|&f| r.goodput_total_mbps(f)).sum::<f64>() / bulk.len().max(1) as f64;
         let mut req = Vec::new();
         for &f in &web {
             req.extend_from_slice(&r.request_ms[f]);

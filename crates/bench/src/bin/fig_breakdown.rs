@@ -57,7 +57,9 @@ fn main() {
             metro_1000ue_50cell("prague", seed, dur(2)),
         ),
     ];
-    println!("fig_breakdown: per-subsystem cycle accounting of the benchmark workloads, seed {seed}");
+    println!(
+        "fig_breakdown: per-subsystem cycle accounting of the benchmark workloads, seed {seed}"
+    );
     println!("(instrumented run: ms per simulated second is higher than the benchmark's)");
     for (name, mut cfg) in workloads {
         cfg.measure_cycles = true;
@@ -119,9 +121,16 @@ fn main() {
         println!("{:<14} {:>12} {:>10}", "sample store", "samples", "kB");
         let store = report.sample_store();
         for s in &store {
-            println!("{:<14} {:>12} {:>10.1}", s.family, s.samples, s.bytes as f64 / 1e3);
+            println!(
+                "{:<14} {:>12} {:>10.1}",
+                s.family,
+                s.samples,
+                s.bytes as f64 / 1e3
+            );
         }
-        let (n, bytes) = store.iter().fold((0, 0), |(n, b), s| (n + s.samples, b + s.bytes));
+        let (n, bytes) = store
+            .iter()
+            .fold((0, 0), |(n, b), s| (n + s.samples, b + s.bytes));
         println!("{:<14} {n:>12} {:>10.1}", "(total)", bytes as f64 / 1e3);
         // Worlds run on replicas (the metro world): where each one's
         // epoch time went. The idle column is the barrier wait a replica

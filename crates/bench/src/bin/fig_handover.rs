@@ -91,7 +91,15 @@ fn main() {
 
     println!(
         "\n{:<28} {:>4} {:>9} {:>9} {:>9} {:>11} {:>8} {:>8} {:>8}",
-        "scenario", "HOs", "thr Mbps", "owd p50", "postHO50", "postHO p90", "gap ms", "cell0", "cell1"
+        "scenario",
+        "HOs",
+        "thr Mbps",
+        "owd p50",
+        "postHO50",
+        "postHO p90",
+        "gap ms",
+        "cell0",
+        "cell1"
     );
     for (label, r) in &results {
         row(label, n_ues, r);
@@ -115,7 +123,10 @@ fn main() {
             };
             let m = find(HandoverPolicy::MigrateState);
             let c = find(HandoverPolicy::ColdStart);
-            println!("  {cc:<8} ho{period:<6} {m:8.1} - {c:8.1} = {:+8.1} ms", m - c);
+            println!(
+                "  {cc:<8} ho{period:<6} {m:8.1} - {c:8.1} = {:+8.1} ms",
+                m - c
+            );
         }
     }
     println!("\nReading: `migrate` rides the old cell's rate estimate into the");

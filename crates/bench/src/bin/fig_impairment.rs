@@ -57,8 +57,7 @@ fn sweep_cfg(
         Some(spec) => impaired_path_cell(1, cc, spec.clone(), marker, seed, dur),
         None => {
             // Same shape as `impaired_path_cell`, pipeline absent.
-            let mut c =
-                impaired_path_cell(1, cc, ImpairmentSpec::default(), marker, seed, dur);
+            let mut c = impaired_path_cell(1, cc, ImpairmentSpec::default(), marker, seed, dur);
             c.impairment = None;
             c
         }
@@ -138,7 +137,10 @@ fn main() {
     println!("\n--- (2) coexistence on a shared RFC 3168 classic queue ---");
     let hop = ImpairmentSpec::classic_hop(HOP_BPS);
     let pairs = run_grid(vec![
-        ("prague", coexist_cfg("prague", hop.clone(), args.seed, secs)),
+        (
+            "prague",
+            coexist_cfg("prague", hop.clone(), args.seed, secs),
+        ),
         (
             "prague-fallback",
             coexist_cfg("prague-fallback", hop, args.seed, secs),
@@ -155,8 +157,8 @@ fn main() {
     for (name, r) in &pairs {
         let l4s = r.goodput_total_mbps(0);
         let cubic = r.goodput_total_mbps(1);
-        let tail = r.goodput_mbps(0, tail_from, tail_to)
-            / r.goodput_mbps(1, tail_from, tail_to).max(0.01);
+        let tail =
+            r.goodput_mbps(0, tail_from, tail_to) / r.goodput_mbps(1, tail_from, tail_to).max(0.01);
         let fb = if r.fallbacks.is_empty() {
             "-".to_string()
         } else {

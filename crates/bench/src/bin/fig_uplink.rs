@@ -38,7 +38,13 @@ fn main() {
     println!("\n{calls} calls × (DL 30fps + UL 30fps legs), {secs} s each");
     println!(
         "\n{:<7} {:<3} {:>10} {:>10} {:>10} {:>10} {:>44}",
-        "cc", "+", "UL miss %", "DL miss %", "UL Mb/s", "DL Mb/s", "UL OWD ms: med [p25,p75] (p10,p90)"
+        "cc",
+        "+",
+        "UL miss %",
+        "DL miss %",
+        "UL Mb/s",
+        "DL Mb/s",
+        "UL OWD ms: med [p25,p75] (p10,p90)"
     );
 
     let mut cells = Vec::new();

@@ -97,7 +97,11 @@ pub fn banner(id: &str, what: &str, args: &Args) {
     println!(
         "seed={} {}  (pass --full for the complete paper grid)",
         args.seed,
-        if args.full { "FULL GRID" } else { "quick subset" }
+        if args.full {
+            "FULL GRID"
+        } else {
+            "quick subset"
+        }
     );
     println!("==================================================================");
 }
@@ -110,7 +114,9 @@ pub fn banner(id: &str, what: &str, args: &Args) {
 pub fn run_grid<L>(
     cells: Vec<(L, l4span_harness::ScenarioConfig)>,
 ) -> Vec<(L, l4span_harness::Report)> {
-    let (labels, cfgs): (Vec<L>, Vec<l4span_harness::ScenarioConfig>) =
-        cells.into_iter().unzip();
-    labels.into_iter().zip(l4span_harness::run_batch(cfgs)).collect()
+    let (labels, cfgs): (Vec<L>, Vec<l4span_harness::ScenarioConfig>) = cells.into_iter().unzip();
+    labels
+        .into_iter()
+        .zip(l4span_harness::run_batch(cfgs))
+        .collect()
 }

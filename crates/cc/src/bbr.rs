@@ -74,10 +74,7 @@ impl Bbr {
 
     /// Windowed-max bottleneck bandwidth estimate (bytes/sec).
     pub fn btl_bw(&self) -> f64 {
-        self.bw_samples
-            .iter()
-            .map(|&(_, b)| b)
-            .fold(0.0, f64::max)
+        self.bw_samples.iter().map(|&(_, b)| b).fold(0.0, f64::max)
     }
 
     /// Current min-RTT estimate.
@@ -169,8 +166,7 @@ impl CongestionControl for Bbr {
             self.next_round_at = ack.now + ack.srtt;
         }
         if let Some(rtt) = ack.rtt {
-            if rtt <= self.rtprop || ack.now.saturating_since(self.rtprop_stamp) > RTPROP_WINDOW
-            {
+            if rtt <= self.rtprop || ack.now.saturating_since(self.rtprop_stamp) > RTPROP_WINDOW {
                 self.rtprop = rtt;
                 self.rtprop_stamp = ack.now;
             }

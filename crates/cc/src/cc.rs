@@ -376,7 +376,10 @@ mod tests {
     fn windowed_min_tracks_and_forgets() {
         let mut m = WindowedMin::new(Duration::from_secs(10));
         let t0 = Instant::ZERO;
-        assert_eq!(m.update(t0, Duration::from_millis(20)), Duration::from_millis(20));
+        assert_eq!(
+            m.update(t0, Duration::from_millis(20)),
+            Duration::from_millis(20)
+        );
         // A lower sample becomes the floor immediately.
         assert_eq!(
             m.update(t0 + Duration::from_secs(1), Duration::from_millis(15)),

@@ -190,7 +190,10 @@ mod tests {
                 c.cwnd()
             );
         }
-        assert!(c.cwnd() > (w_max as f64 * BETA_CUBIC) as usize, "but it grew");
+        assert!(
+            c.cwnd() > (w_max as f64 * BETA_CUBIC) as usize,
+            "but it grew"
+        );
     }
 
     #[test]

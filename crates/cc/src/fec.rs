@@ -291,7 +291,11 @@ impl FecReceiverCore {
     pub fn poll_nacks(&mut self, now: Instant, out: &mut Vec<u64>) {
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let seq = self.base + i as u64;
-            if let Slot::Missing { detected, last_nack } = slot {
+            if let Slot::Missing {
+                detected,
+                last_nack,
+            } = slot
+            {
                 if now.saturating_since(*detected) > self.expiry {
                     *slot = Slot::Abandoned;
                     self.abandoned += 1;
@@ -475,7 +479,13 @@ impl FecMediaSender {
         best as u8
     }
 
-    fn push(&mut self, seq_ident: u16, payload: usize, now: Instant, out: &mut Vec<(u8, PacketBuf)>) {
+    fn push(
+        &mut self,
+        seq_ident: u16,
+        payload: usize,
+        now: Instant,
+        out: &mut Vec<(u8, PacketBuf)>,
+    ) {
         let leg = self.pick_leg();
         out.push((
             leg,
@@ -663,7 +673,8 @@ impl FecMediaReceiver {
         self.received_bytes += pkt.payload_len() as u64;
         let seq = unwrap_ident(pkt.identification(), self.core.high());
         if pkt.payload_len() == REPAIR_PAYLOAD {
-            self.core.on_repair(seq.saturating_sub(FEC_WINDOW), seq, now);
+            self.core
+                .on_repair(seq.saturating_sub(FEC_WINDOW), seq, now);
         } else {
             self.core.on_source(seq, now);
         }
@@ -757,7 +768,10 @@ mod tests {
         let mut s = FecSenderCore::new(DEFAULT_DEADLINE);
         let t0 = Instant::ZERO;
         let seq = s.source(t0);
-        assert_eq!(s.on_nack(seq, t0 + Duration::from_millis(50)), NackVerdict::Retx);
+        assert_eq!(
+            s.on_nack(seq, t0 + Duration::from_millis(50)),
+            NackVerdict::Retx
+        );
         assert_eq!(
             s.on_nack(seq, t0 + DEFAULT_DEADLINE + Duration::from_millis(1)),
             NackVerdict::Abandon

@@ -348,7 +348,10 @@ mod tests {
             losses.on_loss();
             losses.on_sample(t, 12_000, 0, srtt);
         }
-        assert!(losses.rate() < marks.rate(), "a loss costs more than a mark");
+        assert!(
+            losses.rate() < marks.rate(),
+            "a loss costs more than a mark"
+        );
     }
 
     #[test]

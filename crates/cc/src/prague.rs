@@ -140,8 +140,7 @@ impl CongestionControl for Prague {
                 // React to the freshest congestion information: fold the
                 // current round's fraction in before reducing (DCTCP
                 // implementations update α on the CE edge).
-                let frac =
-                    (self.round_ce as f64 / self.round_acked.max(1) as f64).min(1.0);
+                let frac = (self.round_ce as f64 / self.round_acked.max(1) as f64).min(1.0);
                 self.alpha += ALPHA_GAIN * (frac - self.alpha);
                 self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(2.0 * self.mss as f64);
                 return; // no growth on the reducing ACK

@@ -318,12 +318,13 @@ impl ScreamSender {
 
     /// Process one feedback report.
     pub fn on_feedback(&mut self, fb: &ScreamFeedback, now: Instant) {
-        let acked_bytes = fb.received_bytes.saturating_sub(self.last_fb.received_bytes);
+        let acked_bytes = fb
+            .received_bytes
+            .saturating_sub(self.last_fb.received_bytes);
         let ce_delta = fb.ce_bytes.saturating_sub(self.last_fb.ce_bytes);
         // Exact in-flight reconciliation: sent minus cumulatively
         // received (self-correcting even if a feedback report is lost).
-        self.bytes_in_flight =
-            self.sent_bytes.saturating_sub(fb.received_bytes) as usize;
+        self.bytes_in_flight = self.sent_bytes.saturating_sub(fb.received_bytes) as usize;
         // RTT from the send log.
         while let Some(&(seq, sent)) = self.sent_log.front() {
             if seq < fb.highest_seq {
@@ -507,7 +508,10 @@ mod tests {
 
     /// The frame ids the packets carry, in emission order.
     fn frame_ends(pkts: &[PacketBuf]) -> Vec<u32> {
-        pkts.iter().filter_map(|p| p.frame_end()).map(NonZeroU32::get).collect()
+        pkts.iter()
+            .filter_map(|p| p.frame_end())
+            .map(NonZeroU32::get)
+            .collect()
     }
 
     #[test]
@@ -526,7 +530,11 @@ mod tests {
             assert!(head.iter().all(|p| p.frame_end().is_none()), "frame {k}");
             let id = last.frame_end().expect("the last packet names its frame");
             assert_eq!(id.get(), k + 1, "ids count from 1");
-            assert_eq!(s.frame_captured(id), captured, "frame {k}'s capture instant");
+            assert_eq!(
+                s.frame_captured(id),
+                captured,
+                "frame {k}'s capture instant"
+            );
             captured += interval;
         }
     }
@@ -545,11 +553,18 @@ mod tests {
             t += Duration::from_millis(40);
         }
         assert_eq!(s.frames_dropped, 1);
-        assert!(s.dropped_frames.contains(&0), "frame 0 lost its head, not its tail");
+        assert!(
+            s.dropped_frames.contains(&0),
+            "frame 0 lost its head, not its tail"
+        );
         s.cwnd = 1e9;
         let pkts = poll(&mut s, t - Duration::from_millis(40));
         assert!(pkts.last().is_some_and(|p| p.frame_end().is_some()));
-        assert_eq!(frame_ends(&pkts), (2..=10).collect::<Vec<u32>>(), "frames 1 to 9 only");
+        assert_eq!(
+            frame_ends(&pkts),
+            (2..=10).collect::<Vec<u32>>(),
+            "frames 1 to 9 only"
+        );
         assert!(s.dropped_frames.is_empty(), "frame 0's tail left the queue");
     }
 

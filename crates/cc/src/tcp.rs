@@ -25,9 +25,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use l4span_net::{
-    AccEcnCounters, Ecn, FiveTuple, PacketBuf, Protocol, TcpFlags, TcpHeader,
-};
+use l4span_net::{AccEcnCounters, Ecn, FiveTuple, PacketBuf, Protocol, TcpFlags, TcpHeader};
 use l4span_sim::{Duration, Instant};
 
 use crate::cc::{AckSample, CcEvent, CongestionControl, EcnMode};
@@ -222,8 +220,7 @@ impl TcpSender {
     /// encoder tracking its transport).
     pub fn rate_estimate_bps(&self) -> Option<f64> {
         self.srtt.map(|s| {
-            (self.cc.cwnd().min(self.cfg.snd_buf)) as f64 * 8.0
-                / s.as_secs_f64().max(1e-4)
+            (self.cc.cwnd().min(self.cfg.snd_buf)) as f64 * 8.0 / s.as_secs_f64().max(1e-4)
         })
     }
 
@@ -290,7 +287,13 @@ impl TcpSender {
         self.cc.ecn_mode().codepoint()
     }
 
-    fn make_data_segment(&mut self, seq: u64, len: usize, is_retx: bool, now: Instant) -> PacketBuf {
+    fn make_data_segment(
+        &mut self,
+        seq: u64,
+        len: usize,
+        is_retx: bool,
+        now: Instant,
+    ) -> PacketBuf {
         let mut flags = TcpFlags::new().with(TcpFlags::ACK);
         if self.cwr_pending && self.cc.ecn_mode() == EcnMode::Classic {
             flags.set(TcpFlags::CWR);
@@ -412,8 +415,7 @@ impl TcpSender {
                         ack: 1,
                         flags,
                         mss: Some(self.cfg.mss as u16),
-                        accecn: (self.cc.ecn_mode() == EcnMode::L4s)
-                            .then(AccEcnCounters::default),
+                        accecn: (self.cc.ecn_mode() == EcnMode::L4s).then(AccEcnCounters::default),
                         ..TcpHeader::default()
                     };
                     let ident = self.next_ident();
@@ -510,10 +512,10 @@ impl TcpSender {
                         // summed delta is the "bytes that arrived with
                         // any ECN codepoint" signal bleach detection
                         // compares against newly-acked bytes.
-                        let d0 = acc.ect0_bytes.wrapping_sub(self.acc_last.ect0_bytes)
-                            & 0x00FF_FFFF;
-                        let d1 = acc.ect1_bytes.wrapping_sub(self.acc_last.ect1_bytes)
-                            & 0x00FF_FFFF;
+                        let d0 =
+                            acc.ect0_bytes.wrapping_sub(self.acc_last.ect0_bytes) & 0x00FF_FFFF;
+                        let d1 =
+                            acc.ect1_bytes.wrapping_sub(self.acc_last.ect1_bytes) & 0x00FF_FFFF;
                         ect_bytes = Some((delta + d0 + d1) as usize);
                         self.acc_last = acc;
                     }
@@ -800,20 +802,17 @@ impl TcpReceiver {
                 match ecn {
                     Ecn::Ce => {
                         self.ce_packets = self.ce_packets.wrapping_add(1);
-                        self.acc.ce_bytes =
-                            (self.acc.ce_bytes + len as u32) & 0x00FF_FFFF;
+                        self.acc.ce_bytes = (self.acc.ce_bytes + len as u32) & 0x00FF_FFFF;
                         self.ce_bytes_seen += len;
                         if self.mode == EcnMode::Classic {
                             self.ece_latch = true;
                         }
                     }
                     Ecn::Ect0 => {
-                        self.acc.ect0_bytes =
-                            (self.acc.ect0_bytes + len as u32) & 0x00FF_FFFF;
+                        self.acc.ect0_bytes = (self.acc.ect0_bytes + len as u32) & 0x00FF_FFFF;
                     }
                     Ecn::Ect1 => {
-                        self.acc.ect1_bytes =
-                            (self.acc.ect1_bytes + len as u32) & 0x00FF_FFFF;
+                        self.acc.ect1_bytes = (self.acc.ect1_bytes + len as u32) & 0x00FF_FFFF;
                     }
                     Ecn::NotEct => {}
                 }
@@ -1004,7 +1003,12 @@ mod tests {
         assert!(cwr_seg.is_some(), "CWR must be set after ECE reaction");
         let ack2 = r.on_packet(cwr_seg.unwrap(), t3);
         assert!(
-            !ack2.unwrap().tcp_header().unwrap().flags.contains(TcpFlags::ECE),
+            !ack2
+                .unwrap()
+                .tcp_header()
+                .unwrap()
+                .flags
+                .contains(TcpFlags::ECE),
             "CWR clears the ECE latch"
         );
     }

@@ -154,7 +154,9 @@ impl UdpPragueSender {
         self.rtt.on_report(fb.packets, now);
         let pkts = fb.packets.saturating_sub(self.last_fb.packets);
         let ce = fb.ce_packets.saturating_sub(self.last_fb.ce_packets);
-        let not_ect = fb.not_ect_packets.saturating_sub(self.last_fb.not_ect_packets);
+        let not_ect = fb
+            .not_ect_packets
+            .saturating_sub(self.last_fb.not_ect_packets);
         self.last_fb = *fb;
         if pkts == 0 {
             return;

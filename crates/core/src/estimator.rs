@@ -110,7 +110,11 @@ impl EgressEstimator {
         if let Some(smoothed) = self.rate() {
             // An older sample that is no larger can never be the maximum
             // again: it expires before this one does.
-            while self.rate_history.back().is_some_and(|&(_, r)| r <= smoothed) {
+            while self
+                .rate_history
+                .back()
+                .is_some_and(|&(_, r)| r <= smoothed)
+            {
                 self.rate_history.pop_back();
             }
             self.rate_history.push_back((t_txed, smoothed));
@@ -256,10 +260,7 @@ mod tests {
             e.on_txed(Instant::from_micros(30_000 + 2_500 * k), 1500);
         }
         let r = e.rate().unwrap();
-        assert!(
-            r < 1.2e6,
-            "estimate {r} should have tracked the rate drop"
-        );
+        assert!(r < 1.2e6, "estimate {r} should have tracked the rate drop");
         // And the volatility shows up in the spread over the transition…
         // (samples within one window of the last feedback)
     }
@@ -289,7 +290,10 @@ mod tests {
         assert_eq!(e.attainable_rate(), None, "peak history gone too");
         // A fresh window at a different rate re-learns cleanly.
         for k in 0..30u64 {
-            e.on_txed(Instant::from_millis(100) + Duration::from_micros(1000 * k), 750);
+            e.on_txed(
+                Instant::from_millis(100) + Duration::from_micros(1000 * k),
+                750,
+            );
         }
         let r = e.rate().unwrap();
         assert!((r - 0.75e6).abs() < 0.15e6, "re-learned {r}");
@@ -301,7 +305,10 @@ mod tests {
         e.on_txed(Instant::from_micros(0), 1_000_000);
         // Much later, a slow trickle: the big old burst must be gone.
         for k in 0..10u64 {
-            e.on_txed(Instant::from_millis(100) + Duration::from_micros(500 * k), 100);
+            e.on_txed(
+                Instant::from_millis(100) + Duration::from_micros(500 * k),
+                100,
+            );
         }
         let r = e.rate().unwrap();
         assert!(r < 1e6, "old burst leaked into the window: {r}");

@@ -161,8 +161,7 @@ impl FlowTable {
         );
         if flow.class == FlowClass::NonEcn && class != FlowClass::NonEcn {
             let c = self.counts.entry((flow.ue, flow.drb)).or_default();
-            c[class_idx(FlowClass::NonEcn)] =
-                c[class_idx(FlowClass::NonEcn)].saturating_sub(1);
+            c[class_idx(FlowClass::NonEcn)] = c[class_idx(FlowClass::NonEcn)].saturating_sub(1);
             c[class_idx(class)] += 1;
             flow.class = class;
         }

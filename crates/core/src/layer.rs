@@ -9,9 +9,9 @@ use l4span_sim::{Duration, FxHashMap, Instant, SimRng};
 use crate::config::{HandoverPolicy, L4SpanConfig, SharedDrbStrategy};
 use crate::estimator::EgressEstimator;
 use crate::flow::{FlowState, FlowTable};
-use l4span_net::FiveTuple;
 use crate::marking;
 use crate::profile::ProfileTable;
+use l4span_net::FiveTuple;
 
 /// What to do with a downlink packet after L4Span processed it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,8 +267,7 @@ impl L4SpanLayer {
                 // Tentative mark: bookkeeping only (§4.4).
                 flow.marks += 1;
                 flow.ce_packets = flow.ce_packets.wrapping_add(1);
-                flow.ledger.ce_bytes =
-                    (flow.ledger.ce_bytes + payload_len as u32) & 0x00FF_FFFF;
+                flow.ledger.ce_bytes = (flow.ledger.ce_bytes + payload_len as u32) & 0x00FF_FFFF;
                 flow.ece_on = true;
                 self.stats.tentative_marks += 1;
             }
@@ -492,7 +491,10 @@ mod tests {
         for i in 0..n {
             let mut p = data_pkt(Ecn::Ect1, 443, 1400);
             l.on_dl_packet(UE, DRB, &mut p, Instant::from_micros(i * gap_us));
-            l.on_ran_feedback(&feedback(i, Instant::from_micros(i * gap_us + 100)), Instant::from_micros(i * gap_us + 100));
+            l.on_ran_feedback(
+                &feedback(i, Instant::from_micros(i * gap_us + 100)),
+                Instant::from_micros(i * gap_us + 100),
+            );
         }
     }
 
@@ -516,7 +518,10 @@ mod tests {
         let mut l = layer();
         for _ in 0..50 {
             let mut p = udp_pkt(Ecn::Ect1, 1200);
-            assert_eq!(l.on_dl_packet(UE, DRB, &mut p, Instant::ZERO), DlVerdict::Forward);
+            assert_eq!(
+                l.on_dl_packet(UE, DRB, &mut p, Instant::ZERO),
+                DlVerdict::Forward
+            );
             assert_eq!(p.ecn(), Ecn::Ect1, "cannot judge congestion yet");
         }
     }
@@ -732,7 +737,10 @@ mod tests {
                 marks_cold += 1;
             }
         }
-        assert!(marks_migrate > 200, "migrated estimate marks: {marks_migrate}");
+        assert!(
+            marks_migrate > 200,
+            "migrated estimate marks: {marks_migrate}"
+        );
         assert_eq!(marks_cold, 0, "cold start cannot judge congestion yet");
     }
 

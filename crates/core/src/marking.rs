@@ -32,10 +32,10 @@ pub fn p_l4s(n_queue: usize, tau_s: Duration, rate: f64, rate_std: f64) -> f64 {
         return if n_queue > 0 { 1.0 } else { 0.0 };
     }
     let needed = n_queue as f64 / tau_s.as_secs_f64(); // rate to meet τ_s
-    // Cap the relative spread at ê/r̂ = 0.5 (the largest the paper's
-    // Fig. 4 inset shows): an unbounded ê would put Φ(−r̂/ê) ≈ 0.16+ of
-    // marking probability on an *empty* queue, throttling senders on a
-    // merely-volatile (not congested) channel.
+                                                       // Cap the relative spread at ê/r̂ = 0.5 (the largest the paper's
+                                                       // Fig. 4 inset shows): an unbounded ê would put Φ(−r̂/ê) ≈ 0.16+ of
+                                                       // marking probability on an *empty* queue, throttling senders on a
+                                                       // merely-volatile (not congested) channel.
     let rate_std = rate_std.min(0.5 * rate);
     if rate_std <= f64::EPSILON {
         return if rate < needed { 1.0 } else { 0.0 };

@@ -87,8 +87,7 @@ impl ProfileTable {
         mut on_txed: impl FnMut(TxedPacket),
     ) {
         if let Some(d) = highest_delivered_sn {
-            self.highest_delivered =
-                Some(self.highest_delivered.map_or(d, |h| h.max(d)));
+            self.highest_delivered = Some(self.highest_delivered.map_or(d, |h| h.max(d)));
         }
         let Some(high) = highest_txed_sn else {
             return;

@@ -412,10 +412,7 @@ impl Application for Bulk {
 
     fn on_delivered(&mut self, delivered: u64, now: Instant) {
         // Greedy mode: top the transport back up before it drains.
-        if self.limit.is_none()
-            && !self.stopped
-            && delivered + BULK_CHUNK / 2 >= self.offered
-        {
+        if self.limit.is_none() && !self.stopped && delivered + BULK_CHUNK / 2 >= self.offered {
             self.tick_at = self.tick_at.min(now);
         }
     }
@@ -736,7 +733,14 @@ mod tests {
             (Duration::from_millis(50), 2_000),
             (Duration::from_millis(50), 3_000),
         ];
-        let mk = || TraceReplay::new(TraceReplayCfg { entries: entries.clone() }, Instant::ZERO);
+        let mk = || {
+            TraceReplay::new(
+                TraceReplayCfg {
+                    entries: entries.clone(),
+                },
+                Instant::ZERO,
+            )
+        };
         let a = transcript(&mut mk(), Instant::from_secs(1));
         let b = transcript(&mut mk(), Instant::from_secs(1));
         assert_eq!(a, b, "identical transcripts");

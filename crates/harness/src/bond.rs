@@ -123,7 +123,13 @@ impl BondJoin {
 
     /// Ingest one packet from either leg; in-order releases (possibly
     /// several, if this packet filled a gap) are appended to `out`.
-    pub fn on_packet(&mut self, ident: u16, pkt: PacketBuf, now: Instant, out: &mut Vec<PacketBuf>) {
+    pub fn on_packet(
+        &mut self,
+        ident: u16,
+        pkt: PacketBuf,
+        now: Instant,
+        out: &mut Vec<PacketBuf>,
+    ) {
         let Some(next) = self.next else {
             // First packet anchors the sequence line and flows through.
             let seq = ident as u64;

@@ -56,7 +56,10 @@ pub(crate) struct Feedback {
 
 impl Feedback {
     fn report<T>(fb: Option<(PacketBuf, T)>, wrap: impl FnOnce(T) -> FbData) -> Option<Feedback> {
-        fb.map(|(pkt, data)| Feedback { pkt, data: Some(wrap(data)) })
+        fb.map(|(pkt, data)| Feedback {
+            pkt,
+            data: Some(wrap(data)),
+        })
     }
 }
 
@@ -188,7 +191,15 @@ pub(crate) fn build(f: usize, spec: &FlowSpec, tuples: &mut FxHashMap<FiveTuple,
             let (sport, dport) = (5004, port(42_000));
             framed = Some((v.frame_interval(), v.deadline));
             let sender = ScreamSender::new(
-                src, dst, sport, dport, v.min_bps, v.start_bps, v.max_bps, v.fps, true,
+                src,
+                dst,
+                sport,
+                dport,
+                v.min_bps,
+                v.start_bps,
+                v.max_bps,
+                v.fps,
+                true,
             )
             .with_keyframes(v.keyframe_every, v.keyframe_boost);
             let receiver = ScreamReceiver::new(dst, src, dport, sport);
@@ -196,7 +207,11 @@ pub(crate) fn build(f: usize, spec: &FlowSpec, tuples: &mut FxHashMap<FiveTuple,
         }
         (
             AppProfile::Bulk { bytes: None },
-            &TransportSpec::UdpPrague { min_rate, start_rate, max_rate },
+            &TransportSpec::UdpPrague {
+                min_rate,
+                start_rate,
+                max_rate,
+            },
         ) => {
             let (sport, dport) = (5006, port(43_000));
             let sender =
@@ -206,7 +221,12 @@ pub(crate) fn build(f: usize, spec: &FlowSpec, tuples: &mut FxHashMap<FiveTuple,
         }
         (
             AppProfile::Bulk { bytes: None },
-            &TransportSpec::FecMedia { min_rate, start_rate, max_rate, fps },
+            &TransportSpec::FecMedia {
+                min_rate,
+                start_rate,
+                max_rate,
+                fps,
+            },
         ) => {
             assert_eq!(
                 spec.dir,
@@ -228,15 +248,19 @@ pub(crate) fn build(f: usize, spec: &FlowSpec, tuples: &mut FxHashMap<FiveTuple,
         ),
     };
     assert!(
-        spec.bond.is_none()
-            || matches!(endpoint, Endpoint::Tcp { .. } | Endpoint::FecMedia { .. }),
+        spec.bond.is_none() || matches!(endpoint, Endpoint::Tcp { .. } | Endpoint::FecMedia { .. }),
         "flow {f}: bonding supports TCP and FEC-media endpoints only"
     );
     assert!(
         tuples.insert(tuple, f).is_none(),
         "flow {f}: five-tuple {tuple:?} already registered"
     );
-    Built { endpoint, tuple, app, framed }
+    Built {
+        endpoint,
+        tuple,
+        app,
+        framed,
+    }
 }
 
 impl Endpoint {
@@ -266,7 +290,10 @@ impl Endpoint {
     /// polls the sender right away instead.
     pub(crate) fn open(&mut self, now: Instant) -> Option<Feedback> {
         match self {
-            Endpoint::Tcp { receiver, .. } => Some(Feedback { pkt: receiver.start(now), data: None }),
+            Endpoint::Tcp { receiver, .. } => Some(Feedback {
+                pkt: receiver.start(now),
+                data: None,
+            }),
             Endpoint::Vacant => vacant(),
             _ => None,
         }
@@ -315,7 +342,11 @@ impl Endpoint {
         now: Instant,
         out: &mut Released,
     ) -> SenderUpdate {
-        let mut up = SenderUpdate { srtt: None, finished: false, rate_estimate_bps: None };
+        let mut up = SenderUpdate {
+            srtt: None,
+            finished: false,
+            rate_estimate_bps: None,
+        };
         match self {
             Endpoint::Tcp { sender, .. } => {
                 sender.on_packet_into(pkt, now, &mut out.pkts);
@@ -382,7 +413,11 @@ impl Endpoint {
             }
             Endpoint::Vacant => vacant(),
         };
-        Delivery { feedback, tcp_watermark, frame_captured }
+        Delivery {
+            feedback,
+            tcp_watermark,
+            frame_captured,
+        }
     }
 
     /// Emit a report the prohibit interval suppressed, once it is due.
@@ -391,11 +426,15 @@ impl Endpoint {
     pub(crate) fn flush_feedback(&mut self, now: Instant) -> Option<Feedback> {
         match self {
             Endpoint::Tcp { .. } => None,
-            Endpoint::Scream { receiver, .. } => Feedback::report(receiver.poll(now), FbData::Scream),
+            Endpoint::Scream { receiver, .. } => {
+                Feedback::report(receiver.poll(now), FbData::Scream)
+            }
             Endpoint::UdpPrague { receiver, .. } => {
                 Feedback::report(receiver.poll(now), FbData::Prague)
             }
-            Endpoint::FecMedia { receiver, .. } => Feedback::report(receiver.poll(now), FbData::Fec),
+            Endpoint::FecMedia { receiver, .. } => {
+                Feedback::report(receiver.poll(now), FbData::Fec)
+            }
             Endpoint::Vacant => vacant(),
         }
     }

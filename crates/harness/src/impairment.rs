@@ -283,7 +283,11 @@ mod tests {
         }
         let drops = imp.impairment().queue_drops;
         assert!(drops > 0, "the burst overflows the buffer");
-        assert_eq!(out.exited.len() as u64 + drops, offered, "conservation at the hop");
+        assert_eq!(
+            out.exited.len() as u64 + drops,
+            offered,
+            "conservation at the hop"
+        );
     }
 
     #[test]

@@ -56,8 +56,7 @@ pub use bond::{BondJoin, BondTx, SbdDetector};
 pub use impairment::{ImpairmentCounters, ImpairmentSpec, StageSpec};
 pub use marker::MarkerKind;
 pub use metrics::{
-    BondStat, FallbackRecord, FecStat, HandoverRecord, Report, ShardStat, StoreShare,
-    UplinkStats,
+    BondStat, FallbackRecord, FecStat, HandoverRecord, Report, ShardStat, StoreShare, UplinkStats,
 };
 pub use runner::{run_batch, run_batch_on};
 pub use scenario::{

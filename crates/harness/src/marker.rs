@@ -106,13 +106,7 @@ impl Marker {
 
     /// Downlink event. May rewrite the ECN field; returns whether to
     /// forward or drop.
-    pub fn on_dl(
-        &mut self,
-        ue: UeId,
-        drb: DrbId,
-        pkt: &mut PacketBuf,
-        now: Instant,
-    ) -> DlVerdict {
+    pub fn on_dl(&mut self, ue: UeId, drb: DrbId, pkt: &mut PacketBuf, now: Instant) -> DlVerdict {
         match self {
             Marker::None => DlVerdict::Forward,
             Marker::L4Span(l) => l.on_dl_packet(ue, drb, pkt, now),
@@ -208,7 +202,9 @@ impl Marker {
         match self {
             Marker::None => {}
             Marker::L4Span(l) => l.on_handover(ue, drb, policy),
-            Marker::DualPi2Cu { drbs, threshold, .. } => {
+            Marker::DualPi2Cu {
+                drbs, threshold, ..
+            } => {
                 if policy == HandoverPolicy::ColdStart {
                     if let Some(d) = drbs.get_mut(&(ue, drb)) {
                         d.dualpi2 = DualPi2::new(Duration::from_millis(15), *threshold);
@@ -240,12 +236,7 @@ impl Marker {
     /// the reversed tuple is extracted too, because a CU instance
     /// observes uplink flows through their downlink-travelling feedback
     /// and keys that state by the feedback's own tuple.
-    pub fn extract_ue(
-        &mut self,
-        ue: UeId,
-        drbs: &[DrbId],
-        tuples: &[FiveTuple],
-    ) -> MarkerCarry {
+    pub fn extract_ue(&mut self, ue: UeId, drbs: &[DrbId], tuples: &[FiveTuple]) -> MarkerCarry {
         let mut carry = MarkerCarry {
             ue,
             drbs: Vec::new(),
@@ -376,7 +367,10 @@ mod tests {
         m.on_dl(UeId(0), DrbId(0), &mut later, Instant::from_millis(5));
         assert_eq!(later.ecn(), Ecn::Ce, "head is 5 ms old > 1 ms step");
         // Feedback drains the profile: marking stops.
-        m.on_feedback(&fb(UeId(0), DrbId(0), 1, Instant::from_millis(6)), Instant::from_millis(6));
+        m.on_feedback(
+            &fb(UeId(0), DrbId(0), 1, Instant::from_millis(6)),
+            Instant::from_millis(6),
+        );
         let mut fresh = udp(Ecn::Ect1);
         m.on_dl(UeId(0), DrbId(0), &mut fresh, Instant::from_millis(7));
         assert_eq!(fresh.ecn(), Ecn::Ect1, "fresh head, no mark");
@@ -401,10 +395,7 @@ mod tests {
 
     #[test]
     fn l4span_marker_roundtrip() {
-        let mut m = Marker::new(
-            &MarkerKind::L4Span(L4SpanConfig::default()),
-            SimRng::new(1),
-        );
+        let mut m = Marker::new(&MarkerKind::L4Span(L4SpanConfig::default()), SimRng::new(1));
         let mut p = udp(Ecn::Ect1);
         assert_eq!(
             m.on_dl(UeId(0), DrbId(0), &mut p, Instant::ZERO),

@@ -383,8 +383,8 @@ impl Report {
     pub fn goodput_mbps(&self, flow: usize, from: Instant, to: Instant) -> f64 {
         let bin_s = self.bin.as_secs_f64();
         let lo = (from.as_nanos() / self.bin.as_nanos().max(1)) as usize;
-        let hi = ((to.as_nanos() / self.bin.as_nanos().max(1)) as usize)
-            .min(self.thr_bins[flow].len());
+        let hi =
+            ((to.as_nanos() / self.bin.as_nanos().max(1)) as usize).min(self.thr_bins[flow].len());
         if hi <= lo {
             return 0.0;
         }
@@ -527,9 +527,7 @@ impl Report {
     /// Box statistics of a flow's per-frame one-way delay (empty stats
     /// for flows without a framed application).
     pub fn frame_owd_stats(&self, flow: usize) -> BoxStats {
-        BoxStats::from_samples(
-            self.frame_owd_ms.get(flow).map_or(&[][..], |v| &v[..]),
-        )
+        BoxStats::from_samples(self.frame_owd_ms.get(flow).map_or(&[][..], |v| &v[..]))
     }
 
     /// Pooled per-frame one-way-delay statistics across flows.
@@ -561,9 +559,7 @@ impl Report {
 
     /// Box statistics of a flow's request completion times.
     pub fn request_stats(&self, flow: usize) -> BoxStats {
-        BoxStats::from_samples(
-            self.request_ms.get(flow).map_or(&[][..], |v| &v[..]),
-        )
+        BoxStats::from_samples(self.request_ms.get(flow).map_or(&[][..], |v| &v[..]))
     }
 
     /// Mean handover interruption time in milliseconds over the records
@@ -591,7 +587,9 @@ impl Report {
         for (&(ue, drb), runs) in &self.queue_cell_runs {
             let series = &self.queue_series[&(ue, drb)];
             for (k, &(first, cell)) in runs.iter().enumerate() {
-                let end = runs.get(k + 1).map_or(series.len(), |&(next, _)| next as usize);
+                let end = runs
+                    .get(k + 1)
+                    .map_or(series.len(), |&(next, _)| next as usize);
                 out.entry((cell, ue, drb))
                     .or_default()
                     .extend_from_slice(&series[first as usize..end]);
@@ -607,7 +605,10 @@ impl Report {
     pub fn sample_store(&self) -> [StoreShare; 3] {
         let n = |v: &[Vec<f64>]| v.iter().map(Vec::len).sum::<usize>();
         let pairs = n(&self.owd_ms) + n(&self.ul_owd_ms) + n(&self.rtt_ms);
-        let queues = self.queue_series.values().chain(self.ul_queue_series.values());
+        let queues = self
+            .queue_series
+            .values()
+            .chain(self.ul_queue_series.values());
         let queue: usize = queues.map(Vec::len).sum();
         let runs: usize = self.queue_cell_runs.values().map(Vec::len).sum();
         let rate_err = self.rate_err_pct.len();
@@ -886,18 +887,28 @@ impl DrbRow {
     /// By SN, not from the front: a handover onto a cell with a shorter
     /// UE-internal delay can deliver out of SN order.
     fn take_in_air(&mut self, sn: Sn) -> Option<(f64, f64)> {
-        while self.in_air.front().is_some_and(|e| e.0 + IN_AIR_LOST_SNS <= sn) {
+        while self
+            .in_air
+            .front()
+            .is_some_and(|e| e.0 + IN_AIR_LOST_SNS <= sn)
+        {
             self.in_air.pop_front();
         }
         let i = self.in_air.binary_search_by_key(&sn, |e| e.0).ok()?;
-        self.in_air.remove(i).map(|(_, queuing, sched)| (queuing, sched))
+        self.in_air
+            .remove(i)
+            .map(|(_, queuing, sched)| (queuing, sched))
     }
 
     /// The ground truth at `now`: bytes per second sent in the `window`
     /// before the newest transmit record, after trimming the log to four
     /// windows. `None` when the bearer has been idle for a window.
     fn ground_truth(&mut self, now: Instant, window: Duration) -> Option<f64> {
-        while self.gt.front().is_some_and(|&(t, _)| now.saturating_since(t) > window * 4) {
+        while self
+            .gt
+            .front()
+            .is_some_and(|&(t, _)| now.saturating_since(t) > window * 4)
+        {
             self.gt.pop_front();
         }
         let &(anchor, _) = self.gt.back()?;
@@ -1012,7 +1023,11 @@ impl Recorder {
     /// An empty store for `cfg`'s flows, UEs and cells.
     pub(crate) fn new(cfg: &ScenarioConfig) -> Recorder {
         let bin_ns = cfg.thr_bin.as_nanos().max(1);
-        let flow = |f: &FlowSpec| FlowRow { ue: f.ue, dir: f.dir, ..FlowRow::default() };
+        let flow = |f: &FlowSpec| FlowRow {
+            ue: f.ue,
+            dir: f.dir,
+            ..FlowRow::default()
+        };
         Recorder {
             flows: cfg.flows.iter().map(flow).collect(),
             ues: (0..cfg.ues.len()).map(|_| UeRow::default()).collect(),
@@ -1062,7 +1077,10 @@ impl Recorder {
                 row.owd.push(sample);
                 let ue = &mut self.ues[row.ue];
                 ue.last_delivery = Some(now);
-                let open = ue.handovers.last_mut().filter(|h| h.first_delivery_after.is_none());
+                let open = ue
+                    .handovers
+                    .last_mut()
+                    .filter(|h| h.first_delivery_after.is_none());
                 if let Some(h) = open {
                     h.first_delivery_after = Some(now);
                 }
@@ -1090,7 +1108,12 @@ impl Recorder {
     pub(crate) fn push_breakdown(&mut self, flow: usize, owd: f64, prop: f64, rlc: (f64, f64)) {
         let (queuing, scheduling) = rlc;
         let other = (owd - prop - queuing - scheduling).max(0.0);
-        let b = Breakdown { propagation: prop, queuing, scheduling, other };
+        let b = Breakdown {
+            propagation: prop,
+            queuing,
+            scheduling,
+            other,
+        };
         self.flows[flow].breakdown.push(b);
     }
 
@@ -1176,7 +1199,9 @@ impl Recorder {
     ) {
         for (drb, row) in self.ues[ue].drbs.iter_mut().enumerate() {
             let drb = drb as u8;
-            let Some(gt) = row.ground_truth(now, window) else { continue };
+            let Some(gt) = row.ground_truth(now, window) else {
+                continue;
+            };
             if gt > 50_000.0 {
                 if let Some(est) = estimate(drb) {
                     let pct = (est - gt) / gt * 100.0;
@@ -1221,7 +1246,13 @@ impl Recorder {
         r: &mut Report,
         framing: impl Iterator<Item = (Option<u64>, Option<Duration>)>,
     ) {
-        let Recorder { mut flows, ues, cells, mut rate_err, .. } = self;
+        let Recorder {
+            mut flows,
+            ues,
+            cells,
+            mut rate_err,
+            ..
+        } = self;
         rate_err.sort_unstable_by_key(|e| e.key);
         debug_assert!(rate_err.windows(2).all(|w| w[0].key < w[1].key));
         r.rate_err_pct = rate_err.into_iter().map(|e| e.pct).collect();
@@ -1240,12 +1271,16 @@ impl Recorder {
             }
         }
         handovers.sort_unstable_by_key(|h| (h.at, h.ue));
-        debug_assert!(handovers.windows(2).all(|w| (w[0].at, w[0].ue) < (w[1].at, w[1].ue)));
+        debug_assert!(handovers
+            .windows(2)
+            .all(|w| (w[0].at, w[0].ue) < (w[1].at, w[1].ue)));
         r.handovers = handovers;
         r.cell_thr_bins = cells;
         for (row, (in_sender, interval)) in flows.iter_mut().zip(framing) {
             row.frames_generated = in_sender.unwrap_or(row.frames_generated);
-            let undelivered = row.frames_generated.saturating_sub(row.frame_owd_ms.len() as u64);
+            let undelivered = row
+                .frames_generated
+                .saturating_sub(row.frame_owd_ms.len() as u64);
             row.frames_missed += undelivered;
             row.stall_ms += undelivered as f64 * interval.map_or(0.0, |i| i.as_millis_f64());
         }
@@ -1259,26 +1294,41 @@ impl Recorder {
         (r.rtt_ms, r.rtt_at_s) = split_samples(&mut flows, |f| &mut f.rtt);
         use std::mem::take;
         r.thr_bins = flows.iter_mut().map(|f| take(&mut f.thr)).collect();
-        r.frame_owd_ms = flows.iter_mut().map(|f| take(&mut f.frame_owd_ms)).collect();
+        r.frame_owd_ms = flows
+            .iter_mut()
+            .map(|f| take(&mut f.frame_owd_ms))
+            .collect();
         r.request_ms = flows.iter_mut().map(|f| take(&mut f.request_ms)).collect();
     }
 
     /// Downlink queue samples taken so far, over every bearer.
     #[cfg(test)]
     pub(crate) fn dl_queue_samples(&self) -> usize {
-        self.ues.iter().flat_map(|u| &u.drbs).map(|r| r.dl_queue.len()).sum()
+        self.ues
+            .iter()
+            .flat_map(|u| &u.drbs)
+            .map(|r| r.dl_queue.len())
+            .sum()
     }
 
     /// The send times in every bearer's ground-truth log.
     #[cfg(test)]
     pub(crate) fn ground_truth_log(&self) -> impl Iterator<Item = Instant> + '_ {
-        self.ues.iter().flat_map(|u| &u.drbs).flat_map(|r| r.gt.iter().map(|&(t, _)| t))
+        self.ues
+            .iter()
+            .flat_map(|u| &u.drbs)
+            .flat_map(|r| r.gt.iter().map(|&(t, _)| t))
     }
 
     /// The most SDUs any bearer's breakdown window holds.
     #[cfg(test)]
     pub(crate) fn widest_in_air(&self) -> usize {
-        self.ues.iter().flat_map(|u| &u.drbs).map(|r| r.in_air.len()).max().unwrap_or(0)
+        self.ues
+            .iter()
+            .flat_map(|u| &u.drbs)
+            .map(|r| r.in_air.len())
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -1334,7 +1384,11 @@ mod tests {
         // transmit record changes neither its timing nor the log.
         row.on_txed(&txed(4, 40, 9), true, true);
         assert_eq!(row.gt.len(), 4, "one ground-truth entry per SN");
-        assert_eq!(row.take_in_air(4), Some((4.0, 1.0)), "the first record's timing");
+        assert_eq!(
+            row.take_in_air(4),
+            Some((4.0, 1.0)),
+            "the first record's timing"
+        );
         assert_eq!(row.take_in_air(4), None, "taken already");
         assert_eq!(row.take_in_air(6), None, "never transmitted");
         assert_eq!(row.take_in_air(99), None, "above the window");
@@ -1351,7 +1405,6 @@ mod tests {
         assert_eq!(row.take_in_air(11), Some((2.0, 2.0)));
         assert_eq!(row.gt.len(), 4, "`gt` off: no ground-truth entry");
     }
-
 
     #[test]
     fn rate_error_keys_sort_in_time_then_bearer_order() {
@@ -1370,7 +1423,10 @@ mod tests {
     #[test]
     fn the_per_cell_view_is_cut_from_the_runs() {
         let mut cfg = ScenarioConfig::new(7, Duration::from_millis(80));
-        cfg.ues.push(crate::UeSpec::simple(l4span_ran::ChannelProfile::Static, 20.0));
+        cfg.ues.push(crate::UeSpec::simple(
+            l4span_ran::ChannelProfile::Static,
+            20.0,
+        ));
         let mut rec = Recorder::new(&cfg);
         for (cell, len) in [(0, 5), (0, 6), (1, 7), (0, 8), (0, 9), (2, 10)] {
             rec.push_dl_queue(0, 1, cell, len);

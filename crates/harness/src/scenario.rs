@@ -594,7 +594,13 @@ pub fn wired_l4s(seed: u64, duration: Duration) -> ScenarioConfig {
     for (i, cc) in [CcKind::Prague, CcKind::Cubic].into_iter().enumerate() {
         cfg.ues.push(UeSpec::simple(ChannelProfile::Static, 30.0));
         let start = Instant::from_millis(100 * i as u64);
-        cfg.flows.push(FlowSpec::new(i, AppProfile::bulk(), TransportSpec::tcp(cc), wan, start));
+        cfg.flows.push(FlowSpec::new(
+            i,
+            AppProfile::bulk(),
+            TransportSpec::tcp(cc),
+            wan,
+            start,
+        ));
     }
     cfg
 }
@@ -641,7 +647,13 @@ pub fn handover_cell(
     cfg.add_cell(second);
     for i in 0..n_ues {
         let jitter = 8.0 * (i as f64 * 0.6180339887).fract();
-        let snr_toward = |cell: usize| if cell == 0 { 21.0 + jitter } else { 12.0 + jitter };
+        let snr_toward = |cell: usize| {
+            if cell == 0 {
+                21.0 + jitter
+            } else {
+                12.0 + jitter
+            }
+        };
         let home = i % 2;
         let mut steps = Vec::new();
         let mut cur = home;
@@ -703,7 +715,8 @@ pub fn interactive_apps_mixed(
         {
             let i = 3 * g + k;
             let snr = 19.0 + 8.0 * (i as f64 * 0.6180339887).fract();
-            cfg.ues.push(UeSpec::simple(ChannelMix::Mobile.profile(i), snr));
+            cfg.ues
+                .push(UeSpec::simple(ChannelMix::Mobile.profile(i), snr));
             cfg.flows.push(FlowSpec::new(
                 i,
                 app,
@@ -738,7 +751,8 @@ pub fn video_call_bidir(
     let leg = FramedVideoCfg::new(30.0, 0.5e6, 2.0e6, 8.0e6).with_keyframes(30, 3.0);
     for i in 0..n_calls {
         let snr = 19.0 + 8.0 * (i as f64 * 0.6180339887).fract();
-        cfg.ues.push(UeSpec::simple(ChannelMix::Mobile.profile(i), snr));
+        cfg.ues
+            .push(UeSpec::simple(ChannelMix::Mobile.profile(i), snr));
         let start = Instant::from_millis(3 * i as u64 % 200);
         let (dl, ul) = video_call(i, leg, leg, cc, WanLink::east(), start);
         cfg.flows.push(dl);
@@ -878,7 +892,8 @@ pub fn xr_bonding_cell(
     for i in 0..n_devices {
         let home = i % 2;
         let snr = 19.0 + 8.0 * (i as f64 * 0.6180339887).fract();
-        cfg.ues.push(UeSpec::simple(ChannelMix::Mobile.profile(i), snr).on_cell(home));
+        cfg.ues
+            .push(UeSpec::simple(ChannelMix::Mobile.profile(i), snr).on_cell(home));
         let mut flow = FlowSpec::uplink(
             i,
             app.clone(),
@@ -982,13 +997,7 @@ mod tests {
 
     #[test]
     fn interactive_apps_mixed_builder_shapes() {
-        let cfg = interactive_apps_mixed(
-            2,
-            "prague",
-            l4span_default(),
-            3,
-            Duration::from_secs(2),
-        );
+        let cfg = interactive_apps_mixed(2, "prague", l4span_default(), 3, Duration::from_secs(2));
         assert_eq!(cfg.ues.len(), 6);
         assert_eq!(cfg.flows.len(), 6);
         let videos = cfg

@@ -34,13 +34,27 @@ pub trait HopSink {
 /// queue. The router is boxed to keep the stateless hops small.
 #[derive(Debug)]
 enum Hop {
-    Bleach { prob: f64, rng: SimRng },
-    Remark { from: Ecn, to: Ecn, prob: f64, rng: SimRng },
-    EctDrop { prob: f64, rng: SimRng },
+    Bleach {
+        prob: f64,
+        rng: SimRng,
+    },
+    Remark {
+        from: Ecn,
+        to: Ecn,
+        prob: f64,
+        rng: SimRng,
+    },
+    EctDrop {
+        prob: f64,
+        rng: SimRng,
+    },
     /// `steps` are the rate changes still to come, latest first. The
     /// router reads its rate only when polled, so each step applies at
     /// the hop's first poll at or after its instant.
-    Queue { router: Box<Router>, steps: Vec<(Instant, f64)> },
+    Queue {
+        router: Box<Router>,
+        steps: Vec<(Instant, f64)>,
+    },
 }
 
 /// The hops between server egress and the core, in path order.
@@ -72,7 +86,12 @@ impl WiredPlane {
             .zip(rngs)
             .map(|(s, rng)| match *s {
                 StageSpec::Bleach { prob } => Hop::Bleach { prob, rng },
-                StageSpec::Remark { from, to, prob } => Hop::Remark { from, to, prob, rng },
+                StageSpec::Remark { from, to, prob } => Hop::Remark {
+                    from,
+                    to,
+                    prob,
+                    rng,
+                },
                 StageSpec::EctDrop { prob } => Hop::EctDrop { prob, rng },
                 StageSpec::ClassicQueue { rate_bps } => Hop::Queue {
                     router: Box::new(Router::new(
@@ -100,7 +119,10 @@ impl WiredPlane {
     /// If the plane already has as many hops as a `u8` can number.
     #[must_use]
     pub fn then_router(mut self, router: Router, schedule: &[(Instant, f64)]) -> WiredPlane {
-        assert!(self.hops.len() <= u8::MAX as usize, "hops are numbered by a u8");
+        assert!(
+            self.hops.len() <= u8::MAX as usize,
+            "hops are numbered by a u8"
+        );
         let mut steps = schedule.to_vec();
         steps.sort_by_key(|&(at, _)| at);
         steps.reverse();
@@ -169,7 +191,12 @@ impl WiredPlane {
                         self.counters.bleached += 1;
                     }
                 }
-                Hop::Remark { from, to, prob, rng } => {
+                Hop::Remark {
+                    from,
+                    to,
+                    prob,
+                    rng,
+                } => {
                     if pkt.ecn() == *from && rng.chance(*prob) {
                         let to = pkt.ecn().remark_to(*to);
                         pkt.set_ecn(to);

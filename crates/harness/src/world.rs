@@ -160,42 +160,80 @@ impl Flow {
 /// is moved once in and once out, and a warm queue never allocates.
 pub(crate) enum Event {
     /// One TDD slot of cell `cell` elapses (each cell has its own tick).
-    Slot { cell: usize },
+    Slot {
+        cell: usize,
+    },
     /// A downlink packet reaches wired-plane hop `hop` (hop 0: the end
     /// of the WAN link).
-    DlAtHop { hop: u8, pkt: PacketBuf },
+    DlAtHop {
+        hop: u8,
+        pkt: PacketBuf,
+    },
     /// Poll wired-plane queue hop `hop` for departures.
-    HopPoll { hop: u8 },
-    DlAtCu { flow: usize, pkt: PacketBuf },
+    HopPoll {
+        hop: u8,
+    },
+    DlAtCu {
+        flow: usize,
+        pkt: PacketBuf,
+    },
     /// The transport blocks `cell` put on the air in one slot decode at
     /// their UEs, in scheduling order (one pooled batch per slot: every
     /// block of a slot shares its decode instant). A block whose UE
     /// handed over while it was in flight is dropped mid-air.
-    TbsAtUe { cell: usize, tbs: Vec<TransportBlock> },
+    TbsAtUe {
+        cell: usize,
+        tbs: Vec<TransportBlock>,
+    },
     /// A downlink packet reaches the UE application: the PDCP SN it
     /// carried on `drb` joins it to its transmit record.
-    AppDeliver { pkt: PacketBuf, drb: DrbId, sn: Sn },
+    AppDeliver {
+        pkt: PacketBuf,
+        drb: DrbId,
+        sn: Sn,
+    },
     /// What `cell`'s UEs transmitted in one uplink slot arrives, in
     /// ascending UE order (one pooled batch per slot, like `TbsAtUe`;
     /// the per-UE buffers return to `World::ul_pool` after processing):
     /// client ACKs/feedback, RLC status reports, and — in bidirectional
     /// scenarios — the UE's buffer-status report.
-    UlAtGnb { cell: usize, ues: Vec<(usize, UlBatch)> },
+    UlAtGnb {
+        cell: usize,
+        ues: Vec<(usize, UlBatch)>,
+    },
     /// The uplink *data* transport blocks granted in one slot arrive at
     /// `cell`'s PHY, in grant order (pooled batch, like `TbsAtUe`; a
     /// HARQ retransmission travels as a batch of one). A block whose UE
     /// handed over while it was in flight is dropped mid-air.
-    UlTbsAtGnb { cell: usize, tbs: Vec<TransportBlock> },
+    UlTbsAtGnb {
+        cell: usize,
+        tbs: Vec<TransportBlock>,
+    },
     /// An uplink RLC AM status report travels the downlink control
     /// channel back to the UE's transmit entity.
-    UlStatusAtUe { ue: usize, drb: DrbId, status: RlcStatus },
-    UlAtServer { flow: usize, pkt: PacketBuf },
-    FlowStart { flow: usize },
-    FlowStop { flow: usize },
-    FlowTimer { flow: usize },
+    UlStatusAtUe {
+        ue: usize,
+        drb: DrbId,
+        status: RlcStatus,
+    },
+    UlAtServer {
+        flow: usize,
+        pkt: PacketBuf,
+    },
+    FlowStart {
+        flow: usize,
+    },
+    FlowStop {
+        flow: usize,
+    },
+    FlowTimer {
+        flow: usize,
+    },
     /// The flow's [`Application`] asked to be woken (app-driven flows
     /// only; natively-lowered flows never schedule one).
-    AppTick { flow: usize },
+    AppTick {
+        flow: usize,
+    },
     Sample,
     UePoll,
 }
@@ -304,11 +342,7 @@ impl Timer {
 
 /// A pooled triple of one UE's uplink-slot buffers (packets, status
 /// reports, buffer-status entries).
-pub(crate) type UlBatch = (
-    Vec<PacketBuf>,
-    Vec<(DrbId, RlcStatus)>,
-    Vec<(DrbId, usize)>,
-);
+pub(crate) type UlBatch = (Vec<PacketBuf>, Vec<(DrbId, RlcStatus)>, Vec<(DrbId, usize)>);
 
 /// The assembled world. Build with [`World::new`], run with [`World::run`].
 pub struct World {
@@ -491,8 +525,7 @@ impl World {
                 cfg.cell_config(home).carrier_hz,
                 &mut ch_rng,
             );
-            let drbs: Vec<(DrbId, _)> =
-                spec.drbs.iter().map(|&(d, m)| (DrbId(d), m)).collect();
+            let drbs: Vec<(DrbId, _)> = spec.drbs.iter().map(|&(d, m)| (DrbId(d), m)).collect();
             gnbs[home].add_ue(UeId(i as u16), channel, &drbs);
             for &(d, _) in &spec.drbs {
                 gnbs[home].map_qfi(UeId(i as u16), Qfi(d), DrbId(d));
@@ -551,8 +584,12 @@ impl World {
             gnbs[home].ensure_ul_drb(UeId(ue as u16), DrbId(drb), mode);
         };
         for (f, spec) in cfg.flows.iter().enumerate() {
-            let Built { endpoint, tuple, app, framed } =
-                endpoint::build(f, spec, &mut tuple_to_flow);
+            let Built {
+                endpoint,
+                tuple,
+                app,
+                framed,
+            } = endpoint::build(f, spec, &mut tuple_to_flow);
             if spec.dir == FlowDir::Uplink {
                 has_ul_data = true;
                 ul_bearer(f, spec.ue, spec.drb);
@@ -562,7 +599,11 @@ impl World {
             // cell and — like the primary — must not move (the bond pins
             // both attachments for the run).
             let bond = if let Some(ue2) = spec.bond {
-                assert_eq!(spec.dir, FlowDir::Uplink, "flow {f}: bonding is uplink-only");
+                assert_eq!(
+                    spec.dir,
+                    FlowDir::Uplink,
+                    "flow {f}: bonding is uplink-only"
+                );
                 assert!(
                     ue2 < cfg.ues.len() && ue2 != spec.ue,
                     "flow {f}: bond UE {ue2} out of range or equal to the primary"
@@ -665,9 +706,7 @@ impl World {
             .with_grid(cfg.cell_config(0).slot_duration, slot_origin(&cfg, 0));
         let has_dl_data = cfg.flows.iter().any(|f| f.dir == FlowDir::Downlink);
         // Estimation error vs ground truth is an L4Span-only series.
-        let est_window = markers[0]
-            .as_l4span()
-            .map(|l| l.config().estimation_window);
+        let est_window = markers[0].as_l4span().map(|l| l.config().estimation_window);
         let mut w = World {
             queue,
             gnbs,
@@ -843,7 +882,8 @@ impl World {
     #[inline]
     fn sched(&mut self, at: Instant, ev: Event) {
         debug_assert!(
-            self.running_cell().is_none_or(|c| self.event_cell(&ev).is_none_or(|o| o == c)),
+            self.running_cell()
+                .is_none_or(|c| self.event_cell(&ev).is_none_or(|o| o == c)),
             "cell-major: {} for cell {:?} scheduled while cell {:?} runs",
             Event::CLASSES[ev.class()],
             self.event_cell(&ev),
@@ -1216,7 +1256,8 @@ impl World {
                     if !self.owns_flow(flow) {
                         continue;
                     }
-                    if let Some(join) = self.flows[flow].bond.as_mut().and_then(|b| b.join.as_mut()) {
+                    if let Some(join) = self.flows[flow].bond.as_mut().and_then(|b| b.join.as_mut())
+                    {
                         join.poll(now, &mut joined);
                     }
                     for pkt in joined.drain(..) {
@@ -1258,7 +1299,12 @@ impl World {
     /// cell first ([`World::swap_cell`]).
     pub(crate) fn apply_mobility_step(&mut self, ue: usize, step: MobilityStep) {
         self.event_counts[Event::HANDOVER] += 1;
-        let MobilityStep { at: now, cell: target_cell, profile, snr_db } = step;
+        let MobilityStep {
+            at: now,
+            cell: target_cell,
+            profile,
+            snr_db,
+        } = step;
         let src = self.serving[ue];
         let ch = self.fresh_channel(ue, target_cell, profile, snr_db, now);
         if target_cell == src {
@@ -1388,7 +1434,11 @@ impl World {
             for (ue_id, drb, status) in statuses.drain(..) {
                 self.sched(
                     now + air,
-                    Event::UlStatusAtUe { ue: ue_id.0 as usize, drb, status },
+                    Event::UlStatusAtUe {
+                        ue: ue_id.0 as usize,
+                        drb,
+                        status,
+                    },
                 );
             }
             self.scratch_ul_statuses = statuses;
@@ -1441,8 +1491,7 @@ impl World {
                 if !self.ues[i].ul_slot_pending(now, self.has_ul_data) {
                     continue;
                 }
-                let (mut pkts, mut statuses, mut bsr) =
-                    self.ul_pool.pop().unwrap_or_default();
+                let (mut pkts, mut statuses, mut bsr) = self.ul_pool.pop().unwrap_or_default();
                 self.ues[i].on_uplink_slot_into(now, &mut pkts, &mut statuses);
                 if self.has_ul_data {
                     self.ues[i].ul_bsr_into(now, &mut bsr);
@@ -1558,13 +1607,13 @@ impl World {
     /// flows skip all of it.
     fn complete_stream_units(&mut self, flow: usize, d: &Delivery, now: Instant) {
         if let Some(wm) = d.tcp_watermark {
-            if self.flows[flow].app.is_some() || !self.flows[flow].pending_units.is_empty()
-            {
+            if self.flows[flow].app.is_some() || !self.flows[flow].pending_units.is_empty() {
                 self.on_stream_progress(flow, wm, now);
             }
         } else if let Some(captured) = d.frame_captured {
             let deadline = self.flows[flow].framed.map(|(_, d)| d);
-            self.rec.push_unit(flow, UnitKind::Frame, captured, deadline, now);
+            self.rec
+                .push_unit(flow, UnitKind::Frame, captured, deadline, now);
         }
     }
 
@@ -1672,7 +1721,13 @@ impl World {
     /// feedback or an uplink flow's data — onward to its content server,
     /// through the CU (where `cell`'s downlink marker's uplink hook sees
     /// it, like every packet heading for the core).
-    fn forward_ul_to_server(&mut self, cell: usize, mut pkt: PacketBuf, core: Duration, now: Instant) {
+    fn forward_ul_to_server(
+        &mut self,
+        cell: usize,
+        mut pkt: PacketBuf,
+        core: Duration,
+        now: Instant,
+    ) {
         let m = self.mk(cell);
         let c0 = self.cycles.start();
         let t0 = self.clock_start();
@@ -1851,7 +1906,8 @@ impl World {
         }
         if payload > 0 {
             let owd = now.saturating_since(Instant::from_nanos(pkt.sent_ns()));
-            self.rec.push_delivery(flow, cell, owd.as_millis_f64(), payload, now);
+            self.rec
+                .push_delivery(flow, cell, owd.as_millis_f64(), payload, now);
             if let Some(b) = &mut self.flows[flow].bond {
                 b.sbd.observe(leg, owd, now);
             }
@@ -1970,7 +2026,10 @@ impl World {
     /// Run `step` on the wired plane, with this world as the sink its
     /// departures and re-arms are scheduled into.
     fn wired_step(&mut self, step: impl FnOnce(&mut WiredPlane, &mut WiredSink<'_>)) {
-        let mut plane = self.wired.take().expect("a wired-plane event needs a wired plane");
+        let mut plane = self
+            .wired
+            .take()
+            .expect("a wired-plane event needs a wired plane");
         step(&mut plane, &mut WiredSink(self));
         self.wired = Some(plane);
     }
@@ -2020,7 +2079,9 @@ impl World {
                 self.rec.push_ul_queue(i, d.0, ue.ul_queue_len_sdus(d));
             }
         }
-        let Some(window) = self.est_window else { return };
+        let Some(window) = self.est_window else {
+            return;
+        };
         let marker = self.markers[self.mk(cell)].as_l4span();
         self.rec.push_rate_err(i, now, window, |drb| {
             marker?.egress_rate(UeId(i as u16), DrbId(drb))
@@ -2077,7 +2138,12 @@ impl World {
                 requeue(&mut queues[c], at, ev);
             }
         }
-        self.cells = Some(CellView { id, of_cell, queues, running: None });
+        self.cells = Some(CellView {
+            id,
+            of_cell,
+            queues,
+            running: None,
+        });
     }
 
     /// The cell that owns an event under the current attachment table:
@@ -2109,7 +2175,11 @@ impl World {
     fn cell_queue(&mut self, cell: usize) -> &mut EventQueue<Event> {
         let view = self.cells.as_mut().expect("cell-major world");
         debug_assert_eq!(view.of_cell[cell], view.id, "another replica's cell");
-        debug_assert_ne!(view.running, Some(cell), "the running queue is `World::queue`");
+        debug_assert_ne!(
+            view.running,
+            Some(cell),
+            "the running queue is `World::queue`"
+        );
         &mut view.queues[cell]
     }
 
@@ -2290,9 +2360,7 @@ impl World {
 
     // Wall-clock instrumentation for Fig. 21 / Table 1.
     fn clock_start(&self) -> Option<std::time::Instant> {
-        self.cfg
-            .measure_marker_time
-            .then(std::time::Instant::now)
+        self.cfg.measure_marker_time.then(std::time::Instant::now)
     }
 
     fn clock_stop(&mut self, t0: Option<std::time::Instant>, kind: usize) {
@@ -2446,7 +2514,9 @@ impl HopSink for WiredSink<'_> {
     fn exit(&mut self, pkt: PacketBuf, now: Instant) {
         let w = &mut *self.0;
         if let Some(flow) = w.flow_of_dl_pkt(&pkt) {
-            let core = w.gnbs[w.serving[w.flows[flow].ue_idx]].config().core_to_cu_delay;
+            let core = w.gnbs[w.serving[w.flows[flow].ue_idx]]
+                .config()
+                .core_to_cu_delay;
             w.sched(now + core, Event::DlAtCu { flow, pkt });
         }
     }
@@ -2510,7 +2580,13 @@ mod tests {
         let name = |ev: Event| Event::CLASSES[ev.class()];
         assert_eq!(name(Event::Slot { cell: 0 }), "Slot");
         assert_eq!(name(Event::HopPoll { hop: 0 }), "HopPoll");
-        assert_eq!(name(Event::UlAtGnb { cell: 0, ues: Vec::new() }), "UlAtGnb");
+        assert_eq!(
+            name(Event::UlAtGnb {
+                cell: 0,
+                ues: Vec::new()
+            }),
+            "UlAtGnb"
+        );
         assert_eq!(name(Event::AppTick { flow: 0 }), "AppTick");
         assert_eq!(Event::CLASSES[Event::HANDOVER], "Handover");
         assert_eq!(name(Event::Sample), "Sample");
@@ -2722,7 +2798,11 @@ mod tests {
                 r.ul_owd_ms[dl].is_empty(),
                 "call {call}: DL leg must not record uplink OWD"
             );
-            assert!(r.goodput_total_mbps(ul) > 0.3, "{}", r.goodput_total_mbps(ul));
+            assert!(
+                r.goodput_total_mbps(ul) > 0.3,
+                "{}",
+                r.goodput_total_mbps(ul)
+            );
         }
         // The UE-side queues were sampled.
         assert!(!r.ul_queue_series.is_empty());
@@ -2731,13 +2811,8 @@ mod tests {
     #[test]
     fn uplink_marker_cuts_uplink_queuing_delay() {
         let mk = |marker| {
-            let cfg = crate::scenario::video_call_bidir(
-                3,
-                "prague",
-                marker,
-                11,
-                Duration::from_secs(4),
-            );
+            let cfg =
+                crate::scenario::video_call_bidir(3, "prague", marker, 11, Duration::from_secs(4));
             World::new(cfg).run()
         };
         let off = mk(crate::marker::MarkerKind::None);
@@ -2817,7 +2892,10 @@ mod tests {
             }
             widest_window = widest_window.max(w.rec.widest_in_air());
         }
-        assert!(deepest_queue > 500, "the RLC queues build: {deepest_queue} SDUs");
+        assert!(
+            deepest_queue > 500,
+            "the RLC queues build: {deepest_queue} SDUs"
+        );
         assert!(widest_window <= 16, "a window held {widest_window} SDUs");
     }
 
@@ -2846,13 +2924,22 @@ mod tests {
         let dl_lost = w.ho_tbs_lost + w.gnbs.iter().map(|g| g.stats().tbs_lost).sum::<u64>();
         let ul_mid_air = w.uplink.tbs_lost;
         let r = w.into_report();
-        assert!(ul_mid_air > 0, "a handover destroyed uplink blocks on the air");
-        assert_eq!(r.tbs_lost, dl_lost, "uplink blocks stay out of the downlink count");
+        assert!(
+            ul_mid_air > 0,
+            "a handover destroyed uplink blocks on the air"
+        );
+        assert_eq!(
+            r.tbs_lost, dl_lost,
+            "uplink blocks stay out of the downlink count"
+        );
         let ul = r.uplink;
         assert!(ul.tbs_sent > 0 && ul.harq_retx > 0, "{ul:?}");
         assert!(ul.tbs_lost >= ul_mid_air, "{ul:?}");
         assert!(ul.rlc_drops > 0, "the UE-side queues tail-drop: {ul:?}");
-        assert!(!r.fingerprint().contains("uplink"), "outside the fingerprint");
+        assert!(
+            !r.fingerprint().contains("uplink"),
+            "outside the fingerprint"
+        );
     }
 
     /// Eight cells of three UEs, each with one TCP upload (so a live UE
@@ -2948,7 +3035,11 @@ mod tests {
             for (j, &q) in series.iter().enumerate() {
                 let cell = serving_at(j);
                 let k = next.entry(cell).or_default();
-                assert_eq!(per_cell[&(cell, ue, drb)].get(*k), Some(&q), "ue {ue} sample {j}");
+                assert_eq!(
+                    per_cell[&(cell, ue, drb)].get(*k),
+                    Some(&q),
+                    "ue {ue} sample {j}"
+                );
                 *k += 1;
             }
             assert_eq!(next.len(), 2, "ue {ue} was sampled under both cells");

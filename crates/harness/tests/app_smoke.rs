@@ -181,7 +181,10 @@ fn flow_stop_quiesces_even_an_app_that_ignores_its_stop_hook() {
     let early = r.goodput_mbps(0, Instant::from_millis(100), Instant::from_millis(500));
     let late = r.goodput_mbps(0, Instant::from_secs(1), Instant::from_secs(2));
     assert!(early > 0.5, "chatterbox ran before stop: {early}");
-    assert!(late < 0.05, "sealed stream refuses post-stop offers: {late}");
+    assert!(
+        late < 0.05,
+        "sealed stream refuses post-stop offers: {late}"
+    );
 }
 
 #[test]
@@ -193,11 +196,9 @@ fn framed_video_and_scream_agree_on_frame_sizes() {
     // whatever each adds around the rule (the app's 200-byte floor).
     use l4span_cc::scream::ScreamSender;
     for (every, boost) in [(0u32, 1.0f64), (5, 3.0), (30, 3.0), (2, 1.5)] {
-        let cfg = FramedVideoCfg::new(25.0, 0.5e6, 2.0e6, 20.0e6)
+        let cfg = FramedVideoCfg::new(25.0, 0.5e6, 2.0e6, 20.0e6).with_keyframes(every, boost);
+        let mut sender = ScreamSender::new(1, 2, 5004, 5006, 0.5e6, 2.0e6, 20.0e6, 25.0, true)
             .with_keyframes(every, boost);
-        let mut sender =
-            ScreamSender::new(1, 2, 5004, 5006, 0.5e6, 2.0e6, 20.0e6, 25.0, true)
-                .with_keyframes(every, boost);
         // Poll exactly one frame at a time; no feedback arrives, so the
         // target stays at start_bps on both sides. Sizes are read from
         // the encoder's media-byte counter (generation is independent

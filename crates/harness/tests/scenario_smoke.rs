@@ -122,7 +122,12 @@ fn ue_spec_simple_and_channel_events_run() {
     cfg.measure_marker_time = true;
     cfg.ues.push(
         scenario::UeSpec::simple(ChannelProfile::Pedestrian, 26.0).with_mobility(vec![
-            scenario::MobilityStep::new(Instant::from_millis(500), 0, ChannelProfile::Vehicular, 5.0),
+            scenario::MobilityStep::new(
+                Instant::from_millis(500),
+                0,
+                ChannelProfile::Vehicular,
+                5.0,
+            ),
         ]),
     );
     cfg.flows.push(scenario::FlowSpec::new(

@@ -132,7 +132,12 @@ impl PacketBuf {
         let head_len = IPV4_HEADER_LEN + tcp_hlen;
         let mut head = [0u8; HEAD_CAPACITY];
         ip.emit(&mut head[..IPV4_HEADER_LEN]);
-        tcp.emit(&mut head[IPV4_HEADER_LEN..head_len], src_ip, dst_ip, payload_len);
+        tcp.emit(
+            &mut head[IPV4_HEADER_LEN..head_len],
+            src_ip,
+            dst_ip,
+            payload_len,
+        );
         PacketBuf {
             head,
             head_len: head_len as u8,

@@ -241,8 +241,8 @@ impl TcpHeader {
         let mut p = 20;
         while p < hlen {
             match buf[p] {
-                0 => break,    // End of options
-                1 => p += 1,   // NOP
+                0 => break,  // End of options
+                1 => p += 1, // NOP
                 OPT_KIND_MSS => {
                     if p + 4 > hlen {
                         return Err(TcpError::BadOption);
@@ -414,7 +414,7 @@ mod tests {
         // Truncate an option.
         let mut bad = buf;
         bad[21] = 0; // AccECN length 0 -> malformed
-        // make offset still fine but option list broken
+                     // make offset still fine but option list broken
         bad[20] = OPT_KIND_ACCECN0;
         assert_eq!(TcpHeader::parse(&bad[..n]), Err(TcpError::BadOption));
     }

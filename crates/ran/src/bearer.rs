@@ -49,7 +49,11 @@ impl BearerTx {
     /// A fresh bearer, numbering from SN 0.
     pub fn new(mode: RlcMode, capacity_sdus: usize, segment_overhead: usize) -> BearerTx {
         let rlc = RlcTx::new(mode, capacity_sdus, segment_overhead);
-        BearerTx { next_sn: 0, rlc, reported: (None, None) }
+        BearerTx {
+            next_sn: 0,
+            rlc,
+            reported: (None, None),
+        }
     }
 
     /// PDCP numbers `pkt`, RLC queues it. Returns the SN, or `None` on a
@@ -90,7 +94,12 @@ impl BearerTx {
     /// Leave this host at handover (see [`RlcTx::drain_for_handover`]).
     pub fn detach(mut self, drb: DrbId) -> DrbHandoverState {
         let forwarded = self.rlc.drain_for_handover();
-        DrbHandoverState { drb, mode: self.rlc.mode(), next_sn: self.next_sn, forwarded }
+        DrbHandoverState {
+            drb,
+            mode: self.rlc.mode(),
+            next_sn: self.next_sn,
+            forwarded,
+        }
     }
 
     /// A bearer arriving by handover: numbering continues (TS 38.323
@@ -99,7 +108,10 @@ impl BearerTx {
     /// (one past it is tail-dropped and counted), and the F1-U
     /// watermarks start fresh.
     pub fn attach(st: DrbHandoverState, cap: usize, overhead: usize, now: Instant) -> BearerTx {
-        let mut b = BearerTx { next_sn: st.next_sn, ..BearerTx::new(st.mode, cap, overhead) };
+        let mut b = BearerTx {
+            next_sn: st.next_sn,
+            ..BearerTx::new(st.mode, cap, overhead)
+        };
         for sdu in st.forwarded {
             b.rlc.enqueue_forwarded(sdu, now);
         }
@@ -123,7 +135,8 @@ pub struct RxBearers(IdTable<DrbId, RlcRx>);
 impl RxBearers {
     /// Configure a receiver for `drb`; a no-op if it has one.
     pub fn ensure(&mut self, drb: DrbId, mode: RlcMode, status_period: Duration) {
-        self.0.get_or_insert_with(drb, || RlcRx::new(mode, status_period));
+        self.0
+            .get_or_insert_with(drb, || RlcRx::new(mode, status_period));
     }
 
     /// Feed one transport block's segments to their receivers (dropping
@@ -249,7 +262,11 @@ mod tests {
         old.enqueue(pkt(100), Instant::ZERO);
         let st = old.detach(DrbId(0));
         let mut new = BearerTx::attach(st, 16, 8, Instant::ZERO);
-        assert_eq!(new.enqueue(pkt(100), Instant::ZERO), Some(2), "no SN reuse across handover");
+        assert_eq!(
+            new.enqueue(pkt(100), Instant::ZERO),
+            Some(2),
+            "no SN reuse across handover"
+        );
     }
 
     #[test]
@@ -262,9 +279,17 @@ mod tests {
         }
         assert_eq!(marks(b.f1u(ue, drb, t(0))), None, "nothing transmitted yet");
         pull_all(&mut b, t(1));
-        assert_eq!(marks(b.f1u(ue, drb, t(1))), Some((Some(2), None)), "txed moved");
+        assert_eq!(
+            marks(b.f1u(ue, drb, t(1))),
+            Some((Some(2), None)),
+            "txed moved"
+        );
         b.on_status(&ack(2), t(2));
-        assert_eq!(marks(b.f1u(ue, drb, t(2))), Some((Some(2), Some(1))), "delivered moved");
+        assert_eq!(
+            marks(b.f1u(ue, drb, t(2))),
+            Some((Some(2), Some(1))),
+            "delivered moved"
+        );
         // A later slot pulls nothing: neither watermark moved since the
         // status's frame, so no frame.
         pull_all(&mut b, t(3));
@@ -298,7 +323,12 @@ mod tests {
             ..CellConfig::default()
         };
         let mut gnb = Gnb::new(cfg.clone(), SchedulerKind::RoundRobin, SimRng::new(1));
-        let ch = FadingChannel::new(ChannelProfile::Static, 25.0, cfg.carrier_hz, &mut SimRng::new(5));
+        let ch = FadingChannel::new(
+            ChannelProfile::Static,
+            25.0,
+            cfg.carrier_hz,
+            &mut SimRng::new(5),
+        );
         let (ue_id, drb) = (UeId(0), DrbId(0));
         gnb.add_ue(ue_id, ch, &[(drb, RlcMode::Am)]);
         let d = Duration::from_millis(10);
@@ -366,7 +396,11 @@ mod tests {
         assert_eq!(dl, ul);
         let nack = RlcStatus {
             ack_sn: 3,
-            nacks: vec![Nack { sn: 3, from: 0, to: u32::MAX }],
+            nacks: vec![Nack {
+                sn: 3,
+                from: 0,
+                to: u32::MAX,
+            }],
         };
         let (dl, ul) = status(&mut gnb, &mut ue, &nack);
         assert_eq!((dl.len(), dl[0].highest_delivered_sn), (1, Some(2)));

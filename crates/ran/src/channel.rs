@@ -129,8 +129,7 @@ impl FadingChannel {
         let mut paths = PathCoefs::default();
         for n in 0..N_PATHS {
             // Jakes: evenly-spaced arrival angles with random offset.
-            let alpha =
-                (core::f64::consts::TAU * (n as f64 + rng.f64())) / N_PATHS as f64;
+            let alpha = (core::f64::consts::TAU * (n as f64 + rng.f64())) / N_PATHS as f64;
             let phi_i = rng.range_f64(0.0, core::f64::consts::TAU);
             let phi_q = rng.range_f64(0.0, core::f64::consts::TAU);
             paths.omega[n] = core::f64::consts::TAU * doppler_hz * alpha.cos();

@@ -139,8 +139,7 @@ impl CellConfig {
     /// Approximate saturated cell capacity in bit/s at spectral
     /// efficiency `eff` bits per resource element.
     pub fn capacity_bps(&self, eff: f64) -> f64 {
-        let re_per_sec =
-            (self.n_prbs * self.re_per_prb) as f64 / self.slot_duration.as_secs_f64();
+        let re_per_sec = (self.n_prbs * self.re_per_prb) as f64 / self.slot_duration.as_secs_f64();
         re_per_sec * eff * self.dl_duty()
     }
 

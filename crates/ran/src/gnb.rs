@@ -320,7 +320,13 @@ impl Gnb {
             let b = BearerTx::new(mode, self.cfg.rlc_queue_sdus, self.cfg.segment_overhead);
             map.insert(id, b);
         }
-        let ctx = UeCtx::new(channel, SdapEntity::new(drbs[0].0), map, 1, RxBearers::default());
+        let ctx = UeCtx::new(
+            channel,
+            SdapEntity::new(drbs[0].0),
+            map,
+            1,
+            RxBearers::default(),
+        );
         let prev = self.ues.insert(ue, ctx);
         assert!(prev.is_none(), "duplicate UE id {ue}");
     }
@@ -527,9 +533,8 @@ impl Gnb {
         self.scratch_harq = pending;
 
         // --- 2. Link adaptation + scheduling for new data ---
-        let stale_at = Instant::from_nanos(
-            now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()),
-        );
+        let stale_at =
+            Instant::from_nanos(now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()));
         self.scratch_cands.clear();
         for (ue, ctx) in self.ues.iter_mut() {
             let backlog: usize = ctx.drbs.values().map(|d| d.rlc.backlog_bytes()).sum();
@@ -586,11 +591,9 @@ impl Gnb {
                 }
                 let (drb_id, d) = ctx.drbs.row_mut((ctx.drb_cursor + k) % n_drbs);
                 self.scratch_txed.clear();
-                let consumed =
-                    d.rlc
-                        .pull_with(left, now, &mut self.scratch_txed, |s| {
-                            segments.push((drb_id, s));
-                        });
+                let consumed = d.rlc.pull_with(left, now, &mut self.scratch_txed, |s| {
+                    segments.push((drb_id, s));
+                });
                 left -= consumed;
                 for rec in self.scratch_txed.drain(..) {
                     out.txed_records.push((ue, drb_id, rec));
@@ -629,7 +632,8 @@ impl Gnb {
         // --- 4. Per UE: the PF throughput average (every connected UE,
         // every slot) and F1-U reports for DRBs whose watermarks moved ---
         for (ue, ctx) in self.ues.iter_mut() {
-            ctx.avg_tput.push(std::mem::take(&mut ctx.served_bytes) as f64);
+            ctx.avg_tput
+                .push(std::mem::take(&mut ctx.served_bytes) as f64);
             for (drb, d) in ctx.drbs.iter_mut() {
                 out.f1u.extend(d.f1u(ue, drb, now));
             }
@@ -685,15 +689,10 @@ impl Gnb {
     /// capacity**, and every grant is debited against the UE's known BSR
     /// so the scheduler does not re-grant the same bytes before the next
     /// report arrives.
-    pub fn allocate_ul_grants_into(
-        &mut self,
-        now: Instant,
-        out: &mut Vec<(UeId, usize, u8)>,
-    ) {
+    pub fn allocate_ul_grants_into(&mut self, now: Instant, out: &mut Vec<(UeId, usize, u8)>) {
         out.clear();
-        let stale_at = Instant::from_nanos(
-            now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()),
-        );
+        let stale_at =
+            Instant::from_nanos(now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()));
         self.scratch_cands.clear();
         for (ue, ctx) in self.ues.iter_mut() {
             if ctx.ul_bsr > 0 {
@@ -727,8 +726,8 @@ impl Gnb {
             let (ue, ctx) = self.ues.row_mut(cand);
             let cqi = ctx.la_cqi;
             let prbs = (n_rbgs * self.cfg.rbg_size).min(self.cfg.n_prbs);
-            let budget = phy::tbs_bytes(cqi, prbs, self.cfg.re_per_prb)
-                * usize::from(ctx.ca_factor);
+            let budget =
+                phy::tbs_bytes(cqi, prbs, self.cfg.re_per_prb) * usize::from(ctx.ca_factor);
             if budget == 0 {
                 continue;
             }
@@ -777,7 +776,9 @@ impl Gnb {
         let ctx = self.ues.get_mut(tb.ue).expect("checked above");
         let segments = tb.segments.drain(..);
         ctx.ul_rx
-            .on_segments(segments, now, &mut self.scratch_rx, |drb, d| out.push((drb, d)));
+            .on_segments(segments, now, &mut self.scratch_rx, |drb, d| {
+                out.push((drb, d))
+            });
         self.recycle_segments(tb.segments);
         UlTbOutcome::Decoded
     }
@@ -785,11 +786,7 @@ impl Gnb {
     /// Collect due uplink RLC AM status reports (the DU→UE half of UL
     /// ARQ; they ride the fast downlink control channel). Cadence is
     /// governed by each receive entity's status period.
-    pub fn ul_statuses_into(
-        &mut self,
-        now: Instant,
-        out: &mut Vec<(UeId, DrbId, RlcStatus)>,
-    ) {
+    pub fn ul_statuses_into(&mut self, now: Instant, out: &mut Vec<(UeId, DrbId, RlcStatus)>) {
         for (ue, ctx) in self.ues.iter_mut() {
             ctx.ul_rx.statuses(now, |drb, st| out.push((ue, drb, st)));
         }
@@ -812,7 +809,8 @@ impl Gnb {
     /// empty).
     pub fn poll_ul_rx_into(&mut self, now: Instant, out: &mut Vec<(UeId, DrbId, RxDelivery)>) {
         for (ue, ctx) in self.ues.iter_mut() {
-            ctx.ul_rx.poll(now, &mut self.scratch_rx, |drb, d| out.push((ue, drb, d)));
+            ctx.ul_rx
+                .poll(now, &mut self.scratch_rx, |drb, d| out.push((ue, drb, d)));
         }
     }
 }
@@ -1043,7 +1041,11 @@ mod tests {
         );
         g.replace_channel(UeId(0), poor);
         let outs = run_slots(&mut g, 100..400);
-        let served: usize = outs.iter().flat_map(|o| &o.deliveries).map(|d| d.tb.bytes).sum();
+        let served: usize = outs
+            .iter()
+            .flat_map(|o| &o.deliveries)
+            .map(|d| d.tb.bytes)
+            .sum();
         assert!(served > 0, "the new cell still serves the old buffer");
         assert!(
             g.rlc_backlog_bytes(UeId(0), DrbId(0)) < before,
@@ -1110,7 +1112,10 @@ mod tests {
             .map(|(_, s)| s.sn)
             .next()
             .unwrap();
-        assert_eq!(first_sn, 0, "retransmission restarts at the oldest unconfirmed SN");
+        assert_eq!(
+            first_sn, 0,
+            "retransmission restarts at the oldest unconfirmed SN"
+        );
     }
 
     #[test]

@@ -216,7 +216,13 @@ mod tests {
         cursor: &mut usize,
     ) -> Vec<(UeId, usize)> {
         let mut out = Vec::new();
-        allocate_round_robin_into(cands, n_rbgs, cursor, &mut AllocScratch::default(), &mut out);
+        allocate_round_robin_into(
+            cands,
+            n_rbgs,
+            cursor,
+            &mut AllocScratch::default(),
+            &mut out,
+        );
         by_ue(cands, &out)
     }
 
@@ -327,7 +333,10 @@ mod tests {
     #[test]
     fn pf_prefers_underserved_ue() {
         // Same channel quality, UE 1 historically starved.
-        let cands = vec![cand(0, 1_000_000, 100, 1000.0), cand(1, 1_000_000, 100, 10.0)];
+        let cands = vec![
+            cand(0, 1_000_000, 100, 1000.0),
+            cand(1, 1_000_000, 100, 10.0),
+        ];
         let g = allocate_proportional_fair(&cands, 10);
         let m: std::collections::HashMap<_, _> = g.into_iter().collect();
         assert!(m[&UeId(1)] == 10, "starved UE takes all RBGs: {m:?}");
@@ -335,7 +344,10 @@ mod tests {
 
     #[test]
     fn pf_prefers_good_channel_when_history_equal() {
-        let cands = vec![cand(0, 1_000_000, 300, 100.0), cand(1, 1_000_000, 100, 100.0)];
+        let cands = vec![
+            cand(0, 1_000_000, 300, 100.0),
+            cand(1, 1_000_000, 100, 100.0),
+        ];
         let g = allocate_proportional_fair(&cands, 4);
         let m: std::collections::HashMap<_, _> = g.into_iter().collect();
         assert_eq!(m.get(&UeId(0)), Some(&4));

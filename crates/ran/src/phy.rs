@@ -19,21 +19,66 @@ pub struct CqiEntry {
 /// 38.214 Table 5.2.2.1-2 values scaled to a 4.45 b/RE ceiling (40 Mbit/s
 /// cell calibration, see `CellConfig::capacity_bps`).
 pub const CQI_TABLE: [CqiEntry; 15] = [
-    CqiEntry { snr_threshold_db: -6.7, efficiency: 0.15 },
-    CqiEntry { snr_threshold_db: -4.7, efficiency: 0.23 },
-    CqiEntry { snr_threshold_db: -2.3, efficiency: 0.38 },
-    CqiEntry { snr_threshold_db: 0.2, efficiency: 0.60 },
-    CqiEntry { snr_threshold_db: 2.4, efficiency: 0.88 },
-    CqiEntry { snr_threshold_db: 4.3, efficiency: 1.18 },
-    CqiEntry { snr_threshold_db: 5.9, efficiency: 1.48 },
-    CqiEntry { snr_threshold_db: 8.1, efficiency: 1.91 },
-    CqiEntry { snr_threshold_db: 10.3, efficiency: 2.41 },
-    CqiEntry { snr_threshold_db: 11.7, efficiency: 2.73 },
-    CqiEntry { snr_threshold_db: 14.1, efficiency: 3.32 },
-    CqiEntry { snr_threshold_db: 16.3, efficiency: 3.90 },
-    CqiEntry { snr_threshold_db: 18.7, efficiency: 4.21 },
-    CqiEntry { snr_threshold_db: 21.0, efficiency: 4.39 },
-    CqiEntry { snr_threshold_db: 22.7, efficiency: 4.45 },
+    CqiEntry {
+        snr_threshold_db: -6.7,
+        efficiency: 0.15,
+    },
+    CqiEntry {
+        snr_threshold_db: -4.7,
+        efficiency: 0.23,
+    },
+    CqiEntry {
+        snr_threshold_db: -2.3,
+        efficiency: 0.38,
+    },
+    CqiEntry {
+        snr_threshold_db: 0.2,
+        efficiency: 0.60,
+    },
+    CqiEntry {
+        snr_threshold_db: 2.4,
+        efficiency: 0.88,
+    },
+    CqiEntry {
+        snr_threshold_db: 4.3,
+        efficiency: 1.18,
+    },
+    CqiEntry {
+        snr_threshold_db: 5.9,
+        efficiency: 1.48,
+    },
+    CqiEntry {
+        snr_threshold_db: 8.1,
+        efficiency: 1.91,
+    },
+    CqiEntry {
+        snr_threshold_db: 10.3,
+        efficiency: 2.41,
+    },
+    CqiEntry {
+        snr_threshold_db: 11.7,
+        efficiency: 2.73,
+    },
+    CqiEntry {
+        snr_threshold_db: 14.1,
+        efficiency: 3.32,
+    },
+    CqiEntry {
+        snr_threshold_db: 16.3,
+        efficiency: 3.90,
+    },
+    CqiEntry {
+        snr_threshold_db: 18.7,
+        efficiency: 4.21,
+    },
+    CqiEntry {
+        snr_threshold_db: 21.0,
+        efficiency: 4.39,
+    },
+    CqiEntry {
+        snr_threshold_db: 22.7,
+        efficiency: 4.45,
+    },
 ];
 
 /// CQI (1..=15) reported for a measured SNR, or 0 if below the lowest

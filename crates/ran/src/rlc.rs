@@ -223,7 +223,14 @@ impl RlcTx {
     /// the queue is at capacity — srsRAN's tail-drop behaviour that the
     /// 256-SDU configuration of Fig. 9 leans on.
     pub fn enqueue(&mut self, sn: Sn, pkt: PacketBuf, now: Instant) -> bool {
-        self.admit(Sdu { sn, pkt, t_ingress: now }, now)
+        self.admit(
+            Sdu {
+                sn,
+                pkt,
+                t_ingress: now,
+            },
+            now,
+        )
     }
 
     /// The one enqueue path: the SDU's `t_ingress` is its CU ingress
@@ -273,7 +280,10 @@ impl RlcTx {
     pub fn backlog_bytes(&self) -> usize {
         debug_assert_eq!(
             self.retx_bytes,
-            self.retx.iter().map(|r| (r.to - r.from) as usize).sum::<usize>()
+            self.retx
+                .iter()
+                .map(|r| (r.to - r.from) as usize)
+                .sum::<usize>()
         );
         self.queued_bytes + self.retx_bytes
     }
@@ -730,9 +740,7 @@ impl RlcRx {
     /// (its `None` path is mutation-free, so callers may use this as a
     /// cheap skip predicate without changing behaviour).
     pub fn status_due(&self, now: Instant) -> bool {
-        let outstanding = self
-            .highest_seen
-            .is_some_and(|h| h >= self.next_expected);
+        let outstanding = self.highest_seen.is_some_and(|h| h >= self.next_expected);
         self.mode == RlcMode::Am
             && (self.dirty || outstanding)
             && now.saturating_since(self.last_status) >= self.status_period
@@ -826,7 +834,11 @@ mod tests {
     fn pull(t: &mut RlcTx, budget: usize, now: Instant) -> Pulled {
         let (mut segments, mut txed) = (Vec::new(), Vec::new());
         let consumed = t.pull_with(budget, now, &mut txed, |s| segments.push(s));
-        Pulled { segments, consumed, txed }
+        Pulled {
+            segments,
+            consumed,
+            txed,
+        }
     }
 
     #[test]
@@ -940,7 +952,7 @@ mod tests {
         t.enqueue(0, pkt(500), Instant::ZERO);
         let first = pull(&mut t, 10_000, Instant::from_millis(1));
         assert_eq!(first.segments.len(), 1); // ...and we pretend it's lost
-        // Well within the poll timer: nothing happens.
+                                             // Well within the poll timer: nothing happens.
         let quiet = pull(&mut t, 10_000, Instant::from_millis(20));
         assert!(quiet.segments.is_empty());
         // After T_POLL_RETRANSMIT of silence: the SDU is retransmitted.
@@ -1002,7 +1014,9 @@ mod tests {
         let sns: Vec<Sn> = r.segments.iter().map(|s| s.sn).collect();
         assert_eq!(sns, vec![0, 1, 2], "full retransmission at the target");
         assert!(
-            r.segments.iter().all(|s| s.is_last() && s.payload.is_some()),
+            r.segments
+                .iter()
+                .all(|s| s.is_last() && s.payload.is_some()),
             "ample budget: every forwarded SDU travels whole"
         );
     }
@@ -1048,7 +1062,8 @@ mod tests {
     fn rx_reestablish_drops_partials_keeps_completes() {
         let mut rx = RlcRx::new(RlcMode::Am, Duration::from_millis(10));
         // SN 1 complete (held for SN 0); SN 2 partial.
-        recv(&mut rx, 
+        recv(
+            &mut rx,
             Segment {
                 sn: 1,
                 offset: 0,
@@ -1058,7 +1073,8 @@ mod tests {
             },
             Instant::from_millis(1),
         );
-        recv(&mut rx, 
+        recv(
+            &mut rx,
             Segment {
                 sn: 2,
                 offset: 0,
@@ -1077,7 +1093,8 @@ mod tests {
         assert!(st.nacks.iter().any(|n| n.sn == 2));
         // The target retransmits SN 0 in full: SN 0 and the buffered
         // SN 1 deliver in order, with no duplicate of SN 1.
-        let d = recv(&mut rx, 
+        let d = recv(
+            &mut rx,
             Segment {
                 sn: 0,
                 offset: 0,
@@ -1130,7 +1147,8 @@ mod tests {
     fn status_report_carries_gaps() {
         let mut rx = RlcRx::new(RlcMode::Am, Duration::from_millis(10));
         // SN 0 partially received, SN 2 complete, SN 1 never seen.
-        recv(&mut rx, 
+        recv(
+            &mut rx,
             Segment {
                 sn: 0,
                 offset: 0,
@@ -1140,7 +1158,8 @@ mod tests {
             },
             Instant::from_millis(1),
         );
-        recv(&mut rx, 
+        recv(
+            &mut rx,
             Segment {
                 sn: 2,
                 offset: 0,
@@ -1169,8 +1188,12 @@ mod tests {
     #[test]
     fn status_respects_cadence_and_dirty_flag() {
         let mut rx = RlcRx::new(RlcMode::Am, Duration::from_millis(10));
-        assert!(rx.make_status(Instant::from_millis(100)).is_none(), "nothing to report");
-        recv(&mut rx, 
+        assert!(
+            rx.make_status(Instant::from_millis(100)).is_none(),
+            "nothing to report"
+        );
+        recv(
+            &mut rx,
             Segment {
                 sn: 0,
                 offset: 0,
@@ -1185,7 +1208,8 @@ mod tests {
         assert!(st.nacks.is_empty());
         // New data arrives straight away: the prohibit timer gates the
         // next report until a full period after the last one.
-        recv(&mut rx, 
+        recv(
+            &mut rx,
             Segment {
                 sn: 1,
                 offset: 0,
@@ -1195,17 +1219,24 @@ mod tests {
             },
             Instant::from_millis(106),
         );
-        assert!(rx.make_status(Instant::from_millis(110)).is_none(), "prohibit timer");
+        assert!(
+            rx.make_status(Instant::from_millis(110)).is_none(),
+            "prohibit timer"
+        );
         let st2 = rx.make_status(Instant::from_millis(116)).unwrap();
         assert_eq!(st2.ack_sn, 2);
-        assert!(rx.make_status(Instant::from_millis(130)).is_none(), "no news");
+        assert!(
+            rx.make_status(Instant::from_millis(130)).is_none(),
+            "no news"
+        );
     }
 
     #[test]
     fn um_skips_stuck_sdu_after_timeout() {
         let mut rx = RlcRx::new(RlcMode::Um, Duration::from_millis(10));
         // SN 0 partial (stuck), SN 1 complete behind it.
-        recv(&mut rx, 
+        recv(
+            &mut rx,
             Segment {
                 sn: 0,
                 offset: 0,
@@ -1215,7 +1246,8 @@ mod tests {
             },
             Instant::from_millis(0),
         );
-        let held = recv(&mut rx, 
+        let held = recv(
+            &mut rx,
             Segment {
                 sn: 1,
                 offset: 0,
@@ -1226,7 +1258,10 @@ mod tests {
             Instant::from_millis(1),
         );
         assert!(held.is_empty());
-        assert!(poll(&mut rx, Instant::from_millis(20)).is_empty(), "not timed out yet");
+        assert!(
+            poll(&mut rx, Instant::from_millis(20)).is_empty(),
+            "not timed out yet"
+        );
         let d = poll(&mut rx, Instant::from_millis(60));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].sn, 1);
@@ -1237,7 +1272,8 @@ mod tests {
     fn um_skips_wholly_missing_sdu() {
         let mut rx = RlcRx::new(RlcMode::Um, Duration::from_millis(10));
         // SN 1 complete, SN 0 never arrives at all.
-        recv(&mut rx, 
+        recv(
+            &mut rx,
             Segment {
                 sn: 1,
                 offset: 0,
@@ -1347,7 +1383,10 @@ mod tests {
 
     /// `(sn, t_head, t_first_tx)` of each transmit record, in ms.
     fn head_times(r: &Pulled) -> Vec<(Sn, Instant, Instant)> {
-        r.txed.iter().map(|x| (x.sn, x.t_head, x.t_first_tx)).collect()
+        r.txed
+            .iter()
+            .map(|x| (x.sn, x.t_head, x.t_first_tx))
+            .collect()
     }
 
     #[test]
@@ -1364,7 +1403,11 @@ mod tests {
         t.on_status(
             &RlcStatus {
                 ack_sn: 0,
-                nacks: vec![Nack { sn: 0, from: 0, to: u32::MAX }],
+                nacks: vec![Nack {
+                    sn: 0,
+                    from: 0,
+                    to: u32::MAX,
+                }],
             },
             ms(10),
         );
@@ -1401,7 +1444,10 @@ mod tests {
         }
         let r = pull(&mut target, 10_000, ms(12));
         assert_eq!(r.segments[0].offset, 0);
-        assert_eq!(head_times(&r), vec![(0, ms(10), ms(12)), (1, ms(12), ms(12))]);
+        assert_eq!(
+            head_times(&r),
+            vec![(0, ms(10), ms(12)), (1, ms(12), ms(12))]
+        );
         assert_eq!(r.txed[1].t_ingress, ms(1));
         src.enqueue(2, pkt(460), ms(15));
         let r = pull(&mut src, 10_000, ms(16));
@@ -1420,7 +1466,11 @@ mod tests {
         assert_eq!(r.segments[1].offset, 0, "the partial SDU travels whole");
         assert_eq!(
             head_times(&r),
-            vec![(0, ms(10), ms(12)), (1, ms(12), ms(12)), (2, ms(12), ms(12))]
+            vec![
+                (0, ms(10), ms(12)),
+                (1, ms(12), ms(12)),
+                (2, ms(12), ms(12))
+            ]
         );
     }
 

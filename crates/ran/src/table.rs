@@ -122,8 +122,14 @@ mod tests {
         for v in t.values_mut() {
             *v += 1;
         }
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(3, &31), (4, &9), (5, &51), (9, &91)]);
-        assert_eq!(t.drain().map(|(k, _)| k).collect::<Vec<_>>(), vec![3, 4, 5, 9]);
+        assert_eq!(
+            t.iter().collect::<Vec<_>>(),
+            vec![(3, &31), (4, &9), (5, &51), (9, &91)]
+        );
+        assert_eq!(
+            t.drain().map(|(k, _)| k).collect::<Vec<_>>(),
+            vec![3, 4, 5, 9]
+        );
         assert!(t.is_empty());
     }
 }

@@ -126,9 +126,15 @@ impl UeStack {
     ) -> Vec<(DrbId, Segment)> {
         let deliver_at = now + self.internal_delay;
         let segments = tb.segments.drain(..);
-        self.rx.on_segments(segments, now, &mut self.scratch_rx, |drb, d| {
-            out.push(AppDelivery { pkt: d.pkt, deliver_at, drb, sn: d.sn });
-        });
+        self.rx
+            .on_segments(segments, now, &mut self.scratch_rx, |drb, d| {
+                out.push(AppDelivery {
+                    pkt: d.pkt,
+                    deliver_at,
+                    drb,
+                    sn: d.sn,
+                });
+            });
         tb.segments
     }
 
@@ -137,7 +143,12 @@ impl UeStack {
     pub fn poll_into(&mut self, now: Instant, out: &mut Vec<AppDelivery>) {
         let deliver_at = now + self.internal_delay;
         self.rx.poll(now, &mut self.scratch_rx, |drb, d| {
-            out.push(AppDelivery { pkt: d.pkt, deliver_at, drb, sn: d.sn });
+            out.push(AppDelivery {
+                pkt: d.pkt,
+                deliver_at,
+                drb,
+                sn: d.sn,
+            });
         });
     }
 
@@ -191,7 +202,11 @@ impl UeStack {
     /// that reset gates the next busy period's SR RNG draw, so skipping
     /// it would shift the deterministic random stream.
     pub fn ul_slot_pending(&self, now: Instant, with_bsr: bool) -> bool {
-        if self.ul_queue.front().is_some_and(|item| item.ready_at <= now) {
+        if self
+            .ul_queue
+            .front()
+            .is_some_and(|item| item.ready_at <= now)
+        {
             return true;
         }
         if self.rx.status_due(now) {
@@ -251,9 +266,7 @@ impl UeStack {
             let sr = if self.sr_delay_max.is_zero() {
                 Duration::ZERO
             } else {
-                Duration::from_nanos(
-                    self.rng.range_u64(0, self.sr_delay_max.as_nanos().max(1)),
-                )
+                Duration::from_nanos(self.rng.range_u64(0, self.sr_delay_max.as_nanos().max(1)))
             };
             self.ul_sr_at = now + sr;
         }
@@ -449,11 +462,7 @@ mod tests {
     }
 
     /// Deliver one TB carrying `segments`; returns the app deliveries.
-    fn recv_tb(
-        u: &mut UeStack,
-        segments: Vec<(DrbId, Segment)>,
-        now: Instant,
-    ) -> Vec<AppDelivery> {
+    fn recv_tb(u: &mut UeStack, segments: Vec<(DrbId, Segment)>, now: Instant) -> Vec<AppDelivery> {
         let tb = TransportBlock {
             ue: UeId(0),
             segments,
@@ -489,7 +498,11 @@ mod tests {
         let d = recv_tb(&mut u, vec![(DrbId(0), seg)], now);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].deliver_at, now + Duration::from_millis(2));
-        assert_eq!((d[0].drb, d[0].sn), (DrbId(0), 0), "the bearer and PDCP SN ride along");
+        assert_eq!(
+            (d[0].drb, d[0].sn),
+            (DrbId(0), 0),
+            "the bearer and PDCP SN ride along"
+        );
     }
 
     #[test]
@@ -623,8 +636,14 @@ mod tests {
             u.enqueue_uplink_data(DrbId(0), pkt(960), now);
         }
         let granted = 1200;
-        let tb = u.build_ul_tb(granted, 10, now, Vec::new()).expect("backlog pending");
-        assert!(tb.bytes <= granted, "TB {} exceeds grant {granted}", tb.bytes);
+        let tb = u
+            .build_ul_tb(granted, 10, now, Vec::new())
+            .expect("backlog pending");
+        assert!(
+            tb.bytes <= granted,
+            "TB {} exceeds grant {granted}",
+            tb.bytes
+        );
         assert!(!tb.segments.is_empty());
         // Drain the rest and check the granted-bytes F1-U mirror.
         let _ = u.build_ul_tb(100_000, 10, now + Duration::from_millis(1), Vec::new());
@@ -634,7 +653,10 @@ mod tests {
         assert_eq!(f1u[0].highest_txed_sn, Some(3));
         assert_eq!(f1u[0].highest_delivered_sn, None);
         // Status acknowledges everything: the next report carries it.
-        let st = RlcStatus { ack_sn: 4, nacks: vec![] };
+        let st = RlcStatus {
+            ack_sn: 4,
+            nacks: vec![],
+        };
         u.on_ul_status(DrbId(0), &st, now + Duration::from_millis(5));
         f1u.clear();
         u.ul_f1u_into(now + Duration::from_millis(5), &mut f1u);
@@ -666,7 +688,9 @@ mod tests {
         u.ul_bsr_into(Instant::from_millis(20), &mut bsr);
         assert_eq!(bsr.len(), 1);
         // Retransmission restarts at the oldest unconfirmed SN.
-        let tb = u.build_ul_tb(100_000, 10, Instant::from_millis(21), Vec::new()).expect("tb");
+        let tb = u
+            .build_ul_tb(100_000, 10, Instant::from_millis(21), Vec::new())
+            .expect("tb");
         assert_eq!(tb.segments[0].1.sn, 0);
     }
 
@@ -693,9 +717,15 @@ mod tests {
             Instant::from_millis(20),
         );
         assert_eq!(u.ul_queue_len_sdus(DrbId(0)), 4, "all four SDUs requeued");
-        let tb = u.build_ul_tb(100_000, 10, Instant::from_millis(21), Vec::new()).expect("tb");
+        let tb = u
+            .build_ul_tb(100_000, 10, Instant::from_millis(21), Vec::new())
+            .expect("tb");
         let sns: Vec<u64> = tb.segments.iter().map(|(_, s)| s.sn).collect();
-        assert_eq!(sns, vec![0, 1, 2, 3], "retransmission covers every SN, in order");
+        assert_eq!(
+            sns,
+            vec![0, 1, 2, 3],
+            "retransmission covers every SN, in order"
+        );
     }
 
     #[test]

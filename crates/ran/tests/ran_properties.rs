@@ -16,11 +16,7 @@ use l4span_ran::{DrbId, Gnb, SlotOutput, UeStack};
 use l4span_sim::{Duration, Instant, SimRng};
 
 fn arb_candidates() -> impl Strategy<Value = Vec<Candidate>> {
-    proptest::collection::vec(
-        (0usize..1_000_000, 0usize..4000, 0.0f64..1e6),
-        1..24,
-    )
-    .prop_map(|v| {
+    proptest::collection::vec((0usize..1_000_000, 0usize..4000, 0.0f64..1e6), 1..24).prop_map(|v| {
         v.into_iter()
             .enumerate()
             .map(|(i, (backlog, per_rbg, avg))| Candidate {

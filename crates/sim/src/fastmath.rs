@@ -19,19 +19,18 @@ const PI_2_LO: f64 = 6.123_233_995_736_766e-17;
 fn sin_cos_reduced(r: f64) -> (f64, f64) {
     let r2 = r * r;
     // sin(r), Taylor to r^11.
-    let s = r * (1.0
-        + r2 * (-1.0 / 6.0
-            + r2 * (1.0 / 120.0
-                + r2 * (-1.0 / 5040.0
-                    + r2 * (1.0 / 362_880.0 + r2 * (-1.0 / 39_916_800.0))))));
+    let s = r
+        * (1.0
+            + r2 * (-1.0 / 6.0
+                + r2 * (1.0 / 120.0
+                    + r2 * (-1.0 / 5040.0 + r2 * (1.0 / 362_880.0 + r2 * (-1.0 / 39_916_800.0))))));
     // cos(r), Taylor to r^12.
     let c = 1.0
         + r2 * (-0.5
             + r2 * (1.0 / 24.0
                 + r2 * (-1.0 / 720.0
                     + r2 * (1.0 / 40_320.0
-                        + r2 * (-1.0 / 3_628_800.0
-                            + r2 * (1.0 / 479_001_600.0))))));
+                        + r2 * (-1.0 / 3_628_800.0 + r2 * (1.0 / 479_001_600.0))))));
     (s, c)
 }
 

@@ -414,8 +414,14 @@ impl<E> EventQueue<E> {
     ///
     /// When `slot` is shorter than 2 ns, or events are already pending.
     pub fn with_grid(mut self, slot: Duration, origin: Instant) -> Self {
-        assert!(slot.as_nanos() >= 2, "event queue: a grid slot is 2 ns or longer");
-        assert!(self.is_empty(), "event queue: the grid is set before scheduling");
+        assert!(
+            slot.as_nanos() >= 2,
+            "event queue: a grid slot is 2 ns or longer"
+        );
+        assert!(
+            self.is_empty(),
+            "event queue: the grid is set before scheduling"
+        );
         self.grid = Some(Grid::new(slot, origin, self.now));
         self
     }
@@ -504,7 +510,10 @@ impl<E> EventQueue<E> {
         self.held -= 1;
         self.links[node as usize].next = self.free;
         self.free = node;
-        self.events[node as usize].0.take().expect("a held node holds its event")
+        self.events[node as usize]
+            .0
+            .take()
+            .expect("a held node holds its event")
     }
 
     /// Move `event`, stamped `seq`, into a free slab node.
@@ -876,7 +885,17 @@ mod tests {
     #[test]
     fn the_grid_test_is_a_division() {
         let mut rng = crate::SimRng::new(5);
-        for slot in [2, 3, 1_000, 499_999, 500_000, 1_000_000, 16_777_215, 16_777_216, 1 << 31] {
+        for slot in [
+            2,
+            3,
+            1_000,
+            499_999,
+            500_000,
+            1_000_000,
+            16_777_215,
+            16_777_216,
+            1 << 31,
+        ] {
             let base = Instant::from_nanos(rng.range_u64(1, 1 << 40));
             let mut g = Grid::new(Duration::from_nanos(slot), base, base);
             g.base_bucket = rng.range_u64(0, HORIZON as u64) as u8;

@@ -35,8 +35,7 @@ fn main() {
         "{:<6} {:>10} {:>10} {:>10}",
         "t(s)", "prague-1", "prague-2", "cubic"
     );
-    let series: Vec<Vec<(f64, f64)>> =
-        (0..3).map(|f| r.throughput_series_mbps(f, 10)).collect();
+    let series: Vec<Vec<(f64, f64)>> = (0..3).map(|f| r.throughput_series_mbps(f, 10)).collect();
     let len = series.iter().map(|s| s.len()).max().unwrap_or(0);
     for i in (0..len).step_by(2) {
         let at = |f: usize| -> f64 { series[f].get(i).map(|&(_, m)| m).unwrap_or(0.0) };

@@ -71,8 +71,7 @@ fn main() {
                     .filter_map(|&f| r.frame_deadline_miss_rate(f))
                     .sum::<f64>()
                     / n as f64;
-                let stall =
-                    flows.iter().map(|&f| r.stall_time_ms(f)).sum::<f64>() / n as f64;
+                let stall = flows.iter().map(|&f| r.stall_time_ms(f)).sum::<f64>() / n as f64;
                 let per_ue: f64 =
                     flows.iter().map(|&f| r.goodput_total_mbps(f)).sum::<f64>() / n as f64;
                 println!(

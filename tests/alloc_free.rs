@@ -190,7 +190,11 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     let mut bsr: Vec<(DrbId, usize)> = Vec::with_capacity(8);
     // Warm-up: grow the UL queue ring, emit a BSR, drain via a TB.
     for i in 0..64u64 {
-        ue_ul.enqueue_uplink_data(DrbId(0), data_packet(i as u16, 1400), Instant::from_millis(i));
+        ue_ul.enqueue_uplink_data(
+            DrbId(0),
+            data_packet(i as u16, 1400),
+            Instant::from_millis(i),
+        );
     }
     ue_ul.ul_bsr_into(Instant::from_millis(100), &mut bsr);
     bsr.clear();
@@ -272,7 +276,12 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     for i in 0..2048u64 {
         for u in 0..4u16 {
             for _ in 0..2 {
-                gnb.enqueue_downlink(UeId(u), Qfi(1), data_packet(i as u16, 1400), Instant::ZERO + slot * i);
+                gnb.enqueue_downlink(
+                    UeId(u),
+                    Qfi(1),
+                    data_packet(i as u16, 1400),
+                    Instant::ZERO + slot * i,
+                );
             }
         }
         gnb.on_slot_into(Instant::ZERO + slot * i, &mut out);
@@ -431,7 +440,10 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     }
     let (n, sent) = allocs_during(|| (2048..2304u64).map(&mut frame_burst).sum::<usize>());
     assert!(sent > 0, "the sender must emit frames");
-    assert_eq!(n, 0, "warm FecMediaSender::poll_into burst must not allocate");
+    assert_eq!(
+        n, 0,
+        "warm FecMediaSender::poll_into burst must not allocate"
+    );
 
     // --- 8. Whole worlds: allocations per additional delivered packet ----
     // The steps above prove pieces; this one leaves nothing out. Run a
@@ -473,7 +485,8 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         cfg.marker = scenario::l4span_default();
         for i in 0..8 {
             let snr = 20.0 + 3.0 * (i % 3) as f64;
-            cfg.ues.push(UeSpec::simple(ChannelMix::Mobile.profile(i), snr));
+            cfg.ues
+                .push(UeSpec::simple(ChannelMix::Mobile.profile(i), snr));
             let video = AppProfile::video(25.0, 0.5e6, 2.0e6, 20.0e6);
             let start = Instant::from_millis(20 * i as u64);
             let dir = [FlowDir::Downlink, FlowDir::Uplink][i % 2];
@@ -497,7 +510,10 @@ fn steady_state_downlink_path_makes_zero_allocations() {
         };
         let ((a1, r1), (a2, r2)) = (run(3), run(6));
         let pkts = r2.delivered_packets() - r1.delivered_packets();
-        assert!(pkts > 1000, "{name}: only {pkts} more packets in twice the time");
+        assert!(
+            pkts > 1000,
+            "{name}: only {pkts} more packets in twice the time"
+        );
         let per_pkt = a2.saturating_sub(a1) as f64 / pkts as f64;
         assert!(
             per_pkt <= limit,

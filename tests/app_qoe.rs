@@ -18,7 +18,8 @@ use l4span::sim::{Duration, Instant};
 
 #[test]
 fn qoe_metrics_are_deterministic_across_worker_counts() {
-    let mk = |seed| interactive_apps_mixed(2, "prague", l4span_default(), seed, Duration::from_secs(2));
+    let mk =
+        |seed| interactive_apps_mixed(2, "prague", l4span_default(), seed, Duration::from_secs(2));
     let batch = || vec![mk(7), mk(7), mk(9)];
     let seq = harness::run_batch_on(batch(), 1);
     let par = harness::run_batch_on(batch(), 4);
@@ -29,7 +30,11 @@ fn qoe_metrics_are_deterministic_across_worker_counts() {
             "QoE series must not depend on worker count"
         );
     }
-    assert_eq!(seq[0].fingerprint(), seq[1].fingerprint(), "same seed, same run");
+    assert_eq!(
+        seq[0].fingerprint(),
+        seq[1].fingerprint(),
+        "same seed, same run"
+    );
     assert_ne!(seq[0].fingerprint(), seq[2].fingerprint(), "seeds differ");
     // The scenario must actually exercise every QoE channel: video flows
     // (0, 3) frames; web flows (1, 4) request completions.

@@ -10,8 +10,8 @@
 //! runner's own contract: a batch fingerprints identically whether it
 //! runs on one worker thread or many.
 
-use l4span::core::HandoverPolicy;
 use l4span::cc::WanLink;
+use l4span::core::HandoverPolicy;
 use l4span::harness::{self, scenario, scenario::ChannelMix};
 use l4span::sim::Duration;
 
@@ -125,7 +125,10 @@ fn impaired_config(cc: &str, seed: u64) -> scenario::ScenarioConfig {
 
 #[test]
 fn impaired_prague_fallback_is_deterministic() {
-    assert_matrix(|seed| impaired_config("prague-fallback", seed), "impaired/prague-fallback");
+    assert_matrix(
+        |seed| impaired_config("prague-fallback", seed),
+        "impaired/prague-fallback",
+    );
 }
 
 #[test]

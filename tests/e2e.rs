@@ -99,7 +99,10 @@ fn every_flow_still_delivers_after_am_tail_drops() {
     assert!(r.rlc_drops > 0, "the 256-SDU queue tail-drops");
     for (f, at) in r.owd_at_s.iter().enumerate() {
         let last = at.last().copied().unwrap_or(0.0);
-        assert!(last >= 10.0, "flow {f}: last delivery at {last:.2} s of 20 s");
+        assert!(
+            last >= 10.0,
+            "flow {f}: last delivery at {last:.2} s of 20 s"
+        );
     }
 }
 
@@ -365,11 +368,17 @@ fn wired_l4s_matches_fig2a() {
         let total: f64 = (0..2)
             .map(|f| r.goodput_mbps(f, Instant::from_secs(2), Instant::from_secs(4)))
             .sum();
-        assert!(total >= 36.0, "seed {seed}: line utilisation {total} Mbit/s");
+        assert!(
+            total >= 36.0,
+            "seed {seed}: line utilisation {total} Mbit/s"
+        );
         // The radio plane stayed out of the way.
         for (key, series) in &r.queue_series {
             let peak = series.iter().copied().max().unwrap_or(0);
-            assert!(peak <= 1, "seed {seed}: RLC queue {key:?} peaked at {peak} SDUs");
+            assert!(
+                peak <= 1,
+                "seed {seed}: RLC queue {key:?} peaked at {peak} SDUs"
+            );
         }
         assert_eq!(
             (r.harq_retx, r.rlc_drops, r.tbs_lost),
@@ -486,8 +495,16 @@ fn prague_fallback_stops_starving_cubic_in_the_shared_classic_queue() {
     let vanilla = harness::run(classic_hop_coexist("prague", secs));
     let fb = harness::run(classic_hop_coexist("prague-fallback", secs));
 
-    assert!(vanilla.fallbacks.is_empty(), "vanilla prague cannot fall back");
-    assert_eq!(fb.fallbacks.len(), 1, "exactly one fallback: {:?}", fb.fallbacks);
+    assert!(
+        vanilla.fallbacks.is_empty(),
+        "vanilla prague cannot fall back"
+    );
+    assert_eq!(
+        fb.fallbacks.len(),
+        1,
+        "exactly one fallback: {:?}",
+        fb.fallbacks
+    );
     assert_eq!(fb.fallbacks[0].reason, "classic-ecn");
     assert_eq!(fb.fallbacks[0].flow, 0);
     assert!(
@@ -497,7 +514,10 @@ fn prague_fallback_stops_starving_cubic_in_the_shared_classic_queue() {
     );
     // Vanilla starves cubic outright; the whole-run share improves.
     let v_ratio = vanilla.goodput_total_mbps(0) / vanilla.goodput_total_mbps(1).max(0.01);
-    assert!(v_ratio > 2.0, "vanilla prague dominates: ratio {v_ratio:.2}");
+    assert!(
+        v_ratio > 2.0,
+        "vanilla prague dominates: ratio {v_ratio:.2}"
+    );
     assert!(
         fb.goodput_total_mbps(1) > vanilla.goodput_total_mbps(1),
         "cubic's share improves under fallback: {:.2} vs {:.2}",
@@ -508,9 +528,8 @@ fn prague_fallback_stops_starving_cubic_in_the_shared_classic_queue() {
     // must be decisively fairer than vanilla's.
     let from = Instant::from_millis(fb.fallbacks[0].at_ms as u64 + 500);
     let to = Instant::from_secs(secs);
-    let tail = |r: &harness::Report| {
-        r.goodput_mbps(0, from, to) / r.goodput_mbps(1, from, to).max(0.01)
-    };
+    let tail =
+        |r: &harness::Report| r.goodput_mbps(0, from, to) / r.goodput_mbps(1, from, to).max(0.01);
     let (v_tail, fb_tail) = (tail(&vanilla), tail(&fb));
     assert!(
         fb_tail < v_tail / 2.0,
@@ -614,7 +633,12 @@ fn fec_media_ledger_is_conserved_end_to_end() {
     assert!(r.bonds.is_empty(), "unbonded run must report no bonds");
     assert_eq!(r.fec.len(), 4);
     for s in &r.fec {
-        assert!(s.offered > 50, "flow {}: only {} offered", s.flow, s.offered);
+        assert!(
+            s.offered > 50,
+            "flow {}: only {} offered",
+            s.flow,
+            s.offered
+        );
         assert_eq!(
             s.delivered + s.repaired + s.abandoned,
             s.offered,
@@ -631,8 +655,14 @@ fn fec_media_ledger_is_conserved_end_to_end() {
     }
     // The media flows adapt: uplink OWD samples and RTTs were recorded.
     let ul: Vec<usize> = (0..4).collect();
-    assert!(r.ul_owd_stats_pooled(&ul).n > 100, "uplink OWD samples missing");
-    assert!(r.rtt_ms.iter().any(|v| !v.is_empty()), "NADA RTT series missing");
+    assert!(
+        r.ul_owd_stats_pooled(&ul).n > 100,
+        "uplink OWD samples missing"
+    );
+    assert!(
+        r.rtt_ms.iter().any(|v| !v.is_empty()),
+        "NADA RTT series missing"
+    );
 }
 
 #[test]
@@ -677,7 +707,10 @@ fn every_bonded_media_arrival_is_an_owd_sample() {
     let samples: usize = r.ul_owd_ms.iter().map(Vec::len).sum();
     let arrivals: u64 = r.bonds.iter().map(|b| b.leg_pkts[0] + b.leg_pkts[1]).sum();
     assert!(arrivals > 1000, "only {arrivals} arrivals");
-    assert_eq!(samples as u64, arrivals, "uplink OWD samples vs server arrivals");
+    assert_eq!(
+        samples as u64, arrivals,
+        "uplink OWD samples vs server arrivals"
+    );
 }
 
 #[test]
@@ -711,9 +744,7 @@ fn bonded_tcp_join_restores_stream_order() {
             b.leg_pkts
         );
     }
-    let thr = |r: &harness::Report| -> f64 {
-        (0..2).map(|f| r.goodput_total_mbps(f)).sum()
-    };
+    let thr = |r: &harness::Report| -> f64 { (0..2).map(|f| r.goodput_total_mbps(f)).sum() };
     let (tb, ts) = (thr(&bonded), thr(&single));
     // 50/50 byte striping across legs of unequal quality pays an
     // in-order penalty (the join waits on the slower leg), so bonded
@@ -768,7 +799,11 @@ fn event_count_is_proportional_to_simulated_work() {
         )
     };
     check("tcp cell", tcp_cell, 5.54);
-    check("bonded uplink", |secs| bonded_xr_8ue(7, Duration::from_secs(secs)), 9.0);
+    check(
+        "bonded uplink",
+        |secs| bonded_xr_8ue(7, Duration::from_secs(secs)),
+        9.0,
+    );
 }
 
 #[test]

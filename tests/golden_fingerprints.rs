@@ -210,7 +210,10 @@ fn endpoint_corpus() -> Vec<(&'static str, &'static str, ScenarioConfig)> {
             cfg
         }),
     ];
-    for (section, bonded) in [("xr_bonding_4dev_single", false), ("xr_bonding_4dev_bonded", true)] {
+    for (section, bonded) in [
+        ("xr_bonding_4dev_single", false),
+        ("xr_bonding_4dev_bonded", true),
+    ] {
         for cc in ["fec-media", "nada", "prague"] {
             rows.push((
                 section,
@@ -252,7 +255,9 @@ fn compute() -> BTreeMap<String, BTreeMap<String, String>> {
     let reports = harness::run_batch(cfgs);
     let mut out: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
     for ((name, cc), r) in keys.into_iter().zip(reports) {
-        out.entry(name).or_default().insert(cc, r.fingerprint_digest());
+        out.entry(name)
+            .or_default()
+            .insert(cc, r.fingerprint_digest());
     }
     out
 }
@@ -310,14 +315,18 @@ fn golden_fingerprints_match_the_blessed_corpus() {
     let path = toml_path();
     if std::env::var("L4SPAN_BLESS").is_ok_and(|v| v == "1") {
         std::fs::write(&path, render(&actual)).expect("write corpus");
-        eprintln!("blessed {} — review the diff before committing", path.display());
+        eprintln!(
+            "blessed {} — review the diff before committing",
+            path.display()
+        );
         return;
     }
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "{} unreadable ({e}); generate it with L4SPAN_BLESS=1 \
-             cargo test -q --test golden_fingerprints"
-        , path.display())
+             cargo test -q --test golden_fingerprints",
+            path.display()
+        )
     });
     let expected = parse(&text);
     let mut drift = Vec::new();

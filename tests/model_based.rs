@@ -353,7 +353,8 @@ impl WakeupOverHeap {
     }
 
     fn push(&mut self, at: Instant, what: Popped) {
-        self.heap.push(std::cmp::Reverse((at.max(self.now), self.seq, what)));
+        self.heap
+            .push(std::cmp::Reverse((at.max(self.now), self.seq, what)));
         self.seq += 1;
     }
 

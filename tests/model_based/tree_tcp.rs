@@ -84,7 +84,9 @@ impl TreeTcpSender {
     }
 
     pub fn finished(&self) -> bool {
-        self.cfg.app_limit.is_some_and(|limit| self.snd_una >= limit)
+        self.cfg
+            .app_limit
+            .is_some_and(|limit| self.snd_una >= limit)
     }
 
     fn next_ident(&mut self) -> u16 {
@@ -92,7 +94,13 @@ impl TreeTcpSender {
         self.ident
     }
 
-    fn make_data_segment(&mut self, seq: u64, len: usize, is_retx: bool, now: Instant) -> PacketBuf {
+    fn make_data_segment(
+        &mut self,
+        seq: u64,
+        len: usize,
+        is_retx: bool,
+        now: Instant,
+    ) -> PacketBuf {
         let mut flags = TcpFlags::new().with(TcpFlags::ACK);
         if self.cwr_pending && self.cc.ecn_mode() == EcnMode::Classic {
             flags.set(TcpFlags::CWR);
@@ -191,8 +199,7 @@ impl TreeTcpSender {
                         ack: 1,
                         flags,
                         mss: Some(self.cfg.mss as u16),
-                        accecn: (self.cc.ecn_mode() == EcnMode::L4s)
-                            .then(AccEcnCounters::default),
+                        accecn: (self.cc.ecn_mode() == EcnMode::L4s).then(AccEcnCounters::default),
                         ..TcpHeader::default()
                     };
                     let ident = self.next_ident();
@@ -278,10 +285,10 @@ impl TreeTcpSender {
                     let delta = acc.ce_bytes.wrapping_sub(self.acc_last.ce_bytes) & 0x00FF_FFFF;
                     if delta < (1 << 23) {
                         ce_bytes = delta as usize;
-                        let d0 = acc.ect0_bytes.wrapping_sub(self.acc_last.ect0_bytes)
-                            & 0x00FF_FFFF;
-                        let d1 = acc.ect1_bytes.wrapping_sub(self.acc_last.ect1_bytes)
-                            & 0x00FF_FFFF;
+                        let d0 =
+                            acc.ect0_bytes.wrapping_sub(self.acc_last.ect0_bytes) & 0x00FF_FFFF;
+                        let d1 =
+                            acc.ect1_bytes.wrapping_sub(self.acc_last.ect1_bytes) & 0x00FF_FFFF;
                         ect_bytes = Some((delta + d0 + d1) as usize);
                         self.acc_last = acc;
                     }

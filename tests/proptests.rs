@@ -459,10 +459,7 @@ use l4span::harness::app::{AppProfile, Application, UnitKind};
 type OfferRow = (u64, u64, Vec<(u64, bool)>);
 
 /// Drive an app with instant-delivery feedback until `horizon`.
-fn app_transcript(
-    app: &mut (dyn Application + Send),
-    horizon: Instant,
-) -> Vec<OfferRow> {
+fn app_transcript(app: &mut (dyn Application + Send), horizon: Instant) -> Vec<OfferRow> {
     let mut out = Vec::new();
     let mut offered = 0u64;
     let mut units = Vec::new();
@@ -576,7 +573,9 @@ use l4span::harness::wired::{HopSink, WiredPlane};
 fn arb_stage() -> impl Strategy<Value = StageSpec> {
     // Probabilities as permille so the strategy stays on integer ranges.
     prop_oneof![
-        (0u32..=1000).prop_map(|p| StageSpec::Bleach { prob: p as f64 / 1000.0 }),
+        (0u32..=1000).prop_map(|p| StageSpec::Bleach {
+            prob: p as f64 / 1000.0
+        }),
         ((0u32..=1000), 0usize..6).prop_map(|(p, k)| {
             // Every legal non-identity transition a middlebox could do.
             let (from, to) = [
@@ -587,9 +586,15 @@ fn arb_stage() -> impl Strategy<Value = StageSpec> {
                 (Ecn::Ce, Ecn::NotEct),
                 (Ecn::Ect1, Ecn::NotEct),
             ][k];
-            StageSpec::Remark { from, to, prob: p as f64 / 1000.0 }
+            StageSpec::Remark {
+                from,
+                to,
+                prob: p as f64 / 1000.0,
+            }
         }),
-        (0u32..=1000).prop_map(|p| StageSpec::EctDrop { prob: p as f64 / 1000.0 }),
+        (0u32..=1000).prop_map(|p| StageSpec::EctDrop {
+            prob: p as f64 / 1000.0
+        }),
         (1e6f64..1e8).prop_map(|rate_bps| StageSpec::ClassicQueue { rate_bps }),
     ]
 }

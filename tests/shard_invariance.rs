@@ -39,7 +39,12 @@ fn outcome(r: &Report) -> (String, u64, EventCounts, u64) {
         r.events,
         "per-class event counts must add up to the total"
     );
-    (r.fingerprint_digest(), r.events, r.event_counts.clone(), r.fading_evals)
+    (
+        r.fingerprint_digest(),
+        r.events,
+        r.event_counts.clone(),
+        r.fading_evals,
+    )
 }
 
 fn digest(cfg: ScenarioConfig, shards: usize) -> (String, u64, EventCounts, u64) {
@@ -106,12 +111,23 @@ fn handover_2cell_invariant_across_shard_counts() {
         }
     }
     for mode in [RlcMode::Am, RlcMode::Um] {
-        assert_eq!(plan_shards(&handover_scream(mode, 3), 2), 2, "{mode:?}: eligible");
+        assert_eq!(
+            plan_shards(&handover_scream(mode, 3), 2),
+            2,
+            "{mode:?}: eligible"
+        );
         let one = run_sharded(handover_scream(mode, 3), 1);
-        assert!(one.frames_delivered.iter().sum::<u64>() > 0, "{mode:?}: frames complete");
+        assert!(
+            one.frames_delivered.iter().sum::<u64>() > 0,
+            "{mode:?}: frames complete"
+        );
         assert!(!one.handovers.is_empty(), "{mode:?}: UEs hand over");
         let two = digest(handover_scream(mode, 3), 2);
-        assert_eq!(two, outcome(&one), "handover_2cell scream {mode:?} shards=2");
+        assert_eq!(
+            two,
+            outcome(&one),
+            "handover_2cell scream {mode:?} shards=2"
+        );
     }
 }
 
@@ -133,8 +149,7 @@ fn metro_invariant_across_shard_counts() {
 fn metro_canonical_short_invariant() {
     // The full 1000-UE / 50-cell canonical world, short sim: covers the
     // first four staggered handovers and the whole flow-start ramp.
-    let cfg =
-        || scenario::metro_1000ue_50cell("prague", 11, Duration::from_millis(400));
+    let cfg = || scenario::metro_1000ue_50cell("prague", 11, Duration::from_millis(400));
     assert_eq!(digest(cfg(), 4), digest(cfg(), 1), "metro_1000ue_50cell");
 }
 
@@ -155,7 +170,11 @@ fn parallel_epochs_match_sequential() {
     std::env::remove_var("L4SPAN_THREADS");
     assert_eq!(par, seq, "parallel vs sequential epochs");
     assert_eq!(par_metro, seq_metro, "8 shards on 2 threads vs sequential");
-    assert_eq!(seq_metro, digest(metro_small("cubic"), 1), "8 shards vs one world");
+    assert_eq!(
+        seq_metro,
+        digest(metro_small("cubic"), 1),
+        "8 shards vs one world"
+    );
 }
 
 #[test]
@@ -241,7 +260,6 @@ fn single_shard_is_the_classic_code_path() {
     );
 }
 
-
 #[test]
 fn bonded_flows_plan_to_one_shard_and_stay_invariant() {
     // A bonded flow spans two cells by construction, so the planner
@@ -256,11 +274,7 @@ fn bonded_flows_plan_to_one_shard_and_stay_invariant() {
     assert_eq!(plan_shards(&cfg(), 4), 1);
     let base = digest(cfg(), 1);
     for shards in [2, 4] {
-        assert_eq!(
-            digest(cfg(), shards),
-            base,
-            "bonded_xr_8ue shards={shards}"
-        );
+        assert_eq!(digest(cfg(), shards), base, "bonded_xr_8ue shards={shards}");
     }
     let r = run_sharded(cfg(), 4);
     assert_eq!(r.shard_reject, Some(ShardReject::BondedFlow));
