@@ -3,10 +3,14 @@
 //! A world writes its samples and counters into one `Recorder` — the
 //! only code that knows how they are stored — and the recorder assembles
 //! them into the report's series at the end of the run. Each sample is stored once, at
-//! the width its value needs: a queue length as a `u32` beside the runs
-//! of its serving cell, an estimation error as one 16-byte record.
+//! the width its information needs: a one-way delay or RTT as two
+//! varints in its flow's `SampleLog`, a queue length as a `u32` beside
+//! the runs of its serving cell, an estimation error as a tick delta and
+//! an `f64` in its bearer's log.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{binary_heap::PeekMut, BTreeMap, BinaryHeap, VecDeque};
+use std::marker::PhantomData;
 
 use l4span_ran::rlc::{Sn, TxRecord};
 use l4span_sim::{stats::BoxStats, CycleStat, Duration, Instant};
@@ -156,8 +160,14 @@ pub struct Report {
     pub handovers: Vec<HandoverRecord>,
     /// Per-flow delay breakdown means.
     pub breakdown: Vec<BreakdownAvg>,
-    /// Egress-rate estimation errors in percent (Fig. 20), if L4Span ran.
+    /// Egress-rate estimation errors in percent (Fig. 20), if L4Span ran,
+    /// in (sample tick, UE, DRB) order.
     pub rate_err_pct: Vec<f64>,
+    /// Bytes the recorder's sample logs held at the end of the run: the
+    /// OWD / UL OWD / RTT logs, then the estimation-error logs
+    /// ([`Report::sample_store`]). Outside [`Report::fingerprint`]: it
+    /// measures the store, not the model.
+    pub log_bytes: [usize; 2],
     /// Per-frame one-way delays (encoder capture → complete frame at the
     /// UE application), milliseconds, per flow in delivery order. Empty
     /// for flows without a framed application.
@@ -598,25 +608,27 @@ impl Report {
         out
     }
 
-    /// The run's sample store per series family — OWD/RTT pairs, queue
-    /// samples with their serving-cell runs, estimation-error records —
-    /// counted from this report's series at the width the recorder keeps
-    /// each sample (growth slack not included).
+    /// The run's sample store per series family — the OWD/RTT logs,
+    /// queue samples with their serving-cell runs, the estimation-error
+    /// logs — as the recorder kept it: the two logs' bytes as
+    /// [`Report::log_bytes`] read them at the end of the run, the queue
+    /// samples counted from this report's series at their stored width
+    /// (growth slack not included).
     pub fn sample_store(&self) -> [StoreShare; 3] {
         let n = |v: &[Vec<f64>]| v.iter().map(Vec::len).sum::<usize>();
-        let pairs = n(&self.owd_ms) + n(&self.ul_owd_ms) + n(&self.rtt_ms);
+        let delays = n(&self.owd_ms) + n(&self.ul_owd_ms) + n(&self.rtt_ms);
         let queues = self
             .queue_series
             .values()
             .chain(self.ul_queue_series.values());
         let queue: usize = queues.map(Vec::len).sum();
         let runs: usize = self.queue_cell_runs.values().map(Vec::len).sum();
-        let rate_err = self.rate_err_pct.len();
+        let [delay_bytes, rate_err_bytes] = self.log_bytes;
         [
             StoreShare {
-                family: "owd/rtt pairs",
-                samples: pairs,
-                bytes: pairs * size_of::<(f64, f64)>(),
+                family: "owd/rtt log",
+                samples: delays,
+                bytes: delay_bytes,
             },
             StoreShare {
                 family: "queue",
@@ -625,8 +637,8 @@ impl Report {
             },
             StoreShare {
                 family: "rate error",
-                samples: rate_err,
-                bytes: rate_err * size_of::<RateErr>(),
+                samples: self.rate_err_pct.len(),
+                bytes: rate_err_bytes,
             },
         ]
     }
@@ -804,34 +816,151 @@ const IN_AIR_RESERVE: usize = 32;
 /// One stored RLC queue-length sample, in SDUs.
 type QueueSample = u32;
 
-/// One stored estimation-error sample: the error in percent beside a key
-/// packing `(tick, ue, drb)` — the sample tick (instant /
-/// [`SAMPLE_PERIOD`]) in the high 40 bits, the UE in the next 16, the
-/// DRB in the low 8. Ordering by key is ordering by `(at, (ue, drb))`,
-/// the push order of a world that runs on one queue.
-#[derive(Clone, Copy)]
-struct RateErr {
-    key: u64,
-    pct: f64,
-}
-
-const _: () = assert!(size_of::<RateErr>() == 16);
 const _: () = assert!(size_of::<QueueSample>() == 4);
 
-impl RateErr {
-    fn new(at: Instant, ue: u16, drb: u8, pct: f64) -> RateErr {
-        let tick = at.as_nanos() / SAMPLE_PERIOD.as_nanos();
-        debug_assert!(tick < 1 << 40, "tick {tick} overflows the rate-error key");
-        RateErr {
-            key: tick << 24 | u64::from(ue) << 8 | u64::from(drb),
-            pct,
+/// Bytes a [`SampleLog`] reserves at its first push: ≈ 36 delay
+/// samples, so a short flow's log never regrows and a long one skips
+/// the small doublings.
+const SAMPLE_LOG_FIRST_BLOCK: usize = 256;
+
+/// Bytes an estimation-error sample takes in its bearer's log when it
+/// follows the previous one within 127 ticks: a one-byte tick delta and
+/// the `f64`.
+const RATE_ERR_BYTES: usize = 1 + size_of::<f64>();
+
+/// A value a [`SampleLog`] keeps beside each sample's time.
+trait LogValue: Copy {
+    /// Write `self` at the front of `out`; the bytes written.
+    fn encode(self, out: &mut [u8]) -> usize;
+    /// Read one value off the front of `bytes`.
+    fn decode(bytes: &mut &[u8]) -> Self;
+}
+
+/// An integer as a LEB128 varint: seven bits a byte, low bits first,
+/// the top bit set on every byte but the last (1 to 10 bytes).
+impl LogValue for u64 {
+    fn encode(mut self, out: &mut [u8]) -> usize {
+        let mut n = 0;
+        while self >= 0x80 {
+            out[n] = self as u8 | 0x80;
+            self >>= 7;
+            n += 1;
+        }
+        out[n] = self as u8;
+        n + 1
+    }
+
+    fn decode(bytes: &mut &[u8]) -> u64 {
+        let mut v = 0;
+        let mut shift = 0;
+        loop {
+            let (&b, rest) = bytes.split_first().expect("a varint ends in its log");
+            *bytes = rest;
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
         }
     }
 }
 
+/// A float as its eight little-endian bytes, bit for bit.
+impl LogValue for f64 {
+    fn encode(self, out: &mut [u8]) -> usize {
+        out[..8].copy_from_slice(&self.to_le_bytes());
+        8
+    }
+
+    fn decode(bytes: &mut &[u8]) -> f64 {
+        let (v, rest) = bytes.split_first_chunk().expect("a float ends in its log");
+        *bytes = rest;
+        f64::from_le_bytes(*v)
+    }
+}
+
+/// An append-only byte log of `(time, value)` samples in time order.
+/// Each time is stored as a LEB128 varint of its distance from the
+/// previous sample's (the first from 0), each value as its
+/// [`LogValue`] encoding: a delay sample in integer nanoseconds takes
+/// ≈ 7 bytes where an `(f64, f64)` pair took 16. The log reserves
+/// [`SAMPLE_LOG_FIRST_BLOCK`] at its first push unless sized before.
+struct SampleLog<V> {
+    bytes: Vec<u8>,
+    /// Time of the newest sample.
+    last: u64,
+    /// Samples stored.
+    len: usize,
+    value: PhantomData<V>,
+}
+
+impl<V> Default for SampleLog<V> {
+    fn default() -> Self {
+        SampleLog {
+            bytes: Vec::new(),
+            last: 0,
+            len: 0,
+            value: PhantomData,
+        }
+    }
+}
+
+impl<V: LogValue> SampleLog<V> {
+    /// Append `value` sampled at `t`, which is never before the newest
+    /// sample's time.
+    fn push(&mut self, t: u64, value: V) {
+        debug_assert!(
+            t >= self.last,
+            "sample at {t} before the previous one at {}",
+            self.last
+        );
+        if self.bytes.capacity() == 0 {
+            self.bytes.reserve_exact(SAMPLE_LOG_FIRST_BLOCK);
+        }
+        let mut buf = [0; 20];
+        let n = t.wrapping_sub(self.last).encode(&mut buf);
+        let n = n + value.encode(&mut buf[n..]);
+        self.bytes.extend_from_slice(&buf[..n]);
+        self.last = t;
+        self.len += 1;
+    }
+
+    /// Reserve `bytes` for the log if it holds nothing yet, in place of
+    /// the first block.
+    fn reserve_first(&mut self, bytes: usize) -> &mut Self {
+        if self.bytes.capacity() == 0 {
+            self.bytes.reserve_exact(bytes);
+        }
+        self
+    }
+
+    /// The samples in push order.
+    fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
+        let mut bytes = &self.bytes[..];
+        let mut t = 0u64;
+        std::iter::from_fn(move || {
+            if bytes.is_empty() {
+                return None;
+            }
+            t = t.wrapping_add(u64::decode(&mut bytes));
+            Some((t, V::decode(&mut bytes)))
+        })
+    }
+
+    /// Samples stored.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Bytes the samples take (growth slack not included).
+    fn bytes(&self) -> usize {
+        self.bytes.len()
+    }
+}
+
 /// What the recorder keeps per (UE, DRB): the delay breakdown of the
-/// SDUs on the air, the ground-truth egress log, and the bearer's
-/// queue-length series.
+/// SDUs on the air, the ground-truth egress log, the bearer's
+/// queue-length series and its estimation-error log.
 #[derive(Default)]
 struct DrbRow {
     /// `(PDCP SN, queuing ms, scheduling ms)` of the SDUs between their
@@ -858,6 +987,10 @@ struct DrbRow {
     /// UE-side uplink transmit-queue samples (`Report::ul_queue_series`;
     /// empty until first sampled).
     ul_queue: Vec<QueueSample>,
+    /// Estimation errors in percent by sample tick (instant /
+    /// [`SAMPLE_PERIOD`]), sized for the whole run at the first sample
+    /// (`Report::rate_err_pct`, merged over the bearers).
+    rate_err: SampleLog<f64>,
 }
 
 impl DrbRow {
@@ -954,14 +1087,14 @@ struct FlowRow {
     /// The flow's UE and data direction.
     ue: usize,
     dir: FlowDir,
-    /// One-way delays as `(ms, sample time s)` pairs: one push per
-    /// sample, split into the report's two series at the end.
-    owd: Vec<(f64, f64)>,
-    /// Uplink data one-way delays (UE sender → server), paired like
+    /// One-way delays by sample time, both in ns: one push per sample,
+    /// decoded into the report's two series at the end.
+    owd: SampleLog<u64>,
+    /// Uplink data one-way delays (UE sender → server), logged like
     /// `owd`.
-    ul_owd: Vec<(f64, f64)>,
-    /// Smoothed RTTs, paired like `owd`.
-    rtt: Vec<(f64, f64)>,
+    ul_owd: SampleLog<u64>,
+    /// Smoothed RTTs, logged like `owd`.
+    rtt: SampleLog<u64>,
     /// Received payload bytes per throughput bin.
     thr: Vec<u64>,
     /// Delay breakdown of the delivered downlink packets.
@@ -996,21 +1129,18 @@ struct UeRow {
 }
 
 /// The run-time metric store of a world, its one sink: a row per flow,
-/// a row per UE, the per-cell throughput bins and the estimation-error
-/// log. The world writes through the methods below and hands the store
+/// a row per UE (its bearers' rows within) and the per-cell throughput
+/// bins. The world writes through the methods below and hands the store
 /// to [`Recorder::finish`], which assembles the report's series. A shard
 /// replica's share swaps with its owner row by row ([`Recorder::swap_flow`],
-/// [`Recorder::swap_ue`], [`Recorder::swap_cell`]) and the replicas'
-/// estimation-error logs fold into one ([`Recorder::absorb`]).
+/// [`Recorder::swap_ue`], [`Recorder::swap_cell`]), so every sample stays
+/// in the row it describes.
 pub(crate) struct Recorder {
     flows: Vec<FlowRow>,
     ues: Vec<UeRow>,
     /// Delivered payload bytes per throughput bin, per cell serving the
     /// receiving UE at delivery time.
     cells: Vec<Vec<u64>>,
-    /// Estimation-error samples in push order; sorted by key at the end,
-    /// which merges the replicas' logs into one world's order.
-    rate_err: Vec<RateErr>,
     /// Sample ticks in the run: what a queue series reserves.
     ticks: usize,
     /// Throughput bin width, ns.
@@ -1032,7 +1162,6 @@ impl Recorder {
             flows: cfg.flows.iter().map(flow).collect(),
             ues: (0..cfg.ues.len()).map(|_| UeRow::default()).collect(),
             cells: vec![Vec::new(); cfg.n_cells()],
-            rate_err: Vec::new(),
             ticks: (cfg.duration.as_nanos() / SAMPLE_PERIOD.as_nanos()) as usize,
             bin_ns,
             bins: (cfg.duration.as_nanos() / bin_ns) as usize + 1,
@@ -1054,7 +1183,7 @@ impl Recorder {
         self.ues[ue].drbs.get_mut(usize::from(drb))?.take_in_air(sn)
     }
 
-    /// `bytes` of `flow`'s payload reached its receiver at `now`, `ms`
+    /// `bytes` of `flow`'s payload reached its receiver at `now`, `owd`
     /// after they left the sender, while `cell` served the flow's UE: a
     /// one-way delay sample, throughput for the flow and the cell, and
     /// for a downlink flow the end of the delivery gap a handover of the
@@ -1065,16 +1194,16 @@ impl Recorder {
         &mut self,
         flow: usize,
         cell: usize,
-        ms: f64,
+        owd: Duration,
         bytes: usize,
         now: Instant,
     ) {
         let row = &mut self.flows[flow];
-        let sample = (ms, now.as_secs_f64());
+        let (t, owd) = (now.as_nanos(), owd.as_nanos());
         match row.dir {
-            FlowDir::Uplink => row.ul_owd.push(sample),
+            FlowDir::Uplink => row.ul_owd.push(t, owd),
             FlowDir::Downlink => {
-                row.owd.push(sample);
+                row.owd.push(t, owd);
                 let ue = &mut self.ues[row.ue];
                 ue.last_delivery = Some(now);
                 let open = ue
@@ -1098,8 +1227,8 @@ impl Recorder {
 
     /// A smoothed-RTT reading of `flow`'s sender at `now`.
     #[inline]
-    pub(crate) fn push_rtt(&mut self, flow: usize, ms: f64, now: Instant) {
-        self.flows[flow].rtt.push((ms, now.as_secs_f64()));
+    pub(crate) fn push_rtt(&mut self, flow: usize, srtt: Duration, now: Instant) {
+        self.flows[flow].rtt.push(now.as_nanos(), srtt.as_nanos());
     }
 
     /// The delay breakdown of a downlink packet of `flow` that arrived
@@ -1197,15 +1326,16 @@ impl Recorder {
         window: Duration,
         mut estimate: impl FnMut(u8) -> Option<f64>,
     ) {
+        let tick = now.as_nanos() / SAMPLE_PERIOD.as_nanos();
+        let run_bytes = self.ticks * RATE_ERR_BYTES;
         for (drb, row) in self.ues[ue].drbs.iter_mut().enumerate() {
-            let drb = drb as u8;
             let Some(gt) = row.ground_truth(now, window) else {
                 continue;
             };
             if gt > 50_000.0 {
-                if let Some(est) = estimate(drb) {
+                if let Some(est) = estimate(drb as u8) {
                     let pct = (est - gt) / gt * 100.0;
-                    self.rate_err.push(RateErr::new(now, ue as u16, drb, pct));
+                    row.rate_err.reserve_first(run_bytes).push(tick, pct);
                 }
             }
         }
@@ -1226,21 +1356,17 @@ impl Recorder {
         std::mem::swap(&mut a.cells[cell], &mut b.cells[cell]);
     }
 
-    /// Fold another replica's estimation-error log into this one.
-    pub(crate) fn absorb(&mut self, other: &mut Recorder) {
-        self.rate_err.append(&mut other.rate_err);
-    }
-
     /// Assemble the store into `r`'s series, given per flow what only the
     /// world knows: the frames a media source inside the sender generated
     /// (`None`: the offers counted here) and the frame interval. A frame
     /// never completed by run end (in flight, lost in UM, or discarded by
     /// the encoder) misses its deadline and stalls playback one interval.
-    /// Handovers go in `(time, ue)` order and estimation errors in
-    /// `(tick, (ue, drb))` order, the one-world push orders, which merges
-    /// the replicas' logs; both keys are unique, so the in-place unstable
-    /// sort gives the stable sort's result without its scratch buffer. A
-    /// queue series that never took a sample has no key.
+    /// Handovers go in `(time, ue)` order, the one-world push order,
+    /// which merges the replicas' logs; the key is unique, so the
+    /// in-place unstable sort gives the stable sort's result without its
+    /// scratch buffer. Estimation errors are merged from the bearers'
+    /// logs in `(tick, ue, drb)` order ([`merge_rate_err`]). A queue
+    /// series that never took a sample has no key.
     pub(crate) fn finish(
         self,
         r: &mut Report,
@@ -1250,12 +1376,9 @@ impl Recorder {
             mut flows,
             ues,
             cells,
-            mut rate_err,
             ..
         } = self;
-        rate_err.sort_unstable_by_key(|e| e.key);
-        debug_assert!(rate_err.windows(2).all(|w| w[0].key < w[1].key));
-        r.rate_err_pct = rate_err.into_iter().map(|e| e.pct).collect();
+        (r.rate_err_pct, r.log_bytes[1]) = merge_rate_err(&ues);
         let mut handovers = Vec::new();
         for (ue, row) in ues.into_iter().enumerate() {
             handovers.extend(row.handovers);
@@ -1289,9 +1412,10 @@ impl Recorder {
         r.frames_missed = flows.iter().map(|f| f.frames_missed).collect();
         r.stall_ms = flows.iter().map(|f| f.stall_ms).collect();
         r.breakdown = flows.iter().map(|f| f.breakdown).collect();
-        (r.owd_ms, r.owd_at_s) = split_samples(&mut flows, |f| &mut f.owd);
-        (r.ul_owd_ms, r.ul_owd_at_s) = split_samples(&mut flows, |f| &mut f.ul_owd);
-        (r.rtt_ms, r.rtt_at_s) = split_samples(&mut flows, |f| &mut f.rtt);
+        let bytes = &mut r.log_bytes[0];
+        (r.owd_ms, r.owd_at_s) = decode_delays(&mut flows, bytes, |f| &mut f.owd);
+        (r.ul_owd_ms, r.ul_owd_at_s) = decode_delays(&mut flows, bytes, |f| &mut f.ul_owd);
+        (r.rtt_ms, r.rtt_at_s) = decode_delays(&mut flows, bytes, |f| &mut f.rtt);
         use std::mem::take;
         r.thr_bins = flows.iter_mut().map(|f| take(&mut f.thr)).collect();
         r.frame_owd_ms = flows
@@ -1332,21 +1456,68 @@ impl Recorder {
     }
 }
 
-/// Split the flows' `(value, t)` samples in `series` into the report's
-/// value and time series, one flow at a time, each vector sized to its
-/// flow's count and each flow's pairs freed once split.
-fn split_samples(
+/// Decode the flows' delay logs in `series` into the report's value (ms)
+/// and time (s) series, one flow at a time, each vector sized to its
+/// flow's count and each flow's log freed once decoded; the logs' bytes
+/// are added to `bytes`. The divisions are the ones the world's own
+/// `Duration::as_millis_f64` and `Instant::as_secs_f64` make, so a
+/// decoded sample is bit for bit what an `f64` pushed at the same
+/// instant would have been.
+fn decode_delays(
     flows: &mut [FlowRow],
-    series: impl Fn(&mut FlowRow) -> &mut Vec<(f64, f64)>,
+    bytes: &mut usize,
+    series: impl Fn(&mut FlowRow) -> &mut SampleLog<u64>,
 ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     let mut values = Vec::with_capacity(flows.len());
     let mut times = Vec::with_capacity(flows.len());
     for f in flows {
-        let pairs = std::mem::take(series(f));
-        values.push(pairs.iter().map(|&(v, _)| v).collect());
-        times.push(pairs.iter().map(|&(_, t)| t).collect());
+        let log = std::mem::take(series(f));
+        *bytes += log.bytes();
+        let (mut v, mut t) = (Vec::with_capacity(log.len()), Vec::with_capacity(log.len()));
+        for (at, ns) in log.iter() {
+            v.push(Duration::from_nanos(ns).as_millis_f64());
+            t.push(Instant::from_nanos(at).as_secs_f64());
+        }
+        values.push(v);
+        times.push(t);
     }
     (values, times)
+}
+
+/// The bearers' estimation-error logs merged into one series in
+/// `(tick, ue, drb)` order — the push order of a world run on one queue
+/// — and the bytes the logs take. Every log ascends in tick and takes at
+/// most one sample a tick, so the merge holds one cursor per log in a
+/// heap keyed by `(next tick, log)`, the logs numbered in `(ue, drb)`
+/// order.
+fn merge_rate_err(ues: &[UeRow]) -> (Vec<f64>, usize) {
+    let logs = ues.iter().flat_map(|u| &u.drbs).map(|d| &d.rate_err);
+    let mut cursors: Vec<_> = logs.map(SampleLog::iter).collect();
+    let mut heads = BinaryHeap::with_capacity(cursors.len());
+    for (i, c) in cursors.iter_mut().enumerate() {
+        if let Some((tick, pct)) = c.next() {
+            heads.push(Reverse((tick, i, pct.to_bits())));
+        }
+    }
+    let bearers = ues.iter().flat_map(|u| &u.drbs);
+    let (n, bytes) = bearers.fold((0, 0), |(n, b), d| {
+        (n + d.rate_err.len(), b + d.rate_err.bytes())
+    });
+    let mut out = Vec::with_capacity(n);
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((tick, i, pct)) = *head;
+        out.push(f64::from_bits(pct));
+        match cursors[i].next() {
+            Some((next, pct)) => {
+                debug_assert!(next > tick, "two samples of one bearer at tick {tick}");
+                *head = Reverse((next, i, pct.to_bits()));
+            }
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    (out, bytes)
 }
 
 #[cfg(test)]
@@ -1407,17 +1578,130 @@ mod tests {
     }
 
     #[test]
-    fn rate_error_keys_sort_in_time_then_bearer_order() {
-        let at = |ms: u64| Instant::from_nanos(ms * 1_000_000 + 500);
-        let mut log = [
-            RateErr::new(at(20), 0, 0, 1.0),
-            RateErr::new(at(10), 65_535, 255, 2.0),
-            RateErr::new(at(10), 3, 1, 3.0),
-            RateErr::new(at(10), 3, 0, 4.0),
+    fn rate_errors_merge_from_the_bearers_in_tick_then_bearer_order() {
+        let mut cfg = ScenarioConfig::new(7, Duration::from_secs(4));
+        for _ in 0..2 {
+            let ue = crate::UeSpec::simple(l4span_ran::ChannelProfile::Static, 20.0);
+            cfg.ues.push(ue);
+        }
+        let mut rec = Recorder::new(&cfg);
+        // Bearer (ue, drb) skips the ticks where `tick + ue + drb` is a
+        // multiple of 3, and (1, 1) alone samples once more 293 ticks
+        // on (a two-byte tick delta). A sample's value names its key.
+        let code =
+            |tick: u64, ue: usize, drb: u8| (tick * 100 + ue as u64 * 10 + u64::from(drb)) as f64;
+        let mut keys = Vec::new();
+        for tick in (1..=7).chain([300]) {
+            for ue in [1, 0] {
+                for drb in 0..2u8 {
+                    let gap = (tick + ue as u64 + u64::from(drb)).is_multiple_of(3);
+                    if (tick == 300 && (ue, drb) != (1, 1)) || (tick < 300 && gap) {
+                        continue;
+                    }
+                    let row = drb_row(&mut rec.ues[ue].drbs, drb);
+                    row.rate_err.push(tick, code(tick, ue, drb));
+                    keys.push((tick, ue, drb));
+                }
+            }
+        }
+        keys.sort_unstable();
+        let expect: Vec<f64> = keys.iter().map(|&(t, u, d)| code(t, u, d)).collect();
+        let mut r = Report::default();
+        rec.finish(&mut r, std::iter::empty());
+        assert_eq!(r.rate_err_pct, expect);
+        assert_eq!(r.rate_err_pct[..3], [100.0, 101.0, 110.0]);
+        assert_eq!(r.rate_err_pct.last(), Some(&30011.0));
+        // Each sample is a one-byte tick delta and the float, the
+        // 293-tick jump two bytes.
+        let store = r.sample_store()[2];
+        assert_eq!(store.samples, keys.len());
+        assert_eq!(store.bytes, keys.len() * RATE_ERR_BYTES + 1);
+    }
+
+    /// Push `(t, v)` pairs into a flow's OWD log and decode them as
+    /// `finish` does.
+    fn round_trip(samples: &[(u64, u64)]) -> (Vec<f64>, Vec<f64>, usize) {
+        let mut flows = [FlowRow::default()];
+        for &(t, v) in samples {
+            flows[0].owd.push(t, v);
+        }
+        let mut bytes = 0;
+        let (mut ms, mut s) = decode_delays(&mut flows, &mut bytes, |f| &mut f.owd);
+        (ms.remove(0), s.remove(0), bytes)
+    }
+
+    /// Whether the decoded series are, bit for bit, the pushed
+    /// integers' `as_millis_f64` and `as_secs_f64`.
+    fn decodes_exactly(samples: &[(u64, u64)]) -> bool {
+        let (ms, s, _) = round_trip(samples);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want_ms: Vec<f64> = samples
+            .iter()
+            .map(|&(_, v)| Duration::from_nanos(v).as_millis_f64())
+            .collect();
+        let want_s: Vec<f64> = samples
+            .iter()
+            .map(|&(t, _)| Instant::from_nanos(t).as_secs_f64())
+            .collect();
+        bits(&ms) == bits(&want_ms) && bits(&s) == bits(&want_s)
+    }
+
+    #[test]
+    fn a_delay_log_decodes_to_the_pushed_integers() {
+        let secs = |s: u64| s * 1_000_000_000;
+        let samples = [
+            (0, 0),                  // first sample at t = 0
+            (0, 7),                  // repeated time: delta 0
+            (1, 127),                // one-byte varints
+            (1_000_000, 128),        // two-byte value
+            (secs(19), secs(19)),    // an OWD above 2^32 ns
+            (secs(601), u64::MAX),   // past a 600 s soak; ten bytes
+            (secs(601) + 1, 25_000), // one-ns step
         ];
-        log.sort_unstable_by_key(|e| e.key);
-        let pct: Vec<f64> = log.iter().map(|e| e.pct).collect();
-        assert_eq!(pct, [4.0, 3.0, 2.0, 1.0]);
+        assert!(decodes_exactly(&samples));
+        let (_, _, bytes) = round_trip(&samples);
+        assert_eq!(
+            bytes,
+            (1 + 1) + (1 + 1) + (1 + 1) + (3 + 2) + (5 + 5) + (6 + 10) + (1 + 3)
+        );
+        assert!(decodes_exactly(&[]));
+        let log = SampleLog::<u64>::default();
+        assert_eq!(log.bytes.capacity(), 0, "an idle flow allocates nothing");
+        let mut log = log;
+        log.push(5, 5);
+        assert_eq!(log.bytes.capacity(), SAMPLE_LOG_FIRST_BLOCK);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Non-decreasing times (from 0 or not, with repeats, steps up
+        /// to seconds and jumps past ten minutes) and arbitrary values
+        /// decode bit for bit; an `f64` log keeps every bit pattern.
+        #[test]
+        fn sample_logs_round_trip(
+            from_zero in any::<bool>(),
+            start in any::<u32>(),
+            steps in proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 0..200),
+        ) {
+            let mut t = if from_zero { 0 } else { u64::from(start) };
+            let mut samples = Vec::new();
+            let mut floats = SampleLog::<f64>::default();
+            for &(kind, step, v) in &steps {
+                t += match kind {
+                    0 => 0,
+                    1 => step % 1_000_000,
+                    2 => step % 10_000_000_000,
+                    _ => 600_000_000_000 + step % 1_000_000_000_000,
+                };
+                samples.push((t, v));
+                floats.push(t, f64::from_bits(v));
+            }
+            prop_assert!(decodes_exactly(&samples));
+            let back: Vec<(u64, u64)> = floats.iter().map(|(t, f)| (t, f.to_bits())).collect();
+            prop_assert_eq!(back, samples);
+            prop_assert_eq!(floats.len(), steps.len());
+        }
     }
 
     #[test]

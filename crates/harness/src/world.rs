@@ -1578,9 +1578,7 @@ impl World {
             return self.on_feedback_at_sender(flow, &pkt, now);
         }
         let payload = pkt.payload_len();
-        let owd = now
-            .saturating_since(Instant::from_nanos(pkt.sent_ns()))
-            .as_millis_f64();
+        let owd = now.saturating_since(Instant::from_nanos(pkt.sent_ns()));
         let cell = self.serving[ue];
         if payload > 0 {
             self.rec.push_delivery(flow, cell, owd, payload, now);
@@ -1588,7 +1586,8 @@ impl World {
         if let Some(rlc) = in_air {
             let core = self.gnbs[cell].config().core_to_cu_delay;
             let prop = (self.flows[flow].wan_one_way + core).as_millis_f64();
-            self.rec.push_breakdown(flow, owd, prop, rlc);
+            self.rec
+                .push_breakdown(flow, owd.as_millis_f64(), prop, rlc);
         }
         self.cycles.stop(c0, CYC_METRICS);
         // Hand to the client endpoint.
@@ -1811,7 +1810,7 @@ impl World {
         let c0 = self.cycles.start();
         let up = f.endpoint.on_feedback(pkt, data, now, &mut tx);
         if let Some(srtt) = up.srtt {
-            self.rec.push_rtt(flow, srtt.as_millis_f64(), now);
+            self.rec.push_rtt(flow, srtt, now);
         }
         if up.finished && f.finished_at.is_none() {
             f.finished_at = Some(now);
@@ -1906,8 +1905,7 @@ impl World {
         }
         if payload > 0 {
             let owd = now.saturating_since(Instant::from_nanos(pkt.sent_ns()));
-            self.rec
-                .push_delivery(flow, cell, owd.as_millis_f64(), payload, now);
+            self.rec.push_delivery(flow, cell, owd, payload, now);
             if let Some(b) = &mut self.flows[flow].bond {
                 b.sbd.observe(leg, owd, now);
             }
@@ -2350,7 +2348,6 @@ impl World {
             primary.queue_depth_peak = primary.queue_depth_peak.max(w.queue_depth_peak);
             primary.ho_tbs_lost += w.ho_tbs_lost;
             primary.uplink += w.uplink;
-            primary.rec.absorb(&mut w.rec);
             primary.marker_time.0.append(&mut w.marker_time.0);
             primary.marker_time.1.append(&mut w.marker_time.1);
             primary.marker_time.2.append(&mut w.marker_time.2);
@@ -2469,7 +2466,7 @@ impl World {
             harq_retx: g.harq_retx,
             uplink,
             marker_memory,
-            marker_time_ns: self.marker_time,
+            marker_time_ns: std::mem::take(&mut self.marker_time),
             cycles: self.cycles.report(),
             events: self.event_counts.iter().sum(),
             event_counts: Event::CLASSES
@@ -2496,11 +2493,19 @@ impl World {
         // The SCReAM media source lives inside its sender, so its
         // generation counter is read back here; app-driven flows counted
         // in the store as frames were offered.
-        let framing = self
+        let framing: Vec<_> = self
             .flows
             .iter()
-            .map(|f| (f.endpoint.frames_generated(), f.framed.map(|(i, _)| i)));
-        self.rec.finish(&mut report, framing);
+            .map(|f| (f.endpoint.frames_generated(), f.framed.map(|(i, _)| i)))
+            .collect();
+        // The rest of the world is dropped at the end of this block,
+        // before the recorder decodes its logs: the report's series take
+        // the memory the queues and bearers held, not more of it.
+        let rec = {
+            let world = self;
+            world.rec
+        };
+        rec.finish(&mut report, framing.into_iter());
         report
     }
 }
