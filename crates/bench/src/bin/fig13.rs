@@ -78,7 +78,7 @@ fn main() {
     for ((app, chan, mark), r) in run_grid(cells) {
         let mut rtts = Vec::new();
         for f in 0..n {
-            rtts.extend_from_slice(&r.rtt_ms[f]);
+            rtts.extend(r.rtt_ms(f));
         }
         let rtt = BoxStats::from_samples(&rtts);
         let per_ue: f64 = (0..n).map(|f| r.goodput_total_mbps(f)).sum::<f64>() / n as f64;

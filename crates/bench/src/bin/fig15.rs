@@ -41,13 +41,14 @@ fn main() {
     }
     {
         for ((cc, label), r) in run_grid(cells) {
+            let rtt: Vec<f64> = r.rtt_ms(0).collect();
             println!(
                 "\n{cc} {label}: mean thr {:.2} Mbit/s, rtt p50/p99.9 = {:.1}/{:.1} ms",
                 r.goodput_total_mbps(0),
-                l4span_sim::stats::percentile(&r.rtt_ms[0], 50.0),
-                l4span_sim::stats::percentile(&r.rtt_ms[0], 99.9),
+                l4span_sim::stats::percentile(&rtt, 50.0),
+                l4span_sim::stats::percentile(&rtt, 99.9),
             );
-            print_cdf(&format!("{cc} {label} RTT (ms)"), &r.rtt_ms[0], 11);
+            print_cdf(&format!("{cc} {label} RTT (ms)"), &rtt, 11);
             let thr: Vec<f64> = r
                 .throughput_series_mbps(0, 1)
                 .iter()

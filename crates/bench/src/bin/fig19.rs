@@ -56,7 +56,7 @@ fn main() {
         let flows: Vec<usize> = (0..n).collect();
         let mut rtts = Vec::new();
         for &f in &flows {
-            rtts.extend_from_slice(&r.rtt_ms[f]);
+            rtts.extend(r.rtt_ms(f));
         }
         let rtt_mean = l4span_sim::stats::mean(&rtts);
         let sum: f64 = flows.iter().map(|&f| r.goodput_total_mbps(f)).sum();
@@ -101,7 +101,7 @@ fn main() {
     })
     .collect();
     for (name, r) in run_grid(ablation) {
-        let rtt_mean = l4span_sim::stats::mean(&r.rtt_ms[0]);
+        let rtt_mean = l4span_sim::stats::mean(&r.rtt_ms(0).collect::<Vec<_>>());
         println!(
             "{name:<22} {rtt_mean:>12.1} {:>14.2}",
             r.goodput_total_mbps(0)

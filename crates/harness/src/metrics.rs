@@ -6,10 +6,13 @@
 //! the width its information needs: a one-way delay or RTT as two
 //! varints in its flow's `SampleLog`, a queue length as a `u32` beside
 //! the runs of its serving cell, an estimation error as a tick delta and
-//! an `f64` in its bearer's log.
+//! an `f64` in its bearer's log. The report keeps the delay logs as they
+//! are: only the one-way delays are decoded at the end of the run, the
+//! sample times and RTTs when asked for.
 
 use std::cmp::Reverse;
 use std::collections::{binary_heap::PeekMut, BTreeMap, BinaryHeap, VecDeque};
+use std::fmt;
 use std::marker::PhantomData;
 
 use l4span_ran::rlc::{Sn, TxRecord};
@@ -123,20 +126,19 @@ pub struct Report {
     pub duration: Duration,
     /// Throughput bin width.
     pub bin: Duration,
-    /// Per-flow one-way delays (server app → UE app), milliseconds.
+    /// Per-flow one-way delays (server app → UE app), milliseconds,
+    /// decoded from the flow's delay log at the end of the run; their
+    /// times are [`Report::owd_at_s`].
     pub owd_ms: Vec<Vec<f64>>,
-    /// Timestamps (seconds) of the `owd_ms` samples, for windowed
-    /// post-handover delay analysis.
-    pub owd_at_s: Vec<Vec<f64>>,
     /// Per-flow **uplink** one-way delays (UE-side sender → server app),
-    /// milliseconds. Empty for downlink flows.
+    /// milliseconds, decoded like `owd_ms`; their times are
+    /// [`Report::ul_owd_at_s`]. Empty for downlink flows.
     pub ul_owd_ms: Vec<Vec<f64>>,
-    /// Timestamps (seconds) of the `ul_owd_ms` samples.
-    pub ul_owd_at_s: Vec<Vec<f64>>,
-    /// Per-flow smoothed-RTT samples at ACK arrival, milliseconds.
-    pub rtt_ms: Vec<Vec<f64>>,
-    /// Timestamps (seconds) of the `rtt_ms` samples, for time series.
-    pub rtt_at_s: Vec<Vec<f64>>,
+    /// The recorder's per-flow delay logs as it kept them, in integer
+    /// ns: the source of `owd_ms` and `ul_owd_ms`, and of the sample
+    /// times and RTTs the accessors ([`Report::rtt_ms`], …) decode on
+    /// demand.
+    pub(crate) delays: Vec<DelayLogs>,
     /// Per-flow received payload bytes per bin (UE side).
     pub thr_bins: Vec<Vec<u64>>,
     /// RLC queue-length samples (SDUs, `u32`) per (ue, drb), read from
@@ -163,11 +165,10 @@ pub struct Report {
     /// Egress-rate estimation errors in percent (Fig. 20), if L4Span ran,
     /// in (sample tick, UE, DRB) order.
     pub rate_err_pct: Vec<f64>,
-    /// Bytes the recorder's sample logs held at the end of the run: the
-    /// OWD / UL OWD / RTT logs, then the estimation-error logs
-    /// ([`Report::sample_store`]). Outside [`Report::fingerprint`]: it
-    /// measures the store, not the model.
-    pub log_bytes: [usize; 2],
+    /// Bytes the bearers' estimation-error logs held at the end of the
+    /// run ([`Report::sample_store`]). Outside [`Report::fingerprint`]:
+    /// it measures the store, not the model.
+    pub rate_err_bytes: usize,
     /// Per-frame one-way delays (encoder capture → complete frame at the
     /// UE application), milliseconds, per flow in delivery order. Empty
     /// for flows without a framed application.
@@ -440,16 +441,39 @@ impl Report {
         BoxStats::from_samples(&self.owd_ms[flow])
     }
 
+    /// Times (seconds) of a flow's [`Report::owd_ms`] samples, decoded
+    /// from its log.
+    pub fn owd_at_s(&self, flow: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        decode(&self.delays[flow].owd).map(|(t, _)| t)
+    }
+
+    /// Times (seconds) of a flow's [`Report::ul_owd_ms`] samples,
+    /// decoded from its log (none for a downlink flow).
+    pub fn ul_owd_at_s(&self, flow: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        decode(&self.delays[flow].ul_owd).map(|(t, _)| t)
+    }
+
+    /// A flow's smoothed-RTT samples at ACK arrival, milliseconds,
+    /// decoded from its log.
+    pub fn rtt_ms(&self, flow: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        decode(&self.delays[flow].rtt).map(|(_, ms)| ms)
+    }
+
+    /// Times (seconds) of a flow's [`Report::rtt_ms`] samples.
+    pub fn rtt_at_s(&self, flow: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+        decode(&self.delays[flow].rtt).map(|(t, _)| t)
+    }
+
     /// Box statistics of a flow's RTT samples.
     pub fn rtt_stats(&self, flow: usize) -> BoxStats {
-        BoxStats::from_samples(&self.rtt_ms[flow])
+        BoxStats::from_samples(&self.rtt_ms(flow).collect::<Vec<_>>())
     }
 
     /// RTT time series `(t_seconds, rtt_ms)` averaged into `bin_s`-second
     /// bins (Fig. 2's RTT traces).
     pub fn rtt_series(&self, flow: usize, bin_s: f64) -> Vec<(f64, f64)> {
         let mut sums: Vec<(f64, u32)> = Vec::new();
-        for (&t, &v) in self.rtt_at_s[flow].iter().zip(&self.rtt_ms[flow]) {
+        for (t, v) in decode(&self.delays[flow].rtt) {
             let idx = (t / bin_s) as usize;
             if sums.len() <= idx {
                 sums.resize(idx + 1, (0.0, 0));
@@ -495,7 +519,7 @@ impl Report {
     pub fn owd_stats_windowed(&self, flows: &[usize], from_s: f64, to_s: f64) -> BoxStats {
         let mut all = Vec::new();
         for &f in flows {
-            for (&t, &v) in self.owd_at_s[f].iter().zip(&self.owd_ms[f]) {
+            for (t, &v) in self.owd_at_s(f).zip(&self.owd_ms[f]) {
                 if t >= from_s && t < to_s {
                     all.push(v);
                 }
@@ -512,23 +536,31 @@ impl Report {
     /// is populated) and counted at most once even when staggered
     /// handovers open overlapping windows.
     pub fn post_handover_owd(&self, flows: &[usize], window: Duration) -> BoxStats {
+        debug_assert!(
+            self.handovers.windows(2).all(|h| h[0].at <= h[1].at),
+            "handovers out of time order"
+        );
         let w = window.as_secs_f64();
         let mut all = Vec::new();
         for &f in flows {
             let ue = self.flow_ue.get(f).copied();
-            let times = &self.owd_at_s[f];
-            let mut taken = vec![false; times.len()];
+            let times: Vec<f64> = self.owd_at_s(f).collect();
+            // The windows open in time order and are equally wide, so
+            // they close in order too: each takes its samples from where
+            // it opens, or where the one before closed if later, to
+            // where it closes.
+            let mut taken = 0;
             for h in &self.handovers {
                 if ue.is_some_and(|u| u != h.ue) {
                     continue; // another UE moved; this flow is unaffected
                 }
                 let t0 = h.at.as_secs_f64();
-                for (i, &t) in times.iter().enumerate() {
-                    if !taken[i] && t >= t0 && t < t0 + w {
-                        taken[i] = true;
-                        all.push(self.owd_ms[f][i]);
-                    }
+                let from = taken.max(times.partition_point(|&t| t < t0));
+                let to = times.partition_point(|&t| t < t0 + w);
+                if from < to {
+                    all.extend_from_slice(&self.owd_ms[f][from..to]);
                 }
+                taken = taken.max(to);
             }
         }
         BoxStats::from_samples(&all)
@@ -610,20 +642,20 @@ impl Report {
 
     /// The run's sample store per series family — the OWD/RTT logs,
     /// queue samples with their serving-cell runs, the estimation-error
-    /// logs — as the recorder kept it: the two logs' bytes as
-    /// [`Report::log_bytes`] read them at the end of the run, the queue
-    /// samples counted from this report's series at their stored width
-    /// (growth slack not included).
+    /// logs — as the recorder kept it: the delay logs this report holds,
+    /// the estimation-error logs' bytes as [`Report::rate_err_bytes`]
+    /// read them at the end of the run, the queue samples counted from
+    /// this report's series at their stored width (growth slack not
+    /// included).
     pub fn sample_store(&self) -> [StoreShare; 3] {
-        let n = |v: &[Vec<f64>]| v.iter().map(Vec::len).sum::<usize>();
-        let delays = n(&self.owd_ms) + n(&self.ul_owd_ms) + n(&self.rtt_ms);
+        let logs = self.delays.iter().flat_map(|d| [&d.owd, &d.ul_owd, &d.rtt]);
+        let (delays, delay_bytes) = logs.fold((0, 0), |(n, b), l| (n + l.len(), b + l.bytes()));
         let queues = self
             .queue_series
             .values()
             .chain(self.ul_queue_series.values());
         let queue: usize = queues.map(Vec::len).sum();
         let runs: usize = self.queue_cell_runs.values().map(Vec::len).sum();
-        let [delay_bytes, rate_err_bytes] = self.log_bytes;
         [
             StoreShare {
                 family: "owd/rtt log",
@@ -638,7 +670,7 @@ impl Report {
             StoreShare {
                 family: "rate error",
                 samples: self.rate_err_pct.len(),
-                bytes: rate_err_bytes,
+                bytes: self.rate_err_bytes,
             },
         ]
     }
@@ -663,44 +695,68 @@ impl Report {
     /// invariance). `queue_series` is emitted in sorted key order so
     /// the digest does not depend on hash-map iteration order. Floats
     /// are formatted with `{:?}` (shortest round-trip), so equal
-    /// fingerprints imply bit-identical values.
+    /// fingerprints imply bit-identical values. The sample times and
+    /// RTTs are decoded from the delay logs as they are written, in the
+    /// `{:?}` form of the `Vec<Vec<f64>>` they decode to.
     pub fn fingerprint(&self) -> String {
-        use std::fmt::Write;
         let mut s = String::new();
-        let _ = write!(
-            s,
+        self.write_fingerprint(&mut s)
+            .expect("writing to a String does not fail");
+        s
+    }
+
+    /// A compact, stable 64-bit digest of [`Report::fingerprint`]
+    /// (FNV-1a over the fingerprint bytes), rendered as 16 lowercase hex
+    /// digits. This is what the golden-fingerprint regression corpus
+    /// checks in: equal digests ⇒ byte-identical fingerprints for all
+    /// practical purposes, and the corpus file stays reviewable. The
+    /// bytes are hashed as they are formatted, without building the
+    /// fingerprint.
+    pub fn fingerprint_digest(&self) -> String {
+        let mut h = Fnv1a::default();
+        self.write_fingerprint(&mut h)
+            .expect("hashing does not fail");
+        format!("{:016x}", h.0)
+    }
+
+    /// Write [`Report::fingerprint`] to `w`.
+    fn write_fingerprint(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        let times = |log| decoded(&self.delays, log, |(t, _)| t);
+        write!(
+            w,
             "duration={:?};bin={:?};owd={:?};owd_at={:?};rtt={:?};rtt_at={:?};thr={:?};cthr={:?};",
             self.duration,
             self.bin,
             self.owd_ms,
-            self.owd_at_s,
-            self.rtt_ms,
-            self.rtt_at_s,
+            times(|d| &d.owd),
+            decoded(&self.delays, |d| &d.rtt, |(_, ms)| ms),
+            times(|d| &d.rtt),
             self.thr_bins,
             self.cell_thr_bins
-        );
-        let _ = write!(
-            s,
+        )?;
+        write!(
+            w,
             "ulowd={:?};ulowd_at={:?};",
-            self.ul_owd_ms, self.ul_owd_at_s
-        );
+            self.ul_owd_ms,
+            times(|d| &d.ul_owd)
+        )?;
         for (k, v) in &self.queue_series {
-            let _ = write!(s, "q{:?}={:?};", k, v);
+            write!(w, "q{:?}={:?};", k, v)?;
         }
         for (k, v) in &self.cell_queue_series() {
-            let _ = write!(s, "cq{:?}={:?};", k, v);
+            write!(w, "cq{:?}={:?};", k, v)?;
         }
         for (k, v) in &self.ul_queue_series {
-            let _ = write!(s, "uq{:?}={:?};", k, v);
+            write!(w, "uq{:?}={:?};", k, v)?;
         }
         for h in &self.handovers {
-            let _ = write!(s, "ho={:?};", h);
+            write!(w, "ho={:?};", h)?;
         }
         for b in &self.breakdown {
-            let _ = write!(s, "bd={:?}/{};", b.mean(), b.count());
+            write!(w, "bd={:?}/{};", b.mean(), b.count())?;
         }
-        let _ = write!(
-            s,
+        write!(
+            w,
             "fowd={:?};fgen={:?};fdel={:?};fmiss={:?};stall={:?};req={:?};",
             self.frame_owd_ms,
             self.frames_generated,
@@ -708,9 +764,9 @@ impl Report {
             self.frames_missed,
             self.stall_ms,
             self.request_ms
-        );
-        let _ = write!(
-            s,
+        )?;
+        write!(
+            w,
             "err={:?};fin={:?};start={:?};fue={:?};marks={};ulmarks={};rlc_drops={};tbs_lost={};harq={};mem={}",
             self.rate_err_pct,
             self.finish_ms,
@@ -722,30 +778,28 @@ impl Report {
             self.tbs_lost,
             self.harq_retx,
             self.marker_memory
-        );
+        )?;
         // Impairment-era fields are appended *conditionally* so every
         // impairment-free run fingerprints byte-identically to the
         // pre-impairment corpus (both gates are deterministic: the
         // counters exist iff the config asked for a pipeline, and
         // fallback transitions are seeded-simulation outcomes).
         if let Some(imp) = &self.impairment {
-            let _ = write!(
-                s,
+            write!(
+                w,
                 ";imp=bleached:{},remarked:{},ect_dropped:{},qmarks:{},qdrops:{}",
                 imp.bleached, imp.remarked, imp.ect_dropped, imp.queue_marks, imp.queue_drops
-            );
+            )?;
         }
-        if !self.fallbacks.is_empty() {
-            for f in &self.fallbacks {
-                let _ = write!(s, ";fb={},{:?},{}", f.flow, f.at_ms, f.reason);
-            }
+        for f in &self.fallbacks {
+            write!(w, ";fb={},{:?},{}", f.flow, f.at_ms, f.reason)?;
         }
         // Bonding-era fields follow the same conditional rule: they are
         // non-empty exactly when the scenario ran FecMedia or bonded
         // flows, so every pre-bonding run keeps its corpus fingerprint.
         for f in &self.fec {
-            let _ = write!(
-                s,
+            write!(
+                w,
                 ";fec={},{},{},{},{},{},{},{},{}",
                 f.flow,
                 f.offered,
@@ -756,32 +810,16 @@ impl Report {
                 f.retx,
                 f.repairs,
                 f.repairs_unused
-            );
+            )?;
         }
         for b in &self.bonds {
-            let _ = write!(
-                s,
+            write!(
+                w,
                 ";bond={},{:?},{},{},{}",
                 b.flow, b.leg_pkts, b.coupled, b.coupled_flips, b.join_flushed
-            );
+            )?;
         }
-        s
-    }
-
-    /// A compact, stable 64-bit digest of [`Report::fingerprint`]
-    /// (FNV-1a over the fingerprint bytes), rendered as 16 lowercase hex
-    /// digits. This is what the golden-fingerprint regression corpus
-    /// checks in: equal digests ⇒ byte-identical fingerprints for all
-    /// practical purposes, and the corpus file stays reviewable.
-    pub fn fingerprint_digest(&self) -> String {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in self.fingerprint().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        format!("{h:016x}")
+        Ok(())
     }
 
     /// Pooled throughput box stats (per-bin Mbit/s across flows).
@@ -935,16 +973,13 @@ impl<V: LogValue> SampleLog<V> {
     }
 
     /// The samples in push order.
-    fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
-        let mut bytes = &self.bytes[..];
-        let mut t = 0u64;
-        std::iter::from_fn(move || {
-            if bytes.is_empty() {
-                return None;
-            }
-            t = t.wrapping_add(u64::decode(&mut bytes));
-            Some((t, V::decode(&mut bytes)))
-        })
+    fn iter(&self) -> LogIter<'_, V> {
+        LogIter {
+            bytes: &self.bytes,
+            t: 0,
+            left: self.len,
+            value: PhantomData,
+        }
     }
 
     /// Samples stored.
@@ -955,6 +990,98 @@ impl<V: LogValue> SampleLog<V> {
     /// Bytes the samples take (growth slack not included).
     fn bytes(&self) -> usize {
         self.bytes.len()
+    }
+}
+
+/// A log's size, not its bytes.
+impl<V> fmt::Debug for SampleLog<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SampleLog")
+            .field("len", &self.len)
+            .field("bytes", &self.bytes.len())
+            .finish()
+    }
+}
+
+/// A [`SampleLog`]'s samples in push order.
+struct LogIter<'a, V> {
+    bytes: &'a [u8],
+    /// Time of the sample read last.
+    t: u64,
+    /// Samples not read yet.
+    left: usize,
+    value: PhantomData<V>,
+}
+
+impl<V: LogValue> Iterator for LogIter<'_, V> {
+    type Item = (u64, V);
+
+    fn next(&mut self) -> Option<(u64, V)> {
+        self.left = self.left.checked_sub(1)?;
+        self.t = self.t.wrapping_add(u64::decode(&mut self.bytes));
+        Some((self.t, V::decode(&mut self.bytes)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<V: LogValue> ExactSizeIterator for LogIter<'_, V> {}
+
+/// A flow's delay logs, in integer ns: one push per sample, kept as
+/// they are by the report.
+#[derive(Debug, Default)]
+pub(crate) struct DelayLogs {
+    /// One-way delays by delivery time.
+    owd: SampleLog<u64>,
+    /// Uplink data one-way delays (UE sender → server), logged like
+    /// `owd`.
+    ul_owd: SampleLog<u64>,
+    /// Smoothed RTTs by ACK arrival, logged like `owd`.
+    rtt: SampleLog<u64>,
+}
+
+/// A delay log's samples as `(time s, delay ms)`. The divisions are the
+/// ones the world's own `Instant::as_secs_f64` and
+/// `Duration::as_millis_f64` make, so a decoded sample is bit for bit
+/// what an `f64` pushed at the same instant would have been.
+fn decode(log: &SampleLog<u64>) -> impl ExactSizeIterator<Item = (f64, f64)> + '_ {
+    log.iter().map(|(t, ns)| {
+        let at = Instant::from_nanos(t).as_secs_f64();
+        (at, Duration::from_nanos(ns).as_millis_f64())
+    })
+}
+
+/// The `part` of every flow's `log`, formatted as `{:?}` formats the
+/// `Vec<Vec<f64>>` it decodes to, one sample at a time.
+fn decoded<'a>(
+    flows: &'a [DelayLogs],
+    log: fn(&DelayLogs) -> &SampleLog<u64>,
+    part: fn((f64, f64)) -> f64,
+) -> impl fmt::Debug + 'a {
+    fmt::from_fn(move |f| {
+        let flow =
+            |d| fmt::from_fn(move |f| f.debug_list().entries(decode(log(d)).map(part)).finish());
+        f.debug_list().entries(flows.iter().map(flow)).finish()
+    })
+}
+
+/// FNV-1a over the bytes written to it.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
 }
 
@@ -1087,14 +1214,8 @@ struct FlowRow {
     /// The flow's UE and data direction.
     ue: usize,
     dir: FlowDir,
-    /// One-way delays by sample time, both in ns: one push per sample,
-    /// decoded into the report's two series at the end.
-    owd: SampleLog<u64>,
-    /// Uplink data one-way delays (UE sender → server), logged like
-    /// `owd`.
-    ul_owd: SampleLog<u64>,
-    /// Smoothed RTTs, logged like `owd`.
-    rtt: SampleLog<u64>,
+    /// Delay samples, moved into the report at the end.
+    delays: DelayLogs,
     /// Received payload bytes per throughput bin.
     thr: Vec<u64>,
     /// Delay breakdown of the delivered downlink packets.
@@ -1201,9 +1322,9 @@ impl Recorder {
         let row = &mut self.flows[flow];
         let (t, owd) = (now.as_nanos(), owd.as_nanos());
         match row.dir {
-            FlowDir::Uplink => row.ul_owd.push(t, owd),
+            FlowDir::Uplink => row.delays.ul_owd.push(t, owd),
             FlowDir::Downlink => {
-                row.owd.push(t, owd);
+                row.delays.owd.push(t, owd);
                 let ue = &mut self.ues[row.ue];
                 ue.last_delivery = Some(now);
                 let open = ue
@@ -1228,7 +1349,10 @@ impl Recorder {
     /// A smoothed-RTT reading of `flow`'s sender at `now`.
     #[inline]
     pub(crate) fn push_rtt(&mut self, flow: usize, srtt: Duration, now: Instant) {
-        self.flows[flow].rtt.push(now.as_nanos(), srtt.as_nanos());
+        self.flows[flow]
+            .delays
+            .rtt
+            .push(now.as_nanos(), srtt.as_nanos());
     }
 
     /// The delay breakdown of a downlink packet of `flow` that arrived
@@ -1366,7 +1490,9 @@ impl Recorder {
     /// in-place unstable sort gives the stable sort's result without its
     /// scratch buffer. Estimation errors are merged from the bearers'
     /// logs in `(tick, ue, drb)` order ([`merge_rate_err`]). A queue
-    /// series that never took a sample has no key.
+    /// series that never took a sample has no key. The flows' delay logs
+    /// move into the report as they are, their one-way delays decoded
+    /// once into `owd_ms` and `ul_owd_ms`, each sized to its flow's count.
     pub(crate) fn finish(
         self,
         r: &mut Report,
@@ -1378,7 +1504,7 @@ impl Recorder {
             cells,
             ..
         } = self;
-        (r.rate_err_pct, r.log_bytes[1]) = merge_rate_err(&ues);
+        (r.rate_err_pct, r.rate_err_bytes) = merge_rate_err(&ues);
         let mut handovers = Vec::new();
         for (ue, row) in ues.into_iter().enumerate() {
             handovers.extend(row.handovers);
@@ -1412,11 +1538,11 @@ impl Recorder {
         r.frames_missed = flows.iter().map(|f| f.frames_missed).collect();
         r.stall_ms = flows.iter().map(|f| f.stall_ms).collect();
         r.breakdown = flows.iter().map(|f| f.breakdown).collect();
-        let bytes = &mut r.log_bytes[0];
-        (r.owd_ms, r.owd_at_s) = decode_delays(&mut flows, bytes, |f| &mut f.owd);
-        (r.ul_owd_ms, r.ul_owd_at_s) = decode_delays(&mut flows, bytes, |f| &mut f.ul_owd);
-        (r.rtt_ms, r.rtt_at_s) = decode_delays(&mut flows, bytes, |f| &mut f.rtt);
+        let values = |log: &SampleLog<u64>| decode(log).map(|(_, ms)| ms).collect();
+        r.owd_ms = flows.iter().map(|f| values(&f.delays.owd)).collect();
+        r.ul_owd_ms = flows.iter().map(|f| values(&f.delays.ul_owd)).collect();
         use std::mem::take;
+        r.delays = flows.iter_mut().map(|f| take(&mut f.delays)).collect();
         r.thr_bins = flows.iter_mut().map(|f| take(&mut f.thr)).collect();
         r.frame_owd_ms = flows
             .iter_mut()
@@ -1454,34 +1580,6 @@ impl Recorder {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// Decode the flows' delay logs in `series` into the report's value (ms)
-/// and time (s) series, one flow at a time, each vector sized to its
-/// flow's count and each flow's log freed once decoded; the logs' bytes
-/// are added to `bytes`. The divisions are the ones the world's own
-/// `Duration::as_millis_f64` and `Instant::as_secs_f64` make, so a
-/// decoded sample is bit for bit what an `f64` pushed at the same
-/// instant would have been.
-fn decode_delays(
-    flows: &mut [FlowRow],
-    bytes: &mut usize,
-    series: impl Fn(&mut FlowRow) -> &mut SampleLog<u64>,
-) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let mut values = Vec::with_capacity(flows.len());
-    let mut times = Vec::with_capacity(flows.len());
-    for f in flows {
-        let log = std::mem::take(series(f));
-        *bytes += log.bytes();
-        let (mut v, mut t) = (Vec::with_capacity(log.len()), Vec::with_capacity(log.len()));
-        for (at, ns) in log.iter() {
-            v.push(Duration::from_nanos(ns).as_millis_f64());
-            t.push(Instant::from_nanos(at).as_secs_f64());
-        }
-        values.push(v);
-        times.push(t);
-    }
-    (values, times)
 }
 
 /// The bearers' estimation-error logs merged into one series in
@@ -1618,32 +1716,32 @@ mod tests {
         assert_eq!(store.bytes, keys.len() * RATE_ERR_BYTES + 1);
     }
 
-    /// Push `(t, v)` pairs into a flow's OWD log and decode them as
-    /// `finish` does.
-    fn round_trip(samples: &[(u64, u64)]) -> (Vec<f64>, Vec<f64>, usize) {
-        let mut flows = [FlowRow::default()];
+    /// A delay log of the `(t, v)` pairs.
+    fn logged(samples: &[(u64, u64)]) -> SampleLog<u64> {
+        let mut log = SampleLog::default();
         for &(t, v) in samples {
-            flows[0].owd.push(t, v);
+            log.push(t, v);
         }
-        let mut bytes = 0;
-        let (mut ms, mut s) = decode_delays(&mut flows, &mut bytes, |f| &mut f.owd);
-        (ms.remove(0), s.remove(0), bytes)
+        log
     }
 
-    /// Whether the decoded series are, bit for bit, the pushed
-    /// integers' `as_millis_f64` and `as_secs_f64`.
+    /// The bits of a time in ns as seconds and a delay in ns as
+    /// milliseconds, by the world's own divisions.
+    fn want_bits(t: u64, v: u64) -> (u64, u64) {
+        let s = Instant::from_nanos(t).as_secs_f64();
+        (
+            s.to_bits(),
+            Duration::from_nanos(v).as_millis_f64().to_bits(),
+        )
+    }
+
+    /// Whether the log decodes, bit for bit, to the pushed integers'
+    /// `as_secs_f64` and `as_millis_f64`.
     fn decodes_exactly(samples: &[(u64, u64)]) -> bool {
-        let (ms, s, _) = round_trip(samples);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let want_ms: Vec<f64> = samples
-            .iter()
-            .map(|&(_, v)| Duration::from_nanos(v).as_millis_f64())
-            .collect();
-        let want_s: Vec<f64> = samples
-            .iter()
-            .map(|&(t, _)| Instant::from_nanos(t).as_secs_f64())
-            .collect();
-        bits(&ms) == bits(&want_ms) && bits(&s) == bits(&want_s)
+        let log = logged(samples);
+        let got = decode(&log).map(|(s, ms)| (s.to_bits(), ms.to_bits()));
+        let want = samples.iter().map(|&(t, v)| want_bits(t, v));
+        decode(&log).len() == samples.len() && got.eq(want)
     }
 
     #[test]
@@ -1659,9 +1757,8 @@ mod tests {
             (secs(601) + 1, 25_000), // one-ns step
         ];
         assert!(decodes_exactly(&samples));
-        let (_, _, bytes) = round_trip(&samples);
         assert_eq!(
-            bytes,
+            logged(&samples).bytes(),
             (1 + 1) + (1 + 1) + (1 + 1) + (3 + 2) + (5 + 5) + (6 + 10) + (1 + 3)
         );
         assert!(decodes_exactly(&[]));
@@ -1754,13 +1851,40 @@ mod tests {
         assert_eq!(avg.count(), 2);
     }
 
+    /// The report a recorder gives for the samples `record` pushes, in
+    /// a one-cell world whose flow `i` runs to UE `i` in direction
+    /// `dirs[i]`.
+    fn recorded(dirs: &[FlowDir], record: impl FnOnce(&mut Recorder)) -> Report {
+        let mut cfg = ScenarioConfig::new(7, Duration::from_secs(4));
+        for (ue, &dir) in dirs.iter().enumerate() {
+            let profile = l4span_ran::ChannelProfile::Static;
+            cfg.ues.push(crate::UeSpec::simple(profile, 20.0));
+            let tcp = crate::TransportSpec::tcp_named("prague").expect("a known CC");
+            let wan = l4span_cc::WanLink::east();
+            let app = crate::AppProfile::bulk();
+            cfg.flows
+                .push(FlowSpec::new(ue, app, tcp, wan, Instant::ZERO).direction(dir));
+        }
+        let mut rec = Recorder::new(&cfg);
+        record(&mut rec);
+        let mut r = Report::default();
+        rec.finish(&mut r, std::iter::empty());
+        r
+    }
+
+    /// `(ms, at)` in milliseconds as a delay and an instant.
+    fn ms_at(ms: u64, at: u64) -> (Duration, Instant) {
+        (Duration::from_millis(ms), Instant::from_millis(at))
+    }
+
     #[test]
     fn rtt_series_bins_and_averages() {
-        let r = Report {
-            rtt_ms: vec![vec![10.0, 20.0, 40.0]],
-            rtt_at_s: vec![vec![0.1, 0.4, 1.2]],
-            ..Report::default()
-        };
+        let r = recorded(&[FlowDir::Downlink], |rec| {
+            for (srtt, at) in [ms_at(10, 100), ms_at(20, 400), ms_at(40, 1200)] {
+                rec.push_rtt(0, srtt, at);
+            }
+        });
+        assert_eq!(r.rtt_stats(0).median, 20.0);
         let s = r.rtt_series(0, 1.0);
         assert_eq!(s.len(), 2);
         assert_eq!(s[0], (0.0, 15.0)); // two samples in the first second
@@ -1784,13 +1908,15 @@ mod tests {
         };
         assert_eq!(unresolved.interruption(), None);
 
-        let r = Report {
-            owd_ms: vec![vec![10.0, 80.0, 20.0]],
-            owd_at_s: vec![vec![0.5, 1.02, 2.0]],
-            handovers: vec![h],
-            ..Report::default()
-        };
-        assert_eq!(r.mean_interruption_ms(), Some(55.0));
+        let r = recorded(&[FlowDir::Downlink], |rec| {
+            let delivery = |rec: &mut Recorder, (owd, at)| rec.push_delivery(0, 0, owd, 1000, at);
+            delivery(rec, ms_at(10, 500));
+            rec.push_handover(0, Instant::from_millis(1000), 0, 1);
+            delivery(rec, ms_at(80, 1020));
+            delivery(rec, ms_at(20, 2000));
+        });
+        // The delivery gap runs from 0.5 s to 1.02 s.
+        assert_eq!(r.mean_interruption_ms(), Some(520.0));
         // Only the 80 ms sample falls in the 100 ms post-HO window.
         let post = r.post_handover_owd(&[0], Duration::from_millis(100));
         assert_eq!(post.median, 80.0);
@@ -1824,11 +1950,14 @@ mod tests {
 
     #[test]
     fn ul_owd_helpers_and_digest_are_stable() {
-        let r = Report {
-            ul_owd_ms: vec![vec![5.0, 15.0, 10.0]],
-            ul_owd_at_s: vec![vec![0.1, 0.2, 0.3]],
-            ..Report::default()
+        let ul_call = |last_ms| {
+            recorded(&[FlowDir::Uplink], |rec| {
+                for (owd, at) in [ms_at(5, 100), ms_at(15, 200), ms_at(last_ms, 300)] {
+                    rec.push_delivery(0, 0, owd, 100, at);
+                }
+            })
         };
+        let r = ul_call(10);
         assert_eq!(r.ul_owd_stats(0).median, 10.0);
         assert_eq!(r.ul_owd_stats_pooled(&[0]).n, 3);
         assert_eq!(r.ul_owd_stats(5).n, 0, "absent flows degrade gracefully");
@@ -1837,11 +1966,200 @@ mod tests {
         // The digest is a pure function of the fingerprint.
         assert_eq!(r.fingerprint_digest(), r.fingerprint_digest());
         assert_eq!(r.fingerprint_digest().len(), 16);
-        let other = Report {
-            ul_owd_ms: vec![vec![5.0, 15.0, 10.1]],
-            ..Report::default()
+        assert_ne!(r.fingerprint_digest(), ul_call(11).fingerprint_digest());
+    }
+
+    #[test]
+    fn the_delay_accessors_decode_the_pushed_integers() {
+        // `(time, delay)` in ns. Flow 0 downlink, flow 1 uplink, flow 2
+        // never delivers.
+        let (dl, ul, rtt) = (
+            [
+                (7, 2_999_999_999),
+                (100_000_003, 5_000_001),
+                (1_234_567_891, 1),
+            ],
+            [(333_333_333, 2), (1_000_000_000, 44_444_444)],
+            [(999, 37), (1_000_000, 37), (20_000_001, 3_500_000_000)],
+        );
+        let r = recorded(
+            &[FlowDir::Downlink, FlowDir::Uplink, FlowDir::Downlink],
+            |rec| {
+                for (flow, samples) in [(0, &dl[..]), (1, &ul[..])] {
+                    for &(t, v) in samples {
+                        let (owd, at) = (Duration::from_nanos(v), Instant::from_nanos(t));
+                        rec.push_delivery(flow, 0, owd, 100, at);
+                    }
+                }
+                for flow in [0, 1] {
+                    for &(t, v) in &rtt {
+                        rec.push_rtt(flow, Duration::from_nanos(v), Instant::from_nanos(t));
+                    }
+                }
+            },
+        );
+        let bits = |s: Vec<f64>, ms: Vec<f64>| -> Vec<(u64, u64)> {
+            s.iter()
+                .zip(&ms)
+                .map(|(s, ms)| (s.to_bits(), ms.to_bits()))
+                .collect()
         };
-        assert_ne!(r.fingerprint_digest(), other.fingerprint_digest());
+        let want = |samples: &[(u64, u64)]| -> Vec<(u64, u64)> {
+            samples.iter().map(|&(t, v)| want_bits(t, v)).collect()
+        };
+        let owd = |f: usize| bits(r.owd_at_s(f).collect(), r.owd_ms[f].clone());
+        let ul_owd = |f: usize| bits(r.ul_owd_at_s(f).collect(), r.ul_owd_ms[f].clone());
+        let rtts = |f: usize| bits(r.rtt_at_s(f).collect(), r.rtt_ms(f).collect());
+        assert_eq!(owd(0), want(&dl));
+        assert_eq!(ul_owd(1), want(&ul));
+        assert_eq!((rtts(0), rtts(1)), (want(&rtt), want(&rtt)));
+        // A downlink flow's uplink series and an uplink flow's downlink
+        // one are empty, and so is every series of an idle flow.
+        assert_eq!((r.ul_owd_at_s(0).len(), r.ul_owd_ms[0].len()), (0, 0));
+        assert_eq!((r.owd_at_s(1).len(), r.owd_ms[1].len()), (0, 0));
+        assert!(owd(2).is_empty() && ul_owd(2).is_empty() && rtts(2).is_empty());
+        // The fingerprint writes them in the `{:?}` form of the vectors.
+        let flows = |series: &dyn Fn(usize) -> Vec<f64>| (0..3).map(series).collect::<Vec<_>>();
+        let fp = r.fingerprint();
+        for (name, v) in [
+            ("owd_at", flows(&|f| r.owd_at_s(f).collect())),
+            ("rtt", flows(&|f| r.rtt_ms(f).collect())),
+            ("rtt_at", flows(&|f| r.rtt_at_s(f).collect())),
+            ("ulowd_at", flows(&|f| r.ul_owd_at_s(f).collect())),
+        ] {
+            let part = format!(";{name}={v:?};");
+            assert!(fp.contains(&part), "{part} not in {fp}");
+        }
+        // The store is the logs: a varint time step and a varint value
+        // per sample.
+        let varint = |x: u64| (64 - x.leading_zeros()).max(1).div_ceil(7) as usize;
+        let log_bytes = |samples: &[(u64, u64)]| {
+            let steps = samples.iter().scan(0, |last, &(t, v)| {
+                let step = t - *last;
+                *last = t;
+                Some(varint(step) + varint(v))
+            });
+            steps.sum::<usize>()
+        };
+        let store = r.sample_store()[0];
+        assert_eq!(store.samples, dl.len() + ul.len() + 2 * rtt.len());
+        assert_eq!(
+            store.bytes,
+            log_bytes(&dl) + log_bytes(&ul) + 2 * log_bytes(&rtt)
+        );
+    }
+
+    /// `post_handover_owd`'s samples as a scan of every sample for every
+    /// handover, each taken at most once.
+    fn post_handover_by_scan(r: &Report, flows: &[usize], window: Duration) -> BoxStats {
+        let w = window.as_secs_f64();
+        let mut all = Vec::new();
+        for &f in flows {
+            let ue = r.flow_ue.get(f).copied();
+            let times: Vec<f64> = r.owd_at_s(f).collect();
+            let mut taken = vec![false; times.len()];
+            for h in r.handovers.iter().filter(|h| ue.is_none_or(|u| u == h.ue)) {
+                let t0 = h.at.as_secs_f64();
+                for (i, &t) in times.iter().enumerate() {
+                    if !taken[i] && t >= t0 && t < t0 + w {
+                        taken[i] = true;
+                        all.push(r.owd_ms[f][i]);
+                    }
+                }
+            }
+        }
+        BoxStats::from_samples(&all)
+    }
+
+    #[test]
+    fn the_post_handover_windows_take_each_sample_once() {
+        // UE 0 hands over at 1.0 s and 1.125 s (overlapping 250 ms
+        // windows), UE 1 at 1.5 s; samples on both edges of a window.
+        let ho = |rec: &mut Recorder, ue, at| rec.push_handover(ue, Instant::from_millis(at), 0, 1);
+        let mut r = recorded(&[FlowDir::Downlink, FlowDir::Downlink], |rec| {
+            ho(rec, 0, 1000);
+            ho(rec, 0, 1125);
+            ho(rec, 1, 1500);
+            let times = [990, 1000, 1125, 1250, 1375, 1500, 1749, 1750];
+            for (i, at) in times.into_iter().enumerate() {
+                for flow in [0, 1] {
+                    let (owd, at) = ms_at(10 * i as u64 + 10, at);
+                    rec.push_delivery(flow, 0, owd, 100, at);
+                }
+            }
+        });
+        let window = Duration::from_millis(250);
+        let all = r.post_handover_owd(&[0, 1], window);
+        assert_eq!(all, post_handover_by_scan(&r, &[0, 1], window));
+        assert_eq!(
+            all.n,
+            2 * 5,
+            "[1.0 s, 1.375 s) and [1.5 s, 1.75 s), once each"
+        );
+        r.flow_ue = vec![0, 1];
+        for (flow, n) in [(0, 3), (1, 2)] {
+            let own = r.post_handover_owd(&[flow], window);
+            assert_eq!(own, post_handover_by_scan(&r, &[flow], window));
+            assert_eq!(own.n, n, "flow {flow}: its own UE's windows");
+        }
+        assert_eq!(r.post_handover_owd(&[0], window).median, 30.0);
+    }
+
+    proptest! {
+        /// The cursor per flow takes the same samples as a scan of every
+        /// sample for every handover, in the same order.
+        #[test]
+        fn post_handover_owd_matches_the_scan(
+            handovers in proptest::collection::vec((0usize..2, 0u64..3_000), 0..8),
+            deliveries in proptest::collection::vec((0usize..2, 0u64..3_200, 1u64..200), 0..60),
+            window_ms in 0u64..500,
+            own_ue in any::<bool>(),
+        ) {
+            let mut r = recorded(&[FlowDir::Downlink, FlowDir::Downlink], |rec| {
+                let mut hos = handovers.clone();
+                hos.sort_unstable_by_key(|&(ue, at)| (at, ue));
+                hos.dedup();
+                for (ue, at) in hos {
+                    rec.push_handover(ue, Instant::from_millis(at), 0, 1);
+                }
+                let mut ds = deliveries.clone();
+                ds.sort_unstable_by_key(|&(_, at, _)| at);
+                for (flow, at, owd) in ds {
+                    rec.push_delivery(flow, 0, Duration::from_millis(owd), 100, Instant::from_millis(at));
+                }
+            });
+            if own_ue {
+                r.flow_ue = vec![0, 1];
+            }
+            let window = Duration::from_millis(window_ms);
+            let got = r.post_handover_owd(&[0, 1], window);
+            let want = post_handover_by_scan(&r, &[0, 1], window);
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+    }
+
+    #[test]
+    fn the_digest_hashes_the_fingerprint() {
+        let cfg = crate::scenario::congested_cell(
+            2,
+            "prague",
+            crate::scenario::ChannelMix::Mobile,
+            16_384,
+            l4span_cc::WanLink::east(),
+            crate::scenario::l4span_default(),
+            7,
+            Duration::from_millis(500),
+        );
+        let r = crate::World::new(cfg).run();
+        assert!(
+            r.rtt_ms(0).len() > 0 && r.owd_at_s(1).len() > 0,
+            "a run that delivers"
+        );
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for b in r.fingerprint().bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(r.fingerprint_digest(), format!("{h:016x}"));
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn main() {
                 let flows: Vec<usize> = (0..n).collect();
                 let mut rtts = Vec::new();
                 for &f in &flows {
-                    rtts.extend_from_slice(&r.rtt_ms[f]);
+                    rtts.extend(r.rtt_ms(f));
                 }
                 let rtt = l4span::sim::stats::BoxStats::from_samples(&rtts);
                 let fowd = r.frame_owd_stats_pooled(&flows);

@@ -11,11 +11,13 @@
 //! allocations a run makes per *additional* delivered packet, downlink,
 //! uplink and bonded, what a marker-off cell's deep queues add as the
 //! run gets longer, what a longer WAN's deeper event queue adds, and
-//! what each extra replica of a cell-major world adds.
+//! what each extra replica of a cell-major world adds. Step 12 bounds
+//! the bytes a whole run of the paper's cell holds at once.
 //!
 //! Steps 1 to 7 count the test thread's own allocations; the whole
 //! worlds of steps 8 to 11 run replicas on spawned threads and count
-//! process-wide. Everything runs in ONE `#[test]` so that no other test
+//! process-wide; step 12 runs on the test thread and counts its live
+//! bytes. Everything runs in ONE `#[test]` so that no other test
 //! of this binary allocates during those steps.
 
 use l4span::net::{Ecn, PacketBuf, TcpFlags, TcpHeader};
@@ -607,5 +609,25 @@ fn steady_state_downlink_path_makes_zero_allocations() {
     assert!(
         four.saturating_sub(one) < 128 * 3,
         "metro_city(8, 3): {one} allocations on one replica, {four} on four"
+    );
+
+    // --- 12. The peak live heap of a whole run ----------------------------
+    // The paper's cell as the benchmark runs it, 80 s, set up and run on
+    // this thread (one cell, one replica), counted in bytes held at once.
+    // The run's end is the peak: the world is gone, the report holds the
+    // recorder's delay logs as they are and decodes only the one-way
+    // delays (7 455 611 B). A report that decoded every log into `f64`
+    // times and values held 8 351 267 B. Over 20 s the run itself peaks
+    // higher than its end (2 369 309 B either way), so the end could
+    // grow unseen.
+    let cfg = tcp_cell(Duration::from_secs(80));
+    ALLOC.reset_thread_peak();
+    let before = ALLOC.thread_live_bytes();
+    let report = l4span::harness::World::new(cfg).run();
+    let peak = ALLOC.thread_peak_bytes() - before;
+    assert!(report.delivered_packets() > 200_000, "the cell delivers");
+    assert!(
+        peak <= 7_830_000,
+        "tcp cell over 80 s: {peak} bytes live at the peak, limit 7 830 000"
     );
 }

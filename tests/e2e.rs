@@ -97,8 +97,8 @@ fn every_flow_still_delivers_after_am_tail_drops() {
         Duration::from_secs(20),
     ));
     assert!(r.rlc_drops > 0, "the 256-SDU queue tail-drops");
-    for (f, at) in r.owd_at_s.iter().enumerate() {
-        let last = at.last().copied().unwrap_or(0.0);
+    for f in 0..r.owd_ms.len() {
+        let last = r.owd_at_s(f).last().unwrap_or(0.0);
         assert!(
             last >= 10.0,
             "flow {f}: last delivery at {last:.2} s of 20 s"
@@ -205,7 +205,7 @@ fn scream_call_adapts_to_the_cell() {
     assert!(total > 10.0, "aggregate video rate {total} Mbit/s");
     assert!(total < 45.0, "cannot exceed the cell: {total}");
     for f in 0..4 {
-        let rtt = l4span::sim::stats::BoxStats::from_samples(&r.rtt_ms[f]);
+        let rtt = r.rtt_stats(f);
         assert!(rtt.median < 300.0, "flow {f} rtt median {}", rtt.median);
     }
 }
@@ -660,7 +660,7 @@ fn fec_media_ledger_is_conserved_end_to_end() {
         "uplink OWD samples missing"
     );
     assert!(
-        r.rtt_ms.iter().any(|v| !v.is_empty()),
+        (0..r.owd_ms.len()).any(|f| r.rtt_ms(f).len() > 0),
         "NADA RTT series missing"
     );
 }
