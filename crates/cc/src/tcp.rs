@@ -120,7 +120,6 @@ pub struct TcpSender {
     srtt: Option<Duration>,
     rttvar: Duration,
     rto: Duration,
-    rto_backoff: u32,
     rto_deadline: Option<Instant>,
     delivered: u64,
     // Classic ECN state.
@@ -157,7 +156,6 @@ impl TcpSender {
             srtt: None,
             rttvar: Duration::ZERO,
             rto: Duration::from_secs(1),
-            rto_backoff: 0,
             rto_deadline: None,
             delivered: 0,
             cwr_pending: false,
@@ -475,7 +473,6 @@ impl TcpSender {
                 rtt_sample = Some(rtt);
                 self.update_rtt(rtt);
             }
-            self.rto_backoff = 0;
             self.rto_deadline = if self.inflight.is_empty() {
                 None
             } else {
@@ -609,7 +606,6 @@ impl TcpSender {
             if now >= deadline && !self.inflight.is_empty() {
                 self.rto_retx += 1;
                 self.cc.on_rto(now);
-                self.rto_backoff = (self.rto_backoff + 1).min(8);
                 self.rto = (self.rto * 2).min(MAX_RTO);
                 self.dupacks = 0;
                 self.in_recovery = false;

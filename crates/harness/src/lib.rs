@@ -63,7 +63,7 @@ pub use scenario::{
     ChannelMix, FlowDir, FlowSpec, MobilitySpec, MobilityStep, ScenarioConfig, TransportSpec,
     UeSpec,
 };
-pub use shard::{plan_shards, plan_shards_reason, run_sharded, ShardReject};
+pub use shard::{plan_shards_reason, run_sharded, ShardReject};
 pub use world::World;
 
 /// Run a scenario to completion and return its report.

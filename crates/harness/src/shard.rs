@@ -50,14 +50,6 @@ use crate::metrics::{Report, ShardStat};
 use crate::scenario::{FlowDir, MobilityStep, ScenarioConfig, TransportSpec};
 use crate::world::{Event, World, TICK_PHASE_PER_CELL_CU, UE_POLL_PERIOD};
 
-/// How many shards a scenario actually supports: `want`, capped at the
-/// cell count — or 1 when the scenario is ineligible (central CU
-/// marker, wired plane, a single cell, …), in which case [`run_sharded`]
-/// is [`World::run`] on one queue.
-pub fn plan_shards(cfg: &ScenarioConfig, want: usize) -> usize {
-    plan_shards_reason(cfg, want).0
-}
-
 /// The property that makes a scenario's cells non-independent: why
 /// [`plan_shards_reason`] forced it to one shard, and [`World::run`] onto
 /// one queue.
@@ -104,10 +96,13 @@ impl std::fmt::Display for ShardReject {
     }
 }
 
-/// [`plan_shards`] plus *why* a scenario was forced to one shard,
-/// surfaced in [`Report::shard_reject`] so a scenario silently falling
-/// off the fast path is visible. `None` when
-/// the plan honored the request (including the trivial `want <= 1`).
+/// How many shards a scenario actually supports, and *why* it was
+/// forced to one shard: `want`, capped at the cell count — or 1 when
+/// the scenario is ineligible (central CU marker, wired plane, a single
+/// cell, …), in which case [`run_sharded`] is [`World::run`] on one
+/// queue. The reason is surfaced in [`Report::shard_reject`] so a
+/// scenario silently falling off the fast path is visible; it is `None`
+/// when the plan honored the request (including the trivial `want <= 1`).
 ///
 /// `plan_shards_reason(cfg, 2).1.is_none()` is the eligibility test of
 /// the cell-major [`World::run`].

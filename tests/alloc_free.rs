@@ -599,7 +599,11 @@ fn steady_state_downlink_path_makes_zero_allocations() {
             7,
             Duration::from_secs(1),
         );
-        assert_eq!(l4span::harness::plan_shards(&cfg, 4), 4, "eligible");
+        assert_eq!(
+            l4span::harness::plan_shards_reason(&cfg, 4),
+            (4, None),
+            "eligible"
+        );
         cfg
     };
     let (one, r1) = process_allocs_during(|| l4span::harness::run_sharded(metro(), 1));

@@ -1,14 +1,18 @@
-//! Model-based tests: a retired implementation kept as the reference.
+//! Model-based tests: each live state machine in lockstep with a
+//! reference, under random operation sequences (and, for TCP, named
+//! scripts); every output and every observable of every step must match.
 //!
-//! `TcpSender`'s in-flight set, `RlcTx`'s unacknowledged store and
-//! `RlcRx`'s reassembly window used to be `BTreeMap`s keyed by sequence
-//! number; they are rings in sequence order now. A timer owner used to
-//! schedule one more event each time its wake-up moved earlier and tell
-//! the live pop from the superseded ones with a `Wakeup`; it has one
-//! entry in the event queue's wake-up lane now. The originals live on in
-//! `model_based/` as the reference: a random sequence of operations
-//! drives both implementations, and every output and every observable
-//! of every step must be identical.
+//! - `TcpSender` against [`RfcSender`] (`model_based/rfc_tcp.rs`), a
+//!   sender written from RFC 9293 / 5681 / 6582 / 6298 / 3168 whose
+//!   every rule cites its section. A change to the sender that the cited
+//!   section does not allow fails the lockstep; a deliberate deviation is
+//!   a named rule there, commented `deviates from`, and a CHANGES.md line.
+//! - The event queue's wake-up lane against [`ArmContract`]
+//!   (`model_based/lane.rs`), the contract `EventQueue::arm` documents.
+//! - `RlcTx`'s unacknowledged store and `RlcRx`'s reassembly window,
+//!   rings in sequence order, against the `BTreeMap`-backed originals
+//!   they replaced (`model_based/tree_rlc.rs`), until a TS 38.322
+//!   reference replaces those.
 
 use proptest::prelude::*;
 
@@ -22,16 +26,16 @@ use l4span::ran::config::RlcMode;
 use l4span::ran::rlc::{Nack, RlcRx, RlcStatus, RlcTx, Segment, TxRecord};
 use l4span::sim::{Duration, EventQueue, Instant, SimRng};
 
+#[path = "model_based/lane.rs"]
+mod lane;
+#[path = "model_based/rfc_tcp.rs"]
+mod rfc_tcp;
 #[path = "model_based/tree_rlc.rs"]
 mod tree_rlc;
-#[path = "model_based/tree_tcp.rs"]
-mod tree_tcp;
-#[path = "model_based/wakeup.rs"]
-mod wakeup;
 
+use lane::ArmContract;
+use rfc_tcp::{rfc5681, RfcSender};
 use tree_rlc::{TreeRlcRx, TreeRlcTx};
-use tree_tcp::TreeTcpSender;
-use wakeup::Wakeup;
 
 fn data_pkt(ident: u16, len: usize) -> PacketBuf {
     PacketBuf::tcp(1, 2, Ecn::Ect1, ident, &TcpHeader::default(), len)
@@ -223,231 +227,305 @@ proptest! {
         }
         prop_assert!(delivered > 5, "the walk must deliver something: {}", delivered);
     }
+}
 
+const MSS: usize = 1400;
+
+/// `TcpSender` and [`RfcSender`] fed the same client packets and polls:
+/// every step must emit the same packets and leave the same observables.
+struct Lockstep {
+    live: TcpSender,
+    spec: RfcSender,
+    cfg: TcpConfig,
+    now: Instant,
+    /// Ends of the data segments sent so far, ascending.
+    ends: Vec<u64>,
+    steps: u16,
+}
+
+impl Lockstep {
+    /// Reno runs against the reference's own RFC 5681 window; CUBIC (1)
+    /// and Prague (2) run the same controller on both sides. Returns
+    /// after the handshake, at time zero.
+    fn new(cc: u8, app_limit: Option<u64>) -> Result<Lockstep, TestCaseError> {
+        let make = |reno: Box<dyn CongestionControl>| -> Box<dyn CongestionControl> {
+            match cc {
+                0 => reno,
+                1 => Box::new(Cubic::new(MSS)),
+                _ => Box::new(Prague::new(MSS)),
+            }
+        };
+        let mut cfg = TcpConfig::new(0x0A00_0001, 0x0A00_0002, 443, 50_000);
+        cfg.app_limit = app_limit;
+        let mut l = Lockstep {
+            live: TcpSender::new(cfg, make(Box::new(Reno::new(MSS)))),
+            spec: RfcSender::new(cfg, make(rfc5681(MSS))),
+            cfg,
+            now: Instant::ZERO,
+            ends: Vec::new(),
+            steps: 0,
+        };
+        l.recv(TcpFlags::SYN, 0)?;
+        l.recv(TcpFlags::ACK, 1)?;
+        Ok(l)
+    }
+
+    /// In flight, SRTT, delivered, fast and timer retransmits, next
+    /// wake-up, cwnd, finished.
+    fn observed(&self) -> [impl PartialEq + std::fmt::Debug; 2] {
+        let (l, s) = (&self.live, &self.spec);
+        [
+            (
+                (l.inflight_bytes(), l.srtt(), l.delivered(), l.finished()),
+                (l.fast_retx, l.rto_retx, l.next_activity(), l.cc().cwnd()),
+            ),
+            (
+                (s.flight(), s.srtt, s.delivered(), s.finished()),
+                (s.fast_retx, s.rto_retx, s.next_activity(), s.cc.cwnd()),
+            ),
+        ]
+    }
+
+    /// ACK `ack`, with ECE if `ece`.
+    fn ack(&mut self, ack: u64, ece: bool) -> Result<Vec<PacketBuf>, TestCaseError> {
+        self.recv(TcpFlags::ACK | if ece { TcpFlags::ECE } else { 0 }, ack)
+    }
+
+    /// A client packet with the `flags` bits acknowledging `ack`, then a step.
+    fn recv(&mut self, flags: u16, ack: u64) -> Result<Vec<PacketBuf>, TestCaseError> {
+        let c = self.cfg;
+        let hdr = TcpHeader {
+            src_port: c.remote_port,
+            dst_port: c.local_port,
+            seq: 1,
+            ack: ack as u32,
+            flags: TcpFlags::new().with(flags),
+            ..TcpHeader::default()
+        };
+        let pkt = PacketBuf::tcp(c.remote_ip, c.local_ip, Ecn::NotEct, self.steps, &hdr, 0);
+        self.step(Some(pkt))
+    }
+
+    /// One step on both senders, at `now`: the packet, or a timer poll.
+    /// Returns what they emitted.
+    fn step(&mut self, pkt: Option<PacketBuf>) -> Result<Vec<PacketBuf>, TestCaseError> {
+        let (mut live, mut spec) = (Vec::new(), Vec::new());
+        if let Some(pkt) = pkt {
+            self.live.on_packet_into(&pkt, self.now, &mut live);
+            self.spec.on_packet_into(&pkt, self.now, &mut spec);
+        } else {
+            self.live.poll_into(self.now, &mut live);
+            self.spec.poll_into(self.now, &mut spec);
+        }
+        let step = self.steps;
+        self.steps += 1;
+        prop_assert_eq!(&live, &spec, "step {}: emitted packets", step);
+        let [l, s] = self.observed();
+        prop_assert!(l == s, "step {step}: {l:?} vs {s:?}");
+        for p in live.iter().filter(|p| p.payload_len() > 0) {
+            let end = u64::from(p.tcp_header().expect("tcp").seq) + p.payload_len() as u64;
+            if self.ends.last().is_none_or(|&e| e < end) {
+                self.ends.push(end);
+            }
+        }
+        Ok(live)
+    }
+}
+
+proptest! {
     /// Cumulative, duplicate (→ fast retransmit), partial and bogus ACKs,
     /// ECN-Echo, pacing polls and RTO-length silences, under three
     /// congestion controllers, greedy and fixed-size flows.
     #[test]
-    fn tcp_sender_ring_matches_tree(
+    fn tcp_sender_keeps_the_rfcs(
         seed in any::<u64>(),
         cc in 0u8..3,
         limit in proptest::option::of(5_000u64..400_000),
     ) {
-        let make_cc = || -> Box<dyn CongestionControl> {
-            match cc {
-                0 => Box::new(Reno::new(1400)),
-                1 => Box::new(Cubic::new(1400)),
-                _ => Box::new(Prague::new(1400)),
-            }
-        };
-        let mut cfg = TcpConfig::new(0x0A00_0001, 0x0A00_0002, 443, 50_000);
-        cfg.app_limit = limit;
-        let mut ring = TcpSender::new(cfg, make_cc());
-        let mut tree = TreeTcpSender::new(cfg, make_cc());
+        let mut l = Lockstep::new(cc, limit)?;
         let mut rng = SimRng::new(seed);
-        let from_client = |flags: TcpFlags, ack: u64, ident: u16| {
-            let hdr = TcpHeader {
-                src_port: cfg.remote_port,
-                dst_port: cfg.local_port,
-                seq: 1,
-                ack: ack as u32,
-                flags,
-                ..TcpHeader::default()
+        for _ in 2..400 {
+            // Mostly an ACK clock's worth of time; sometimes a silence
+            // long enough for the retransmission timer.
+            l.now += if rng.chance(0.04) {
+                Duration::from_millis(rng.range_u64(200, 2500))
+            } else {
+                Duration::from_micros(rng.range_u64(0, 30_000))
             };
-            PacketBuf::tcp(cfg.remote_ip, cfg.local_ip, Ecn::NotEct, ident, &hdr, 0)
-        };
-        let ack_flags = TcpFlags::new().with(TcpFlags::ACK);
-        let mut now = Instant::ZERO;
-        let (mut ring_out, mut tree_out) = (Vec::new(), Vec::new());
-        // Segment boundaries sent so far, ascending.
-        let mut ends: Vec<u64> = Vec::new();
-        for step in 0..400u16 {
-            let pkt = match step {
-                0 => Some(from_client(TcpFlags::new().with(TcpFlags::SYN), 0, 1)),
-                1 => Some(from_client(ack_flags, 1, 2)),
-                _ => {
-                    // Mostly an ACK clock's worth of time; sometimes a
-                    // silence long enough for the retransmission timer.
-                    now += if rng.chance(0.04) {
-                        Duration::from_millis(rng.range_u64(200, 2500))
-                    } else {
-                        Duration::from_micros(rng.range_u64(0, 30_000))
-                    };
-                    let una = tree.delivered;
-                    let ahead = ends.partition_point(|&e| e <= una);
-                    let next = ends.get(ahead + rng.range_u64(0, 8) as usize).or(ends.last());
-                    let ack = match rng.range_u64(0, 100) {
-                        0..=29 => None, // timer poll
-                        30..=64 => next.copied(),
-                        65..=82 => Some(una),
-                        83..=94 => next.map(|&e| e - 700),
-                        _ => ends.last().map(|&e| e + 5000),
-                    };
-                    let flags = if rng.chance(0.1) { ack_flags.with(TcpFlags::ECE) } else { ack_flags };
-                    ack.map(|a| from_client(flags, a, step))
-                }
+            let una = l.spec.delivered();
+            let ahead = l.ends.partition_point(|&e| e <= una);
+            let next = l.ends.get(ahead + rng.range_u64(0, 8) as usize).or(l.ends.last());
+            let ack = match rng.range_u64(0, 100) {
+                0..=29 => None, // timer poll
+                30..=64 => next.copied(),
+                65..=82 => Some(una),
+                83..=94 => next.map(|&e| e - 700),
+                _ => l.ends.last().map(|&e| e + 5000),
             };
-            match pkt {
-                Some(pkt) => {
-                    ring.on_packet_into(&pkt, now, &mut ring_out);
-                    tree.on_packet_into(&pkt, now, &mut tree_out);
-                }
-                None => {
-                    ring.poll_into(now, &mut ring_out);
-                    tree.poll_into(now, &mut tree_out);
-                }
-            }
-            prop_assert_eq!(&ring_out, &tree_out, "step {}: emitted packets", step);
-            prop_assert_eq!(
-                (
-                    ring.inflight_bytes(), ring.srtt(), ring.delivered(), ring.fast_retx,
-                    ring.rto_retx, ring.next_activity(), ring.cc().cwnd(), ring.finished(),
-                ),
-                (
-                    tree.bytes_in_flight, tree.srtt, tree.delivered, tree.fast_retx,
-                    tree.rto_retx, tree.next_activity(), tree.cc.cwnd(), tree.finished(),
-                ),
-                "after step {}", step
-            );
-            for p in ring_out.drain(..).filter(|p| p.payload_len() > 0) {
-                let end = u64::from(p.tcp_header().expect("tcp").seq) + p.payload_len() as u64;
-                if ends.last().is_none_or(|&e| e < end) {
-                    ends.push(end);
-                }
-            }
-            tree_out.clear();
+            let ece = rng.chance(0.1);
+            match ack {
+                Some(ack) => l.ack(ack, ece)?,
+                None => l.step(None)?,
+            };
         }
-        prop_assert!(tree.delivered > 0, "the walk must deliver something");
+        prop_assert!(l.spec.delivered() > 0, "the walk must deliver something");
     }
+}
+
+/// Reno after a timeout: cwnd = 1 segment, ssthresh = 5, half the initial
+/// window. An ACK of a segment adds one while cwnd < ssthresh (RFC 5681
+/// §3.1, slow start), then one per cwnd of acked bytes (congestion avoidance).
+#[test]
+fn slow_start_crosses_into_congestion_avoidance_at_ssthresh() -> TestCaseResult {
+    let mut l = Lockstep::new(0, None)?;
+    l.now = Instant::from_secs(1);
+    l.step(None)?;
+    prop_assert_eq!((l.live.rto_retx, l.live.cc().cwnd()), (1, MSS));
+    let mut cwnd = Vec::new();
+    for k in 1..=10 {
+        l.now += Duration::from_millis(10);
+        l.ack(k * MSS as u64, false)?;
+        cwnd.push(l.live.cc().cwnd() / MSS);
+    }
+    prop_assert_eq!(cwnd, [2, 3, 4, 5, 5, 5, 5, 5, 6, 6]);
+    Ok(())
+}
+
+/// The third duplicate ACK resends the first unacked segment (RFC 5681
+/// §3.2); more duplicates, a partial ACK and its duplicates stay in that
+/// recovery; the ACK of `recover` ends it (RFC 6582 §3.2), so its third
+/// duplicate starts the next.
+#[test]
+fn three_dupacks_give_one_fast_retransmit_until_recover() -> TestCaseResult {
+    let mut l = Lockstep::new(0, None)?;
+    let at = |l: &mut Lockstep, ack: u64| {
+        l.now += Duration::from_millis(1);
+        l.ack(ack, false)
+    };
+    for _ in 0..3 {
+        at(&mut l, 1400)?;
+    }
+    let recover = *l.ends.last().expect("sent");
+    let out = at(&mut l, 1400)?;
+    prop_assert_eq!(
+        (l.live.fast_retx, out[0].tcp_header().map(|h| h.seq)),
+        (1, Some(1400))
+    );
+    for ack in [
+        1400,
+        1400,
+        recover - 1400,
+        recover - 1400,
+        recover - 1400,
+        recover - 1400,
+    ] {
+        at(&mut l, ack)?;
+    }
+    prop_assert_eq!(l.live.fast_retx, 1);
+    for _ in 0..4 {
+        at(&mut l, recover)?;
+    }
+    prop_assert_eq!(l.live.fast_retx, 2);
+    Ok(())
+}
+
+/// With nothing acked the timer fires at 1 s (RFC 6298 §2.1) and doubles
+/// (§5.5) to the model's 10 s cap, each time resending the first segment.
+/// An ACK of only that segment takes no RTT sample (Karn, §3) and keeps
+/// the backed-off RTO; one of the next, sent once, takes one.
+#[test]
+fn rto_backs_off_to_the_cap_and_karn_skips_resent_segments() -> TestCaseResult {
+    let mut l = Lockstep::new(0, None)?;
+    let mut fired = Vec::new();
+    for _ in 0..6 {
+        l.now = l.live.next_activity().expect("the timer runs");
+        fired.push(l.now.as_millis() / 1000);
+        prop_assert_eq!(l.step(None)?[0].tcp_header().map(|h| h.seq), Some(0));
+    }
+    prop_assert_eq!(fired, [1, 3, 7, 15, 25, 35]);
+    l.now += Duration::from_millis(50);
+    l.ack(MSS as u64, false)?;
+    prop_assert_eq!(l.live.srtt(), None);
+    prop_assert_eq!(
+        l.live.next_activity(),
+        Some(l.now + Duration::from_secs(10))
+    );
+    l.ack(2 * MSS as u64, false)?;
+    prop_assert_eq!(l.live.srtt(), Some(l.now.saturating_since(Instant::ZERO)));
+    Ok(())
+}
+
+/// ECE on every ACK, 4 ms apart, SRTT ≈ 20 ms: the window is cut at the
+/// first and not again until an SRTT later (RFC 3168 §6.1.2); the first
+/// data segment after each cut, and no other, has CWR.
+#[test]
+fn ece_reduces_once_per_rtt_and_sets_cwr_on_the_next_data_segment() -> TestCaseResult {
+    let mut l = Lockstep::new(0, None)?;
+    l.now = Instant::from_millis(20);
+    l.ack(MSS as u64, false)?;
+    let (mut cuts, mut cwr_due, mut cwrs) = (Vec::new(), false, 0);
+    for k in 2..=11 {
+        l.now += Duration::from_millis(4);
+        let before = l.live.cc().cwnd();
+        let out = l.ack(k * MSS as u64, true)?;
+        if l.live.cc().cwnd() < before {
+            cuts.push(l.now.as_millis());
+            cwr_due = true;
+        }
+        for p in out
+            .iter()
+            .filter_map(|p| p.tcp_header().filter(|_| p.payload_len() > 0))
+        {
+            let cwr = p.flags.contains(TcpFlags::CWR);
+            prop_assert_eq!(cwr, std::mem::take(&mut cwr_due), "at {}", l.now);
+            cwrs += usize::from(cwr);
+        }
+    }
+    prop_assert_eq!((cuts, cwrs), (vec![24, 48], 2));
+    Ok(())
+}
+
+/// An ACK of data never sent, ECE and all, changes nothing (RFC 9293
+/// §3.10.7.4); the next valid ACK still counts.
+#[test]
+fn an_ack_past_snd_nxt_is_ignored() -> TestCaseResult {
+    let mut l = Lockstep::new(0, None)?;
+    l.now = Instant::from_millis(10);
+    let (before, snd_nxt) = (l.observed(), *l.ends.last().expect("sent"));
+    prop_assert!(l.ack(snd_nxt + MSS as u64, true)?.is_empty());
+    prop_assert!(l.observed() == before);
+    l.ack(MSS as u64, false)?;
+    prop_assert_eq!(l.live.delivered(), MSS as u64);
+    Ok(())
 }
 
 /// What a queue entry pops as: a one-shot event, or owner `k`'s wake-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Popped {
     OneShot(u32),
     Wake(usize),
-}
-
-/// The event loop as it was: a plain `(time, sequence)` heap that only
-/// takes entries, and one [`Wakeup`] per owner to tell its live pop from
-/// the ones an earlier arm superseded.
-#[derive(Clone)]
-struct WakeupOverHeap {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(Instant, u64, Popped)>>,
-    seq: u64,
-    /// Time of the last pop a handler ran for.
-    now: Instant,
-    wake: Vec<Wakeup>,
-    superseded_pops: u64,
-}
-
-impl WakeupOverHeap {
-    fn new(owners: usize) -> Self {
-        WakeupOverHeap {
-            heap: Default::default(),
-            seq: 0,
-            now: Instant::ZERO,
-            wake: vec![Wakeup::new(); owners],
-            superseded_pops: 0,
-        }
-    }
-
-    fn push(&mut self, at: Instant, what: Popped) {
-        self.heap
-            .push(std::cmp::Reverse((at.max(self.now), self.seq, what)));
-        self.seq += 1;
-    }
-
-    fn arm(&mut self, k: usize, at: Instant) {
-        if let Some(at) = self.wake[k].arm(at, self.now, self.seq) {
-            self.push(at, Popped::Wake(k));
-        }
-    }
-
-    /// The next pop a handler runs for: superseded wake-ups are popped
-    /// and skipped on the way. With no such pop left the loop is over:
-    /// what is still queued stays queued (a script may go on scheduling,
-    /// which no handler of a drained loop could).
-    fn pop(&mut self) -> Option<(Instant, Popped)> {
-        let mut skipped = Vec::new();
-        while let Some(entry) = self.heap.pop() {
-            let std::cmp::Reverse((at, seq, what)) = entry;
-            match what {
-                Popped::Wake(k) if !self.wake[k].fire(at, seq) => skipped.push(entry),
-                _ => {
-                    self.superseded_pops += skipped.len() as u64;
-                    self.now = at;
-                    return Some((at, what));
-                }
-            }
-        }
-        self.heap.extend(skipped);
-        None
-    }
-
-    fn armed(&self) -> usize {
-        self.wake.iter().filter(|&&w| w != Wakeup::new()).count()
-    }
-
-    /// Take every queued entry out, superseded ones included, and queue
-    /// it again, in `(time, sequence)` order: fresh sequence numbers in
-    /// the same relative order, as a drain-and-reschedule of the plain
-    /// heap did. A live wake-up moves its arm to its new entry. Returns
-    /// the entries a handler would run for, in order.
-    fn requeue_all(&mut self) -> Vec<(Instant, Popped)> {
-        let mut live = Vec::new();
-        for std::cmp::Reverse((at, seq, what)) in std::mem::take(&mut self.heap)
-            .into_sorted_vec()
-            .into_iter()
-            .rev()
-        {
-            let is_live = match what {
-                Popped::Wake(k) => {
-                    self.wake[k].fire(at, seq) && self.wake[k].arm(at, self.now, self.seq).is_some()
-                }
-                Popped::OneShot(_) => true,
-            };
-            self.push(at, what);
-            if is_live {
-                live.push((at, what));
-            }
-        }
-        live
-    }
-
-    /// Forget every entry and every armed wake-up.
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.wake.fill(Wakeup::new());
-    }
 }
 
 proptest! {
     /// Random `arm` / `schedule` / `pop` scripts over 1–8 owners, with
     /// instants from a grid a few steps wide so that same-instant ties,
     /// past-due arms and re-arms at an instant the owner was armed for
-    /// before are the norm: the lane hands out the same interleaved
-    /// sequence of wake-ups and one-shot events as the heap that keeps
-    /// every superseded entry, never holds more than one entry per armed
-    /// owner, and never pops a wake-up nobody is waiting for. The queue
-    /// under test lists the events on the script's 1 ms grid; the script
-    /// also schedules off it (+0.3 ms) and past the lists' 256-slot
-    /// horizon, drains the queue and schedules the events again in
-    /// drained order (as shard installation and re-homing do), and
-    /// clears it.
+    /// before are the norm: after every step the lane has popped what
+    /// [`ArmContract`] pops, and holds as many entries with the same next
+    /// instant. The queue under test lists the events on the script's
+    /// 1 ms grid; the script also schedules off it (+0.3 ms) and past the
+    /// lists' 256-slot horizon, drains the queue and schedules the events
+    /// again in drained order (as shard installation and re-homing do),
+    /// and clears it.
     #[test]
-    fn wakeup_lane_matches_wakeup_over_plain_heap(seed in any::<u64>(), owners in 1usize..9) {
+    fn wakeup_lane_keeps_the_arm_contract(seed in any::<u64>(), owners in 1usize..9) {
         let mut rng = SimRng::new(seed);
-        let mut reference = WakeupOverHeap::new(owners);
+        let mut spec = ArmContract::default();
         // Sparse keys: a slot is a key's rank, not the key.
         let key = |k: usize| 3 * k + 1;
         let mut lane: EventQueue<Popped> = EventQueue::with_wakeups(0, (0..owners).map(key))
             .with_grid(Duration::from_millis(1), Instant::ZERO);
-        let (mut one_shots, mut next_id) = (0usize, 0u32);
-        // How each reference entry ended: popped for a one-shot or a
-        // wake-up, taken out by a drain or a clear (or skipped as
-        // superseded, or still queued: the reference counts those).
-        let (mut one_shot_pops, mut wakeups, mut retired) = (0u64, 0u64, 0u64);
+        let mut next_id = 0u32;
         let instant = |now: Instant, rng: &mut SimRng| {
             let ms = now.as_millis();
             match rng.range_u64(0, 10) {
@@ -461,69 +539,48 @@ proptest! {
             match rng.range_u64(0, 100) {
                 0..=43 => {
                     let k = rng.range_u64(0, owners as u64) as usize;
-                    let at = if rng.chance(0.05) { Instant::MAX } else { instant(reference.now, &mut rng) };
-                    reference.arm(k, at);
+                    let at = if rng.chance(0.05) { Instant::MAX } else { instant(spec.now, &mut rng) };
+                    spec.arm(k, at);
                     lane.arm(key(k), at, || Popped::Wake(k));
                 }
                 44..=63 => {
-                    let at = instant(reference.now, &mut rng);
-                    reference.push(at, Popped::OneShot(next_id));
+                    let at = instant(spec.now, &mut rng);
+                    spec.schedule(at, Popped::OneShot(next_id));
                     lane.schedule(at, Popped::OneShot(next_id));
                     next_id += 1;
-                    one_shots += 1;
                 }
                 64..=65 => {
-                    retired += reference.heap.len() as u64;
                     let drained = lane.drain_ordered();
-                    prop_assert_eq!(&drained, &reference.requeue_all(), "step {}", step);
+                    prop_assert_eq!(&drained, &spec.drain(), "step {}", step);
                     prop_assert!(lane.is_empty());
                     for (at, what) in drained {
                         match what {
-                            Popped::OneShot(_) => lane.schedule(at, what),
-                            Popped::Wake(k) => lane.arm(key(k), at, || what),
+                            Popped::OneShot(_) => {
+                                spec.schedule(at, what);
+                                lane.schedule(at, what);
+                            }
+                            Popped::Wake(k) => {
+                                spec.arm(k, at);
+                                lane.arm(key(k), at, || what);
+                            }
                         }
                     }
                 }
                 66 => {
-                    retired += reference.heap.len() as u64;
-                    reference.clear();
+                    spec.drain();
                     lane.clear();
-                    one_shots = 0;
                 }
                 _ => {
-                    let popped = lane.pop();
-                    prop_assert_eq!(popped, reference.pop(), "step {}", step);
-                    match popped {
-                        Some((_, Popped::OneShot(_))) => {
-                            one_shots -= 1;
-                            one_shot_pops += 1;
-                        }
-                        Some((_, Popped::Wake(_))) => wakeups += 1,
-                        None => {}
-                    }
-                    prop_assert_eq!(lane.now(), reference.now, "step {}", step);
+                    prop_assert_eq!(lane.pop(), spec.pop(), "step {}", step);
+                    prop_assert_eq!(lane.now(), spec.now, "step {}", step);
                 }
             }
-            prop_assert_eq!(lane.len(), one_shots + reference.armed(), "step {}", step);
-            prop_assert_eq!(
-                lane.next_at(),
-                reference.clone().pop().map(|(at, _)| at),
-                "step {}", step
-            );
+            prop_assert_eq!(lane.len(), spec.entries.len(), "step {}", step);
+            prop_assert_eq!(lane.next_at(), spec.next_at(), "step {}", step);
         }
         while let Some(popped) = lane.pop() {
-            prop_assert_eq!(Some(popped), reference.pop());
-            match popped.1 {
-                Popped::OneShot(_) => one_shot_pops += 1,
-                Popped::Wake(_) => wakeups += 1,
-            }
+            prop_assert_eq!(Some(popped), spec.pop());
         }
-        prop_assert_eq!(reference.pop(), None);
-        // What the lane no longer pops is exactly what the heap skipped,
-        // or was left holding.
-        prop_assert_eq!(
-            reference.seq,
-            one_shot_pops + wakeups + retired + reference.superseded_pops + reference.heap.len() as u64
-        );
+        prop_assert_eq!(spec.pop(), None);
     }
 }

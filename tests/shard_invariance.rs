@@ -22,8 +22,8 @@
 use l4span::cc::WanLink;
 use l4span::core::HandoverPolicy;
 use l4span::harness::{
-    plan_shards, run_sharded, scenario, AppProfile, FlowSpec, Report, ScenarioConfig, ShardReject,
-    TransportSpec,
+    plan_shards_reason, run_sharded, scenario, AppProfile, FlowSpec, Report, ScenarioConfig,
+    ShardReject, TransportSpec,
 };
 use l4span::ran::config::RlcMode;
 use l4span::sim::Duration;
@@ -112,8 +112,8 @@ fn handover_2cell_invariant_across_shard_counts() {
     }
     for mode in [RlcMode::Am, RlcMode::Um] {
         assert_eq!(
-            plan_shards(&handover_scream(mode, 3), 2),
-            2,
+            plan_shards_reason(&handover_scream(mode, 3), 2),
+            (2, None),
             "{mode:?}: eligible"
         );
         let one = run_sharded(handover_scream(mode, 3), 1);
@@ -180,13 +180,20 @@ fn parallel_epochs_match_sequential() {
 #[test]
 fn ineligible_scenarios_plan_to_one_shard() {
     let metro = metro_small("cubic");
-    assert_eq!(plan_shards(&metro, 4), 4);
-    assert_eq!(plan_shards(&metro, 64), 8, "capped at the cell count");
-    assert_eq!(plan_shards(&metro, 1), 1);
+    assert_eq!(plan_shards_reason(&metro, 4), (4, None));
+    assert_eq!(
+        plan_shards_reason(&metro, 64),
+        (8, None),
+        "capped at the cell count"
+    );
+    assert_eq!(plan_shards_reason(&metro, 1), (1, None));
 
     let mut central = metro_small("cubic");
     central.cu_per_cell = false;
-    assert_eq!(plan_shards(&central, 4), 1, "central CU marker");
+    assert_eq!(
+        plan_shards_reason(&central, 4),
+        (1, Some(ShardReject::CentralCuMarker))
+    );
 
     let single_cell = scenario::congested_cell(
         2,
@@ -198,7 +205,10 @@ fn ineligible_scenarios_plan_to_one_shard() {
         7,
         Duration::from_secs(1),
     );
-    assert_eq!(plan_shards(&single_cell, 4), 1, "one cell");
+    assert_eq!(
+        plan_shards_reason(&single_cell, 4),
+        (1, Some(ShardReject::SingleCell))
+    );
 }
 
 #[test]
@@ -265,13 +275,15 @@ fn bonded_flows_plan_to_one_shard_and_stay_invariant() {
     // A bonded flow spans two cells by construction, so the planner
     // must refuse to shard it — and any requested shard count must
     // still produce the classic single-world bytes.
-    use l4span::harness::plan_shards_reason;
     let cfg = || scenario::bonded_xr_8ue(7, Duration::from_secs(1));
     assert_eq!(
         plan_shards_reason(&cfg(), 2),
         (1, Some(ShardReject::BondedFlow))
     );
-    assert_eq!(plan_shards(&cfg(), 4), 1);
+    assert_eq!(
+        plan_shards_reason(&cfg(), 4),
+        (1, Some(ShardReject::BondedFlow))
+    );
     let base = digest(cfg(), 1);
     for shards in [2, 4] {
         assert_eq!(digest(cfg(), shards), base, "bonded_xr_8ue shards={shards}");
