@@ -21,7 +21,7 @@ use l4span::cc::prague::Prague;
 use l4span::cc::reno::Reno;
 use l4span::cc::tcp::TcpConfig;
 use l4span::cc::{CongestionControl, TcpSender};
-use l4span::net::{Ecn, PacketBuf, TcpFlags, TcpHeader};
+use l4span::net::{AccEcnCounters, Ecn, PacketBuf, TcpFlags, TcpHeader};
 use l4span::ran::config::RlcMode;
 use l4span::ran::rlc::{Nack, RlcRx, RlcStatus, RlcTx, Segment, TxRecord};
 use l4span::sim::{Duration, EventQueue, Instant, SimRng};
@@ -240,6 +240,8 @@ struct Lockstep {
     now: Instant,
     /// Ends of the data segments sent so far, ascending.
     ends: Vec<u64>,
+    /// The AccECN counters the client's ACKs carry, if any.
+    accecn: Option<AccEcnCounters>,
     steps: u16,
 }
 
@@ -263,6 +265,7 @@ impl Lockstep {
             cfg,
             now: Instant::ZERO,
             ends: Vec::new(),
+            accecn: None,
             steps: 0,
         };
         l.recv(TcpFlags::SYN, 0)?;
@@ -300,6 +303,7 @@ impl Lockstep {
             seq: 1,
             ack: ack as u32,
             flags: TcpFlags::new().with(flags),
+            accecn: self.accecn,
             ..TcpHeader::default()
         };
         let pkt = PacketBuf::tcp(c.remote_ip, c.local_ip, Ecn::NotEct, self.steps, &hdr, 0);
@@ -334,7 +338,8 @@ impl Lockstep {
 
 proptest! {
     /// Cumulative, duplicate (→ fast retransmit), partial and bogus ACKs,
-    /// ECN-Echo, pacing polls and RTO-length silences, under three
+    /// ECN-Echo, AccECN counters (24-bit, advancing, wrapping or replayed
+    /// stale), pacing polls and RTO-length silences, under three
     /// congestion controllers, greedy and fixed-size flows.
     #[test]
     fn tcp_sender_keeps_the_rfcs(
@@ -344,7 +349,20 @@ proptest! {
     ) {
         let mut l = Lockstep::new(cc, limit)?;
         let mut rng = SimRng::new(seed);
+        let mut acc = AccEcnCounters {
+            ce_bytes: 0xFF_F000,
+            ..AccEcnCounters::default()
+        };
         for _ in 2..400 {
+            let mut advance = |c: u32| (c + rng.range_u64(0, 3000) as u32) & 0xFF_FFFF;
+            (acc.ce_bytes, acc.ect1_bytes) = (advance(acc.ce_bytes), advance(acc.ect1_bytes));
+            let mut sent = acc;
+            if rng.chance(0.1) {
+                // A reordered ACK: its CE counter is behind.
+                let behind = rng.range_u64(1, 5000) as u32;
+                sent.ce_bytes = (acc.ce_bytes + (1 << 24) - behind) & 0xFF_FFFF;
+            }
+            l.accecn = Some(sent);
             // Mostly an ACK clock's worth of time; sometimes a silence
             // long enough for the retransmission timer.
             l.now += if rng.chance(0.04) {
