@@ -1,8 +1,8 @@
 //! Parallel scenario execution.
 //!
 //! Every scenario is an independent, self-seeded simulation, so a batch
-//! of them (a figure's parameter grid, the smoke suite, the determinism
-//! matrix) is embarrassingly parallel. [`run_batch`] fans a batch out
+//! of them (a figure's parameter grid, the smoke suite, the equivalence
+//! corpus) is embarrassingly parallel. [`run_batch`] fans a batch out
 //! over scoped worker threads and returns reports **in input order**.
 //!
 //! ## Determinism contract
@@ -12,7 +12,8 @@
 //! * Workers pull jobs from a shared counter, so *which thread* runs a
 //!   scenario depends on scheduling — but a scenario's result does not:
 //!   `Report::fingerprint()` is byte-identical whether a batch runs on
-//!   one thread or many (asserted by `tests/determinism.rs`).
+//!   one thread or many (asserted on every row of the equivalence
+//!   corpus, `tests/golden_fingerprints.rs`).
 //! * Results are collected by job index, so the returned `Vec<Report>`
 //!   lines up with the input order regardless of completion order.
 //!

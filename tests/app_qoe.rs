@@ -1,8 +1,10 @@
 //! The application layer's contract tests:
 //!
-//! 1. **QoE determinism** — the application-level metrics (frame OWD,
+//! 1. **QoE population** — the application-level metrics (frame OWD,
 //!    deadline-miss rate, stall time, request completion times) are
-//!    populated and byte-identical across 1 vs 4 worker threads.
+//!    populated. They are part of the fingerprint, so the equivalence
+//!    corpus (`tests/golden_fingerprints.rs`) checks them across seeds
+//!    and worker counts on its `interactive_apps_mixed_2g` rows.
 //! 2. **End-to-end QoE behaviour** — the metrics move the way the paper
 //!    says they should (L4Span cuts frame delay misses for video over
 //!    a congested cell).
@@ -17,28 +19,16 @@ use l4span::ran::ChannelProfile;
 use l4span::sim::{Duration, Instant};
 
 #[test]
-fn qoe_metrics_are_deterministic_across_worker_counts() {
-    let mk =
-        |seed| interactive_apps_mixed(2, "prague", l4span_default(), seed, Duration::from_secs(2));
-    let batch = || vec![mk(7), mk(7), mk(9)];
-    let seq = harness::run_batch_on(batch(), 1);
-    let par = harness::run_batch_on(batch(), 4);
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "QoE series must not depend on worker count"
-        );
-    }
-    assert_eq!(
-        seq[0].fingerprint(),
-        seq[1].fingerprint(),
-        "same seed, same run"
-    );
-    assert_ne!(seq[0].fingerprint(), seq[2].fingerprint(), "seeds differ");
+fn qoe_channels_are_populated() {
+    let r = harness::run(interactive_apps_mixed(
+        2,
+        "prague",
+        l4span_default(),
+        7,
+        Duration::from_secs(2),
+    ));
     // The scenario must actually exercise every QoE channel: video flows
     // (0, 3) frames; web flows (1, 4) request completions.
-    let r = &seq[0];
     for f in [0usize, 3] {
         assert!(r.frames_generated[f] > 30, "flow {f} generated frames");
         assert!(!r.frame_owd_ms[f].is_empty(), "flow {f} delivered frames");

@@ -27,22 +27,6 @@ fn quick(n: usize, cc: &str, marker: MarkerKind, seed: u64) -> harness::Report {
 }
 
 #[test]
-fn identical_seeds_give_identical_runs() {
-    let a = quick(2, "prague", l4span_default(), 99);
-    let b = quick(2, "prague", l4span_default(), 99);
-    assert_eq!(a.owd_ms, b.owd_ms, "simulation must be deterministic");
-    assert_eq!(a.thr_bins, b.thr_bins);
-    assert_eq!(a.total_marks, b.total_marks);
-}
-
-#[test]
-fn different_seeds_differ() {
-    let a = quick(2, "prague", l4span_default(), 1);
-    let b = quick(2, "prague", l4span_default(), 2);
-    assert_ne!(a.owd_ms, b.owd_ms);
-}
-
-#[test]
 fn prague_l4span_beats_vanilla_on_delay_at_parity_throughput() {
     let off = quick(4, "prague", MarkerKind::None, 5);
     let on = quick(4, "prague", l4span_default(), 5);
