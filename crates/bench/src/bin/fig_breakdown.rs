@@ -17,9 +17,12 @@
 //! benchmark's (uninstrumented) `wall_ms_per_sim_s`; use this binary to
 //! decide *what* to optimise and the benchmark to verify *that* it
 //! worked. The headline beside it, events per delivered packet, is exact
-//! and the same in both. The simulation itself never observes the
-//! instrumentation: fingerprints and event counts are identical with it
-//! on or off (asserted by a harness test).
+//! and the same in both. Beside `(untracked)` each section prints the
+//! instrument's own cost, `(instrument)`: the spans recorded × two clock
+//! reads × the ns per read, timed in this process before the runs. The
+//! simulation itself never observes the instrumentation: fingerprints
+//! and event counts are identical with it on or off (asserted by a
+//! harness test).
 
 use std::time::Instant as WallInstant;
 
@@ -31,8 +34,26 @@ use l4span_harness::scenario::{
 use l4span_harness::{MarkerKind, World};
 use l4span_sim::Duration;
 
+/// Nanoseconds per `std::time::Instant::now()` on this host: the median
+/// of five timed batches of reads.
+fn clock_read_ns() -> f64 {
+    const READS: u32 = 200_000;
+    let mut batches: Vec<f64> = (0..5)
+        .map(|_| {
+            let t0 = WallInstant::now();
+            for _ in 0..READS {
+                std::hint::black_box(WallInstant::now());
+            }
+            t0.elapsed().as_nanos() as f64 / f64::from(READS)
+        })
+        .collect();
+    batches.sort_by(f64::total_cmp);
+    batches[2]
+}
+
 fn main() {
     let args = Args::parse();
+    let read_ns = clock_read_ns();
     let seed = args.seed;
     let dur = |benchmark_secs| Duration::from_secs(args.secs_or(benchmark_secs));
     let cell = |n, cc, marker, secs| {
@@ -60,7 +81,10 @@ fn main() {
     println!(
         "fig_breakdown: per-subsystem cycle accounting of the benchmark workloads, seed {seed}"
     );
-    println!("(instrumented run: ms per simulated second is higher than the benchmark's)");
+    println!(
+        "(instrumented run: ms per simulated second is higher than the benchmark's; \
+         a clock read costs {read_ns:.1} ns)"
+    );
     for (name, mut cfg) in workloads {
         cfg.measure_cycles = true;
         let sim_secs = cfg.duration.as_secs_f64();
@@ -100,6 +124,18 @@ fn main() {
             "(untracked)",
             untracked as f64 / 1e6,
             untracked as f64 * 100.0 / wall_ns as f64
+        );
+        // What the spans cost themselves: two clock reads each, about one
+        // of them outside the span (so in the untracked remainder).
+        let spans: u64 = stats.iter().map(|c| c.calls).sum();
+        let instrument = spans as f64 * 2.0 * read_ns;
+        println!(
+            "{:<12} {:>10.1} {:>6.1}% {:>12} {:>10.1}",
+            "(instrument)",
+            instrument / 1e6,
+            instrument * 100.0 / wall_ns as f64,
+            spans,
+            2.0 * read_ns
         );
         // Where the pops went, per delivered packet — exact, like the
         // headline — with the radio model's work and the most events

@@ -7,10 +7,12 @@
 //! receiver is the UE-side kernel: it acknowledges cumulatively, latches
 //! ECN-Echo until CWR (RFC 3168 §6.1), or maintains AccECN counters.
 //!
-//! Simplifications (documented in DESIGN.md): sequence numbers are u64
-//! internally and truncated to the 32-bit wire field (flows here move far
-//! less than 4 GiB); no SACK (the RLC delivers in order, so cumulative
-//! ACKs lose little); receive window is unbounded.
+//! Simplifications: sequence numbers are u64 internally and truncated to
+//! the 32-bit wire field (flows here move far less than 4 GiB); no SACK
+//! (the RLC delivers in order, so cumulative ACKs lose little); receive
+//! window is unbounded. Where the sender departs from the RFCs is listed
+//! as the `deviates from` rules of the RFC reference it is checked
+//! against in lockstep, `tests/model_based/rfc_tcp.rs`.
 //!
 //! **Direction neutrality.** Neither endpoint knows where it sits in
 //! the topology: the [`TcpReceiver`] always initiates the connection
