@@ -5,7 +5,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig02`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, value_at, Col, Experiment, Table};
 use l4span_cc::{CcKind, WanLink};
 use l4span_harness::app::AppProfile;
 use l4span_harness::scenario::{
@@ -15,26 +15,28 @@ use l4span_harness::{MarkerKind, Report};
 use l4span_ran::ChannelProfile;
 use l4span_sim::{Duration, Instant};
 
-fn print_series(r: &Report, names: &[&str], queue_keys: &[(u16, u8)]) {
-    println!(
-        "{:<6} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "t(s)", "rtt0(ms)", "rtt1(ms)", "thr0(Mbps)", "thr1(Mbps)", "rlcQ(SDU)"
-    );
+/// Per-second RTT and throughput of flows 0 (Prague) and 1 (CUBIC), and
+/// the deeper of their two RLC queues.
+fn print_series(title: &str, r: &Report) {
+    println!("\n--- {title} ---");
+    let t = Table::start([
+        Col::num("t(s)", 6, 0).left(),
+        Col::num("rtt0(ms)", 12, 1),
+        Col::num("rtt1(ms)", 12, 1),
+        Col::num("thr0(Mbps)", 12, 2),
+        Col::num("thr1(Mbps)", 12, 2),
+        Col::num("rlcQ(SDU)", 10, 0),
+    ]);
     let rtt0 = r.rtt_series(0, 1.0);
     let rtt1 = r.rtt_series(1, 1.0);
     let th0 = r.throughput_series_mbps(0, 10);
     let th1 = r.throughput_series_mbps(1, 10);
-    let lookup = |s: &Vec<(f64, f64)>, t: f64| -> f64 {
-        s.iter()
-            .find(|&&(x, _)| (x - t).abs() < 0.51)
-            .map(|&(_, v)| v)
-            .unwrap_or(0.0)
-    };
+    let lookup = |s: &[(f64, f64)], t| value_at(s, t, 0.51);
     let max_t = th0.last().map(|&(t, _)| t).unwrap_or(0.0) as u64;
-    for t in 0..=max_t {
-        let tq = t as f64;
-        // RLC queue: max over the sampled second across the listed DRBs.
-        let q: u32 = queue_keys
+    for t_s in 0..=max_t {
+        let tq = t_s as f64;
+        // RLC queue: max over the sampled second across both DRBs.
+        let q: u32 = [(0, 0), (1, 0)]
             .iter()
             .filter_map(|k| r.queue_series.get(k))
             .flat_map(|v| {
@@ -43,15 +45,17 @@ fn print_series(r: &Report, names: &[&str], queue_keys: &[(u16, u8)]) {
             })
             .max()
             .unwrap_or(0);
-        println!(
-            "{tq:<6.0} {:>12.1} {:>12.1} {:>12.2} {:>12.2} {q:>10}",
+        row!(
+            t,
+            tq,
             lookup(&rtt0, tq),
             lookup(&rtt1, tq),
             lookup(&th0, tq),
             lookup(&th1, tq),
+            f64::from(q)
         );
     }
-    println!("(flows: 0 = {}, 1 = {})", names[0], names[1]);
+    println!("(flows: 0 = prague, 1 = cubic)");
 }
 
 fn ran_scenario(seed: u64, secs: u64, marker: MarkerKind) -> ScenarioConfig {
@@ -81,39 +85,42 @@ fn ran_scenario(seed: u64, secs: u64, marker: MarkerKind) -> ScenarioConfig {
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(30);
-    banner("Fig. 2", "L4S status quo: wired vs 5G vs 5G+L4Span", &args);
+    let exp = Experiment::new("Fig. 2", "L4S status quo: wired vs 5G vs 5G+L4Span");
+    let secs = exp.secs(30);
 
     // All three panels run concurrently on the scenario runner.
-    let mut panels = run_grid(vec![
+    let mut panels = exp.run(vec![
         (
             "(a) wired network with a DualPi2 router (40 Mbit/s)",
-            wired_l4s(args.seed, Duration::from_secs(secs.min(20))),
+            wired_l4s(exp.seed, Duration::from_secs(secs.min(20))),
         ),
         (
             "(b) 5G network, no L4S signaling; bottleneck shifts at 10/20 s",
-            ran_scenario(args.seed, secs, MarkerKind::None),
+            ran_scenario(exp.seed, secs, MarkerKind::None),
         ),
         (
             "(c) 5G + L4Span; bottleneck shifts at 10/20 s",
-            ran_scenario(args.seed, secs, l4span_default()),
+            ran_scenario(exp.seed, secs, l4span_default()),
         ),
     ]);
     let (title, wired) = panels.remove(0);
     println!("\n--- {title} ---");
-    for (f, name) in ["prague", "cubic"].iter().enumerate() {
-        let rtt = wired.rtt_stats(f);
-        println!(
-            "{name:<8} rtt median {:>7.1} ms   goodput {:>6.2} Mbit/s",
-            rtt.median,
+    let t = Table::start([
+        Col::text("flow", 8),
+        Col::num("rtt median ms", 13, 1),
+        Col::num("goodput Mbit/s", 14, 2),
+    ]);
+    for (f, name) in ["prague", "cubic"].into_iter().enumerate() {
+        row!(
+            t,
+            name,
+            wired.rtt_stats(f).median,
             wired.goodput_total_mbps(f)
         );
     }
 
     for (title, r) in &panels {
-        println!("\n--- {title} ---");
-        print_series(r, &["prague", "cubic"], &[(0, 0), (1, 0)]);
+        print_series(title, r);
     }
 
     println!("\nPaper shape: (a) Prague ≈ base RTT, CUBIC ≈ +15-20 ms; (b) both");

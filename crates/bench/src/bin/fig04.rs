@@ -6,7 +6,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig04`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, value_at, Col, Experiment, Table};
 use l4span_cc::WanLink;
 use l4span_harness::app::AppProfile;
 use l4span_harness::scenario::{
@@ -44,43 +44,34 @@ fn print_walkthrough(cc: &str, r: &Report, secs: u64) {
         secs * 2 / 5,
         secs * 7 / 10
     );
-    println!(
-        "{:<7} {:>11} {:>10} {:>11}",
-        "t(s)", "thr(Mbps)", "rtt(ms)", "rlcQ(SDU)"
-    );
+    let t = Table::start([
+        Col::num("t(s)", 7, 1).left(),
+        Col::num("thr(Mbps)", 11, 2),
+        Col::num("rtt(ms)", 10, 1),
+        Col::num("rlcQ(SDU)", 11, 0),
+    ]);
     let thr = r.throughput_series_mbps(0, 5);
     let rtt = r.rtt_series(0, 0.5);
-    let lookup = |s: &Vec<(f64, f64)>, t: f64| {
-        s.iter()
-            .find(|&&(x, _)| (x - t).abs() < 0.26)
-            .map(|&(_, v)| v)
-            .unwrap_or(0.0)
-    };
+    let lookup = |s: &[(f64, f64)], t| value_at(s, t, 0.26);
     let q = r.queue_series.get(&(0, 0)).cloned().unwrap_or_default();
-    let mut t = 0.0;
-    while t < secs as f64 {
-        let qi = ((t * 100.0) as usize).min(q.len().saturating_sub(1));
+    let mut at = 0.0;
+    while at < secs as f64 {
+        let qi = ((at * 100.0) as usize).min(q.len().saturating_sub(1));
         let qv = q.get(qi).copied().unwrap_or(0);
-        println!(
-            "{t:<7.1} {:>11.2} {:>10.1} {qv:>11}",
-            lookup(&thr, t),
-            lookup(&rtt, t),
-        );
-        t += 0.5;
+        row!(t, at, lookup(&thr, at), lookup(&rtt, at), f64::from(qv));
+        at += 0.5;
     }
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(15);
-    banner(
+    let exp = Experiment::new(
         "Fig. 4",
         "running example: marking behaviour through a channel dip",
-        &args,
     );
-    let results = run_grid(vec![
-        ("prague", walkthrough_cfg("prague", args.seed, secs)),
-        ("cubic", walkthrough_cfg("cubic", args.seed, secs)),
+    let secs = exp.secs(15);
+    let results = exp.run(vec![
+        ("prague", walkthrough_cfg("prague", exp.seed, secs)),
+        ("cubic", walkthrough_cfg("cubic", exp.seed, secs)),
     ]);
     for (cc, r) in &results {
         print_walkthrough(cc, r, secs);

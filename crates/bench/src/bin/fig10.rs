@@ -4,27 +4,17 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig10`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
-use l4span_harness::scenario::{congested_cell, l4span_default, ChannelMix};
+use l4span_harness::scenario::{l4span_default, ChannelMix};
 use l4span_harness::MarkerKind;
 use l4span_ran::config::SchedulerKind;
-use l4span_sim::Duration;
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(12);
-    banner(
-        "Fig. 10",
-        "delay breakdown by scheduler and cell load",
-        &args,
-    );
+    let exp = Experiment::new("Fig. 10", "delay breakdown by scheduler and cell load");
+    let secs = exp.secs(12);
 
-    println!(
-        "\n{:<14} {:<3} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "scheduler/UEs", "+", "prop (ms)", "sched (ms)", "queuing (ms)", "other (ms)", "total"
-    );
-    let ue_counts: Vec<usize> = if args.full { vec![16, 64] } else { vec![16] };
+    let ue_counts: Vec<usize> = if exp.full { vec![16, 64] } else { vec![16] };
     let mut cells = Vec::new();
     for &n in &ue_counts {
         for (sname, sched) in [
@@ -32,22 +22,29 @@ fn main() {
             ("PF", SchedulerKind::ProportionalFair),
         ] {
             for (mark, marker) in [(" ", MarkerKind::None), ("+", l4span_default())] {
-                let mut cfg = congested_cell(
+                let mut cfg = exp.cell(
                     n,
                     "prague",
                     ChannelMix::Mobile,
-                    16_384,
                     WanLink::east(),
                     marker,
-                    args.seed,
-                    Duration::from_secs(secs),
+                    secs,
                 );
                 cfg.scheduler = sched;
                 cells.push(((sname, n, mark), cfg));
             }
         }
     }
-    for ((sname, n, mark), r) in run_grid(cells) {
+    let t = Table::start([
+        Col::text("scheduler/UEs", 14),
+        Col::text("+", 3),
+        Col::num("prop (ms)", 12, 2),
+        Col::num("sched (ms)", 12, 2),
+        Col::num("queuing (ms)", 12, 2),
+        Col::num("other (ms)", 12, 2),
+        Col::num("total", 12, 2),
+    ]);
+    for ((sname, n, mark), r) in exp.run(cells) {
         // Pool the per-flow breakdown means weighted by count.
         let (mut p, mut s, mut q, mut o, mut cnt) = (0.0, 0.0, 0.0, 0.0, 0u64);
         for b in &r.breakdown {
@@ -61,11 +58,7 @@ fn main() {
         }
         let k = cnt.max(1) as f64;
         let (p, s, q, o) = (p / k, s / k, q / k, o / k);
-        println!(
-            "{:<14} {mark:<3} {p:>12.2} {s:>12.2} {q:>12.2} {o:>12.2} {:>12.2}",
-            format!("{sname} {n}ue"),
-            p + s + q + o
-        );
+        row!(t, format!("{sname} {n}ue"), mark, p, s, q, o, p + s + q + o);
     }
     println!("\nPaper shape: queuing dominates without L4Span; with it the");
     println!("queuing bar collapses and propagation dominates, for both schedulers.");

@@ -4,7 +4,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig11`
 
-use l4span_bench::{banner, fmt_box, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
 use l4span_harness::app::AppProfile;
 use l4span_harness::scenario::{l4span_default, FlowSpec, ScenarioConfig, TransportSpec, UeSpec};
@@ -44,30 +44,32 @@ fn scenario(cc: &str, marker: MarkerKind, seed: u64, secs: u64) -> (ScenarioConf
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(25);
-    banner("Fig. 11", "short-flow finish time vs long-flow rate", &args);
+    let exp = Experiment::new("Fig. 11", "short-flow finish time vs long-flow rate");
+    let secs = exp.secs(25);
 
-    println!(
-        "\n{:<8} {:<3} {:>14} {:>54}",
-        "cc", "+", "LLF Mbit/s", "SLF finish time ms: med [p25,p75] (p10,p90)"
-    );
     let mut cells = Vec::new();
     for cc in ["prague", "bbr2", "cubic"] {
         for (mark, marker) in [(" ", MarkerKind::None), ("+", l4span_default())] {
-            let (cfg, slf) = scenario(cc, marker, args.seed, secs);
+            let (cfg, slf) = scenario(cc, marker, exp.seed, secs);
             cells.push(((cc, mark, slf), cfg));
         }
     }
-    for ((cc, mark, slf), r) in run_grid(cells) {
-        let llf = r.goodput_total_mbps(0);
+    let t = Table::start([
+        Col::text("cc", 8),
+        Col::text("+", 3),
+        Col::num("LLF Mbit/s", 14, 2),
+        Col::boxed("SLF finish time ms: med [p25,p75] (p10,p90)"),
+        Col::num("SLFs finished", 14, 0),
+    ]);
+    for ((cc, mark, slf), r) in exp.run(cells) {
         let finishes: Vec<f64> = slf.iter().filter_map(|&f| r.finish_ms[f]).collect();
-        let fin = BoxStats::from_samples(&finishes);
-        println!(
-            "{cc:<8} {mark:<3} {llf:>14.2} {}   ({}/{} SLFs finished)",
-            fmt_box(&fin),
-            finishes.len(),
-            slf.len()
+        row!(
+            t,
+            cc,
+            mark,
+            r.goodput_total_mbps(0),
+            BoxStats::from_samples(&finishes),
+            format!("{}/{}", finishes.len(), slf.len())
         );
     }
     println!("\nPaper shape: L4Span cuts the SLF finish time several-fold");

@@ -4,22 +4,17 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig12`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
-use l4span_harness::scenario::{congested_cell, l4span_default, ChannelMix};
+use l4span_harness::scenario::{l4span_default, ChannelMix};
 use l4span_harness::MarkerKind;
-use l4span_sim::{Duration, Instant};
+use l4span_sim::Instant;
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(30);
-    banner("Fig. 12", "L4Span vs TC-RAN (CoDel at the CU)", &args);
+    let exp = Experiment::new("Fig. 12", "L4Span vs TC-RAN (CoDel at the CU)");
+    let secs = exp.secs(30);
 
-    println!(
-        "\n{:<8} {:<8} {:<4} {:<6} {:>14} {:>14}",
-        "cc", "marker", "chan", "server", "OWD med (ms)", "thr (Mbit/s)"
-    );
-    let servers: Vec<(&str, WanLink)> = if args.full {
+    let servers: Vec<(&str, WanLink)> = if exp.full {
         vec![("east", WanLink::east()), ("west", WanLink::west())]
     } else {
         vec![("east", WanLink::east())]
@@ -34,29 +29,25 @@ fn main() {
                 for (sname, wan) in &servers {
                     cells.push((
                         (cc, mname, chan, *sname),
-                        congested_cell(
-                            1,
-                            cc,
-                            mix,
-                            16_384,
-                            *wan,
-                            marker.clone(),
-                            args.seed,
-                            Duration::from_secs(secs),
-                        ),
+                        exp.cell(1, cc, mix, *wan, marker.clone(), secs),
                     ));
                 }
             }
         }
     }
-    for ((cc, mname, chan, sname), r) in run_grid(cells) {
-        let owd = r.owd_stats(0);
+    let t = Table::start([
+        Col::text("cc", 8),
+        Col::text("marker", 8),
+        Col::text("chan", 4),
+        Col::text("server", 6),
+        Col::num("OWD med (ms)", 14, 1),
+        Col::num("thr (Mbit/s)", 14, 2),
+    ]);
+    for ((cc, mname, chan, sname), r) in exp.run(cells) {
         // Steady state: skip the convergence transient.
         let thr = r.goodput_mbps(0, Instant::from_secs(5), Instant::from_secs(secs));
-        println!(
-            "{cc:<8} {mname:<8} {chan:<4} {sname:<6} {:>14.1} {:>14.2}",
-            owd.median, thr
-        );
+        let owd = r.owd_stats(0).median;
+        row!(t, cc, mname, chan, sname, owd, thr);
     }
     println!("\nPaper shape: similar delay for Prague under both, but L4Span");
     println!("utilises the fading channel much better (+148% static Prague");

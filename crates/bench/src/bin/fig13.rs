@@ -4,7 +4,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig13`
 
-use l4span_bench::{banner, fmt_box, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
 use l4span_harness::app::AppProfile;
 use l4span_harness::scenario::{
@@ -39,13 +39,8 @@ fn video_cell(
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(15);
-    banner(
-        "Fig. 13",
-        "interactive video congestion control ±L4Span",
-        &args,
-    );
+    let exp = Experiment::new("Fig. 13", "interactive video congestion control ±L4Span");
+    let secs = exp.secs(15);
 
     let n = 8;
     let scream = (
@@ -55,10 +50,6 @@ fn main() {
     let udp_prague = (
         AppProfile::bulk(),
         TransportSpec::udp_prague(6.25e4, 2.5e5, 2.5e6),
-    );
-    println!(
-        "\n{:<12} {:<12} {:<3} {:>52} {:>12}",
-        "app", "channel", "+", "RTT ms: med [p25,p75] (p10,p90)", "Mbit/s/UE"
     );
     let mut cells = Vec::new();
     for (app, traffic) in [("scream", &scream), ("udp-prague", &udp_prague)] {
@@ -70,22 +61,26 @@ fn main() {
             for (mark, marker) in [(" ", MarkerKind::None), ("+", l4span_default())] {
                 cells.push((
                     (app, chan, mark),
-                    video_cell(n, traffic, mix, marker, args.seed, secs),
+                    video_cell(n, traffic, mix, marker, exp.seed, secs),
                 ));
             }
         }
     }
-    for ((app, chan, mark), r) in run_grid(cells) {
+    let t = Table::start([
+        Col::text("app", 12),
+        Col::text("channel", 12),
+        Col::text("+", 3),
+        Col::boxed("RTT ms: med [p25,p75] (p10,p90)"),
+        Col::num("Mbit/s/UE", 12, 2),
+    ]);
+    for ((app, chan, mark), r) in exp.run(cells) {
         let mut rtts = Vec::new();
         for f in 0..n {
             rtts.extend(r.rtt_ms(f));
         }
         let rtt = BoxStats::from_samples(&rtts);
         let per_ue: f64 = (0..n).map(|f| r.goodput_total_mbps(f)).sum::<f64>() / n as f64;
-        println!(
-            "{app:<12} {chan:<12} {mark:<3} {} {per_ue:>12.2}",
-            fmt_box(&rtt)
-        );
+        row!(t, app, chan, mark, rtt, per_ue);
     }
     println!("\nPaper shape: L4Span reduces RTT for both apps in all channels");
     println!("(76/38/45% for UDP Prague; 13/11/38% for SCReAM) with a small");

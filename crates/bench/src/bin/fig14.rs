@@ -5,7 +5,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig14`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
 use l4span_harness::app::AppProfile;
 use l4span_harness::scenario::{l4span_default, FlowSpec, ScenarioConfig, TransportSpec, UeSpec};
@@ -32,39 +32,30 @@ fn staggered(ccs: &[&str], wans: &[WanLink], seed: u64, secs: u64) -> ScenarioCo
     cfg
 }
 
-fn show(title: &str, ccs: &[&str], r: &Report, secs: u64) {
+fn show(title: &str, ccs: &[&'static str], r: &Report, secs: u64) {
     println!("\n--- {title} ---");
-    println!("{:<6} {:>10} {:>10} {:>10}", "t(s)", ccs[0], ccs[1], ccs[2]);
+    let t = Table::start([
+        Col::num("t(s)", 7, 0).left(),
+        Col::num(ccs[0], 10, 1),
+        Col::num(ccs[1], 10, 1),
+        Col::num(ccs[2], 10, 1),
+    ]);
     let series: Vec<Vec<(f64, f64)>> = (0..3).map(|f| r.throughput_series_mbps(f, 10)).collect();
     let len = series.iter().map(|s| s.len()).max().unwrap_or(0);
     for i in (0..len).step_by(2) {
         let at = |f: usize| series[f].get(i).map(|&(_, m)| m).unwrap_or(0.0);
-        println!(
-            "{:<6.0} {:>10.1} {:>10.1} {:>10.1}",
-            i as f64,
-            at(0),
-            at(1),
-            at(2)
-        );
+        row!(t, i, at(0), at(1), at(2));
     }
     // Shares in the fully-overlapped middle window.
     let from = Instant::from_secs(secs * 2 / 6 + 3);
     let to = Instant::from_secs(secs - secs * 2 / 6);
-    let shares: Vec<f64> = (0..3).map(|f| r.goodput_mbps(f, from, to)).collect();
-    println!(
-        "overlap shares: {:.1} / {:.1} / {:.1} Mbit/s",
-        shares[0], shares[1], shares[2]
-    );
+    let share = |f| r.goodput_mbps(f, from, to);
+    row!(t, "overlap", share(0), share(1), share(2));
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(60);
-    banner(
-        "Fig. 14",
-        "fairness among staggered flows under L4Span",
-        &args,
-    );
+    let exp = Experiment::new("Fig. 14", "fairness among staggered flows under L4Span");
+    let secs = exp.secs(60);
     let east = vec![WanLink::east()];
     let distinct = vec![
         WanLink::east(),
@@ -98,11 +89,11 @@ fn main() {
     let cells = panels
         .into_iter()
         .map(|(title, ccs, wans)| {
-            let cfg = staggered(&ccs, wans, args.seed, secs);
+            let cfg = staggered(&ccs, wans, exp.seed, secs);
             ((title, ccs), cfg)
         })
         .collect();
-    for ((title, ccs), r) in run_grid(cells) {
+    for ((title, ccs), r) in exp.run(cells) {
         show(title, &ccs, &r, secs);
     }
     println!("\nPaper shape: flows converge to the fair share during overlap;");

@@ -5,7 +5,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig16`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
 use l4span_core::{L4SpanConfig, SharedDrbStrategy};
 use l4span_harness::app::AppProfile;
@@ -36,14 +36,9 @@ fn shared_drb(strategy: SharedDrbStrategy, seed: u64, secs: u64) -> ScenarioConf
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(20);
-    banner("Fig. 16", "L4S + classic sharing one DRB", &args);
+    let exp = Experiment::new("Fig. 16", "L4S + classic sharing one DRB");
+    let secs = exp.secs(20);
 
-    println!(
-        "\n{:<10} {:>14} {:>14} {:>12} {:>12}",
-        "strategy", "thr L4S Mb/s", "thr CUBIC", "L4S thr %", "L4S RTT %"
-    );
     let cells = [
         ("original", SharedDrbStrategy::Original),
         ("l4s", SharedDrbStrategy::AllL4s),
@@ -51,16 +46,23 @@ fn main() {
         ("l4span", SharedDrbStrategy::Coupled),
     ]
     .into_iter()
-    .map(|(name, strat)| (name, shared_drb(strat, args.seed, secs)))
+    .map(|(name, strat)| (name, shared_drb(strat, exp.seed, secs)))
     .collect();
-    for (name, r) in run_grid(cells) {
+    let t = Table::start([
+        Col::text("strategy", 10),
+        Col::num("thr L4S Mb/s", 14, 2),
+        Col::num("thr CUBIC", 14, 2),
+        Col::pct("L4S thr %", 12, 1),
+        Col::pct("L4S RTT %", 12, 1),
+    ]);
+    for (name, r) in exp.run(cells) {
         let t0 = r.goodput_total_mbps(0);
         let t1 = r.goodput_total_mbps(1);
         let thr_ratio = 100.0 * t0 / (t0 + t1).max(1e-9);
         let r0 = r.rtt_stats(0).median;
         let r1 = r.rtt_stats(1).median;
         let rtt_ratio = 100.0 * r0 / (r0 + r1).max(1e-9);
-        println!("{name:<10} {t0:>14.2} {t1:>14.2} {thr_ratio:>11.1}% {rtt_ratio:>11.1}%");
+        row!(t, name, t0, t1, thr_ratio, rtt_ratio);
     }
     println!("\nPaper shape: 'original' starves the L4S flow, 'l4s' starves the");
     println!("classic flow (~25% share), 'classic' has high variance, and the");

@@ -5,39 +5,28 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig17`
 
-use l4span_bench::{banner, print_cdf, run_grid, Args};
+use l4span_bench::{print_cdf, Experiment};
 use l4span_cc::WanLink;
-use l4span_harness::scenario::{congested_cell, l4span_default, ChannelMix};
-use l4span_sim::Duration;
+use l4span_harness::scenario::{l4span_default, ChannelMix};
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(15);
-    banner("Fig. 17", "RLC queue-length CDFs under L4Span", &args);
+    let exp = Experiment::new("Fig. 17", "RLC queue-length CDFs under L4Span");
+    let secs = exp.secs(15);
 
-    let ue_counts: Vec<usize> = if args.full { vec![16, 64] } else { vec![16] };
+    let ue_counts: Vec<usize> = if exp.full { vec![16, 64] } else { vec![16] };
     let mut cells = Vec::new();
     for &n in &ue_counts {
         for cc in ["prague", "cubic"] {
             for (chan, mix) in [("S", ChannelMix::Static), ("M", ChannelMix::Mobile)] {
                 cells.push((
                     (n, cc, chan),
-                    congested_cell(
-                        n,
-                        cc,
-                        mix,
-                        16_384,
-                        WanLink::east(),
-                        l4span_default(),
-                        args.seed,
-                        Duration::from_secs(secs),
-                    ),
+                    exp.cell(n, cc, mix, WanLink::east(), l4span_default(), secs),
                 ));
             }
         }
     }
     let mut last_n = 0;
-    for ((n, cc, chan), r) in run_grid(cells) {
+    for ((n, cc, chan), r) in exp.run(cells) {
         if n != last_n {
             println!("\n--- {n} UE cell ---");
             last_n = n;

@@ -4,25 +4,20 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig18`
 
-use l4span_bench::{banner, print_cdf, Args};
+use l4span_bench::{print_cdf, Experiment};
 use l4span_harness::dci::{mcs_trace, stable_periods_ms, CellTraceSpec};
 use l4span_sim::stats::Cdf;
 use l4span_sim::Duration;
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(60);
-    banner(
-        "Fig. 18",
-        "channel stable periods vs the estimation window",
-        &args,
-    );
+    let exp = Experiment::new("Fig. 18", "channel stable periods vs the estimation window");
+    let secs = exp.secs(60);
 
     for (name, spec) in [
         ("FDD 600 MHz", CellTraceSpec::fdd_600mhz()),
         ("TDD 2.5 GHz", CellTraceSpec::tdd_2_5ghz()),
     ] {
-        let trace = mcs_trace(spec, Duration::from_secs(secs), args.seed);
+        let trace = mcs_trace(spec, Duration::from_secs(secs), exp.seed);
         let periods = stable_periods_ms(&trace, spec.slot, 5, 1000.0);
         let cdf = Cdf::from_samples(&periods);
         println!(

@@ -5,31 +5,33 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig19`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
 use l4span_core::L4SpanConfig;
-use l4span_harness::scenario::{congested_cell, ChannelMix};
+use l4span_harness::scenario::ChannelMix;
 use l4span_harness::MarkerKind;
 use l4span_sim::Duration;
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(12);
-    banner(
-        "Fig. 19",
-        "τ_s sweep and the DualPi2-in-RAN ablation",
-        &args,
-    );
+    let exp = Experiment::new("Fig. 19", "τ_s sweep and the DualPi2-in-RAN ablation");
+    let secs = exp.secs(12);
 
-    let ue_counts: Vec<usize> = if args.full {
+    let ue_counts: Vec<usize> = if exp.full {
         vec![1, 4, 8, 16, 32, 64]
     } else {
         vec![1, 4, 16]
     };
-    println!(
-        "\n{:<10} {:<6} {:>12} {:>14}",
-        "tau_s(ms)", "UEs", "RTT mean(ms)", "rate sum Mb/s"
-    );
+    // Every run: `n` Prague UEs on mobile channels behind the 38 ms server.
+    let cell = |n, marker| {
+        exp.cell(
+            n,
+            "prague",
+            ChannelMix::Mobile,
+            WanLink::east(),
+            marker,
+            secs,
+        )
+    };
     let mut cells = Vec::new();
     for &n in &ue_counts {
         for tau_ms in [1u64, 2, 5, 10, 20, 50, 100] {
@@ -37,22 +39,16 @@ fn main() {
                 tau_s: Duration::from_millis(tau_ms),
                 ..L4SpanConfig::default()
             };
-            cells.push((
-                (tau_ms, n),
-                congested_cell(
-                    n,
-                    "prague",
-                    ChannelMix::Mobile,
-                    16_384,
-                    WanLink::east(),
-                    MarkerKind::L4Span(l4),
-                    args.seed,
-                    Duration::from_secs(secs),
-                ),
-            ));
+            cells.push(((tau_ms, n), cell(n, MarkerKind::L4Span(l4))));
         }
     }
-    for ((tau_ms, n), r) in run_grid(cells) {
+    let t = Table::start([
+        Col::num("tau_s(ms)", 10, 0).left(),
+        Col::num("UEs", 6, 0).left(),
+        Col::num("RTT mean(ms)", 12, 1),
+        Col::num("rate sum Mb/s", 14, 2),
+    ]);
+    for ((tau_ms, n), r) in exp.run(cells) {
         let flows: Vec<usize> = (0..n).collect();
         let mut rtts = Vec::new();
         for &f in &flows {
@@ -60,52 +56,29 @@ fn main() {
         }
         let rtt_mean = l4span_sim::stats::mean(&rtts);
         let sum: f64 = flows.iter().map(|&f| r.goodput_total_mbps(f)).sum();
-        println!("{tau_ms:<10} {n:<6} {rtt_mean:>12.1} {sum:>14.2}");
+        row!(t, tau_ms, n, rtt_mean, sum);
     }
 
+    let dualpi2 = |ms| MarkerKind::DualPi2Cu {
+        threshold: Duration::from_millis(ms),
+    };
+    let ablation = vec![
+        ("dualpi2@cu 1ms", cell(1, dualpi2(1))),
+        ("dualpi2@cu 10ms", cell(1, dualpi2(10))),
+        (
+            "l4span 10ms",
+            cell(1, MarkerKind::L4Span(L4SpanConfig::default())),
+        ),
+    ];
     println!("\n--- §6.3.1 ablation: DualPi2 transplanted to the CU (1 UE, mobile) ---");
-    println!(
-        "{:<22} {:>12} {:>14}",
-        "marker", "RTT mean(ms)", "rate Mb/s"
-    );
-    let ablation = [
-        (
-            "dualpi2@cu 1ms",
-            MarkerKind::DualPi2Cu {
-                threshold: Duration::from_millis(1),
-            },
-        ),
-        (
-            "dualpi2@cu 10ms",
-            MarkerKind::DualPi2Cu {
-                threshold: Duration::from_millis(10),
-            },
-        ),
-        ("l4span 10ms", MarkerKind::L4Span(L4SpanConfig::default())),
-    ]
-    .into_iter()
-    .map(|(name, marker)| {
-        (
-            name,
-            congested_cell(
-                1,
-                "prague",
-                ChannelMix::Mobile,
-                16_384,
-                WanLink::east(),
-                marker,
-                args.seed,
-                Duration::from_secs(secs),
-            ),
-        )
-    })
-    .collect();
-    for (name, r) in run_grid(ablation) {
+    let t = Table::start([
+        Col::text("marker", 22),
+        Col::num("RTT mean(ms)", 12, 1),
+        Col::num("rate Mb/s", 14, 2),
+    ]);
+    for (name, r) in exp.run(ablation) {
         let rtt_mean = l4span_sim::stats::mean(&r.rtt_ms(0).collect::<Vec<_>>());
-        println!(
-            "{name:<22} {rtt_mean:>12.1} {:>14.2}",
-            r.goodput_total_mbps(0)
-        );
+        row!(t, name, rtt_mean, r.goodput_total_mbps(0));
     }
     println!("\nPaper shape: throughput reaches its plateau at τ_s = 10 ms with");
     println!("still-low RTT (the knee); DualPi2's fixed step loses 73%/28% of");

@@ -3,15 +3,13 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig20`
 
-use l4span_bench::{banner, print_cdf, run_grid, Args};
+use l4span_bench::{print_cdf, Experiment};
 use l4span_cc::WanLink;
-use l4span_harness::scenario::{congested_cell, l4span_default, ChannelMix};
-use l4span_sim::Duration;
+use l4span_harness::scenario::{l4span_default, ChannelMix};
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(15);
-    banner("Fig. 20", "egress-rate estimation error", &args);
+    let exp = Experiment::new("Fig. 20", "egress-rate estimation error");
+    let secs = exp.secs(15);
 
     let cells = [
         ("static", ChannelMix::Static),
@@ -22,20 +20,11 @@ fn main() {
     .map(|(name, mix)| {
         (
             name,
-            congested_cell(
-                16,
-                "prague",
-                mix,
-                16_384,
-                WanLink::east(),
-                l4span_default(),
-                args.seed,
-                Duration::from_secs(secs),
-            ),
+            exp.cell(16, "prague", mix, WanLink::east(), l4span_default(), secs),
         )
     })
     .collect();
-    for (name, r) in run_grid(cells) {
+    for (name, r) in exp.run(cells) {
         let med = l4span_sim::stats::percentile(&r.rate_err_pct, 50.0);
         let mean = l4span_sim::stats::mean(&r.rate_err_pct);
         println!(

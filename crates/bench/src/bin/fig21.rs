@@ -6,26 +6,22 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig21`
 
-use l4span_bench::{banner, print_cdf, Args};
+use l4span_bench::{print_cdf, Experiment};
 use l4span_cc::WanLink;
-use l4span_harness::scenario::{congested_cell, l4span_default, ChannelMix};
-use l4span_harness::{run, ScenarioConfig};
-use l4span_sim::Duration;
+use l4span_harness::run;
+use l4span_harness::scenario::{l4span_default, ChannelMix};
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(10);
-    banner("Fig. 21", "L4Span event processing time", &args);
+    let exp = Experiment::new("Fig. 21", "L4Span event processing time");
+    let secs = exp.secs(10);
 
-    let mut cfg: ScenarioConfig = congested_cell(
-        if args.full { 64 } else { 8 },
+    let mut cfg = exp.cell(
+        if exp.full { 64 } else { 8 },
         "prague",
         ChannelMix::Static,
-        16_384,
         WanLink::east(),
         l4span_default(),
-        args.seed,
-        Duration::from_secs(secs),
+        secs,
     );
     cfg.measure_marker_time = true;
     let r = run(cfg);

@@ -8,7 +8,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig_apps`
 
-use l4span_bench::{banner, fmt_box, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_harness::scenario::{interactive_apps_mixed, l4span_default};
 use l4span_harness::{MarkerKind, Report};
 use l4span_sim::Duration;
@@ -20,39 +20,33 @@ fn flows_of(r: &Report, offset: usize) -> Vec<usize> {
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(10);
-    let groups = if args.full { 4 } else { 2 };
-    banner(
+    let exp = Experiment::new(
         "Apps",
         "interactive application mix: frame/request QoE ±L4Span",
-        &args,
     );
-    println!(
-        "\n{} groups × (video 30fps + web 256kB + bulk), {} s each",
-        groups, secs
-    );
-    println!(
-        "\n{:<7} {:<3} {:>8} {:>10} {:>10} {:>11} {:>52}",
-        "cc",
-        "+",
-        "miss %",
-        "fOWD med",
-        "stall ms",
-        "bulk Mb/s",
-        "request ms: med [p25,p75] (p10,p90)"
-    );
+    let secs = exp.secs(10);
+    let groups = if exp.full { 4 } else { 2 };
+    println!("\n{groups} groups × (video 30fps + web 256kB + bulk), {secs} s each");
 
     let mut cells = Vec::new();
     for cc in ["cubic", "prague", "bbr2"] {
         for (mark, marker) in [(" ", MarkerKind::None), ("+", l4span_default())] {
             cells.push((
                 (cc, mark),
-                interactive_apps_mixed(groups, cc, marker, args.seed, Duration::from_secs(secs)),
+                interactive_apps_mixed(groups, cc, marker, exp.seed, Duration::from_secs(secs)),
             ));
         }
     }
-    for ((cc, mark), r) in run_grid(cells) {
+    let t = Table::start([
+        Col::text("cc", 7),
+        Col::text("+", 3),
+        Col::num("miss %", 8, 1),
+        Col::num("fOWD med", 10, 1),
+        Col::num("stall ms", 10, 0),
+        Col::num("bulk Mb/s", 11, 2),
+        Col::boxed("request ms: med [p25,p75] (p10,p90)"),
+    ]);
+    for ((cc, mark), r) in exp.run(cells) {
         let video = flows_of(&r, 0);
         let web = flows_of(&r, 1);
         let bulk = flows_of(&r, 2);
@@ -69,11 +63,7 @@ fn main() {
             req.extend_from_slice(&r.request_ms[f]);
         }
         let req = l4span_sim::stats::BoxStats::from_samples(&req);
-        println!(
-            "{cc:<7} {mark:<3} {miss_pct:>8.1} {:>10.1} {stall:>10.0} {bulk_mbps:>11.2} {}",
-            fowd.median,
-            fmt_box(&req),
-        );
+        row!(t, cc, mark, miss_pct, fowd.median, stall, bulk_mbps, req);
     }
     println!("\nExpected shape: with the marker on, the L4S-capable stacks");
     println!("(prague, bbr2) cut the frame deadline-miss rate and request");

@@ -17,7 +17,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig_bonding`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, Cell, Col, Experiment, Table};
 use l4span_harness::scenario::{l4span_default, xr_bonding_cell};
 use l4span_harness::{MarkerKind, Report};
 use l4span_sim::Duration;
@@ -28,10 +28,10 @@ fn per_device_goodput(r: &Report, n: usize) -> f64 {
 }
 
 /// FEC-ledger summary: residual loss after repair and the repair
-/// share of offered source traffic. `-` for bytestream transports.
-fn fec_summary(r: &Report) -> String {
+/// share of offered source traffic, in %. `-` for bytestream transports.
+fn fec_summary(r: &Report) -> [Cell; 2] {
     if r.fec.is_empty() {
-        return format!("{:>9} {:>9}", "-", "-");
+        return [Cell::Empty, Cell::Empty];
     }
     let (mut offered, mut abandoned, mut repairs) = (0u64, 0u64, 0u64);
     for f in &r.fec {
@@ -39,18 +39,17 @@ fn fec_summary(r: &Report) -> String {
         abandoned += f.abandoned;
         repairs += f.repairs;
     }
-    format!(
-        "{:>8.3}% {:>8.1}%",
-        100.0 * abandoned as f64 / offered.max(1) as f64,
-        100.0 * repairs as f64 / offered.max(1) as f64,
-    )
+    [
+        (100.0 * abandoned as f64 / offered.max(1) as f64).into(),
+        (100.0 * repairs as f64 / offered.max(1) as f64).into(),
+    ]
 }
 
-/// Bond summary: secondary-leg byte share and how many devices'
+/// Bond summary: secondary-leg byte share in % and how many devices'
 /// shared-bottleneck detectors ended the run coupled. `-` single-leg.
-fn bond_summary(r: &Report) -> String {
+fn bond_summary(r: &Report) -> [Cell; 2] {
     if r.bonds.is_empty() {
-        return format!("{:>8} {:>9}", "-", "-");
+        return [Cell::Empty, Cell::Empty];
     }
     let (mut p0, mut p1, mut coupled) = (0u64, 0u64, 0usize);
     for b in &r.bonds {
@@ -58,23 +57,19 @@ fn bond_summary(r: &Report) -> String {
         p1 += b.leg_pkts[1];
         coupled += usize::from(b.coupled);
     }
-    format!(
-        "{:>7.1}% {:>6}/{:<2}",
-        100.0 * p1 as f64 / (p0 + p1).max(1) as f64,
-        coupled,
-        r.bonds.len()
-    )
+    [
+        (100.0 * p1 as f64 / (p0 + p1).max(1) as f64).into(),
+        format!("{coupled}/{}", r.bonds.len()).into(),
+    ]
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(10);
-    let n = if args.full { 8 } else { 4 };
-    banner(
+    let exp = Experiment::new(
         "fig_bonding",
         "Loss-resilient media + dual-cell bonding: cc x marker x legs",
-        &args,
     );
+    let secs = exp.secs(10);
+    let n = if exp.full { 8 } else { 4 };
 
     let mut cells = Vec::new();
     for cc in ["fec-media", "nada", "prague", "cubic"] {
@@ -87,41 +82,42 @@ fn main() {
                         cc,
                         marker.clone(),
                         bonded,
-                        args.seed,
+                        exp.seed,
                         Duration::from_secs(secs),
                     ),
                 ));
             }
         }
     }
-    let results = run_grid(cells);
-
-    println!(
-        "\n{:<10} {:<8} {:<8} {:>12} {:>10} {:>10} {:>9} {:>9} {:>8} {:>9}",
-        "cc",
-        "marker",
-        "legs",
-        "gput(Mbps)",
-        "owd p50",
-        "owd p90",
-        "residual",
-        "repairs",
-        "leg2",
-        "coupled"
-    );
-    for ((cc, mname, lname), r) in &results {
-        let flows: Vec<usize> = (0..n).collect();
+    let t = Table::start([
+        Col::text("cc", 10),
+        Col::text("marker", 8),
+        Col::text("legs", 8),
+        Col::num("gput(Mbps)", 12, 2),
+        Col::num("owd p50", 10, 1),
+        Col::num("owd p90", 10, 1),
+        Col::pct("residual", 9, 3),
+        Col::pct("repairs", 9, 1),
+        Col::pct("leg2", 8, 1),
+        Col::num("coupled", 9, 0),
+    ]);
+    let flows: Vec<usize> = (0..n).collect();
+    for ((cc, mname, lname), r) in exp.run(cells) {
         let owd = r.ul_owd_stats_pooled(&flows);
-        println!(
-            "{:<10} {:<8} {:<8} {:>12.2} {:>10.1} {:>10.1} {} {}",
+        let [residual, repairs] = fec_summary(&r);
+        let [leg2, coupled] = bond_summary(&r);
+        row!(
+            t,
             cc,
             mname,
             lname,
-            per_device_goodput(r, n),
+            per_device_goodput(&r, n),
             owd.median,
             owd.p90,
-            fec_summary(r),
-            bond_summary(r),
+            residual,
+            repairs,
+            leg2,
+            coupled
         );
     }
     println!(

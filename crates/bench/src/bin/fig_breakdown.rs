@@ -26,11 +26,9 @@
 
 use std::time::Instant as WallInstant;
 
-use l4span_bench::Args;
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
-use l4span_harness::scenario::{
-    bonded_xr_8ue, congested_cell, l4span_default, metro_1000ue_50cell, ChannelMix,
-};
+use l4span_harness::scenario::{bonded_xr_8ue, l4span_default, metro_1000ue_50cell, ChannelMix};
 use l4span_harness::{MarkerKind, World};
 use l4span_sim::Duration;
 
@@ -52,35 +50,32 @@ fn clock_read_ns() -> f64 {
 }
 
 fn main() {
-    let args = Args::parse();
+    let exp = Experiment::new(
+        "fig_breakdown",
+        "per-subsystem cycle accounting of the benchmark workloads",
+    );
     let read_ns = clock_read_ns();
-    let seed = args.seed;
-    let dur = |benchmark_secs| Duration::from_secs(args.secs_or(benchmark_secs));
+    let dur = |benchmark_secs| Duration::from_secs(exp.secs(benchmark_secs));
     let cell = |n, cc, marker, secs| {
-        congested_cell(
+        exp.cell(
             n,
             cc,
             ChannelMix::Mobile,
-            16_384,
             WanLink::east(),
             marker,
-            seed,
-            dur(secs),
+            exp.secs(secs),
         )
     };
     let workloads = [
         ("cell_l4s_16ue", cell(16, "prague", l4span_default(), 80)),
         ("cell_bare_16ue", cell(16, "prague", MarkerKind::None, 80)),
         ("bbr2_mobile_8ue", cell(8, "bbr2", l4span_default(), 40)),
-        ("xr_bonded_ul_8dev", bonded_xr_8ue(seed, dur(120))),
+        ("xr_bonded_ul_8dev", bonded_xr_8ue(exp.seed, dur(120))),
         (
             "metro_1000ue_50cell",
-            metro_1000ue_50cell("prague", seed, dur(2)),
+            metro_1000ue_50cell("prague", exp.seed, dur(2)),
         ),
     ];
-    println!(
-        "fig_breakdown: per-subsystem cycle accounting of the benchmark workloads, seed {seed}"
-    );
     println!(
         "(instrumented run: ms per simulated second is higher than the benchmark's; \
          a clock read costs {read_ns:.1} ns)"
@@ -101,39 +96,32 @@ fn main() {
             wall_ns as f64 / 1e6 / sim_secs,
             report.events_per_packet(),
             report.events,
-            wall_ns as f64 / 1e9,
+            wall_ns as f64 / 1e9
         );
-        println!(
-            "{:<12} {:>10} {:>7} {:>12} {:>10}",
-            "subsystem", "ms", "%wall", "calls", "ns/call"
-        );
+        let t = Table::start([
+            Col::text("subsystem", 12),
+            Col::num("ms", 10, 1),
+            Col::pct("%wall", 7, 1),
+            Col::num("calls", 12, 0),
+            Col::num("ns/call", 10, 0),
+        ]);
+        let share = |ns: f64| ns * 100.0 / wall_ns as f64;
         stats.sort_by_key(|c| std::cmp::Reverse(c.nanos));
         for c in &stats {
-            println!(
-                "{:<12} {:>10.1} {:>6.1}% {:>12} {:>10.0}",
-                c.label,
-                c.nanos as f64 / 1e6,
-                c.nanos as f64 * 100.0 / wall_ns as f64,
-                c.calls,
-                c.mean_ns()
-            );
+            let ns = c.nanos as f64;
+            row!(t, c.label, ns / 1e6, share(ns), c.calls, c.mean_ns());
         }
-        let untracked = wall_ns.saturating_sub(tracked);
-        println!(
-            "{:<12} {:>10.1} {:>6.1}%",
-            "(untracked)",
-            untracked as f64 / 1e6,
-            untracked as f64 * 100.0 / wall_ns as f64
-        );
+        let untracked = wall_ns.saturating_sub(tracked) as f64;
+        row!(t, "(untracked)", untracked / 1e6, share(untracked));
         // What the spans cost themselves: two clock reads each, about one
         // of them outside the span (so in the untracked remainder).
         let spans: u64 = stats.iter().map(|c| c.calls).sum();
         let instrument = spans as f64 * 2.0 * read_ns;
-        println!(
-            "{:<12} {:>10.1} {:>6.1}% {:>12} {:>10.1}",
+        row!(
+            t,
             "(instrument)",
             instrument / 1e6,
-            instrument * 100.0 / wall_ns as f64,
+            share(instrument),
             spans,
             2.0 * read_ns
         );
@@ -141,53 +129,57 @@ fn main() {
         // headline — with the radio model's work and the most events
         // any one queue held beside them.
         let pkts = report.delivered_packets().max(1) as f64;
-        println!("{:<14} {:>12} {:>8}", "event class", "pops", "per pkt");
+        let t = Table::start([
+            Col::text("event class", 14),
+            Col::num("pops", 12, 0),
+            Col::num("per pkt", 8, 2),
+        ]);
         for &(class, n) in &report.event_counts {
-            println!("{class:<14} {n:>12} {:>8.2}", n as f64 / pkts);
+            row!(t, class, n, n as f64 / pkts);
         }
-        println!(
-            "{:<14} {:>12} {:>8.2}",
-            "(fading evals)",
-            report.fading_evals,
-            report.fading_evals as f64 / pkts
-        );
-        println!("{:<14} {:>12}", "(queue peak)", report.queue_depth_peak);
+        let fading = report.fading_evals;
+        row!(t, "(fading evals)", fading, fading as f64 / pkts);
+        row!(t, "(queue peak)", report.queue_depth_peak);
         // What the run's metric samples take as the recorder stores
         // them, per series family.
-        println!("{:<14} {:>12} {:>10}", "sample store", "samples", "kB");
+        let t = Table::start([
+            Col::text("sample store", 14),
+            Col::num("samples", 12, 0),
+            Col::num("kB", 10, 1),
+        ]);
         let store = report.sample_store();
         for s in &store {
-            println!(
-                "{:<14} {:>12} {:>10.1}",
-                s.family,
-                s.samples,
-                s.bytes as f64 / 1e3
-            );
+            row!(t, s.family, s.samples, s.bytes as f64 / 1e3);
         }
         let (n, bytes) = store
             .iter()
             .fold((0, 0), |(n, b), s| (n + s.samples, b + s.bytes));
-        println!("{:<14} {n:>12} {:>10.1}", "(total)", bytes as f64 / 1e3);
+        row!(t, "(total)", n, bytes as f64 / 1e3);
         // Worlds run on replicas (the metro world): where each one's
         // epoch time went. The idle column is the barrier wait a replica
         // would see under fully parallel epochs — 1 − busy/longest
         // busy — i.e. the load-balance figure of the cell assignment.
         if report.shards.len() > 1 {
             let busy_max = report.shards.iter().map(|s| s.busy_ns).max().unwrap_or(1);
-            println!(
-                "{:<6} {:>6} {:>12} {:>10} {:>10} {:>8} {:>7}",
-                "shard", "cells", "events", "busy ms", "drain ms", "mailed", "idle"
-            );
+            let t = Table::start([
+                Col::num("shard", 6, 0).left(),
+                Col::num("cells", 6, 0),
+                Col::num("events", 12, 0),
+                Col::num("busy ms", 10, 1),
+                Col::num("drain ms", 10, 2),
+                Col::num("mailed", 8, 0),
+                Col::pct("idle", 7, 1),
+            ]);
             for s in &report.shards {
-                println!(
-                    "{:<6} {:>6} {:>12} {:>10.1} {:>10.2} {:>8} {:>6.1}%",
+                row!(
+                    t,
                     s.shard,
                     s.cells,
                     s.events,
                     s.busy_ns as f64 / 1e6,
                     s.drain_ns as f64 / 1e6,
                     s.mailed,
-                    (1.0 - s.busy_ns as f64 / busy_max as f64) * 100.0,
+                    (1.0 - s.busy_ns as f64 / busy_max as f64) * 100.0
                 );
             }
         }

@@ -13,7 +13,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig_handover [--full]`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_core::HandoverPolicy;
 use l4span_harness::scenario::{handover_cell, l4span_default};
 use l4span_harness::Report;
@@ -28,41 +28,19 @@ fn policy_name(p: HandoverPolicy) -> &'static str {
     }
 }
 
-fn row(label: &str, n_ues: usize, r: &Report) {
-    let flows: Vec<usize> = (0..n_ues).collect();
-    let thr: f64 = flows.iter().map(|&f| r.goodput_total_mbps(f)).sum();
-    let owd = r.owd_stats_pooled(&flows);
-    let post = r.post_handover_owd(&flows, POST_HO_WINDOW);
-    let gap = r
-        .mean_interruption_ms()
-        .map(|g| format!("{g:8.1}"))
-        .unwrap_or_else(|| "       -".into());
-    println!(
-        "{label:<28} {:>4} {thr:>9.2} {:>9.1} {:>9.1} {:>11.1} {gap} {:>8.2} {:>8.2}",
-        r.handovers.len(),
-        owd.median,
-        post.median,
-        post.p90,
-        r.cell_goodput_mbps(0),
-        r.cell_goodput_mbps(1),
-    );
-}
-
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(8);
-    banner(
+    let exp = Experiment::new(
         "fig_handover",
         "2-cell mobility: HO frequency × marker policy × CC",
-        &args,
     );
+    let secs = exp.secs(8);
     let n_ues = 4;
-    let periods_ms: &[u64] = if args.full {
+    let periods_ms: &[u64] = if exp.full {
         &[500, 1000, 2000, 4000]
     } else {
         &[1000, 2000]
     };
-    let ccs: &[&str] = if args.full {
+    let ccs: &[&str] = if exp.full {
         &["cubic", "prague", "bbr2", "reno", "bbr"]
     } else {
         &["cubic", "prague", "bbr2"]
@@ -73,61 +51,69 @@ fn main() {
     for &cc in ccs {
         for &period in periods_ms {
             for policy in policies {
-                let label = format!("{cc}/ho{period}ms/{}", policy_name(policy));
                 let cfg = handover_cell(
                     n_ues,
                     cc,
                     Duration::from_millis(period),
                     policy,
                     l4span_default(),
-                    args.seed,
+                    exp.seed,
                     Duration::from_secs(secs),
                 );
-                grid.push((label, cfg));
+                grid.push(((cc, period, policy_name(policy)), cfg));
             }
         }
     }
-    let results = run_grid(grid);
+    let results = exp.run(grid);
 
-    println!(
-        "\n{:<28} {:>4} {:>9} {:>9} {:>9} {:>11} {:>8} {:>8} {:>8}",
-        "scenario",
-        "HOs",
-        "thr Mbps",
-        "owd p50",
-        "postHO50",
-        "postHO p90",
-        "gap ms",
-        "cell0",
-        "cell1"
-    );
-    for (label, r) in &results {
-        row(label, n_ues, r);
+    let flows: Vec<usize> = (0..n_ues).collect();
+    let t = Table::start([
+        Col::text("scenario", 28),
+        Col::num("HOs", 4, 0),
+        Col::num("thr Mbps", 9, 2),
+        Col::num("owd p50", 9, 1),
+        Col::num("postHO50", 9, 1),
+        Col::num("postHO p90", 11, 1),
+        Col::num("gap ms", 8, 1),
+        Col::num("cell0", 8, 2),
+        Col::num("cell1", 8, 2),
+    ]);
+    for ((cc, period, policy), r) in &results {
+        let thr: f64 = flows.iter().map(|&f| r.goodput_total_mbps(f)).sum();
+        let post = r.post_handover_owd(&flows, POST_HO_WINDOW);
+        row!(
+            t,
+            format!("{cc}/ho{period}ms/{policy}"),
+            r.handovers.len(),
+            thr,
+            r.owd_stats_pooled(&flows).median,
+            post.median,
+            post.p90,
+            r.mean_interruption_ms(),
+            r.cell_goodput_mbps(0),
+            r.cell_goodput_mbps(1)
+        );
     }
 
-    // The A/B the issue calls for: same CC and cadence, the two marker
-    // policies side by side on post-handover delay.
+    // Same CC and cadence, the two marker policies side by side on
+    // post-handover delay.
     println!("\npolicy deltas (postHO p50, migrate − cold):");
-    for &cc in ccs {
-        for &period in periods_ms {
-            let find = |pol: HandoverPolicy| {
-                let key = format!("{cc}/ho{period}ms/{}", policy_name(pol));
-                results
-                    .iter()
-                    .find(|(l, _)| *l == key)
-                    .map(|(_, r)| {
-                        r.post_handover_owd(&(0..n_ues).collect::<Vec<_>>(), POST_HO_WINDOW)
-                            .median
-                    })
-                    .unwrap_or(f64::NAN)
-            };
-            let m = find(HandoverPolicy::MigrateState);
-            let c = find(HandoverPolicy::ColdStart);
-            println!(
-                "  {cc:<8} ho{period:<6} {m:8.1} - {c:8.1} = {:+8.1} ms",
-                m - c
-            );
-        }
+    let t = Table::start([
+        Col::text("cc", 8),
+        Col::text("ho ms", 6),
+        Col::num("migrate", 8, 1),
+        Col::num("cold", 8, 1),
+        Col::num("delta ms", 8, 1),
+    ]);
+    // The policy loop is innermost: each pair of results is one CC and
+    // cadence, migrate then cold.
+    for pair in results.chunks(2) {
+        let [((cc, period, _), migrate), (_, cold)] = pair else {
+            unreachable!("two policies per cadence")
+        };
+        let post50 = |r: &Report| r.post_handover_owd(&flows, POST_HO_WINDOW).median;
+        let (m, c) = (post50(migrate), post50(cold));
+        row!(t, *cc, period.to_string(), m, c, m - c);
     }
     println!("\nReading: `migrate` rides the old cell's rate estimate into the");
     println!("new cell (paper §7), `cold` re-learns from scratch; the delta");

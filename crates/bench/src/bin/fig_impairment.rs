@@ -16,13 +16,13 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig_impairment`
 
-use l4span_bench::{banner, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
 use l4span_harness::app::AppProfile;
 use l4span_harness::scenario::{
     impaired_path_cell, l4span_default, FlowSpec, ScenarioConfig, TransportSpec, UeSpec,
 };
-use l4span_harness::{ImpairmentSpec, MarkerKind, Report};
+use l4span_harness::{ImpairmentSpec, MarkerKind};
 use l4span_ran::ChannelProfile;
 use l4span_sim::{Duration, Instant};
 
@@ -86,97 +86,84 @@ fn coexist_cfg(prague: &str, imp: ImpairmentSpec, seed: u64, secs: u64) -> Scena
     cfg
 }
 
-fn imp_summary(r: &Report) -> String {
-    match &r.impairment {
-        None => "-".into(),
-        Some(c) => format!(
-            "bleached {} qmarks {} qdrops {}",
-            c.bleached, c.queue_marks, c.queue_drops
-        ),
-    }
-}
-
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(10);
-    banner(
+    let exp = Experiment::new(
         "fig_impairment",
         "Internet-path impairments: bleaching, RFC 3168 hop, Prague fallback",
-        &args,
     );
+    let secs = exp.secs(10);
 
-    println!("\n--- (1) per-CC sweep: policy x cc x marker ---");
     let mut cells = Vec::new();
     for (pname, imp) in policies() {
         for cc in ["cubic", "prague", "bbr2"] {
             for (mname, marker) in [("off", MarkerKind::None), ("l4span", l4span_default())] {
                 cells.push((
                     (pname, cc, mname),
-                    sweep_cfg(cc, &imp, marker, args.seed, secs),
+                    sweep_cfg(cc, &imp, marker, exp.seed, secs),
                 ));
             }
         }
     }
-    let results = run_grid(cells);
-    println!(
-        "{:<12} {:<8} {:<8} {:>14} {:>12}   pipeline",
-        "policy", "cc", "marker", "goodput(Mbps)", "rtt p50(ms)"
-    );
-    for ((pname, cc, mname), r) in &results {
-        println!(
-            "{:<12} {:<8} {:<8} {:>14.2} {:>12.1}   {}",
+    println!("\n--- (1) per-CC sweep: policy x cc x marker ---");
+    let t = Table::start([
+        Col::text("policy", 12),
+        Col::text("cc", 8),
+        Col::text("marker", 8),
+        Col::num("goodput(Mbps)", 14, 2),
+        Col::num("rtt p50(ms)", 12, 1),
+        Col::num("bleached", 9, 0),
+        Col::num("qmarks", 7, 0),
+        Col::num("qdrops", 7, 0),
+    ]);
+    for ((pname, cc, mname), r) in exp.run(cells) {
+        // The pipeline's own counters; `-` where it is absent.
+        let imp = r.impairment;
+        row!(
+            t,
             pname,
             cc,
             mname,
             r.goodput_total_mbps(0),
             r.rtt_stats(0).median,
-            imp_summary(r),
+            imp.map(|c| c.bleached),
+            imp.map(|c| c.queue_marks),
+            imp.map(|c| c.queue_drops)
         );
     }
 
-    println!("\n--- (2) coexistence on a shared RFC 3168 classic queue ---");
     let hop = ImpairmentSpec::classic_hop(HOP_BPS);
-    let pairs = run_grid(vec![
-        (
-            "prague",
-            coexist_cfg("prague", hop.clone(), args.seed, secs),
-        ),
+    let pairs = exp.run(vec![
+        ("prague", coexist_cfg("prague", hop.clone(), exp.seed, secs)),
         (
             "prague-fallback",
-            coexist_cfg("prague-fallback", hop, args.seed, secs),
+            coexist_cfg("prague-fallback", hop, exp.seed, secs),
         ),
     ]);
-    println!(
-        "{:<18} {:>14} {:>14} {:>8} {:>10}   fallback",
-        "l4s sender", "l4s(Mbps)", "cubic(Mbps)", "ratio", "tail-ratio"
-    );
+    println!("\n--- (2) coexistence on a shared RFC 3168 classic queue ---");
+    let t = Table::start([
+        Col::text("l4s sender", 18),
+        Col::num("l4s(Mbps)", 14, 2),
+        Col::num("cubic(Mbps)", 14, 2),
+        Col::num("ratio", 8, 2),
+        Col::num("tail-ratio", 10, 2),
+        Col::text("fallback", 0),
+    ]);
     // The fallback fires mid-run, so the whole-run ratio dilutes the
     // repaired regime; the tail window (last quarter) shows it clean.
     let tail_from = Instant::ZERO + Duration::from_secs(secs * 3 / 4);
     let tail_to = Instant::ZERO + Duration::from_secs(secs);
-    for (name, r) in &pairs {
+    for (name, r) in pairs {
         let l4s = r.goodput_total_mbps(0);
         let cubic = r.goodput_total_mbps(1);
         let tail =
             r.goodput_mbps(0, tail_from, tail_to) / r.goodput_mbps(1, tail_from, tail_to).max(0.01);
-        let fb = if r.fallbacks.is_empty() {
-            "-".to_string()
-        } else {
-            r.fallbacks
-                .iter()
-                .map(|f| format!("flow{} @{:.0}ms ({})", f.flow, f.at_ms, f.reason))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        println!(
-            "{:<18} {:>14.2} {:>14.2} {:>8.2} {:>10.2}   {}",
-            name,
-            l4s,
-            cubic,
-            l4s / cubic.max(0.01),
-            tail,
-            fb
-        );
+        let fb: Vec<String> = r
+            .fallbacks
+            .iter()
+            .map(|f| format!("flow{} @{:.0}ms ({})", f.flow, f.at_ms, f.reason))
+            .collect();
+        let fb = (!fb.is_empty()).then(|| fb.join(", "));
+        row!(t, name, l4s, cubic, l4s / cubic.max(0.01), tail, fb);
     }
     println!(
         "\nPaper shape: the classic queue marks ECT(1) like ECT(0), so vanilla\n\

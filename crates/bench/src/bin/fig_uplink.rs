@@ -8,7 +8,7 @@
 //!
 //! `cargo run --release -p l4span-bench --bin fig_uplink`
 
-use l4span_bench::{banner, fmt_box, run_grid, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_harness::scenario::{l4span_default, video_call_bidir};
 use l4span_harness::{MarkerKind, Report};
 use l4span_sim::Duration;
@@ -27,46 +27,47 @@ fn miss_pct(r: &Report, flows: &[usize]) -> f64 {
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(10);
-    let calls = if args.full { 4 } else { 3 };
-    banner(
+    let exp = Experiment::new(
         "Uplink",
         "bidirectional video calls: uplink-leg QoE ±UE-side L4Span",
-        &args,
     );
+    let secs = exp.secs(10);
+    let calls = if exp.full { 4 } else { 3 };
     println!("\n{calls} calls × (DL 30fps + UL 30fps legs), {secs} s each");
-    println!(
-        "\n{:<7} {:<3} {:>10} {:>10} {:>10} {:>10} {:>44}",
-        "cc",
-        "+",
-        "UL miss %",
-        "DL miss %",
-        "UL Mb/s",
-        "DL Mb/s",
-        "UL OWD ms: med [p25,p75] (p10,p90)"
-    );
 
     let mut cells = Vec::new();
     for cc in ["cubic", "prague", "bbr2"] {
         for (mark, marker) in [(" ", MarkerKind::None), ("+", l4span_default())] {
             cells.push((
                 (cc, mark),
-                video_call_bidir(calls, cc, marker, args.seed, Duration::from_secs(secs)),
+                video_call_bidir(calls, cc, marker, exp.seed, Duration::from_secs(secs)),
             ));
         }
     }
-    for ((cc, mark), r) in run_grid(cells) {
+    let t = Table::start([
+        Col::text("cc", 7),
+        Col::text("+", 3),
+        Col::num("UL miss %", 10, 1),
+        Col::num("DL miss %", 10, 1),
+        Col::num("UL Mb/s", 10, 2),
+        Col::num("DL Mb/s", 10, 2),
+        Col::boxed("UL OWD ms: med [p25,p75] (p10,p90)"),
+    ]);
+    for ((cc, mark), r) in exp.run(cells) {
         let ul = legs(&r, true);
         let dl = legs(&r, false);
         let ul_thr: f64 = ul.iter().map(|&f| r.goodput_total_mbps(f)).sum();
         let dl_thr: f64 = dl.iter().map(|&f| r.goodput_total_mbps(f)).sum();
         let owd = r.ul_owd_stats_pooled(&ul);
-        println!(
-            "{cc:<7} {mark:<3} {:>10.1} {:>10.1} {ul_thr:>10.2} {dl_thr:>10.2} {}",
+        row!(
+            t,
+            cc,
+            mark,
             miss_pct(&r, &ul),
             miss_pct(&r, &dl),
-            fmt_box(&owd),
+            ul_thr,
+            dl_thr,
+            owd
         );
     }
     println!("\nExpected shape: without the marker the uplink legs bloat the");

@@ -7,11 +7,10 @@
 //!
 //! `cargo run --release -p l4span-bench --bin table1`
 
-use l4span_bench::{banner, Args};
+use l4span_bench::{row, Col, Experiment, Table};
 use l4span_cc::WanLink;
-use l4span_harness::scenario::{congested_cell, l4span_default, ChannelMix};
+use l4span_harness::scenario::{l4span_default, ChannelMix};
 use l4span_harness::{run, MarkerKind, ScenarioConfig};
-use l4span_sim::Duration;
 
 fn measure(cfg: ScenarioConfig) -> (f64, u64, usize) {
     let t0 = std::time::Instant::now();
@@ -24,29 +23,27 @@ fn measure(cfg: ScenarioConfig) -> (f64, u64, usize) {
 }
 
 fn main() {
-    let args = Args::parse();
-    let secs = args.secs_or(10);
-    let n_busy = if args.full { 64 } else { 16 };
-    banner("Table 1", "CPU and memory overhead of L4Span", &args);
-
-    println!(
-        "\n{:<28} {:>14} {:>16} {:>14}",
-        "configuration", "wall s/sim s", "L4Span CPU %", "tables (kB)"
-    );
+    let exp = Experiment::new("Table 1", "CPU and memory overhead of L4Span");
+    let secs = exp.secs(10);
+    let n_busy = if exp.full { 64 } else { 16 };
+    let t = Table::start([
+        Col::text("configuration", 28),
+        Col::num("wall s/sim s", 14, 3),
+        Col::pct("L4Span CPU %", 16, 2),
+        Col::num("tables (kB)", 14, 1),
+    ]);
     for (state, n) in [("idle", 0usize), ("busy", n_busy)] {
         for (label, marker) in [
             ("srsRAN-sim", MarkerKind::None),
             ("srsRAN-sim+L4Span", l4span_default()),
         ] {
-            let mut cfg = congested_cell(
+            let mut cfg = exp.cell(
                 n.max(1),
                 "prague",
                 ChannelMix::Static,
-                16_384,
                 WanLink::east(),
                 marker,
-                args.seed,
-                Duration::from_secs(secs),
+                secs,
             );
             if n == 0 {
                 cfg.flows.clear(); // idle: cell up, no traffic
@@ -54,8 +51,8 @@ fn main() {
             cfg.measure_marker_time = true;
             let (wall, marker_ns, mem) = measure(cfg);
             let cpu_pct = 100.0 * marker_ns as f64 / 1e9 / wall;
-            println!(
-                "{:<28} {:>14.3} {:>15.2}% {:>14.1}",
+            row!(
+                t,
                 format!("{label} ({state})"),
                 wall / secs as f64,
                 cpu_pct,

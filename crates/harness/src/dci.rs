@@ -143,7 +143,7 @@ mod tests {
             let cdf = Cdf::from_samples(&p);
             let frac_below = cdf.fraction_at(12.45);
             assert!(
-                frac_below < 0.35,
+                frac_below < 0.10,
                 "carrier {:.0e}: {:.0}% below the window",
                 spec.carrier_hz,
                 frac_below * 100.0
