@@ -4,9 +4,10 @@
 //!
 //! A row is `(section, key, seed, fn(key, seed) -> ScenarioConfig)`:
 //! every canonical scenario family × every congestion controller the
-//! paper evaluates, each non-TCP endpoint family, the bonded uplink, the
-//! impaired path, the wired bottleneck and the per-cell worlds that
-//! shard, at base seed 7 (11 for the metro rows).
+//! paper evaluates, the proportional-fair MAC on both links, each
+//! non-TCP endpoint family, the bonded uplink, the impaired path, the
+//! wired bottleneck and the per-cell worlds that shard, at base seed 7
+//! (11 for the metro rows).
 //! `tests/golden_fingerprints.toml` pins each row's 64-bit digest of
 //! [`Report::fingerprint`]. One test checks four properties on every
 //! row and lists every violation:
@@ -49,7 +50,7 @@ use l4span::harness::{
     self, plan_shards_reason, run_sharded, scenario, scenario::ChannelMix, ImpairmentSpec,
     MarkerKind, Report, UeSpec,
 };
-use l4span::ran::config::RlcMode;
+use l4span::ran::config::{RlcMode, SchedulerKind};
 use l4span::ran::ChannelProfile;
 use l4span::sim::{Duration, Instant};
 
@@ -259,6 +260,18 @@ fn rows() -> Vec<Row> {
     });
     add("video_call_bidir_2", &CCS, 7, |cc, seed| {
         scenario::video_call_bidir(2, cc, l4span_default(), seed, SEC)
+    });
+    // The proportional-fair MAC, on the downlink and on uplink grants.
+    add("congested_cell_2ue", &["prague-pf"], 7, |_, seed| {
+        let (mix, wan, marker) = (ChannelMix::Mobile, WanLink::east(), l4span_default());
+        let mut cfg = scenario::congested_cell(2, "prague", mix, 16_384, wan, marker, seed, SEC);
+        cfg.scheduler = SchedulerKind::ProportionalFair;
+        cfg
+    });
+    add("video_call_bidir_2", &["prague-pf"], 7, |_, seed| {
+        let mut cfg = scenario::video_call_bidir(2, "prague", l4span_default(), seed, SEC);
+        cfg.scheduler = SchedulerKind::ProportionalFair;
+        cfg
     });
     // The ColdStart marker policy is its own path through the handover.
     let cold = ["prague-cold-start"];
@@ -528,9 +541,29 @@ fn golden_fingerprints_match_the_blessed_corpus() {
             "{row}: no events queued"
         );
     }
-    let bidir = report["video_call_bidir_2/prague"];
-    assert!(bidir.ul_owd_ms.iter().any(|v| !v.is_empty()), "uplink OWD");
-    assert!(!bidir.ul_queue_series.is_empty(), "uplink queue series");
+    for row in ["video_call_bidir_2/prague", "video_call_bidir_2/prague-pf"] {
+        let bidir = report[row];
+        assert!(
+            bidir.ul_owd_ms.iter().any(|v| !v.is_empty()),
+            "{row}: uplink OWD"
+        );
+        assert!(
+            !bidir.ul_queue_series.is_empty(),
+            "{row}: uplink queue series"
+        );
+    }
+    let pf = SchedulerKind::ProportionalFair;
+    assert!(
+        rows.iter().any(|r| r.config(r.seed).scheduler == pf),
+        "a row runs the proportional-fair MAC"
+    );
+    for section in ["congested_cell_2ue", "video_call_bidir_2"] {
+        let keys = &actual[section];
+        assert_ne!(
+            keys["prague-pf"], keys["prague"],
+            "{section}: the MAC alters the run"
+        );
+    }
     for row in [
         "impaired_path_cell_2ue/prague-fallback",
         "impaired_bottleneck_2ue/prague",
