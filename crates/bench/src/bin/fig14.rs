@@ -46,10 +46,11 @@ fn show(title: &str, ccs: &[&'static str], r: &Report, secs: u64) {
         let at = |f: usize| series[f].get(i).map(|&(_, m)| m).unwrap_or(0.0);
         row!(t, i, at(0), at(1), at(2));
     }
-    // Shares in the fully-overlapped middle window.
+    // Shares in the fully-overlapped middle window (`-` below 10 s,
+    // where the window is empty).
     let from = Instant::from_secs(secs * 2 / 6 + 3);
     let to = Instant::from_secs(secs - secs * 2 / 6);
-    let share = |f| r.goodput_mbps(f, from, to);
+    let share = |f| (from < to).then(|| r.goodput_mbps(f, from, to));
     row!(t, "overlap", share(0), share(1), share(2));
 }
 

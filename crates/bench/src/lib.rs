@@ -231,7 +231,8 @@ pub enum Cell {
     Text(String),
     /// A number, at the column's precision.
     Num(f64),
-    /// A box-stat, `median [p25,p75] (p10,p90)`.
+    /// A box-stat, `median [p25,p75] (p10,p90)`; one of no samples
+    /// converts to [`Cell::Empty`].
     Box(BoxStats),
     /// No value: `-`.
     Empty,
@@ -254,7 +255,7 @@ cell_from! {
     f64 => |v| Cell::Num(v),
     u64 => |v| Cell::Num(v as f64),
     usize => |v| Cell::Num(v as f64),
-    BoxStats => |b| Cell::Box(b),
+    BoxStats => |b| if b.n == 0 { Cell::Empty } else { Cell::Box(b) },
 }
 
 impl<T: Into<Cell>> From<Option<T>> for Cell {
@@ -377,6 +378,12 @@ mod tests {
                 format!("{:<8}", "prague"),
             ),
             (Col::pct("", 9, 3), Cell::Empty, format!("{:>9}", "-")),
+            // A box of no samples is empty, not a box of zeros.
+            (
+                Col::boxed(""),
+                BoxStats::from_samples(&[]).into(),
+                format!("{:>53}", "-"),
+            ),
             (
                 Col::num("", 8, 1),
                 None::<f64>.into(),

@@ -14,7 +14,7 @@
 use std::num::NonZeroU32;
 
 use crate::cc::FeedbackGate;
-use l4span_net::{Ecn, PacketBuf};
+use l4span_net::{ipv4::unwrap_ident, Ecn, PacketBuf};
 use l4span_sim::{Duration, Instant};
 
 /// Queue-delay target (RFC 8298 default).
@@ -438,12 +438,9 @@ impl ScreamReceiver {
         if pkt.ecn() == Ecn::Ce {
             self.state.ce_bytes += len;
         }
-        // Unwrap the 16-bit send counter: forward deltas are small.
-        let ident = pkt.ip().identification;
-        let delta = ident.wrapping_sub((self.highest_abs & 0xFFFF) as u16);
-        if delta < 1 << 15 {
-            self.highest_abs += u64::from(delta);
-        }
+        // Unwrap the 16-bit send counter; a late packet never lowers it.
+        let high = self.highest_abs;
+        self.highest_abs = unwrap_ident(pkt.ip().identification, high).max(high);
         self.state.highest_seq = self.highest_abs;
         self.gate.due(now, true).then(|| self.emit_feedback())
     }

@@ -7,7 +7,8 @@
 //! `(application, transport)` pair instead of a closed traffic enum:
 //!
 //! * [`AppProfile::Bulk`] — a greedy or size-limited download (the
-//!   iperf3 workloads of §6.2);
+//!   iperf3 workloads of §6.2), which the transport runs itself: TCP's
+//!   `app_limit`, or the UDP Prague and FEC media senders' own clock;
 //! * [`AppProfile::FramedVideo`] — a frame-paced encoder with an I/P
 //!   keyframe pattern and a transport-rate adaptation hook (the SCReAM
 //!   media source of §6.2.3, generalised so it also rides TCP);
@@ -28,10 +29,6 @@ use std::sync::Arc;
 
 use l4span_cc::scream::gop_frame_bytes;
 use l4span_sim::{Duration, Instant};
-
-/// Offer granularity of an unlimited [`Bulk`](AppProfile::Bulk) app when
-/// it is driven through the generic application machinery.
-const BULK_CHUNK: u64 = 4 << 20;
 
 /// What kind of logical unit a boundary closes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -339,93 +336,23 @@ impl AppProfile {
         AppProfile::Custom(AppFactory::new(name, make))
     }
 
-    /// Build the runtime [`Application`] for a flow starting at `start`.
-    pub fn instantiate(&self, start: Instant) -> Box<dyn Application + Send> {
-        match self {
-            AppProfile::Bulk { bytes } => Box::new(Bulk::new(*bytes, start)),
+    /// Build the runtime [`Application`] for a flow starting at `start`,
+    /// or `None` for [`AppProfile::Bulk`], which the transport runs
+    /// itself.
+    pub fn instantiate(&self, start: Instant) -> Option<Box<dyn Application + Send>> {
+        Some(match self {
+            AppProfile::Bulk { .. } => return None,
             AppProfile::FramedVideo(cfg) => Box::new(FramedVideo::new(*cfg, start)),
             AppProfile::RequestResponse(cfg) => Box::new(RequestResponse::new(*cfg, start)),
             AppProfile::TraceReplay(cfg) => Box::new(TraceReplay::new(cfg.clone(), start)),
             AppProfile::Custom(factory) => factory.build(start),
-        }
+        })
     }
 }
 
 // ---------------------------------------------------------------------
 // The built-in implementations
 // ---------------------------------------------------------------------
-
-/// Greedy or size-limited download (see [`AppProfile::Bulk`]).
-#[derive(Debug)]
-pub struct Bulk {
-    limit: Option<u64>,
-    offered: u64,
-    tick_at: Instant,
-    closed: bool,
-    stopped: bool,
-}
-
-impl Bulk {
-    /// `limit: None` = greedy; `Some(n)` = exactly `n` bytes.
-    pub fn new(limit: Option<u64>, start: Instant) -> Bulk {
-        Bulk {
-            limit,
-            offered: 0,
-            tick_at: start,
-            closed: false,
-            stopped: false,
-        }
-    }
-}
-
-impl Application for Bulk {
-    fn next_activity(&self) -> Instant {
-        self.tick_at
-    }
-
-    fn on_tick(&mut self, now: Instant, units: &mut Vec<AppUnit>) -> u64 {
-        if self.stopped || now < self.tick_at {
-            return 0;
-        }
-        self.tick_at = Instant::MAX;
-        match self.limit {
-            Some(n) => {
-                if self.closed {
-                    return 0;
-                }
-                self.closed = true;
-                self.offered = n;
-                units.push(AppUnit {
-                    kind: UnitKind::Request,
-                    end_byte: n,
-                    created: now,
-                    deadline: None,
-                });
-                n
-            }
-            None => {
-                self.offered += BULK_CHUNK;
-                BULK_CHUNK
-            }
-        }
-    }
-
-    fn on_delivered(&mut self, delivered: u64, now: Instant) {
-        // Greedy mode: top the transport back up before it drains.
-        if self.limit.is_none() && !self.stopped && delivered + BULK_CHUNK / 2 >= self.offered {
-            self.tick_at = self.tick_at.min(now);
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.closed
-    }
-
-    fn stop(&mut self) {
-        self.stopped = true;
-        self.tick_at = Instant::MAX;
-    }
-}
 
 /// Frame-paced adaptive video (see [`AppProfile::FramedVideo`]).
 #[derive(Debug)]
@@ -754,34 +681,17 @@ mod tests {
     }
 
     #[test]
-    fn bulk_sized_offers_once_greedy_replenishes() {
-        let mut units = Vec::new();
-        let mut sized = Bulk::new(Some(14_000), Instant::ZERO);
-        assert_eq!(sized.on_tick(Instant::ZERO, &mut units), 14_000);
-        assert_eq!(units.len(), 1, "the whole transfer is one request");
-        assert!(sized.done());
-
-        let mut greedy = Bulk::new(None, Instant::ZERO);
-        units.clear();
-        assert_eq!(greedy.on_tick(Instant::ZERO, &mut units), BULK_CHUNK);
-        assert!(units.is_empty(), "a greedy stream has no units");
-        assert_eq!(greedy.next_activity(), Instant::MAX);
-        greedy.on_delivered(BULK_CHUNK, Instant::from_millis(500));
-        assert_eq!(greedy.next_activity(), Instant::from_millis(500));
-        assert!(!greedy.done());
-    }
-
-    #[test]
     fn profile_instantiation_covers_every_builtin() {
         let start = Instant::from_millis(5);
+        for profile in [AppProfile::bulk(), AppProfile::sized(1_000)] {
+            assert!(profile.instantiate(start).is_none(), "{profile:?}");
+        }
         for profile in [
-            AppProfile::bulk(),
-            AppProfile::sized(1_000),
             AppProfile::video(30.0, 1e6, 2e6, 8e6),
             AppProfile::request_response(10_000, Duration::from_millis(50), Some(3)),
             AppProfile::trace(vec![(Duration::ZERO, 500)]),
         ] {
-            let app = profile.instantiate(start);
+            let app = profile.instantiate(start).expect("an application");
             assert!(app.next_activity() >= start, "{profile:?}");
         }
     }

@@ -166,30 +166,31 @@ pub(crate) fn build(f: usize, spec: &FlowSpec, tuples: &mut FxHashMap<FiveTuple,
         dst_port,
         protocol: Protocol::Udp,
     };
-    let (mut app, mut framed) = (None, None);
+    let framed = match &spec.app {
+        AppProfile::FramedVideo(v) => Some((v.frame_interval(), v.deadline)),
+        _ => None,
+    };
+    let mut app = None;
     let (endpoint, tuple) = match (&spec.app, &spec.transport) {
         (profile, TransportSpec::Tcp { cc }) => {
             let controller = cc.make(1400);
             let mode = controller.ecn_mode();
             let mut tcfg = TcpConfig::new(src, dst, 443, port(50_000));
-            let sender = if let AppProfile::Bulk { bytes } = profile {
-                tcfg.app_limit = *bytes;
-                TcpSender::new(tcfg, controller)
-            } else {
+            app = profile.instantiate(spec.start);
+            let sender = match (&app, profile) {
+                (None, AppProfile::Bulk { bytes }) => {
+                    tcfg.app_limit = *bytes;
+                    TcpSender::new(tcfg, controller)
+                }
                 // Application-driven TCP: the app owns what bytes are
                 // offered and when; the sender is fed incrementally.
-                app = Some(profile.instantiate(spec.start));
-                if let AppProfile::FramedVideo(v) = profile {
-                    framed = Some((v.frame_interval(), v.deadline));
-                }
-                TcpSender::app_driven(tcfg, controller)
+                _ => TcpSender::app_driven(tcfg, controller),
             };
             let receiver = TcpReceiver::new(tcfg, mode);
             (Endpoint::Tcp { sender, receiver }, tcfg.downlink_tuple())
         }
         (AppProfile::FramedVideo(v), TransportSpec::Scream) => {
             let (sport, dport) = (5004, port(42_000));
-            framed = Some((v.frame_interval(), v.deadline));
             let sender = ScreamSender::new(
                 src,
                 dst,

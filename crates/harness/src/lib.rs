@@ -3,8 +3,9 @@
 //! the paper's evaluation (§6).
 //!
 //! * [`app`] — the pluggable application layer: the [`Application`]
-//!   trait plus the built-in Bulk / FramedVideo / RequestResponse /
-//!   TraceReplay workloads and their QoE unit tagging;
+//!   trait plus the built-in FramedVideo / RequestResponse /
+//!   TraceReplay workloads and their QoE unit tagging (a Bulk profile
+//!   is run by its transport);
 //! * [`scenario`] — declarative scenario configs (cells, UEs, flows as
 //!   application × transport pairs, marker, channel profiles, mobility
 //!   trajectories, wired bottlenecks);
@@ -56,7 +57,7 @@ pub use bond::{BondJoin, BondTx, SbdDetector};
 pub use impairment::{ImpairmentCounters, ImpairmentSpec, StageSpec};
 pub use marker::MarkerKind;
 pub use metrics::{
-    BondStat, FallbackRecord, FecStat, HandoverRecord, Report, ShardStat, StoreShare, UplinkStats,
+    BondStat, FallbackRecord, FecStat, HandoverRecord, Report, ShardStat, StoreShare,
 };
 pub use runner::{run_batch, run_batch_on};
 pub use scenario::{

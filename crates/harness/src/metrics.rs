@@ -16,6 +16,7 @@ use std::fmt;
 use std::marker::PhantomData;
 
 use l4span_ran::rlc::{Sn, TxRecord};
+use l4span_ran::LinkStats;
 use l4span_sim::{stats::BoxStats, CycleStat, Duration, Instant};
 
 use crate::app::UnitKind;
@@ -212,11 +213,12 @@ pub struct Report {
     pub tbs_lost: u64,
     /// Downlink HARQ retransmission attempts.
     pub harq_retx: u64,
-    /// The uplink data plane's transport-block and RLC counters (all
-    /// zero unless a flow carries uplink data). Outside
+    /// The uplink's transport-block and RLC counters, summed over the
+    /// cells and UEs (all zero unless a flow carries uplink data): the
+    /// downlink's three above are the same type's fields. Outside
     /// [`Report::fingerprint`]: the uplink's outcome already reaches it
     /// through `ul_owd_ms` and `ul_queue_series`.
-    pub uplink: UplinkStats,
+    pub uplink: LinkStats,
     /// L4Span resident table memory at end of run, bytes (if it ran).
     pub marker_memory: usize,
     /// Wall-clock nanoseconds spent inside marker event handlers,
@@ -322,29 +324,6 @@ pub struct StoreShare {
     pub samples: usize,
     /// Bytes they take as stored.
     pub bytes: usize,
-}
-
-/// Uplink data-plane counters, summed over the cells and UEs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UplinkStats {
-    /// Uplink transport blocks received (first attempts).
-    pub tbs_sent: u64,
-    /// Uplink HARQ retransmission attempts.
-    pub harq_retx: u64,
-    /// Uplink transport blocks lost after HARQ exhaustion or destroyed
-    /// mid-air by a handover.
-    pub tbs_lost: u64,
-    /// Uplink SDUs tail-dropped at a full UE-side RLC queue.
-    pub rlc_drops: u64,
-}
-
-impl std::ops::AddAssign for UplinkStats {
-    fn add_assign(&mut self, o: UplinkStats) {
-        self.tbs_sent += o.tbs_sent;
-        self.harq_retx += o.harq_retx;
-        self.tbs_lost += o.tbs_lost;
-        self.rlc_drops += o.rlc_drops;
-    }
 }
 
 /// End-of-run summary of one bonded (dual-connectivity) flow.
@@ -497,32 +476,12 @@ impl Report {
         BoxStats::from_samples(&all)
     }
 
-    /// Box statistics of a flow's uplink one-way delay (empty stats for
-    /// downlink flows).
-    pub fn ul_owd_stats(&self, flow: usize) -> BoxStats {
-        BoxStats::from_samples(self.ul_owd_ms.get(flow).map_or(&[][..], |v| &v[..]))
-    }
-
     /// Pooled uplink one-way-delay statistics across a set of flows.
     pub fn ul_owd_stats_pooled(&self, flows: &[usize]) -> BoxStats {
         let mut all = Vec::new();
         for &f in flows {
             if let Some(v) = self.ul_owd_ms.get(f) {
                 all.extend_from_slice(v);
-            }
-        }
-        BoxStats::from_samples(&all)
-    }
-
-    /// Pooled one-way-delay statistics restricted to samples delivered in
-    /// `[from, to)` seconds.
-    pub fn owd_stats_windowed(&self, flows: &[usize], from_s: f64, to_s: f64) -> BoxStats {
-        let mut all = Vec::new();
-        for &f in flows {
-            for (t, &v) in self.owd_at_s(f).zip(&self.owd_ms[f]) {
-                if t >= from_s && t < to_s {
-                    all.push(v);
-                }
             }
         }
         BoxStats::from_samples(&all)
@@ -1920,8 +1879,6 @@ mod tests {
         // Only the 80 ms sample falls in the 100 ms post-HO window.
         let post = r.post_handover_owd(&[0], Duration::from_millis(100));
         assert_eq!(post.median, 80.0);
-        let win = r.owd_stats_windowed(&[0], 0.0, 1.0);
-        assert_eq!(win.median, 10.0);
     }
 
     #[test]
@@ -1958,9 +1915,13 @@ mod tests {
             })
         };
         let r = ul_call(10);
-        assert_eq!(r.ul_owd_stats(0).median, 10.0);
+        assert_eq!(r.ul_owd_stats_pooled(&[0]).median, 10.0);
         assert_eq!(r.ul_owd_stats_pooled(&[0]).n, 3);
-        assert_eq!(r.ul_owd_stats(5).n, 0, "absent flows degrade gracefully");
+        assert_eq!(
+            r.ul_owd_stats_pooled(&[5]).n,
+            0,
+            "absent flows degrade gracefully"
+        );
         let fp = r.fingerprint();
         assert!(fp.contains("ulowd="), "{fp}");
         // The digest is a pure function of the fingerprint.

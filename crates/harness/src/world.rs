@@ -17,7 +17,7 @@ use l4span_ran::ids::Qfi;
 use l4span_ran::mac::TransportBlock;
 use l4span_ran::rlc::{RlcStatus, Sn};
 use l4span_ran::{
-    CellConfig, DlDataDeliveryStatus, DrbId, Gnb, SlotOutput, UeId, UeStack, UlTbOutcome,
+    CellConfig, DlDataDeliveryStatus, DrbId, Gnb, GnbStats, SlotOutput, UeId, UeStack, UlTbOutcome,
 };
 use l4span_sim::{CycleScope, Duration, EventQueue, FxHashMap, Instant, SimRng};
 
@@ -25,9 +25,7 @@ use crate::app::{AppUnit, Application, UnitKind};
 use crate::bond::{BondJoin, BondTx, SbdDetector};
 use crate::endpoint::{self, Built, Delivery, Endpoint, FbData, Feedback, Released};
 use crate::marker::Marker;
-use crate::metrics::{
-    BondStat, FallbackRecord, Recorder, Report, ShardStat, UplinkStats, SAMPLE_PERIOD,
-};
+use crate::metrics::{BondStat, FallbackRecord, Recorder, Report, ShardStat, SAMPLE_PERIOD};
 use crate::scenario::{FlowDir, MobilityStep, ScenarioConfig};
 use crate::wired::{HopSink, WiredPlane};
 
@@ -444,13 +442,10 @@ pub struct World {
     /// against ground truth (an L4Span marker), else `None`.
     est_window: Option<Duration>,
     marker_time: (Vec<u64>, Vec<u64>, Vec<u64>),
-    /// Downlink transport blocks destroyed mid-air because their UE
-    /// handed over before decode; folded into `Report::tbs_lost` (the
-    /// gNB counts the HARQ-queue half of handover losses itself).
-    ho_tbs_lost: u64,
-    /// The world's share of `Report::uplink`: uplink blocks destroyed
-    /// mid-air by a handover (the gNBs and the UE stacks count the rest).
-    uplink: UplinkStats,
+    /// Transport blocks destroyed mid-air because their UE handed over
+    /// before decode, per link: the world's share of the cells' counters
+    /// (a gNB counts the blocks purged from its HARQ queue itself).
+    ho_lost: GnbStats,
     /// Events popped by the run loop, per [`Event::class`], plus the
     /// mobility steps executed at barriers as `Handover`; their sum is
     /// `Report::events` (the benchmark's `events`). A cell-major world
@@ -779,8 +774,7 @@ impl World {
             rec,
             est_window: None,
             marker_time: (Vec::new(), Vec::new(), Vec::new()),
-            ho_tbs_lost: 0,
-            uplink: UplinkStats::default(),
+            ho_lost: GnbStats::default(),
             event_counts: [0; Event::CLASSES.len()],
             queue_depth_peak: 0,
             cycles,
@@ -1372,7 +1366,7 @@ impl World {
             // decodes nothing from the old cell. In AM the SDUs were
             // forwarded over Xn anyway; in UM they are genuinely lost,
             // exactly as over the air — and counted as lost either way.
-            self.ho_tbs_lost += 1;
+            self.ho_lost.dl.tbs_lost += 1;
             return;
         }
         let t0 = self.cycles.start();
@@ -1688,7 +1682,7 @@ impl World {
             // Destroyed mid-air by the handover, exactly like a downlink
             // block: in AM the UE's re-established transmit entity
             // retransmits the SDUs at the target anyway.
-            self.uplink.tbs_lost += 1;
+            self.ho_lost.ul.tbs_lost += 1;
             return;
         }
         let c0 = self.cycles.start();
@@ -2346,8 +2340,7 @@ impl World {
                 primary.event_counts[class] += n;
             }
             primary.queue_depth_peak = primary.queue_depth_peak.max(w.queue_depth_peak);
-            primary.ho_tbs_lost += w.ho_tbs_lost;
-            primary.uplink += w.uplink;
+            primary.ho_lost += w.ho_lost;
             primary.marker_time.0.append(&mut w.marker_time.0);
             primary.marker_time.1.append(&mut w.marker_time.1);
             primary.marker_time.2.append(&mut w.marker_time.2);
@@ -2432,19 +2425,10 @@ impl World {
         }
         // Table-1 accounting sums over every cell in the topology; the
         // uplink tail drops are counted by the UEs' own bearers.
-        let mut g = l4span_ran::gnb::GnbStats::default();
-        let mut uplink = self.uplink;
-        uplink.rlc_drops += self.ues.iter().map(UeStack::ul_drops).sum::<u64>();
+        let mut g = self.ho_lost;
+        g.ul.rlc_drops += self.ues.iter().map(UeStack::ul_drops).sum::<u64>();
         for gnb in &self.gnbs {
-            let s = gnb.stats();
-            g.tbs_sent += s.tbs_sent;
-            g.harq_retx += s.harq_retx;
-            g.tbs_lost += s.tbs_lost;
-            g.sdus_dropped += s.sdus_dropped;
-            g.fading_evals += s.fading_evals;
-            uplink.tbs_sent += s.ul_tbs_sent;
-            uplink.harq_retx += s.ul_harq_retx;
-            uplink.tbs_lost += s.ul_tbs_lost;
+            g += gnb.stats();
         }
         let mut report = Report {
             duration: self.cfg.duration,
@@ -2461,10 +2445,10 @@ impl World {
             flow_ue: self.flows.iter().map(|f| f.ue_idx as u16).collect(),
             total_marks,
             ul_marks,
-            rlc_drops: g.sdus_dropped,
-            tbs_lost: g.tbs_lost + self.ho_tbs_lost,
-            harq_retx: g.harq_retx,
-            uplink,
+            rlc_drops: g.dl.rlc_drops,
+            tbs_lost: g.dl.tbs_lost,
+            harq_retx: g.dl.harq_retx,
+            uplink: g.ul,
             marker_memory,
             marker_time_ns: std::mem::take(&mut self.marker_time),
             cycles: self.cycles.report(),
@@ -2926,8 +2910,9 @@ mod tests {
         // Through the driver, which executes the mobility steps.
         let mut w = World::new(cfg);
         w.drive_alone();
-        let dl_lost = w.ho_tbs_lost + w.gnbs.iter().map(|g| g.stats().tbs_lost).sum::<u64>();
-        let ul_mid_air = w.uplink.tbs_lost;
+        let dl_lost =
+            w.ho_lost.dl.tbs_lost + w.gnbs.iter().map(|g| g.stats().dl.tbs_lost).sum::<u64>();
+        let ul_mid_air = w.ho_lost.ul.tbs_lost;
         let r = w.into_report();
         assert!(
             ul_mid_air > 0,

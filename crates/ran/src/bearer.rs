@@ -412,7 +412,7 @@ mod tests {
         assert_eq!((dl.len(), dl[0].highest_delivered_sn), (1, Some(7)));
         assert_eq!(dl, ul);
 
-        assert_eq!(gnb.stats().sdus_dropped, 2);
+        assert_eq!(gnb.stats().dl.rlc_drops, 2);
         assert_eq!(ue.ul_drops(), 2);
     }
 }

@@ -43,6 +43,22 @@ const PF_EWMA_GAIN: f64 = 0.01;
 /// Chase-combining SNR gain per HARQ retransmission attempt, in dB.
 const HARQ_COMBINING_GAIN_DB: f64 = 3.0;
 
+/// Whether the `attempt`-th transmission (1 = first) of a block coded
+/// at `cqi` fails to decode at `snr` dB, chase combining adding
+/// [`HARQ_COMBINING_GAIN_DB`] per earlier attempt: the decode rule of
+/// both links, one draw from `rng` per call.
+fn block_error(rng: &mut SimRng, cqi: u8, snr: f64, attempt: u8) -> bool {
+    let snr = snr + HARQ_COMBINING_GAIN_DB * f64::from(attempt - 1);
+    rng.chance(phy::bler(cqi, snr))
+}
+
+/// A direction of the radio link: the index of the per-link MAC state.
+#[derive(Debug, Clone, Copy)]
+enum Link {
+    Dl,
+    Ul,
+}
+
 /// A transport block scheduled for over-the-air delivery.
 #[derive(Debug)]
 pub struct TbDelivery {
@@ -102,28 +118,62 @@ pub enum UlTbOutcome {
     Lost,
 }
 
-/// Counters for Table-1-style accounting.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GnbStats {
+/// One link's counters for Table-1-style accounting.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LinkStats {
     /// Transport blocks transmitted (first attempts).
     pub tbs_sent: u64,
     /// HARQ retransmission attempts.
     pub harq_retx: u64,
-    /// Transport blocks lost after max attempts.
+    /// Transport blocks lost after HARQ exhaustion, or destroyed by a
+    /// handover (in the HARQ queue or mid-air).
     pub tbs_lost: u64,
-    /// Downlink SDUs tail-dropped at full RLC queues, forwarded ones at
-    /// handover included: the bearers' own counts, live and detached.
-    pub sdus_dropped: u64,
-    /// Uplink transport blocks received (first attempts).
-    pub ul_tbs_sent: u64,
-    /// Uplink HARQ retransmission attempts received.
-    pub ul_harq_retx: u64,
-    /// Uplink transport blocks lost after max attempts (or mid-handover).
-    pub ul_tbs_lost: u64,
+    /// SDUs tail-dropped at a full RLC queue, forwarded ones at
+    /// handover included: the transmit bearers' own counts, live and
+    /// detached. A cell holds the downlink bearers; the uplink ones are
+    /// the UE stacks' ([`UeStack::ul_drops`](crate::UeStack::ul_drops)).
+    pub rlc_drops: u64,
+}
+
+impl std::ops::AddAssign for LinkStats {
+    fn add_assign(&mut self, o: LinkStats) {
+        self.tbs_sent += o.tbs_sent;
+        self.harq_retx += o.harq_retx;
+        self.tbs_lost += o.tbs_lost;
+        self.rlc_drops += o.rlc_drops;
+    }
+}
+
+/// A cell's counters: one [`LinkStats`] per direction, plus the radio
+/// model's work.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct GnbStats {
+    /// Downlink transport blocks and RLC queues.
+    pub dl: LinkStats,
+    /// Uplink transport blocks received.
+    pub ul: LinkStats,
     /// Jakes sums the cell's fading channels evaluated
     /// ([`FadingChannel::evaluations`]): the radio model's work, which
     /// should track the distinct (UE, 2 ms grid point) pairs read.
     pub fading_evals: u64,
+}
+
+impl std::ops::AddAssign for GnbStats {
+    fn add_assign(&mut self, o: GnbStats) {
+        self.dl += o.dl;
+        self.ul += o.ul;
+        self.fading_evals += o.fading_evals;
+    }
+}
+
+/// One UE's proportional-fair state on one link.
+#[derive(Debug, Clone, Copy)]
+struct LinkMac {
+    /// Average throughput in bytes per slot of the link.
+    avg_tput: Ewma,
+    /// Bytes served to the UE in the current slot (0 = none); folded
+    /// into `avg_tput` when the slot's grant step ends.
+    served: usize,
 }
 
 #[derive(Debug)]
@@ -138,11 +188,10 @@ struct UeCtx {
     la_point: u64,
     la_cqi: u8,
     la_rbg_bytes: usize,
-    /// PF average throughput in bytes/slot.
-    avg_tput: Ewma,
-    /// Bytes of the transport block built for this UE in the current
-    /// slot (0 = none); folded into `avg_tput` at the end of the slot.
-    served_bytes: usize,
+    /// PF state per [`Link`]: each link its own average, since coupling
+    /// uplink fairness to the downlink history would starve a UE's
+    /// uplink because its downlink is busy.
+    mac: [LinkMac; 2],
     /// Intra-UE DRB round-robin cursor.
     drb_cursor: usize,
     /// Carrier-aggregation factor: 1 = primary carrier only; 2 = one
@@ -156,13 +205,6 @@ struct UeCtx {
     /// Most recent buffer-status report from the UE, minus bytes already
     /// granted against it (refreshed by every arriving BSR).
     ul_bsr: usize,
-    /// PF average **uplink** throughput in granted bytes per UL slot —
-    /// its own EWMA: coupling UL fairness to the downlink history would
-    /// starve a UE's uplink because its downlink is busy.
-    ul_avg_tput: Ewma,
-    /// Bytes granted to this UE in the current uplink slot (0 = none);
-    /// folded into `ul_avg_tput` at the end of the allocation.
-    ul_granted_bytes: usize,
 }
 
 impl UeCtx {
@@ -180,21 +222,21 @@ impl UeCtx {
             la_point: 0,
             la_cqi: 0,
             la_rbg_bytes: 0,
-            avg_tput: Ewma::new(PF_EWMA_GAIN),
-            served_bytes: 0,
+            mac: [LinkMac {
+                avg_tput: Ewma::new(PF_EWMA_GAIN),
+                served: 0,
+            }; 2],
             drb_cursor: 0,
             ca_factor,
             ul_rx,
             ul_bsr: 0,
-            ul_avg_tput: Ewma::new(PF_EWMA_GAIN),
-            ul_granted_bytes: 0,
         }
     }
 
     /// The scheduler's link adaptation for this UE: bring `la_cqi` (the
     /// CQI read off the channel as it was at `stale_at`) and
     /// `la_rbg_bytes` up to date. Called only for a UE the slot can
-    /// grant — one with downlink backlog or a known uplink BSR: both
+    /// grant — one with backlog on the slot's link: both
     /// allocators drop zero-backlog candidates before reading their
     /// rate, and the channel's SNR is a pure function of the grid
     /// point, so skipping idle UEs changes no grant, only how often the
@@ -224,10 +266,9 @@ struct PendingHarq {
 pub struct Gnb {
     cfg: CellConfig,
     scheduler: SchedulerKind,
-    rr_cursor: usize,
-    /// Uplink-grant round-robin cursor (independent of the DL one so
-    /// adding uplink traffic does not perturb downlink rotation).
-    ul_rr_cursor: usize,
+    /// Round-robin cursor per [`Link`], so uplink traffic does not
+    /// perturb the downlink rotation.
+    rr_cursor: [usize; 2],
     ues: IdTable<UeId, UeCtx>,
     pending_harq: Vec<PendingHarq>,
     slot_index: u64,
@@ -261,8 +302,7 @@ impl Gnb {
         Gnb {
             cfg,
             scheduler,
-            rr_cursor: 0,
-            ul_rr_cursor: 0,
+            rr_cursor: [0; 2],
             ues: IdTable::default(),
             pending_harq: Vec::new(),
             slot_index: 0,
@@ -306,7 +346,7 @@ impl Gnb {
         let mut s = self.stats;
         for c in self.ues.values() {
             s.fading_evals += c.channel.evaluations();
-            s.sdus_dropped += c.drbs.values().map(|b| b.rlc.drop_count()).sum::<u64>();
+            s.dl.rlc_drops += c.drbs.values().map(|b| b.rlc.drop_count()).sum::<u64>();
         }
         s
     }
@@ -364,12 +404,12 @@ impl Gnb {
         // handover-destroyed blocks too).
         let before = self.pending_harq.len();
         self.pending_harq.retain(|p| p.tb.ue != ue);
-        self.stats.tbs_lost += (before - self.pending_harq.len()) as u64;
+        self.stats.dl.tbs_lost += (before - self.pending_harq.len()) as u64;
         let drbs = ctx
             .drbs
             .drain()
             .map(|(drb, b)| {
-                self.stats.sdus_dropped += b.rlc.drop_count();
+                self.stats.dl.rlc_drops += b.rlc.drop_count();
                 b.detach(drb)
             })
             .collect();
@@ -507,15 +547,12 @@ impl Gnb {
                 continue;
             }
             rbgs_left -= p.rbgs;
-            self.stats.harq_retx += 1;
+            self.stats.dl.harq_retx += 1;
             p.tb.attempt += 1;
-            let ue = p.tb.ue;
-            let snr = self.ues.get(ue).expect("ue").channel.snr_db(now)
-                + HARQ_COMBINING_GAIN_DB * f64::from(p.tb.attempt - 1);
-            let err = phy::bler(p.tb.cqi, snr);
-            if self.rng.chance(err) {
+            let snr = self.ues.get(p.tb.ue).expect("ue").channel.snr_db(now);
+            if block_error(&mut self.rng, p.tb.cqi, snr, p.tb.attempt) {
                 if p.tb.attempt >= self.cfg.harq_max_attempts {
-                    self.stats.tbs_lost += 1;
+                    self.stats.dl.tbs_lost += 1;
                     out.lost_tbs += 1;
                     self.recycle_segments(p.tb.segments);
                 } else {
@@ -532,112 +569,159 @@ impl Gnb {
         self.pending_harq = still_pending;
         self.scratch_harq = pending;
 
-        // --- 2. Link adaptation + scheduling for new data ---
+        // --- 2. Schedule new data, 3. build transport blocks from it ---
+        self.grant_step(
+            Link::Dl,
+            now,
+            rbgs_left,
+            dl_fraction,
+            |g, grant, bytes, cqi| g.build_dl_tb(grant, bytes, cqi, now, out),
+        );
+
+        // --- 4. F1-U reports for DRBs whose watermarks moved ---
+        for (ue, ctx) in self.ues.iter_mut() {
+            for (drb, d) in ctx.drbs.iter_mut() {
+                out.f1u.extend(d.f1u(ue, drb, now));
+            }
+        }
+    }
+
+    /// The grant step of both links: link adaptation for every UE with
+    /// backlog on `link`, the configured allocator over `rbgs` RBGs, and
+    /// each grant sized as a transport-block budget — the TBS of its
+    /// PRBs scaled by `scale` (the slot's downlink share; 1.0 keeps the
+    /// integer TBS), times the UE's carriers. `serve` takes each
+    /// non-empty grant (its candidate index is the UE's row in `ues`),
+    /// in UE order, with its budget and CQI, and returns the bytes it
+    /// used; then every UE's PF average on `link` takes its bytes of the
+    /// slot.
+    fn grant_step(
+        &mut self,
+        link: Link,
+        now: Instant,
+        rbgs: usize,
+        scale: f64,
+        mut serve: impl FnMut(&mut Gnb, Grant, usize, u8) -> usize,
+    ) {
+        let l = link as usize;
         let stale_at =
             Instant::from_nanos(now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()));
         self.scratch_cands.clear();
         for (ue, ctx) in self.ues.iter_mut() {
-            let backlog: usize = ctx.drbs.values().map(|d| d.rlc.backlog_bytes()).sum();
+            // The RLC backlog on the downlink, the known BSR on the uplink.
+            let backlog = match link {
+                Link::Dl => ctx.drbs.values().map(|d| d.rlc.backlog_bytes()).sum(),
+                Link::Ul => ctx.ul_bsr,
+            };
             if backlog > 0 {
                 ctx.adapt_link(stale_at, &self.cfg);
             }
-            let per_rbg =
-                (ctx.la_rbg_bytes as f64 * dl_fraction * f64::from(ctx.ca_factor)) as usize;
+            let per_rbg = (ctx.la_rbg_bytes as f64 * scale * f64::from(ctx.ca_factor)) as usize;
             self.scratch_cands.push(Candidate {
                 ue,
                 backlog,
                 bytes_per_rbg: per_rbg,
-                avg_throughput: ctx.avg_tput.get_or(0.0),
+                avg_throughput: ctx.mac[l].avg_tput.get_or(0.0),
             });
         }
         let mut grants = std::mem::take(&mut self.scratch_grants);
         match self.scheduler {
             SchedulerKind::RoundRobin => mac::allocate_round_robin_into(
                 &self.scratch_cands,
-                rbgs_left,
-                &mut self.rr_cursor,
+                rbgs,
+                &mut self.rr_cursor[l],
                 &mut self.scratch_alloc,
                 &mut grants,
             ),
             SchedulerKind::ProportionalFair => mac::allocate_proportional_fair_into(
                 &self.scratch_cands,
-                rbgs_left,
+                rbgs,
                 &mut self.scratch_alloc,
                 &mut grants,
             ),
         }
-
-        // --- 3. Build transport blocks from RLC queues ---
         // A grant's candidate index is its UE's row in `ues` (one
         // candidate per row, in row order), and grants come in that order.
-        for &Grant { cand, rbgs: n_rbgs } in &grants {
-            let (ue, ctx) = self.ues.row_mut(cand);
+        for &grant in &grants {
+            let (_, ctx) = self.ues.row_mut(grant.cand);
             let cqi = ctx.la_cqi;
-            let prbs = (n_rbgs * self.cfg.rbg_size).min(self.cfg.n_prbs);
-            let budget =
-                (phy::tbs_bytes(cqi, prbs, self.cfg.re_per_prb) as f64 * dl_fraction) as usize;
-            if budget == 0 {
+            let prbs = (grant.rbgs * self.cfg.rbg_size).min(self.cfg.n_prbs);
+            let tbs = (phy::tbs_bytes(cqi, prbs, self.cfg.re_per_prb) as f64 * scale) as usize;
+            if tbs == 0 {
                 continue;
             }
-            let budget = budget * usize::from(ctx.ca_factor);
-            let n_drbs = ctx.drbs.len();
-            // Pooled buffer (small TBs carry 1–2 segments; pooled vecs
-            // keep their grown capacity, so no regrowth in practice).
-            let mut segments = self.segment_pool.pop().unwrap_or_default();
-            let mut left = budget;
-            for k in 0..n_drbs {
-                if left <= self.cfg.segment_overhead {
-                    break;
-                }
-                let (drb_id, d) = ctx.drbs.row_mut((ctx.drb_cursor + k) % n_drbs);
-                self.scratch_txed.clear();
-                let consumed = d.rlc.pull_with(left, now, &mut self.scratch_txed, |s| {
-                    segments.push((drb_id, s));
-                });
-                left -= consumed;
-                for rec in self.scratch_txed.drain(..) {
-                    out.txed_records.push((ue, drb_id, rec));
-                }
-            }
-            ctx.drb_cursor = (ctx.drb_cursor + 1) % n_drbs.max(1);
-            if segments.is_empty() {
-                self.recycle_segments(segments);
-                continue;
-            }
-            let used = budget - left;
-            ctx.served_bytes = used;
-            let tb = TransportBlock {
-                ue,
-                segments,
-                bytes: used,
-                attempt: 1,
-                cqi,
-                first_tx: now,
-            };
-            self.stats.tbs_sent += 1;
-            // Block-error draw at the *actual* current SNR.
-            let snr = ctx.channel.snr_db(now);
-            if self.rng.chance(phy::bler(cqi, snr)) {
-                self.pending_harq.push(PendingHarq {
-                    tb,
-                    retx_at: now + self.cfg.harq_rtt,
-                    rbgs: n_rbgs,
-                });
-            } else {
-                out.deliveries.push(TbDelivery { tb, deliver_at });
-            }
+            let bytes = tbs * usize::from(ctx.ca_factor);
+            let served = serve(self, grant, bytes, cqi);
+            self.ues.row_mut(grant.cand).1.mac[l].served = served;
         }
         self.scratch_grants = grants;
+        for ctx in self.ues.values_mut() {
+            let m = &mut ctx.mac[l];
+            m.avg_tput.push(std::mem::take(&mut m.served) as f64);
+        }
+    }
 
-        // --- 4. Per UE: the PF throughput average (every connected UE,
-        // every slot) and F1-U reports for DRBs whose watermarks moved ---
-        for (ue, ctx) in self.ues.iter_mut() {
-            ctx.avg_tput
-                .push(std::mem::take(&mut ctx.served_bytes) as f64);
-            for (drb, d) in ctx.drbs.iter_mut() {
-                out.f1u.extend(d.f1u(ue, drb, now));
+    /// Fill a downlink transport block of `budget` bytes coded at `cqi`
+    /// for `grant` from the UE's RLC queues, its DRBs in rotation, and
+    /// put it on the air: delivered at the end of the slot, or held for
+    /// HARQ on a block error. Returns the bytes it carries (0 = nothing
+    /// to send).
+    fn build_dl_tb(
+        &mut self,
+        grant: Grant,
+        budget: usize,
+        cqi: u8,
+        now: Instant,
+        out: &mut SlotOutput,
+    ) -> usize {
+        let (ue, ctx) = self.ues.row_mut(grant.cand);
+        let n_drbs = ctx.drbs.len();
+        // Pooled buffer (small TBs carry 1–2 segments; pooled vecs
+        // keep their grown capacity, so no regrowth in practice).
+        let mut segments = self.segment_pool.pop().unwrap_or_default();
+        let mut left = budget;
+        for k in 0..n_drbs {
+            if left <= self.cfg.segment_overhead {
+                break;
+            }
+            let (drb_id, d) = ctx.drbs.row_mut((ctx.drb_cursor + k) % n_drbs);
+            self.scratch_txed.clear();
+            let consumed = d.rlc.pull_with(left, now, &mut self.scratch_txed, |s| {
+                segments.push((drb_id, s));
+            });
+            left -= consumed;
+            for rec in self.scratch_txed.drain(..) {
+                out.txed_records.push((ue, drb_id, rec));
             }
         }
+        ctx.drb_cursor = (ctx.drb_cursor + 1) % n_drbs.max(1);
+        if segments.is_empty() {
+            self.recycle_segments(segments);
+            return 0;
+        }
+        let used = budget - left;
+        let tb = TransportBlock {
+            ue,
+            segments,
+            bytes: used,
+            attempt: 1,
+            cqi,
+            first_tx: now,
+        };
+        self.stats.dl.tbs_sent += 1;
+        // Block-error draw at the *actual* current SNR.
+        let snr = ctx.channel.snr_db(now);
+        if block_error(&mut self.rng, tb.cqi, snr, tb.attempt) {
+            self.pending_harq.push(PendingHarq {
+                tb,
+                retx_at: now + self.cfg.harq_rtt,
+                rbgs: grant.rbgs,
+            });
+        } else {
+            let deliver_at = now + self.cfg.slot_duration;
+            out.deliveries.push(TbDelivery { tb, deliver_at });
+        }
+        used
     }
 
     /// An RLC AM status report arrived from a UE. Returns the F1-U
@@ -682,65 +766,25 @@ impl Gnb {
     }
 
     /// Allocate this uplink slot's resources across BSR-backlogged UEs:
-    /// the same RBG allocators as the downlink (round-robin or
-    /// proportional fair), with link adaptation from the stale CQI and a
-    /// separate rotation cursor. Each entry is `(ue, granted_bytes,
-    /// cqi)`; **the sum of granted TBS never exceeds the slot's
-    /// capacity**, and every grant is debited against the UE's known BSR
-    /// so the scheduler does not re-grant the same bytes before the next
-    /// report arrives.
+    /// the downlink's grant step over the whole slot, each grant
+    /// `(ue, granted_bytes, cqi)`. **The sum of granted TBS never
+    /// exceeds the slot's capacity**, and every grant is debited against
+    /// the UE's known BSR so the scheduler does not re-grant the same
+    /// bytes before the next report arrives.
     pub fn allocate_ul_grants_into(&mut self, now: Instant, out: &mut Vec<(UeId, usize, u8)>) {
         out.clear();
-        let stale_at =
-            Instant::from_nanos(now.as_nanos().saturating_sub(self.cfg.cqi_delay.as_nanos()));
-        self.scratch_cands.clear();
-        for (ue, ctx) in self.ues.iter_mut() {
-            if ctx.ul_bsr > 0 {
-                ctx.adapt_link(stale_at, &self.cfg);
-            }
-            let per_rbg = ctx.la_rbg_bytes * usize::from(ctx.ca_factor);
-            self.scratch_cands.push(Candidate {
-                ue,
-                backlog: ctx.ul_bsr,
-                bytes_per_rbg: per_rbg,
-                avg_throughput: ctx.ul_avg_tput.get_or(0.0),
-            });
-        }
-        let mut grants = std::mem::take(&mut self.scratch_grants);
-        match self.scheduler {
-            SchedulerKind::RoundRobin => mac::allocate_round_robin_into(
-                &self.scratch_cands,
-                self.cfg.n_rbgs(),
-                &mut self.ul_rr_cursor,
-                &mut self.scratch_alloc,
-                &mut grants,
-            ),
-            SchedulerKind::ProportionalFair => mac::allocate_proportional_fair_into(
-                &self.scratch_cands,
-                self.cfg.n_rbgs(),
-                &mut self.scratch_alloc,
-                &mut grants,
-            ),
-        }
-        for &Grant { cand, rbgs: n_rbgs } in &grants {
-            let (ue, ctx) = self.ues.row_mut(cand);
-            let cqi = ctx.la_cqi;
-            let prbs = (n_rbgs * self.cfg.rbg_size).min(self.cfg.n_prbs);
-            let budget =
-                phy::tbs_bytes(cqi, prbs, self.cfg.re_per_prb) * usize::from(ctx.ca_factor);
-            if budget == 0 {
-                continue;
-            }
-            ctx.ul_bsr = ctx.ul_bsr.saturating_sub(budget);
-            ctx.ul_granted_bytes = budget;
-            out.push((ue, budget, cqi));
-        }
-        self.scratch_grants = grants;
-        // Uplink PF averages: every attached UE, every UL slot.
-        for ctx in self.ues.values_mut() {
-            ctx.ul_avg_tput
-                .push(std::mem::take(&mut ctx.ul_granted_bytes) as f64);
-        }
+        self.grant_step(
+            Link::Ul,
+            now,
+            self.cfg.n_rbgs(),
+            1.0,
+            |g, grant, bytes, cqi| {
+                let (ue, ctx) = g.ues.row_mut(grant.cand);
+                ctx.ul_bsr = ctx.ul_bsr.saturating_sub(bytes);
+                out.push((ue, bytes, cqi));
+                bytes
+            },
+        );
     }
 
     /// An uplink transport block arrives at the PHY: draw the block
@@ -753,20 +797,19 @@ impl Gnb {
         now: Instant,
         out: &mut Vec<(DrbId, RxDelivery)>,
     ) -> UlTbOutcome {
-        let Some(snr0) = self.ues.get(tb.ue).map(|c| c.channel.snr_db(now)) else {
-            self.stats.ul_tbs_lost += 1;
+        let Some(snr) = self.ues.get(tb.ue).map(|c| c.channel.snr_db(now)) else {
+            self.stats.ul.tbs_lost += 1;
             self.recycle_segments(tb.segments);
             return UlTbOutcome::Lost;
         };
         if tb.attempt == 1 {
-            self.stats.ul_tbs_sent += 1;
+            self.stats.ul.tbs_sent += 1;
         } else {
-            self.stats.ul_harq_retx += 1;
+            self.stats.ul.harq_retx += 1;
         }
-        let snr = snr0 + HARQ_COMBINING_GAIN_DB * f64::from(tb.attempt - 1);
-        if self.rng.chance(phy::bler(tb.cqi, snr)) {
+        if block_error(&mut self.rng, tb.cqi, snr, tb.attempt) {
             if tb.attempt >= self.cfg.harq_max_attempts {
-                self.stats.ul_tbs_lost += 1;
+                self.stats.ul.tbs_lost += 1;
                 self.recycle_segments(tb.segments);
                 return UlTbOutcome::Lost;
             }
@@ -957,7 +1000,7 @@ mod tests {
         for _ in 0..10 {
             g.enqueue_downlink(UeId(0), Qfi(1), pkt(1000), Instant::ZERO);
         }
-        assert_eq!(g.stats().sdus_dropped, 6);
+        assert_eq!(g.stats().dl.rlc_drops, 6);
         assert_eq!(g.rlc_queue_len(UeId(0), DrbId(0)), 4);
     }
 
@@ -977,7 +1020,7 @@ mod tests {
             g.enqueue_downlink(UeId(0), Qfi(1), pkt(1460), Instant::ZERO);
         }
         let outs = run_slots(&mut g, 0..4000); // 2 s
-        assert!(g.stats().harq_retx > 0, "expected HARQ retransmissions");
+        assert!(g.stats().dl.harq_retx > 0, "expected HARQ retransmissions");
         let delivered_bytes: usize = outs
             .iter()
             .flat_map(|o| &o.deliveries)
@@ -1249,7 +1292,7 @@ mod tests {
         assert_eq!(delivered.len(), 20, "all uplink SDUs arrive");
         let sorted: Vec<u64> = (0..20).collect();
         assert_eq!(delivered, sorted, "exactly once, in SN order");
-        assert!(g.stats().ul_tbs_sent > 0);
+        assert!(g.stats().ul.tbs_sent > 0);
     }
 
     #[test]

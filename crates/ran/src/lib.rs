@@ -50,6 +50,6 @@ pub use bearer::DrbHandoverState;
 pub use channel::{ChannelProfile, FadingChannel};
 pub use config::{CellConfig, RlcMode, SchedulerKind};
 pub use f1u::DlDataDeliveryStatus;
-pub use gnb::{Gnb, SlotOutput, UeHandoverCtx, UlTbOutcome};
+pub use gnb::{Gnb, GnbStats, LinkStats, SlotOutput, UeHandoverCtx, UlTbOutcome};
 pub use ids::{DrbId, UeId};
 pub use ue::UeStack;

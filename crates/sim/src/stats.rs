@@ -64,9 +64,9 @@ pub struct BoxStats {
 }
 
 impl BoxStats {
-    /// Summarise a sample set. Returns all-zero stats for an empty input
-    /// (an empty measurement is a scenario bug; the harness asserts on it
-    /// separately so figures never silently print zeros).
+    /// Summarise a sample set. Returns all-zero stats with `n == 0` for
+    /// an empty input: read `n` before the numbers (the figure tables
+    /// print such a box as `-`, not as zeros).
     pub fn from_samples(values: &[f64]) -> BoxStats {
         if values.is_empty() {
             return BoxStats {
